@@ -138,6 +138,46 @@ func BenchmarkScanSum(b *testing.B) {
 	b.ReportMetric(float64(200_000*b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
+// benchMorselScan measures one statement through the morsel-parallel
+// executor over 250k lineitem rows at one and two workers.
+func benchMorselScan(b *testing.B, sql string) {
+	const rows = 250_000
+	star := benchStar(b, rows)
+	p := mustPlan(b, star.Catalog, sql)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("W=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := exec.RunParallel(p, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "rows/s")
+		})
+	}
+}
+
+// BenchmarkScanStringGroupBy measures GROUP BY on a dictionary-encoded
+// column: groups resolve by code, so allocations track groups, not rows.
+func BenchmarkScanStringGroupBy(b *testing.B) {
+	benchMorselScan(b, `SELECT l_shipmode, COUNT(*) AS n, SUM(l_extendedprice) AS total
+		FROM lineitem GROUP BY l_shipmode ORDER BY l_shipmode`)
+}
+
+// BenchmarkScanStringFilter measures a string equality filter compiled to
+// a code comparison.
+func BenchmarkScanStringFilter(b *testing.B) {
+	benchMorselScan(b, `SELECT COUNT(*) AS n, SUM(l_quantity) AS q
+		FROM lineitem WHERE l_shipmode = 'RAIL' AND l_quantity > 45`)
+}
+
+// BenchmarkScanIntGroupBy measures a 500-group GROUP BY on an integer
+// column, keyed by the raw int64.
+func BenchmarkScanIntGroupBy(b *testing.B) {
+	benchMorselScan(b, `SELECT l_suppkey, COUNT(*) AS n, SUM(l_extendedprice) AS total
+		FROM lineitem WHERE l_suppkey <= 500 GROUP BY l_suppkey ORDER BY l_suppkey LIMIT 10`)
+}
+
 // BenchmarkScanFiltered measures scan with a pushed-down predicate.
 func BenchmarkScanFiltered(b *testing.B) {
 	star := benchStar(b, 200_000)

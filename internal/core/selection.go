@@ -43,13 +43,10 @@ func EstimateStratifiedRows(src *storage.Table, qcs []string, cap int) (int, err
 		idxs[i] = idx
 	}
 	counts := make(map[string]int)
-	keyBuf := make([]storage.Value, len(idxs))
+	keyer := sample.NewKeyer(src, idxs)
 	n := src.NumRows()
 	for i := 0; i < n; i++ {
-		for j, idx := range idxs {
-			keyBuf[j] = src.Column(idx).Value(i)
-		}
-		counts[sample.KeyOf(keyBuf)]++
+		counts[keyer.Key(i)]++
 	}
 	total := 0
 	for _, c := range counts {

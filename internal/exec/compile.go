@@ -5,9 +5,12 @@ package exec
 // The tree-walking evaluator allocates a Row adapter per row and pays an
 // interface dispatch plus Value boxing per expression node. For the
 // expression shapes that dominate aggregate scans — column references,
-// numeric literals, arithmetic, comparisons, AND/OR — we compile the tree
-// once per morsel run into closures that read the typed column storage
-// directly. Compilation is best-effort: any unsupported node returns a
+// numeric literals, arithmetic, comparisons, AND/OR/NOT, and string
+// equality and IN against literals — we compile the tree once per scan
+// into closures that read the typed column storage directly. String
+// predicates compare dictionary codes: each literal is resolved against
+// the snapshot's dictionary at compile time, so the row loop never touches
+// string bytes. Compilation is best-effort: any unsupported node returns a
 // nil kernel and the caller falls back to the general evaluator for that
 // expression only.
 //
@@ -123,6 +126,92 @@ func compileNum(e expr.Expr, t *storage.Table, m colMap) numKernel {
 	return nil
 }
 
+// intKernel evaluates an integer expression for one table row as the
+// evaluator's TypeInt64 value and a NULL flag.
+type intKernel func(row int) (int64, bool)
+
+// compileInt compiles an expression whose evaluated value is always
+// TypeInt64 (or NULL) — an integer column or literal — or returns nil.
+func compileInt(e expr.Expr, t *storage.Table, m colMap) intKernel {
+	switch n := e.(type) {
+	case *expr.ColRef:
+		if c, ok := t.Column(m.col(n.Index)).(*storage.Int64Column); ok {
+			return func(row int) (int64, bool) { return c.Int(row), c.IsNull(row) }
+		}
+	case *expr.Lit:
+		if n.Val.Typ == storage.TypeInt64 {
+			v, null := n.Val.I, n.Val.IsNull()
+			return func(int) (int64, bool) { return v, null }
+		}
+	}
+	return nil
+}
+
+// stringLit returns the literal's string when e is a non-NULL string
+// literal.
+func stringLit(e expr.Expr) (string, bool) {
+	if l, ok := e.(*expr.Lit); ok && l.Val.Typ == storage.TypeString && !l.Val.IsNull() {
+		return l.Val.S, true
+	}
+	return "", false
+}
+
+// dictColumn returns the dictionary column e references, if it is one.
+func dictColumn(e expr.Expr, t *storage.Table, m colMap) *storage.StringColumn {
+	if c, ok := e.(*expr.ColRef); ok {
+		d, _ := t.Column(m.col(c.Index)).(*storage.StringColumn)
+		return d
+	}
+	return nil
+}
+
+// compileStringEq compiles column = 'lit' (ne: column <> 'lit') on codes.
+// A literal no row holds makes = constant false and <> true for every
+// non-NULL row; NULL rows (code 0) fail both, as in the evaluator.
+func compileStringEq(d *storage.StringColumn, lit string, ne bool) boolKernel {
+	code, found := d.Lookup(lit)
+	switch {
+	case ne && found:
+		return func(row int) bool { c := d.Code(row); return c != code && c != 0 }
+	case ne:
+		return func(row int) bool { return d.Code(row) != 0 }
+	case found:
+		return func(row int) bool { return d.Code(row) == code }
+	}
+	return func(int) bool { return false }
+}
+
+// compileStringIn compiles column [NOT] IN (literals) on codes. List
+// entries that cannot equal a string — NULLs, other types, strings no row
+// holds — never match in the evaluator either, so they are dropped.
+func compileStringIn(d *storage.StringColumn, in *expr.In) boolKernel {
+	var codes []uint32
+	for _, e := range in.List {
+		l, ok := e.(*expr.Lit)
+		if !ok {
+			return nil
+		}
+		if s, ok := stringLit(l); ok {
+			if code, found := d.Lookup(s); found {
+				codes = append(codes, code)
+			}
+		}
+	}
+	negate := in.Negate
+	return func(row int) bool {
+		c := d.Code(row)
+		if c == 0 {
+			return false
+		}
+		for _, code := range codes {
+			if c == code {
+				return !negate
+			}
+		}
+		return negate
+	}
+}
+
 // compileBool compiles a predicate against t, or returns nil.
 func compileBool(e expr.Expr, t *storage.Table, m colMap) boolKernel {
 	switch n := e.(type) {
@@ -135,6 +224,22 @@ func compileBool(e expr.Expr, t *storage.Table, m colMap) boolKernel {
 			v := c.Value(row)
 			return !v.IsNull() && v.B
 		}
+	case *expr.Unary:
+		// The evaluator's NOT is two-valued: NOT of a NULL or false
+		// operand is true, exactly the negation of the operand's kernel.
+		if n.Op != expr.OpNot {
+			return nil
+		}
+		x := compileBool(n.X, t, m)
+		if x == nil {
+			return nil
+		}
+		return func(row int) bool { return !x(row) }
+	case *expr.In:
+		if d := dictColumn(n.X, t, m); d != nil {
+			return compileStringIn(d, n)
+		}
+		return nil
 	case *expr.Binary:
 		switch n.Op {
 		case expr.OpAnd:
@@ -155,13 +260,34 @@ func compileBool(e expr.Expr, t *storage.Table, m colMap) boolKernel {
 		if !n.Op.Comparison() {
 			return nil
 		}
-		// Value.Equal compares same-typed int64s as integers; beyond 2^53
-		// a float comparison could disagree, so Eq/Ne require a float
-		// operand. The ordering operators always go through Value.Compare,
-		// which promotes every numeric pair to float64.
 		if n.Op == expr.OpEq || n.Op == expr.OpNe {
-			if n.L.Type() != storage.TypeFloat64 && n.R.Type() != storage.TypeFloat64 {
+			ne := n.Op == expr.OpNe
+			col, lit := n.L, n.R
+			if dictColumn(col, t, m) == nil {
+				col, lit = n.R, n.L
+			}
+			if d := dictColumn(col, t, m); d != nil {
+				if s, ok := stringLit(lit); ok {
+					return compileStringEq(d, s, ne)
+				}
 				return nil
+			}
+			// Value.Equal compares same-typed int64s as integers; beyond
+			// 2^53 a float comparison could disagree, so an integer pair
+			// is compared as int64 and only a pair with a float operand as
+			// float64. The ordering operators always go through
+			// Value.Compare, which promotes every numeric pair to float64.
+			if n.L.Type() != storage.TypeFloat64 && n.R.Type() != storage.TypeFloat64 {
+				l := compileInt(n.L, t, m)
+				r := compileInt(n.R, t, m)
+				if l == nil || r == nil {
+					return nil
+				}
+				return func(row int) bool {
+					a, an := l(row)
+					b, bn := r(row)
+					return !an && !bn && (a == b) != ne
+				}
 			}
 		}
 		l := compileNum(n.L, t, m)

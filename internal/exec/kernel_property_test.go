@@ -1,0 +1,321 @@
+package exec
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/expr"
+	"repro/internal/plan"
+	"repro/internal/storage"
+)
+
+// kernelCatalog builds a table that exercises every typed access path:
+// low-cardinality strings with NULLs and the empty string (dense group
+// table, code filters), a unique-per-row string (typed-key map), integers
+// with NULLs and values past 2^53 (int64 comparison), and a float measure.
+// Measures are small integers and the only sampling rate used is 50 %, so
+// every Horvitz–Thompson sum is exact in float64 whatever the order: the
+// serial operators, which accumulate in one pass, and the morsel path,
+// which accumulates per morsel and merges, must then agree to the bit.
+func kernelCatalog(t testing.TB, rows int) *storage.Catalog {
+	t.Helper()
+	tbl := storage.NewTableWithBlockSize("t", storage.Schema{
+		{Name: "s1", Type: storage.TypeString},
+		{Name: "s2", Type: storage.TypeString},
+		{Name: "hi", Type: storage.TypeString},
+		{Name: "i1", Type: storage.TypeInt64},
+		{Name: "i2", Type: storage.TypeInt64},
+		{Name: "f", Type: storage.TypeFloat64},
+	}, 256)
+	rng := rand.New(rand.NewSource(11))
+	s1 := []string{"AIR", "RAIL", "", "SHIP", "a\x1fb"}
+	s2 := []string{"O", "F"}
+	batch := make([][]storage.Value, 0, 1024)
+	for r := 0; r < rows; r++ {
+		row := []storage.Value{
+			storage.Str(s1[rng.Intn(len(s1))]),
+			storage.Str(s2[rng.Intn(len(s2))]),
+			storage.Str(fmt.Sprint("h", r)),
+			storage.Int64(int64(rng.Intn(9))),
+			storage.Int64(1<<53 + int64(rng.Intn(3))),
+			storage.Float64(float64(rng.Intn(100))),
+		}
+		for c, every := range map[int]int{0: 17, 3: 19, 5: 23} {
+			if rng.Intn(every) == 0 {
+				row[c] = storage.NullValue(tbl.Schema()[c].Type)
+			}
+		}
+		batch = append(batch, row)
+		if len(batch) == cap(batch) || r == rows-1 {
+			if err := tbl.AppendRows(batch); err != nil {
+				t.Fatal(err)
+			}
+			batch = batch[:0]
+		}
+	}
+	cat := storage.NewCatalog()
+	if err := cat.Add(tbl); err != nil {
+		t.Fatal(err)
+	}
+	return cat
+}
+
+// predGen draws random predicates over kernelCatalog's table as SQL text.
+type predGen struct{ rng *rand.Rand }
+
+func (g predGen) pick(options ...string) string { return options[g.rng.Intn(len(options))] }
+
+// stringLit draws a literal a row holds, the empty string, or one no row
+// holds.
+func (g predGen) stringLit() string {
+	return g.pick("'AIR'", "'RAIL'", "''", "'SHIP'", "'absent'", "'F'")
+}
+
+func (g predGen) atom() string {
+	switch g.rng.Intn(12) {
+	case 0:
+		return fmt.Sprintf("%s %s %s", g.pick("s1", "s2"), g.pick("=", "<>"), g.stringLit())
+	case 1:
+		return fmt.Sprintf("%s %s s1", g.stringLit(), g.pick("=", "<>"))
+	case 2:
+		return fmt.Sprintf("s1 %s (%s, %s, %s)", g.pick("IN", "NOT IN"), g.stringLit(), g.stringLit(), g.stringLit())
+	case 3:
+		return fmt.Sprintf("s1 %s ('absent', 'gone')", g.pick("IN", "NOT IN"))
+	case 4:
+		return fmt.Sprintf("hi = 'h%d'", g.rng.Intn(50_000))
+	case 5:
+		return fmt.Sprintf("i1 %s %d", g.pick("=", "<>"), g.rng.Intn(10))
+	case 6:
+		// 2^53 and 2^53+1 are one float64: only an int64 comparison
+		// tells them apart.
+		return fmt.Sprintf("i2 %s %d", g.pick("=", "<>"), 1<<53+g.rng.Intn(4))
+	case 7:
+		return fmt.Sprintf("i1 %s i2", g.pick("=", "<>"))
+	case 8:
+		return fmt.Sprintf("i1 %s 4.0", g.pick("=", "<>", "<"))
+	case 9:
+		return fmt.Sprintf("f %s %d AND %d", g.pick("BETWEEN", "NOT BETWEEN"), g.rng.Intn(50), 50+g.rng.Intn(50))
+	case 10:
+		return fmt.Sprintf("i1 %s 2 AND 6", g.pick("BETWEEN", "NOT BETWEEN"))
+	default:
+		return g.pick("s1 IS NULL", "i1 IS NOT NULL", "s1 < 'RAIL'") // stay on the evaluator
+	}
+}
+
+func (g predGen) pred(depth int) string {
+	if depth == 0 || g.rng.Intn(3) == 0 {
+		return g.atom()
+	}
+	switch g.rng.Intn(3) {
+	case 0:
+		return fmt.Sprintf("(%s AND %s)", g.pred(depth-1), g.pred(depth-1))
+	case 1:
+		return fmt.Sprintf("(%s OR %s)", g.pred(depth-1), g.pred(depth-1))
+	default:
+		return fmt.Sprintf("NOT (%s)", g.pred(depth-1))
+	}
+}
+
+// scanFilter plans a single-table statement and returns the predicate the
+// planner pushed into its scan, with the scanned table's snapshot.
+func scanFilter(t *testing.T, cat *storage.Catalog, where string) (expr.Expr, *storage.Table) {
+	t.Helper()
+	p := buildPlan(t, cat, "SELECT COUNT(*) FROM t WHERE "+where)
+	scans := plan.Scans(p)
+	if len(scans) != 1 || scans[0].Filter == nil {
+		t.Fatalf("WHERE %s: expected one scan with a pushed-down filter", where)
+	}
+	return scans[0].Filter, scans[0].Table.Snapshot()
+}
+
+// TestCompiledPredicatesMatchEvaluator compares compileBool's kernels with
+// expr.EvalBool row by row over seeded random predicates: string =/<>/IN
+// with present and absent literals, integer equality past 2^53, NOT over
+// anything compilable, and NULLs everywhere.
+func TestCompiledPredicatesMatchEvaluator(t *testing.T) {
+	cat := kernelCatalog(t, 3000)
+	// The shapes this change moved onto the kernel path must compile, or
+	// the comparison below would pass by testing nothing.
+	for _, where := range []string{
+		"s1 = 'AIR'", "'AIR' <> s1", "s1 = 'absent'", "s1 <> 'absent'",
+		"s1 IN ('AIR', 'absent')", "s1 NOT IN ('AIR', 'RAIL')",
+		"i1 = 3", "i1 <> i2", "i2 = 9007199254740993",
+		"NOT (s1 = 'AIR' OR i1 = 3)", "i1 NOT BETWEEN 2 AND 6",
+	} {
+		if e, snap := scanFilter(t, cat, where); compileBool(e, snap, nil) == nil {
+			t.Errorf("WHERE %s does not compile", where)
+		}
+	}
+
+	g := predGen{rand.New(rand.NewSource(5))}
+	compiled := 0
+	for i := 0; i < 400; i++ {
+		where := g.pred(3)
+		e, snap := scanFilter(t, cat, where)
+		k := compileBool(e, snap, nil)
+		if k == nil {
+			continue
+		}
+		compiled++
+		for row := 0; row < snap.NumRows(); row++ {
+			want, err := expr.EvalBool(e, tableRow{t: snap, idx: row})
+			if err != nil {
+				t.Fatalf("WHERE %s: evaluator: %v", where, err)
+			}
+			if got := k(row); got != want {
+				t.Fatalf("WHERE %s: row %d %v: kernel %v, evaluator %v", where, row, snap.Row(row), got, want)
+			}
+		}
+	}
+	if compiled < 200 {
+		t.Errorf("only %d of 400 random predicates compiled", compiled)
+	}
+}
+
+// TestMorselMatchesSerialBitForBit runs seeded random group-bys and
+// predicates through the serial operators and the morsel path at one and
+// four workers and requires identical rows and identical GroupDetails —
+// keys, group sizes, estimates and variances — to the bit.
+func TestMorselMatchesSerialBitForBit(t *testing.T) {
+	cat := kernelCatalog(t, 40_000) // five morsels
+	groupBys := []string{
+		"s1", "s2", "s1, s2", "s2, s1", // dense code table
+		"hi",       // typed-key map over codes
+		"i1", "i2", // raw int64
+		"s1, i1",     // mixed string + int
+		"i1, s2, s1", // three parts
+		"f",          // float column: evaluated per row
+		"s1, i1 + 1", // non-column expression beside a typed part
+	}
+	samples := []string{"", " TABLESAMPLE BERNOULLI (50)", " TABLESAMPLE UNIVERSE (50) ON (s1)",
+		" TABLESAMPLE UNIVERSE (50) ON (s1, s2)", " TABLESAMPLE UNIVERSE (50) ON (i1)"}
+	g := predGen{rand.New(rand.NewSource(9))}
+	for i := 0; i < 120; i++ {
+		by := groupBys[i%len(groupBys)]
+		sql := fmt.Sprintf("SELECT %s, COUNT(*) AS n, SUM(f) AS s, AVG(f) AS a, COUNT(f) AS c FROM t%s",
+			by, samples[g.rng.Intn(len(samples))])
+		if g.rng.Intn(4) > 0 {
+			sql += " WHERE " + g.pred(2)
+		}
+		sql += " GROUP BY " + by
+		serial, err := Run(buildPlan(t, cat, sql))
+		if err != nil {
+			t.Fatalf("serial %q: %v", sql, err)
+		}
+		// The serial result is ordered by canonical key too, so rows and
+		// details line up without an ORDER BY.
+		for _, workers := range []int{1, 4} {
+			par, err := RunParallelContext(context.Background(), buildPlan(t, cat, sql), workers)
+			if err != nil {
+				t.Fatalf("W=%d %q: %v", workers, sql, err)
+			}
+			if !reflect.DeepEqual(par.Rows, serial.Rows) {
+				t.Fatalf("W=%d %q: rows differ\nparallel %v\nserial   %v", workers, sql, par.Rows, serial.Rows)
+			}
+			if len(par.Details) != len(serial.Details) {
+				t.Fatalf("W=%d %q: %d details vs %d", workers, sql, len(par.Details), len(serial.Details))
+			}
+			for r := range serial.Details {
+				if err := sameDetail(par.Details[r], serial.Details[r]); err != nil {
+					t.Fatalf("W=%d %q: group %d: %v", workers, sql, r, err)
+				}
+			}
+			if par.Counters != serial.Counters {
+				t.Fatalf("W=%d %q: counters %+v vs %+v", workers, sql, par.Counters, serial.Counters)
+			}
+		}
+	}
+}
+
+// sameDetail compares two group details bit for bit.
+func sameDetail(a, b *GroupDetail) error {
+	if a.Key != b.Key || a.GroupN != b.GroupN || len(a.Aggs) != len(b.Aggs) {
+		return fmt.Errorf("key/size %q %v vs %q %v", a.Key, a.GroupN, b.Key, b.GroupN)
+	}
+	bits := math.Float64bits
+	for j := range a.Aggs {
+		x, y := a.Aggs[j], b.Aggs[j]
+		if bits(x.Estimate) != bits(y.Estimate) || bits(x.Variance) != bits(y.Variance) ||
+			x.N != y.N || x.Weighted != y.Weighted || x.Supported != y.Supported {
+			return fmt.Errorf("agg %d: %+v vs %+v", j, x, y)
+		}
+	}
+	return nil
+}
+
+// TestStringGroupByMorselAllocations guards the point of typed key
+// resolution: a string group-by morsel allocates per group, not per row.
+func TestStringGroupByMorselAllocations(t *testing.T) {
+	cat := kernelCatalog(t, 10_000)
+	for _, c := range []struct {
+		by     string
+		groups int
+	}{{"s1", 6}, {"s1, s2", 10}, {"s1, i1", 60}} {
+		sql := fmt.Sprintf("SELECT %s, COUNT(*), SUM(f) FROM t WHERE s2 = 'O' OR s1 <> 'AIR' GROUP BY %s", c.by, c.by)
+		a := plan.FindAggregate(buildPlan(t, cat, sql))
+		scan, residual, ok := morselEligible(a)
+		if !ok {
+			t.Fatalf("%q is not morsel-eligible", sql)
+		}
+		op, err := newMorselAggOp(context.Background(), a, scan, residual, &Counters{}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := scan.Table.Snapshot()
+		op.kern = op.compileKernels(snap)
+		wk, err := op.newWorker(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const rows = 8192
+		var groups int
+		allocs := testing.AllocsPerRun(5, func() {
+			part, err := wk.processMorsel(context.Background(), 0, rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			groups = len(part)
+		})
+		if groups != c.groups {
+			t.Errorf("GROUP BY %s: %d groups, want %d", c.by, groups, c.groups)
+		}
+		// A group costs its state, values, key and map entries; the old
+		// path also paid at least one allocation per row.
+		if limit := float64(12*groups + 16); allocs > limit {
+			t.Errorf("GROUP BY %s: %.0f allocations for %d groups over %d rows (limit %.0f)",
+				c.by, allocs, groups, rows, limit)
+		}
+	}
+}
+
+// TestSerialScanFilterMatchesEvaluator checks the serial scan, which now
+// compiles its filter and keys its sampler from cached keys, against the
+// interpreter, through the distinct sampler (which keeps the plan off the
+// morsel path).
+func TestSerialScanFilterMatchesEvaluator(t *testing.T) {
+	cat := kernelCatalog(t, 5000)
+	where := "s1 IN ('AIR', 'SHIP') AND NOT (i1 = 3)"
+	e, snap := scanFilter(t, cat, where)
+	want := 0
+	for row := 0; row < snap.NumRows(); row++ {
+		if ok, err := expr.EvalBool(e, tableRow{t: snap, idx: row}); err != nil {
+			t.Fatal(err)
+		} else if ok {
+			want++
+		}
+	}
+	res, err := Run(buildPlan(t, cat, "SELECT COUNT(*) FROM t TABLESAMPLE DISTINCT (100, 5) ON (s1, s2) WHERE "+where))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rows[0][0].AsInt(); got != int64(want) || want == 0 {
+		t.Errorf("serial scan counted %d rows, evaluator %d", got, want)
+	}
+	if res.Counters.RowsEmitted != int64(want) {
+		t.Errorf("RowsEmitted = %d, want %d", res.Counters.RowsEmitted, want)
+	}
+}

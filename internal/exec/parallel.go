@@ -225,7 +225,7 @@ const (
 type morselKernels struct {
 	filter   boolKernel   // scan filter, bound to the table schema
 	residual []boolKernel // per residual predicate, bound to scan output
-	groupCol []int        // table column per ColRef group expr, else -1
+	group    []groupPart  // typed access path per group expr
 	slotMode []int
 	slotArg  []numKernel
 	needRow  bool // some fallback still needs the mappedRow adapter
@@ -236,7 +236,7 @@ type morselKernels struct {
 func (op *morselAggOp) compileKernels(t *storage.Table) morselKernels {
 	k := morselKernels{
 		residual: make([]boolKernel, len(op.residual)),
-		groupCol: make([]int, len(op.node.GroupBy)),
+		group:    make([]groupPart, len(op.node.GroupBy)),
 		slotMode: make([]int, len(op.node.Aggs)),
 		slotArg:  make([]numKernel, len(op.node.Aggs)),
 	}
@@ -251,12 +251,17 @@ func (op *morselAggOp) compileKernels(t *storage.Table) morselKernels {
 		}
 	}
 	for i, ge := range op.node.GroupBy {
-		k.groupCol[i] = -1
 		if c, ok := ge.(*expr.ColRef); ok {
-			k.groupCol[i] = op.outIdx[c.Index]
-		} else {
-			k.needRow = true
+			switch col := t.Column(op.outIdx[c.Index]).(type) {
+			case *storage.StringColumn:
+				k.group[i].dict = col
+				continue
+			case *storage.Int64Column:
+				k.group[i].ints = col
+				continue
+			}
 		}
+		k.needRow = true
 	}
 	for j, spec := range op.node.Aggs {
 		k.slotMode[j] = slotGeneral
@@ -537,14 +542,16 @@ type morselWorker struct {
 	table     *storage.Table
 	sampler   sample.RowSampler
 	blockSamp *sample.Block
-	keyBuf    []storage.Value
-	groupBuf  []storage.Value
+	keyer     *sample.Keyer  // sampler key columns; nil without any
+	groups    *groupResolver // nil for global aggregates
 	counters  Counters
 }
 
 func (op *morselAggOp) newWorker(table *storage.Table) (*morselWorker, error) {
-	wk := &morselWorker{op: op, table: table,
-		groupBuf: make([]storage.Value, len(op.node.GroupBy))}
+	wk := &morselWorker{op: op, table: table}
+	if len(op.node.GroupBy) > 0 {
+		wk.groups = newGroupResolver(op.node.GroupBy, op.kern.group, len(op.node.Aggs))
+	}
 	if s := op.scan.Sample; s != nil {
 		rs, err := sample.New(*s, table.BlockSize())
 		if err != nil {
@@ -559,7 +566,9 @@ func (op *morselAggOp) newWorker(table *storage.Table) (*morselWorker, error) {
 		default:
 			wk.sampler = rs
 		}
-		wk.keyBuf = make([]storage.Value, len(op.keyIdx))
+		if len(op.keyIdx) > 0 {
+			wk.keyer = sample.NewKeyer(table, op.keyIdx)
+		}
 	}
 	return wk, nil
 }
@@ -571,6 +580,10 @@ func (wk *morselWorker) processMorsel(ctx context.Context, lo, hi int) (map[stri
 	op := wk.op
 	kern := &op.kern
 	groups := make(map[string]*groupState)
+	// Tally in locals and publish once per morsel: the workers' structs
+	// sit side by side on the heap, and a per-row store into one would
+	// keep invalidating the cache line its neighbour reads its fields from.
+	var counters Counters
 	blockSize := wk.table.BlockSize()
 	var weightCol storage.Column
 	if op.weightIdx >= 0 {
@@ -578,9 +591,11 @@ func (wk *morselWorker) processMorsel(ctx context.Context, lo, hi int) (map[stri
 	}
 	// Global aggregates have a single group; hoist it out of the row loop.
 	var global *groupState
-	if len(op.node.GroupBy) == 0 {
+	if wk.groups == nil {
 		global = newGroupState("", nil, len(op.node.Aggs))
 		groups[""] = global
+	} else {
+		wk.groups.reset()
 	}
 	for row := lo; row < hi; {
 		// One cancellation checkpoint per block.
@@ -596,15 +611,15 @@ func (wk *morselWorker) processMorsel(ctx context.Context, lo, hi int) (map[stri
 		if wk.blockSamp != nil {
 			d := wk.blockSamp.DecideBlock(block)
 			if !d.Keep {
-				wk.counters.BlocksSkipped++
+				counters.BlocksSkipped++
 				row = blockEnd
 				continue
 			}
-			wk.counters.BlocksScanned++
+			counters.BlocksScanned++
 			blockWeight = d.Weight
 		}
 		for ; row < blockEnd; row++ {
-			wk.counters.RowsScanned++
+			counters.RowsScanned++
 			if kern.filter != nil {
 				if !kern.filter(row) {
 					continue
@@ -621,11 +636,8 @@ func (wk *morselWorker) processMorsel(ctx context.Context, lo, hi int) (map[stri
 			w := blockWeight
 			if wk.sampler != nil {
 				key := ""
-				if len(op.keyIdx) > 0 {
-					for i, idx := range op.keyIdx {
-						wk.keyBuf[i] = wk.table.Column(idx).Value(row)
-					}
-					key = sample.KeyOf(wk.keyBuf)
+				if wk.keyer != nil {
+					key = wk.keyer.Key(row)
 				}
 				d := wk.sampler.Decide(row, key)
 				if !d.Keep {
@@ -639,7 +651,7 @@ func (wk *morselWorker) processMorsel(ctx context.Context, lo, hi int) (map[stri
 					w *= wv.AsFloat()
 				}
 			}
-			wk.counters.RowsEmitted++
+			counters.RowsEmitted++
 			var mr mappedRow
 			if kern.needRow {
 				mr = mappedRow{t: wk.table, idx: row, out: op.outIdx}
@@ -667,22 +679,9 @@ func (wk *morselWorker) processMorsel(ctx context.Context, lo, hi int) (map[stri
 			}
 			gs := global
 			if gs == nil {
-				for k, ge := range op.node.GroupBy {
-					if ci := kern.groupCol[k]; ci >= 0 {
-						wk.groupBuf[k] = wk.table.Column(ci).Value(row)
-						continue
-					}
-					v, err := ge.Eval(mr)
-					if err != nil {
-						return nil, err
-					}
-					wk.groupBuf[k] = v
-				}
-				key := groupKeyOf(wk.groupBuf)
-				var ok bool
-				if gs, ok = groups[key]; !ok {
-					gs = newGroupState(key, wk.groupBuf, len(op.node.Aggs))
-					groups[key] = gs
+				var err error
+				if gs, err = wk.groups.resolve(row, mr, groups); err != nil {
+					return nil, err
 				}
 			}
 			gs.n++
@@ -719,6 +718,7 @@ func (wk *morselWorker) processMorsel(ctx context.Context, lo, hi int) (map[stri
 			}
 		}
 	}
+	wk.counters.Add(counters)
 	return groups, nil
 }
 
@@ -728,9 +728,10 @@ func newGroupState(key string, groupVal []storage.Value, slots int) *groupState 
 	if len(groupVal) > 0 {
 		gs.groupVal = append([]storage.Value(nil), groupVal...)
 	}
+	states := make([]aggState, slots)
 	gs.aggs = make([]*aggState, slots)
 	for j := range gs.aggs {
-		gs.aggs[j] = &aggState{}
+		gs.aggs[j] = &states[j]
 	}
 	return gs
 }

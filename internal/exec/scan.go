@@ -31,8 +31,9 @@ type scanOp struct {
 	nRows   int
 	row     int
 	block   int
-	keyBuf  []storage.Value
-	scanned int64 // rows examined by this operator (for trace rows-in)
+	filter  boolKernel    // compiled scan filter; nil falls back to the evaluator
+	keyer   *sample.Keyer // sampler key columns; nil without any
+	scanned int64         // rows examined by this operator (for trace rows-in)
 }
 
 // inputRows implements inputRowsReporter.
@@ -72,7 +73,6 @@ func newScanOp(ctx context.Context, s *plan.Scan, counters *Counters) (*scanOp, 
 			}
 			op.keyIdx = append(op.keyIdx, idx)
 		}
-		op.keyBuf = make([]storage.Value, len(op.keyIdx))
 	}
 	return op, nil
 }
@@ -86,6 +86,12 @@ func (op *scanOp) Open() error {
 	// the read prefix nor move the row count mid-scan.
 	op.table = op.scan.Table.Snapshot()
 	op.nRows = op.table.NumRows()
+	if op.scan.Filter != nil {
+		op.filter = compileBool(op.scan.Filter, op.table, nil)
+	}
+	if len(op.keyIdx) > 0 {
+		op.keyer = sample.NewKeyer(op.table, op.keyIdx)
+	}
 	op.row = 0
 	op.block = 0
 	op.counters.Passes++
@@ -153,9 +159,12 @@ func (op *scanOp) Next() (*Batch, error) {
 		for ; op.row < blockEnd && batch.Len() < BatchSize; op.row++ {
 			op.counters.RowsScanned++
 			op.scanned++
-			tr := tableRow{t: op.table, idx: op.row}
-			if op.scan.Filter != nil {
-				ok, err := expr.EvalBool(op.scan.Filter, tr)
+			if op.filter != nil {
+				if !op.filter(op.row) {
+					continue
+				}
+			} else if op.scan.Filter != nil {
+				ok, err := expr.EvalBool(op.scan.Filter, tableRow{t: op.table, idx: op.row})
 				if err != nil {
 					return nil, err
 				}
@@ -166,11 +175,8 @@ func (op *scanOp) Next() (*Batch, error) {
 			w := blockWeight
 			if op.sampler != nil {
 				key := ""
-				if len(op.keyIdx) > 0 {
-					for i, idx := range op.keyIdx {
-						op.keyBuf[i] = op.table.Column(idx).Value(op.row)
-					}
-					key = sample.KeyOf(op.keyBuf)
+				if op.keyer != nil {
+					key = op.keyer.Key(op.row)
 				}
 				d := op.sampler.Decide(op.row, key)
 				if !d.Keep {

@@ -265,8 +265,8 @@ type Distinct struct {
 	p     float64
 	keep  int
 	seed  uint64
-	seen  map[string]int
-	limit int // safety cap on strata tracked
+	seen  map[string]*int // rows seen per stratum; a pointer, so a row costs one map probe
+	limit int             // safety cap on strata tracked
 }
 
 // NewDistinct returns a distinct sampler with per-stratum pass-through
@@ -276,7 +276,7 @@ func NewDistinct(p float64, keep int, seed int64) *Distinct {
 		keep = 1
 	}
 	return &Distinct{p: p, keep: keep, seed: uint64(seed),
-		seen: make(map[string]int), limit: 1 << 22}
+		seen: make(map[string]*int), limit: 1 << 22}
 }
 
 // Rate implements RowSampler.
@@ -287,9 +287,15 @@ func (d *Distinct) StrataSeen() int { return len(d.seen) }
 
 // Decide implements RowSampler.
 func (d *Distinct) Decide(rowIdx int, key string) RowDecision {
-	n := d.seen[key]
-	if len(d.seen) < d.limit || n > 0 {
-		d.seen[key] = n + 1
+	count := d.seen[key]
+	if count == nil && len(d.seen) < d.limit {
+		count = new(int)
+		d.seen[key] = count
+	}
+	n := 0
+	if count != nil {
+		n = *count
+		*count++
 	}
 	if n < d.keep {
 		return RowDecision{Keep: true, Weight: 1}
@@ -401,6 +407,63 @@ func KeyOf(vals []storage.Value) string {
 		b.WriteString(v.GroupKey())
 	}
 	return b.String()
+}
+
+// maxCachedKeys bounds the composite-key table a Keyer keeps for an
+// all-dictionary column tuple; a larger code space builds keys per row.
+const maxCachedKeys = 1 << 12
+
+// Keyer renders the canonical sampler key (KeyOf) of one column tuple row
+// by row. Where storage already holds the key it boxes and allocates
+// nothing: a single dictionary-encoded column answers with its cached
+// per-code key, and a tuple of dictionary columns with a small code space
+// fills a table of composite keys the first time each combination is
+// seen. Every other tuple builds the key per row, as KeyOf does. A Keyer
+// is not safe for concurrent use; give each goroutine its own.
+type Keyer struct {
+	cols  []storage.Column
+	dicts []*storage.StringColumn // parallels cols when every column is dictionary-encoded
+	cache []string                // composite key per code tuple; "" until first seen
+	vals  []storage.Value
+}
+
+// NewKeyer returns a Keyer over the given columns of t, in key order.
+func NewKeyer(t *storage.Table, cols []int) *Keyer {
+	k := &Keyer{cols: make([]storage.Column, len(cols)), vals: make([]storage.Value, len(cols))}
+	for i, idx := range cols {
+		k.cols[i] = t.Column(idx)
+		if d, ok := k.cols[i].(*storage.StringColumn); ok {
+			k.dicts = append(k.dicts, d)
+		}
+	}
+	if len(k.dicts) < len(cols) {
+		k.dicts = nil
+	} else if space := storage.CodeSpace(k.dicts, maxCachedKeys); len(cols) > 1 && space > 0 {
+		k.cache = make([]string, space)
+	}
+	return k
+}
+
+// Key returns the canonical sampler key of the row.
+func (k *Keyer) Key(row int) string {
+	if len(k.dicts) == 1 {
+		return k.dicts[0].RowKey(row)
+	}
+	if k.cache == nil {
+		return k.build(row)
+	}
+	slot := storage.CodeSlot(k.dicts, row)
+	if k.cache[slot] == "" {
+		k.cache[slot] = k.build(row)
+	}
+	return k.cache[slot]
+}
+
+func (k *Keyer) build(row int) string {
+	for i, c := range k.cols {
+		k.vals[i] = c.Value(row)
+	}
+	return KeyOf(k.vals)
 }
 
 // UniverseKeyHash exposes the universe inclusion test for planner

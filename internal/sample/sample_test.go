@@ -1,6 +1,7 @@
 package sample
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -459,6 +460,47 @@ func TestKeyOf(t *testing.T) {
 	diff := KeyOf([]storage.Value{storage.Int64(1), storage.Str("b")})
 	if multi == diff {
 		t.Error("different tuples must produce different keys")
+	}
+}
+
+// TestKeyerMatchesKeyOf checks every Keyer path — the single dictionary
+// column, the cached dictionary tuple, the uncached high-cardinality
+// tuple, and tuples with non-dictionary columns — against KeyOf over the
+// boxed row, including NULLs and the empty string.
+func TestKeyerMatchesKeyOf(t *testing.T) {
+	tbl := storage.NewTable("t", storage.Schema{
+		{Name: "a", Type: storage.TypeString},
+		{Name: "b", Type: storage.TypeString},
+		{Name: "hi", Type: storage.TypeString},
+		{Name: "i", Type: storage.TypeInt64},
+		{Name: "f", Type: storage.TypeFloat64},
+	})
+	const rows = 6000 // hi × hi exceeds maxCachedKeys
+	for r := 0; r < rows; r++ {
+		a, b, i := storage.Str([]string{"x", "", "y"}[r%3]), storage.Str([]string{"p", "q"}[r%2]), storage.Int64(int64(r%7))
+		if r%13 == 0 {
+			a = storage.NullValue(storage.TypeString)
+		}
+		if r%17 == 0 {
+			i = storage.NullValue(storage.TypeInt64)
+		}
+		if err := tbl.AppendRow(a, b, storage.Str(fmt.Sprint("h", r)), i, storage.Float64(float64(r%4))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, cols := range [][]int{{0}, {0, 1}, {1, 0}, {2}, {2, 2}, {3}, {0, 3}, {4, 1}, {0, 1, 2}, {}} {
+		keyer := NewKeyer(tbl, cols)
+		vals := make([]storage.Value, len(cols))
+		for pass := 0; pass < 2; pass++ { // second pass reads the filled cache
+			for r := 0; r < rows; r++ {
+				for j, c := range cols {
+					vals[j] = tbl.Column(c).Value(r)
+				}
+				if got, want := keyer.Key(r), KeyOf(vals); got != want {
+					t.Fatalf("cols %v row %d: Key = %q, KeyOf = %q", cols, r, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -77,12 +77,9 @@ func BuildStratified(src *storage.Table, cfg StratifiedConfig, name string) (*St
 		size int
 	}
 	strata := make(map[string]*stratum)
-	keyVals := make([]storage.Value, len(keyIdx))
+	keyer := NewKeyer(src, keyIdx)
 	for i := 0; i < n; i++ {
-		for j, idx := range keyIdx {
-			keyVals[j] = src.Column(idx).Value(i)
-		}
-		key := KeyOf(keyVals)
+		key := keyer.Key(i)
 		st, ok := strata[key]
 		if !ok {
 			st = &stratum{res: NewReservoir[int](cfg.CapPerStratum, cfg.Seed+int64(len(strata)))}
@@ -175,12 +172,9 @@ func BuildStratifiedNeyman(src *storage.Table, cfg NeymanConfig, name string) (*
 	}
 	statsBy := make(map[string]*stratStat)
 	var order []string
-	keyVals := make([]storage.Value, len(keyIdx))
+	keyer := NewKeyer(src, keyIdx)
 	for i := 0; i < n; i++ {
-		for j, idx := range keyIdx {
-			keyVals[j] = src.Column(idx).Value(i)
-		}
-		key := KeyOf(keyVals)
+		key := keyer.Key(i)
 		st, ok := statsBy[key]
 		if !ok {
 			st = &stratStat{}
@@ -219,10 +213,7 @@ func BuildStratifiedNeyman(src *storage.Table, cfg NeymanConfig, name string) (*
 		res[key] = NewReservoir[int](capBy[key], cfg.Seed+int64(h))
 	}
 	for i := 0; i < n; i++ {
-		for j, idx := range keyIdx {
-			keyVals[j] = src.Column(idx).Value(i)
-		}
-		res[KeyOf(keyVals)].Add(i)
+		res[keyer.Key(i)].Add(i)
 	}
 
 	outSchema := append(src.Schema().Clone(), storage.ColumnDef{Name: WeightColumn, Type: storage.TypeFloat64})

@@ -1,6 +1,9 @@
 package storage
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Column is an append-only typed vector of values with optional NULLs.
 type Column interface {
@@ -135,42 +138,137 @@ func (c *Float64Column) Append(v Value) error {
 	return nil
 }
 
-// StringColumn stores strings.
+// nullKey is the canonical group key of NULL (Value.GroupKey of a NULL).
+const nullKey = "\x00N"
+
+// StringColumn stores strings dictionary-encoded: one uint32 code per row
+// into an append-only dictionary of the distinct values seen so far. Code
+// 0 is reserved for NULL, so a row's code alone decides both its value and
+// its NULL-ness. Each dictionary entry holds the value's canonical group
+// key ("s"+value, Value.GroupKey's rendering; NULL's key for code 0), from
+// which the value itself is the suffix — one allocation per distinct
+// string serves Value, grouping, join hashing and sampler strata.
+//
+// Both slices are append-only, so a snapshot (a copy of the two slice
+// headers) stays valid under concurrent appends: every code in the
+// captured prefix indexes the captured dictionary prefix. The value→code
+// index is the writer's alone and is never carried into a snapshot.
 type StringColumn struct {
-	data  []string
-	nulls nullmap
+	codes []uint32
+	keys  []string          // canonical group key per code; keys[0] is NULL's
+	index map[string]uint32 // value → code; nil on snapshots and the zero value
 }
 
 // Type implements Column.
 func (c *StringColumn) Type() Type { return TypeString }
 
 // Len implements Column.
-func (c *StringColumn) Len() int { return len(c.data) }
+func (c *StringColumn) Len() int { return len(c.codes) }
 
 // IsNull implements Column.
-func (c *StringColumn) IsNull(i int) bool { return c.nulls.isNull(i) }
+func (c *StringColumn) IsNull(i int) bool { return c.codes[i] == 0 }
 
 // Value implements Column.
 func (c *StringColumn) Value(i int) Value {
-	if c.nulls.isNull(i) {
+	code := c.codes[i]
+	if code == 0 {
 		return NullValue(TypeString)
 	}
-	return Str(c.data[i])
+	return Str(c.keys[code][1:])
+}
+
+// Code returns the dictionary code of row i; 0 means NULL.
+func (c *StringColumn) Code(i int) uint32 { return c.codes[i] }
+
+// NumCodes returns the dictionary size including the NULL code, so every
+// row's code is below it.
+func (c *StringColumn) NumCodes() int {
+	if len(c.keys) == 0 {
+		return 1
+	}
+	return len(c.keys)
+}
+
+// RowKey returns the canonical group key (Value.GroupKey) of row i
+// without boxing a Value.
+func (c *StringColumn) RowKey(i int) string {
+	code := c.codes[i]
+	if code == 0 {
+		return nullKey
+	}
+	return c.keys[code]
+}
+
+// Lookup returns the code of s, or false when no row holds it. On the
+// writer's column it is a map probe; on a snapshot, which carries no
+// index, it scans the dictionary — once per literal per query, in place
+// of a string comparison per row.
+func (c *StringColumn) Lookup(s string) (uint32, bool) {
+	if c.index != nil {
+		code, ok := c.index[s]
+		return code, ok
+	}
+	for code := 1; code < len(c.keys); code++ {
+		if c.keys[code][1:] == s {
+			return uint32(code), true
+		}
+	}
+	return 0, false
 }
 
 // Append implements Column.
 func (c *StringColumn) Append(v Value) error {
 	if v.IsNull() {
-		c.nulls.append(len(c.data), true)
-		c.data = append(c.data, "")
+		c.codes = append(c.codes, 0)
 		return nil
 	}
 	if v.Typ != TypeString {
 		return fmt.Errorf("storage: append %v to VARCHAR column", v.Typ)
 	}
-	c.nulls.append(len(c.data), false)
-	c.data = append(c.data, v.S)
+	if c.index == nil {
+		c.index = make(map[string]uint32, len(c.keys))
+		if len(c.keys) == 0 {
+			c.keys = append(c.keys, nullKey)
+		}
+		for code := 1; code < len(c.keys); code++ {
+			c.index[c.keys[code][1:]] = uint32(code)
+		}
+	}
+	code, ok := c.index[v.S]
+	if !ok {
+		if uint64(len(c.keys)) > math.MaxUint32 {
+			return fmt.Errorf("storage: VARCHAR column dictionary is full")
+		}
+		key := "s" + v.S
+		code = uint32(len(c.keys))
+		c.keys = append(c.keys, key)
+		c.index[key[1:]] = code
+	}
+	c.codes = append(c.codes, code)
 	return nil
+}
+
+// CodeSpace returns the number of code tuples of the dictionary columns —
+// the product of their dictionary sizes — or 0 when it exceeds limit.
+func CodeSpace(cols []*StringColumn, limit int) int {
+	space := 1
+	for _, c := range cols {
+		if n := c.NumCodes(); n <= limit/space {
+			space *= n
+		} else {
+			return 0
+		}
+	}
+	return space
+}
+
+// CodeSlot numbers row i's code tuple within the columns' CodeSpace.
+func CodeSlot(cols []*StringColumn, i int) int {
+	slot := 0
+	for _, c := range cols {
+		slot = slot*c.NumCodes() + int(c.codes[i])
+	}
+	return slot
 }
 
 // BoolColumn stores booleans.
@@ -218,7 +316,7 @@ func (c *Int64Column) snapshot() Column { cp := *c; return &cp }
 func (c *Float64Column) snapshot() Column { cp := *c; return &cp }
 
 // snapshot implements Column.
-func (c *StringColumn) snapshot() Column { cp := *c; return &cp }
+func (c *StringColumn) snapshot() Column { return &StringColumn{codes: c.codes, keys: c.keys} }
 
 // snapshot implements Column.
 func (c *BoolColumn) snapshot() Column { cp := *c; return &cp }

@@ -199,7 +199,7 @@ func (v Value) Compare(o Value) int {
 // value produce identical keys.
 func (v Value) GroupKey() string {
 	if v.IsNull() {
-		return "\x00N"
+		return nullKey
 	}
 	switch v.Typ {
 	case TypeInt64:
