@@ -357,49 +357,159 @@ func (p *QueryProfile) Profile() *Profile { return p.tr.Profile() }
 // String renders the profile as an indented tree.
 func (p *QueryProfile) String() string { return p.tr.Profile().String() }
 
-// runStatement dispatches an already-parsed statement through run,
-// handling the EXPLAIN prefix: plain EXPLAIN returns the optimized plan
-// as rows without executing; EXPLAIN ANALYZE executes under a tracer
-// (reusing a caller-installed one) and returns the rendered profile,
-// keeping the executed query's technique, guarantee, and diagnostics.
-func (db *DB) runStatement(ctx context.Context, stmt *sqlparse.SelectStmt, run func(context.Context) (*Result, error)) (*Result, error) {
-	if !stmt.Explain {
-		res, err := run(ctx)
-		if err != nil {
-			return nil, err
-		}
-		// Every facade entry point flows through here, so this one stamp
-		// gives library users (and everything downstream: audits, logs,
-		// the workload registry) the query's shape identity.
-		res.Diagnostics.Fingerprint = stmt.Fingerprint().Hash
-		return res, nil
+// Mode names an execution mode: which engine answers, or how one is picked.
+type Mode string
+
+// Execution modes. The zero Mode is ModeAuto.
+const (
+	// ModeAuto routes through the advisor: offline samples when a
+	// certified fresh sample exists, synopses for their narrow class,
+	// online sampling otherwise, exact when nothing else is defensible.
+	ModeAuto Mode = "auto"
+	// ModeExact executes exactly, ignoring any TABLESAMPLE clause.
+	ModeExact Mode = "exact"
+	// ModeOnline and ModeOffline force query-time sampling and the
+	// precomputed offline samples.
+	ModeOnline  Mode = "online"
+	ModeOffline Mode = "offline"
+	// ModeOLA forces online aggregation, where an expired deadline is a
+	// stopping rule, not an error: the best progressive estimate so far
+	// comes back with its a-posteriori interval.
+	ModeOLA Mode = "ola"
+	// ModeSynopsis answers from precomputed synopses alone (histogram, HLL,
+	// CMS); queries outside that narrow class fail rather than fall back.
+	ModeSynopsis Mode = "synopsis"
+	// ModeAsWritten honors the SQL's TABLESAMPLE clauses verbatim — the
+	// manual path for users who place their own samplers.
+	ModeAsWritten Mode = "as-written"
+)
+
+// Modes lists every execution mode; validation, per-mode breakers and
+// listings derive from it.
+var Modes = []Mode{ModeAuto, ModeExact, ModeOnline, ModeOffline, ModeOLA, ModeSynopsis, ModeAsWritten}
+
+// ParseMode resolves a mode name; "" is ModeAuto.
+func ParseMode(s string) (Mode, error) {
+	if s == "" {
+		return ModeAuto, nil
 	}
-	if !stmt.Analyze {
+	names := make([]string, len(Modes))
+	for i, m := range Modes {
+		if string(m) == s {
+			return m, nil
+		}
+		names[i] = string(m)
+	}
+	last := len(names) - 1
+	return "", fmt.Errorf("unknown mode %q (want %s, or %s)", s, strings.Join(names[:last], ", "), names[last])
+}
+
+// Request says how Run executes a statement.
+type Request struct {
+	Mode Mode
+	// Spec is the accuracy target when the SQL carries no `WITH ERROR e%
+	// CONFIDENCE c%` clause — the clause wins. Zero is DefaultErrorSpec.
+	Spec ErrorSpec
+	// Contract makes the target an a-priori promise: a pilot run sizes the
+	// stage-two sampling fraction that lands the realized CI at or below
+	// it, stage two runs at that fraction, and Diagnostics.Contract records
+	// the sizing and the met/missed/infeasible verdict. Targets provably
+	// unreachable within the admission budget are refused honestly — a
+	// best-effort a-posteriori CI flagged ContractInfeasibleFlag. Only the
+	// sampling engines size contracts: ModeOnline (which ModeAuto takes),
+	// ModeOLA (two prefixes of one seeded permutation) and ModeOffline
+	// (two transient uniform samples of the base table).
+	Contract bool
+	// Observe, under ModeOLA, sees every progressive checkpoint; returning
+	// false stops the stream.
+	Observe func(Progress) bool
+}
+
+// Run executes a parsed statement: the one pipeline behind every Query*
+// method and the server. It resolves the accuracy target, peels EXPLAIN
+// (the optimized plan as rows, nothing executed) and EXPLAIN ANALYZE (the
+// query runs under a tracer — a caller-installed one is reused — and the
+// rendered profile comes back carrying the executed query's technique,
+// guarantee and diagnostics), dispatches to the engine, and stamps the
+// statement's fingerprint so results, audits, logs and the workload
+// registry share one shape identity. The statement is only read: callers
+// may hand it to concurrent Runs and observers.
+func (db *DB) Run(ctx context.Context, stmt *sqlparse.SelectStmt, req Request) (*Result, error) {
+	if stmt.Explain && !stmt.Analyze {
 		p, err := plan.Build(stmt, db.catalog)
 		if err != nil {
 			return nil, err
 		}
 		return textResult("plan", plan.Explain(p)), nil
 	}
-	sp, runCtx := trace.StartSpan(ctx, "query")
-	if sp == nil {
-		// No caller-installed tracer: make one rooted at this query.
-		tr := trace.New("query")
-		runCtx = trace.WithTracer(ctx, tr)
-		sp = tr.Root()
+	var sp *trace.Span // EXPLAIN ANALYZE's query span
+	if stmt.Analyze {
+		if sp, ctx = trace.StartSpan(ctx, "query"); sp == nil {
+			// No caller-installed tracer: make one rooted at this query.
+			tr := trace.New("query")
+			sp, ctx = tr.Root(), trace.WithTracer(ctx, tr)
+		}
 	}
-	res, err := run(runCtx)
+	res, err := db.dispatch(ctx, stmt, core.ResolveSpec(stmt, req.Spec), req)
+	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	sp.End()
 	res.Diagnostics.Fingerprint = stmt.Fingerprint().Hash
+	if !stmt.Analyze {
+		return res, nil
+	}
 	out := textResult("explain analyze", sp.Snapshot().String())
-	out.Technique = res.Technique
-	out.Guarantee = res.Guarantee
-	out.Spec = res.Spec
-	out.Diagnostics = res.Diagnostics
+	out.Technique, out.Guarantee, out.Spec, out.Diagnostics = res.Technique, res.Guarantee, res.Spec, res.Diagnostics
 	return out, nil
+}
+
+// dispatch is the engine switch.
+func (db *DB) dispatch(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec, req Request) (*Result, error) {
+	var eng interface {
+		ExecuteContext(context.Context, *sqlparse.SelectStmt, ErrorSpec) (*Result, error)
+	}
+	switch req.Mode {
+	case ModeAuto, "":
+		if !req.Contract {
+			res, dec, err := db.advisor.ExecuteStmtContext(ctx, stmt, spec)
+			if err != nil {
+				return nil, err
+			}
+			res.Diagnostics.Messages = append(res.Diagnostics.Messages, "advisor: "+dec.Reason)
+			return res, nil
+		}
+		eng = db.online
+	case ModeExact:
+		eng = db.exact
+	case ModeOnline:
+		eng = db.online
+	case ModeOffline:
+		eng = db.offline
+	case ModeOLA:
+		if !req.Contract {
+			return db.ola.ExecuteProgressiveContext(ctx, stmt, spec, req.Observe)
+		}
+		eng = db.ola
+	case ModeSynopsis:
+		eng = db.synopsis
+	case ModeAsWritten:
+		if !req.Contract {
+			return core.ExecuteAsWrittenContext(ctx, db.catalog, stmt, spec)
+		}
+	default:
+		return nil, fmt.Errorf("unknown mode %q", req.Mode)
+	}
+	if !req.Contract {
+		return eng.ExecuteContext(ctx, stmt, spec)
+	}
+	sized, ok := eng.(interface {
+		ExecuteContract(context.Context, *sqlparse.SelectStmt, ErrorSpec, ContractConfig) (*Result, error)
+	})
+	if !ok {
+		return nil, fmt.Errorf("mode %q does not support contract execution (want auto, online, ola, or offline)", req.Mode)
+	}
+	return sized.ExecuteContract(ctx, stmt, spec, db.contractCfg)
 }
 
 // textResult wraps pre-rendered text as a single-column result, one line
@@ -413,6 +523,27 @@ func textResult(col, text string) *Result {
 	return r
 }
 
+// prepare is the façade's one sql→statement step; everything after it
+// shares the immutable statement.
+func prepare(sql string) (*sqlparse.SelectStmt, error) { return sqlparse.Parse(sql) }
+
+// runSQL parses and Runs: the body of every Query* wrapper.
+func (db *DB) runSQL(ctx context.Context, sql string, req Request) (*Result, error) {
+	stmt, err := prepare(sql)
+	if err != nil {
+		return nil, err
+	}
+	return db.Run(ctx, stmt, req)
+}
+
+// specArg unpacks an optional trailing ErrorSpec argument.
+func specArg(spec []ErrorSpec) ErrorSpec {
+	if len(spec) > 0 {
+		return spec[0]
+	}
+	return ErrorSpec{}
+}
+
 // Query executes a query exactly.
 func (db *DB) Query(sql string) (*Result, error) {
 	return db.QueryContext(context.Background(), sql)
@@ -421,228 +552,105 @@ func (db *DB) Query(sql string) (*Result, error) {
 // QueryContext is Query under a context: scans observe cancellation and
 // deadlines, returning ctx.Err() when exceeded.
 func (db *DB) QueryContext(ctx context.Context, sql string) (*Result, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return db.runStatement(ctx, stmt, func(ctx context.Context) (*Result, error) {
-		return db.exact.ExecuteContext(ctx, stmt, DefaultErrorSpec)
-	})
+	return db.runSQL(ctx, sql, Request{Mode: ModeExact})
 }
 
-// QueryApprox routes a query through the advisor: offline samples when a
-// certified fresh sample exists, synopses for their narrow class, online
-// sampling otherwise, exact when nothing else is defensible. A `WITH
-// ERROR e% CONFIDENCE c%` clause in the SQL overrides spec.
+// QueryApprox routes a query through the advisor (ModeAuto). A `WITH
+// ERROR e% CONFIDENCE c%` clause in the SQL overrides spec, here and in
+// every other Query* method.
 func (db *DB) QueryApprox(sql string, spec ...ErrorSpec) (*Result, error) {
 	return db.QueryApproxContext(context.Background(), sql, spec...)
 }
 
-// QueryApproxContext is QueryApprox under a context. The advisor-chosen
-// engine observes cancellation; the OLA engine degrades gracefully,
-// returning its best progressive estimate at the deadline.
+// QueryApproxContext is QueryApprox under a context.
 func (db *DB) QueryApproxContext(ctx context.Context, sql string, spec ...ErrorSpec) (*Result, error) {
-	s := DefaultErrorSpec
-	if len(spec) > 0 {
-		s = spec[0]
-	}
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return db.runStatement(ctx, stmt, func(ctx context.Context) (*Result, error) {
-		res, dec, err := db.advisor.ExecuteStmtContext(ctx, stmt, s)
-		if err != nil {
-			return nil, err
-		}
-		res.Diagnostics.Messages = append(res.Diagnostics.Messages, "advisor: "+dec.Reason)
-		return res, nil
-	})
+	return db.runSQL(ctx, sql, Request{Mode: ModeAuto, Spec: specArg(spec)})
 }
 
 // Advise explains which technique the advisor would use, without running
 // the query.
 func (db *DB) Advise(sql string, spec ...ErrorSpec) (Decision, error) {
-	s := DefaultErrorSpec
-	if len(spec) > 0 {
-		s = spec[0]
-	}
-	stmt, err := sqlparse.Parse(sql)
+	stmt, err := prepare(sql)
 	if err != nil {
 		return Decision{}, err
 	}
-	if stmt.Error != nil {
-		s = ErrorSpec{RelError: stmt.Error.RelError, Confidence: stmt.Error.Confidence}
-	}
-	return db.advisor.Choose(stmt, s), nil
+	return db.advisor.Choose(stmt, core.ResolveSpec(stmt, specArg(spec))), nil
 }
 
-// QueryAsWritten executes the SQL exactly as written, honoring any
-// TABLESAMPLE clauses, and annotates aggregates with confidence intervals
-// when sampling was involved. This is the manual-control path for users
-// who place their own samplers.
+// QueryAsWritten executes the SQL exactly as written (ModeAsWritten),
+// annotating aggregates with confidence intervals when sampling was
+// involved.
 func (db *DB) QueryAsWritten(sql string, spec ...ErrorSpec) (*Result, error) {
 	return db.QueryAsWrittenContext(context.Background(), sql, spec...)
 }
 
 // QueryAsWrittenContext is QueryAsWritten under a context.
 func (db *DB) QueryAsWrittenContext(ctx context.Context, sql string, spec ...ErrorSpec) (*Result, error) {
-	s := DefaultErrorSpec
-	if len(spec) > 0 {
-		s = spec[0]
-	}
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	if stmt.Error != nil {
-		s = ErrorSpec{RelError: stmt.Error.RelError, Confidence: stmt.Error.Confidence}
-	}
-	return db.runStatement(ctx, stmt, func(ctx context.Context) (*Result, error) {
-		return core.ExecuteAsWrittenContext(ctx, db.catalog, stmt, s)
-	})
+	return db.runSQL(ctx, sql, Request{Mode: ModeAsWritten, Spec: specArg(spec)})
 }
 
-// QueryOnline forces the query-time-sampling engine.
+// QueryOnline forces the query-time-sampling engine (ModeOnline).
 func (db *DB) QueryOnline(sql string, spec ErrorSpec) (*Result, error) {
 	return db.QueryOnlineContext(context.Background(), sql, spec)
 }
 
 // QueryOnlineContext is QueryOnline under a context.
 func (db *DB) QueryOnlineContext(ctx context.Context, sql string, spec ErrorSpec) (*Result, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return db.runStatement(ctx, stmt, func(ctx context.Context) (*Result, error) {
-		return db.online.ExecuteContext(ctx, stmt, spec)
-	})
+	return db.runSQL(ctx, sql, Request{Mode: ModeOnline, Spec: spec})
 }
 
-// QueryOffline forces the offline-samples engine.
+// QueryOffline forces the offline-samples engine (ModeOffline).
 func (db *DB) QueryOffline(sql string, spec ErrorSpec) (*Result, error) {
 	return db.QueryOfflineContext(context.Background(), sql, spec)
 }
 
 // QueryOfflineContext is QueryOffline under a context.
 func (db *DB) QueryOfflineContext(ctx context.Context, sql string, spec ErrorSpec) (*Result, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return db.runStatement(ctx, stmt, func(ctx context.Context) (*Result, error) {
-		return db.offline.ExecuteContext(ctx, stmt, spec)
-	})
+	return db.runSQL(ctx, sql, Request{Mode: ModeOffline, Spec: spec})
 }
 
-// QueryOLA runs online aggregation to completion (or early stop per
-// config), ignoring intermediate checkpoints.
+// QueryOLA runs online aggregation (ModeOLA) to completion (or early stop
+// per config), ignoring intermediate checkpoints.
 func (db *DB) QueryOLA(sql string, spec ErrorSpec) (*Result, error) {
 	return db.QueryOLAContext(context.Background(), sql, spec)
 }
 
-// QueryOLAContext is QueryOLA under a context. Unlike the other engines,
-// OLA treats an expired deadline as a stopping rule, not an error: it
-// returns the best progressive estimate accumulated so far with its
-// a-posteriori interval.
+// QueryOLAContext is QueryOLA under a context.
 func (db *DB) QueryOLAContext(ctx context.Context, sql string, spec ErrorSpec) (*Result, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return db.runStatement(ctx, stmt, func(ctx context.Context) (*Result, error) {
-		return db.ola.ExecuteContext(ctx, stmt, spec)
-	})
-}
-
-// QueryContract runs the query under an a-priori error contract on the
-// online engine: a pilot run sizes the stage-two sampling fraction that
-// makes the realized CI land at or below the target, stage two runs at
-// that fraction, and Diagnostics.Contract records the sizing and the
-// met/missed/infeasible verdict. A `WITH ERROR e% CONFIDENCE c%` clause
-// overrides spec — that clause is the contract syntax. Targets provably
-// unreachable within the admission budget are refused honestly: the
-// result degrades to a best-effort a-posteriori CI and the diagnostics
-// carry ContractInfeasibleFlag.
-func (db *DB) QueryContract(sql string, spec ...ErrorSpec) (*Result, error) {
-	return db.QueryContractContext(context.Background(), sql, spec...)
-}
-
-// QueryContractContext is QueryContract under a context.
-func (db *DB) QueryContractContext(ctx context.Context, sql string, spec ...ErrorSpec) (*Result, error) {
-	return db.QueryContractOnContext(ctx, TechniqueOnline, sql, spec...)
-}
-
-// QueryContractOn is QueryContract pinned to a specific engine:
-// TechniqueOnline (Bernoulli two-stage), TechniqueOLA (Stein-style
-// two-stage prefix sampling on one seeded permutation), or
-// TechniqueOffline (two transient uniform samples drawn from the base
-// table). Other techniques are rejected.
-func (db *DB) QueryContractOn(tech Technique, sql string, spec ...ErrorSpec) (*Result, error) {
-	return db.QueryContractOnContext(context.Background(), tech, sql, spec...)
-}
-
-// QueryContractOnContext is QueryContractOn under a context.
-func (db *DB) QueryContractOnContext(ctx context.Context, tech Technique, sql string, spec ...ErrorSpec) (*Result, error) {
-	s := DefaultErrorSpec
-	if len(spec) > 0 {
-		s = spec[0]
-	}
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	if stmt.Error != nil {
-		s = ErrorSpec{RelError: stmt.Error.RelError, Confidence: stmt.Error.Confidence}
-	}
-	return db.runStatement(ctx, stmt, func(ctx context.Context) (*Result, error) {
-		switch tech {
-		case TechniqueOnline:
-			return db.online.ExecuteContract(ctx, stmt, s, db.contractCfg)
-		case TechniqueOLA:
-			return db.ola.ExecuteContract(ctx, stmt, s, db.contractCfg)
-		case TechniqueOffline:
-			return db.offline.ExecuteContract(ctx, stmt, s, db.contractCfg)
-		default:
-			return nil, fmt.Errorf("aqp: technique %s does not support error contracts", tech)
-		}
-	})
-}
-
-// QuerySynopsis answers the query from precomputed synopses alone
-// (histogram/HLL/CMS) in O(synopsis) time; queries outside the narrow
-// synopsis-answerable class fail rather than fall back.
-func (db *DB) QuerySynopsis(sql string, spec ErrorSpec) (*Result, error) {
-	return db.QuerySynopsisContext(context.Background(), sql, spec)
-}
-
-// QuerySynopsisContext is QuerySynopsis under a context.
-func (db *DB) QuerySynopsisContext(ctx context.Context, sql string, spec ErrorSpec) (*Result, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return db.runStatement(ctx, stmt, func(ctx context.Context) (*Result, error) {
-		return db.synopsis.ExecuteContext(ctx, stmt, spec)
-	})
+	return db.runSQL(ctx, sql, Request{Mode: ModeOLA, Spec: spec})
 }
 
 // QueryProgressive runs online aggregation, invoking observe at every
 // checkpoint; observe returning false stops the stream.
 func (db *DB) QueryProgressive(sql string, spec ErrorSpec, observe func(Progress) bool) (*Result, error) {
-	return db.QueryProgressiveContext(context.Background(), sql, spec, observe)
+	return db.runSQL(context.Background(), sql, Request{Mode: ModeOLA, Spec: spec, Observe: observe})
 }
 
-// QueryProgressiveContext is QueryProgressive under a context; deadline
-// expiry stops the stream like an observe returning false.
-func (db *DB) QueryProgressiveContext(ctx context.Context, sql string, spec ErrorSpec, observe func(Progress) bool) (*Result, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
+// QueryContractOn runs the query under an a-priori error contract (see
+// Request.Contract) pinned to an engine: TechniqueOnline (Bernoulli
+// two-stage), TechniqueOLA (Stein-style two-stage prefix sampling on one
+// seeded permutation), or TechniqueOffline (two transient uniform samples
+// drawn from the base table). Other techniques are rejected.
+func (db *DB) QueryContractOn(tech Technique, sql string, spec ...ErrorSpec) (*Result, error) {
+	return db.QueryContractOnContext(context.Background(), tech, sql, spec...)
+}
+
+// contractModes maps the techniques that can size a contract to their modes.
+var contractModes = map[Technique]Mode{TechniqueOnline: ModeOnline, TechniqueOLA: ModeOLA, TechniqueOffline: ModeOffline}
+
+// QueryContractOnContext is QueryContractOn under a context.
+func (db *DB) QueryContractOnContext(ctx context.Context, tech Technique, sql string, spec ...ErrorSpec) (*Result, error) {
+	mode, ok := contractModes[tech]
+	if !ok {
+		return nil, fmt.Errorf("aqp: technique %s does not support error contracts", tech)
 	}
-	return db.runStatement(ctx, stmt, func(ctx context.Context) (*Result, error) {
-		return db.ola.ExecuteProgressiveContext(ctx, stmt, spec, observe)
-	})
+	return db.runSQL(ctx, sql, Request{Mode: mode, Spec: specArg(spec), Contract: true})
+}
+
+// QuerySynopsisContext answers the query from precomputed synopses alone
+// (ModeSynopsis).
+func (db *DB) QuerySynopsisContext(ctx context.Context, sql string, spec ErrorSpec) (*Result, error) {
+	return db.runSQL(ctx, sql, Request{Mode: ModeSynopsis, Spec: spec})
 }
 
 // BuildOfflineSamples materializes the offline sample ladder for a table
@@ -688,20 +696,7 @@ func (db *DB) PropertyMatrix(probe []string, spec ErrorSpec) ([]core.TechniquePr
 
 // Explain renders the optimized logical plan of a query.
 func (db *DB) Explain(sql string) (string, error) {
-	return db.ExplainContext(context.Background(), sql)
-}
-
-// ExplainContext is Explain under a context. Planning is CPU-bound and
-// quick; the context is checked once before work begins.
-func (db *DB) ExplainContext(ctx context.Context, sql string) (string, error) {
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return "", err
-	}
-	p, err := plan.Build(stmt, db.catalog)
+	p, err := db.buildPlan(sql)
 	if err != nil {
 		return "", err
 	}
@@ -711,15 +706,19 @@ func (db *DB) ExplainContext(ctx context.Context, sql string) (string, error) {
 // Exec runs a raw plan for a statement and returns the executor-level
 // result — an escape hatch for tooling that needs counters or weights.
 func (db *DB) Exec(sql string) (*exec.Result, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	p, err := plan.Build(stmt, db.catalog)
+	p, err := db.buildPlan(sql)
 	if err != nil {
 		return nil, err
 	}
 	return exec.Run(p)
+}
+
+func (db *DB) buildPlan(sql string) (plan.Node, error) {
+	stmt, err := prepare(sql)
+	if err != nil {
+		return nil, err
+	}
+	return plan.Build(stmt, db.catalog)
 }
 
 // FormatResult renders a result as an aligned text table with CI

@@ -52,6 +52,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/insight"
 	"repro/internal/server"
+	"repro/internal/sqlparse"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -101,15 +102,39 @@ func (sh *shell) initTelemetry() {
 	sh.tstore.Snap() // baseline edge for the first \slo
 }
 
-// record files one executed statement with the session metrics and the
-// flight recorder, so \slo and \flight observe shell work the same way
-// aqpd observes served queries.
-func (sh *shell) record(sql string, res *aqp.Result, err error, start time.Time) {
+// run executes one SQL line in the given mode: the line's one parse, the
+// façade's Run, the session records, the printed answer and — for answers
+// the auditor should see — the audit offer all share one statement.
+func (sh *shell) run(sql string, req aqp.Request, offer bool) {
+	start := time.Now()
+	var res *aqp.Result
+	stmt, err := sqlparse.Parse(sql)
+	if err == nil {
+		res, err = sh.db.Run(context.Background(), stmt, req)
+	}
+	sh.record(sql, stmt, res, err, start)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	fmt.Print(aqp.FormatResult(res))
+	for _, m := range res.Diagnostics.Messages {
+		fmt.Println("  ·", m)
+	}
+	if offer {
+		sh.aud.OfferStmt(res, stmt)
+	}
+}
+
+// record files one executed statement (nil when the SQL did not parse)
+// with the session metrics and the flight recorder, so \slo and \flight
+// observe shell work the same way aqpd observes served queries.
+func (sh *shell) record(sql string, stmt *sqlparse.SelectStmt, res *aqp.Result, err error, start time.Time) {
 	latencyMS := float64(time.Since(start).Microseconds()) / 1e3
 	if err != nil {
 		sh.met.Inc("queries_errors_total")
 		sh.met.Inc("queries_total")
-		fp := sh.insight.Offer(sql, insight.Observation{LatencyMS: latencyMS, Err: true})
+		fp := sh.insight.ObserveStmt(stmt, insight.Observation{LatencyMS: latencyMS, Err: true})
 		sh.flight.Record(telemetry.QueryRecord{
 			Start: start, SQL: sql, Status: 500, Err: err.Error(), LatencyMS: latencyMS,
 			Fingerprint: fp,
@@ -134,7 +159,7 @@ func (sh *shell) record(sql string, res *aqp.Result, err error, start time.Time)
 	if c := res.Diagnostics.Contract; c != nil {
 		obs.ContractVerdict = string(c.Verdict)
 	}
-	sh.insight.Offer(sql, obs)
+	sh.insight.ObserveStmt(stmt, obs)
 	qr := telemetry.QueryRecord{
 		Start: start, SQL: sql, Technique: tech, Status: 200,
 		LatencyMS:   latencyMS,
@@ -189,18 +214,7 @@ func main() {
 			}
 			continue
 		}
-		start := time.Now()
-		res, err := sh.db.QueryApprox(line)
-		sh.record(line, res, err, start)
-		if err != nil {
-			fmt.Println("error:", err)
-			continue
-		}
-		fmt.Print(aqp.FormatResult(res))
-		for _, m := range res.Diagnostics.Messages {
-			fmt.Println("  ·", m)
-		}
-		sh.aud.Offer(res, line)
+		sh.run(line, aqp.Request{}, true)
 	}
 }
 
@@ -276,23 +290,10 @@ func meta(sh *shell, line string) bool {
 		}
 		fmt.Print(out)
 	case "\\analyze":
-		// Execute through the advisor under a tracer and print the raw
-		// span tree: per-operator timings, rows in/out, worker morsels.
-		ctx, prof := aqp.WithProfile(context.Background())
-		res, err := db.QueryApproxContext(ctx, rest)
-		if err != nil {
-			fmt.Println("error:", err)
-			return false
-		}
-		fmt.Print(prof.String())
-		fmt.Printf("-- technique=%s guarantee=%s rows_scanned=%d latency=%s\n",
-			res.Technique, res.Guarantee,
-			res.Diagnostics.Counters.RowsScanned, res.Diagnostics.Latency)
-		if shd := res.Diagnostics.Shards; shd != nil {
-			fmt.Printf("-- shards=%d key=%s coverage=%.4f degraded=%d pruned=%d extrapolated=%v\n",
-				shd.Count, shd.Key, shd.CoverageFraction,
-				len(shd.Degraded), len(shd.Pruned), shd.Extrapolated)
-		}
+		// EXPLAIN ANALYZE through the advisor: the span tree (per-operator
+		// timings, rows in/out, worker morsels) comes back as the rows,
+		// above the usual technique / shards footer.
+		sh.run("EXPLAIN ANALYZE "+rest, aqp.Request{}, false)
 	case "\\advise":
 		d, err := db.Advise(rest)
 		if err != nil {
@@ -300,47 +301,29 @@ func meta(sh *shell, line string) bool {
 			return false
 		}
 		fmt.Printf("technique=%s guarantee=%s reason=%s\n", d.Technique, d.Guarantee, d.Reason)
-	case "\\exact":
-		res, err := db.Query(rest)
-		sh.show(rest, res, err)
-	case "\\online":
-		res, err := db.QueryOnline(rest, aqp.DefaultErrorSpec)
-		sh.show(rest, res, err)
-	case "\\offline":
-		res, err := db.QueryOffline(rest, aqp.DefaultErrorSpec)
-		sh.show(rest, res, err)
+	case "\\exact", "\\online", "\\offline":
+		mode, _ := aqp.ParseMode(cmd[1:])
+		sh.run(rest, aqp.Request{Mode: mode}, false)
 	case "\\ola":
-		res, err := db.QueryProgressive(rest, aqp.DefaultErrorSpec, func(p aqp.Progress) bool {
+		sh.run(rest, aqp.Request{Mode: aqp.ModeOLA, Observe: func(p aqp.Progress) bool {
 			fmt.Printf("  %5.1f%% read, current max CI half-width %.4f\n",
 				p.Fraction*100, p.Result.MaxRelHalfWidth())
 			return true
-		})
-		sh.show(rest, res, err)
+		}}, false)
 	case "\\contract":
 		// Pilot-sized two-stage execution: FormatResult appends the
 		// contract footer (verdict, sized fractions, pilot/final rows).
-		tech := aqp.TechniqueOnline
-		sql := rest
+		mode, sql := aqp.ModeOnline, rest
 		if len(fields) > 1 {
-			switch fields[1] {
-			case "online", "ola", "offline":
-				if fields[1] == "ola" {
-					tech = aqp.TechniqueOLA
-				} else if fields[1] == "offline" {
-					tech = aqp.TechniqueOffline
-				}
-				sql = strings.TrimSpace(strings.TrimPrefix(rest, fields[1]))
+			if m, err := aqp.ParseMode(fields[1]); err == nil {
+				mode, sql = m, strings.TrimSpace(strings.TrimPrefix(rest, fields[1]))
 			}
 		}
-		if strings.TrimSpace(sql) == "" {
+		if sql == "" {
 			fmt.Println("usage: \\contract [online|ola|offline] <sql WITH ERROR e% CONFIDENCE c%>")
 			return false
 		}
-		res, err := db.QueryContractOn(tech, sql)
-		sh.show(sql, res, err)
-		if err == nil {
-			sh.aud.Offer(res, sql)
-		}
+		sh.run(sql, aqp.Request{Mode: mode, Contract: true}, true)
 	case "\\prep":
 		if len(fields) < 3 {
 			fmt.Println("usage: \\prep <table> <col[,col...]>")
@@ -581,25 +564,6 @@ func meta(sh *shell, line string) bool {
 		fmt.Println("unknown command:", cmd)
 	}
 	return false
-}
-
-// show records the statement with the session telemetry and prints the
-// result (or error). The result's own measured latency stands in for a
-// wall clock started before execution.
-func (sh *shell) show(sql string, res *aqp.Result, err error) {
-	start := time.Now()
-	if res != nil {
-		start = start.Add(-res.Diagnostics.Latency)
-	}
-	sh.record(sql, res, err, start)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Print(aqp.FormatResult(res))
-	for _, m := range res.Diagnostics.Messages {
-		fmt.Println("  ·", m)
-	}
 }
 
 // plural picks the singular or plural suffix for n.

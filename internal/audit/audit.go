@@ -281,13 +281,20 @@ func (a *Auditor) Drain(ctx context.Context) error {
 	}
 }
 
-// Offer submits one served result for consideration. It is cheap and
-// non-blocking: parse + hash + enqueue at worst, and must be called on
-// the serving path after the response is sent (or immediately before —
-// it never mutates res). Results that are exact or carry no CI are not
-// eligible. The decision to audit is made here, deterministically, with
-// no reference to the estimate's value — see the package comment.
-func (a *Auditor) Offer(res *core.Result, sql string) {
+// Offer is OfferStmt for callers that hold only the SQL text.
+func (a *Auditor) Offer(res *core.Result, sql string) { a.offer(res, sql, nil) }
+
+// OfferStmt submits one served result, with the statement it answered, for
+// consideration. It is cheap and non-blocking — hash + enqueue at worst —
+// and must be called on the serving path after the response is sent (or
+// immediately before — it never mutates res or stmt). Results that are
+// exact or carry no CI are not eligible. The decision to audit is made
+// here, deterministically, with no reference to the estimate's value —
+// see the package comment.
+func (a *Auditor) OfferStmt(res *core.Result, stmt *sqlparse.SelectStmt) { a.offer(res, "", stmt) }
+
+// offer parses sql when the caller has no statement.
+func (a *Auditor) offer(res *core.Result, sql string, stmt *sqlparse.SelectStmt) {
 	if a == nil || a.cfg.Fraction <= 0 || res == nil {
 		return
 	}
@@ -301,9 +308,11 @@ func (a *Auditor) Offer(res *core.Result, sql string) {
 	if res.Guarantee == core.GuaranteeExact || !hasCI(res) {
 		return
 	}
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return // served SQL always parses; belt and braces
+	if stmt == nil {
+		var err error
+		if stmt, err = sqlparse.Parse(sql); err != nil {
+			return // served SQL always parses; belt and braces
+		}
 	}
 	canonical := stmt.String()
 	tech := string(res.Technique)

@@ -112,9 +112,7 @@ func (a *Advisor) ExecuteContext(ctx context.Context, sql string, spec ErrorSpec
 // facade uses it to parse once, peel EXPLAIN handling off, and still get
 // advisor routing.
 func (a *Advisor) ExecuteStmtContext(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec) (*Result, Decision, error) {
-	if stmt.Error != nil {
-		spec = ErrorSpec{RelError: stmt.Error.RelError, Confidence: stmt.Error.Confidence}
-	}
+	spec = ResolveSpec(stmt, spec)
 	sp, _ := trace.StartSpan(ctx, "advisor")
 	d := a.Choose(stmt, spec)
 	sp.SetAttr("technique", string(d.Technique))
@@ -162,39 +160,27 @@ type TechniqueProperties struct {
 // are nil are skipped.
 func (a *Advisor) Matrix(probe []string, spec ErrorSpec) ([]TechniqueProperties, error) {
 	type engineRow struct {
-		tech    Technique
-		run     func(*sqlparse.SelectStmt) (*Result, error)
+		eng     Engine
 		preRows int64
-		mntRows int64
 	}
-	var rows []engineRow
-	rows = append(rows, engineRow{tech: TechniqueExact,
-		run: func(s *sqlparse.SelectStmt) (*Result, error) { return a.Exact.Execute(s, spec) }})
+	rows := []engineRow{{eng: a.Exact}}
 	if a.Online != nil {
-		rows = append(rows, engineRow{tech: TechniqueOnline,
-			run: func(s *sqlparse.SelectStmt) (*Result, error) { return a.Online.Execute(s, spec) }})
+		rows = append(rows, engineRow{eng: a.Online})
 	}
 	if a.Offline != nil {
-		rows = append(rows, engineRow{tech: TechniqueOffline,
-			run:     func(s *sqlparse.SelectStmt) (*Result, error) { return a.Offline.Execute(s, spec) },
-			preRows: a.Offline.Maintenance.RowsScanned})
+		rows = append(rows, engineRow{eng: a.Offline, preRows: a.Offline.Maintenance.RowsScanned})
 	}
 	if a.OLA != nil {
-		rows = append(rows, engineRow{tech: TechniqueOLA,
-			run: func(s *sqlparse.SelectStmt) (*Result, error) { return a.OLA.Execute(s, spec) }})
+		rows = append(rows, engineRow{eng: a.OLA})
 	}
 	if a.Synopsis != nil {
-		rows = append(rows, engineRow{tech: TechniqueSynopsis,
-			run: func(s *sqlparse.SelectStmt) (*Result, error) {
-				stmtRes, err := a.Synopsis.Execute(s, spec)
-				return stmtRes, err
-			},
-			preRows: a.Synopsis.BuildRows()})
+		rows = append(rows, engineRow{eng: a.Synopsis, preRows: a.Synopsis.BuildRows()})
 	}
 
 	var out []TechniqueProperties
 	for _, er := range rows {
-		props := TechniqueProperties{Technique: er.tech, PrecomputeRows: er.preRows}
+		tech := er.eng.Name()
+		props := TechniqueProperties{Technique: tech, PrecomputeRows: er.preRows}
 		var supported, apriori int
 		var workSaved float64
 		var workSamples int
@@ -207,12 +193,11 @@ func (a *Advisor) Matrix(probe []string, spec ErrorSpec) ([]TechniqueProperties,
 			if err != nil {
 				return nil, err
 			}
-			stmt2, _ := sqlparse.Parse(sql)
-			res, err := er.run(stmt2)
+			res, err := er.eng.Execute(stmt, spec)
 			if err != nil || res.Diagnostics.FellBackToExact {
 				continue
 			}
-			if er.tech == TechniqueExact {
+			if tech == TechniqueExact {
 				supported++
 				continue
 			}
@@ -239,7 +224,7 @@ func (a *Advisor) Matrix(probe []string, spec ErrorSpec) ([]TechniqueProperties,
 		if workSamples > 0 {
 			props.MeanWorkSaved = workSaved / float64(workSamples)
 		}
-		if er.tech == TechniqueOffline && a.Offline != nil {
+		if tech == TechniqueOffline {
 			props.MaintenanceRows = a.Offline.Maintenance.RowsScanned - er.preRows
 			if props.MaintenanceRows < 0 {
 				props.MaintenanceRows = 0

@@ -20,10 +20,12 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/contract"
 	"repro/internal/exec"
+	"repro/internal/fault"
 	"repro/internal/plan"
 	"repro/internal/sample"
 	"repro/internal/shard"
@@ -50,14 +52,7 @@ type ContractConfig struct {
 
 // DefaultContractConfig returns the engine defaults: a 5% pilot floored
 // at 200 rows, the whole table as budget, 90% variance confidence.
-func DefaultContractConfig() ContractConfig {
-	return ContractConfig{
-		PilotFraction:      0.05,
-		MinPilotRows:       200,
-		BudgetFraction:     1,
-		VarianceConfidence: 0.9,
-	}
-}
+func DefaultContractConfig() ContractConfig { return ContractConfig{}.withDefaults() }
 
 func (c ContractConfig) withDefaults() ContractConfig {
 	if c.PilotFraction <= 0 || c.PilotFraction > 1 {
@@ -135,20 +130,24 @@ func newContractSummary(spec ErrorSpec, cfg ContractConfig) *contract.Summary {
 	}
 }
 
-// sizeContract runs the sizing step shared by every engine: unsizable
-// aggregates refuse with a named reason, otherwise internal/contract
-// computes the binding stage-two fraction under the budget. The returned
-// rate is floored at the pilot fraction (stage two is never smaller than
-// the pilot) and capped at 1.
-func sizeContract(ests []contract.Estimate, badName string, pilotRate float64,
+// sizeContract runs the sizing step: a pilot that cannot certify the
+// population (refusal) or an aggregate without CLT moments (badName)
+// refuses with that reason and spends the budget as best effort,
+// otherwise internal/contract computes the binding stage-two fraction
+// under the budget. The returned rate is floored at the pilot fraction
+// (stage two is never smaller than the pilot) and capped at 1.
+func sizeContract(ests []contract.Estimate, badName, refusal string, pilotRate float64,
 	spec ErrorSpec, cfg ContractConfig) (contract.Sizing, float64) {
 
+	if refusal == "" && badName != "" {
+		refusal = fmt.Sprintf("aggregate %s has no CLT moments to size from", badName)
+	}
 	var sz contract.Sizing
-	if badName != "" {
+	if refusal != "" {
 		sz = contract.Sizing{
 			Rate:         cfg.BudgetFraction,
 			RequiredRate: cfg.BudgetFraction,
-			Reason:       fmt.Sprintf("aggregate %s has no CLT moments to size from", badName),
+			Reason:       refusal,
 		}
 	} else {
 		sz = contract.Size(ests, pilotRate, spec.RelError, spec.Confidence, contract.Options{
@@ -156,14 +155,7 @@ func sizeContract(ests []contract.Estimate, badName string, pilotRate float64,
 			VarianceConfidence: cfg.VarianceConfidence,
 		})
 	}
-	rate := sz.Rate
-	if rate < pilotRate {
-		rate = pilotRate
-	}
-	if rate > 1 {
-		rate = 1
-	}
-	return sz, rate
+	return sz, min(max(sz.Rate, pilotRate), 1)
 }
 
 // stampInfeasible attaches the refusal message operators and tests grep
@@ -183,30 +175,119 @@ func stampInfeasible(d *Diagnostics, sum *contract.Summary) {
 func exactContract(ctx context.Context, eng *ExactEngine, stmt *sqlparse.SelectStmt,
 	spec ErrorSpec, cfg ContractConfig, why string) (*Result, error) {
 
-	res, err := eng.ExecuteContext(ctx, stmt, spec)
+	sum := newContractSummary(spec, cfg)
+	sum.Reason = "answered exactly (" + why + "); the contract holds trivially"
+	res, err := eng.fallBack(ctx, stmt, spec, "contract: "+sum.Reason)
 	if err != nil {
 		return nil, err
 	}
-	sum := newContractSummary(spec, cfg)
 	sum.FinalFraction = 1
 	sum.FinalRows = res.Diagnostics.Counters.RowsScanned
-	sum.Reason = "answered exactly (" + why + "); the contract holds trivially"
 	sum.Conclude(0, false)
 	res.Diagnostics.Contract = sum
-	res.Diagnostics.FellBackToExact = true
-	res.Diagnostics.Messages = append(res.Diagnostics.Messages, "contract: "+sum.Reason)
 	return res, nil
 }
 
-// setPlanSamplers rewrites every placed sampler's rate and seed in the
-// plan — the knob the two stages turn between runs of the same plan.
-func setPlanSamplers(p plan.Node, rate float64, seed int64) {
-	for _, s := range plan.Scans(p) {
-		if s.Sample != nil {
-			s.Sample.Rate = rate
-			s.Sample.Seed = seed
+// contractPlan is the per-engine half of a two-stage contract run: how to
+// execute the statement at a sampling rate. runContract owns the rest.
+type contractPlan struct {
+	// pilotRate is the stage-one sampling fraction.
+	pilotRate float64
+	// run executes one stage at rate: stage one when pilot is nil, else
+	// stage two at the sized rate with an independent seed, returning the
+	// final answer with the pilot's cost folded in, the engine's diagnostics
+	// stamped and a best-effort (never a-priori) guarantee.
+	run func(ctx context.Context, rate float64, pilot *contractRun) (contractRun, error)
+}
+
+// contractRun is what one stage reports.
+type contractRun struct {
+	res *Result
+	// rows and fraction are the sampled rows and the realized sampling
+	// fraction (OLA reads whole chunks, so it may exceed the rate asked).
+	rows     int64
+	fraction float64
+	// refusal is why a pilot cannot certify the whole population; stage
+	// two then spends the budget as best effort.
+	refusal string
+	// shard is the scatter outcome and shardFractions stage two's
+	// per-shard Neyman allocation (sharded runs only).
+	shard          *shardRun
+	shardFractions []float64
+	// note is appended after the verdict messages.
+	note string
+}
+
+// runContract is the two-stage driver behind every ExecuteContract:
+// validate the contract, let the engine plan (or answer exactly when the
+// statement cannot be sampled), pilot, size, run stage two, grade the
+// guarantee and conclude the verdict.
+func runContract(ctx context.Context, name string, inject *fault.Point, exact *ExactEngine,
+	prepare func(context.Context, *sqlparse.SelectStmt, ErrorSpec, ContractConfig) (*contractPlan, string, error),
+	stmt *sqlparse.SelectStmt, spec ErrorSpec, cfg ContractConfig) (_ *Result, err error) {
+
+	defer contain(&err)
+	if inject != nil {
+		if err := inject.Inject(); err != nil {
+			return nil, err
 		}
 	}
+	start := time.Now()
+	esp, ctx := trace.StartSpan(ctx, "engine "+name+" contract")
+	defer esp.End()
+	if !spec.Valid() {
+		spec = DefaultErrorSpec
+	}
+	cfg = cfg.withDefaults()
+	pl, why, err := prepare(ctx, stmt, spec, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if why != "" {
+		return exactContract(ctx, exact, stmt, spec, cfg, why)
+	}
+
+	psp, pctx := trace.StartSpan(ctx, "contract pilot")
+	pilot, err := pl.run(pctx, pl.pilotRate, nil)
+	psp.End()
+	if err != nil {
+		return nil, err
+	}
+	ests, badName := contractEstimates(pilot.res)
+	sz, rate := sizeContract(ests, badName, pilot.refusal, pilot.fraction, spec, cfg)
+
+	sum := newContractSummary(spec, cfg)
+	sum.PilotRows = pilot.rows
+	sum.PilotFraction = pilot.fraction
+	sum.RequiredFraction = sz.RequiredRate
+	sum.FinalFraction = rate
+	sum.Infeasible = !sz.Feasible
+	sum.Reason = sz.Reason
+
+	ssp, sctx := trace.StartSpan(ctx, "contract stage two")
+	fin, err := pl.run(sctx, rate, &pilot)
+	ssp.End()
+	if err != nil {
+		return nil, err
+	}
+	out := fin.res
+	// A stage two that lost data — a deadline, a chunk fault, a shard, even
+	// one the survivors extrapolate over — can never certify the promise.
+	degraded := out.Diagnostics.Degraded || out.Diagnostics.Partial
+	if sz.Feasible && !degraded {
+		out.Guarantee = GuaranteeAPriori
+	}
+	sum.FinalRows = fin.rows
+	sum.ShardFractions = fin.shardFractions
+	sum.Conclude(out.MaxRelHalfWidth(), degraded)
+	out.Diagnostics.Contract = sum
+	stampInfeasible(&out.Diagnostics, sum)
+	if fin.note != "" {
+		out.Diagnostics.Messages = append(out.Diagnostics.Messages, fin.note)
+	}
+	out.Diagnostics.Latency = time.Since(start)
+	esp.SetAttrFloat("final_fraction", sum.FinalFraction)
+	return out, nil
 }
 
 // ExecuteContract runs the statement under an a-priori error contract on
@@ -215,232 +296,147 @@ func setPlanSamplers(p plan.Node, rate float64, seed int64) {
 // seed. Sharded tables compose the pilot stratum-wise and split the sized
 // stage-two budget across shards by Neyman allocation.
 func (e *OnlineEngine) ExecuteContract(ctx context.Context, stmt *sqlparse.SelectStmt,
-	spec ErrorSpec, cfg ContractConfig) (_ *Result, err error) {
+	spec ErrorSpec, cfg ContractConfig) (*Result, error) {
+	return runContract(ctx, "online", injectOnline, e.exactEngine(), e.contractPlan, stmt, spec, cfg)
+}
 
-	defer contain(&err)
-	if err := injectOnline.Inject(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	esp, ctx := trace.StartSpan(ctx, "engine online contract")
-	defer esp.End()
-	if !spec.Valid() {
-		spec = DefaultErrorSpec
-	}
-	cfg = cfg.withDefaults()
+func (e *OnlineEngine) contractPlan(ctx context.Context, stmt *sqlparse.SelectStmt,
+	spec ErrorSpec, cfg ContractConfig) (*contractPlan, string, error) {
 
 	if ok, reason := supportedForSampling(stmt); !ok {
-		return exactContract(ctx, e.exactEngine(), stmt, spec, cfg, reason)
+		return nil, reason, nil
 	}
 	p, err := plan.Build(stmt, e.Catalog)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	planned, notes := e.placeSamplers(stmt, p)
 	if !planned {
-		return exactContract(ctx, e.exactEngine(), stmt, spec, cfg, "no table worth sampling")
+		return nil, "no table worth sampling", nil
 	}
 	pop := sampledRows(p)
-	pr := cfg.pilotRate(pop)
 	workers := resolveWorkers(ctx, p, e.Config.Workers)
-	esp.SetAttrInt("workers", int64(workers))
-
-	if g := shardGroupFor(e.Shards, stmt); g != nil && exec.Gatherable(p) {
-		return e.executeContractSharded(ctx, g, stmt, p, spec, cfg, pr, notes, workers, start)
+	trace.SpanFromContext(ctx).SetAttrInt("workers", int64(workers))
+	pl := &contractPlan{pilotRate: cfg.pilotRate(pop)}
+	// finish stamps a stage-two answer: engine notes, the pilot's cost.
+	finish := func(out *Result, pop int64, pilot *contractRun, msgs []string) {
+		d := &out.Diagnostics
+		d.Messages = append(append(d.Messages, notes...), msgs...)
+		d.SampleFraction = sampleFraction(d.Counters, pop)
+		d.Counters.Add(pilot.res.Diagnostics.Counters)
+		d.Counters.Passes = 2
+		d.Workers = workers
+		stampLineage(d, e.Catalog, stmt.From.Name)
 	}
 
-	// Stage one: pilot at the pilot fraction with the engine seed.
-	setPlanSamplers(p, pr, e.Config.Seed)
-	psp, pctx := trace.StartSpan(ctx, "contract pilot")
-	praw, err := exec.RunParallelContext(pctx, p, workers)
-	psp.End()
-	if err != nil {
-		return nil, err
+	g := shardGroupFor(e.Shards, stmt)
+	if g == nil || !exec.Gatherable(p) {
+		// One plan, re-run with its samplers turned to the stage's rate and seed.
+		pl.run = func(ctx context.Context, rate float64, pilot *contractRun) (contractRun, error) {
+			seed := e.Config.Seed
+			if pilot != nil {
+				seed = contractStageSeed(seed)
+			}
+			for _, s := range plan.Scans(p) {
+				if s.Sample != nil {
+					s.Sample.Rate, s.Sample.Seed = rate, seed
+				}
+			}
+			raw, err := exec.RunParallelContext(ctx, p, workers)
+			if err != nil {
+				return contractRun{}, err
+			}
+			out := annotate(stmt, raw, spec, TechniqueOnline, GuaranteeAPosteriori)
+			if pilot != nil {
+				finish(out, pop, pilot, nil)
+			}
+			return contractRun{res: out, rows: raw.Counters.RowsEmitted, fraction: rate}, nil
+		}
+		return pl, "", nil
 	}
-	pilot := annotate(stmt, praw, spec, TechniqueOnline, GuaranteeAPosteriori)
-	ests, badName := contractEstimates(pilot)
-	sz, rate2 := sizeContract(ests, badName, pr, spec, cfg)
 
-	sum := newContractSummary(spec, cfg)
-	sum.PilotRows = praw.Counters.RowsEmitted
-	sum.PilotFraction = pr
-	sum.RequiredFraction = sz.RequiredRate
-	sum.FinalFraction = rate2
-	sum.Infeasible = !sz.Feasible
-	sum.Reason = sz.Reason
-
-	// Stage two: independent seed, sized fraction, same plan.
-	setPlanSamplers(p, rate2, contractStageSeed(e.Config.Seed))
-	ssp, sctx := trace.StartSpan(ctx, "contract stage two")
-	raw2, err := exec.RunParallelContext(sctx, p, workers)
-	ssp.End()
-	if err != nil {
-		return nil, err
+	// The scatter-gather pair: the pilot scatters collecting per-shard slot
+	// moments, the composed (merged-in-shard-order) pilot sizes stage two
+	// exactly like the unsharded path — merging HT partials is stratified
+	// composition, so the composed variance is the one sizing needs — and
+	// the sized row budget is split across shards Neyman-style.
+	base := firstSampler(p)
+	if base == nil {
+		return nil, "no sampler placed", nil
 	}
-	guarantee := GuaranteeAPriori
-	if !sz.Feasible {
-		guarantee = GuaranteeAPosteriori
+	pl.run = func(ctx context.Context, rate float64, pilot *contractRun) (contractRun, error) {
+		smp := *base
+		smp.Rate, smp.Seed = rate, e.Config.Seed
+		var shardRates []float64
+		if pilot != nil {
+			smp.Seed = contractStageSeed(smp.Seed)
+			shardRates = neymanRates(g, pilot.shard, rate)
+		}
+		sr, err := runSharded(ctx, g, stmt, p, &smp, workers, func(o *shard.ExecOptions) {
+			o.CollectMoments, o.ShardRates = pilot == nil, shardRates
+		})
+		if err != nil {
+			return contractRun{}, err
+		}
+		guarantee := GuaranteeAPosteriori
+		if sr.degraded && !sr.summary.Extrapolated {
+			guarantee = GuaranteeNone
+		}
+		out := annotate(stmt, sr.raw, spec, TechniqueOnline, guarantee)
+		r := contractRun{res: out, rows: sr.raw.Counters.RowsEmitted, fraction: rate,
+			shard: sr, shardFractions: shardRates}
+		if pilot != nil {
+			finish(out, sr.sampledPop, pilot, sr.messages)
+			out.Diagnostics.Degraded = sr.degraded
+			out.Diagnostics.Shards = sr.summary
+		} else if sr.degraded {
+			// A pilot that lost shards measured only part of the population.
+			r.refusal = "pilot lost shards; sizing from a partial pilot cannot certify the full population"
+		}
+		return r, nil
 	}
-	out := annotate(stmt, raw2, spec, TechniqueOnline, guarantee)
-	out.Diagnostics.Messages = append(out.Diagnostics.Messages, notes...)
-	out.Diagnostics.SampleFraction = sampleFraction(raw2.Counters, pop)
-	out.Diagnostics.Counters.Add(praw.Counters)
-	out.Diagnostics.Counters.Passes = 2
-	out.Diagnostics.Workers = workers
-	stampLineage(&out.Diagnostics, e.Catalog, stmt.From.Name)
-	sum.FinalRows = raw2.Counters.RowsEmitted
-	sum.Conclude(out.MaxRelHalfWidth(), out.Diagnostics.Degraded || out.Diagnostics.Partial)
-	out.Diagnostics.Contract = sum
-	stampInfeasible(&out.Diagnostics, sum)
-	out.Diagnostics.Latency = time.Since(start)
-	esp.SetAttrFloat("final_fraction", rate2)
-	return out, nil
+	return pl, "", nil
 }
 
-// executeContractSharded is the scatter-gather contract path: the pilot
-// scatters at the pilot fraction collecting per-shard slot moments, the
-// composed (merged-in-shard-order) pilot sizes stage two exactly like the
-// unsharded path — merging HT partials is stratified composition, so the
-// composed variance is the one sizing needs — and the sized row budget is
-// split across shards Neyman-style from the per-shard pilot spreads.
-// With one shard the Neyman step is skipped entirely (nil ShardRates), so
-// execution stays bit-identical to the unsharded engine.
-func (e *OnlineEngine) executeContractSharded(ctx context.Context, g *shard.Group,
-	stmt *sqlparse.SelectStmt, p plan.Node, spec ErrorSpec, cfg ContractConfig,
-	pr float64, notes []string, workers int, start time.Time) (*Result, error) {
-
-	var base *sample.Spec
-	for _, s := range plan.Scans(p) {
-		if s.Sample != nil {
-			base = s.Sample
-			break
+// neymanRates splits the sized stage-two row budget across shards from the
+// pilot's per-shard spreads. Nil (every shard samples at rate) for a single
+// shard — bit-identity with the unsharded engine — and when the pilot is
+// missing any shard's moments.
+func neymanRates(g *shard.Group, pilot *shardRun, rate float64) []float64 {
+	n := g.NumShards()
+	if n <= 1 || pilot.degraded || len(pilot.moments) != n {
+		return nil
+	}
+	strata := make([]contract.ShardStratum, n)
+	var totalRows float64
+	for h := range strata {
+		rows := 0.0
+		if h < len(pilot.rows) {
+			rows = float64(pilot.rows[h])
 		}
-	}
-	if base == nil {
-		return exactContract(ctx, e.exactEngine(), stmt, spec, cfg, "no sampler placed")
-	}
-
-	// Stage one: scatter the pilot, keeping per-shard moments.
-	pilotSmp := *base
-	pilotSmp.Rate = pr
-	pilotSmp.Seed = e.Config.Seed
-	prun, err := runSharded(ctx, g, stmt, p, &pilotSmp, workers,
-		func(o *shard.ExecOptions) { o.CollectMoments = true })
-	if err != nil {
-		return nil, err
-	}
-	pilot := annotate(stmt, prun.raw, spec, TechniqueOnline, GuaranteeAPosteriori)
-	ests, badName := contractEstimates(pilot)
-	var sz contract.Sizing
-	var rate2 float64
-	if prun.degraded {
-		// A pilot that lost shards measured only part of the population;
-		// sizing from it cannot certify the whole. Refuse, run stage two
-		// at the budget as best effort.
-		sz = contract.Sizing{
-			Rate:         cfg.BudgetFraction,
-			RequiredRate: cfg.BudgetFraction,
-			Reason:       "pilot lost shards; sizing from a partial pilot cannot certify the full population",
-		}
-		rate2 = math.Max(cfg.BudgetFraction, pr)
-	} else {
-		sz, rate2 = sizeContract(ests, badName, pr, spec, cfg)
-	}
-
-	sum := newContractSummary(spec, cfg)
-	sum.PilotRows = prun.raw.Counters.RowsEmitted
-	sum.PilotFraction = pr
-	sum.RequiredFraction = sz.RequiredRate
-	sum.FinalFraction = rate2
-	sum.Infeasible = !sz.Feasible
-	sum.Reason = sz.Reason
-
-	// Neyman allocation across shards from the pilot's per-shard spreads.
-	// Skipped for a single shard (bit-identity with unsharded) and when
-	// the pilot is missing any shard's moments.
-	var shardRates []float64
-	if g.NumShards() > 1 && !prun.degraded && len(prun.moments) == g.NumShards() {
-		strata := make([]contract.ShardStratum, g.NumShards())
-		usable := true
-		var totalRows float64
-		for h := range strata {
-			rows := 0.0
-			if h < len(prun.rows) {
-				rows = float64(prun.rows[h])
-			}
-			totalRows += rows
-			strata[h].Rows = rows
-			// Per-row spread: Var(Ŝ_h) ≈ N_h²·s_h²·(1−f)/k_h at the pilot,
-			// so s_h ≈ sqrt(V_h·k_h)/N_h; the binding slot's spread drives
-			// the allocation. Pruned shards (nil moments) provably hold no
-			// matching rows: spread 0 earns them the minimum allocation.
-			if ms := prun.moments[h]; ms != nil && rows > 0 {
-				for _, m := range ms {
-					if m.Variance > 0 && m.N > 0 {
-						s := math.Sqrt(m.Variance*m.N) / rows
-						if s > strata[h].StdDev {
-							strata[h].StdDev = s
-						}
+		totalRows += rows
+		strata[h].Rows = rows
+		// Per-row spread: Var(Ŝ_h) ≈ N_h²·s_h²·(1−f)/k_h at the pilot,
+		// so s_h ≈ sqrt(V_h·k_h)/N_h; the binding slot's spread drives
+		// the allocation. Pruned shards (nil moments) provably hold no
+		// matching rows: spread 0 earns them the minimum allocation.
+		if ms := pilot.moments[h]; ms != nil && rows > 0 {
+			for _, m := range ms {
+				if m.Variance > 0 && m.N > 0 {
+					s := math.Sqrt(m.Variance*m.N) / rows
+					if s > strata[h].StdDev {
+						strata[h].StdDev = s
 					}
 				}
-			} else if ms == nil && !shardPruned(prun.summary, h) {
-				usable = false
 			}
-		}
-		if usable && totalRows > 0 {
-			shardRates = contract.AllocateShards(strata, rate2*totalRows)
-		}
-	}
-
-	// Stage two: scatter at the sized fraction with an independent seed,
-	// per-shard rates when Neyman applies.
-	stageSmp := *base
-	stageSmp.Rate = rate2
-	stageSmp.Seed = contractStageSeed(e.Config.Seed)
-	srun, err := runSharded(ctx, g, stmt, p, &stageSmp, workers,
-		func(o *shard.ExecOptions) { o.ShardRates = shardRates })
-	if err != nil {
-		return nil, err
-	}
-	guarantee := GuaranteeAPriori
-	switch {
-	case srun.degraded && !srun.summary.Extrapolated:
-		guarantee = GuaranteeNone
-	case !sz.Feasible || srun.degraded:
-		guarantee = GuaranteeAPosteriori
-	}
-	out := annotate(stmt, srun.raw, spec, TechniqueOnline, guarantee)
-	out.Diagnostics.Messages = append(out.Diagnostics.Messages, notes...)
-	out.Diagnostics.Messages = append(out.Diagnostics.Messages, srun.messages...)
-	out.Diagnostics.SampleFraction = sampleFraction(srun.raw.Counters, srun.sampledPop)
-	out.Diagnostics.Counters.Add(prun.raw.Counters)
-	out.Diagnostics.Counters.Passes = 2
-	out.Diagnostics.Workers = workers
-	out.Diagnostics.Degraded = srun.degraded
-	out.Diagnostics.Shards = srun.summary
-	stampLineage(&out.Diagnostics, e.Catalog, stmt.From.Name)
-	sum.FinalRows = srun.raw.Counters.RowsEmitted
-	sum.ShardFractions = shardRates
-	// A stage two that lost shards — even extrapolated over — can never
-	// certify the a-priori promise.
-	sum.Conclude(out.MaxRelHalfWidth(), srun.degraded || srun.summary.Extrapolated)
-	out.Diagnostics.Contract = sum
-	stampInfeasible(&out.Diagnostics, sum)
-	out.Diagnostics.Latency = time.Since(start)
-	return out, nil
-}
-
-// shardPruned reports whether shard h was pruned in the summary.
-func shardPruned(sum *ShardExecSummary, h int) bool {
-	if sum == nil {
-		return false
-	}
-	for _, id := range sum.Pruned {
-		if id == h {
-			return true
+		} else if ms == nil && !slices.Contains(pilot.summary.Pruned, h) {
+			return nil
 		}
 	}
-	return false
+	if totalRows <= 0 {
+		return nil
+	}
+	return contract.AllocateShards(strata, rate*totalRows)
 }
 
 // ExecuteContract runs the statement under an a-priori error contract on
@@ -453,81 +449,46 @@ func shardPruned(sum *ShardExecSummary, h int) bool {
 // with spec-stopping disabled: stopping on an interim CI (peeking) is
 // exactly what a contract must not do.
 func (e *OLAEngine) ExecuteContract(ctx context.Context, stmt *sqlparse.SelectStmt,
-	spec ErrorSpec, cfg ContractConfig) (_ *Result, err error) {
+	spec ErrorSpec, cfg ContractConfig) (*Result, error) {
+	return runContract(ctx, "ola", nil, &ExactEngine{Catalog: e.Catalog, Workers: e.Config.Workers},
+		e.contractPlan, stmt, spec, cfg)
+}
 
-	defer contain(&err)
-	start := time.Now()
-	esp, ctx := trace.StartSpan(ctx, "engine ola contract")
-	defer esp.End()
-	if !spec.Valid() {
-		spec = DefaultErrorSpec
-	}
-	cfg = cfg.withDefaults()
+func (e *OLAEngine) contractPlan(_ context.Context, stmt *sqlparse.SelectStmt,
+	spec ErrorSpec, cfg ContractConfig) (*contractPlan, string, error) {
+
 	if ok, reason := e.supported(stmt); !ok {
-		return exactContract(ctx, &ExactEngine{Catalog: e.Catalog, Workers: e.Config.Workers},
-			stmt, spec, cfg, reason)
+		return nil, reason, nil
 	}
 	t, err := e.Catalog.Table(stmt.From.Name)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	pr := cfg.pilotRate(int64(t.NumRows()))
-
-	// Stage one: a MaxFraction-limited pass. The fraction cut is a
-	// data-independent stopping rule, so the pilot is an intact SRS.
-	pilotEng := &OLAEngine{Catalog: e.Catalog, Config: e.Config}
-	pilotEng.Config.StopWhenSpecMet = false
-	pilotEng.Config.MaxFraction = pr
-	psp, pctx := trace.StartSpan(ctx, "contract pilot")
-	pilot, err := pilotEng.ExecuteProgressiveContext(pctx, stmt, spec, nil)
-	psp.End()
-	if err != nil {
-		return nil, err
-	}
-	pilotFrac := pilot.Diagnostics.SampleFraction
-	ests, badName := contractEstimates(pilot)
-	sz, rate2 := sizeContract(ests, badName, pilotFrac, spec, cfg)
-
-	sum := newContractSummary(spec, cfg)
-	sum.PilotRows = pilot.Diagnostics.Counters.RowsScanned
-	sum.PilotFraction = pilotFrac
-	sum.RequiredFraction = sz.RequiredRate
-	sum.FinalFraction = rate2
-	sum.Infeasible = !sz.Feasible
-	sum.Reason = sz.Reason
-
-	var out *Result
-	if rate2 <= pilotFrac {
-		// The pilot already read the sized prefix; it IS stage two.
-		out = pilot
-		sum.FinalRows = pilot.Diagnostics.Counters.RowsScanned
-		sum.FinalFraction = pilotFrac
-	} else {
-		stageEng := &OLAEngine{Catalog: e.Catalog, Config: e.Config}
-		stageEng.Config.StopWhenSpecMet = false
-		stageEng.Config.MaxFraction = rate2
-		ssp, sctx := trace.StartSpan(ctx, "contract stage two")
-		out, err = stageEng.ExecuteProgressiveContext(sctx, stmt, spec, nil)
-		ssp.End()
-		if err != nil {
-			return nil, err
+	run := func(ctx context.Context, rate float64, pilot *contractRun) (contractRun, error) {
+		if pilot != nil && rate <= pilot.fraction {
+			// The pilot already read the sized prefix; it IS stage two.
+			return *pilot, nil
 		}
-		sum.FinalRows = out.Diagnostics.Counters.RowsScanned
-		// The pilot prefix is re-read by stage two (same permutation);
-		// its scan cost is still real work performed.
-		out.Diagnostics.Counters.RowsScanned += sum.PilotRows
-		out.Diagnostics.Counters.Passes = 2
+		// A MaxFraction-limited pass: the fraction cut is a data-independent
+		// stopping rule, so the prefix read is an intact SRS.
+		eng := &OLAEngine{Catalog: e.Catalog, Config: e.Config}
+		eng.Config.StopWhenSpecMet = false
+		eng.Config.MaxFraction = rate
+		out, err := eng.ExecuteProgressiveContext(ctx, stmt, spec, nil)
+		if err != nil {
+			return contractRun{}, err
+		}
+		r := contractRun{res: out, rows: out.Diagnostics.Counters.RowsScanned,
+			fraction: out.Diagnostics.SampleFraction}
+		if pilot != nil {
+			// The pilot prefix is re-read by stage two (same permutation);
+			// its scan cost is still real work performed.
+			out.Diagnostics.Counters.RowsScanned += pilot.rows
+			out.Diagnostics.Counters.Passes = 2
+		}
+		return r, nil
 	}
-	degraded := out.Diagnostics.Partial || out.Diagnostics.Degraded
-	if sz.Feasible && !degraded {
-		out.Guarantee = GuaranteeAPriori
-	}
-	sum.Conclude(out.MaxRelHalfWidth(), degraded)
-	out.Diagnostics.Contract = sum
-	stampInfeasible(&out.Diagnostics, sum)
-	out.Diagnostics.Latency = time.Since(start)
-	esp.SetAttrFloat("final_fraction", sum.FinalFraction)
-	return out, nil
+	return &contractPlan{pilotRate: cfg.pilotRate(int64(t.NumRows())), run: run}, "", nil
 }
 
 // ExecuteContract runs the statement under an a-priori error contract on
@@ -537,91 +498,62 @@ func (e *OLAEngine) ExecuteContract(ctx context.Context, stmt *sqlparse.SelectSt
 // a stage-two sample at the sized fraction — paying the build scans like
 // any other maintenance cost and recording them in the counters.
 func (e *OfflineEngine) ExecuteContract(ctx context.Context, stmt *sqlparse.SelectStmt,
-	spec ErrorSpec, cfg ContractConfig) (_ *Result, err error) {
+	spec ErrorSpec, cfg ContractConfig) (*Result, error) {
+	return runContract(ctx, "offline", injectOffline, &ExactEngine{Catalog: e.Catalog, Workers: e.Config.Workers},
+		e.contractPlan, stmt, spec, cfg)
+}
 
-	defer contain(&err)
-	if err := injectOffline.Inject(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	esp, ctx := trace.StartSpan(ctx, "engine offline contract")
-	defer esp.End()
-	if !spec.Valid() {
-		spec = DefaultErrorSpec
-	}
-	cfg = cfg.withDefaults()
-	exact := &ExactEngine{Catalog: e.Catalog, Workers: e.Config.Workers}
+func (e *OfflineEngine) contractPlan(_ context.Context, stmt *sqlparse.SelectStmt,
+	spec ErrorSpec, cfg ContractConfig) (*contractPlan, string, error) {
+
 	if ok, reason := supportedForSampling(stmt); !ok {
-		return exactContract(ctx, exact, stmt, spec, cfg, reason)
+		return nil, reason, nil
 	}
-	t, err := e.Catalog.Table(stmt.From.Name)
+	source := stmt.From.Name
+	t, err := e.Catalog.Table(source)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	if t.NumRows() == 0 {
-		return exactContract(ctx, exact, stmt, spec, cfg, "empty table")
+	n := t.NumRows()
+	if n == 0 {
+		return nil, "empty table", nil
 	}
-	pr := cfg.pilotRate(int64(t.NumRows()))
-
-	// Stage one: transient uniform pilot sample.
-	pres, err := sample.BuildUniformTable(t, pr, e.Config.Seed, stmt.From.Name+"__contract_pilot")
-	if err != nil {
-		return nil, err
+	run := func(ctx context.Context, rate float64, pilot *contractRun) (contractRun, error) {
+		seed, name := e.Config.Seed, source+"__contract_pilot"
+		if pilot != nil {
+			seed, name = contractStageSeed(seed), source+"__contract_stage2"
+		}
+		built, err := sample.BuildUniformTable(t, rate, seed, name)
+		if err != nil {
+			return contractRun{}, err
+		}
+		s := &StoredSample{Name: name, Source: source, Rate: rate,
+			Data: built.Table, Rows: built.SampleRows, BuildVersion: built.BuildVersion,
+			BuildRows: built.SourceRows}
+		raw, err := e.executeOn(ctx, s, stmt)
+		if err != nil {
+			return contractRun{}, err
+		}
+		out := annotate(stmt, raw, spec, TechniqueOffline, GuaranteeAPosteriori)
+		r := contractRun{res: out, rows: int64(s.Rows), fraction: rate}
+		if pilot == nil {
+			return r, nil
+		}
+		d := &out.Diagnostics
+		d.Counters.Add(pilot.res.Diagnostics.Counters)
+		// Both sample builds scan the base table: maintenance paid inline.
+		d.Counters.RowsScanned += 2 * int64(n)
+		d.Counters.Passes = 2
+		d.Workers = exec.ResolveWorkers(ctx, e.Config.Workers)
+		d.SampleFraction = float64(s.Rows) / float64(n)
+		stampLineage(d, e.Catalog, source)
+		d.Lineage.SampleName = s.Name
+		d.Lineage.BuildVersion = s.BuildVersion
+		d.Lineage.BuildRows = s.BuildRows
+		r.note = fmt.Sprintf(
+			"offline: contract answered from a transient %d-row uniform sample (fraction %.4g), not the stored ladder",
+			s.Rows, rate)
+		return r, nil
 	}
-	ps := &StoredSample{Name: pres.Table.Name(), Source: stmt.From.Name, Rate: pr,
-		Data: pres.Table, Rows: pres.SampleRows, BuildVersion: pres.BuildVersion,
-		BuildRows: pres.SourceRows}
-	praw, err := e.executeOn(ctx, ps, stmt)
-	if err != nil {
-		return nil, err
-	}
-	pilot := annotate(stmt, praw, spec, TechniqueOffline, GuaranteeAPosteriori)
-	ests, badName := contractEstimates(pilot)
-	sz, rate2 := sizeContract(ests, badName, pr, spec, cfg)
-
-	sum := newContractSummary(spec, cfg)
-	sum.PilotRows = int64(pres.SampleRows)
-	sum.PilotFraction = pr
-	sum.RequiredFraction = sz.RequiredRate
-	sum.FinalFraction = rate2
-	sum.Infeasible = !sz.Feasible
-	sum.Reason = sz.Reason
-
-	// Stage two: transient uniform sample at the sized fraction.
-	sres, err := sample.BuildUniformTable(t, rate2, contractStageSeed(e.Config.Seed),
-		stmt.From.Name+"__contract_stage2")
-	if err != nil {
-		return nil, err
-	}
-	ss := &StoredSample{Name: sres.Table.Name(), Source: stmt.From.Name, Rate: rate2,
-		Data: sres.Table, Rows: sres.SampleRows, BuildVersion: sres.BuildVersion,
-		BuildRows: sres.SourceRows}
-	raw2, err := e.executeOn(ctx, ss, stmt)
-	if err != nil {
-		return nil, err
-	}
-	guarantee := GuaranteeAPriori
-	if !sz.Feasible {
-		guarantee = GuaranteeAPosteriori
-	}
-	out := annotate(stmt, raw2, spec, TechniqueOffline, guarantee)
-	out.Diagnostics.Counters.Add(praw.Counters)
-	// Both sample builds scan the base table: maintenance paid inline.
-	out.Diagnostics.Counters.RowsScanned += 2 * int64(t.NumRows())
-	out.Diagnostics.Counters.Passes = 2
-	out.Diagnostics.Workers = exec.ResolveWorkers(ctx, e.Config.Workers)
-	out.Diagnostics.SampleFraction = float64(sres.SampleRows) / float64(t.NumRows())
-	stampLineage(&out.Diagnostics, e.Catalog, stmt.From.Name)
-	out.Diagnostics.Lineage.SampleName = ss.Name
-	out.Diagnostics.Lineage.BuildVersion = ss.BuildVersion
-	out.Diagnostics.Lineage.BuildRows = ss.BuildRows
-	sum.FinalRows = int64(sres.SampleRows)
-	sum.Conclude(out.MaxRelHalfWidth(), out.Diagnostics.Degraded || out.Diagnostics.Partial)
-	out.Diagnostics.Contract = sum
-	stampInfeasible(&out.Diagnostics, sum)
-	out.Diagnostics.Messages = append(out.Diagnostics.Messages, fmt.Sprintf(
-		"offline: contract answered from a transient %d-row uniform sample (fraction %.4g), not the stored ladder",
-		sres.SampleRows, rate2))
-	out.Diagnostics.Latency = time.Since(start)
-	return out, nil
+	return &contractPlan{pilotRate: cfg.pilotRate(int64(n)), run: run}, "", nil
 }

@@ -46,6 +46,19 @@ func (s ErrorSpec) Valid() bool {
 // DefaultErrorSpec is 5% relative error at 95% confidence.
 var DefaultErrorSpec = ErrorSpec{RelError: 0.05, Confidence: 0.95}
 
+// ResolveSpec is the one place a request's accuracy target is decided: the
+// statement's `WITH ERROR e% CONFIDENCE c%` clause wins over the caller's
+// argument, and a zero argument takes DefaultErrorSpec.
+func ResolveSpec(stmt *sqlparse.SelectStmt, arg ErrorSpec) ErrorSpec {
+	switch {
+	case stmt.Error != nil:
+		return ErrorSpec{RelError: stmt.Error.RelError, Confidence: stmt.Error.Confidence}
+	case arg == ErrorSpec{}:
+		return DefaultErrorSpec
+	}
+	return arg
+}
+
 // Guarantee classifies the statistical strength of a result, the axis the
 // paper argues systems are least honest about.
 type Guarantee uint8

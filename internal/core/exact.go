@@ -101,6 +101,19 @@ func (e *ExactEngine) ExecuteContext(ctx context.Context, stmt *sqlparse.SelectS
 	return out, nil
 }
 
+// fallBack answers the statement exactly on behalf of an approximate
+// engine that declined to sample it, flagging the substitution and
+// noting why.
+func (e *ExactEngine) fallBack(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec, notes ...string) (*Result, error) {
+	res, err := e.ExecuteContext(ctx, stmt, spec)
+	if err != nil {
+		return nil, err
+	}
+	res.Diagnostics.FellBackToExact = true
+	res.Diagnostics.Messages = append(res.Diagnostics.Messages, notes...)
+	return res, nil
+}
+
 // ExecuteAsWritten runs a statement honoring its TABLESAMPLE clauses
 // verbatim: the manual path for users who place samplers themselves. The
 // result carries a-posteriori intervals when any sampler was present.
@@ -120,12 +133,7 @@ func ExecuteAsWrittenContext(ctx context.Context, cat *storage.Catalog, stmt *sq
 	if err != nil {
 		return nil, err
 	}
-	sampled := false
-	for _, s := range plan.Scans(p) {
-		if s.Sample != nil {
-			sampled = true
-		}
-	}
+	sampled := firstSampler(p) != nil
 	workers := resolveWorkers(ctx, p, 0)
 	res, err := exec.RunParallelContext(ctx, p, workers)
 	if err != nil {

@@ -504,13 +504,11 @@ func (e *OfflineEngine) ExecuteContext(ctx context.Context, stmt *sqlparse.Selec
 		spec = DefaultErrorSpec
 	}
 	fallback := func(reason string, stale bool) (*Result, error) {
-		res, err := (&ExactEngine{Catalog: e.Catalog, Workers: e.Config.Workers}).ExecuteContext(ctx, stmt, spec)
+		res, err := (&ExactEngine{Catalog: e.Catalog, Workers: e.Config.Workers}).fallBack(ctx, stmt, spec, "offline: "+reason)
 		if err != nil {
 			return nil, err
 		}
-		res.Diagnostics.FellBackToExact = true
 		res.Diagnostics.Stale = stale
-		res.Diagnostics.Messages = append(res.Diagnostics.Messages, "offline: "+reason)
 		res.Diagnostics.Latency = time.Since(start)
 		return res, nil
 	}

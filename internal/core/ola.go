@@ -152,15 +152,9 @@ func (e *OLAEngine) ExecuteProgressiveContext(ctx context.Context, stmt *sqlpars
 	if !spec.Valid() {
 		spec = DefaultErrorSpec
 	}
-	ok, reason := e.supported(stmt)
-	if !ok {
-		res, err := (&ExactEngine{Catalog: e.Catalog, Workers: e.Config.Workers}).ExecuteContext(ctx, stmt, spec)
-		if err != nil {
-			return nil, err
-		}
-		res.Diagnostics.FellBackToExact = true
-		res.Diagnostics.Messages = append(res.Diagnostics.Messages, "ola: fell back to exact: "+reason)
-		return res, nil
+	if ok, reason := e.supported(stmt); !ok {
+		return (&ExactEngine{Catalog: e.Catalog, Workers: e.Config.Workers}).fallBack(ctx, stmt, spec,
+			"ola: fell back to exact: "+reason)
 	}
 	setupSp, _ := trace.StartSpan(ctx, "setup")
 	t, err := e.Catalog.Table(stmt.From.Name)

@@ -216,14 +216,7 @@ func (e *OnlineEngine) ExecuteContext(ctx context.Context, stmt *sqlparse.Select
 		spec = DefaultErrorSpec
 	}
 	if ok, reason := supportedForSampling(stmt); !ok {
-		res, err := e.exactEngine().ExecuteContext(ctx, stmt, spec)
-		if err != nil {
-			return nil, err
-		}
-		res.Diagnostics.FellBackToExact = true
-		res.Diagnostics.Messages = append(res.Diagnostics.Messages,
-			"online: fell back to exact: "+reason)
-		return res, nil
+		return e.exactEngine().fallBack(ctx, stmt, spec, "online: fell back to exact: "+reason)
 	}
 
 	psp, _ := trace.StartSpan(ctx, "plan")
@@ -236,13 +229,7 @@ func (e *OnlineEngine) ExecuteContext(ctx context.Context, stmt *sqlparse.Select
 	planned, notes := e.placeSamplers(stmt, p)
 	ssp.End()
 	if !planned {
-		res, err := e.exactEngine().ExecuteContext(ctx, stmt, spec)
-		if err != nil {
-			return nil, err
-		}
-		res.Diagnostics.FellBackToExact = true
-		res.Diagnostics.Messages = append(res.Diagnostics.Messages, notes...)
-		return res, nil
+		return e.exactEngine().fallBack(ctx, stmt, spec, notes...)
 	}
 
 	// Selectivity guard: sampling a scan whose filter leaves too few
@@ -254,15 +241,9 @@ func (e *OnlineEngine) ExecuteContext(ctx context.Context, stmt *sqlparse.Select
 			}
 			if q, ok := e.estimatedQualifyingRows(s); ok {
 				if expected := q * s.Sample.Rate; expected < e.Config.MinExpectedSampleRows {
-					res, err := e.exactEngine().ExecuteContext(ctx, stmt, spec)
-					if err != nil {
-						return nil, err
-					}
-					res.Diagnostics.FellBackToExact = true
-					res.Diagnostics.Messages = append(res.Diagnostics.Messages, fmt.Sprintf(
+					return e.exactEngine().fallBack(ctx, stmt, spec, fmt.Sprintf(
 						"online: selectivity guard — histogram predicts ~%.1f sampled qualifying rows on %s (< %g); running exactly",
 						expected, s.TableName, e.Config.MinExpectedSampleRows))
-					return res, nil
 				}
 			}
 		}
@@ -299,14 +280,12 @@ func (e *OnlineEngine) ExecuteContext(ctx context.Context, stmt *sqlparse.Select
 	esp.SetAttrFloat("sample_fraction", out.Diagnostics.SampleFraction)
 
 	if !out.Diagnostics.SpecSatisfied && e.Config.FallbackToExact {
-		exactRes, err := e.exactEngine().ExecuteContext(ctx, stmt, spec)
+		exactRes, err := e.exactEngine().fallBack(ctx, stmt, spec,
+			"online: sampled CIs missed the spec; re-ran exactly (second pass)")
 		if err != nil {
 			return nil, err
 		}
 		exactRes.Diagnostics.Counters.Add(raw.Counters)
-		exactRes.Diagnostics.FellBackToExact = true
-		exactRes.Diagnostics.Messages = append(exactRes.Diagnostics.Messages,
-			"online: sampled CIs missed the spec; re-ran exactly (second pass)")
 		exactRes.Diagnostics.Latency = time.Since(start)
 		return exactRes, nil
 	}
@@ -324,14 +303,7 @@ func (e *OnlineEngine) executeSharded(ctx context.Context, g *shard.Group, stmt 
 	p plan.Node, spec ErrorSpec, notes []string, start time.Time) (*Result, error) {
 
 	workers := resolveWorkers(ctx, p, e.Config.Workers)
-	var smp *sample.Spec
-	for _, s := range plan.Scans(p) {
-		if s.Sample != nil {
-			smp = s.Sample
-			break
-		}
-	}
-	run, err := runSharded(ctx, g, stmt, p, smp, workers)
+	run, err := runSharded(ctx, g, stmt, p, firstSampler(p), workers)
 	if err != nil {
 		return nil, err
 	}
@@ -353,14 +325,12 @@ func (e *OnlineEngine) executeSharded(ctx context.Context, g *shard.Group, stmt 
 	stampLineage(&out.Diagnostics, e.Catalog, stmt.From.Name)
 
 	if !out.Diagnostics.SpecSatisfied && !run.degraded && e.Config.FallbackToExact {
-		exactRes, err := e.exactEngine().ExecuteContext(ctx, stmt, spec)
+		exactRes, err := e.exactEngine().fallBack(ctx, stmt, spec,
+			"online: sampled CIs missed the spec; re-ran exactly (second pass)")
 		if err != nil {
 			return nil, err
 		}
 		exactRes.Diagnostics.Counters.Add(run.raw.Counters)
-		exactRes.Diagnostics.FellBackToExact = true
-		exactRes.Diagnostics.Messages = append(exactRes.Diagnostics.Messages,
-			"online: sampled CIs missed the spec; re-ran exactly (second pass)")
 		exactRes.Diagnostics.Latency = time.Since(start)
 		return exactRes, nil
 	}
@@ -632,6 +602,17 @@ func owningScan(n plan.Node, col string) *plan.Scan {
 	for _, s := range plan.Scans(n) {
 		if s.Table.Schema().ColumnIndex(col) >= 0 {
 			return s
+		}
+	}
+	return nil
+}
+
+// firstSampler returns the first scan's sampler spec in plan order, or nil
+// when no scan samples.
+func firstSampler(p plan.Node) *sample.Spec {
+	for _, s := range plan.Scans(p) {
+		if s.Sample != nil {
+			return s.Sample
 		}
 	}
 	return nil

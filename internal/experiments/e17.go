@@ -58,9 +58,8 @@ func runE17(s Scale) (*Table, error) {
 			{"online", func(st *sqlparse.SelectStmt) (*core.Result, error) { return online.Execute(st, spec) }},
 			{"ola", func(st *sqlparse.SelectStmt) (*core.Result, error) { return ola.Execute(st, spec) }},
 		} {
-			st2, _ := sqlparse.Parse(sql)
 			t0 = time.Now()
-			res, err := eng.run(st2)
+			res, err := eng.run(stmt)
 			if err != nil {
 				t.AddRow(tpl.Name, eng.name, "-", "-", "-", "error: "+err.Error())
 				continue

@@ -198,8 +198,8 @@ func runE3(s Scale) (*Table, error) {
 			return nil, err
 		}
 		sql := "SELECT ev_group, COUNT(*) FROM events GROUP BY ev_group"
-		exactStmt, _ := sqlparse.Parse(sql)
-		exactRes, err := core.NewExactEngine(ev.Catalog).Execute(exactStmt, core.DefaultErrorSpec)
+		stmt, _ := sqlparse.Parse(sql)
+		exactRes, err := core.NewExactEngine(ev.Catalog).Execute(stmt, core.DefaultErrorSpec)
 		if err != nil {
 			return nil, err
 		}
@@ -297,8 +297,7 @@ func runE4(s Scale) (*Table, error) {
 			var outRows int64
 			var cErr, sErr float64
 			for tr := 0; tr < s.Trials; tr++ {
-				stmt2, _ := sqlparse.Parse(sql)
-				p, err := plan.Build(stmt2, star.Catalog)
+				p, err := plan.Build(stmt, star.Catalog)
 				if err != nil {
 					return nil, err
 				}

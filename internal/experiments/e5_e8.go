@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -87,8 +86,7 @@ func runE5(s Scale) (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				exSt, _ := sqlparse.Parse(q)
-				exactRes, err := exact.Execute(exSt, spec)
+				exactRes, err := exact.Execute(st, spec)
 				if err != nil {
 					return nil, err
 				}
@@ -168,8 +166,7 @@ func runE6(s Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		st2, _ := sqlparse.Parse(sql)
-		onRes, err := online.Execute(st2, spec)
+		onRes, err := online.Execute(st, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -259,8 +256,8 @@ func runE7(s Scale) (*Table, error) {
 		var covered int
 		var ciRel, meanErr float64
 		var valid int
+		stmt, _ := sqlparse.Parse(sc.sql)
 		for tr := 0; tr < trials; tr++ {
-			stmt, _ := sqlparse.Parse(sc.sql)
 			p, err := plan.Build(stmt, sc.cat)
 			if err != nil {
 				return nil, err
@@ -343,9 +340,8 @@ func runE8(s Scale) (*Table, error) {
 			itoa(exRes.Diagnostics.Counters.RowsScanned), "0.0000")
 
 		// Synopsis attempt.
-		stmt2, _ := sqlparse.Parse(pr.sql)
 		t0 = time.Now()
-		synRes, err := syn.Execute(stmt2, core.DefaultErrorSpec)
+		synRes, err := syn.Execute(stmt, core.DefaultErrorSpec)
 		if err != nil {
 			t.AddRow(pr.name, "synopsis", "-", "-", "unsupported")
 		} else {
@@ -354,7 +350,7 @@ func runE8(s Scale) (*Table, error) {
 		}
 
 		// Uniform 1% sample attempt (only valid for linear aggregates).
-		if ok, _ := supportedLinear(pr.sql); ok {
+		if supportedLinear(stmt) {
 			spec := &sample.Spec{Kind: sample.KindUniformRow, Rate: 0.01, Seed: s.Seed}
 			t0 = time.Now()
 			res, err := runSampled(ev.Catalog, pr.sql, "events", spec, s.Workers)
@@ -372,15 +368,11 @@ func runE8(s Scale) (*Table, error) {
 	return t, nil
 }
 
-func supportedLinear(sql string) (bool, string) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return false, err.Error()
-	}
+func supportedLinear(stmt *sqlparse.SelectStmt) bool {
 	for _, a := range stmt.Aggregates() {
 		if !a.Func.Linear() || a.Distinct {
-			return false, fmt.Sprintf("%s not linear", a)
+			return false
 		}
 	}
-	return true, ""
+	return true
 }

@@ -45,9 +45,8 @@ func runE9(s Scale) (*Table, error) {
 		itoa(exRes.Diagnostics.Counters.RowsScanned),
 		time.Since(t0).Round(time.Microsecond).String(), "n/a")
 
-	stmt2, _ := sqlparse.Parse(sql)
 	t0 = time.Now()
-	onRes, err := online.Execute(stmt2, core.ErrorSpec{RelError: 0.2, Confidence: 0.9})
+	onRes, err := online.Execute(stmt, core.ErrorSpec{RelError: 0.2, Confidence: 0.9})
 	if err != nil {
 		return nil, err
 	}
@@ -61,9 +60,8 @@ func runE9(s Scale) (*Table, error) {
 	fbCfg := onCfg
 	fbCfg.FallbackToExact = true
 	fallback := core.NewOnlineEngine(star.Catalog, fbCfg)
-	stmt3, _ := sqlparse.Parse(sql)
 	t0 = time.Now()
-	fbRes, err := fallback.Execute(stmt3, core.ErrorSpec{RelError: 0.0005, Confidence: 0.99})
+	fbRes, err := fallback.Execute(stmt, core.ErrorSpec{RelError: 0.0005, Confidence: 0.99})
 	if err != nil {
 		return nil, err
 	}
@@ -109,8 +107,8 @@ func runE10(s Scale) (*Table, error) {
 			return nil, err
 		}
 	}
-	exactStmt, _ := sqlparse.Parse(sql)
-	exactRes, err := core.NewExactEngine(ev.Catalog).Execute(exactStmt, core.DefaultErrorSpec)
+	stmt, _ := sqlparse.Parse(sql)
+	exactRes, err := core.NewExactEngine(ev.Catalog).Execute(stmt, core.DefaultErrorSpec)
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +116,6 @@ func runE10(s Scale) (*Table, error) {
 	t := &Table{ID: "E10", Title: "error–latency profile: spec -> sample choice",
 		Header: []string{"spec_relerr", "answered_from", "sample_rows", "achieved_max_relerr", "guarantee"}}
 	for _, eps := range []float64{0.5, 0.2, 0.1, 0.05, 0.005} {
-		stmt, _ := sqlparse.Parse(sql)
 		res, err := off.Execute(stmt, core.ErrorSpec{RelError: eps, Confidence: 0.95})
 		if err != nil {
 			return nil, err

@@ -596,7 +596,19 @@ func EvalBool(e Expr, row Row) (bool, error) {
 }
 
 // Clone deep-copies an expression tree.
-func Clone(e Expr) Expr {
+func Clone(e Expr) Expr { return Map(e, nil) }
+
+// Map rebuilds an expression tree top-down: f (when non-nil) sees each
+// node first and may return its replacement, which is taken as is; a node
+// f passes on (nil) is copied with its children mapped. Node types defined
+// outside this package have no children Map knows of, so f must replace
+// them.
+func Map(e Expr, f func(Expr) Expr) Expr {
+	if f != nil {
+		if r := f(e); r != nil {
+			return r
+		}
+	}
 	switch n := e.(type) {
 	case *ColRef:
 		cp := *n
@@ -605,21 +617,21 @@ func Clone(e Expr) Expr {
 		cp := *n
 		return &cp
 	case *Binary:
-		return &Binary{Op: n.Op, L: Clone(n.L), R: Clone(n.R)}
+		return &Binary{Op: n.Op, L: Map(n.L, f), R: Map(n.R, f)}
 	case *Unary:
-		return &Unary{Op: n.Op, X: Clone(n.X)}
+		return &Unary{Op: n.Op, X: Map(n.X, f)}
 	case *In:
 		list := make([]Expr, len(n.List))
 		for i, a := range n.List {
-			list[i] = Clone(a)
+			list[i] = Map(a, f)
 		}
-		return &In{X: Clone(n.X), List: list, Negate: n.Negate}
+		return &In{X: Map(n.X, f), List: list, Negate: n.Negate}
 	case *Call:
 		args := make([]Expr, len(n.Args))
 		for i, a := range n.Args {
-			args[i] = Clone(a)
+			args[i] = Map(a, f)
 		}
 		return &Call{Name: n.Name, Args: args}
 	}
-	panic(fmt.Sprintf("expr: Clone of unknown node %T", e))
+	panic(fmt.Sprintf("expr: Map of unknown node %T", e))
 }

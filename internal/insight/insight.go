@@ -201,23 +201,23 @@ func (r *Registry) now() time.Time {
 	return time.Now()
 }
 
-// Offer files one query outcome. The SQL is parsed and fingerprinted
-// here; unparseable SQL is counted and dropped (fingerprinting is a
-// pure observer — it must never fail a query). Returns the fingerprint
-// hash, or "" when the SQL does not parse.
+// Offer is ObserveStmt for callers that hold only the SQL text.
 func (r *Registry) Offer(sql string, obs Observation) string {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
+	stmt, _ := sqlparse.Parse(sql) // nil when the SQL does not parse
+	return r.ObserveStmt(stmt, obs)
+}
+
+// ObserveStmt files one query outcome under the statement's fingerprint
+// and returns the fingerprint hash. A nil statement — SQL that did not
+// parse — is counted and dropped, returning "": fingerprinting is a pure
+// observer and must never fail a query.
+func (r *Registry) ObserveStmt(stmt *sqlparse.SelectStmt, obs Observation) string {
+	if stmt == nil {
 		r.mu.Lock()
 		r.unparseable++
 		r.mu.Unlock()
 		return ""
 	}
-	return r.ObserveStmt(stmt, obs)
-}
-
-// ObserveStmt files one outcome for an already-parsed statement.
-func (r *Registry) ObserveStmt(stmt *sqlparse.SelectStmt, obs Observation) string {
 	fp := stmt.Fingerprint()
 	var events []Event
 

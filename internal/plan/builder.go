@@ -303,59 +303,23 @@ func rewritePostAgg(e expr.Expr, groupKeyByText map[string]string) (expr.Expr, e
 	if e == nil {
 		return nil, nil
 	}
-	if name, ok := groupKeyByText[e.String()]; ok {
-		return &expr.ColRef{Name: name, Index: -1}, nil
-	}
-	switch n := e.(type) {
-	case *sqlparse.AggExpr:
-		return &expr.ColRef{Name: aggColumnName(n.Slot), Index: -1}, nil
-	case *expr.ColRef:
-		return nil, fmt.Errorf("plan: column %q must appear in GROUP BY or inside an aggregate", n.Name)
-	case *expr.Lit:
-		cp := *n
-		return &cp, nil
-	case *expr.Binary:
-		l, err := rewritePostAgg(n.L, groupKeyByText)
-		if err != nil {
-			return nil, err
+	var err error
+	out := expr.Map(e, func(n expr.Expr) expr.Expr {
+		if name, ok := groupKeyByText[n.String()]; ok {
+			return &expr.ColRef{Name: name, Index: -1}
 		}
-		r, err := rewritePostAgg(n.R, groupKeyByText)
-		if err != nil {
-			return nil, err
-		}
-		return &expr.Binary{Op: n.Op, L: l, R: r}, nil
-	case *expr.Unary:
-		x, err := rewritePostAgg(n.X, groupKeyByText)
-		if err != nil {
-			return nil, err
-		}
-		return &expr.Unary{Op: n.Op, X: x}, nil
-	case *expr.In:
-		x, err := rewritePostAgg(n.X, groupKeyByText)
-		if err != nil {
-			return nil, err
-		}
-		list := make([]expr.Expr, len(n.List))
-		for i, a := range n.List {
-			la, err := rewritePostAgg(a, groupKeyByText)
-			if err != nil {
-				return nil, err
+		switch n := n.(type) {
+		case *sqlparse.AggExpr:
+			return &expr.ColRef{Name: aggColumnName(n.Slot), Index: -1}
+		case *expr.ColRef:
+			if err == nil {
+				err = fmt.Errorf("plan: column %q must appear in GROUP BY or inside an aggregate", n.Name)
 			}
-			list[i] = la
+			return n
 		}
-		return &expr.In{X: x, List: list, Negate: n.Negate}, nil
-	case *expr.Call:
-		args := make([]expr.Expr, len(n.Args))
-		for i, a := range n.Args {
-			ra, err := rewritePostAgg(a, groupKeyByText)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = ra
-		}
-		return &expr.Call{Name: n.Name, Args: args}, nil
-	}
-	return nil, fmt.Errorf("plan: cannot rewrite expression %T", e)
+		return nil
+	})
+	return out, err
 }
 
 // SplitAnd flattens a conjunction into its conjuncts.

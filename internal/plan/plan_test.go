@@ -2,8 +2,10 @@ package plan_test
 
 import (
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -258,4 +260,45 @@ func trim(x float64) string {
 	s := strconv.FormatFloat(x, 'f', 6, 64)
 	s = strings.TrimRight(s, "0")
 	return strings.TrimRight(s, ".")
+}
+
+// TestBuildLeavesStatementAlone: plan.Build is pure in the statement. The
+// slots Aggregates() reports are the same before and after planning, and
+// one statement can be planned from many goroutines at once (run under
+// -race — this is what let shard.buildPlanMu go).
+func TestBuildLeavesStatementAlone(t *testing.T) {
+	cat := buildCatalog(t)
+	stmt, err := sqlparse.Parse("SELECT a_tag, SUM(a_val) / COUNT(*) AS m, MAX(a_val) FROM ta " +
+		"GROUP BY a_tag HAVING AVG(a_val) > 1 ORDER BY a_tag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := func() []int {
+		var out []int
+		for _, a := range stmt.Aggregates() {
+			out = append(out, a.Slot)
+		}
+		return out
+	}
+	before := slots()
+	if want := []int{0, 1, 2, 3}; !slices.Equal(before, want) {
+		t.Fatalf("parse-time slots = %v, want %v", before, want)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 20; rep++ {
+				if _, err := plan.Build(stmt, cat); err != nil {
+					t.Errorf("plan.Build: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if after := slots(); !slices.Equal(before, after) {
+		t.Fatalf("slots changed across plan.Build: %v then %v", before, after)
+	}
 }

@@ -16,9 +16,11 @@ import (
 	"fmt"
 	"net/http"
 
+	aqp "repro"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/fault"
+	"repro/internal/sqlparse"
 	"repro/internal/trace"
 )
 
@@ -31,26 +33,18 @@ var injectServerQuery = fault.NewPoint("server.query", "query handler, post-admi
 // owns a partial-result discipline; offline answers from certified
 // samples without touching the base table; synopsis is O(synopsis) and
 // the last resort (narrowest query class).
-var degradeLadder = [...]string{"ola", "offline", "synopsis"}
-
-// modeKey canonicalizes a request mode to its breaker/ladder key.
-func modeKey(mode string) string {
-	if mode == "" {
-		return "auto"
-	}
-	return mode
-}
+var degradeLadder = [...]aqp.Mode{aqp.ModeOLA, aqp.ModeOffline, aqp.ModeSynopsis}
 
 // newBreakers builds one circuit breaker per engine mode. The map is
 // complete and read-only after construction, so lookups need no lock.
 // onTransition (may be nil) observes every state change with the engine
 // key attached, feeding the flight recorder's breaker event stream.
-func newBreakers(cfg Config, onTransition func(engine string, from, to fault.BreakerState)) map[string]*fault.Breaker {
-	m := make(map[string]*fault.Breaker)
-	for _, k := range []string{"auto", "exact", "online", "offline", "ola", "synopsis", "as-written"} {
+func newBreakers(cfg Config, onTransition func(engine string, from, to fault.BreakerState)) map[aqp.Mode]*fault.Breaker {
+	m := make(map[aqp.Mode]*fault.Breaker)
+	for _, k := range aqp.Modes {
 		bc := fault.BreakerConfig{Threshold: cfg.BreakerThreshold, Cooldown: cfg.BreakerCooldown}
 		if onTransition != nil {
-			engine := k
+			engine := string(k)
 			bc.OnTransition = func(from, to fault.BreakerState) { onTransition(engine, from, to) }
 		}
 		m[k] = fault.NewBreaker(bc)
@@ -61,15 +55,14 @@ func newBreakers(cfg Config, onTransition func(engine string, from, to fault.Bre
 // executeEngine runs one engine behind its circuit breaker: an open
 // breaker short-circuits to ErrEngineUnavailable, outcomes feed the
 // breaker, and a recovered panic is counted per engine.
-func (s *Server) executeEngine(ctx context.Context, mode string, req QueryRequest) (*core.Result, error) {
-	key := modeKey(mode)
-	brk := s.brk[key]
+func (s *Server) executeEngine(ctx context.Context, stmt *sqlparse.SelectStmt, req aqp.Request) (*core.Result, error) {
+	key := string(req.Mode)
+	brk := s.brk[req.Mode]
 	if brk != nil && !brk.Allow() {
 		s.met.Inc(Key("breaker_open_total", "engine", key))
 		return nil, fmt.Errorf("%w: circuit breaker open for engine %s", core.ErrEngineUnavailable, key)
 	}
-	req.Mode = mode
-	res, err := s.execute(ctx, req)
+	res, err := s.db.Run(ctx, stmt, req)
 	if errors.Is(err, core.ErrQueryPanic) {
 		s.met.Inc(Key("query_panics_total", "engine", key))
 	}
@@ -102,27 +95,30 @@ func degradable(err error) bool {
 // carved from the parent (request) context — the primary context is
 // typically already expired when the ladder starts. It returns the
 // result, the mode degraded from ("" if the primary answered), and the
-// primary error if every rung failed too.
-func (s *Server) executeResilient(ctx, parent context.Context, req QueryRequest, workers int) (*core.Result, string, error) {
-	res, err := s.executeEngine(ctx, req.Mode, req)
+// primary error if every rung failed too. Every rung re-runs the one
+// statement the handler parsed.
+func (s *Server) executeResilient(ctx, parent context.Context, stmt *sqlparse.SelectStmt,
+	req aqp.Request, noDegrade bool, workers int) (*core.Result, string, error) {
+	res, err := s.executeEngine(ctx, stmt, req)
 	if err == nil {
 		return res, "", nil
 	}
-	primary := modeKey(req.Mode)
-	if req.NoDegrade || s.cfg.DegradeBudget <= 0 || !degradable(err) || parent.Err() != nil {
+	primary := req.Mode
+	if noDegrade || s.cfg.DegradeBudget <= 0 || !degradable(err) || parent.Err() != nil {
 		return nil, "", err
 	}
 	for _, rung := range degradeLadder {
 		if rung == primary {
 			continue
 		}
+		req.Mode = rung
 		rctx, cancel := context.WithTimeout(parent, s.cfg.DegradeBudget)
 		rctx = exec.ContextWithWorkers(rctx, workers)
 		// The rung context derives from the raw request context, which
 		// carries no tracer — re-attach the query's span so substitute
 		// engines appear in the same trace.
 		rctx = trace.Propagate(rctx, ctx)
-		sub, rerr := s.executeEngine(rctx, rung, req)
+		sub, rerr := s.executeEngine(rctx, stmt, req)
 		cancel()
 		if rerr != nil {
 			continue
@@ -130,9 +126,9 @@ func (s *Server) executeResilient(ctx, parent context.Context, req QueryRequest,
 		sub.Diagnostics.Degraded = true
 		sub.Diagnostics.Messages = append(sub.Diagnostics.Messages, fmt.Sprintf(
 			"server: %s engine failed (%v); degraded to %s", primary, err, rung))
-		s.met.Inc(Key("queries_degraded_total", "to", rung))
+		s.met.Inc(Key("queries_degraded_total", "to", string(rung)))
 		s.cfg.Logger.Warn("query degraded", "from", primary, "to", rung, "err", err.Error())
-		return sub, primary, nil
+		return sub, string(primary), nil
 	}
 	return nil, "", err
 }
@@ -159,10 +155,10 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := FaultsResponse{Installed: fault.Active(), Points: fault.Status()}
-	for _, k := range []string{"auto", "exact", "online", "offline", "ola", "synopsis", "as-written"} {
+	for _, k := range aqp.Modes {
 		b := s.brk[k]
 		resp.Breakers = append(resp.Breakers, BreakerStatus{
-			Engine: k, State: b.State().String(), Trips: b.Trips(),
+			Engine: string(k), State: b.State().String(), Trips: b.Trips(),
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -176,6 +172,6 @@ func (s *Server) engineTrippedGauges(gauges map[string]int64) {
 		if b.State() != fault.BreakerClosed {
 			v = 1
 		}
-		gauges[Key("engine_tripped", "engine", k)] = v
+		gauges[Key("engine_tripped", "engine", string(k))] = v
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/insight"
 	"repro/internal/shard"
+	"repro/internal/sqlparse"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -148,7 +149,7 @@ type Server struct {
 	adm   *Admission
 	met   *Metrics
 	aud   *audit.Auditor
-	brk   map[string]*fault.Breaker // per-engine circuit breakers, read-only map
+	brk   map[aqp.Mode]*fault.Breaker // per-mode circuit breakers, read-only map
 	mux   *http.ServeMux
 	start time.Time
 
@@ -390,7 +391,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing sql")
 		return
 	}
-	if err := validMode(req.Mode); err != nil {
+	mode, err := aqp.ParseMode(req.Mode)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -452,9 +454,25 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ctx = trace.WithTracer(ctx, tr)
 	}
 
+	// The request's one parse, after admission so shed and queued
+	// requests cost none: the engines, every rung of the degradation
+	// ladder, the auditor and the workload registry share this statement.
 	start := time.Now()
-	res, degradedFrom, err := s.executeResilient(ctx, r.Context(), req, workers)
+	run := aqp.Request{Mode: mode, Contract: req.Contract}
+	if req.RelError > 0 {
+		run.Spec = core.ErrorSpec{RelError: req.RelError, Confidence: req.Confidence}
+		if run.Spec.Confidence <= 0 {
+			run.Spec.Confidence = core.DefaultErrorSpec.Confidence
+		}
+	}
+	var res *core.Result
+	var degradedFrom string
+	stmt, err := sqlparse.Parse(req.SQL)
+	if err == nil {
+		res, degradedFrom, err = s.executeResilient(ctx, r.Context(), stmt, run, req.NoDegrade, workers)
+	}
 	elapsed := time.Since(start)
+	latencyMS := float64(elapsed.Microseconds()) / 1e3
 	var prof *trace.Profile
 	if tr != nil {
 		prof = tr.Profile()
@@ -483,26 +501,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// queries started erroring is exactly what /workload should show.
 		var failFP string
 		if s.insight != nil {
-			failFP = s.insight.Offer(req.SQL, insight.Observation{
-				LatencyMS: float64(elapsed.Microseconds()) / 1e3,
-				Err:       true,
-			})
+			// stmt is nil when the SQL did not parse: counted, not filed.
+			failFP = s.insight.ObserveStmt(stmt, insight.Observation{LatencyMS: latencyMS, Err: true})
 		}
 		s.cfg.Logger.Warn("query failed",
 			"sql", req.SQL, "mode", req.Mode, "fingerprint", failFP,
-			"latency_ms", float64(elapsed.Microseconds())/1e3,
-			"status", status, "err", err.Error())
+			"latency_ms", latencyMS, "status", status, "err", err.Error())
 		s.recordQuery(telemetry.QueryRecord{
 			Start: start, SQL: req.SQL, Mode: req.Mode,
 			Fingerprint: failFP,
-			Status:      status, Err: err.Error(),
-			LatencyMS: float64(elapsed.Microseconds()) / 1e3,
+			Status:      status, Err: err.Error(), LatencyMS: latencyMS,
 		}, prof)
 		writeError(w, status, "%v", err)
 		return
 	}
 
-	latencyMS := float64(elapsed.Microseconds()) / 1e3
 	tech := string(res.Technique)
 	s.met.Inc(Key("queries_total", "technique", tech))
 	s.met.Inc(Key("queries_by_guarantee", "guarantee", res.Guarantee.String()))
@@ -555,7 +568,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// and never mutates res; whether this answer gets a ground-truth
 	// re-execution was decided by a coin fixed before the estimate
 	// existed, so the audit stream is an unbiased sample of production.
-	s.aud.Offer(res, req.SQL)
+	s.aud.OfferStmt(res, stmt)
 
 	contractVerdict := ""
 	if c := res.Diagnostics.Contract; c != nil {
@@ -565,7 +578,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// auditor's Offer, this only observes: it never mutates res and
 	// cannot fail the query.
 	if s.insight != nil {
-		s.insight.Offer(req.SQL, insight.Observation{
+		s.insight.ObserveStmt(stmt, insight.Observation{
 			Technique:       tech,
 			LatencyMS:       latencyMS,
 			RowsScanned:     res.Diagnostics.Counters.RowsScanned,
@@ -598,51 +611,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp.Trace = prof
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// execute routes the request to the right façade call.
-func (s *Server) execute(ctx context.Context, req QueryRequest) (*core.Result, error) {
-	spec := core.DefaultErrorSpec
-	if req.RelError > 0 {
-		spec = core.ErrorSpec{RelError: req.RelError, Confidence: req.Confidence}
-		if spec.Confidence <= 0 {
-			spec.Confidence = core.DefaultErrorSpec.Confidence
-		}
-	}
-	if req.Contract {
-		// Contract execution pins an engine: pilot-sized two-stage runs
-		// exist only for the sampling engines. "auto" takes the online
-		// engine, the workhorse; exact/synopsis/as-written have nothing to
-		// size, so requesting a contract there is a caller error.
-		switch req.Mode {
-		case "", "auto", "online":
-			return s.db.QueryContractOnContext(ctx, core.TechniqueOnline, req.SQL, spec)
-		case "ola":
-			return s.db.QueryContractOnContext(ctx, core.TechniqueOLA, req.SQL, spec)
-		case "offline":
-			return s.db.QueryContractOnContext(ctx, core.TechniqueOffline, req.SQL, spec)
-		default:
-			return nil, fmt.Errorf("mode %q does not support contract execution (want auto, online, ola, or offline)", req.Mode)
-		}
-	}
-	switch req.Mode {
-	case "", "auto":
-		return s.db.QueryApproxContext(ctx, req.SQL, spec)
-	case "exact":
-		return s.db.QueryContext(ctx, req.SQL)
-	case "online":
-		return s.db.QueryOnlineContext(ctx, req.SQL, spec)
-	case "offline":
-		return s.db.QueryOfflineContext(ctx, req.SQL, spec)
-	case "ola":
-		return s.db.QueryOLAContext(ctx, req.SQL, spec)
-	case "synopsis":
-		return s.db.QuerySynopsisContext(ctx, req.SQL, spec)
-	case "as-written":
-		return s.db.QueryAsWrittenContext(ctx, req.SQL, spec)
-	default:
-		return nil, fmt.Errorf("unknown mode %q", req.Mode)
-	}
 }
 
 // ShardGroupStatus is one sharded table's shape plus live per-shard

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"fmt"
-
 	"repro/internal/contract"
 	"repro/internal/core"
 	"repro/internal/storage"
@@ -242,13 +240,4 @@ func encodeResult(res *core.Result) *QueryResponse {
 		}
 	}
 	return out
-}
-
-// validMode reports whether the request mode is recognized.
-func validMode(m string) error {
-	switch m {
-	case "", "auto", "exact", "online", "offline", "ola", "synopsis", "as-written":
-		return nil
-	}
-	return fmt.Errorf("unknown mode %q (want auto, exact, online, offline, ola, synopsis, or as-written)", m)
 }

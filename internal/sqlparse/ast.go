@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/expr"
 	"repro/internal/sample"
@@ -47,8 +48,8 @@ type AggExpr struct {
 	Distinct bool
 	// Param is PERCENTILE's quantile in (0, 1).
 	Param float64
-	// Slot is assigned by the planner: the index of this aggregate's
-	// output among the query's aggregates.
+	// Slot is assigned by the parser: the index of this aggregate's
+	// output among the statement's Aggregates().
 	Slot int
 }
 
@@ -153,28 +154,37 @@ func pctString(rate float64) string {
 	return best
 }
 
-// SQL renders the clause body in the grammar parseTableSample accepts, so
+// render writes the clause body in the grammar parseTableSample accepts, so
 // a statement's String() re-parses to the same sampler spec. Seed and
-// Salt have no SQL syntax and are omitted.
-func (ts *TableSample) SQL() string {
+// Salt have no SQL syntax and are omitted. With template set, rates and
+// thresholds — parameters, not shape — become `?` while the sampler kind
+// and key columns stay.
+func (ts *TableSample) render(template bool) string {
 	sp := ts.Spec
+	pct, keep := pctString, strconv.Itoa(sp.KeepThreshold)
+	if template {
+		pct, keep = func(float64) string { return "?" }, "?"
+	}
 	var b strings.Builder
 	switch sp.Kind {
 	case sample.KindUniformRow:
-		b.WriteString("BERNOULLI (" + pctString(sp.Rate))
+		b.WriteString("BERNOULLI (" + pct(sp.Rate))
 	case sample.KindBlock:
-		b.WriteString("SYSTEM (" + pctString(sp.Rate))
+		b.WriteString("SYSTEM (" + pct(sp.Rate))
 	case sample.KindUniverse:
-		b.WriteString("UNIVERSE (" + pctString(sp.Rate))
+		b.WriteString("UNIVERSE (" + pct(sp.Rate))
 	case sample.KindDistinct:
-		b.WriteString("DISTINCT (" + pctString(sp.Rate))
+		b.WriteString("DISTINCT (" + pct(sp.Rate))
 		if sp.KeepThreshold > 1 {
-			b.WriteString(", " + strconv.Itoa(sp.KeepThreshold))
+			b.WriteString(", " + keep)
 		}
 	case sample.KindBiLevel:
-		b.WriteString("BILEVEL (" + pctString(sp.Rate) + ", " + pctString(sp.RowRate))
+		b.WriteString("BILEVEL (" + pct(sp.Rate) + ", " + pct(sp.RowRate))
 	default:
 		// Not expressible in the grammar; fall back to the EXPLAIN form.
+		if template {
+			return sp.Kind.String() + " (?)"
+		}
 		return sp.String()
 	}
 	b.WriteString(")")
@@ -217,7 +227,10 @@ type ErrorClause struct {
 	Confidence float64 // e.g. 0.95
 }
 
-// SelectStmt is the parsed query.
+// SelectStmt is the parsed query, and the prepared query every layer
+// shares: Parse returns it complete (aggregate slots assigned) and nothing
+// writes it afterwards, so one statement may be planned, rendered and
+// fingerprinted from any number of goroutines without a lock.
 type SelectStmt struct {
 	Items   []SelectItem
 	From    TableRef
@@ -234,45 +247,26 @@ type SelectStmt struct {
 	// Analyze implies Explain.
 	Explain bool
 	Analyze bool
+
+	// aggs is filled in by Parse; text and fp memoise String and
+	// Fingerprint, which a served request asks for several times (wire
+	// encoding per scatter leg, audit dedup, the fingerprint stamp and the
+	// workload registry).
+	aggs     []*AggExpr
+	itemAggs int // aggregates in the select items; the rest are HAVING's
+	textOnce sync.Once
+	text     string
+	fpOnce   sync.Once
+	fp       Fingerprint
 }
 
 // Aggregates returns all AggExpr nodes in the select items and HAVING
-// clause, in traversal order, assigning Slot numbers as a side effect.
-func (s *SelectStmt) Aggregates() []*AggExpr {
-	var aggs []*AggExpr
-	collect := func(e expr.Expr) {
-		if e == nil {
-			return
-		}
-		e.Walk(func(n expr.Expr) {
-			if a, ok := n.(*AggExpr); ok {
-				a.Slot = len(aggs)
-				aggs = append(aggs, a)
-			}
-		})
-	}
-	for _, it := range s.Items {
-		collect(it.Expr)
-	}
-	collect(s.Having)
-	return aggs
-}
+// clause, in traversal order; Aggregates()[i].Slot == i. The slice is
+// shared: callers must not modify it.
+func (s *SelectStmt) Aggregates() []*AggExpr { return s.aggs }
 
-// HasAggregates reports whether the query contains any aggregate call.
-func (s *SelectStmt) HasAggregates() bool {
-	found := false
-	for _, it := range s.Items {
-		if it.Expr == nil {
-			continue
-		}
-		it.Expr.Walk(func(n expr.Expr) {
-			if _, ok := n.(*AggExpr); ok {
-				found = true
-			}
-		})
-	}
-	return found
-}
+// HasAggregates reports whether any select item contains an aggregate call.
+func (s *SelectStmt) HasAggregates() bool { return s.itemAggs > 0 }
 
 // Tables returns all referenced table names, base first.
 func (s *SelectStmt) Tables() []string {
@@ -285,8 +279,21 @@ func (s *SelectStmt) Tables() []string {
 
 // String renders the statement back to SQL (canonicalized).
 func (s *SelectStmt) String() string {
+	s.textOnce.Do(func() { s.text = s.render(false) })
+	return s.text
+}
+
+// render writes the canonical statement. With template set it writes the
+// fingerprint template instead: no EXPLAIN prefix, and every literal
+// position (expression literals, TABLESAMPLE rates, LIMIT, the error
+// clause) parameterized.
+func (s *SelectStmt) render(template bool) string {
+	ex := expr.Expr.String
+	if template {
+		ex = templateExpr
+	}
 	var b strings.Builder
-	if s.Explain {
+	if s.Explain && !template {
 		b.WriteString("EXPLAIN ")
 		if s.Analyze {
 			b.WriteString("ANALYZE ")
@@ -297,24 +304,24 @@ func (s *SelectStmt) String() string {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(it.Expr.String())
+		b.WriteString(ex(it.Expr))
 		if it.Alias != "" {
 			b.WriteString(" AS " + it.Alias)
 		}
 	}
 	b.WriteString(" FROM " + s.From.Name)
 	if s.From.Sample != nil {
-		b.WriteString(" TABLESAMPLE " + s.From.Sample.SQL())
+		b.WriteString(" TABLESAMPLE " + s.From.Sample.render(template))
 	}
 	for _, j := range s.Joins {
 		b.WriteString(" JOIN " + j.Table.Name)
 		if j.Table.Sample != nil {
-			b.WriteString(" TABLESAMPLE " + j.Table.Sample.SQL())
+			b.WriteString(" TABLESAMPLE " + j.Table.Sample.render(template))
 		}
-		b.WriteString(" ON " + j.On.String())
+		b.WriteString(" ON " + ex(j.On))
 	}
 	if s.Where != nil {
-		b.WriteString(" WHERE " + s.Where.String())
+		b.WriteString(" WHERE " + ex(s.Where))
 	}
 	if len(s.GroupBy) > 0 {
 		b.WriteString(" GROUP BY ")
@@ -322,11 +329,11 @@ func (s *SelectStmt) String() string {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			b.WriteString(g.String())
+			b.WriteString(ex(g))
 		}
 	}
 	if s.Having != nil {
-		b.WriteString(" HAVING " + s.Having.String())
+		b.WriteString(" HAVING " + ex(s.Having))
 	}
 	if len(s.OrderBy) > 0 {
 		b.WriteString(" ORDER BY ")
@@ -334,16 +341,22 @@ func (s *SelectStmt) String() string {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			b.WriteString(o.Expr.String())
+			b.WriteString(ex(o.Expr))
 			if o.Desc {
 				b.WriteString(" DESC")
 			}
 		}
 	}
-	if s.Limit >= 0 {
+	switch {
+	case s.Limit >= 0 && template:
+		b.WriteString(" LIMIT ?")
+	case s.Limit >= 0:
 		fmt.Fprintf(&b, " LIMIT %d", s.Limit)
 	}
-	if s.Error != nil {
+	switch {
+	case s.Error != nil && template:
+		b.WriteString(" WITH ERROR ? CONFIDENCE ?")
+	case s.Error != nil:
 		fmt.Fprintf(&b, " WITH ERROR %s%% CONFIDENCE %s%%", pctString(s.Error.RelError), pctString(s.Error.Confidence))
 	}
 	return b.String()

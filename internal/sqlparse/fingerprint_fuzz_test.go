@@ -103,9 +103,10 @@ func FuzzFingerprint(f *testing.F) {
 		}
 
 		// Literal invariance: perturb every literal position; the shape
-		// must not move.
+		// must not move. (Statements are immutable outside this package;
+		// the mutated tree is re-digested with the unmemoised fingerprint.)
 		mutateLiterals(stmt2)
-		if fp3 := stmt2.Fingerprint(); fp3.Hash != fp.Hash {
+		if fp3 := stmt2.fingerprint(); fp3.Hash != fp.Hash {
 			t.Fatalf("literal mutation changed fingerprint\ninput: %q\nbefore: %s %q\nafter: %s %q",
 				input, fp.Hash, fp.Template, fp3.Hash, fp3.Template)
 		}
@@ -117,7 +118,7 @@ func FuzzFingerprint(f *testing.F) {
 		} else {
 			stmt2.Limit = 7
 		}
-		if fp4 := stmt2.Fingerprint(); fp4.Hash == fp.Hash {
+		if fp4 := stmt2.fingerprint(); fp4.Hash == fp.Hash {
 			t.Fatalf("LIMIT-presence toggle did not change fingerprint for %q (template %q)", input, fp.Template)
 		}
 	})
@@ -140,7 +141,7 @@ func TestFingerprintFuzzCorpus(t *testing.T) {
 			t.Fatalf("seed %q fingerprint unstable: %s vs %s", sql, fp.Hash, fp2.Hash)
 		}
 		mutateLiterals(stmt2)
-		if fp3 := stmt2.Fingerprint(); fp3.Hash != fp.Hash {
+		if fp3 := stmt2.fingerprint(); fp3.Hash != fp.Hash {
 			t.Fatalf("seed %q literal mutation moved fingerprint: %s vs %s (%q vs %q)",
 				sql, fp.Hash, fp3.Hash, fp.Template, fp3.Template)
 		}

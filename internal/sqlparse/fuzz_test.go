@@ -2,6 +2,8 @@ package sqlparse
 
 import (
 	"testing"
+
+	"repro/internal/expr"
 )
 
 // fuzzSeedCorpus covers every clause the grammar knows, drawn from the
@@ -40,10 +42,47 @@ var fuzzSeedCorpus = []string{
 	"EXPLAIN ANALYZE SELECT AVG(x) FROM t WITH ERROR 5% CONFIDENCE 95%",
 }
 
-// FuzzParse asserts the two properties the rest of the system leans on:
-// the parser never panics on arbitrary input, and for every accepted
-// statement the canonical rendering re-parses to the same canonical form
-// (String is a fixed point after one round).
+// assertSlotsDense checks what makes a parsed statement shareable without
+// a lock: the parser already numbered the aggregates 0..n-1 in traversal
+// order (select items, then HAVING), so nothing downstream writes the AST.
+// The walk reads Slot straight off the tree, before Aggregates() is called.
+func assertSlotsDense(t *testing.T, stmt *SelectStmt) {
+	t.Helper()
+	var walked []*AggExpr
+	visit := func(e expr.Expr) {
+		if e != nil {
+			e.Walk(func(n expr.Expr) {
+				if a, ok := n.(*AggExpr); ok {
+					walked = append(walked, a)
+				}
+			})
+		}
+	}
+	for _, it := range stmt.Items {
+		visit(it.Expr)
+	}
+	visit(stmt.Having)
+	for i, a := range walked {
+		if a.Slot != i {
+			t.Fatalf("%q: aggregate %d (%s) parsed with slot %d", stmt, i, a, a.Slot)
+		}
+	}
+	aggs := stmt.Aggregates()
+	if len(aggs) != len(walked) {
+		t.Fatalf("%q: Aggregates() has %d entries, the tree %d", stmt, len(aggs), len(walked))
+	}
+	for i := range aggs {
+		if aggs[i] != walked[i] {
+			t.Fatalf("%q: Aggregates()[%d] is not the tree's aggregate %d", stmt, i, i)
+		}
+	}
+}
+
+// FuzzParse asserts the properties the rest of the system leans on: the
+// parser never panics on arbitrary input, every accepted statement comes
+// back with its aggregate slots assigned, and its canonical rendering
+// re-parses to the same canonical form (String is a fixed point after one
+// round).
 func FuzzParse(f *testing.F) {
 	for _, sql := range fuzzSeedCorpus {
 		f.Add(sql)
@@ -53,6 +92,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return // rejected input is fine; panics are not
 		}
+		assertSlotsDense(t, stmt)
 		s2 := stmt.String()
 		stmt2, err := Parse(s2)
 		if err != nil {
@@ -72,6 +112,7 @@ func TestParseRoundTripCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %q failed to parse: %v", sql, err)
 		}
+		assertSlotsDense(t, stmt)
 		s2 := stmt.String()
 		stmt2, err := Parse(s2)
 		if err != nil {

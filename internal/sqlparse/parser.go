@@ -34,7 +34,27 @@ func Parse(input string) (*SelectStmt, error) {
 	if !p.atEOF() {
 		return nil, p.errorf("unexpected trailing input %q", p.peek().Text)
 	}
+	stmt.assignSlots()
 	return stmt, nil
+}
+
+// assignSlots collects the aggregates of the select items and HAVING
+// clause in traversal order and numbers them. It is the last write to the
+// statement: everything downstream reads Slot and Aggregates().
+func (s *SelectStmt) assignSlots() {
+	number := func(n expr.Expr) {
+		if a, ok := n.(*AggExpr); ok {
+			a.Slot = len(s.aggs)
+			s.aggs = append(s.aggs, a)
+		}
+	}
+	for _, it := range s.Items {
+		it.Expr.Walk(number)
+	}
+	s.itemAggs = len(s.aggs)
+	if s.Having != nil {
+		s.Having.Walk(number)
+	}
 }
 
 type parser struct {

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/expr"
-	"repro/internal/sample"
 )
 
 // Fingerprint identifies a query *shape*: the canonical statement with
@@ -36,8 +35,14 @@ type Fingerprint struct {
 // Fingerprint computes the statement's shape identity. It is total: any
 // parse-able statement fingerprints without error, and the EXPLAIN /
 // EXPLAIN ANALYZE prefix is ignored so analysis runs correlate with
-// their plain shape.
+// their plain shape. Computed once per statement; the QCS slice is shared
+// and must not be modified.
 func (s *SelectStmt) Fingerprint() Fingerprint {
+	s.fpOnce.Do(func() { s.fp = s.fingerprint() })
+	return s.fp
+}
+
+func (s *SelectStmt) fingerprint() Fingerprint {
 	tmpl := s.TemplateString()
 	qcs := s.QueryColumnSet()
 	h := fnv.New64a()
@@ -85,169 +90,40 @@ func (s *SelectStmt) QueryColumnSet() []string {
 // columns, operators, aggregate functions (including PERCENTILE's
 // quantile, which selects the statistic computed), join topology, sort
 // keys — is preserved verbatim.
-func (s *SelectStmt) TemplateString() string {
-	var b strings.Builder
-	b.WriteString("SELECT ")
-	for i, it := range s.Items {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(templateExpr(it.Expr))
-		if it.Alias != "" {
-			b.WriteString(" AS " + it.Alias)
-		}
-	}
-	b.WriteString(" FROM " + s.From.Name)
-	if s.From.Sample != nil {
-		b.WriteString(" TABLESAMPLE " + templateSample(s.From.Sample))
-	}
-	for _, j := range s.Joins {
-		b.WriteString(" JOIN " + j.Table.Name)
-		if j.Table.Sample != nil {
-			b.WriteString(" TABLESAMPLE " + templateSample(j.Table.Sample))
-		}
-		b.WriteString(" ON " + templateExpr(j.On))
-	}
-	if s.Where != nil {
-		b.WriteString(" WHERE " + templateExpr(s.Where))
-	}
-	if len(s.GroupBy) > 0 {
-		b.WriteString(" GROUP BY ")
-		for i, g := range s.GroupBy {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(templateExpr(g))
-		}
-	}
-	if s.Having != nil {
-		b.WriteString(" HAVING " + templateExpr(s.Having))
-	}
-	if len(s.OrderBy) > 0 {
-		b.WriteString(" ORDER BY ")
-		for i, o := range s.OrderBy {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(templateExpr(o.Expr))
-			if o.Desc {
-				b.WriteString(" DESC")
-			}
-		}
-	}
-	if s.Limit >= 0 {
-		b.WriteString(" LIMIT ?")
-	}
-	if s.Error != nil {
-		b.WriteString(" WITH ERROR ? CONFIDENCE ?")
-	}
-	return b.String()
-}
+func (s *SelectStmt) TemplateString() string { return s.render(true) }
 
-// templateSample renders a TABLESAMPLE clause keeping the sampler kind
-// and key columns (shape) while parameterizing rates and thresholds.
-func templateSample(ts *TableSample) string {
-	sp := ts.Spec
-	var b strings.Builder
-	switch sp.Kind {
-	case sample.KindUniformRow:
-		b.WriteString("BERNOULLI (?")
-	case sample.KindBlock:
-		b.WriteString("SYSTEM (?")
-	case sample.KindUniverse:
-		b.WriteString("UNIVERSE (?")
-	case sample.KindDistinct:
-		b.WriteString("DISTINCT (?")
-		if sp.KeepThreshold > 1 {
-			b.WriteString(", ?")
-		}
-	case sample.KindBiLevel:
-		b.WriteString("BILEVEL (?, ?")
-	default:
-		return sp.Kind.String() + " (?)"
-	}
-	b.WriteString(")")
-	if len(sp.KeyColumns) > 0 {
-		b.WriteString(" ON (" + strings.Join(sp.KeyColumns, ", ") + ")")
-	}
-	return b.String()
-}
+// placeholder stands where a literal was.
+var placeholder expr.Expr = &expr.ColRef{Name: "?"}
 
 // templateExpr renders an expression tree in the canonical String()
-// spelling with literals replaced by placeholders. It mirrors each
-// node's String method so the template differs from the canonical form
-// only at parameterized positions.
-func templateExpr(e expr.Expr) string {
-	switch n := e.(type) {
-	case nil:
-		return ""
-	case *expr.Lit:
-		return "?"
-	case *expr.ColRef:
-		return n.Name
-	case *expr.Binary:
-		return fmt.Sprintf("(%s %s %s)", templateExpr(n.L), n.Op, templateExpr(n.R))
-	case *expr.Unary:
-		return fmt.Sprintf("(%s %s)", n.Op, templateExpr(n.X))
-	case *expr.In:
-		neg := ""
-		if n.Negate {
-			neg = " NOT"
-		}
-		allLit := true
-		for _, it := range n.List {
-			if _, ok := it.(*expr.Lit); !ok {
-				allLit = false
-				break
+// spelling with literals replaced by placeholders.
+func templateExpr(e expr.Expr) string { return maskLiterals(e).String() }
+
+func maskLiterals(e expr.Expr) expr.Expr {
+	return expr.Map(e, func(n expr.Expr) expr.Expr {
+		switch n := n.(type) {
+		case *expr.ColRef:
+			return n // the masked tree is only rendered: share, don't copy
+		case *expr.Lit:
+			return placeholder
+		case *expr.In:
+			for _, it := range n.List {
+				if _, ok := it.(*expr.Lit); !ok {
+					return nil
+				}
 			}
-		}
-		if allLit {
 			// The membership list's arity is a parameter: IN (1, 2) and
 			// IN (1, 2, 3) are the same shape with different constants.
-			return fmt.Sprintf("(%s%s IN (?))", templateExpr(n.X), neg)
-		}
-		parts := make([]string, len(n.List))
-		for i, it := range n.List {
-			parts[i] = templateExpr(it)
-		}
-		return fmt.Sprintf("(%s%s IN (%s))", templateExpr(n.X), neg, strings.Join(parts, ", "))
-	case *expr.Call:
-		switch n.Name {
-		case "LIKE":
-			if len(n.Args) == 2 {
-				return fmt.Sprintf("(%s LIKE %s)", templateExpr(n.Args[0]), templateExpr(n.Args[1]))
+			return &expr.In{X: maskLiterals(n.X), List: []expr.Expr{placeholder}, Negate: n.Negate}
+		case *AggExpr:
+			// PERCENTILE's quantile stays: it selects which statistic is
+			// computed — shape, like the function name, not a constant.
+			cp := *n
+			if n.Arg != nil {
+				cp.Arg = maskLiterals(n.Arg)
 			}
-		case "ISNULL":
-			if len(n.Args) == 1 {
-				return fmt.Sprintf("(%s IS NULL)", templateExpr(n.Args[0]))
-			}
-		case "ISNOTNULL":
-			if len(n.Args) == 1 {
-				return fmt.Sprintf("(%s IS NOT NULL)", templateExpr(n.Args[0]))
-			}
+			return &cp
 		}
-		parts := make([]string, len(n.Args))
-		for i, a := range n.Args {
-			parts[i] = templateExpr(a)
-		}
-		return fmt.Sprintf("%s(%s)", n.Name, strings.Join(parts, ", "))
-	case *AggExpr:
-		arg := "*"
-		if !n.Star && n.Arg != nil {
-			arg = templateExpr(n.Arg)
-		}
-		if n.Distinct {
-			arg = "DISTINCT " + arg
-		}
-		if n.Func == AggPercentile {
-			// The quantile selects which statistic is computed — shape,
-			// like the function name, not a predicate constant.
-			return fmt.Sprintf("%s(%s, %g)", n.Func, arg, n.Param)
-		}
-		return fmt.Sprintf("%s(%s)", n.Func, arg)
-	default:
-		// Unknown node kinds keep their canonical spelling; fingerprinting
-		// must stay total even if the expression grammar grows.
-		return e.String()
-	}
+		return nil
+	})
 }

@@ -157,3 +157,21 @@ func resultText(res *Result) string {
 	}
 	return sb.String()
 }
+
+// TestExplainAnalyzeEndsQuerySpanOnFailure: a failing EXPLAIN ANALYZE must
+// still stop its query span's clock, or a caller-installed tracer (the
+// server's per-request one) exports a span that never ended.
+func TestExplainAnalyzeEndsQuerySpanOnFailure(t *testing.T) {
+	db := profileDB(t)
+	ctx, prof := WithProfile(context.Background())
+	if _, err := db.QueryContext(ctx, "EXPLAIN ANALYZE SELECT SUM(nope) FROM t"); err == nil {
+		t.Fatal("unknown column: want an error")
+	}
+	root := prof.Profile()
+	if len(root.Children) != 1 || root.Children[0].Name != "query" {
+		t.Fatalf("want one query span under the root:\n%s", root)
+	}
+	if q := root.Children[0]; q.DurationMS <= 0 {
+		t.Fatalf("query span never ended (duration %v):\n%s", q.DurationMS, root)
+	}
+}
