@@ -204,8 +204,8 @@ func WithContractConfig(cfg ContractConfig) Option {
 }
 
 // WithParallelism sets the default morsel-parallel worker count for every
-// engine. 0 (the default) defers to a per-query context override, a plan
-// hint, or runtime.GOMAXPROCS; 1 forces serial execution. Results are
+// engine. 0 (the default) defers to a per-query context override or
+// runtime.GOMAXPROCS; 1 forces serial execution. Results are
 // bit-identical regardless of the worker count.
 func WithParallelism(workers int) Option {
 	return func(db *DB) { db.workers = workers }
@@ -466,13 +466,11 @@ func (db *DB) Run(ctx context.Context, stmt *sqlparse.SelectStmt, req Request) (
 
 // dispatch is the engine switch.
 func (db *DB) dispatch(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec, req Request) (*Result, error) {
-	var eng interface {
-		ExecuteContext(context.Context, *sqlparse.SelectStmt, ErrorSpec) (*Result, error)
-	}
+	var eng core.Engine
 	switch req.Mode {
 	case ModeAuto, "":
 		if !req.Contract {
-			res, dec, err := db.advisor.ExecuteStmtContext(ctx, stmt, spec)
+			res, dec, err := db.advisor.Execute(ctx, stmt, spec)
 			if err != nil {
 				return nil, err
 			}
@@ -488,28 +486,22 @@ func (db *DB) dispatch(ctx context.Context, stmt *sqlparse.SelectStmt, spec Erro
 		eng = db.offline
 	case ModeOLA:
 		if !req.Contract {
-			return db.ola.ExecuteProgressiveContext(ctx, stmt, spec, req.Observe)
+			return db.ola.ExecuteProgressive(ctx, stmt, spec, req.Observe)
 		}
 		eng = db.ola
 	case ModeSynopsis:
 		eng = db.synopsis
 	case ModeAsWritten:
 		if !req.Contract {
-			return core.ExecuteAsWrittenContext(ctx, db.catalog, stmt, spec)
+			return db.exact.ExecuteAsWritten(ctx, stmt, spec)
 		}
 	default:
 		return nil, fmt.Errorf("unknown mode %q", req.Mode)
 	}
 	if !req.Contract {
-		return eng.ExecuteContext(ctx, stmt, spec)
+		return eng.Execute(ctx, stmt, spec)
 	}
-	sized, ok := eng.(interface {
-		ExecuteContract(context.Context, *sqlparse.SelectStmt, ErrorSpec, ContractConfig) (*Result, error)
-	})
-	if !ok {
-		return nil, fmt.Errorf("mode %q does not support contract execution (want auto, online, ola, or offline)", req.Mode)
-	}
-	return sized.ExecuteContract(ctx, stmt, spec, db.contractCfg)
+	return core.ExecuteContract(ctx, eng, stmt, spec, db.contractCfg)
 }
 
 // textResult wraps pre-rendered text as a single-column result, one line

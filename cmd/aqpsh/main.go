@@ -48,7 +48,6 @@ import (
 
 	aqp "repro"
 	"repro/internal/audit"
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/insight"
 	"repro/internal/server"
@@ -112,7 +111,7 @@ func (sh *shell) run(sql string, req aqp.Request, offer bool) {
 	if err == nil {
 		res, err = sh.db.Run(context.Background(), stmt, req)
 	}
-	sh.record(sql, stmt, res, err, start)
+	sh.record(sql, req.Mode, stmt, res, err, start)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -129,49 +128,23 @@ func (sh *shell) run(sql string, req aqp.Request, offer bool) {
 // record files one executed statement (nil when the SQL did not parse)
 // with the session metrics and the flight recorder, so \slo and \flight
 // observe shell work the same way aqpd observes served queries.
-func (sh *shell) record(sql string, stmt *sqlparse.SelectStmt, res *aqp.Result, err error, start time.Time) {
-	latencyMS := float64(time.Since(start).Microseconds()) / 1e3
+func (sh *shell) record(sql string, mode aqp.Mode, stmt *sqlparse.SelectStmt, res *aqp.Result, err error, start time.Time) {
+	served := server.Served{Start: start, LatencyMS: float64(time.Since(start).Microseconds()) / 1e3,
+		SQL: sql, Mode: string(mode), Stmt: stmt, Res: res, Err: err, Status: 200}
 	if err != nil {
+		served.Status = 500
 		sh.met.Inc("queries_errors_total")
 		sh.met.Inc("queries_total")
-		fp := sh.insight.ObserveStmt(stmt, insight.Observation{LatencyMS: latencyMS, Err: true})
-		sh.flight.Record(telemetry.QueryRecord{
-			Start: start, SQL: sql, Status: 500, Err: err.Error(), LatencyMS: latencyMS,
-			Fingerprint: fp,
-		})
-		return
+	} else {
+		tech := string(res.Technique)
+		sh.met.Inc(server.Key("queries_total", "technique", tech))
+		sh.met.Observe(server.Key("query_latency_ms", "technique", tech), served.LatencyMS)
+		if res.Diagnostics.Degraded {
+			sh.met.Inc("queries_degraded_total")
+		}
 	}
-	tech := string(res.Technique)
-	sh.met.Inc(server.Key("queries_total", "technique", tech))
-	sh.met.Observe(server.Key("query_latency_ms", "technique", tech), latencyMS)
-	if res.Diagnostics.Degraded {
-		sh.met.Inc("queries_degraded_total")
-	}
-	obs := insight.Observation{
-		Technique:   tech,
-		LatencyMS:   latencyMS,
-		RowsScanned: res.Diagnostics.Counters.RowsScanned,
-		RelWidth:    res.MaxRelHalfWidth(),
-		Approximate: res.Guarantee != core.GuaranteeExact,
-		Degraded:    res.Diagnostics.Degraded,
-		Partial:     res.Diagnostics.Partial,
-	}
-	if c := res.Diagnostics.Contract; c != nil {
-		obs.ContractVerdict = string(c.Verdict)
-	}
-	sh.insight.ObserveStmt(stmt, obs)
-	qr := telemetry.QueryRecord{
-		Start: start, SQL: sql, Technique: tech, Status: 200,
-		LatencyMS:   latencyMS,
-		RowsScanned: res.Diagnostics.Counters.RowsScanned,
-		Degraded:    res.Diagnostics.Degraded,
-		Partial:     res.Diagnostics.Partial,
-		Fingerprint: res.Diagnostics.Fingerprint,
-	}
-	if c := res.Diagnostics.Contract; c != nil {
-		qr.ContractVerdict = string(c.Verdict)
-	}
-	sh.flight.Record(qr)
+	sh.insight.ObserveStmt(stmt, served.Observation())
+	sh.flight.Record(served.Record())
 }
 
 // newAuditor audits every approximate answer (fraction 1, no capacity

@@ -2,10 +2,12 @@ package aqp
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/workload"
 )
 
@@ -186,6 +188,41 @@ func TestFacadeErrorPaths(t *testing.T) {
 	} {
 		if call() == nil {
 			t.Error("malformed SQL must error")
+		}
+	}
+}
+
+// Every scanning mode runs at, and reports, the worker count the DB was
+// opened with — as-written included — unless the context overrides it.
+func TestWorkersStampedInEveryScanningMode(t *testing.T) {
+	ev, err := workload.GenerateEvents(workload.EventsConfig{Seed: 1, Rows: 60000, NumGroups: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const configured, override = 3, 2
+	db := Open(ev.Catalog, WithParallelism(configured))
+	stmt, err := prepare("SELECT SUM(ev_value) AS s FROM events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []Request{
+		{Mode: ModeExact}, {Mode: ModeOnline}, {Mode: ModeOffline}, {Mode: ModeOLA},
+		{Mode: ModeAsWritten}, {Mode: ModeOnline, Contract: true},
+	} {
+		for _, c := range []struct {
+			ctx  context.Context
+			want int
+		}{
+			{context.Background(), configured},
+			{exec.ContextWithWorkers(context.Background(), override), override},
+		} {
+			res, err := db.Run(c.ctx, stmt, req)
+			if err != nil {
+				t.Fatalf("%+v: %v", req, err)
+			}
+			if got := res.Diagnostics.Workers; got != c.want {
+				t.Errorf("mode %s contract=%v: Diagnostics.Workers = %d, want %d", req.Mode, req.Contract, got, c.want)
+			}
 		}
 	}
 }

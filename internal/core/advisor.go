@@ -36,30 +36,33 @@ type Decision struct {
 // Choose picks a technique for the statement under the spec without
 // executing it.
 func (a *Advisor) Choose(stmt *sqlparse.SelectStmt, spec ErrorSpec) Decision {
+	synopsis := false
+	if a.Synopsis != nil {
+		_, _, _, _, err := a.Synopsis.answer(stmt)
+		synopsis = err == nil
+	}
 	// Non-linear aggregates: synopses may still help COUNT DISTINCT.
 	if ok, reason := supportedForSampling(stmt); !ok {
-		if a.Synopsis != nil {
-			if _, _, _, _, err := a.Synopsis.answer(stmt); err == nil {
-				return Decision{Technique: TechniqueSynopsis, Guarantee: GuaranteeAPosteriori,
-					Reason: "non-linear aggregate answerable from a synopsis"}
-			}
+		if synopsis {
+			return Decision{Technique: TechniqueSynopsis, Guarantee: GuaranteeAPosteriori,
+				Reason: "non-linear aggregate answerable from a synopsis"}
 		}
 		return Decision{Technique: TechniqueExact, Guarantee: GuaranteeExact,
 			Reason: "not analyzable under sampling: " + reason}
 	}
 	// Synopses answer their narrow class fastest.
-	if a.Synopsis != nil {
-		if _, _, _, _, err := a.Synopsis.answer(stmt); err == nil {
-			return Decision{Technique: TechniqueSynopsis, Guarantee: GuaranteeAPosteriori,
-				Reason: "query shape matches a precomputed synopsis"}
-		}
+	if synopsis {
+		return Decision{Technique: TechniqueSynopsis, Guarantee: GuaranteeAPosteriori,
+			Reason: "query shape matches a precomputed synopsis"}
 	}
 	// Offline samples give a-priori guarantees when the workload was
 	// predicted, the sample is fresh, and the profile certifies the spec.
+	// The engine's own selection names the sample, so the advice and the
+	// answer agree on which one.
 	if a.Offline != nil {
-		if s := a.certifiedSample(stmt, spec); s != nil {
+		if best, _ := a.Offline.selectSample(stmt, spec, true); best != nil {
 			return Decision{Technique: TechniqueOffline, Guarantee: GuaranteeAPriori,
-				Reason: fmt.Sprintf("certified fresh offline sample %s", s.Name)}
+				Reason: fmt.Sprintf("certified fresh offline sample %s", best.name)}
 		}
 	}
 	// Otherwise: query-time sampling, honest a-posteriori intervals.
@@ -71,68 +74,25 @@ func (a *Advisor) Choose(stmt *sqlparse.SelectStmt, spec ErrorSpec) Decision {
 		Reason: "no approximate engine available"}
 }
 
-// certifiedSample returns a fresh stored sample certified for the query
-// under the spec, or nil. It reads the offline registry under its lock.
-func (a *Advisor) certifiedSample(stmt *sqlparse.SelectStmt, spec ErrorSpec) *StoredSample {
-	if a.Offline == nil {
-		return nil
-	}
-	table := stmt.From.Name
-	qcs := a.Offline.queryQCS(stmt)
-	key := profileKey(table, qcs)
-	a.Offline.mu.RLock()
-	defer a.Offline.mu.RUnlock()
-	for _, s := range a.Offline.samples[table] {
-		if !a.Offline.applicable(s, stmt, qcs) || !s.Fresh(a.Offline.Catalog) {
-			continue
-		}
-		if prof, ok := s.Profile[key]; ok && prof*a.Offline.Config.SafetyFactor <= spec.RelError {
-			return s
-		}
-	}
-	return nil
-}
-
-// Execute parses, routes, and runs a query.
-func (a *Advisor) Execute(sql string, spec ErrorSpec) (*Result, Decision, error) {
-	return a.ExecuteContext(context.Background(), sql, spec)
-}
-
-// ExecuteContext parses, routes, and runs a query under a context: the
-// chosen engine observes cancellation and deadlines.
-func (a *Advisor) ExecuteContext(ctx context.Context, sql string, spec ErrorSpec) (*Result, Decision, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, Decision{}, err
-	}
-	return a.ExecuteStmtContext(ctx, stmt, spec)
-}
-
-// ExecuteStmtContext routes and runs an already-parsed statement. The
-// facade uses it to parse once, peel EXPLAIN handling off, and still get
-// advisor routing.
-func (a *Advisor) ExecuteStmtContext(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec) (*Result, Decision, error) {
+// Execute routes and runs a statement: the chosen engine observes ctx's
+// cancellation and deadline.
+func (a *Advisor) Execute(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec) (*Result, Decision, error) {
 	spec = ResolveSpec(stmt, spec)
 	sp, _ := trace.StartSpan(ctx, "advisor")
 	d := a.Choose(stmt, spec)
 	sp.SetAttr("technique", string(d.Technique))
 	sp.End()
-	var res *Result
-	var err error
+	var eng Engine = a.Exact
 	switch d.Technique {
 	case TechniqueSynopsis:
-		res, err = a.Synopsis.ExecuteContext(ctx, stmt, spec)
+		eng = a.Synopsis
 	case TechniqueOffline:
-		res, err = a.Offline.ExecuteContext(ctx, stmt, spec)
+		eng = a.Offline
 	case TechniqueOnline:
-		res, err = a.Online.ExecuteContext(ctx, stmt, spec)
-	default:
-		res, err = a.Exact.ExecuteContext(ctx, stmt, spec)
+		eng = a.Online
 	}
-	if err != nil {
-		return nil, d, err
-	}
-	return res, d, nil
+	res, err := eng.Execute(ctx, stmt, spec)
+	return res, d, err
 }
 
 // TechniqueProperties is one row of the no-silver-bullet matrix, measured
@@ -189,11 +149,11 @@ func (a *Advisor) Matrix(probe []string, spec ErrorSpec) ([]TechniqueProperties,
 			if err != nil {
 				return nil, err
 			}
-			exactRes, err := a.Exact.Execute(stmt, spec)
+			exactRes, err := a.Exact.Execute(context.Background(), stmt, spec)
 			if err != nil {
 				return nil, err
 			}
-			res, err := er.eng.Execute(stmt, spec)
+			res, err := er.eng.Execute(context.Background(), stmt, spec)
 			if err != nil || res.Diagnostics.FellBackToExact {
 				continue
 			}

@@ -21,14 +21,12 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"repro/internal/contract"
 	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/plan"
 	"repro/internal/sample"
-	"repro/internal/shard"
 	"repro/internal/sqlparse"
 	"repro/internal/trace"
 )
@@ -191,12 +189,12 @@ func exactContract(ctx context.Context, eng *ExactEngine, stmt *sqlparse.SelectS
 // contractPlan is the per-engine half of a two-stage contract run: how to
 // execute the statement at a sampling rate. runContract owns the rest.
 type contractPlan struct {
-	// pilotRate is the stage-one sampling fraction.
-	pilotRate float64
-	// run executes one stage at rate: stage one when pilot is nil, else
-	// stage two at the sized rate with an independent seed, returning the
-	// final answer with the pilot's cost folded in, the engine's diagnostics
-	// stamped and a best-effort (never a-priori) guarantee.
+	// pop is the population sampled: the rows the pilot fraction is a
+	// fraction of.
+	pop int64
+	// run executes one stage — the engine's draw at rate: stage one when
+	// pilot is nil, else stage two at the sized rate under an independent
+	// seed, with the pilot's cost folded into the counters.
 	run func(ctx context.Context, rate float64, pilot *contractRun) (contractRun, error)
 }
 
@@ -207,212 +205,170 @@ type contractRun struct {
 	// fraction (OLA reads whole chunks, so it may exceed the rate asked).
 	rows     int64
 	fraction float64
-	// refusal is why a pilot cannot certify the whole population; stage
-	// two then spends the budget as best effort.
-	refusal string
-	// shard is the scatter outcome and shardFractions stage two's
-	// per-shard Neyman allocation (sharded runs only).
-	shard          *shardRun
+	// moments are a sharded pilot's per-shard slot moments (nil entries
+	// mark failed or pruned shards) and shardFractions a sharded stage
+	// two's per-shard Neyman allocation.
+	moments        [][]exec.SlotMoment
 	shardFractions []float64
 	// note is appended after the verdict messages.
 	note string
 }
 
-// runContract is the two-stage driver behind every ExecuteContract:
-// validate the contract, let the engine plan (or answer exactly when the
-// statement cannot be sampled), pilot, size, run stage two, grade the
-// guarantee and conclude the verdict.
-func runContract(ctx context.Context, name string, inject *fault.Point, exact *ExactEngine,
-	prepare func(context.Context, *sqlparse.SelectStmt, ErrorSpec, ContractConfig) (*contractPlan, string, error),
-	stmt *sqlparse.SelectStmt, spec ErrorSpec, cfg ContractConfig) (_ *Result, err error) {
-
-	defer contain(&err)
-	if inject != nil {
-		if err := inject.Inject(); err != nil {
-			return nil, err
-		}
-	}
-	start := time.Now()
-	esp, ctx := trace.StartSpan(ctx, "engine "+name+" contract")
-	defer esp.End()
-	if !spec.Valid() {
-		spec = DefaultErrorSpec
-	}
-	cfg = cfg.withDefaults()
-	pl, why, err := prepare(ctx, stmt, spec, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if why != "" {
-		return exactContract(ctx, exact, stmt, spec, cfg, why)
-	}
-
-	psp, pctx := trace.StartSpan(ctx, "contract pilot")
-	pilot, err := pl.run(pctx, pl.pilotRate, nil)
-	psp.End()
-	if err != nil {
-		return nil, err
-	}
-	ests, badName := contractEstimates(pilot.res)
-	sz, rate := sizeContract(ests, badName, pilot.refusal, pilot.fraction, spec, cfg)
-
-	sum := newContractSummary(spec, cfg)
-	sum.PilotRows = pilot.rows
-	sum.PilotFraction = pilot.fraction
-	sum.RequiredFraction = sz.RequiredRate
-	sum.FinalFraction = rate
-	sum.Infeasible = !sz.Feasible
-	sum.Reason = sz.Reason
-
-	ssp, sctx := trace.StartSpan(ctx, "contract stage two")
-	fin, err := pl.run(sctx, rate, &pilot)
-	ssp.End()
-	if err != nil {
-		return nil, err
-	}
-	out := fin.res
-	// A stage two that lost data — a deadline, a chunk fault, a shard, even
-	// one the survivors extrapolate over — can never certify the promise.
-	degraded := out.Diagnostics.Degraded || out.Diagnostics.Partial
-	if sz.Feasible && !degraded {
-		out.Guarantee = GuaranteeAPriori
-	}
-	sum.FinalRows = fin.rows
-	sum.ShardFractions = fin.shardFractions
-	sum.Conclude(out.MaxRelHalfWidth(), degraded)
-	out.Diagnostics.Contract = sum
-	stampInfeasible(&out.Diagnostics, sum)
-	if fin.note != "" {
-		out.Diagnostics.Messages = append(out.Diagnostics.Messages, fin.note)
-	}
-	out.Diagnostics.Latency = time.Since(start)
-	esp.SetAttrFloat("final_fraction", sum.FinalFraction)
-	return out, nil
+// foldPilot adds the pilot's cost to a stage-two answer: two passes over
+// the data, both real work.
+func foldPilot(out *Result, pilot *contractRun) {
+	out.Diagnostics.Counters.Add(pilot.res.Diagnostics.Counters)
+	out.Diagnostics.Counters.Passes = 2
 }
 
 // ExecuteContract runs the statement under an a-priori error contract on
-// the online engine: a Bernoulli pilot at the pilot fraction, sizing, and
-// a stage-two Bernoulli run at the sized fraction with an independent
-// seed. Sharded tables compose the pilot stratum-wise and split the sized
-// stage-two budget across shards by Neyman allocation.
-func (e *OnlineEngine) ExecuteContract(ctx context.Context, stmt *sqlparse.SelectStmt,
+// one of the three engines that can sample at a rate of the driver's
+// choosing:
+//
+//   - online: a Bernoulli pilot at the pilot fraction, sizing, and a
+//     stage-two Bernoulli run at the sized fraction with an independent
+//     seed; sharded tables compose the pilot stratum-wise and split the
+//     sized stage-two budget across shards by Neyman allocation;
+//   - OLA: Stein-style two-stage prefix sampling — the pilot reads a fixed
+//     prefix of the seeded permutation (a without-replacement SRS) and stage
+//     two re-runs the same permutation to the sized prefix, both with
+//     spec-stopping disabled, since stopping on an interim CI (peeking) is
+//     exactly what a contract must not do;
+//   - offline: the stored ladder has fixed sizes the contract cannot steer,
+//     so two transient uniform samples are drawn from the base table, their
+//     build scans paid and counted like any other maintenance.
+func ExecuteContract(ctx context.Context, eng Engine, stmt *sqlparse.SelectStmt,
 	spec ErrorSpec, cfg ContractConfig) (*Result, error) {
-	return runContract(ctx, "online", injectOnline, e.exactEngine(), e.contractPlan, stmt, spec, cfg)
+
+	switch e := eng.(type) {
+	case *OnlineEngine:
+		return runContract(ctx, "online", injectOnline, e.exactEngine(), e.contractPlan, stmt, spec, cfg)
+	case *OLAEngine:
+		return runContract(ctx, "ola", nil, e.exactEngine(), e.contractPlan, stmt, spec, cfg)
+	case *OfflineEngine:
+		return runContract(ctx, "offline", injectOffline, e.exactEngine(), e.contractPlan, stmt, spec, cfg)
+	}
+	return nil, fmt.Errorf("core: engine %T does not support contract execution (the online, ola and offline engines do)", eng)
 }
 
-func (e *OnlineEngine) contractPlan(ctx context.Context, stmt *sqlparse.SelectStmt,
-	spec ErrorSpec, cfg ContractConfig) (*contractPlan, string, error) {
+// runContract is the two-stage driver: validate the contract, let the
+// engine plan (or answer exactly when the statement cannot be sampled),
+// pilot, size, run stage two, grade the guarantee and conclude the verdict.
+func runContract(ctx context.Context, name string, inject *fault.Point, exact *ExactEngine,
+	prepare func(context.Context, *sqlparse.SelectStmt, ErrorSpec) (*contractPlan, string, error),
+	stmt *sqlparse.SelectStmt, spec ErrorSpec, cfg ContractConfig) (*Result, error) {
 
-	if ok, reason := supportedForSampling(stmt); !ok {
-		return nil, reason, nil
-	}
-	p, err := plan.Build(stmt, e.Catalog)
-	if err != nil {
-		return nil, "", err
-	}
-	planned, notes := e.placeSamplers(stmt, p)
-	if !planned {
-		return nil, "no table worth sampling", nil
-	}
-	pop := sampledRows(p)
-	workers := resolveWorkers(ctx, p, e.Config.Workers)
-	trace.SpanFromContext(ctx).SetAttrInt("workers", int64(workers))
-	pl := &contractPlan{pilotRate: cfg.pilotRate(pop)}
-	// finish stamps a stage-two answer: engine notes, the pilot's cost.
-	finish := func(out *Result, pop int64, pilot *contractRun, msgs []string) {
-		d := &out.Diagnostics
-		d.Messages = append(append(d.Messages, notes...), msgs...)
-		d.SampleFraction = sampleFraction(d.Counters, pop)
-		d.Counters.Add(pilot.res.Diagnostics.Counters)
-		d.Counters.Passes = 2
-		d.Workers = workers
-		stampLineage(d, e.Catalog, stmt.From.Name)
-	}
-
-	g := shardGroupFor(e.Shards, stmt)
-	if g == nil || !exec.Gatherable(p) {
-		// One plan, re-run with its samplers turned to the stage's rate and seed.
-		pl.run = func(ctx context.Context, rate float64, pilot *contractRun) (contractRun, error) {
-			seed := e.Config.Seed
-			if pilot != nil {
-				seed = contractStageSeed(seed)
-			}
-			for _, s := range plan.Scans(p) {
-				if s.Sample != nil {
-					s.Sample.Rate, s.Sample.Seed = rate, seed
-				}
-			}
-			raw, err := exec.RunParallelContext(ctx, p, workers)
-			if err != nil {
-				return contractRun{}, err
-			}
-			out := annotate(stmt, raw, spec, TechniqueOnline, GuaranteeAPosteriori)
-			if pilot != nil {
-				finish(out, pop, pilot, nil)
-			}
-			return contractRun{res: out, rows: raw.Counters.RowsEmitted, fraction: rate}, nil
-		}
-		return pl, "", nil
-	}
-
-	// The scatter-gather pair: the pilot scatters collecting per-shard slot
-	// moments, the composed (merged-in-shard-order) pilot sizes stage two
-	// exactly like the unsharded path — merging HT partials is stratified
-	// composition, so the composed variance is the one sizing needs — and
-	// the sized row budget is split across shards Neyman-style.
-	base := firstSampler(p)
-	if base == nil {
-		return nil, "no sampler placed", nil
-	}
-	pl.run = func(ctx context.Context, rate float64, pilot *contractRun) (contractRun, error) {
-		smp := *base
-		smp.Rate, smp.Seed = rate, e.Config.Seed
-		var shardRates []float64
-		if pilot != nil {
-			smp.Seed = contractStageSeed(smp.Seed)
-			shardRates = neymanRates(g, pilot.shard, rate)
-		}
-		sr, err := runSharded(ctx, g, stmt, p, &smp, workers, func(o *shard.ExecOptions) {
-			o.CollectMoments, o.ShardRates = pilot == nil, shardRates
-		})
+	cfg = cfg.withDefaults()
+	return engineRun(ctx, name+" contract", inject, spec, func(ctx context.Context, spec ErrorSpec) (*Result, error) {
+		pl, why, err := prepare(ctx, stmt, spec)
 		if err != nil {
-			return contractRun{}, err
+			return nil, err
 		}
-		guarantee := GuaranteeAPosteriori
-		if sr.degraded && !sr.summary.Extrapolated {
-			guarantee = GuaranteeNone
+		if why != "" {
+			return exactContract(ctx, exact, stmt, spec, cfg, why)
 		}
-		out := annotate(stmt, sr.raw, spec, TechniqueOnline, guarantee)
-		r := contractRun{res: out, rows: sr.raw.Counters.RowsEmitted, fraction: rate,
-			shard: sr, shardFractions: shardRates}
-		if pilot != nil {
-			finish(out, sr.sampledPop, pilot, sr.messages)
-			out.Diagnostics.Degraded = sr.degraded
-			out.Diagnostics.Shards = sr.summary
-		} else if sr.degraded {
+
+		psp, pctx := trace.StartSpan(ctx, "contract pilot")
+		pilot, err := pl.run(pctx, cfg.pilotRate(pl.pop), nil)
+		psp.End()
+		if err != nil {
+			return nil, err
+		}
+		refusal := ""
+		if d := pilot.res.Diagnostics; d.Degraded && d.Shards != nil {
 			// A pilot that lost shards measured only part of the population.
-			r.refusal = "pilot lost shards; sizing from a partial pilot cannot certify the full population"
+			refusal = "pilot lost shards; sizing from a partial pilot cannot certify the full population"
+		}
+		ests, badName := contractEstimates(pilot.res)
+		sz, rate := sizeContract(ests, badName, refusal, pilot.fraction, spec, cfg)
+
+		sum := newContractSummary(spec, cfg)
+		sum.PilotRows = pilot.rows
+		sum.PilotFraction = pilot.fraction
+		sum.RequiredFraction = sz.RequiredRate
+		sum.FinalFraction = rate
+		sum.Infeasible = !sz.Feasible
+		sum.Reason = sz.Reason
+
+		ssp, sctx := trace.StartSpan(ctx, "contract stage two")
+		fin, err := pl.run(sctx, rate, &pilot)
+		ssp.End()
+		if err != nil {
+			return nil, err
+		}
+		out := fin.res
+		// A stage two that lost data — a deadline, a chunk fault, a shard, even
+		// one the survivors extrapolate over — can never certify the promise.
+		degraded := out.Diagnostics.Degraded || out.Diagnostics.Partial
+		if sz.Feasible && !degraded {
+			out.Guarantee = GuaranteeAPriori
+		}
+		sum.FinalRows = fin.rows
+		sum.ShardFractions = fin.shardFractions
+		sum.Conclude(out.MaxRelHalfWidth(), degraded)
+		out.Diagnostics.Contract = sum
+		stampInfeasible(&out.Diagnostics, sum)
+		if fin.note != "" {
+			out.Diagnostics.Messages = append(out.Diagnostics.Messages, fin.note)
+		}
+		trace.SpanFromContext(ctx).SetAttrFloat("final_fraction", sum.FinalFraction)
+		return out, nil
+	})
+}
+
+func (e *OnlineEngine) contractPlan(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec) (*contractPlan, string, error) {
+	d, why, err := e.draw(ctx, stmt)
+	if err != nil || why != "" {
+		return nil, why, err
+	}
+	// One plan, re-run with its samplers turned to the stage's rate and seed.
+	// A scatter-gather pilot also collects per-shard slot moments: the
+	// composed (merged-in-shard-order) pilot sizes stage two exactly like an
+	// unsharded one — merging HT partials is stratified composition, so the
+	// composed variance is the one sizing needs — and the sized row budget is
+	// split across shards Neyman-style.
+	run := func(ctx context.Context, rate float64, pilot *contractRun) (contractRun, error) {
+		d, seed, r := d, e.Config.Seed, contractRun{fraction: rate}
+		if pilot == nil {
+			d.moments = &r.moments
+		} else {
+			seed = contractStageSeed(seed)
+			d.shardRates = neymanRates(pilot, rate)
+			r.shardFractions = d.shardRates
+		}
+		for _, s := range plan.Scans(d.plan) {
+			if s.Sample != nil {
+				s.Sample.Rate, s.Sample.Seed = rate, seed
+			}
+		}
+		out, err := execute(ctx, e.Catalog, stmt, spec, d)
+		if err != nil {
+			return r, err
+		}
+		r.res, r.rows = out, out.Diagnostics.Counters.RowsEmitted
+		if pilot != nil {
+			foldPilot(out, pilot)
 		}
 		return r, nil
 	}
-	return pl, "", nil
+	return &contractPlan{pop: sampledRows(d.plan), run: run}, "", nil
 }
 
 // neymanRates splits the sized stage-two row budget across shards from the
-// pilot's per-shard spreads. Nil (every shard samples at rate) for a single
-// shard — bit-identity with the unsharded engine — and when the pilot is
-// missing any shard's moments.
-func neymanRates(g *shard.Group, pilot *shardRun, rate float64) []float64 {
-	n := g.NumShards()
-	if n <= 1 || pilot.degraded || len(pilot.moments) != n {
+// pilot's per-shard spreads. Nil (every shard samples at rate) for an
+// unsharded pilot, for a single shard — bit-identity with the unsharded
+// engine — and when the pilot is missing any shard's moments.
+func neymanRates(pilot *contractRun, rate float64) []float64 {
+	sum := pilot.res.Diagnostics.Shards
+	if sum == nil || sum.Count <= 1 || pilot.res.Diagnostics.Degraded || len(pilot.moments) != sum.Count {
 		return nil
 	}
-	strata := make([]contract.ShardStratum, n)
+	strata := make([]contract.ShardStratum, sum.Count)
 	var totalRows float64
 	for h := range strata {
 		rows := 0.0
-		if h < len(pilot.rows) {
-			rows = float64(pilot.rows[h])
+		if h < len(sum.RowsPerShard) {
+			rows = float64(sum.RowsPerShard[h])
 		}
 		totalRows += rows
 		strata[h].Rows = rows
@@ -429,7 +385,7 @@ func neymanRates(g *shard.Group, pilot *shardRun, rate float64) []float64 {
 					}
 				}
 			}
-		} else if ms == nil && !slices.Contains(pilot.summary.Pruned, h) {
+		} else if ms == nil && !slices.Contains(sum.Pruned, h) {
 			return nil
 		}
 	}
@@ -439,24 +395,7 @@ func neymanRates(g *shard.Group, pilot *shardRun, rate float64) []float64 {
 	return contract.AllocateShards(strata, rate*totalRows)
 }
 
-// ExecuteContract runs the statement under an a-priori error contract on
-// the OLA engine as Stein-style two-stage prefix sampling: the pilot
-// reads a fixed prefix of the seeded permutation (a without-replacement
-// SRS), sizing fixes the total fraction from stage-one data alone, and
-// stage two re-runs the same permutation to the sized prefix — the final
-// estimate uses all rows up to a data-independently chosen cut, so its
-// CI keeps nominal coverage and earns GuaranteeAPriori. Both passes run
-// with spec-stopping disabled: stopping on an interim CI (peeking) is
-// exactly what a contract must not do.
-func (e *OLAEngine) ExecuteContract(ctx context.Context, stmt *sqlparse.SelectStmt,
-	spec ErrorSpec, cfg ContractConfig) (*Result, error) {
-	return runContract(ctx, "ola", nil, &ExactEngine{Catalog: e.Catalog, Workers: e.Config.Workers},
-		e.contractPlan, stmt, spec, cfg)
-}
-
-func (e *OLAEngine) contractPlan(_ context.Context, stmt *sqlparse.SelectStmt,
-	spec ErrorSpec, cfg ContractConfig) (*contractPlan, string, error) {
-
+func (e *OLAEngine) contractPlan(_ context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec) (*contractPlan, string, error) {
 	if ok, reason := e.supported(stmt); !ok {
 		return nil, reason, nil
 	}
@@ -474,7 +413,7 @@ func (e *OLAEngine) contractPlan(_ context.Context, stmt *sqlparse.SelectStmt,
 		eng := &OLAEngine{Catalog: e.Catalog, Config: e.Config}
 		eng.Config.StopWhenSpecMet = false
 		eng.Config.MaxFraction = rate
-		out, err := eng.ExecuteProgressiveContext(ctx, stmt, spec, nil)
+		out, err := eng.ExecuteProgressive(ctx, stmt, spec, nil)
 		if err != nil {
 			return contractRun{}, err
 		}
@@ -488,24 +427,10 @@ func (e *OLAEngine) contractPlan(_ context.Context, stmt *sqlparse.SelectStmt,
 		}
 		return r, nil
 	}
-	return &contractPlan{pilotRate: cfg.pilotRate(int64(t.NumRows())), run: run}, "", nil
+	return &contractPlan{pop: int64(t.NumRows()), run: run}, "", nil
 }
 
-// ExecuteContract runs the statement under an a-priori error contract on
-// the offline engine. The stored sample ladder has fixed sizes the
-// contract cannot steer, so the engine draws two transient uniform
-// samples from the base table instead: a pilot at the pilot fraction and
-// a stage-two sample at the sized fraction — paying the build scans like
-// any other maintenance cost and recording them in the counters.
-func (e *OfflineEngine) ExecuteContract(ctx context.Context, stmt *sqlparse.SelectStmt,
-	spec ErrorSpec, cfg ContractConfig) (*Result, error) {
-	return runContract(ctx, "offline", injectOffline, &ExactEngine{Catalog: e.Catalog, Workers: e.Config.Workers},
-		e.contractPlan, stmt, spec, cfg)
-}
-
-func (e *OfflineEngine) contractPlan(_ context.Context, stmt *sqlparse.SelectStmt,
-	spec ErrorSpec, cfg ContractConfig) (*contractPlan, string, error) {
-
+func (e *OfflineEngine) contractPlan(_ context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec) (*contractPlan, string, error) {
 	if ok, reason := supportedForSampling(stmt); !ok {
 		return nil, reason, nil
 	}
@@ -527,33 +452,22 @@ func (e *OfflineEngine) contractPlan(_ context.Context, stmt *sqlparse.SelectStm
 		if err != nil {
 			return contractRun{}, err
 		}
-		s := &StoredSample{Name: name, Source: source, Rate: rate,
-			Data: built.Table, Rows: built.SampleRows, BuildVersion: built.BuildVersion,
-			BuildRows: built.SourceRows}
-		raw, err := e.executeOn(ctx, s, stmt)
+		// The build scans the base table: maintenance paid inline.
+		out, err := execute(ctx, e.Catalog, stmt, spec, draw{
+			tech: TechniqueOffline, guarantee: GuaranteeAPosteriori, workers: e.Config.Workers,
+			standIn: &standIn{source: source, data: built.Table, name: name,
+				buildVersion: built.BuildVersion, buildRows: built.SourceRows, buildCost: int64(n)}})
 		if err != nil {
 			return contractRun{}, err
 		}
-		out := annotate(stmt, raw, spec, TechniqueOffline, GuaranteeAPosteriori)
-		r := contractRun{res: out, rows: int64(s.Rows), fraction: rate}
-		if pilot == nil {
-			return r, nil
+		r := contractRun{res: out, rows: int64(built.SampleRows), fraction: rate}
+		if pilot != nil {
+			foldPilot(out, pilot)
+			r.note = fmt.Sprintf(
+				"offline: contract answered from a transient %d-row uniform sample (fraction %.4g), not the stored ladder",
+				built.SampleRows, rate)
 		}
-		d := &out.Diagnostics
-		d.Counters.Add(pilot.res.Diagnostics.Counters)
-		// Both sample builds scan the base table: maintenance paid inline.
-		d.Counters.RowsScanned += 2 * int64(n)
-		d.Counters.Passes = 2
-		d.Workers = exec.ResolveWorkers(ctx, e.Config.Workers)
-		d.SampleFraction = float64(s.Rows) / float64(n)
-		stampLineage(d, e.Catalog, source)
-		d.Lineage.SampleName = s.Name
-		d.Lineage.BuildVersion = s.BuildVersion
-		d.Lineage.BuildRows = s.BuildRows
-		r.note = fmt.Sprintf(
-			"offline: contract answered from a transient %d-row uniform sample (fraction %.4g), not the stored ladder",
-			s.Rows, rate)
 		return r, nil
 	}
-	return &contractPlan{pilotRate: cfg.pilotRate(int64(n)), run: run}, "", nil
+	return &contractPlan{pop: int64(n), run: run}, "", nil
 }

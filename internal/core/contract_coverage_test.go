@@ -25,12 +25,6 @@ import (
 	"repro/internal/workload"
 )
 
-// contractExecutor is implemented by every engine with a contract path.
-type contractExecutor interface {
-	Engine
-	ExecuteContract(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec, cfg ContractConfig) (*Result, error)
-}
-
 // contractTrialResult is what one contract trial must report.
 type contractTrialResult struct {
 	estimate, lo, hi float64
@@ -42,11 +36,11 @@ type contractTrialResult struct {
 // runContractTrial executes one contract run at the given worker count,
 // enforcing the per-trial guards: a stamped contract block, no silent
 // exact fallback, a real CI on the single aggregate.
-func runContractTrial(t *testing.T, eng contractExecutor, stmt *sqlparse.SelectStmt,
+func runContractTrial(t *testing.T, eng Engine, stmt *sqlparse.SelectStmt,
 	spec ErrorSpec, cfg ContractConfig, workers int) contractTrialResult {
 	t.Helper()
 	ctx := exec.ContextWithWorkers(context.Background(), workers)
-	res, err := eng.ExecuteContract(ctx, stmt, spec, cfg)
+	res, err := ExecuteContract(ctx, eng, stmt, spec, cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", eng.Name(), err)
 	}
@@ -103,21 +97,21 @@ var contractTargets = []float64{0.01, 0.02, 0.05}
 // samples (pilot + sized stage two) from the base table per run.
 func contractEngines(ev *workload.Events) []struct {
 	name string
-	mk   func(trial int) contractExecutor
+	mk   func(trial int) Engine
 } {
 	return []struct {
 		name string
-		mk   func(trial int) contractExecutor
+		mk   func(trial int) Engine
 	}{
-		{"online", func(trial int) contractExecutor {
+		{"online", func(trial int) Engine {
 			return NewOnlineEngine(ev.Catalog, OnlineConfig{
 				DefaultRate: 0.5, MinTableRows: 1, Seed: int64(1000 + trial)})
 		}},
-		{"ola", func(trial int) contractExecutor {
+		{"ola", func(trial int) Engine {
 			return NewOLAEngine(ev.Catalog, OLAConfig{
 				ChunkRows: 512, Seed: int64(3000 + trial)})
 		}},
-		{"offline", func(trial int) contractExecutor {
+		{"offline", func(trial int) Engine {
 			return NewOfflineEngine(ev.Catalog, OfflineConfig{Seed: int64(2000 + trial)})
 		}},
 	}
@@ -269,7 +263,7 @@ func TestContractInfeasibleRefusal(t *testing.T) {
 		eng := eng
 		t.Run(eng.name, func(t *testing.T) {
 			e := eng.mk(7)
-			res, err := e.ExecuteContract(context.Background(), stmt, spec, cfg)
+			res, err := ExecuteContract(context.Background(), e, stmt, spec, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -331,7 +325,7 @@ func TestContractChaosShardLoss(t *testing.T) {
 		eng := NewOnlineEngine(ev.Catalog, OnlineConfig{
 			DefaultRate: 0.5, MinTableRows: 1, Seed: 9000 + seed})
 		eng.Shards = m
-		res, err := eng.ExecuteContract(context.Background(), stmt, spec, cfg)
+		res, err := ExecuteContract(context.Background(), eng, stmt, spec, cfg)
 		fault.Uninstall()
 		if err != nil {
 			t.Fatalf("seed %d: contract run failed outright under shard loss: %v", seed, err)

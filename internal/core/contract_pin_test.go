@@ -74,17 +74,17 @@ func TestContractPin(t *testing.T) {
 	pct := parse(t, "SELECT PERCENTILE(ev_value, 0.5) AS med FROM events")
 	minq := parse(t, "SELECT MIN(ev_value) AS lo FROM events")
 
-	online := func(m int) contractExecutor {
+	online := func(m int) Engine {
 		e := NewOnlineEngine(ev.Catalog, OnlineConfig{DefaultRate: 0.5, MinTableRows: 1, Seed: 1042})
 		if m > 0 {
 			e.Shards = shardedFixture(t, ev, m)
 		}
 		return e
 	}
-	ola := func() contractExecutor {
+	ola := func() Engine {
 		return NewOLAEngine(ev.Catalog, OLAConfig{ChunkRows: 512, Seed: 3042})
 	}
-	offline := func() contractExecutor {
+	offline := func() Engine {
 		return NewOfflineEngine(ev.Catalog, OfflineConfig{Seed: 2042})
 	}
 	tight := ErrorSpec{RelError: 0.02, Confidence: 0.95}
@@ -94,7 +94,7 @@ func TestContractPin(t *testing.T) {
 
 	cases := []struct {
 		name string
-		eng  contractExecutor
+		eng  Engine
 		stmt string
 		spec ErrorSpec
 		cfg  ContractConfig
@@ -125,7 +125,7 @@ func TestContractPin(t *testing.T) {
 	var got []contractPinCase
 	ctx := exec.ContextWithWorkers(context.Background(), 2)
 	for _, c := range cases {
-		res, err := c.eng.ExecuteContract(ctx, stmts[c.stmt], c.spec, c.cfg)
+		res, err := ExecuteContract(ctx, c.eng, stmts[c.stmt], c.spec, c.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/contract"
 	"repro/internal/exec"
-	"repro/internal/plan"
 	"repro/internal/sqlparse"
 	"repro/internal/stats"
 	"repro/internal/storage"
@@ -220,15 +219,16 @@ type SampleLineage struct {
 	BuildRows    int
 }
 
-// stampLineage fills d.Lineage for a query-time read of the statement's
-// base table: the build watermark is the execution-time snapshot.
-func stampLineage(d *Diagnostics, cat *storage.Catalog, table string) {
+// queryTimeLineage is the lineage of a query-time read of a base table:
+// the build watermark is the execution-time snapshot. Zero when the table
+// is unknown.
+func queryTimeLineage(cat *storage.Catalog, table string) SampleLineage {
 	t, err := cat.Table(table)
 	if err != nil {
-		return
+		return SampleLineage{}
 	}
 	v, n := t.Version(), t.NumRows()
-	d.Lineage = SampleLineage{
+	return SampleLineage{
 		Table: table, TableVersion: v, TableRows: n,
 		BuildVersion: v, BuildRows: n,
 	}
@@ -284,10 +284,11 @@ func (r *Result) MaxRelHalfWidth() float64 {
 type Engine interface {
 	// Name returns the engine's technique tag.
 	Name() Technique
-	// Execute runs the statement. Engines that cannot honor the request
-	// fall back gracefully (and say so in Diagnostics) rather than fail,
-	// unless the query itself is invalid.
-	Execute(stmt *sqlparse.SelectStmt, spec ErrorSpec) (*Result, error)
+	// Execute runs the statement; scans observe ctx's cancellation and
+	// deadline. Engines that cannot honor the request fall back gracefully
+	// (and say so in Diagnostics) rather than fail, unless the query itself
+	// is invalid.
+	Execute(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec) (*Result, error)
 }
 
 // supportedForSampling reports whether every aggregate in the statement is
@@ -321,15 +322,4 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// resolveWorkers picks the effective morsel-parallel worker count for a
-// plan execution: a context override wins, then the plan's parallelism
-// hint, then the engine configuration, then runtime.GOMAXPROCS.
-func resolveWorkers(ctx context.Context, p plan.Node, cfgWorkers int) int {
-	hint := plan.Parallelism(p)
-	if hint <= 0 {
-		hint = cfgWorkers
-	}
-	return exec.ResolveWorkers(ctx, hint)
 }

@@ -36,11 +36,8 @@ type coverageTrialResult struct {
 // sanity guards (a real CI, no silent exact fallback).
 func runCoverageTrial(t *testing.T, eng Engine, stmt *sqlparse.SelectStmt, spec ErrorSpec, workers int) coverageTrialResult {
 	t.Helper()
-	type ctxExecutor interface {
-		ExecuteContext(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec) (*Result, error)
-	}
 	ctx := exec.ContextWithWorkers(context.Background(), workers)
-	res, err := eng.(ctxExecutor).ExecuteContext(ctx, stmt, spec)
+	res, err := eng.Execute(ctx, stmt, spec)
 	if err != nil {
 		t.Fatalf("%s: %v", eng.Name(), err)
 	}
@@ -99,7 +96,7 @@ func coverageFixture(t *testing.T) (*workload.Events, *sqlparse.SelectStmt, floa
 		t.Fatal(err)
 	}
 	stmt := parse(t, "SELECT SUM(ev_value) AS s FROM events")
-	exact, err := NewExactEngine(ev.Catalog).Execute(stmt, DefaultErrorSpec)
+	exact, err := NewExactEngine(ev.Catalog).Execute(context.Background(), stmt, DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +184,7 @@ func TestExactWorkerInvariance(t *testing.T) {
 	eng := NewExactEngine(ev.Catalog)
 	for _, w := range []int{1, 2, 4, 7} {
 		ctx := exec.ContextWithWorkers(context.Background(), w)
-		res, err := eng.ExecuteContext(ctx, stmt, DefaultErrorSpec)
+		res, err := eng.Execute(ctx, stmt, DefaultErrorSpec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,10 +9,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/fault"
-	"repro/internal/plan"
 	"repro/internal/sample"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
@@ -191,65 +189,57 @@ func (e *OfflineEngine) BuildSamples(table string, qcsList [][]string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	start := time.Now()
+	var ladder []*StoredSample
 	for _, qcs := range qcsList {
 		if len(qcs) == 0 {
 			continue
 		}
 		for _, cap := range e.Config.Caps {
-			name := e.sampleName(table)
-			res, err := sample.BuildStratified(t, sample.StratifiedConfig{
-				KeyColumns: qcs, CapPerStratum: cap, Seed: e.Config.Seed + int64(e.nextID),
-			}, name)
-			if err != nil {
-				return err
-			}
-			e.store(&StoredSample{
-				Name: name, Source: table, QCS: append([]string(nil), qcs...),
-				Cap: cap, Data: res.Table, Rows: res.SampleRows,
-				BuildVersion: res.BuildVersion, BuildRows: res.SourceRows,
-				BuildCostRows: res.SourceRows,
-				Profile:       make(map[string]float64),
-			})
+			ladder = append(ladder, &StoredSample{QCS: append([]string(nil), qcs...), Cap: cap})
 		}
 	}
 	for _, rate := range e.Config.UniformRates {
-		name := e.sampleName(table)
-		res, err := sample.BuildUniformTable(t, rate, e.Config.Seed+int64(e.nextID), name)
-		if err != nil {
+		ladder = append(ladder, &StoredSample{Rate: rate})
+	}
+	for _, s := range ladder {
+		e.nextID++
+		s.Name, s.Source = fmt.Sprintf("%s__sample%d", table, e.nextID), table
+		s.Profile = make(map[string]float64)
+		if err := e.materialize(s, t); err != nil {
 			return err
 		}
-		e.store(&StoredSample{
-			Name: name, Source: table, Rate: rate, Data: res.Table,
-			Rows: res.SampleRows, BuildVersion: res.BuildVersion,
-			BuildRows: res.SourceRows, BuildCostRows: res.SourceRows,
-			Profile: make(map[string]float64),
-		})
+		s.BuildCostRows = s.BuildRows
+		e.samples[table] = append(e.samples[table], s)
+		e.Maintenance.SamplesBuilt++
+		e.Maintenance.RowsScanned += int64(s.BuildCostRows)
 	}
 	e.Maintenance.WallTime += time.Since(start)
 	return nil
 }
 
-func (e *OfflineEngine) sampleName(table string) string {
-	e.nextID++
-	return fmt.Sprintf("%s__sample%d", table, e.nextID)
-}
-
-func (e *OfflineEngine) store(s *StoredSample) {
-	e.samples[s.Source] = append(e.samples[s.Source], s)
-	e.Maintenance.SamplesBuilt++
-	e.Maintenance.RowsScanned += int64(s.BuildCostRows)
+// materialize draws s — stratified on its QCS, else uniform at its rate —
+// from t's current contents and stamps the build watermark. The seed moves
+// with nextID so no two builds share one. Caller holds e.mu.
+func (e *OfflineEngine) materialize(s *StoredSample, t *storage.Table) error {
+	seed := e.Config.Seed + int64(e.nextID)
+	var res *sample.StratifiedResult
+	var err error
+	if len(s.QCS) > 0 {
+		res, err = sample.BuildStratified(t, sample.StratifiedConfig{
+			KeyColumns: s.QCS, CapPerStratum: s.Cap, Seed: seed}, s.Name)
+	} else {
+		res, err = sample.BuildUniformTable(t, s.Rate, seed, s.Name)
+	}
+	if err != nil {
+		return err
+	}
+	s.Data, s.Rows, s.BuildVersion, s.BuildRows = res.Table, res.SampleRows, res.BuildVersion, res.SourceRows
+	return nil
 }
 
 // Rebuild refreshes every sample of a table against its current contents,
 // accumulating maintenance cost.
 func (e *OfflineEngine) Rebuild(table string) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.rebuildLocked(table)
-}
-
-// rebuildLocked is Rebuild with e.mu already held for writing.
-func (e *OfflineEngine) rebuildLocked(table string) error {
 	if err := injectOfflineRebuild.Inject(); err != nil {
 		return err
 	}
@@ -257,34 +247,18 @@ func (e *OfflineEngine) rebuildLocked(table string) error {
 	if err != nil {
 		return err
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	start := time.Now()
 	for _, s := range e.samples[table] {
-		if len(s.QCS) > 0 {
-			res, err := sample.BuildStratified(t, sample.StratifiedConfig{
-				KeyColumns: s.QCS, CapPerStratum: s.Cap, Seed: e.Config.Seed + int64(e.nextID),
-			}, s.Name)
-			if err != nil {
-				return err
-			}
-			s.Data = res.Table
-			s.Rows = res.SampleRows
-			s.BuildVersion = res.BuildVersion
-			s.BuildRows = res.SourceRows
-		} else {
-			res, err := sample.BuildUniformTable(t, s.Rate, e.Config.Seed+int64(e.nextID), s.Name)
-			if err != nil {
-				return err
-			}
-			s.Data = res.Table
-			s.Rows = res.SampleRows
-			s.BuildVersion = res.BuildVersion
-			s.BuildRows = res.SourceRows
-		}
-		e.nextID++
-		e.Maintenance.RowsScanned += int64(t.NumRows())
 		// Profiles refer to the old data distribution; conservatively
 		// keep them (they were built from the template shapes, which
 		// survive a rebuild).
+		if err := e.materialize(s, t); err != nil {
+			return err
+		}
+		e.nextID++
+		e.Maintenance.RowsScanned += int64(t.NumRows())
 	}
 	e.Maintenance.Rebuilds++
 	e.Maintenance.WallTime += time.Since(start)
@@ -313,7 +287,8 @@ func (e *OfflineEngine) ProfileQuery(sql string) error {
 	if len(cands) == 0 {
 		return nil
 	}
-	exactRes, err := NewExactEngine(e.Catalog).Execute(stmt, DefaultErrorSpec)
+	ctx := context.Background()
+	exactRes, err := NewExactEngine(e.Catalog).Execute(ctx, stmt, DefaultErrorSpec)
 	if err != nil {
 		return err
 	}
@@ -323,11 +298,14 @@ func (e *OfflineEngine) ProfileQuery(sql string) error {
 		if !e.applicable(s, stmt, qcs) {
 			continue
 		}
-		raw, err := e.executeOn(context.Background(), s, stmt)
+		e.mu.RLock()
+		in := s.standIn()
+		e.mu.RUnlock()
+		approx, err := execute(ctx, e.Catalog, stmt, DefaultErrorSpec, draw{
+			tech: TechniqueOffline, guarantee: GuaranteeNone, standIn: &in, workers: e.Config.Workers})
 		if err != nil {
 			continue
 		}
-		approx := annotate(stmt, raw, DefaultErrorSpec, TechniqueOffline, GuaranteeNone)
 		relErr, comparable := maxRelError(exactRes, approx)
 		if !comparable {
 			relErr = 1
@@ -408,59 +386,30 @@ func (e *OfflineEngine) applicable(s *StoredSample, stmt *sqlparse.SelectStmt, q
 	return true
 }
 
-// executeOn runs the statement with the sample substituted for the fact
-// table via a shadow catalog.
-func (e *OfflineEngine) executeOn(ctx context.Context, s *StoredSample, stmt *sqlparse.SelectStmt) (*exec.Result, error) {
-	// Rebuild swaps the sample's Data table wholesale; read the pointer
-	// under the lock and scan whichever build we got (each build is
-	// immutable once materialized).
-	e.mu.RLock()
-	data := s.Data
-	e.mu.RUnlock()
-	shadow := storage.NewCatalog()
-	for _, name := range e.Catalog.Names() {
-		if name == s.Source {
-			continue
-		}
-		t, err := e.Catalog.Table(name)
-		if err != nil {
-			return nil, err
-		}
-		if err := shadow.AddAs(name, t); err != nil {
-			return nil, err
-		}
-	}
-	if err := shadow.AddAs(s.Source, data); err != nil {
-		return nil, err
-	}
-	p, err := plan.Build(stmt, shadow)
-	if err != nil {
-		return nil, err
-	}
-	return exec.RunParallelContext(ctx, p, resolveWorkers(ctx, p, e.Config.Workers))
-}
-
-// Execute implements Engine: pick the cheapest fresh sample certified for
-// the spec, else fall back per configuration.
-func (e *OfflineEngine) Execute(stmt *sqlparse.SelectStmt, spec ErrorSpec) (*Result, error) {
-	return e.ExecuteContext(context.Background(), stmt, spec)
+// standIn is the sample as a draw's stand-in for its source table. Rebuild
+// swaps Data and the watermark wholesale (each build is immutable once
+// materialized), so the caller holds the registry lock.
+func (s *StoredSample) standIn() standIn {
+	return standIn{source: s.Source, data: s.Data, name: s.Name,
+		buildVersion: s.BuildVersion, buildRows: s.BuildRows}
 }
 
 // offlineCand is one certified candidate with the facts captured under
 // the registry lock, so later reporting needs no further locking.
 type offlineCand struct {
-	s     *StoredSample
-	stale bool
-	rows  int
-	name  string
-	prof  float64
+	standIn
+	prof float64
 }
 
-// selectSample picks the cheapest applicable, profiled candidate under
-// the registry lock. wantRebuild reports that a stale candidate was seen
-// under the StaleRebuild policy (the caller rebuilds and reselects).
-func (e *OfflineEngine) selectSample(stmt *sqlparse.SelectStmt, spec ErrorSpec,
-	table string, qcs []string, key string) (best *offlineCand, wantRebuild bool) {
+// selectSample picks the cheapest applicable candidate whose profile
+// certifies the spec, under the registry lock — the one certification test,
+// shared with the Advisor. Stale candidates are skipped when freshOnly and
+// otherwise handled per the stale policy: wantRebuild reports that one was
+// seen under StaleRebuild (the caller rebuilds and reselects).
+func (e *OfflineEngine) selectSample(stmt *sqlparse.SelectStmt, spec ErrorSpec, freshOnly bool) (best *offlineCand, wantRebuild bool) {
+	table := stmt.From.Name
+	qcs := e.queryQCS(stmt)
+	key := profileKey(table, qcs)
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	for _, s := range e.samples[table] {
@@ -473,60 +422,65 @@ func (e *OfflineEngine) selectSample(stmt *sqlparse.SelectStmt, spec ErrorSpec,
 		}
 		stale := !s.Fresh(e.Catalog)
 		if stale {
-			switch e.Config.StalePolicy {
-			case StaleFallbackExact:
+			switch {
+			case freshOnly || e.Config.StalePolicy == StaleFallbackExact:
 				continue
-			case StaleRebuild:
+			case e.Config.StalePolicy == StaleRebuild:
 				wantRebuild = true
 				continue
-			case StaleServe:
-				// Serve anyway, downgraded guarantee below.
 			}
+			// StaleServe: serve anyway, under a downgraded guarantee.
 		}
-		if best == nil || s.Rows < best.rows {
-			best = &offlineCand{s: s, stale: stale, rows: s.Rows, name: s.Name, prof: prof}
+		if best == nil || s.Rows < best.data.NumRows() {
+			best = &offlineCand{standIn: s.standIn(), prof: prof}
+			best.stale = stale
 		}
 	}
 	return best, wantRebuild
 }
 
-// ExecuteContext is Execute under a context: the sample scan (and any
-// exact fallback) observes cancellation and deadlines.
-func (e *OfflineEngine) ExecuteContext(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec) (_ *Result, err error) {
-	defer contain(&err)
-	if err := injectOffline.Inject(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	esp, ctx := trace.StartSpan(ctx, "engine offline")
-	defer esp.End()
-	if !spec.Valid() {
-		spec = DefaultErrorSpec
-	}
-	fallback := func(reason string, stale bool) (*Result, error) {
-		res, err := (&ExactEngine{Catalog: e.Catalog, Workers: e.Config.Workers}).fallBack(ctx, stmt, spec, "offline: "+reason)
+// Execute implements Engine: the draw is the cheapest stored sample
+// certified for the spec (fresh, or stale as the policy permits), standing
+// in for its source table; without one the statement runs exactly.
+func (e *OfflineEngine) Execute(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec) (*Result, error) {
+	return engineRun(ctx, "offline", injectOffline, spec, func(ctx context.Context, spec ErrorSpec) (*Result, error) {
+		best, why, err := e.certified(ctx, stmt, spec)
 		if err != nil {
 			return nil, err
 		}
-		res.Diagnostics.Stale = stale
-		res.Diagnostics.Latency = time.Since(start)
-		return res, nil
-	}
+		if best == nil {
+			return e.exactEngine().fallBack(ctx, stmt, spec, "offline: "+why)
+		}
+		d := draw{tech: TechniqueOffline, guarantee: GuaranteeAPriori, standIn: &best.standIn,
+			workers: e.Config.Workers,
+			notes: []string{fmt.Sprintf("offline: answered from sample %s (%d rows, profiled err %.4f)",
+				best.name, best.data.NumRows(), best.prof)}}
+		if best.stale {
+			d.guarantee = GuaranteeNone
+		}
+		return execute(ctx, e.Catalog, stmt, spec, d)
+	})
+}
 
+// exactEngine builds the exact-fallback engine at the same parallelism.
+func (e *OfflineEngine) exactEngine() *ExactEngine {
+	return &ExactEngine{Catalog: e.Catalog, Workers: e.Config.Workers}
+}
+
+// certified selects the sample that answers the statement, paying an inline
+// rebuild first when the stale policy asks for one; a nil candidate comes
+// with why the statement runs exactly.
+func (e *OfflineEngine) certified(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec) (*offlineCand, string, error) {
 	if ok, reason := supportedForSampling(stmt); !ok {
-		return fallback("fell back to exact: "+reason, false)
+		return nil, "fell back to exact: " + reason, nil
 	}
 	table := stmt.From.Name
 	if len(e.Samples(table)) == 0 {
-		return fallback("no samples for table "+table, false)
+		return nil, "no samples for table " + table, nil
 	}
-	qcs := e.queryQCS(stmt)
-	key := profileKey(table, qcs)
-
-	// Certified candidates: applicable, fresh (or policy-permitted), and
-	// profiled under the spec with the safety factor.
 	selsp, _ := trace.StartSpan(ctx, "select-sample")
-	best, wantRebuild := e.selectSample(stmt, spec, table, qcs, key)
+	defer selsp.End()
+	best, wantRebuild := e.selectSample(stmt, spec, false)
 	if wantRebuild {
 		// The maintenance cost the paper highlights, paid inline: refresh
 		// the whole table's ladder, then select again (nothing stale now).
@@ -539,48 +493,17 @@ func (e *OfflineEngine) ExecuteContext(ctx context.Context, stmt *sqlparse.Selec
 			Seed:  e.Config.Seed,
 		}, func() error { return e.Rebuild(table) })
 		if rerr != nil {
-			selsp.End()
-			return nil, rerr
+			return nil, "", rerr
 		}
-		best, _ = e.selectSample(stmt, spec, table, qcs, key)
+		best, _ = e.selectSample(stmt, spec, false)
 	}
-	if best != nil {
-		selsp.SetAttr("sample", best.name)
-		selsp.SetAttrInt("sample_rows", int64(best.rows))
-		selsp.SetAttrFloat("profiled_err", best.prof)
-	}
-	selsp.End()
 	if best == nil {
-		return fallback("no certified sample for spec (unpredicted QCS, too-tight spec, or stale samples)", false)
+		return nil, "no certified sample for spec (unpredicted QCS, too-tight spec, or stale samples)", nil
 	}
-
-	raw, err := e.executeOn(ctx, best.s, stmt)
-	if err != nil {
-		return nil, err
-	}
-	asp, _ := trace.StartSpan(ctx, "estimate")
-	guarantee := GuaranteeAPriori
-	if best.stale {
-		guarantee = GuaranteeNone
-	}
-	out := annotate(stmt, raw, spec, TechniqueOffline, guarantee)
-	asp.End()
-	out.Diagnostics.Stale = best.stale
-	out.Diagnostics.Latency = time.Since(start)
-	out.Diagnostics.Workers = exec.ResolveWorkers(ctx, e.Config.Workers)
-	if t, err := e.Catalog.Table(table); err == nil && t.NumRows() > 0 {
-		out.Diagnostics.SampleFraction = float64(best.rows) / float64(t.NumRows())
-	}
-	// Lineage: current snapshot plus the stored sample's build watermark,
-	// so audits can tell "sample predates these rows" from "estimator bad".
-	stampLineage(&out.Diagnostics, e.Catalog, table)
-	out.Diagnostics.Lineage.SampleName = best.name
-	out.Diagnostics.Lineage.BuildVersion = best.s.BuildVersion
-	out.Diagnostics.Lineage.BuildRows = best.s.BuildRows
-	out.Diagnostics.Messages = append(out.Diagnostics.Messages,
-		fmt.Sprintf("offline: answered from sample %s (%d rows, profiled err %.4f)",
-			best.name, best.rows, best.prof))
-	return out, nil
+	selsp.SetAttr("sample", best.name)
+	selsp.SetAttrInt("sample_rows", int64(best.data.NumRows()))
+	selsp.SetAttrFloat("profiled_err", best.prof)
+	return best, "", nil
 }
 
 // maxRelError compares two results row-by-row on aggregate items,

@@ -100,16 +100,13 @@ func (e *OLAEngine) Name() Technique { return TechniqueOLA }
 
 // Execute implements Engine by running ExecuteProgressive without an
 // observer.
-func (e *OLAEngine) Execute(stmt *sqlparse.SelectStmt, spec ErrorSpec) (*Result, error) {
-	return e.ExecuteProgressive(stmt, spec, nil)
+func (e *OLAEngine) Execute(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec) (*Result, error) {
+	return e.ExecuteProgressive(ctx, stmt, spec, nil)
 }
 
-// ExecuteContext runs the query under a context. At the deadline the
-// engine does not error: it stops reading and returns its best
-// progressive estimate so far with an honest a-posteriori CI — the
-// error/latency trade-off made explicit (graceful degradation).
-func (e *OLAEngine) ExecuteContext(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec) (*Result, error) {
-	return e.ExecuteProgressiveContext(ctx, stmt, spec, nil)
+// exactEngine builds the exact-fallback engine at the same parallelism.
+func (e *OLAEngine) exactEngine() *ExactEngine {
+	return &ExactEngine{Catalog: e.Catalog, Workers: e.Config.Workers}
 }
 
 // olaAgg is a per-group, per-slot accumulator over the rows read so far.
@@ -131,31 +128,30 @@ type olaGroup struct {
 }
 
 // ExecuteProgressive runs the query with checkpoints; observe (if
-// non-nil) is called at each checkpoint and may return false to stop.
-func (e *OLAEngine) ExecuteProgressive(stmt *sqlparse.SelectStmt, spec ErrorSpec,
-	observe func(Progress) bool) (*Result, error) {
-	return e.ExecuteProgressiveContext(context.Background(), stmt, spec, observe)
-}
-
-// ExecuteProgressiveContext is ExecuteProgressive under a context. The
+// non-nil) is called at each checkpoint and may return false to stop. The
 // context is checked between chunks after the first chunk completes:
 // cancellation or a deadline ends the progressive loop and the best
 // estimate so far is returned (never an error), keeping its a-posteriori
 // guarantee — a deadline is a data-independent stopping rule, so unlike
 // spec-triggered early stopping it does not void the CI's coverage.
-func (e *OLAEngine) ExecuteProgressiveContext(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec,
-	observe func(Progress) bool) (_ *Result, err error) {
-	defer contain(&err)
-	start := time.Now()
-	esp, ctx := trace.StartSpan(ctx, "engine ola")
-	defer esp.End()
-	if !spec.Valid() {
-		spec = DefaultErrorSpec
-	}
-	if ok, reason := e.supported(stmt); !ok {
-		return (&ExactEngine{Catalog: e.Catalog, Workers: e.Config.Workers}).fallBack(ctx, stmt, spec,
-			"ola: fell back to exact: "+reason)
-	}
+//
+// OLA is the one technique that is not a draw handed to execute: its rows
+// arrive in permuted chunks and its estimator accumulates across them in a
+// pinned float order. It shares the engines' entry and exit, the exact
+// fallback and the run stamp.
+func (e *OLAEngine) ExecuteProgressive(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec,
+	observe func(Progress) bool) (*Result, error) {
+	return engineRun(ctx, "ola", nil, spec, func(ctx context.Context, spec ErrorSpec) (*Result, error) {
+		if ok, reason := e.supported(stmt); !ok {
+			return e.exactEngine().fallBack(ctx, stmt, spec, "ola: fell back to exact: "+reason)
+		}
+		return e.progress(ctx, stmt, spec, observe)
+	})
+}
+
+// progress is the chunk loop behind ExecuteProgressive.
+func (e *OLAEngine) progress(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec,
+	observe func(Progress) bool) (*Result, error) {
 	setupSp, _ := trace.StartSpan(ctx, "setup")
 	t, err := e.Catalog.Table(stmt.From.Name)
 	if err != nil {
@@ -297,12 +293,11 @@ func (e *OLAEngine) ExecuteProgressiveContext(ctx context.Context, stmt *sqlpars
 		final = e.checkpoint(stmt, aggs, groups, maxInt(read, 1), n, spec)
 	}
 	ckptSp.SetAttrInt("checkpoints", checkpoints)
+	fraction := float64(read) / math.Max(float64(n), 1)
+	esp := trace.SpanFromContext(ctx)
 	esp.SetAttrInt("rows_read", int64(read))
-	esp.SetAttrFloat("fraction", float64(read)/math.Max(float64(n), 1))
-	final.Diagnostics.Latency = time.Since(start)
-	final.Diagnostics.SampleFraction = float64(read) / math.Max(float64(n), 1)
-	final.Diagnostics.Workers = workers
-	stampLineage(&final.Diagnostics, e.Catalog, stmt.From.Name)
+	esp.SetAttrFloat("fraction", fraction)
+	stampRun(&final.Diagnostics, e.Catalog, stmt.From.Name, fraction, workers)
 	final.Diagnostics.Counters.RowsScanned = int64(read)
 	final.Diagnostics.Counters.RowsEmitted = int64(read)
 	final.Diagnostics.Counters.Passes = 1

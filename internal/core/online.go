@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/exec"
 	"repro/internal/expr"
@@ -99,11 +98,11 @@ type OnlineEngine struct {
 	histograms map[string]*sketch.EquiDepthHistogram
 }
 
+// cachedSample is a reusable uniform sample (with weight column) of its
+// source table at rate, stamped with the base-table watermark at build time.
 type cachedSample struct {
-	data    *storage.Table // sample with weight column
-	version uint64         // base table version at build time
-	srcRows int            // base table rows at build time
-	rate    float64
+	standIn
+	rate float64
 }
 
 // NewOnlineEngine builds an online engine with the given config.
@@ -197,257 +196,156 @@ func (e *OnlineEngine) estimatedQualifyingRows(s *plan.Scan) (float64, bool) {
 // Name implements Engine.
 func (e *OnlineEngine) Name() Technique { return TechniqueOnline }
 
-// Execute implements Engine.
-func (e *OnlineEngine) Execute(stmt *sqlparse.SelectStmt, spec ErrorSpec) (*Result, error) {
-	return e.ExecuteContext(context.Background(), stmt, spec)
+// Execute implements Engine: decide the draw — samplers placed on the
+// plan, the shard group to scatter over, or the cached sample standing in —
+// and run it. Statements that cannot or should not be sampled run exactly.
+func (e *OnlineEngine) Execute(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec) (*Result, error) {
+	return engineRun(ctx, "online", injectOnline, spec, func(ctx context.Context, spec ErrorSpec) (*Result, error) {
+		d, why, err := e.draw(ctx, stmt)
+		if err != nil {
+			return nil, err
+		}
+		if why == "" {
+			// Sampling a scan whose filter leaves too few expected rows
+			// cannot meet any spec; run exactly instead.
+			why = e.selectivityGuard(d.plan)
+		}
+		if why != "" {
+			return e.exactEngine().fallBack(ctx, stmt, spec, "online: fell back to exact: "+why)
+		}
+		if e.Config.FallbackToExact {
+			d.onMiss = e.exactEngine()
+		}
+		if e.Config.CacheSamples && d.group == nil {
+			// Sharded tables answer scatter-gather; the sample cache does not
+			// apply (each shard owns its own independently seeded sample).
+			csp, _ := trace.StartSpan(ctx, "sample-cache")
+			err = e.cachedDraw(&d, stmt)
+			csp.End()
+			if err != nil {
+				return nil, err
+			}
+		}
+		return execute(ctx, e.Catalog, stmt, spec, d)
+	})
 }
 
-// ExecuteContext is Execute under a context: the sampled scan (and any
-// exact fallback) observes cancellation and deadlines.
-func (e *OnlineEngine) ExecuteContext(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec) (_ *Result, err error) {
-	defer contain(&err)
-	if err := injectOnline.Inject(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	esp, ctx := trace.StartSpan(ctx, "engine online")
-	defer esp.End()
-	if !spec.Valid() {
-		spec = DefaultErrorSpec
-	}
+// draw plans the statement and places the engine's samplers on the plan
+// (in a contract, at whatever rate the stage sets). A non-empty why says
+// the statement must run exactly instead.
+func (e *OnlineEngine) draw(ctx context.Context, stmt *sqlparse.SelectStmt) (d draw, why string, err error) {
 	if ok, reason := supportedForSampling(stmt); !ok {
-		return e.exactEngine().fallBack(ctx, stmt, spec, "online: fell back to exact: "+reason)
+		return d, reason, nil
 	}
-
-	psp, _ := trace.StartSpan(ctx, "plan")
-	p, err := plan.Build(stmt, e.Catalog)
-	psp.End()
+	p, err := buildPlan(ctx, stmt, e.Catalog)
 	if err != nil {
-		return nil, err
+		return d, "", err
 	}
 	ssp, _ := trace.StartSpan(ctx, "place-samplers")
-	planned, notes := e.placeSamplers(stmt, p)
+	notes := e.placeSamplers(stmt, p)
 	ssp.End()
-	if !planned {
-		return e.exactEngine().fallBack(ctx, stmt, spec, notes...)
+	if notes == nil {
+		return d, "no table large enough to sample", nil
 	}
-
-	// Selectivity guard: sampling a scan whose filter leaves too few
-	// expected rows cannot meet any spec; run exactly instead.
-	if e.Config.MinExpectedSampleRows > 0 {
-		for _, s := range plan.Scans(p) {
-			if s.Sample == nil {
-				continue
-			}
-			if q, ok := e.estimatedQualifyingRows(s); ok {
-				if expected := q * s.Sample.Rate; expected < e.Config.MinExpectedSampleRows {
-					return e.exactEngine().fallBack(ctx, stmt, spec, fmt.Sprintf(
-						"online: selectivity guard — histogram predicts ~%.1f sampled qualifying rows on %s (< %g); running exactly",
-						expected, s.TableName, e.Config.MinExpectedSampleRows))
-				}
-			}
-		}
-	}
-
+	d = draw{tech: TechniqueOnline, guarantee: GuaranteeAPosteriori, notes: notes,
+		workers: e.Config.Workers, plan: p}
 	if g := shardGroupFor(e.Shards, stmt); g != nil && exec.Gatherable(p) {
-		// Sharded tables answer scatter-gather; the sample cache does not
-		// apply (each shard owns its own independently seeded sample).
-		return e.executeSharded(ctx, g, stmt, p, spec, notes, start)
+		d.group = g
 	}
-
-	if e.Config.CacheSamples {
-		csp, cctx := trace.StartSpan(ctx, "sample-cache")
-		res, handled, err := e.tryCached(cctx, stmt, p, spec, notes, start)
-		csp.End()
-		if handled {
-			return res, err
-		}
-	}
-
-	workers := resolveWorkers(ctx, p, e.Config.Workers)
-	esp.SetAttrInt("workers", int64(workers))
-	raw, err := exec.RunParallelContext(ctx, p, workers)
-	if err != nil {
-		return nil, err
-	}
-	asp, _ := trace.StartSpan(ctx, "estimate")
-	out := annotate(stmt, raw, spec, TechniqueOnline, GuaranteeAPosteriori)
-	asp.End()
-	out.Diagnostics.Messages = append(out.Diagnostics.Messages, notes...)
-	out.Diagnostics.SampleFraction = sampleFraction(raw.Counters, sampledRows(p))
-	out.Diagnostics.Workers = workers
-	stampLineage(&out.Diagnostics, e.Catalog, stmt.From.Name)
-	esp.SetAttrFloat("sample_fraction", out.Diagnostics.SampleFraction)
-
-	if !out.Diagnostics.SpecSatisfied && e.Config.FallbackToExact {
-		exactRes, err := e.exactEngine().fallBack(ctx, stmt, spec,
-			"online: sampled CIs missed the spec; re-ran exactly (second pass)")
-		if err != nil {
-			return nil, err
-		}
-		exactRes.Diagnostics.Counters.Add(raw.Counters)
-		exactRes.Diagnostics.Latency = time.Since(start)
-		return exactRes, nil
-	}
-	out.Diagnostics.Latency = time.Since(start)
-	return out, nil
+	return d, "", nil
 }
 
-// executeSharded runs the sampled plan scatter-gather over the shard
-// group. The sampler spec placeSamplers chose for the base plan is pushed
-// to every shard with a shard-derived seed; merging the per-shard partials
-// in shard order composes the stratified estimate losslessly, and the
-// finalize step reuses the base plan's above-aggregate chain — with one
-// shard, execution is bit-identical to the unsharded path.
-func (e *OnlineEngine) executeSharded(ctx context.Context, g *shard.Group, stmt *sqlparse.SelectStmt,
-	p plan.Node, spec ErrorSpec, notes []string, start time.Time) (*Result, error) {
-
-	workers := resolveWorkers(ctx, p, e.Config.Workers)
-	run, err := runSharded(ctx, g, stmt, p, firstSampler(p), workers)
-	if err != nil {
-		return nil, err
+// selectivityGuard says why sampling the plan is pointless — a sampled
+// scan whose filter leaves too few expected rows — or "".
+func (e *OnlineEngine) selectivityGuard(p plan.Node) string {
+	if e.Config.MinExpectedSampleRows <= 0 {
+		return ""
 	}
-	asp, _ := trace.StartSpan(ctx, "estimate")
-	guarantee := GuaranteeAPosteriori
-	if run.degraded && !run.summary.Extrapolated {
-		// Survivors answer for a population the CI cannot be stretched to
-		// cover (range gap): approximate with no defensible statement.
-		guarantee = GuaranteeNone
-	}
-	out := annotate(stmt, run.raw, spec, TechniqueOnline, guarantee)
-	asp.End()
-	out.Diagnostics.Messages = append(out.Diagnostics.Messages, notes...)
-	out.Diagnostics.Messages = append(out.Diagnostics.Messages, run.messages...)
-	out.Diagnostics.SampleFraction = sampleFraction(run.raw.Counters, run.sampledPop)
-	out.Diagnostics.Workers = workers
-	out.Diagnostics.Degraded = run.degraded
-	out.Diagnostics.Shards = run.summary
-	stampLineage(&out.Diagnostics, e.Catalog, stmt.From.Name)
-
-	if !out.Diagnostics.SpecSatisfied && !run.degraded && e.Config.FallbackToExact {
-		exactRes, err := e.exactEngine().fallBack(ctx, stmt, spec,
-			"online: sampled CIs missed the spec; re-ran exactly (second pass)")
-		if err != nil {
-			return nil, err
-		}
-		exactRes.Diagnostics.Counters.Add(run.raw.Counters)
-		exactRes.Diagnostics.Latency = time.Since(start)
-		return exactRes, nil
-	}
-	out.Diagnostics.Latency = time.Since(start)
-	return out, nil
-}
-
-// tryCached serves the query from a Taster-style reusable uniform sample.
-// It applies only when the engine (not the user) placed a single uniform
-// sampler; returns handled=false to fall through to the normal path.
-// The engine lock is held across the check-and-build so concurrent
-// queries over the same table build the cached sample once.
-func (e *OnlineEngine) tryCached(ctx context.Context, stmt *sqlparse.SelectStmt, p plan.Node, spec ErrorSpec,
-	notes []string, start time.Time) (*Result, bool, error) {
-	// User-written TABLESAMPLE clauses opt out of caching.
-	if stmt.From.Sample != nil {
-		return nil, false, nil
-	}
-	for _, j := range stmt.Joins {
-		if j.Table.Sample != nil {
-			return nil, false, nil
-		}
-	}
-	var sampled *plan.Scan
 	for _, s := range plan.Scans(p) {
 		if s.Sample == nil {
 			continue
 		}
+		if q, ok := e.estimatedQualifyingRows(s); ok {
+			if expected := q * s.Sample.Rate; expected < e.Config.MinExpectedSampleRows {
+				return fmt.Sprintf(
+					"selectivity guard — histogram predicts ~%.1f sampled qualifying rows on %s (< %g)",
+					expected, s.TableName, e.Config.MinExpectedSampleRows)
+			}
+		}
+	}
+	return ""
+}
+
+// cachedDraw turns d into a draw from the Taster-style reusable uniform
+// sample of the table d's plan samples, materializing it on first use. It
+// applies only when the engine (not the user) placed a single uniform
+// sampler, and leaves d alone otherwise. The engine lock is held across
+// the check-and-build so concurrent queries over the same table build the
+// cached sample once.
+func (e *OnlineEngine) cachedDraw(d *draw, stmt *sqlparse.SelectStmt) error {
+	// User-written TABLESAMPLE clauses opt out of caching.
+	if stmt.From.Sample != nil {
+		return nil
+	}
+	for _, j := range stmt.Joins {
+		if j.Table.Sample != nil {
+			return nil
+		}
+	}
+	var sampled *plan.Scan
+	for _, s := range plan.Scans(d.plan) {
+		if s.Sample == nil {
+			continue
+		}
 		if sampled != nil || s.Sample.Kind != sample.KindUniformRow {
-			return nil, false, nil // multi-table or non-uniform: no caching
+			return nil // multi-table or non-uniform: no caching
 		}
 		sampled = s
 	}
 	if sampled == nil {
-		return nil, false, nil
+		return nil
 	}
-	name := sampled.TableName
-	base := sampled.Table
-	rate := sampled.Sample.Rate
+	name, base, rate := sampled.TableName, sampled.Table, sampled.Sample.Rate
 
-	var builtRows int64
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	c := e.cache[name]
-	if c == nil || c.version != base.Version() || c.rate != rate {
+	var buildCost int64
+	if c == nil || c.buildVersion != base.Version() || c.rate != rate {
 		res, err := sample.BuildUniformTable(base, rate, e.Config.Seed, name+"__cache")
 		if err != nil {
-			e.mu.Unlock()
-			return nil, true, err
+			return err
 		}
-		c = &cachedSample{data: res.Table, version: res.BuildVersion, srcRows: res.SourceRows, rate: rate}
+		c = &cachedSample{rate: rate, standIn: standIn{source: name, data: res.Table,
+			name: res.Table.Name(), buildVersion: res.BuildVersion, buildRows: res.SourceRows}}
 		e.cache[name] = c
 		e.CacheMisses++
-		builtRows = int64(base.NumRows())
-		notes = append(notes, fmt.Sprintf("online: cache miss — materialized %d-row sample of %s",
+		buildCost = int64(base.NumRows())
+		d.notes = append(d.notes, fmt.Sprintf("online: cache miss — materialized %d-row sample of %s",
 			res.SampleRows, name))
 	} else {
 		e.CacheHits++
-		notes = append(notes, fmt.Sprintf("online: cache hit — reusing %d-row sample of %s",
+		d.notes = append(d.notes, fmt.Sprintf("online: cache hit — reusing %d-row sample of %s",
 			c.data.NumRows(), name))
 	}
-	e.mu.Unlock()
-
-	shadow := storage.NewCatalog()
-	for _, tn := range e.Catalog.Names() {
-		if tn == name {
-			continue
-		}
-		t, err := e.Catalog.Table(tn)
-		if err != nil {
-			return nil, true, err
-		}
-		if err := shadow.AddAs(tn, t); err != nil {
-			return nil, true, err
-		}
-	}
-	if err := shadow.AddAs(name, c.data); err != nil {
-		return nil, true, err
-	}
-	p2, err := plan.Build(stmt, shadow)
-	if err != nil {
-		return nil, true, err
-	}
-	workers := resolveWorkers(ctx, p2, e.Config.Workers)
-	raw, err := exec.RunParallelContext(ctx, p2, workers)
-	if err != nil {
-		return nil, true, err
-	}
-	raw.Counters.RowsScanned += builtRows // the build pass is real work
-	out := annotate(stmt, raw, spec, TechniqueOnline, GuaranteeAPosteriori)
-	out.Diagnostics.Messages = append(out.Diagnostics.Messages, notes...)
-	out.Diagnostics.Workers = workers
-	if base.NumRows() > 0 {
-		out.Diagnostics.SampleFraction = float64(c.data.NumRows()) / float64(base.NumRows())
-	}
-	// The cached sample may predate this execution: lineage carries its
-	// build watermark, not the current snapshot's.
-	stampLineage(&out.Diagnostics, e.Catalog, name)
-	out.Diagnostics.Lineage.SampleName = c.data.Name()
-	out.Diagnostics.Lineage.BuildVersion = c.version
-	out.Diagnostics.Lineage.BuildRows = c.srcRows
-	out.Diagnostics.Latency = time.Since(start)
-	return out, true, nil
+	in := c.standIn
+	in.buildCost = buildCost
+	d.standIn, d.plan = &in, nil
+	return nil
 }
 
 // placeSamplers injects samplers into the plan scans following the plan
-// shape, honoring user-specified TABLESAMPLE clauses. Returns false when
-// no table is worth sampling.
-func (e *OnlineEngine) placeSamplers(stmt *sqlparse.SelectStmt, p plan.Node) (bool, []string) {
+// shape, honoring user-specified TABLESAMPLE clauses, and notes what it
+// placed. Returns nil when no table is worth sampling.
+func (e *OnlineEngine) placeSamplers(stmt *sqlparse.SelectStmt, p plan.Node) []string {
 	var notes []string
 	scans := plan.Scans(p)
 
 	// User-specified TABLESAMPLE wins.
 	for _, s := range scans {
 		if s.Sample != nil {
-			notes = append(notes, fmt.Sprintf("online: honoring TABLESAMPLE on %s: %s",
+			return append(notes, fmt.Sprintf("online: honoring TABLESAMPLE on %s: %s",
 				s.TableName, s.Sample))
-			return true, notes
 		}
 	}
 
@@ -459,7 +357,7 @@ func (e *OnlineEngine) placeSamplers(stmt *sqlparse.SelectStmt, p plan.Node) (bo
 		}
 	}
 	if len(large) == 0 {
-		return false, append(notes, "online: no table large enough to sample")
+		return nil
 	}
 	var biggest *plan.Scan
 	for _, s := range large {
@@ -494,10 +392,10 @@ func (e *OnlineEngine) placeSamplers(stmt *sqlparse.SelectStmt, p plan.Node) (bo
 			}
 			notes = append(notes, fmt.Sprintf("online: distinct sampler on %s keyed on %v",
 				s.TableName, cols))
-			return true, notes
+			return notes
 		}
 		uniformOnBiggest("group columns live on unsampled tables, which stay whole")
-		return true, notes
+		return notes
 	}
 
 	// Case 2: two large tables joined on a single-column equation ->
@@ -520,13 +418,13 @@ func (e *OnlineEngine) placeSamplers(stmt *sqlparse.SelectStmt, p plan.Node) (bo
 			notes = append(notes, fmt.Sprintf(
 				"online: universe samplers on %s(%s) and %s(%s), shared salt",
 				pr.left.TableName, pr.leftCol, pr.right.TableName, pr.rightCol))
-			return true, notes
+			return notes
 		}
 	}
 
 	// Case 3: uniform (or block) sampling on the largest table.
 	uniformOnBiggest("default")
-	return true, notes
+	return notes
 }
 
 // groupScanAndColumns finds a single large scan that carries all GROUP BY

@@ -88,11 +88,11 @@ func TestShardSingleBitIdentity(t *testing.T) {
 	exPlain := NewExactEngine(ev.Catalog)
 	exSharded := NewExactEngine(ev.Catalog)
 	exSharded.Shards = m
-	ra, err := exPlain.Execute(stmt, DefaultErrorSpec)
+	ra, err := exPlain.Execute(context.Background(), stmt, DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := exSharded.Execute(stmt, DefaultErrorSpec)
+	rb, err := exSharded.Execute(context.Background(), stmt, DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestShardDegradeUnderChaos(t *testing.T) {
 	eng := NewOnlineEngine(ev.Catalog, OnlineConfig{
 		DefaultRate: 0.1, MinTableRows: 1, Seed: 42})
 	eng.Shards = m
-	res, err := eng.ExecuteContext(context.Background(), stmt, ErrorSpec{RelError: 0.5, Confidence: 0.95})
+	res, err := eng.Execute(context.Background(), stmt, ErrorSpec{RelError: 0.5, Confidence: 0.95})
 	if err != nil {
 		t.Fatalf("degraded query failed outright: %v", err)
 	}
@@ -159,7 +159,7 @@ func TestShardDegradeUnderChaos(t *testing.T) {
 	// guarantee drops to none rather than faking certainty.
 	ex := NewExactEngine(ev.Catalog)
 	ex.Shards = m
-	exRes, err := ex.Execute(stmt, DefaultErrorSpec)
+	exRes, err := ex.Execute(context.Background(), stmt, DefaultErrorSpec)
 	if err != nil {
 		t.Fatalf("degraded exact query failed outright: %v", err)
 	}
@@ -181,7 +181,7 @@ func TestShardedWorkerInvariance(t *testing.T) {
 	var first float64
 	for i, w := range []int{1, 2, 4, 7} {
 		ctx := exec.ContextWithWorkers(context.Background(), w)
-		res, err := eng.ExecuteContext(ctx, stmt, DefaultErrorSpec)
+		res, err := eng.Execute(ctx, stmt, DefaultErrorSpec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,11 +33,6 @@ type shardRun struct {
 	// sampledPop is the population actually subject to sampling (covered
 	// rows), the denominator for SampleFraction.
 	sampledPop int64
-	// moments holds per-shard slot moments (contract pilots only; nil
-	// entries mark failed/pruned shards), and rows the matching per-shard
-	// populations in shard order.
-	moments [][]exec.SlotMoment
-	rows    []int
 }
 
 // runSharded scatters the statement over the group and finalizes the
@@ -45,6 +40,8 @@ type shardRun struct {
 // operator chain (HAVING/projection/sort/limit) is byte-for-byte the one
 // an unsharded run would execute. smp, when non-nil, is the sampler spec
 // each shard applies with an independently derived seed; nil runs exact.
+// rates, when set, overrides the sampling rate per shard, and moments,
+// when non-nil, receives per-shard slot moments (contract stages).
 //
 // Lost shards degrade the result instead of failing it. When the group is
 // hash-partitioned and sampling is in effect, the survivors are an
@@ -54,19 +51,20 @@ type shardRun struct {
 // systematic gaps and exact runs carry no variance to widen, so neither
 // extrapolates; the caller downgrades the guarantee instead.
 func runSharded(ctx context.Context, g *shard.Group, stmt *sqlparse.SelectStmt, p plan.Node,
-	smp *sample.Spec, workers int, opts ...func(*shard.ExecOptions)) (*shardRun, error) {
+	smp *sample.Spec, workers int, rates []float64, moments *[][]exec.SlotMoment) (*shardRun, error) {
 
-	eo := shard.ExecOptions{
-		Workers:       workers,
-		Sample:        smp,
-		AllowDegraded: true,
-	}
-	for _, o := range opts {
-		o(&eo)
-	}
-	sres, err := g.Scatter(ctx, stmt, eo)
+	sres, err := g.Scatter(ctx, stmt, shard.ExecOptions{
+		Workers:        workers,
+		Sample:         smp,
+		AllowDegraded:  true,
+		ShardRates:     rates,
+		CollectMoments: moments != nil,
+	})
 	if err != nil {
 		return nil, err
+	}
+	if moments != nil {
+		*moments = sres.ShardMoments
 	}
 
 	sum := &ShardExecSummary{
@@ -84,8 +82,7 @@ func runSharded(ctx context.Context, g *shard.Group, stmt *sqlparse.SelectStmt, 
 		sum.CoverageFraction = float64(sres.CoveredRows) / float64(sres.TotalRows)
 	}
 
-	run := &shardRun{summary: sum, degraded: sres.Degraded(),
-		moments: sres.ShardMoments, rows: sum.RowsPerShard}
+	run := &shardRun{summary: sum, degraded: sres.Degraded()}
 	if smp != nil {
 		run.sampledPop = int64(sres.CoveredRows)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"repro/internal/expr"
 	"repro/internal/fault"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/sqlparse"
 	"repro/internal/stats"
 	"repro/internal/storage"
-	"repro/internal/trace"
 )
 
 // injectSynopsis fires at synopsis-engine entry.
@@ -131,56 +129,41 @@ func (e *SynopsisEngine) BuildColumn(table, col string, buckets int) error {
 }
 
 // Execute implements Engine. Unsupported queries return an error — the
-// Advisor is responsible for routing them elsewhere.
-func (e *SynopsisEngine) Execute(stmt *sqlparse.SelectStmt, spec ErrorSpec) (*Result, error) {
-	return e.ExecuteContext(context.Background(), stmt, spec)
-}
-
-// ExecuteContext is Execute under a context. Synopsis answers are
+// Advisor is responsible for routing them elsewhere. Synopsis answers are
 // O(synopsis) — no scan to cancel — so the context is only checked once
 // up front.
-func (e *SynopsisEngine) ExecuteContext(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec) (_ *Result, err error) {
-	defer contain(&err)
-	if err := injectSynopsis.Inject(); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	esp, _ := trace.StartSpan(ctx, "engine synopsis")
-	defer esp.End()
-	if !spec.Valid() {
-		spec = DefaultErrorSpec
-	}
-	est, name, iv, key, err := e.answer(stmt)
-	if err != nil {
-		return nil, err
-	}
-	val := storage.Float64(est)
-	out := &Result{
-		Columns:   []string{name},
-		Rows:      [][]storage.Value{{val}},
-		Technique: TechniqueSynopsis,
-		Guarantee: GuaranteeAPosteriori,
-		Spec:      spec,
-	}
-	rel := iv.RelHalfWidth(est)
-	out.Items = [][]ItemResult{{{
-		Name: name, Value: val, IsAggregate: true, HasCI: true, CI: iv, RelHalfWidth: rel,
-	}}}
-	out.Diagnostics.SpecSatisfied = rel <= spec.RelError
-	out.Diagnostics.Latency = time.Since(start)
-	out.Diagnostics.SampleFraction = 0
-	stampLineage(&out.Diagnostics, e.Catalog, stmt.From.Name)
-	out.Diagnostics.Lineage.SampleName = key
-	e.mu.RLock()
-	if bl, ok := e.built[key]; ok {
-		out.Diagnostics.Lineage.BuildVersion = bl.version
-		out.Diagnostics.Lineage.BuildRows = bl.rows
-	}
-	e.mu.RUnlock()
-	return out, nil
+func (e *SynopsisEngine) Execute(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec) (*Result, error) {
+	return engineRun(ctx, "synopsis", injectSynopsis, spec, func(ctx context.Context, spec ErrorSpec) (*Result, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		est, name, iv, key, err := e.answer(stmt)
+		if err != nil {
+			return nil, err
+		}
+		val := storage.Float64(est)
+		out := &Result{
+			Columns:   []string{name},
+			Rows:      [][]storage.Value{{val}},
+			Technique: TechniqueSynopsis,
+			Guarantee: GuaranteeAPosteriori,
+			Spec:      spec,
+		}
+		rel := iv.RelHalfWidth(est)
+		out.Items = [][]ItemResult{{{
+			Name: name, Value: val, IsAggregate: true, HasCI: true, CI: iv, RelHalfWidth: rel,
+		}}}
+		out.Diagnostics.SpecSatisfied = rel <= spec.RelError
+		out.Diagnostics.Lineage = queryTimeLineage(e.Catalog, stmt.From.Name)
+		out.Diagnostics.Lineage.SampleName = key
+		e.mu.RLock()
+		if bl, ok := e.built[key]; ok {
+			out.Diagnostics.Lineage.BuildVersion = bl.version
+			out.Diagnostics.Lineage.BuildRows = bl.rows
+		}
+		e.mu.RUnlock()
+		return out, nil
+	})
 }
 
 // answer pattern-matches the supported query shapes.

@@ -63,14 +63,14 @@ func WorkersFromContext(ctx context.Context) int {
 }
 
 // ResolveWorkers resolves the effective worker count: a context override
-// wins, then a positive hint (plan hint or engine configuration), then
-// runtime.GOMAXPROCS. The result is always at least 1.
-func ResolveWorkers(ctx context.Context, hint int) int {
+// wins, then a positive engine configuration, then runtime.GOMAXPROCS. The
+// result is always at least 1.
+func ResolveWorkers(ctx context.Context, cfg int) int {
 	if n := WorkersFromContext(ctx); n > 0 {
 		return n
 	}
-	if hint > 0 {
-		return hint
+	if cfg > 0 {
+		return cfg
 	}
 	if n := runtime.GOMAXPROCS(0); n > 1 {
 		return n

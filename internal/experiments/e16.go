@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/core"
@@ -39,7 +40,7 @@ func runE16(s Scale) (*Table, error) {
 					return 0, 0, err
 				}
 				t0 := time.Now()
-				res, err := e.Execute(stmt, core.ErrorSpec{RelError: 0.2, Confidence: 0.95})
+				res, err := e.Execute(context.Background(), stmt, core.ErrorSpec{RelError: 0.2, Confidence: 0.95})
 				if err != nil {
 					return 0, 0, err
 				}
@@ -73,7 +74,7 @@ func runE16(s Scale) (*Table, error) {
 		return nil, err
 	}
 	stmt, _ := sqlparse.Parse(queries[0])
-	if _, err := cached.Execute(stmt, core.ErrorSpec{RelError: 0.2, Confidence: 0.95}); err != nil {
+	if _, err := cached.Execute(context.Background(), stmt, core.ErrorSpec{RelError: 0.2, Confidence: 0.95}); err != nil {
 		return nil, err
 	}
 

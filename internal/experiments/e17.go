@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math/rand"
 	"time"
 
@@ -44,7 +45,7 @@ func runE17(s Scale) (*Table, error) {
 			return nil, err
 		}
 		t0 := time.Now()
-		exRes, err := exact.Execute(stmt, spec)
+		exRes, err := exact.Execute(context.Background(), stmt, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -53,13 +54,10 @@ func runE17(s Scale) (*Table, error) {
 
 		for _, eng := range []struct {
 			name string
-			run  func(*sqlparse.SelectStmt) (*core.Result, error)
-		}{
-			{"online", func(st *sqlparse.SelectStmt) (*core.Result, error) { return online.Execute(st, spec) }},
-			{"ola", func(st *sqlparse.SelectStmt) (*core.Result, error) { return ola.Execute(st, spec) }},
-		} {
+			core.Engine
+		}{{"online", online}, {"ola", ola}} {
 			t0 = time.Now()
-			res, err := eng.run(stmt)
+			res, err := eng.Execute(context.Background(), stmt, spec)
 			if err != nil {
 				t.AddRow(tpl.Name, eng.name, "-", "-", "-", "error: "+err.Error())
 				continue

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -49,7 +50,7 @@ func exactFloat(cat *storage.Catalog, sql string, workers int) (float64, error) 
 	if err != nil {
 		return 0, err
 	}
-	res, err := (&core.ExactEngine{Catalog: cat, Workers: workers}).Execute(stmt, core.DefaultErrorSpec)
+	res, err := (&core.ExactEngine{Catalog: cat, Workers: workers}).Execute(context.Background(), stmt, core.DefaultErrorSpec)
 	if err != nil {
 		return 0, err
 	}
@@ -199,7 +200,7 @@ func runE3(s Scale) (*Table, error) {
 		}
 		sql := "SELECT ev_group, COUNT(*) FROM events GROUP BY ev_group"
 		stmt, _ := sqlparse.Parse(sql)
-		exactRes, err := core.NewExactEngine(ev.Catalog).Execute(stmt, core.DefaultErrorSpec)
+		exactRes, err := core.NewExactEngine(ev.Catalog).Execute(context.Background(), stmt, core.DefaultErrorSpec)
 		if err != nil {
 			return nil, err
 		}
@@ -262,7 +263,7 @@ func runE4(s Scale) (*Table, error) {
 	}
 	sql := "SELECT COUNT(*), SUM(l_extendedprice) FROM lineitem JOIN orders ON l_orderkey = o_orderkey"
 	stmt, _ := sqlparse.Parse(sql)
-	exactRes, err := core.NewExactEngine(star.Catalog).Execute(stmt, core.DefaultErrorSpec)
+	exactRes, err := core.NewExactEngine(star.Catalog).Execute(context.Background(), stmt, core.DefaultErrorSpec)
 	if err != nil {
 		return nil, err
 	}

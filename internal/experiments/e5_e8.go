@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math/rand"
 	"time"
 
@@ -74,11 +75,8 @@ func runE5(s Scale) (*Table, error) {
 		}
 		for _, eng := range []struct {
 			name string
-			run  func(*sqlparse.SelectStmt) (*core.Result, error)
-		}{
-			{"offline", func(st *sqlparse.SelectStmt) (*core.Result, error) { return offline.Execute(st, spec) }},
-			{"online", func(st *sqlparse.SelectStmt) (*core.Result, error) { return online.Execute(st, spec) }},
-		} {
+			core.Engine
+		}{{"offline", offline}, {"online", online}} {
 			var apriori, fellBack int
 			var scanFrac float64
 			for _, q := range queries {
@@ -86,11 +84,11 @@ func runE5(s Scale) (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				exactRes, err := exact.Execute(st, spec)
+				exactRes, err := exact.Execute(context.Background(), st, spec)
 				if err != nil {
 					return nil, err
 				}
-				res, err := eng.run(st)
+				res, err := eng.Execute(context.Background(), st, spec)
 				if err != nil {
 					return nil, err
 				}
@@ -162,11 +160,11 @@ func runE6(s Scale) (*Table, error) {
 			return nil, err
 		}
 		st, _ := sqlparse.Parse(sql)
-		offRes, err := offline.Execute(st, spec)
+		offRes, err := offline.Execute(context.Background(), st, spec)
 		if err != nil {
 			return nil, err
 		}
-		onRes, err := online.Execute(st, spec)
+		onRes, err := online.Execute(context.Background(), st, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -330,7 +328,7 @@ func runE8(s Scale) (*Table, error) {
 	for _, pr := range probes {
 		stmt, _ := sqlparse.Parse(pr.sql)
 		t0 := time.Now()
-		exRes, err := exact.Execute(stmt, core.DefaultErrorSpec)
+		exRes, err := exact.Execute(context.Background(), stmt, core.DefaultErrorSpec)
 		if err != nil {
 			return nil, err
 		}
@@ -341,7 +339,7 @@ func runE8(s Scale) (*Table, error) {
 
 		// Synopsis attempt.
 		t0 = time.Now()
-		synRes, err := syn.Execute(stmt, core.DefaultErrorSpec)
+		synRes, err := syn.Execute(context.Background(), stmt, core.DefaultErrorSpec)
 		if err != nil {
 			t.AddRow(pr.name, "synopsis", "-", "-", "unsupported")
 		} else {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/core"
@@ -37,7 +38,7 @@ func runE9(s Scale) (*Table, error) {
 
 	stmt, _ := sqlparse.Parse(sql)
 	t0 := time.Now()
-	exRes, err := exact.Execute(stmt, core.DefaultErrorSpec)
+	exRes, err := exact.Execute(context.Background(), stmt, core.DefaultErrorSpec)
 	if err != nil {
 		return nil, err
 	}
@@ -46,7 +47,7 @@ func runE9(s Scale) (*Table, error) {
 		time.Since(t0).Round(time.Microsecond).String(), "n/a")
 
 	t0 = time.Now()
-	onRes, err := online.Execute(stmt, core.ErrorSpec{RelError: 0.2, Confidence: 0.9})
+	onRes, err := online.Execute(context.Background(), stmt, core.ErrorSpec{RelError: 0.2, Confidence: 0.9})
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +62,7 @@ func runE9(s Scale) (*Table, error) {
 	fbCfg.FallbackToExact = true
 	fallback := core.NewOnlineEngine(star.Catalog, fbCfg)
 	t0 = time.Now()
-	fbRes, err := fallback.Execute(stmt, core.ErrorSpec{RelError: 0.0005, Confidence: 0.99})
+	fbRes, err := fallback.Execute(context.Background(), stmt, core.ErrorSpec{RelError: 0.0005, Confidence: 0.99})
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +109,7 @@ func runE10(s Scale) (*Table, error) {
 		}
 	}
 	stmt, _ := sqlparse.Parse(sql)
-	exactRes, err := core.NewExactEngine(ev.Catalog).Execute(stmt, core.DefaultErrorSpec)
+	exactRes, err := core.NewExactEngine(ev.Catalog).Execute(context.Background(), stmt, core.DefaultErrorSpec)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +117,7 @@ func runE10(s Scale) (*Table, error) {
 	t := &Table{ID: "E10", Title: "error–latency profile: spec -> sample choice",
 		Header: []string{"spec_relerr", "answered_from", "sample_rows", "achieved_max_relerr", "guarantee"}}
 	for _, eps := range []float64{0.5, 0.2, 0.1, 0.05, 0.005} {
-		res, err := off.Execute(stmt, core.ErrorSpec{RelError: eps, Confidence: 0.95})
+		res, err := off.Execute(context.Background(), stmt, core.ErrorSpec{RelError: eps, Confidence: 0.95})
 		if err != nil {
 			return nil, err
 		}
@@ -165,7 +166,7 @@ func runE11(s Scale) (*Table, error) {
 
 	t := &Table{ID: "E11", Title: "online aggregation: interval shrinks ~1/sqrt(rows)",
 		Header: []string{"fraction_read", "estimate_relerr", "ci_rel_halfwidth", "ci_rel*sqrt(rows)"}}
-	_, err = ola.ExecuteProgressive(stmt, core.DefaultErrorSpec, func(p core.Progress) bool {
+	_, err = ola.ExecuteProgressive(context.Background(), stmt, core.DefaultErrorSpec, func(p core.Progress) bool {
 		it := p.Result.Items[0][0]
 		rel := it.RelHalfWidth
 		t.AddRow(f4(p.Fraction), f4(relErr(p.Result.Float(0, 0), truth)),

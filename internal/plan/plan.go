@@ -39,9 +39,6 @@ type Scan struct {
 	// Projection, when non-nil, restricts output to the named columns (in
 	// the given order). Weight columns are always consumed regardless.
 	Projection []string
-	// Parallelism, when > 0, hints the worker count for morsel-parallel
-	// execution of this scan; 0 defers to engine and runtime defaults.
-	Parallelism int
 
 	out storage.Schema
 }
@@ -352,25 +349,6 @@ func Scans(n Node) []*Scan {
 	}
 	rec(n)
 	return out
-}
-
-// SetParallelism stamps a worker-count hint on every scan of the plan.
-func SetParallelism(n Node, workers int) {
-	for _, s := range Scans(n) {
-		s.Parallelism = workers
-	}
-}
-
-// Parallelism returns the largest positive per-scan worker-count hint in
-// the plan, or 0 when no scan carries one.
-func Parallelism(n Node) int {
-	hint := 0
-	for _, s := range Scans(n) {
-		if s.Parallelism > hint {
-			hint = s.Parallelism
-		}
-	}
-	return hint
 }
 
 // FindAggregate returns the (single) Aggregate node of the plan, or nil.

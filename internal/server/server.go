@@ -478,6 +478,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		prof = tr.Profile()
 		w.Header().Set("traceparent", tr.Root().Traceparent())
 	}
+	served := Served{Start: start, LatencyMS: latencyMS, SQL: req.SQL, Mode: req.Mode,
+		Stmt: stmt, Res: res, Err: err, Status: http.StatusOK}
 	if err != nil {
 		err = core.Classify(err)
 		status := http.StatusBadRequest
@@ -497,21 +499,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusRequestTimeout
 		}
 		s.met.Inc("queries_errors_total")
+		served.Err, served.Status = err, status
 		// Failures count against the shape too: a fingerprint whose
 		// queries started erroring is exactly what /workload should show.
-		var failFP string
 		if s.insight != nil {
 			// stmt is nil when the SQL did not parse: counted, not filed.
-			failFP = s.insight.ObserveStmt(stmt, insight.Observation{LatencyMS: latencyMS, Err: true})
+			s.insight.ObserveStmt(stmt, served.Observation())
 		}
+		qr := served.Record()
 		s.cfg.Logger.Warn("query failed",
-			"sql", req.SQL, "mode", req.Mode, "fingerprint", failFP,
+			"sql", req.SQL, "mode", req.Mode, "fingerprint", qr.Fingerprint,
 			"latency_ms", latencyMS, "status", status, "err", err.Error())
-		s.recordQuery(telemetry.QueryRecord{
-			Start: start, SQL: req.SQL, Mode: req.Mode,
-			Fingerprint: failFP,
-			Status:      status, Err: err.Error(), LatencyMS: latencyMS,
-		}, prof)
+		s.recordQuery(qr, prof)
 		writeError(w, status, "%v", err)
 		return
 	}
@@ -570,37 +569,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// existed, so the audit stream is an unbiased sample of production.
 	s.aud.OfferStmt(res, stmt)
 
-	contractVerdict := ""
-	if c := res.Diagnostics.Contract; c != nil {
-		contractVerdict = string(c.Verdict)
-	}
 	// File the outcome with the workload-insight registry. Like the
 	// auditor's Offer, this only observes: it never mutates res and
 	// cannot fail the query.
 	if s.insight != nil {
-		s.insight.ObserveStmt(stmt, insight.Observation{
-			Technique:       tech,
-			LatencyMS:       latencyMS,
-			RowsScanned:     res.Diagnostics.Counters.RowsScanned,
-			RelWidth:        res.MaxRelHalfWidth(),
-			Approximate:     res.Guarantee != core.GuaranteeExact,
-			Degraded:        res.Diagnostics.Degraded,
-			Extrapolated:    res.Diagnostics.Shards != nil && res.Diagnostics.Shards.Extrapolated,
-			Partial:         res.Diagnostics.Partial,
-			ContractVerdict: contractVerdict,
-		})
+		s.insight.ObserveStmt(stmt, served.Observation())
 	}
-	s.recordQuery(telemetry.QueryRecord{
-		Start: start, SQL: req.SQL, Mode: req.Mode,
-		Fingerprint: res.Diagnostics.Fingerprint,
-		Technique:   tech, Status: http.StatusOK,
-		LatencyMS:       latencyMS,
-		RowsScanned:     res.Diagnostics.Counters.RowsScanned,
-		Degraded:        res.Diagnostics.Degraded,
-		DegradedFrom:    degradedFrom,
-		Partial:         res.Diagnostics.Partial,
-		ContractVerdict: contractVerdict,
-	}, prof)
+	qr := served.Record()
+	qr.DegradedFrom = degradedFrom
+	s.recordQuery(qr, prof)
 
 	resp := encodeResult(res)
 	resp.DegradedFrom = degradedFrom

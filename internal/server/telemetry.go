@@ -8,7 +8,10 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/insight"
+	"repro/internal/sqlparse"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -140,6 +143,64 @@ func (s *Server) onBreakerTransition(engine string, from, to fault.BreakerState)
 		Kind: "breaker", Name: engine,
 		Detail: from.String() + "->" + to.String(), Shard: -1,
 	})
+}
+
+// Served is one executed statement as the post-serve observers see it: the
+// one derivation, from a result, of the workload observation and the flight
+// record that aqpd's handler and aqpsh's session both file.
+type Served struct {
+	Start     time.Time
+	LatencyMS float64
+	SQL, Mode string
+	// Stmt is nil when the SQL did not parse; Res is nil when the query
+	// failed, Err then says why and Status how it was answered.
+	Stmt   *sqlparse.SelectStmt
+	Res    *core.Result
+	Err    error
+	Status int
+}
+
+// Observation is what the workload-insight registry files.
+func (q Served) Observation() insight.Observation {
+	if q.Res == nil {
+		return insight.Observation{LatencyMS: q.LatencyMS, Err: true}
+	}
+	d := &q.Res.Diagnostics
+	return insight.Observation{
+		Technique:       string(q.Res.Technique),
+		LatencyMS:       q.LatencyMS,
+		RowsScanned:     d.Counters.RowsScanned,
+		RelWidth:        q.Res.MaxRelHalfWidth(),
+		Approximate:     q.Res.Guarantee != core.GuaranteeExact,
+		Degraded:        d.Degraded,
+		Extrapolated:    d.Shards != nil && d.Shards.Extrapolated,
+		Partial:         d.Partial,
+		ContractVerdict: q.contractVerdict(),
+	}
+}
+
+// Record is what the flight recorder files.
+func (q Served) Record() telemetry.QueryRecord {
+	qr := telemetry.QueryRecord{Start: q.Start, SQL: q.SQL, Mode: q.Mode,
+		Status: q.Status, LatencyMS: q.LatencyMS}
+	if q.Stmt != nil {
+		qr.Fingerprint = q.Stmt.Fingerprint().Hash
+	}
+	if q.Res == nil {
+		qr.Err = q.Err.Error()
+		return qr
+	}
+	d := &q.Res.Diagnostics
+	qr.Technique, qr.RowsScanned = string(q.Res.Technique), d.Counters.RowsScanned
+	qr.Degraded, qr.Partial, qr.ContractVerdict = d.Degraded, d.Partial, q.contractVerdict()
+	return qr
+}
+
+func (q Served) contractVerdict() string {
+	if c := q.Res.Diagnostics.Contract; c != nil {
+		return string(c.Verdict)
+	}
+	return ""
 }
 
 // recordQuery files one completed (or failed) query with the flight

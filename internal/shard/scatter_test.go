@@ -236,11 +236,7 @@ func TestScatterFaultDegradesAlone(t *testing.T) {
 
 func mustPlan(t *testing.T, g *Group, stmt *sqlparse.SelectStmt) plan.Node {
 	t.Helper()
-	cat := storage.NewCatalog()
-	if err := cat.AddAs(g.Name(), g.base); err != nil {
-		t.Fatal(err)
-	}
-	p, err := plan.Build(stmt, cat)
+	p, err := plan.Build(stmt, storage.NewCatalog().Overlay(g.Name(), g.base))
 	if err != nil {
 		t.Fatal(err)
 	}

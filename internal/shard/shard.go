@@ -268,8 +268,8 @@ func (s *LocalShard) extendBounds(v storage.Value) {
 }
 
 // BuildShardQueryPlan builds q's plan against a shard's table. The table
-// is registered in a private catalog under the statement's FROM name, so
-// the statement resolves unchanged, and q.Sample (already shard-resolved)
+// is the only name a private catalog resolves, under the statement's FROM
+// name, so the statement resolves unchanged, and q.Sample (already shard-resolved)
 // is stamped onto every scan; nil Sample clears samplers, matching the
 // exact engine. LocalShard and the shard-server estimate handler share
 // this, so a remote shard executes exactly the plan its local twin would.
@@ -277,11 +277,7 @@ func BuildShardQueryPlan(q Query, t *storage.Table) (plan.Node, error) {
 	if q.Stmt == nil || q.Stmt.From.Name == "" {
 		return nil, fmt.Errorf("shard: query has no FROM table")
 	}
-	cat := storage.NewCatalog()
-	if err := cat.AddAs(q.Stmt.From.Name, t); err != nil {
-		return nil, err
-	}
-	p, err := plan.Build(q.Stmt, cat)
+	p, err := plan.Build(q.Stmt, storage.NewCatalog().Overlay(q.Stmt.From.Name, t))
 	if err != nil {
 		return nil, err
 	}

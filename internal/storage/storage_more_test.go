@@ -87,21 +87,38 @@ func TestTableAccessors(t *testing.T) {
 	}
 }
 
-func TestCatalogAddAs(t *testing.T) {
-	c := NewCatalog()
-	tbl := NewTable("real_name", Schema{{Name: "x", Type: TypeInt64}})
-	if err := c.AddAs("alias", tbl); err != nil {
-		t.Fatal(err)
+func TestCatalogOverlay(t *testing.T) {
+	base := NewCatalog()
+	fact := NewTable("fact", Schema{{Name: "x", Type: TypeInt64}})
+	dim := NewTable("dim", Schema{{Name: "y", Type: TypeInt64}})
+	for _, tbl := range []*Table{fact, dim} {
+		if err := base.Add(tbl); err != nil {
+			t.Fatal(err)
+		}
 	}
-	got, err := c.Table("alias")
-	if err != nil || got != tbl {
-		t.Fatal("AddAs lookup failed")
+	sample := NewTable("fact__sample", fact.Schema())
+	over := base.Overlay("fact", sample)
+	if got, err := over.Table("fact"); err != nil || got != sample {
+		t.Errorf("overlay resolves fact to %v (%v), want the stand-in", got, err)
 	}
-	if _, err := c.Table("real_name"); err == nil {
-		t.Error("table must only be visible under its registered name")
+	if got, err := over.Table("dim"); err != nil || got != dim {
+		t.Errorf("overlay resolves dim to %v (%v), want the parent's", got, err)
 	}
-	if err := c.AddAs("alias", tbl); err == nil {
-		t.Error("duplicate alias must error")
+	if got, _ := base.Table("fact"); got != fact {
+		t.Error("overlay touched its parent")
+	}
+	if err := base.Add(fact); err == nil {
+		t.Error("re-adding a registered name must error")
+	}
+	if names := over.Names(); len(names) != 2 || names[0] != "dim" || names[1] != "fact" {
+		t.Errorf("overlay names %v, want [dim fact]", names)
+	}
+	alone := NewCatalog().Overlay("fact", sample)
+	if _, err := alone.Table("dim"); err == nil {
+		t.Error("an overlay of nothing must resolve only its own name")
+	}
+	if got, err := alone.Table("fact"); err != nil || got != sample {
+		t.Errorf("parentless overlay resolves fact to %v (%v)", got, err)
 	}
 }
 

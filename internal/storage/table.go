@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -251,6 +252,8 @@ func (t *Table) Stats(colName string) (ColumnStats, error) {
 type Catalog struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
+	// parent, on an overlay, resolves the names the overlay does not hold.
+	parent *Catalog
 }
 
 // NewCatalog returns an empty catalog.
@@ -261,20 +264,21 @@ func NewCatalog() *Catalog {
 // Add registers a table; replacing an existing table of the same name is an
 // error.
 func (c *Catalog) Add(t *Table) error {
-	return c.AddAs(t.Name(), t)
-}
-
-// AddAs registers a table under an explicit name, which may differ from
-// the table's own name. AQP engines use this to substitute a materialized
-// sample for a base table in a shadow catalog.
-func (c *Catalog) AddAs(name string, t *Table) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.tables[name]; ok {
-		return fmt.Errorf("storage: table %s already exists", name)
+	if _, ok := c.tables[t.Name()]; ok {
+		return fmt.Errorf("storage: table %s already exists", t.Name())
 	}
-	c.tables[name] = t
+	c.tables[t.Name()] = t
 	return nil
+}
+
+// Overlay returns a catalog in which name resolves to t and every other
+// name resolves as in c. The engines plan against one to put a
+// materialized sample, or a shard's partition, in a base table's place; c
+// itself is left alone.
+func (c *Catalog) Overlay(name string, t *Table) *Catalog {
+	return &Catalog{tables: map[string]*Table{name: t}, parent: c}
 }
 
 // Drop removes a table by name if present.
@@ -287,21 +291,29 @@ func (c *Catalog) Drop(name string) {
 // Table looks up a table by name.
 func (c *Catalog) Table(name string) (*Table, error) {
 	c.mu.RLock()
-	defer c.mu.RUnlock()
 	t, ok := c.tables[name]
-	if !ok {
-		return nil, fmt.Errorf("storage: unknown table %q", name)
+	c.mu.RUnlock()
+	switch {
+	case ok:
+		return t, nil
+	case c.parent != nil:
+		return c.parent.Table(name)
 	}
-	return t, nil
+	return nil, fmt.Errorf("storage: unknown table %q", name)
 }
 
 // Names returns the sorted table names.
 func (c *Catalog) Names() []string {
+	var out []string
+	if c.parent != nil {
+		out = c.parent.Names()
+	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.tables))
 	for n := range c.tables {
-		out = append(out, n)
+		if !slices.Contains(out, n) {
+			out = append(out, n)
+		}
 	}
 	sort.Strings(out)
 	return out
