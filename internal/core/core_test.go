@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/sqlparse"
@@ -232,8 +233,8 @@ func TestOnlineSampleCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.CacheMisses != 1 || e.CacheHits != 0 {
-		t.Fatalf("miss/hit = %d/%d", e.CacheMisses, e.CacheHits)
+	if hits, misses := e.CacheStats(); misses != 1 || hits != 0 {
+		t.Fatalf("miss/hit = %d/%d", misses, hits)
 	}
 	if res1.Diagnostics.Counters.RowsScanned < 60000 {
 		t.Errorf("miss must pay the base scan: %d", res1.Diagnostics.Counters.RowsScanned)
@@ -244,8 +245,8 @@ func TestOnlineSampleCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.CacheHits != 1 {
-		t.Fatalf("expected cache hit, hits=%d messages=%v", e.CacheHits, res2.Diagnostics.Messages)
+	if hits, _ := e.CacheStats(); hits != 1 {
+		t.Fatalf("expected cache hit, hits=%d messages=%v", hits, res2.Diagnostics.Messages)
 	}
 	if res2.Diagnostics.Counters.RowsScanned >= 60000 {
 		t.Errorf("hit must not rescan the base table: %d", res2.Diagnostics.Counters.RowsScanned)
@@ -262,17 +263,47 @@ func TestOnlineSampleCache(t *testing.T) {
 	if _, err := e.Execute(context.Background(), parse(t, sql), DefaultErrorSpec); err != nil {
 		t.Fatal(err)
 	}
-	if e.CacheMisses != 2 {
-		t.Errorf("stale cache must rebuild: misses=%d", e.CacheMisses)
+	if _, misses := e.CacheStats(); misses != 2 {
+		t.Errorf("stale cache must rebuild: misses=%d", misses)
 	}
 
 	// Explicit TABLESAMPLE opts out of caching.
-	hitsBefore := e.CacheHits
+	hitsBefore, _ := e.CacheStats()
 	if _, err := e.Execute(context.Background(), parse(t, "SELECT SUM(ev_value) FROM events TABLESAMPLE BERNOULLI (5)"), DefaultErrorSpec); err != nil {
 		t.Fatal(err)
 	}
-	if e.CacheHits != hitsBefore {
+	if hits, _ := e.CacheStats(); hits != hitsBefore {
 		t.Error("user TABLESAMPLE must bypass the cache")
+	}
+}
+
+// TestOnlineSampleCacheBuiltOnce: N concurrent first queries build the
+// cached sample once — one miss, N−1 hits — and the counters are read
+// through the engine lock (run under -race).
+func TestOnlineSampleCacheBuiltOnce(t *testing.T) {
+	ev := smallEvents(t, 60000, 0)
+	cfg := DefaultOnlineConfig()
+	cfg.MinTableRows = 1000
+	cfg.DefaultRate = 0.05
+	cfg.CacheSamples = true
+	e := NewOnlineEngine(ev.Catalog, cfg)
+	stmt := parse(t, "SELECT SUM(ev_value) AS s FROM events")
+
+	const n = 8
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := e.Execute(context.Background(), stmt, DefaultErrorSpec); err != nil {
+				t.Error(err)
+			}
+			e.CacheStats() // readers race the writers in cachedDraw
+		}()
+	}
+	wg.Wait()
+	if hits, misses := e.CacheStats(); misses != 1 || hits != n-1 {
+		t.Errorf("miss/hit = %d/%d, want 1/%d", misses, hits, n-1)
 	}
 }
 

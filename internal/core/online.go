@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/fault"
 	"repro/internal/plan"
@@ -90,9 +89,8 @@ type OnlineEngine struct {
 	mu sync.RWMutex
 	// cache holds Taster-style reusable uniform samples by table name.
 	cache map[string]*cachedSample
-	// CacheHits / CacheMisses count reuse effectiveness. Read them via
-	// CacheStats when other goroutines may be querying.
-	CacheHits, CacheMisses int
+	// cacheHits / cacheMisses count reuse effectiveness (see CacheStats).
+	cacheHits, cacheMisses int
 	// histograms holds per-column selectivity estimators keyed
 	// "table.column" (see AttachHistogram).
 	histograms map[string]*sketch.EquiDepthHistogram
@@ -137,7 +135,7 @@ func (e *OnlineEngine) AttachHistogram(table, column string, h *sketch.EquiDepth
 func (e *OnlineEngine) CacheStats() (hits, misses int) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.CacheHits, e.CacheMisses
+	return e.cacheHits, e.cacheMisses
 }
 
 // BuildHistogram scans a numeric column and attaches an equi-depth
@@ -249,9 +247,7 @@ func (e *OnlineEngine) draw(ctx context.Context, stmt *sqlparse.SelectStmt) (d d
 	}
 	d = draw{tech: TechniqueOnline, guarantee: GuaranteeAPosteriori, notes: notes,
 		workers: e.Config.Workers, plan: p}
-	if g := shardGroupFor(e.Shards, stmt); g != nil && exec.Gatherable(p) {
-		d.group = g
-	}
+	d.group = shardGroupFor(e.Shards, stmt)
 	return d, "", nil
 }
 
@@ -319,12 +315,12 @@ func (e *OnlineEngine) cachedDraw(d *draw, stmt *sqlparse.SelectStmt) error {
 		c = &cachedSample{rate: rate, standIn: standIn{source: name, data: res.Table,
 			name: res.Table.Name(), buildVersion: res.BuildVersion, buildRows: res.SourceRows}}
 		e.cache[name] = c
-		e.CacheMisses++
+		e.cacheMisses++
 		buildCost = int64(base.NumRows())
 		d.notes = append(d.notes, fmt.Sprintf("online: cache miss — materialized %d-row sample of %s",
 			res.SampleRows, name))
 	} else {
-		e.CacheHits++
+		e.cacheHits++
 		d.notes = append(d.notes, fmt.Sprintf("online: cache hit — reusing %d-row sample of %s",
 			c.data.NumRows(), name))
 	}

@@ -131,7 +131,7 @@ func execute(ctx context.Context, cat *storage.Catalog, stmt *sqlparse.SelectStm
 		err error
 	)
 	smp, pop := firstSampler(p), sampledRows(p)
-	if d.group != nil && exec.Gatherable(p) {
+	if d.group != nil {
 		if sr, err = runSharded(ctx, d.group, stmt, p, smp, workers, d.shardRates, d.moments); err != nil {
 			return nil, err
 		}

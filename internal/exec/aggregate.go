@@ -1,27 +1,19 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/sqlparse"
 	"repro/internal/stats"
 	"repro/internal/storage"
+	"repro/internal/trace"
 )
-
-// hashAggOp groups rows and computes (possibly weighted) aggregates. When
-// any input row carries a weight != 1 the outputs are Horvitz–Thompson
-// estimates, and per-group variance estimates are published in the batch's
-// Details for downstream confidence-interval construction.
-type hashAggOp struct {
-	node  *plan.Aggregate
-	child Op
-
-	done bool
-}
 
 type aggState struct {
 	ht       stats.HTEstimator
@@ -41,27 +33,79 @@ type groupState struct {
 	n        float64
 }
 
-// Schema implements Operator.
-func (op *hashAggOp) Schema() storage.Schema { return op.node.Schema() }
+// aggOp is the aggregate terminal of every execution: it finalizes the
+// group states of one Aggregate node — handed to it already merged (the
+// gather side of a scatter) or computed on first Next from the rows below —
+// into the node's output batch. When any input row carried a weight != 1
+// the outputs are Horvitz–Thompson estimates, and per-group variance
+// estimates are published in the batch's Details for downstream
+// confidence-interval construction.
+type aggOp struct {
+	ctx      context.Context // carries sp, so the operators below nest under it
+	node     *plan.Aggregate
+	counters *Counters
+	sp       *trace.Span // nil when tracing is off
 
-// Open implements Operator.
-func (op *hashAggOp) Open() error { return op.child.Open() }
+	part   *AggPartial // handed in; nil = compute the local partial
+	morsel *morselRun  // local partial on the morsel path; nil = serial operators
+	done   bool
+}
+
+// newAggOp opens a's span under ctx, labelled with how the group states
+// will be obtained, and returns the terminal. step marks a run that stops
+// at the partial.
+func newAggOp(ctx context.Context, a *plan.Aggregate, counters *Counters, src aggSource, step string) (*aggOp, error) {
+	op := &aggOp{node: a, counters: counters, part: src.part}
+	var (
+		scan     *plan.Scan
+		residual []expr.Expr
+		how      = step
+	)
+	switch {
+	case src.part != nil:
+		how = "gather"
+	case src.workers > 0:
+		if scan, residual, _ = morselEligible(a); scan != nil {
+			how = strings.TrimSpace("morsel " + step)
+		}
+	}
+	label := a.Explain()
+	if how != "" {
+		label += " [" + how + "]"
+	}
+	op.sp, op.ctx = trace.StartOp(ctx, label)
+	if src.part != nil {
+		op.sp.SetAttrInt("groups", int64(len(src.part.groups)))
+	}
+	if scan != nil {
+		var err error
+		if op.morsel, err = newMorselRun(op.ctx, a, scan, residual, counters, src.workers, op.sp); err != nil {
+			return nil, err
+		}
+	}
+	return op, nil
+}
+
+// Schema implements Operator.
+func (op *aggOp) Schema() storage.Schema { return op.node.Schema() }
+
+// Open implements Operator. The rows below are opened, drained and closed
+// by the first Next.
+func (op *aggOp) Open() error { return nil }
 
 // Close implements Operator.
-func (op *hashAggOp) Close() error { return op.child.Close() }
+func (op *aggOp) Close() error { return nil }
 
 // Next implements Operator.
-func (op *hashAggOp) Next() (*Batch, error) {
+func (op *aggOp) Next() (*Batch, error) {
 	if op.done {
 		return nil, nil
 	}
 	op.done = true
-
-	groups := make(map[string]*groupState)
-	if err := drainIntoGroups(op.node, op.child, groups); err != nil {
+	groups, err := op.partial()
+	if err != nil {
 		return nil, err
 	}
-
 	out := finalizeGroups(op.node, groups)
 	if out.Len() == 0 {
 		return nil, nil
@@ -69,10 +113,35 @@ func (op *hashAggOp) Next() (*Batch, error) {
 	return out, nil
 }
 
+// partial returns the aggregate's group states: the ones handed in, else
+// the local partial — the rows below folded on the morsel path when the
+// shape is eligible and workers allow, otherwise by draining the serial
+// operators.
+func (op *aggOp) partial() (map[string]*groupState, error) {
+	if op.part != nil {
+		return op.part.groups, nil
+	}
+	if op.morsel != nil {
+		return op.morsel.computeGroups()
+	}
+	child, err := build(op.ctx, op.node.Child, op.counters, aggSource{})
+	if err != nil {
+		return nil, err
+	}
+	if err := child.Open(); err != nil {
+		return nil, err
+	}
+	groups := make(map[string]*groupState)
+	if err := drainIntoGroups(op.node, child, groups); err != nil {
+		_ = child.Close()
+		return nil, err
+	}
+	return groups, child.Close()
+}
+
 // drainIntoGroups drains child, accumulating every row into the group
-// states. Shared by the serial hash aggregate and the per-shard partial
-// executor (which finalizes only after merging partials across shards).
-func drainIntoGroups(node *plan.Aggregate, child Op, groups map[string]*groupState) error {
+// states.
+func drainIntoGroups(node *plan.Aggregate, child Operator, groups map[string]*groupState) error {
 	keyBuf := make([]storage.Value, len(node.GroupBy))
 	for {
 		in, err := child.Next()
@@ -109,17 +178,11 @@ func drainIntoGroups(node *plan.Aggregate, child Op, groups map[string]*groupSta
 }
 
 // finalizeGroups renders accumulated group states to an output batch with
-// per-group statistical details, ordered by canonical group key. Shared
-// by the serial hash aggregate and the morsel-parallel operator.
+// per-group statistical details, ordered by canonical group key.
 func finalizeGroups(node *plan.Aggregate, groups map[string]*groupState) *Batch {
 	// SQL semantics: a global aggregate over empty input yields one row.
 	if len(groups) == 0 && len(node.GroupBy) == 0 {
-		gs := &groupState{key: ""}
-		gs.aggs = make([]*aggState, len(node.Aggs))
-		for j := range gs.aggs {
-			gs.aggs[j] = &aggState{}
-		}
-		groups[""] = gs
+		groups[""] = newGroupState("", nil, len(node.Aggs))
 	}
 
 	keys := make([]string, 0, len(groups))

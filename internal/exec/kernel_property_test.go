@@ -11,6 +11,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // kernelCatalog builds a table that exercises every typed access path:
@@ -202,33 +203,175 @@ func TestMorselMatchesSerialBitForBit(t *testing.T) {
 			sql += " WHERE " + g.pred(2)
 		}
 		sql += " GROUP BY " + by
-		serial, err := Run(buildPlan(t, cat, sql))
-		if err != nil {
-			t.Fatalf("serial %q: %v", sql, err)
-		}
 		// The serial result is ordered by canonical key too, so rows and
 		// details line up without an ORDER BY.
-		for _, workers := range []int{1, 4} {
-			par, err := RunParallelContext(context.Background(), buildPlan(t, cat, sql), workers)
-			if err != nil {
-				t.Fatalf("W=%d %q: %v", workers, sql, err)
+		requireOneExecution(t, cat, sql)
+	}
+}
+
+// requireOneExecution is the seam's identity: the serial reference (Run),
+// the local run (RunParallelContext) and partial → finalize
+// (RunAggPartialContext, then FinalizeAggPartial) return identical rows,
+// weights, GroupDetails and counters, to the bit, at one and four workers.
+func requireOneExecution(t *testing.T, cat *storage.Catalog, sql string) {
+	t.Helper()
+	ctx := context.Background()
+	serial, err := Run(buildPlan(t, cat, sql))
+	if err != nil {
+		t.Fatalf("serial %q: %v", sql, err)
+	}
+	for _, workers := range []int{1, 4} {
+		par, err := RunParallelContext(ctx, buildPlan(t, cat, sql), workers)
+		if err != nil {
+			t.Fatalf("W=%d %q: %v", workers, sql, err)
+		}
+		if err := sameResult(par, serial); err != nil {
+			t.Fatalf("W=%d %q: parallel vs serial: %v", workers, sql, err)
+		}
+		p := buildPlan(t, cat, sql)
+		part, err := RunAggPartialContext(ctx, p, workers)
+		if plan.FindAggregate(p) == nil {
+			if err == nil {
+				t.Fatalf("W=%d %q: a plan without an aggregate produced a partial", workers, sql)
 			}
-			if !reflect.DeepEqual(par.Rows, serial.Rows) {
-				t.Fatalf("W=%d %q: rows differ\nparallel %v\nserial   %v", workers, sql, par.Rows, serial.Rows)
-			}
-			if len(par.Details) != len(serial.Details) {
-				t.Fatalf("W=%d %q: %d details vs %d", workers, sql, len(par.Details), len(serial.Details))
-			}
-			for r := range serial.Details {
-				if err := sameDetail(par.Details[r], serial.Details[r]); err != nil {
-					t.Fatalf("W=%d %q: group %d: %v", workers, sql, r, err)
-				}
-			}
-			if par.Counters != serial.Counters {
-				t.Fatalf("W=%d %q: counters %+v vs %+v", workers, sql, par.Counters, serial.Counters)
-			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("W=%d %q: partial: %v", workers, sql, err)
+		}
+		fin, err := FinalizeAggPartial(ctx, p, part)
+		if err != nil {
+			t.Fatalf("W=%d %q: finalize: %v", workers, sql, err)
+		}
+		if err := sameResult(fin, serial); err != nil {
+			t.Fatalf("W=%d %q: partial → finalize vs serial: %v", workers, sql, err)
 		}
 	}
+}
+
+// TestOneExecutionEveryShape runs the identity over the shapes that pick a
+// different partial step or chain: morsel-eligible, a join below the
+// aggregate and the distinct sampler (both serial partials), HAVING +
+// ORDER BY + LIMIT above the aggregate, a global aggregate over no rows,
+// and a plan with no aggregate at all.
+func TestOneExecutionEveryShape(t *testing.T) {
+	cat := kernelCatalog(t, 40_000)
+	dim := storage.NewTable("d", storage.Schema{
+		{Name: "dk", Type: storage.TypeInt64},
+		{Name: "label", Type: storage.TypeString},
+	})
+	for k := 0; k < 9; k += 2 {
+		if err := dim.AppendRows([][]storage.Value{{storage.Int64(int64(k)), storage.Str(fmt.Sprint("d", k%3))}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cat.Add(dim); err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{
+		"SELECT s1, COUNT(*), SUM(f), AVG(f) FROM t TABLESAMPLE BERNOULLI (50) WHERE s2 = 'O' GROUP BY s1",
+		"SELECT label, COUNT(*), SUM(f) FROM t JOIN d ON i1 = dk GROUP BY label",
+		"SELECT s1, COUNT(*), SUM(f) FROM t TABLESAMPLE DISTINCT (50, 20) ON (s1, s2) GROUP BY s1",
+		"SELECT s1, i1, SUM(f) AS s FROM t GROUP BY s1, i1 HAVING SUM(f) > 30000 ORDER BY s DESC, s1, i1 LIMIT 7",
+		"SELECT COUNT(*), SUM(f), AVG(f), MIN(f) FROM t WHERE s1 = 'absent'",
+		"SELECT s1, f FROM t WHERE i1 = 3 ORDER BY f, s1 LIMIT 20",
+	} {
+		requireOneExecution(t, cat, sql)
+	}
+}
+
+// TestAggregateSpanNesting: under every traced entry point the aggregate's
+// span hangs off the chain above it (the Project span), and a morsel
+// partial still reports its geometry and one child per worker.
+func TestAggregateSpanNesting(t *testing.T) {
+	cat := kernelCatalog(t, 40_000) // five morsels
+	const sql = "SELECT s1, SUM(f) FROM t GROUP BY s1 ORDER BY s1"
+	traced := func(run func(ctx context.Context)) *trace.Profile {
+		tr := trace.New("query")
+		run(trace.WithTracer(context.Background(), tr))
+		tr.Finish()
+		return tr.Profile()
+	}
+	requireMorsel := func(name string, agg *trace.Profile) {
+		t.Helper()
+		if agg == nil {
+			t.Fatalf("%s: no aggregate span where expected", name)
+		}
+		if agg.Attr("workers") != "4" || agg.Attr("morsels") != "5" {
+			t.Errorf("%s: workers=%q morsels=%q, want 4 and 5\n%s", name, agg.Attr("workers"), agg.Attr("morsels"), agg)
+		}
+		if got := len(agg.FindAll("worker ")); got != 4 {
+			t.Errorf("%s: %d worker spans, want 4\n%s", name, got, agg)
+		}
+	}
+	underProject := func(name string, p *trace.Profile) *trace.Profile {
+		t.Helper()
+		proj := p.Find("Project")
+		if proj == nil {
+			t.Fatalf("%s: no Project span\n%s", name, p)
+		}
+		return proj.Find("HashAggregate")
+	}
+
+	var part *AggPartial
+	p := traced(func(ctx context.Context) {
+		if _, err := RunParallelContext(ctx, buildPlan(t, cat, sql), 4); err != nil {
+			t.Fatal(err)
+		}
+	})
+	requireMorsel("RunParallelContext", underProject("RunParallelContext", p))
+
+	p = traced(func(ctx context.Context) {
+		var err error
+		if part, err = RunAggPartialContext(ctx, buildPlan(t, cat, sql), 4); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if p.Find("Project") != nil {
+		t.Errorf("RunAggPartialContext ran the chain above the aggregate\n%s", p)
+	}
+	requireMorsel("RunAggPartialContext", p.Find("HashAggregate"))
+
+	p = traced(func(ctx context.Context) {
+		if _, err := FinalizeAggPartial(ctx, buildPlan(t, cat, sql), part); err != nil {
+			t.Fatal(err)
+		}
+	})
+	agg := underProject("FinalizeAggPartial", p)
+	if agg == nil || agg.Attr("groups") != fmt.Sprint(part.NumGroups()) || agg.RowsOut != int64(part.NumGroups()) {
+		t.Errorf("FinalizeAggPartial: aggregate span missing or without groups/out=%d\n%s", part.NumGroups(), p)
+	}
+}
+
+// sameResult compares two results bit for bit: rows, weights, group
+// details and counters.
+func sameResult(a, b *Result) error {
+	if !reflect.DeepEqual(a.Rows, b.Rows) {
+		return fmt.Errorf("rows differ\n%v\n%v", a.Rows, b.Rows)
+	}
+	if len(a.Weights) != len(b.Weights) || len(a.Details) != len(b.Details) {
+		return fmt.Errorf("%d weights, %d details vs %d, %d", len(a.Weights), len(a.Details), len(b.Weights), len(b.Details))
+	}
+	for i := range a.Weights {
+		if math.Float64bits(a.Weights[i]) != math.Float64bits(b.Weights[i]) {
+			return fmt.Errorf("row %d: weight %v vs %v", i, a.Weights[i], b.Weights[i])
+		}
+	}
+	for r := range a.Details {
+		if (a.Details[r] == nil) != (b.Details[r] == nil) {
+			return fmt.Errorf("row %d: detail present on one side only", r)
+		}
+		if a.Details[r] == nil {
+			continue
+		}
+		if err := sameDetail(a.Details[r], b.Details[r]); err != nil {
+			return fmt.Errorf("group %d: %v", r, err)
+		}
+	}
+	if a.Counters != b.Counters {
+		return fmt.Errorf("counters %+v vs %+v", a.Counters, b.Counters)
+	}
+	return nil
 }
 
 // sameDetail compares two group details bit for bit.
@@ -261,7 +404,7 @@ func TestStringGroupByMorselAllocations(t *testing.T) {
 		if !ok {
 			t.Fatalf("%q is not morsel-eligible", sql)
 		}
-		op, err := newMorselAggOp(context.Background(), a, scan, residual, &Counters{}, 1)
+		op, err := newMorselRun(context.Background(), a, scan, residual, &Counters{}, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,12 +8,9 @@ import (
 
 // filterOp applies a residual predicate, preserving weights and details.
 type filterOp struct {
-	child Op
+	child Operator
 	pred  expr.Expr
 }
-
-// Op bundles Operator with its source plan schema.
-type Op = Operator
 
 // Schema implements Operator.
 func (op *filterOp) Schema() storage.Schema { return op.child.Schema() }
@@ -56,7 +53,7 @@ func (op *filterOp) Next() (*Batch, error) {
 
 // projectOp computes output expressions row by row.
 type projectOp struct {
-	child  Op
+	child  Operator
 	node   *plan.Project
 	schema storage.Schema
 }
@@ -99,8 +96,8 @@ func (op *projectOp) Next() (*Batch, error) {
 // independent sampling of the inputs.
 type hashJoinOp struct {
 	node   *plan.Join
-	left   Op
-	right  Op
+	left   Operator
+	right  Operator
 	schema storage.Schema
 
 	built   bool
@@ -255,7 +252,7 @@ func groupKeyOf(vals []storage.Value) string {
 // sortOp materializes and orders its input.
 type sortOp struct {
 	node  *plan.Sort
-	child Op
+	child Operator
 
 	done bool
 	out  *Batch
@@ -323,7 +320,7 @@ func (op *sortOp) Next() (*Batch, error) {
 
 // limitOp truncates its input to N rows.
 type limitOp struct {
-	child Op
+	child Operator
 	n     int
 	seen  int
 }

@@ -53,20 +53,11 @@ func ContextWithWorkers(ctx context.Context, n int) context.Context {
 	return context.WithValue(ctx, workersCtxKey{}, n)
 }
 
-// WorkersFromContext returns the worker override carried by ctx, or 0.
-func WorkersFromContext(ctx context.Context) int {
-	n, _ := ctx.Value(workersCtxKey{}).(int)
-	if n < 0 {
-		return 0
-	}
-	return n
-}
-
 // ResolveWorkers resolves the effective worker count: a context override
 // wins, then a positive engine configuration, then runtime.GOMAXPROCS. The
 // result is always at least 1.
 func ResolveWorkers(ctx context.Context, cfg int) int {
-	if n := WorkersFromContext(ctx); n > 0 {
+	if n, _ := ctx.Value(workersCtxKey{}).(int); n > 0 {
 		return n
 	}
 	if cfg > 0 {
@@ -83,78 +74,17 @@ func RunParallel(root plan.Node, workers int) (*Result, error) {
 	return RunParallelContext(context.Background(), root, workers)
 }
 
-// RunParallelContext executes a logical plan under ctx, running eligible
-// aggregate-over-scan subtrees on the morsel-parallel path with the given
-// worker count (≤ 0 resolves via ResolveWorkers). Plans with no eligible
-// subtree run on the serial operators; results are identical either way
-// up to float summation order.
+// RunParallelContext executes a logical plan under ctx with the given
+// worker count (≤ 0 resolves via ResolveWorkers): an aggregate over a
+// Filter*→Scan chain computes its partial on the morsel-parallel path,
+// every other shape (joins below the aggregate, the stateful distinct
+// sampler, no aggregate at all) on the serial operators; results are
+// identical either way up to float summation order.
 func RunParallelContext(ctx context.Context, root plan.Node, workers int) (*Result, error) {
 	if workers <= 0 {
 		workers = ResolveWorkers(ctx, 0)
 	}
-	var counters Counters
-	op, err := buildParallelOperator(ctx, root, &counters, workers)
-	if err != nil {
-		return nil, err
-	}
-	return drainOperator(ctx, op, root.Schema(), &counters)
-}
-
-// buildParallelOperator mirrors BuildOperatorContext but replaces each
-// eligible Aggregate subtree with the fused morsel-parallel operator.
-// Ineligible shapes (joins below the aggregate, the stateful distinct
-// sampler) fall back to the serial operators. Span creation happens per
-// case (not in a shared wrapper) because the default case delegates to
-// BuildOperatorContext, which opens its own span for the node.
-func buildParallelOperator(ctx context.Context, n plan.Node, counters *Counters, workers int) (Operator, error) {
-	switch t := n.(type) {
-	case *plan.Aggregate:
-		if scan, residual, ok := morselEligible(t); ok {
-			sp, _ := trace.StartOp(ctx, t.Explain()+" [morsel]")
-			op, err := newMorselAggOp(ctx, t, scan, residual, counters, workers)
-			if err != nil {
-				return nil, err
-			}
-			op.sp = sp
-			sp.SetAttr("scan", scan.Explain())
-			return wrapOp(op, sp), nil
-		}
-		sp, cctx := trace.StartOp(ctx, t.Explain())
-		child, err := buildParallelOperator(cctx, t.Child, counters, workers)
-		if err != nil {
-			return nil, err
-		}
-		return wrapOp(&hashAggOp{node: t, child: child}, sp), nil
-	case *plan.Filter:
-		sp, cctx := trace.StartOp(ctx, t.Explain())
-		child, err := buildParallelOperator(cctx, t.Child, counters, workers)
-		if err != nil {
-			return nil, err
-		}
-		return wrapOp(&filterOp{child: child, pred: t.Pred}, sp), nil
-	case *plan.Project:
-		sp, cctx := trace.StartOp(ctx, t.Explain())
-		child, err := buildParallelOperator(cctx, t.Child, counters, workers)
-		if err != nil {
-			return nil, err
-		}
-		return wrapOp(&projectOp{child: child, node: t, schema: t.Schema()}, sp), nil
-	case *plan.Sort:
-		sp, cctx := trace.StartOp(ctx, t.Explain())
-		child, err := buildParallelOperator(cctx, t.Child, counters, workers)
-		if err != nil {
-			return nil, err
-		}
-		return wrapOp(&sortOp{node: t, child: child}, sp), nil
-	case *plan.Limit:
-		sp, cctx := trace.StartOp(ctx, t.Explain())
-		child, err := buildParallelOperator(cctx, t.Child, counters, workers)
-		if err != nil {
-			return nil, err
-		}
-		return wrapOp(&limitOp{child: child, n: t.N}, sp), nil
-	}
-	return BuildOperatorContext(ctx, n, counters)
+	return run(ctx, root, aggSource{workers: workers})
 }
 
 // morselEligible reports whether the aggregate sits on a Filter*→Scan
@@ -184,30 +114,21 @@ func morselEligible(a *plan.Aggregate) (*plan.Scan, []expr.Expr, bool) {
 	}
 }
 
-// morselAggOp is the fused parallel operator: per morsel it scans,
+// morselRun is one fused parallel scan-aggregate: per morsel it scans,
 // filters, samples, and partially aggregates without materializing
-// intermediate batches, then merges partials deterministically.
-type morselAggOp struct {
+// intermediate batches, then merges the partials deterministically.
+type morselRun struct {
 	ctx      context.Context
 	node     *plan.Aggregate
 	scan     *plan.Scan
 	residual []expr.Expr
 	counters *Counters
 	workers  int
+	scanBinding
 
-	outIdx    []int // table column index per scan output column
-	weightIdx int   // hidden weight column in table, or -1
-	keyIdx    []int // sampler key columns in table
-
-	kern morselKernels // compiled against the snapshot in Next
-	done bool
-
-	sp      *trace.Span // operator span, nil when tracing is off
-	scanned int64       // total rows examined across workers
+	kern morselKernels // compiled against the snapshot in computeGroups
+	sp   *trace.Span   // the aggregate's span, nil when tracing is off
 }
-
-// inputRows implements inputRowsReporter.
-func (op *morselAggOp) inputRows() int64 { return op.scanned }
 
 // Aggregate-slot fast-path modes; slotGeneral falls back to accumulate.
 const (
@@ -233,7 +154,7 @@ type morselKernels struct {
 
 // compileKernels compiles what it can of the pipeline against a concrete
 // table snapshot.
-func (op *morselAggOp) compileKernels(t *storage.Table) morselKernels {
+func (op *morselRun) compileKernels(t *storage.Table) morselKernels {
 	k := morselKernels{
 		residual: make([]boolKernel, len(op.residual)),
 		group:    make([]groupPart, len(op.node.GroupBy)),
@@ -293,40 +214,14 @@ func (op *morselAggOp) compileKernels(t *storage.Table) morselKernels {
 	return k
 }
 
-func newMorselAggOp(ctx context.Context, a *plan.Aggregate, s *plan.Scan, residual []expr.Expr, counters *Counters, workers int) (*morselAggOp, error) {
-	op := &morselAggOp{
-		ctx: ctx, node: a, scan: s, residual: residual,
-		counters: counters, workers: workers,
-		weightIdx: s.WeightColumnIndex(),
+func newMorselRun(ctx context.Context, a *plan.Aggregate, s *plan.Scan, residual []expr.Expr, counters *Counters, workers int, sp *trace.Span) (*morselRun, error) {
+	b, err := bindScan(s)
+	if err != nil {
+		return nil, err
 	}
-	tschema := s.Table.Schema()
-	for _, def := range s.Schema() {
-		idx := tschema.ColumnIndex(def.Name)
-		if idx < 0 {
-			return nil, fmt.Errorf("exec: scan %s: lost column %s", s.TableName, def.Name)
-		}
-		op.outIdx = append(op.outIdx, idx)
-	}
-	if s.Sample != nil {
-		for _, col := range s.Sample.KeyColumns {
-			idx := tschema.ColumnIndex(col)
-			if idx < 0 {
-				return nil, fmt.Errorf("exec: sampler key column %q not in table %s", col, s.TableName)
-			}
-			op.keyIdx = append(op.keyIdx, idx)
-		}
-	}
-	return op, nil
+	return &morselRun{ctx: ctx, node: a, scan: s, residual: residual,
+		counters: counters, workers: workers, scanBinding: b, sp: sp}, nil
 }
-
-// Schema implements Operator.
-func (op *morselAggOp) Schema() storage.Schema { return op.node.Schema() }
-
-// Open implements Operator.
-func (op *morselAggOp) Open() error { return nil }
-
-// Close implements Operator.
-func (op *morselAggOp) Close() error { return nil }
 
 // mappedRow adapts direct table access to the scan's output schema:
 // column i of the scan output is column out[i] of the table. Residual
@@ -340,29 +235,9 @@ type mappedRow struct {
 // ColumnValue implements expr.Row.
 func (r mappedRow) ColumnValue(i int) storage.Value { return r.t.Column(r.out[i]).Value(r.idx) }
 
-// Next implements Operator. The single call performs the whole parallel
-// scan-aggregate and returns the merged output batch.
-func (op *morselAggOp) Next() (*Batch, error) {
-	if op.done {
-		return nil, nil
-	}
-	op.done = true
-	groups, err := op.computeGroups()
-	if err != nil {
-		return nil, err
-	}
-	out := finalizeGroups(op.node, groups)
-	if out.Len() == 0 {
-		return nil, nil
-	}
-	return out, nil
-}
-
 // computeGroups runs the parallel scan-aggregate and returns the merged
-// partial group states without finalizing them — the seam the sharded
-// scatter executor uses to ship mergeable partials instead of finished
-// batches.
-func (op *morselAggOp) computeGroups() (map[string]*groupState, error) {
+// partial group states without finalizing them.
+func (op *morselRun) computeGroups() (map[string]*groupState, error) {
 	// Scan a snapshot: concurrent appends to the live table neither tear
 	// the read prefix nor move the row count mid-scan, and every worker
 	// sees the same version.
@@ -401,6 +276,7 @@ func (op *morselAggOp) computeGroups() (map[string]*groupState, error) {
 	// back into sizing, claiming, or merge order.
 	var workerSpans []*trace.Span
 	if op.sp != nil {
+		op.sp.SetAttr("scan", op.scan.Explain())
 		op.sp.SetAttrInt("workers", int64(workers))
 		op.sp.SetAttrInt("morsels", int64(nMorsels))
 		op.sp.SetAttrInt("morsel_rows", int64(morselRows))
@@ -501,10 +377,13 @@ func (op *morselAggOp) computeGroups() (map[string]*groupState, error) {
 			return nil, firstErr
 		}
 	}
+	var scanned int64
 	for _, wk := range wks {
 		op.counters.Add(wk.counters)
-		op.scanned += wk.counters.RowsScanned
+		scanned += wk.counters.RowsScanned
 	}
+	// The scan is fused into this span, so its input is the rows examined.
+	op.sp.SetRowsIn(scanned)
 
 	var mergeStart time.Time
 	if op.sp != nil {
@@ -538,37 +417,21 @@ func (op *morselAggOp) computeGroups() (map[string]*groupState, error) {
 // worker's instance makes identical decisions; each worker gets its own
 // only to keep the hot loop free of sharing.
 type morselWorker struct {
-	op        *morselAggOp
-	table     *storage.Table
-	sampler   sample.RowSampler
-	blockSamp *sample.Block
-	keyer     *sample.Keyer  // sampler key columns; nil without any
-	groups    *groupResolver // nil for global aggregates
-	counters  Counters
+	op    *morselRun
+	table *storage.Table
+	samplerStages
+	groups   *groupResolver // nil for global aggregates
+	counters Counters
 }
 
-func (op *morselAggOp) newWorker(table *storage.Table) (*morselWorker, error) {
-	wk := &morselWorker{op: op, table: table}
+func (op *morselRun) newWorker(table *storage.Table) (*morselWorker, error) {
+	st, err := stageSampler(op.scan, op.keyIdx, table)
+	if err != nil {
+		return nil, err
+	}
+	wk := &morselWorker{op: op, table: table, samplerStages: st}
 	if len(op.node.GroupBy) > 0 {
 		wk.groups = newGroupResolver(op.node.GroupBy, op.kern.group, len(op.node.Aggs))
-	}
-	if s := op.scan.Sample; s != nil {
-		rs, err := sample.New(*s, table.BlockSize())
-		if err != nil {
-			return nil, err
-		}
-		switch st := rs.(type) {
-		case *sample.Block:
-			wk.blockSamp = st
-		case *sample.BiLevel:
-			wk.blockSamp = st.BlockSampler()
-			wk.sampler = biLevelRowStage{st}
-		default:
-			wk.sampler = rs
-		}
-		if len(op.keyIdx) > 0 {
-			wk.keyer = sample.NewKeyer(table, op.keyIdx)
-		}
 	}
 	return wk, nil
 }

@@ -21,8 +21,6 @@ import (
 	"sort"
 
 	"repro/internal/plan"
-	"repro/internal/storage"
-	"repro/internal/trace"
 )
 
 // AggPartial is the portable partial-aggregation state of one execution
@@ -47,11 +45,12 @@ func EmptyAggPartial() *AggPartial {
 
 // RunAggPartialContext executes root's aggregate subtree — the (single)
 // Aggregate node and everything below it — and returns the mergeable
-// partial state without finalizing it. Eligible aggregate-over-scan shapes
-// run on the morsel-parallel path with the given worker count; other
-// shapes (e.g. the stateful distinct sampler) accumulate serially. Plan
-// nodes above the aggregate are not executed here; FinalizeAggPartial
-// re-applies them after partials are merged.
+// partial state without finalizing it: the local-partial step of
+// RunParallelContext alone. Eligible aggregate-over-scan shapes run on the
+// morsel-parallel path with the given worker count; other shapes (e.g. the
+// stateful distinct sampler) accumulate serially. Plan nodes above the
+// aggregate are not executed here; FinalizeAggPartial re-applies them after
+// partials are merged.
 func RunAggPartialContext(ctx context.Context, root plan.Node, workers int) (*AggPartial, error) {
 	a := plan.FindAggregate(root)
 	if a == nil {
@@ -61,43 +60,14 @@ func RunAggPartialContext(ctx context.Context, root plan.Node, workers int) (*Ag
 		workers = ResolveWorkers(ctx, 0)
 	}
 	part := &AggPartial{}
-	if scan, residual, ok := morselEligible(a); ok {
-		sp, _ := trace.StartOp(ctx, a.Explain()+" [morsel partial]")
-		op, err := newMorselAggOp(ctx, a, scan, residual, &part.Counters, workers)
-		if err != nil {
-			sp.End()
-			return nil, err
-		}
-		op.sp = sp
-		sp.SetAttr("scan", scan.Explain())
-		groups, err := op.computeGroups()
-		sp.AddRows(op.scanned)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		part.groups = groups
-		return part, nil
-	}
-	// Serial path: run the child operator tree and accumulate its rows.
-	sp, cctx := trace.StartOp(ctx, a.Explain()+" [serial partial]")
-	defer sp.End()
-	child, err := BuildOperatorContext(cctx, a.Child, &part.Counters)
+	op, err := newAggOp(ctx, a, &part.Counters, aggSource{workers: workers}, "partial")
 	if err != nil {
 		return nil, err
 	}
-	if err := child.Open(); err != nil {
+	if part.groups, err = op.partial(); err != nil {
 		return nil, err
 	}
-	groups := make(map[string]*groupState)
-	if err := drainIntoGroups(a, child, groups); err != nil {
-		_ = child.Close()
-		return nil, err
-	}
-	if err := child.Close(); err != nil {
-		return nil, err
-	}
-	part.groups = groups
+	op.sp.AddRows(int64(len(part.groups)))
 	return part, nil
 }
 
@@ -189,111 +159,12 @@ func (p *AggPartial) ScaleForCoverage(r float64) {
 	}
 }
 
-// partialSourceOp is a leaf operator that finalizes an already-merged
-// partial into the aggregate's output batch: the gather-side stand-in for
-// the whole scan…aggregate subtree.
-type partialSourceOp struct {
-	node *plan.Aggregate
-	part *AggPartial
-	done bool
-}
-
-// Schema implements Operator.
-func (op *partialSourceOp) Schema() storage.Schema { return op.node.Schema() }
-
-// Open implements Operator.
-func (op *partialSourceOp) Open() error { return nil }
-
-// Close implements Operator.
-func (op *partialSourceOp) Close() error { return nil }
-
-// Next implements Operator.
-func (op *partialSourceOp) Next() (*Batch, error) {
-	if op.done {
-		return nil, nil
-	}
-	op.done = true
-	out := finalizeGroups(op.node, op.part.groups)
-	if out.Len() == 0 {
-		return nil, nil
-	}
-	return out, nil
-}
-
-// Gatherable reports whether root has the plan shape FinalizeAggPartial
-// can reassemble: a single Aggregate with only Filter/Project/Sort/Limit
-// above it. Callers check this before committing to scatter-gather.
-func Gatherable(root plan.Node) bool {
-	n := root
-	for {
-		switch t := n.(type) {
-		case *plan.Aggregate:
-			return true
-		case *plan.Filter:
-			n = t.Child
-		case *plan.Project:
-			n = t.Child
-		case *plan.Sort:
-			n = t.Child
-		case *plan.Limit:
-			n = t.Child
-		default:
-			return false
-		}
-	}
-}
-
 // FinalizeAggPartial finalizes a merged partial under root's plan shape:
-// the Aggregate node is replaced by the precomputed partial and the chain
-// above it (HAVING filter, projection, sort, limit) executes normally, so
-// gather-side results are shaped and detailed exactly like an unsharded
-// run. The partial's counters are carried into the result.
+// the Aggregate node takes the precomputed partial instead of running the
+// rows below it, and the chain above it (HAVING filter, projection, sort,
+// limit) executes normally, so gather-side results are shaped and detailed
+// exactly like an unsharded run. The partial's counters are carried into
+// the result. A plan with no aggregate to take the partial is an error.
 func FinalizeAggPartial(ctx context.Context, root plan.Node, part *AggPartial) (*Result, error) {
-	counters := part.Counters
-	op, err := buildGatherOperator(ctx, root, part, &counters)
-	if err != nil {
-		return nil, err
-	}
-	return drainOperator(ctx, op, root.Schema(), &counters)
-}
-
-// buildGatherOperator compiles the above-aggregate plan chain, splicing in
-// the precomputed partial at the Aggregate node. Shapes with anything but
-// Filter/Project/Sort/Limit above the aggregate are not gatherable.
-func buildGatherOperator(ctx context.Context, n plan.Node, part *AggPartial, counters *Counters) (Operator, error) {
-	switch t := n.(type) {
-	case *plan.Aggregate:
-		sp, _ := trace.StartOp(ctx, t.Explain()+" [gather]")
-		sp.SetAttrInt("groups", int64(len(part.groups)))
-		return wrapOp(&partialSourceOp{node: t, part: part}, sp), nil
-	case *plan.Filter:
-		sp, cctx := trace.StartOp(ctx, t.Explain())
-		child, err := buildGatherOperator(cctx, t.Child, part, counters)
-		if err != nil {
-			return nil, err
-		}
-		return wrapOp(&filterOp{child: child, pred: t.Pred}, sp), nil
-	case *plan.Project:
-		sp, cctx := trace.StartOp(ctx, t.Explain())
-		child, err := buildGatherOperator(cctx, t.Child, part, counters)
-		if err != nil {
-			return nil, err
-		}
-		return wrapOp(&projectOp{child: child, node: t, schema: t.Schema()}, sp), nil
-	case *plan.Sort:
-		sp, cctx := trace.StartOp(ctx, t.Explain())
-		child, err := buildGatherOperator(cctx, t.Child, part, counters)
-		if err != nil {
-			return nil, err
-		}
-		return wrapOp(&sortOp{node: t, child: child}, sp), nil
-	case *plan.Limit:
-		sp, cctx := trace.StartOp(ctx, t.Explain())
-		child, err := buildGatherOperator(cctx, t.Child, part, counters)
-		if err != nil {
-			return nil, err
-		}
-		return wrapOp(&limitOp{child: child, n: t.N}, sp), nil
-	}
-	return nil, fmt.Errorf("exec: plan node %T above the aggregate is not gatherable", n)
+	return run(ctx, root, aggSource{part: part})
 }

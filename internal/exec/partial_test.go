@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/storage"
@@ -110,7 +111,8 @@ func TestMergedPartialsMatchWholeTable(t *testing.T) {
 	}
 }
 
-// TestGatherableShapes: only single-aggregate chains are gatherable.
+// TestGatherableShapes: only single-aggregate chains take a partial; a
+// plan without an aggregate is refused, not answered from its scan.
 func TestGatherableShapes(t *testing.T) {
 	cat := parallelCatalog(t, 1_000)
 	for sql, want := range map[string]bool{
@@ -118,8 +120,12 @@ func TestGatherableShapes(t *testing.T) {
 		"SELECT g, SUM(v) FROM ev GROUP BY g HAVING SUM(v) > 0 ORDER BY g LIMIT 2": true,
 		"SELECT k, v FROM ev": false, // no aggregate
 	} {
-		if got := Gatherable(buildPlan(t, cat, sql)); got != want {
-			t.Errorf("Gatherable(%q) = %v, want %v", sql, got, want)
+		_, err := FinalizeAggPartial(context.Background(), buildPlan(t, cat, sql), EmptyAggPartial())
+		if got := err == nil; got != want {
+			t.Errorf("FinalizeAggPartial(%q) error = %v, want gatherable = %v", sql, err, want)
+		}
+		if err != nil && !strings.Contains(err.Error(), "not gatherable") {
+			t.Errorf("FinalizeAggPartial(%q) error = %v, want a not-gatherable error", sql, err)
 		}
 	}
 }

@@ -5,106 +5,96 @@ import (
 	"fmt"
 
 	"repro/internal/plan"
-	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
-// BuildOperator compiles a logical plan into a physical operator tree.
-// All scans share the provided counters. The tree observes no
-// cancellation; use BuildOperatorContext for deadline-aware execution.
-func BuildOperator(n plan.Node, counters *Counters) (Operator, error) {
-	return BuildOperatorContext(context.Background(), n, counters)
+// aggSource says where a plan's Aggregate node gets its group states —
+// the one step that differs between executions of the same plan. The rows
+// below the aggregate and the chain above it (HAVING filter, projection,
+// sort, limit) are built the same way whatever the source.
+type aggSource struct {
+	// part, when set, was computed and merged elsewhere (the gather side of
+	// a scatter) and is only finalized here; the rows below are not run.
+	part *AggPartial
+	// workers > 0 lets a morselEligible aggregate compute its partial on
+	// the morsel path; 0 is the serial interpreter.
+	workers int
 }
 
-// BuildOperatorContext compiles a logical plan into a physical operator
-// tree whose scans check ctx between batches, so long scans observe
-// cancellation and deadlines at BatchSize granularity. When the context
-// carries a trace span, every operator is wrapped with span accounting
-// under a child span named by the plan node.
-func BuildOperatorContext(ctx context.Context, n plan.Node, counters *Counters) (Operator, error) {
+// build compiles a logical plan into a physical operator tree. All scans
+// share the provided counters and check ctx between batches, so long scans
+// observe cancellation and deadlines at BatchSize granularity. When the
+// context carries a trace span, every operator is wrapped with span
+// accounting under a child span named by the plan node.
+func build(ctx context.Context, n plan.Node, counters *Counters, src aggSource) (Operator, error) {
+	if a, ok := n.(*plan.Aggregate); ok {
+		// The aggregate opens its own span: the label says how it runs.
+		op, err := newAggOp(ctx, a, counters, src, "")
+		if err != nil {
+			return nil, err
+		}
+		return wrapOp(op, op.sp), nil
+	}
 	sp, cctx := trace.StartOp(ctx, n.Explain())
-	op, err := buildSerialOp(cctx, n, counters)
+	var err error
+	child := func(c plan.Node) Operator {
+		if err != nil {
+			return nil
+		}
+		var op Operator
+		op, err = build(cctx, c, counters, src)
+		return op
+	}
+	var op Operator
+	switch t := n.(type) {
+	case *plan.Scan:
+		if src.part != nil {
+			return nil, fmt.Errorf("exec: plan is not gatherable: scan of %s is not below an aggregate", t.TableName)
+		}
+		op, err = newScanOp(cctx, t, counters)
+	case *plan.Filter:
+		op = &filterOp{child: child(t.Child), pred: t.Pred}
+	case *plan.Project:
+		op = &projectOp{child: child(t.Child), node: t, schema: t.Schema()}
+	case *plan.Join:
+		op = &hashJoinOp{node: t, left: child(t.Left), right: child(t.Right), schema: t.Schema()}
+	case *plan.Sort:
+		op = &sortOp{node: t, child: child(t.Child)}
+	case *plan.Limit:
+		op = &limitOp{child: child(t.Child), n: t.N}
+	default:
+		err = fmt.Errorf("exec: unknown plan node %T", n)
+	}
 	if err != nil {
 		return nil, err
 	}
 	return wrapOp(op, sp), nil
 }
 
-// buildSerialOp is the span-free body of BuildOperatorContext; recursive
-// child builds go back through BuildOperatorContext so each node gets its
-// own span nested under the parent's.
-func buildSerialOp(ctx context.Context, n plan.Node, counters *Counters) (Operator, error) {
-	switch t := n.(type) {
-	case *plan.Scan:
-		return newScanOp(ctx, t, counters)
-	case *plan.Filter:
-		child, err := BuildOperatorContext(ctx, t.Child, counters)
-		if err != nil {
-			return nil, err
-		}
-		return &filterOp{child: child, pred: t.Pred}, nil
-	case *plan.Project:
-		child, err := BuildOperatorContext(ctx, t.Child, counters)
-		if err != nil {
-			return nil, err
-		}
-		return &projectOp{child: child, node: t, schema: t.Schema()}, nil
-	case *plan.Join:
-		left, err := BuildOperatorContext(ctx, t.Left, counters)
-		if err != nil {
-			return nil, err
-		}
-		right, err := BuildOperatorContext(ctx, t.Right, counters)
-		if err != nil {
-			return nil, err
-		}
-		return &hashJoinOp{node: t, left: left, right: right, schema: t.Schema()}, nil
-	case *plan.Aggregate:
-		child, err := BuildOperatorContext(ctx, t.Child, counters)
-		if err != nil {
-			return nil, err
-		}
-		return &hashAggOp{node: t, child: child}, nil
-	case *plan.Sort:
-		child, err := BuildOperatorContext(ctx, t.Child, counters)
-		if err != nil {
-			return nil, err
-		}
-		return &sortOp{node: t, child: child}, nil
-	case *plan.Limit:
-		child, err := BuildOperatorContext(ctx, t.Child, counters)
-		if err != nil {
-			return nil, err
-		}
-		return &limitOp{child: child, n: t.N}, nil
-	}
-	return nil, fmt.Errorf("exec: unknown plan node %T", n)
-}
-
-// Run executes a logical plan to completion, materializing the result.
+// Run executes a logical plan to completion on the serial operators,
+// materializing the result. It is the interpreter reference the kernel and
+// morsel paths are tested against.
 func Run(root plan.Node) (*Result, error) {
-	return RunContext(context.Background(), root)
+	return run(context.Background(), root, aggSource{})
 }
 
-// RunContext executes a logical plan to completion under ctx. Scans check
-// the context between batches, so a deadline or cancellation aborts the
-// query mid-scan with ctx.Err() rather than running to completion.
-func RunContext(ctx context.Context, root plan.Node) (*Result, error) {
+// run builds root around the given aggregate source, drains it to a
+// materialized Result under ctx, and closes it. Scans check the context
+// between batches, so a deadline or cancellation aborts the query mid-scan
+// with ctx.Err() rather than running to completion.
+func run(ctx context.Context, root plan.Node, src aggSource) (*Result, error) {
 	var counters Counters
-	op, err := BuildOperatorContext(ctx, root, &counters)
+	if src.part != nil {
+		counters = src.part.Counters
+	}
+	op, err := build(ctx, root, &counters, src)
 	if err != nil {
 		return nil, err
 	}
-	return drainOperator(ctx, op, root.Schema(), &counters)
-}
-
-// drainOperator opens op, drains it to a materialized Result under ctx,
-// and closes it. Shared by the serial and morsel-parallel entry points.
-func drainOperator(ctx context.Context, op Operator, schema storage.Schema, counters *Counters) (*Result, error) {
 	if err := op.Open(); err != nil {
 		return nil, err
 	}
-	res := &Result{Schema: schema}
+	res := &Result{Schema: root.Schema()}
 	for {
 		if err := ctx.Err(); err != nil {
 			_ = op.Close()
@@ -144,6 +134,6 @@ func drainOperator(ctx context.Context, op Operator, schema storage.Schema, coun
 	if err := op.Close(); err != nil {
 		return nil, err
 	}
-	res.Counters = *counters
+	res.Counters = counters
 	return res, nil
 }

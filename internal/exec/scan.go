@@ -8,6 +8,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/sample"
 	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // scanOp reads a base table block by block, applying (in order) the block
@@ -20,61 +21,91 @@ type scanOp struct {
 	scan     *plan.Scan
 	counters *Counters
 	ctx      context.Context
-
-	outIdx    []int // table column index per output column
-	weightIdx int   // hidden weight column in table, or -1
-	keyIdx    []int // sampler key columns in table
-	sampler   sample.RowSampler
-	blockSamp *sample.Block
+	scanBinding
+	samplerStages
 
 	table   *storage.Table
 	nRows   int
 	row     int
 	block   int
-	filter  boolKernel    // compiled scan filter; nil falls back to the evaluator
-	keyer   *sample.Keyer // sampler key columns; nil without any
-	scanned int64         // rows examined by this operator (for trace rows-in)
+	filter  boolKernel // compiled scan filter; nil falls back to the evaluator
+	scanned int64      // rows examined by this operator (for trace rows-in)
 }
 
-// inputRows implements inputRowsReporter.
-func (op *scanOp) inputRows() int64 { return op.scanned }
-
 func newScanOp(ctx context.Context, s *plan.Scan, counters *Counters) (*scanOp, error) {
-	op := &scanOp{scan: s, counters: counters, ctx: ctx, table: s.Table, weightIdx: -1}
+	b, err := bindScan(s)
+	if err != nil {
+		return nil, err
+	}
+	return &scanOp{scan: s, counters: counters, ctx: ctx, scanBinding: b}, nil
+}
+
+// scanBinding is a plan.Scan resolved against its table's schema. The
+// serial scan and the fused morsel scan read the table through it.
+type scanBinding struct {
+	outIdx    []int // table column index per scan output column
+	weightIdx int   // hidden weight column in table, or -1
+	keyIdx    []int // sampler key columns in table
+}
+
+func bindScan(s *plan.Scan) (scanBinding, error) {
+	b := scanBinding{weightIdx: s.WeightColumnIndex()}
 	tschema := s.Table.Schema()
 	for _, def := range s.Schema() {
 		idx := tschema.ColumnIndex(def.Name)
 		if idx < 0 {
-			return nil, fmt.Errorf("exec: scan %s: lost column %s", s.TableName, def.Name)
+			return b, fmt.Errorf("exec: scan %s: lost column %s", s.TableName, def.Name)
 		}
-		op.outIdx = append(op.outIdx, idx)
+		b.outIdx = append(b.outIdx, idx)
 	}
-	op.weightIdx = s.WeightColumnIndex()
 	if s.Sample != nil {
-		rs, err := sample.New(*s.Sample, s.Table.BlockSize())
-		if err != nil {
-			return nil, err
-		}
-		switch st := rs.(type) {
-		case *sample.Block:
-			op.blockSamp = st
-		case *sample.BiLevel:
-			// Split the stages so non-sampled blocks are skipped at the
-			// block level and kept blocks are thinned row by row.
-			op.blockSamp = st.BlockSampler()
-			op.sampler = biLevelRowStage{st}
-		default:
-			op.sampler = rs
-		}
 		for _, col := range s.Sample.KeyColumns {
 			idx := tschema.ColumnIndex(col)
 			if idx < 0 {
-				return nil, fmt.Errorf("exec: sampler key column %q not in table %s", col, s.TableName)
+				return b, fmt.Errorf("exec: sampler key column %q not in table %s", col, s.TableName)
 			}
-			op.keyIdx = append(op.keyIdx, idx)
+			b.keyIdx = append(b.keyIdx, idx)
 		}
 	}
-	return op, nil
+	return b, nil
+}
+
+// samplerStages is a scan's sampler split the way the row loops consume
+// it: a block stage that skips whole blocks, a row stage that thins the
+// rows of kept blocks, and the keyer feeding the row stage its stratum key.
+// All nil for an unsampled scan. Samplers are deterministic functions of
+// (seed, row/block index, key), so each morsel worker stages its own.
+type samplerStages struct {
+	blockSamp *sample.Block
+	sampler   sample.RowSampler
+	keyer     *sample.Keyer // sampler key columns; nil without any
+}
+
+// stageSampler instantiates s's sampler against one snapshot of its table.
+func stageSampler(s *plan.Scan, keyIdx []int, table *storage.Table) (samplerStages, error) {
+	var st samplerStages
+	if s.Sample == nil {
+		return st, nil
+	}
+	rs, err := sample.New(*s.Sample, table.BlockSize())
+	if err != nil {
+		return st, err
+	}
+	switch t := rs.(type) {
+	case *sample.Block:
+		st.blockSamp = t
+	case *sample.BiLevel:
+		// Split the stages so non-sampled blocks are skipped at the
+		// block level and kept blocks are thinned row by row.
+		st.blockSamp = t.BlockSampler()
+		st.sampler = biLevelRowStage{t}
+	default:
+		st.sampler = rs
+	}
+	if len(keyIdx) > 0 {
+		st.keyer = sample.NewKeyer(table, keyIdx)
+	}
+	return st, nil
 }
 
 // Schema implements Operator.
@@ -89,8 +120,9 @@ func (op *scanOp) Open() error {
 	if op.scan.Filter != nil {
 		op.filter = compileBool(op.scan.Filter, op.table, nil)
 	}
-	if len(op.keyIdx) > 0 {
-		op.keyer = sample.NewKeyer(op.table, op.keyIdx)
+	var err error
+	if op.samplerStages, err = stageSampler(op.scan, op.keyIdx, op.table); err != nil {
+		return err
 	}
 	op.row = 0
 	op.block = 0
@@ -218,5 +250,10 @@ func (op *scanOp) Next() (*Batch, error) {
 	return batch, nil
 }
 
-// Close implements Operator.
-func (op *scanOp) Close() error { return nil }
+// Close implements Operator. A scan's true input cardinality is not
+// visible from child batches, so it reports the rows it examined to its
+// span; everything above infers rows-in from child rows-out.
+func (op *scanOp) Close() error {
+	trace.SpanFromContext(op.ctx).SetRowsIn(op.scanned)
+	return nil
+}

@@ -3,7 +3,7 @@ package exec
 // Operator-level tracing. Each plan node gets a span named by its
 // Explain() string; the operator is wrapped in traceOp, which accumulates
 // busy time across Open/Next/Close and counts rows out. When tracing is
-// disabled (no tracer on the context) the builders return the bare
+// disabled (no tracer on the context) the builder returns the bare
 // operator unchanged, so the untraced hot path is untouched.
 
 import (
@@ -12,14 +12,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
-
-// inputRowsReporter is implemented by operators that know their true input
-// cardinality (rows scanned), which is not visible from child batches:
-// scanOp and the fused morselAggOp. For everything else rows-in is
-// inferred at snapshot time from child rows-out.
-type inputRowsReporter interface {
-	inputRows() int64
-}
 
 // traceOp decorates an operator with span accounting. Reported time is
 // inclusive: a parent's span includes time spent pulling from children,
@@ -64,8 +56,5 @@ func (op *traceOp) Close() error {
 	t0 := time.Now()
 	err := op.inner.Close()
 	op.sp.AddTime(time.Since(t0))
-	if r, ok := op.inner.(inputRowsReporter); ok {
-		op.sp.SetRowsIn(r.inputRows())
-	}
 	return err
 }

@@ -81,8 +81,9 @@ func runE16(s Scale) (*Table, error) {
 	t := &Table{ID: "E16", Title: "sample reuse across a 12-query session (3 reps x 4 queries)",
 		Header: []string{"engine", "rows_scanned", "total_latency", "cache_hits", "cache_misses"}}
 	t.AddRow("online (no cache)", itoa(plainRows), plainTime.Round(time.Millisecond).String(), "-", "-")
+	hits, misses := cached.CacheStats()
 	t.AddRow("online + sample cache", itoa(cachedRows), cachedTime.Round(time.Millisecond).String(),
-		itoa(int64(cached.CacheHits)), itoa(int64(cached.CacheMisses)))
+		itoa(int64(hits)), itoa(int64(misses)))
 	t.AddNote("the cache pays one base scan then rides the materialized sample; updates force a rebuild (second miss)")
 	t.AddNote("reuse converts the online engine into the hybrid middle of the design space — with the freshness guard")
 	return t, nil

@@ -21,16 +21,3 @@ func (r *StratifiedResult) Lineage() Lineage {
 func (l Lineage) Fresh(src *storage.Table) bool {
 	return src != nil && src.Version() == l.Version
 }
-
-// RowsAppendedSince returns how many rows the source table has gained
-// since the build (0 when the table shrank or is nil — truncation is a
-// rebuild signal in its own right, not an append count).
-func (l Lineage) RowsAppendedSince(src *storage.Table) int {
-	if src == nil {
-		return 0
-	}
-	if d := src.NumRows() - l.Rows; d > 0 {
-		return d
-	}
-	return 0
-}

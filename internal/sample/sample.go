@@ -465,10 +465,3 @@ func (k *Keyer) build(row int) string {
 	}
 	return KeyOf(k.vals)
 }
-
-// UniverseKeyHash exposes the universe inclusion test for planner
-// reasoning and tests: returns true if key survives at rate p with salt.
-func UniverseKeyHash(key string, p float64, salt uint64) bool {
-	h := splitmix64(hashString(key) ^ salt)
-	return hashToUnit(h) < p
-}

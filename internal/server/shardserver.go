@@ -14,17 +14,13 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"fmt"
+	"errors"
 	"io"
 	"net/http"
 	"runtime"
-	"sync"
-	"time"
 
 	"repro/internal/exec"
 	"repro/internal/fault"
-	"repro/internal/plan"
-	"repro/internal/sample"
 	"repro/internal/shard"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
@@ -47,14 +43,12 @@ type ShardServerConfig struct {
 	Workers int
 }
 
-// ShardServer serves one partition of one table over the wire schema.
+// ShardServer serves one partition of one table over the wire schema: a
+// shard.LocalShard behind HTTP, so a remote shard plans, samples and
+// executes exactly as its in-process twin would.
 type ShardServer struct {
 	cfg   ShardServerConfig
-	table *storage.Table
-	start time.Time
-
-	mu  sync.Mutex
-	smp *sample.StratifiedResult
+	shard *shard.LocalShard
 }
 
 // NewShardServer wraps a partition table in a shard server.
@@ -65,7 +59,7 @@ func NewShardServer(t *storage.Table, cfg ShardServerConfig) *ShardServer {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	return &ShardServer{cfg: cfg, table: t, start: time.Now()}
+	return &ShardServer{cfg: cfg, shard: shard.NewLocalShard(cfg.ShardID, t)}
 }
 
 // Handler returns the shard server's HTTP handler.
@@ -133,16 +127,15 @@ func (s *ShardServer) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
-	p, err := shard.BuildShardQueryPlan(shard.Query{Stmt: stmt, Sample: req.Sample}, s.table)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "plan: %v", err)
-		return
-	}
 	workers := req.Workers
 	if workers <= 0 || workers > s.cfg.Workers {
 		workers = s.cfg.Workers
 	}
-	part, err := runShardPartial(r.Context(), p, workers)
+	part, err := s.estimate(r.Context(), shard.Query{Stmt: stmt, Sample: req.Sample}, workers)
+	if errors.Is(err, shard.ErrPlan) {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "execute: %v", err)
 		return
@@ -155,22 +148,22 @@ func (s *ShardServer) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, shard.EstimateResponse{
 		V:       shard.WireVersion,
 		ShardID: s.cfg.ShardID,
-		Rows:    s.table.NumRows(),
+		Rows:    s.shard.Rows(),
 		TraceID: traceID,
 		Partial: blob,
 	})
 }
 
-// runShardPartial executes the partial with panic containment: an
-// injected (or genuine) panic inside the subtree becomes a typed 5xx
-// error, and the process keeps serving.
-func runShardPartial(ctx context.Context, p plan.Node, workers int) (part *exec.AggPartial, err error) {
+// estimate runs the shard's estimate with panic containment: an injected
+// (or genuine) panic inside the subtree becomes a typed 5xx error, and the
+// process keeps serving.
+func (s *ShardServer) estimate(ctx context.Context, q shard.Query, workers int) (part *exec.AggPartial, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			part, err = nil, fault.AsError(rec)
 		}
 	}()
-	return exec.RunAggPartialContext(ctx, p, workers)
+	return s.shard.Estimate(ctx, q, workers)
 }
 
 func (s *ShardServer) handleRebuild(w http.ResponseWriter, r *http.Request) {
@@ -186,16 +179,11 @@ func (s *ShardServer) handleRebuild(w http.ResponseWriter, r *http.Request) {
 	if !s.checkTable(w, req.Table) {
 		return
 	}
-	res, err := sample.BuildUniformTable(s.table, req.Rate, req.Seed,
-		fmt.Sprintf("%s__sample", s.table.Name()))
-	if err != nil {
+	if err := s.shard.Rebuild(req.Rate, req.Seed); err != nil {
 		writeError(w, http.StatusBadRequest, "rebuild: %v", err)
 		return
 	}
-	s.mu.Lock()
-	s.smp = res
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, shard.RebuildResponse{V: shard.WireVersion, SampleRows: res.SampleRows})
+	writeJSON(w, http.StatusOK, shard.RebuildResponse{V: shard.WireVersion, SampleRows: s.shard.Health().SampleRows})
 }
 
 func (s *ShardServer) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -203,17 +191,13 @@ func (s *ShardServer) handleHealth(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	h := shard.HealthWire{
-		V:       shard.WireVersion,
-		ShardID: s.cfg.ShardID,
-		Table:   s.cfg.Table,
-		Rows:    s.table.NumRows(),
-	}
-	s.mu.Lock()
-	if s.smp != nil {
-		h.SampleRows = s.smp.SampleRows
-		h.SampleFresh = s.smp.BuildVersion == s.table.Version()
-	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, h)
+	h := s.shard.Health()
+	writeJSON(w, http.StatusOK, shard.HealthWire{
+		V:           shard.WireVersion,
+		ShardID:     s.cfg.ShardID,
+		Table:       s.cfg.Table,
+		Rows:        h.Rows,
+		SampleRows:  h.SampleRows,
+		SampleFresh: h.SampleFresh,
+	})
 }

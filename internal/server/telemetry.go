@@ -48,12 +48,6 @@ func (s *Server) initTelemetry(cfg Config) {
 // disabled). cmd/aqpd starts its cadence ticker; tests drive Snap.
 func (s *Server) TelemetryStore() *telemetry.Store { return s.tstore }
 
-// FlightRecorder returns the flight recorder (nil when disabled).
-func (s *Server) FlightRecorder() *telemetry.Recorder { return s.flight }
-
-// SLOEngine returns the SLO engine (nil when disabled).
-func (s *Server) SLOEngine() *telemetry.SLO { return s.slo }
-
 // FlightBundle assembles a flight-recorder dump with current SLO
 // statuses and build identity attached.
 func (s *Server) FlightBundle(reason string) telemetry.Bundle {

@@ -65,7 +65,7 @@ func Partition(base *storage.Table, key Key, bcfg fault.BreakerConfig) (*Group, 
 		}
 	}
 	if key.Count == 1 {
-		s := newLocalShard(0, base)
+		s := NewLocalShard(0, base)
 		g.shards = []Shard{s}
 		g.locals = []*LocalShard{s}
 		g.breakers = []*fault.Breaker{fault.NewBreaker(bcfg)}
@@ -86,7 +86,7 @@ func Partition(base *storage.Table, key Key, bcfg fault.BreakerConfig) (*Group, 
 	for i := 0; i < key.Count; i++ {
 		t := storage.NewTableWithBlockSize(
 			fmt.Sprintf("%s__shard%d", base.Name(), i), schema, base.BlockSize())
-		s := newLocalShard(i, t)
+		s := NewLocalShard(i, t)
 		g.shards = append(g.shards, s)
 		g.locals = append(g.locals, s)
 		g.breakers = append(g.breakers, fault.NewBreaker(bcfg))

@@ -18,6 +18,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -163,9 +164,8 @@ type LocalShard struct {
 	table *storage.Table
 	point *fault.Point
 
-	mu      sync.Mutex
-	smp     *sample.StratifiedResult
-	smpSeed int64
+	mu  sync.Mutex
+	smp *sample.StratifiedResult
 	// minKey/maxKey bound the observed shard-key values (range sharding
 	// only); used by the scatter executor to prune shards that cannot
 	// contain rows matching a range predicate on the key.
@@ -173,7 +173,9 @@ type LocalShard struct {
 	hasBounds      bool
 }
 
-func newLocalShard(id int, table *storage.Table) *LocalShard {
+// NewLocalShard wraps one partition's table as shard id of its group. A
+// Group builds its own; a shard server holds one behind HTTP.
+func NewLocalShard(id int, table *storage.Table) *LocalShard {
 	return &LocalShard{
 		id:    id,
 		table: table,
@@ -195,6 +197,10 @@ func (s *LocalShard) Rows() int { return s.table.NumRows() }
 // only; remote shards hold their rows in another process).
 func (s *LocalShard) Scan() *storage.Table { return s.table }
 
+// ErrPlan marks an Estimate failure as the query's own: it does not plan
+// against the shard's table, so running it again cannot succeed.
+var ErrPlan = errors.New("shard: query does not plan")
+
 // Estimate implements Shard.
 func (s *LocalShard) Estimate(ctx context.Context, q Query, workers int) (*exec.AggPartial, error) {
 	if err := s.point.Inject(); err != nil {
@@ -202,7 +208,7 @@ func (s *LocalShard) Estimate(ctx context.Context, q Query, workers int) (*exec.
 	}
 	p, err := BuildShardQueryPlan(q, s.table)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrPlan, err)
 	}
 	return exec.RunAggPartialContext(ctx, p, workers)
 }
@@ -216,7 +222,6 @@ func (s *LocalShard) Rebuild(rate float64, seed int64) error {
 	}
 	s.mu.Lock()
 	s.smp = res
-	s.smpSeed = seed
 	s.mu.Unlock()
 	return nil
 }

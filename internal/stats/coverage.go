@@ -43,18 +43,6 @@ func RequiredRateForCoverage(m int, delta float64) float64 {
 	return 1 - math.Pow(delta, 1/float64(m))
 }
 
-// RequiredRateForCoverageAll bounds the probability (by a union bound over
-// g groups) that *any* group of at least m rows is missed by delta.
-func RequiredRateForCoverageAll(m, g int, delta float64) float64 {
-	if g <= 0 {
-		g = 1
-	}
-	return RequiredRateForCoverage(m, delta/float64(g))
-}
-
-// ExpectedSampleSize returns n*p, the expected Bernoulli sample size.
-func ExpectedSampleSize(n int, p float64) float64 { return float64(n) * p }
-
 // SampleSizeLowerBound returns a probabilistic lower bound on the Bernoulli
 // sample size: with probability at least 1-delta, the realized sample size
 // of Binomial(n, p) is at least the returned value (normal approximation

@@ -152,9 +152,6 @@ func (h *HTEstimator) Count() float64 { return h.wTot }
 // SumVariance returns the estimated variance of Sum().
 func (h *HTEstimator) SumVariance() float64 { return h.varSum }
 
-// CountVariance returns the estimated variance of Count().
-func (h *HTEstimator) CountVariance() float64 { return h.w2Tot }
-
 // Mean returns the ratio (Hájek) estimate of the population mean.
 func (h *HTEstimator) Mean() float64 {
 	if h.wTot == 0 {
@@ -208,11 +205,6 @@ func HTFromState(s HTState) HTEstimator {
 // SumInterval returns a CLT confidence interval for the population sum.
 func (h *HTEstimator) SumInterval(confidence float64) Interval {
 	return cltInterval(h.sum, h.varSum, h.n, confidence)
-}
-
-// CountInterval returns a CLT confidence interval for the population count.
-func (h *HTEstimator) CountInterval(confidence float64) Interval {
-	return cltInterval(h.wTot, h.w2Tot, h.n, confidence)
 }
 
 // MeanInterval returns a CLT confidence interval for the population mean.
