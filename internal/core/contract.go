@@ -410,10 +410,9 @@ func (e *OLAEngine) contractPlan(_ context.Context, stmt *sqlparse.SelectStmt, s
 		}
 		// A MaxFraction-limited pass: the fraction cut is a data-independent
 		// stopping rule, so the prefix read is an intact SRS.
-		eng := &OLAEngine{Catalog: e.Catalog, Config: e.Config}
-		eng.Config.StopWhenSpecMet = false
-		eng.Config.MaxFraction = rate
-		out, err := eng.ExecuteProgressive(ctx, stmt, spec, nil)
+		cfg := e.Config
+		cfg.StopWhenSpecMet, cfg.MaxFraction = false, rate
+		out, err := e.run(ctx, stmt, spec, cfg, nil)
 		if err != nil {
 			return contractRun{}, err
 		}

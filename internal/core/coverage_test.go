@@ -41,18 +41,25 @@ func runCoverageTrial(t *testing.T, eng Engine, stmt *sqlparse.SelectStmt, spec 
 	if err != nil {
 		t.Fatalf("%s: %v", eng.Name(), err)
 	}
+	return coverageTrialOf(t, eng.Name(), res)
+}
+
+// coverageTrialOf extracts what the harness compares from one answer,
+// enforcing the per-trial sanity guards.
+func coverageTrialOf(t *testing.T, name Technique, res *Result) coverageTrialResult {
+	t.Helper()
 	if res.Diagnostics.FellBackToExact {
-		t.Fatalf("%s fell back to exact: %v", eng.Name(), res.Diagnostics.Messages)
+		t.Fatalf("%s fell back to exact: %v", name, res.Diagnostics.Messages)
 	}
 	if res.NumRows() != 1 || len(res.Items[0]) != 1 {
-		t.Fatalf("%s: want one row, one item; got %d rows", eng.Name(), res.NumRows())
+		t.Fatalf("%s: want one row, one item; got %d rows", name, res.NumRows())
 	}
 	it := res.Items[0][0]
 	if !it.IsAggregate || !it.HasCI {
-		t.Fatalf("%s: aggregate item carries no CI", eng.Name())
+		t.Fatalf("%s: aggregate item carries no CI", name)
 	}
 	if !(it.CI.Hi > it.CI.Lo) {
-		t.Fatalf("%s: degenerate CI [%v, %v]", eng.Name(), it.CI.Lo, it.CI.Hi)
+		t.Fatalf("%s: degenerate CI [%v, %v]", name, it.CI.Lo, it.CI.Hi)
 	}
 	return coverageTrialResult{estimate: res.Float(0, 0), lo: it.CI.Lo, hi: it.CI.Hi}
 }
@@ -155,6 +162,8 @@ func TestOfflineCoverage(t *testing.T) {
 
 // TestOLACoverage: 500 random row permutations, each stopped at a fixed
 // 25% fraction (StopWhenSpecMet off, so no peeking bias in the harness).
+// Worker-count bit-identity is held at every checkpoint the observer sees,
+// not only at the answer.
 func TestOLACoverage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("coverage harness is long; skipped under -short")
@@ -166,10 +175,23 @@ func TestOLACoverage(t *testing.T) {
 		eng := NewOLAEngine(ev.Catalog, OLAConfig{
 			ChunkRows: 512, MaxFraction: 0.25, StopWhenSpecMet: false,
 			Seed: int64(3000 + trial)})
-		serial := runCoverageTrial(t, eng, stmt, spec, 1)
-		parallel := runCoverageTrial(t, eng, stmt, spec, 4)
-		assertTrialsEqual(t, "ola", trial, serial, parallel)
-		if serial.lo <= truth && truth <= serial.hi {
+		// checkpoints returns every interim estimate, then the answer.
+		checkpoints := func(workers int) []coverageTrialResult {
+			seen, res := olaCheckpoints(t, eng, stmt, spec, workers)
+			var out []coverageTrialResult
+			for _, r := range append(seen, res) {
+				out = append(out, coverageTrialOf(t, eng.Name(), r))
+			}
+			return out
+		}
+		serial, parallel := checkpoints(1), checkpoints(4)
+		if len(serial) != 3 || len(parallel) != 3 {
+			t.Fatalf("ola trial %d: %d and %d results, want two checkpoints and the answer", trial, len(serial), len(parallel))
+		}
+		for c := range serial {
+			assertTrialsEqual(t, "ola", trial, serial[c], parallel[c])
+		}
+		if answer := serial[2]; answer.lo <= truth && truth <= answer.hi {
 			covered++
 		}
 	}

@@ -4,15 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/fault"
+	"repro/internal/plan"
 	"repro/internal/sqlparse"
 	"repro/internal/stats"
 	"repro/internal/storage"
@@ -37,25 +34,20 @@ type OLAConfig struct {
 	// engine does it when asked (it is what OLA users do) and downgrades
 	// the guarantee accordingly.
 	StopWhenSpecMet bool
-	// MaxBuildRows caps the size of joined dimension tables: join queries
-	// are supported by fully materializing every non-fact table into a
-	// hash table (the simplified ripple-join scheme, statistically a
-	// cluster sample keyed by fact row) as long as each fits this bound.
+	// MaxBuildRows caps the size of joined dimension tables: the fact table
+	// is the sampling unit and every chunk joins it to the whole of each
+	// dimension on the shared hash join (the simplified ripple-join
+	// scheme), so a dimension is built once per chunk and must fit this
+	// bound.
 	MaxBuildRows int
 	// Seed drives the row permutation.
 	Seed int64
 	// Workers is the morsel-parallel worker count for chunk processing;
 	// 0 defers to a context override or runtime.GOMAXPROCS. Estimates are
-	// bit-identical for every worker count: the permuted order is cut into
-	// fixed shards and shard results merge in shard order.
+	// bit-identical for every worker count: a chunk's morsels are cut at
+	// fixed positions of the permuted order and merge in morsel order.
 	Workers int
 }
-
-// olaShardRows is the fixed shard size within a chunk. Shard boundaries
-// depend only on the chunk bounds, never on the worker count, so float
-// accumulation order — shard-local sums folded in shard order — is the
-// same no matter how many workers ran.
-const olaShardRows = 1024
 
 // DefaultOLAConfig processes 4096-row chunks up to the full table and
 // joins dimensions up to one million rows.
@@ -76,12 +68,15 @@ type Progress struct {
 
 // OLAEngine implements online aggregation: rows stream in random order
 // and estimates with shrinking confidence intervals are emitted at every
-// checkpoint. It supports single-table aggregation queries whose select
-// items are bare group columns or bare linear aggregates; anything else
-// falls back to exact execution.
+// checkpoint. It supports aggregation queries over one table, or over a
+// fact table joined to dimensions on their unique keys, whose select items
+// are bare group columns or bare linear aggregates; anything else falls
+// back to exact execution.
 type OLAEngine struct {
 	Catalog *storage.Catalog
 	Config  OLAConfig
+
+	order rowOrder // the seeded permutation every query reads a prefix of
 }
 
 // NewOLAEngine builds an OLA engine.
@@ -98,33 +93,14 @@ func NewOLAEngine(cat *storage.Catalog, cfg OLAConfig) *OLAEngine {
 // Name implements Engine.
 func (e *OLAEngine) Name() Technique { return TechniqueOLA }
 
-// Execute implements Engine by running ExecuteProgressive without an
-// observer.
+// Execute implements Engine: ExecuteProgressive without an observer.
 func (e *OLAEngine) Execute(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec) (*Result, error) {
-	return e.ExecuteProgressive(ctx, stmt, spec, nil)
+	return e.run(ctx, stmt, spec, e.Config, nil)
 }
 
 // exactEngine builds the exact-fallback engine at the same parallelism.
 func (e *OLAEngine) exactEngine() *ExactEngine {
 	return &ExactEngine{Catalog: e.Catalog, Workers: e.Config.Workers}
-}
-
-// olaAgg is a per-group, per-slot accumulator over the rows read so far.
-// For SUM/COUNT estimation it treats the contribution z_i (the aggregate
-// argument for rows in the group, 0 otherwise) as a simple random sample
-// without replacement of size k from N rows:
-//
-//	Ŝ = N·z̄,  Var(Ŝ) = N²·(1-k/N)·s_z²/k.
-type olaAgg struct {
-	sum   float64 // Σ z over group rows
-	sumsq float64 // Σ z² over group rows
-	n     float64 // rows in group
-}
-
-type olaGroup struct {
-	key  string
-	vals []storage.Value
-	aggs []olaAgg
 }
 
 // ExecuteProgressive runs the query with checkpoints; observe (if
@@ -134,686 +110,266 @@ type olaGroup struct {
 // estimate so far is returned (never an error), keeping its a-posteriori
 // guarantee — a deadline is a data-independent stopping rule, so unlike
 // spec-triggered early stopping it does not void the CI's coverage.
-//
-// OLA is the one technique that is not a draw handed to execute: its rows
-// arrive in permuted chunks and its estimator accumulates across them in a
-// pinned float order. It shares the engines' entry and exit, the exact
-// fallback and the run stamp.
 func (e *OLAEngine) ExecuteProgressive(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec,
+	observe func(Progress) bool) (*Result, error) {
+	return e.run(ctx, stmt, spec, e.Config, observe)
+}
+
+// run is the engines' shared entry and exit around the chunk loop, under
+// cfg: the engine's own configuration, or a contract stage's cut of it.
+func (e *OLAEngine) run(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec, cfg OLAConfig,
 	observe func(Progress) bool) (*Result, error) {
 	return engineRun(ctx, "ola", nil, spec, func(ctx context.Context, spec ErrorSpec) (*Result, error) {
 		if ok, reason := e.supported(stmt); !ok {
 			return e.exactEngine().fallBack(ctx, stmt, spec, "ola: fell back to exact: "+reason)
 		}
-		return e.progress(ctx, stmt, spec, observe)
+		return e.progress(ctx, stmt, spec, cfg, observe)
 	})
 }
 
-// progress is the chunk loop behind ExecuteProgressive.
-func (e *OLAEngine) progress(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec,
-	observe func(Progress) bool) (*Result, error) {
-	setupSp, _ := trace.StartSpan(ctx, "setup")
-	t, err := e.Catalog.Table(stmt.From.Name)
+// prefixDraw is OLA's draw: the statement's plan with the aggregate swapped
+// for the moments the prefix estimator needs, and the FROM scan — whose row
+// is the sampling unit — ready to be ranged over the row permutation.
+type prefixDraw struct {
+	// proj is the statement's select list, each item a bare reference into
+	// (group columns, aggregate slots); aggs are the slots.
+	proj *plan.Project
+	aggs []plan.AggSpec
+	// moments computes, per slot, COUNT as itself and SUM/AVG as SUM(arg)
+	// plus a hidden SUM(arg·arg); first[slot] is its first moment column.
+	moments *plan.Aggregate
+	first   []int
+	scan    *plan.Scan
+	order   []int32
+	n       int // rows in the FROM table
+}
+
+// draw plans stmt for prefix reads, under the "setup" span.
+func (e *OLAEngine) draw(ctx context.Context, stmt *sqlparse.SelectStmt, seed int64) (*prefixDraw, error) {
+	sp, _ := trace.StartSpan(ctx, "setup")
+	defer sp.End()
+	root, err := plan.Build(stmt, e.Catalog)
 	if err != nil {
-		setupSp.End()
 		return nil, err
 	}
-	// Stream over a snapshot so the permutation and the reads agree on
-	// the row count even while writers keep appending.
-	t = t.Snapshot()
-	n := t.NumRows()
-
-	// Joined dimensions are fully built into hash tables; the fact table
-	// is the sampling unit (simplified ripple join). The combined schema
-	// is the fact schema followed by each dimension's schema.
-	combined := t.Schema().Clone()
-	joins := make([]*olaJoin, 0, len(stmt.Joins))
-	for _, jc := range stmt.Joins {
-		j, err := e.buildOLAJoin(jc, combined)
-		if err != nil {
-			return nil, err
+	scans := plan.Scans(root)
+	for _, s := range scans {
+		// The permutation is the draw, so TABLESAMPLE clauses are dropped.
+		// Stream over snapshots so the permutation and the reads agree on
+		// the row count, and every chunk joins the same dimension rows,
+		// even while writers keep appending.
+		s.Sample, s.Table = nil, s.Table.Snapshot()
+	}
+	agg := plan.FindAggregate(root)
+	d := &prefixDraw{proj: root.(*plan.Project), aggs: agg.Aggs, first: make([]int, len(agg.Aggs)),
+		scan: scans[0], n: scans[0].Table.NumRows()}
+	var moments []plan.AggSpec
+	for i, a := range agg.Aggs {
+		d.first[i] = len(moments)
+		if a.Func == sqlparse.AggCount {
+			moments = append(moments, a) // z is 0 or 1, so Σz² = Σz
+			continue
 		}
-		joins = append(joins, j)
-		combined = append(combined, j.dimSchema...)
-	}
-
-	// Bind expressions against the combined schema.
-	var where expr.Expr
-	if stmt.Where != nil {
-		where = expr.Clone(stmt.Where)
-		if err := expr.Bind(where, combined); err != nil {
-			return nil, err
+		// Squares are taken in floating point: an integer product could
+		// overflow, and only float arithmetic compiles to a scan kernel.
+		sq := a.Arg
+		if sq.Type() != storage.TypeFloat64 {
+			sq = &expr.Binary{Op: expr.OpMul, L: sq, R: &expr.Lit{Val: storage.Float64(1)}}
 		}
+		moments = append(moments,
+			plan.AggSpec{Func: sqlparse.AggSum, Arg: a.Arg, Name: a.Name},
+			plan.AggSpec{Func: sqlparse.AggSum, Arg: &expr.Binary{Op: expr.OpMul, L: sq, R: a.Arg}, Name: a.Name + "_sq"})
 	}
-	groupExprs := make([]expr.Expr, len(stmt.GroupBy))
-	for i, g := range stmt.GroupBy {
-		groupExprs[i] = expr.Clone(g)
-		if err := expr.Bind(groupExprs[i], combined); err != nil {
-			return nil, err
-		}
-	}
-	aggs := stmt.Aggregates()
-	argExprs := make([]expr.Expr, len(aggs))
-	for i, a := range aggs {
-		if a.Arg != nil {
-			argExprs[i] = expr.Clone(a.Arg)
-			if err := expr.Bind(argExprs[i], combined); err != nil {
-				return nil, err
-			}
-		}
-	}
+	d.moments = plan.NewAggregate(agg.Child, agg.GroupBy, agg.GroupNames, moments)
+	d.order = e.order.of(seed, d.n)
+	sp.SetAttrInt("rows", int64(d.n))
+	return d, nil
+}
 
-	// Random permutation of row indices.
-	rng := rand.New(rand.NewSource(e.Config.Seed))
-	perm := rng.Perm(n)
-	limit := int(math.Ceil(e.Config.MaxFraction * float64(n)))
-	if limit > n {
-		limit = n
+// progress is the chunk loop: each chunk is the shared aggregate path run
+// over the next range of the permutation, the running state is the merge
+// of the chunk partials in chunk order, and a checkpoint finalizes it.
+func (e *OLAEngine) progress(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec, cfg OLAConfig,
+	observe func(Progress) bool) (*Result, error) {
+	d, err := e.draw(ctx, stmt, cfg.Seed)
+	if err != nil {
+		return nil, err
 	}
-
-	q := &olaQuery{t: t, joins: joins, where: where, groupExprs: groupExprs,
-		aggs: aggs, argExprs: argExprs, perm: perm}
-	workers := exec.ResolveWorkers(ctx, e.Config.Workers)
-	setupSp.SetAttrInt("rows", int64(n))
-	setupSp.SetAttrInt("workers", int64(workers))
-	setupSp.End()
+	limit := min(int(math.Ceil(cfg.MaxFraction*float64(d.n))), d.n)
+	workers := exec.ResolveWorkers(ctx, cfg.Workers)
 
 	// Chunk/checkpoint spans accumulate across loop iterations; a span per
-	// chunk would bloat the tree at default chunk sizes.
+	// chunk, let alone per chunk operator, would bloat the tree at default
+	// chunk sizes. A chunk is bounded work and runs to completion: the
+	// deadline is observed between chunks, never inside one.
 	chunkSp, _ := trace.StartOp(ctx, "chunks")
 	ckptSp, _ := trace.StartOp(ctx, "checkpoints")
-	var checkpoints int64
+	chunkCtx := trace.Detach(context.WithoutCancel(ctx))
 
-	groups := make(map[string]*olaGroup)
+	// The estimate over no rows stands when there is nothing to read.
+	running := exec.EmptyAggPartial()
+	final, err := d.checkpoint(chunkCtx, running, 1, spec)
+	if err != nil {
+		return nil, err
+	}
+	dg := &final.Diagnostics
 	read := 0
-	stoppedEarly := false
-
-	var final *Result
-	deadlineStopped := false
-	var chunkErr error
 	for read < limit {
 		// Always complete at least one chunk so a too-tight deadline still
 		// yields an estimate; after that, the deadline wins between chunks.
 		if read > 0 && ctx.Err() != nil {
-			deadlineStopped = true
+			dg.Partial = true
+			dg.Messages = append(dg.Messages, fmt.Sprintf(
+				"ola: deadline/cancellation after %d of %d rows; returning best progressive estimate", read, d.n))
 			break
 		}
-		chunkEnd := read + e.Config.ChunkRows
-		if chunkEnd > limit {
-			chunkEnd = limit
-		}
-		var t0 time.Time
-		if chunkSp != nil {
-			t0 = time.Now()
-		}
-		cerr := func() (cerr error) {
+		chunkEnd := min(read+cfg.ChunkRows, limit)
+		t0 := time.Now()
+		part, cerr := func() (_ *exec.AggPartial, cerr error) {
 			defer func() {
 				if r := recover(); r != nil {
 					cerr = fault.AsError(r)
 				}
 			}()
 			if err := injectOLAChunk.Inject(); err != nil {
-				return err
+				return nil, err
 			}
-			return processOLAChunk(q, groups, read, chunkEnd, workers)
+			d.scan.Range = &plan.RowRange{Order: d.order, Lo: read, Hi: chunkEnd}
+			return exec.RunAggPartialContext(chunkCtx, d.moments, workers)
 		}()
 		if cerr != nil {
 			if read == 0 {
 				return nil, cerr
 			}
-			// A mid-stream chunk fault costs only that chunk: groups are
-			// folded only after every shard of a chunk succeeds, so the
-			// accumulated prefix is an intact SRS and its a-posteriori CI
-			// still describes the estimate we return.
-			chunkErr = cerr
+			// A mid-stream chunk fault costs only that chunk: a partial is
+			// merged only once its whole chunk succeeded, so the accumulated
+			// prefix is an intact SRS and its a-posteriori CI still
+			// describes the estimate we return.
+			dg.Partial, dg.Degraded = true, true
+			dg.Messages = append(dg.Messages, fmt.Sprintf(
+				"ola: chunk fault after %d of %d rows (%v); returning best progressive estimate", read, d.n, cerr))
 			break
 		}
-		if chunkSp != nil {
-			chunkSp.AddTime(time.Since(t0))
-			chunkSp.AddRows(int64(chunkEnd - read))
-			t0 = time.Now()
-		}
+		running = exec.MergeAggPartials([]*exec.AggPartial{running, part})
+		chunkSp.AddTime(time.Since(t0))
+		chunkSp.AddRows(int64(chunkEnd - read))
 		read = chunkEnd
-		final = e.checkpoint(stmt, aggs, groups, read, n, spec)
-		if ckptSp != nil {
-			ckptSp.AddTime(time.Since(t0))
-			checkpoints++
+		t0 = time.Now()
+		if final, err = d.checkpoint(chunkCtx, running, read, spec); err != nil {
+			return nil, err
 		}
-		p := Progress{RowsRead: read, Fraction: float64(read) / float64(n), Result: final}
-		if observe != nil && !observe(p) {
-			stoppedEarly = true
-			break
-		}
-		if e.Config.StopWhenSpecMet && final.Diagnostics.SpecSatisfied && read < limit {
-			stoppedEarly = true
+		dg = &final.Diagnostics
+		ckptSp.AddTime(time.Since(t0))
+		p := Progress{RowsRead: read, Fraction: float64(read) / float64(d.n), Result: final}
+		if (observe != nil && !observe(p)) || (cfg.StopWhenSpecMet && dg.SpecSatisfied && read < limit) {
+			final.Guarantee = GuaranteeNone
+			dg.Messages = append(dg.Messages,
+				"ola: stopped on an interim CI; the stopped-at interval does not retain its nominal coverage (peeking)")
 			break
 		}
 	}
-	if final == nil {
-		final = e.checkpoint(stmt, aggs, groups, maxInt(read, 1), n, spec)
-	}
-	ckptSp.SetAttrInt("checkpoints", checkpoints)
-	fraction := float64(read) / math.Max(float64(n), 1)
+	ckptSp.SetAttrInt("checkpoints", int64((read+cfg.ChunkRows-1)/cfg.ChunkRows))
+	fraction := float64(read) / math.Max(float64(d.n), 1)
 	esp := trace.SpanFromContext(ctx)
+	esp.SetAttrInt("workers", int64(workers))
 	esp.SetAttrInt("rows_read", int64(read))
 	esp.SetAttrFloat("fraction", fraction)
-	stampRun(&final.Diagnostics, e.Catalog, stmt.From.Name, fraction, workers)
-	final.Diagnostics.Counters.RowsScanned = int64(read)
-	final.Diagnostics.Counters.RowsEmitted = int64(read)
-	final.Diagnostics.Counters.Passes = 1
-	if stoppedEarly {
-		final.Guarantee = GuaranteeNone
-		final.Diagnostics.Messages = append(final.Diagnostics.Messages,
-			"ola: stopped on an interim CI; the stopped-at interval does not retain its nominal coverage (peeking)")
-	}
-	if deadlineStopped {
-		final.Diagnostics.Partial = true
-		final.Diagnostics.Messages = append(final.Diagnostics.Messages, fmt.Sprintf(
-			"ola: deadline/cancellation after %d of %d rows; returning best progressive estimate", read, n))
-	}
-	if chunkErr != nil {
-		final.Diagnostics.Partial = true
-		final.Diagnostics.Degraded = true
-		final.Diagnostics.Messages = append(final.Diagnostics.Messages, fmt.Sprintf(
-			"ola: chunk fault after %d of %d rows (%v); returning best progressive estimate", read, n, chunkErr))
-	}
+	stampRun(dg, e.Catalog, stmt.From.Name, fraction, workers)
+	dg.Counters = exec.Counters{RowsScanned: int64(read), RowsEmitted: int64(read), Passes: 1}
 	return final, nil
 }
 
-// olaQuery bundles the read-only pieces every shard worker shares: the
-// snapshot, prebuilt dimension hash tables, bound expressions (expression
-// evaluation is pure), and the row permutation.
-type olaQuery struct {
-	t          *storage.Table
-	joins      []*olaJoin
-	where      expr.Expr
-	groupExprs []expr.Expr
-	aggs       []*sqlparse.AggExpr
-	argExprs   []expr.Expr
-	perm       []int
-}
-
-// olaRowTotals holds per-fact-row totals: the fact row is the sampling
-// unit, so for SUM/COUNT variance the contributions of all its joined
-// rows must be summed before entering the accumulators.
-type olaRowTotals struct {
-	total []float64 // per slot: summed SUM/COUNT contribution
-	seen  []bool    // per slot: contributed at all
-}
-
-// olaShardState accumulates one shard of the permuted order into private
-// group accumulators, later folded into the global state in shard order.
-type olaShardState struct {
-	q          *olaQuery
-	groups     map[string]*olaGroup
-	keyBuf     []storage.Value
-	factTotals map[string]*olaRowTotals
-}
-
-func newOLAShardState(q *olaQuery) *olaShardState {
-	return &olaShardState{q: q,
-		groups:     make(map[string]*olaGroup),
-		keyBuf:     make([]storage.Value, len(q.groupExprs)),
-		factTotals: make(map[string]*olaRowTotals)}
-}
-
-// processPermRows consumes permuted positions [lo, hi).
-func (sh *olaShardState) processPermRows(lo, hi int) error {
-	q := sh.q
-	for i := lo; i < hi; i++ {
-		ri := q.perm[i]
-		if len(q.joins) == 0 {
-			if err := sh.processCombined(tableRowAdapter{t: q.t, idx: ri}); err != nil {
-				return err
-			}
-			sh.flushFactRow()
-			continue
-		}
-		// Expand the fact row through the dimension hash tables.
-		rows := [][]storage.Value{q.t.Row(ri)}
-		for _, j := range q.joins {
-			var next [][]storage.Value
-			for _, r := range rows {
-				matches, err := j.probe(r)
-				if err != nil {
-					return err
-				}
-				next = append(next, matches...)
-			}
-			rows = next
-			if len(rows) == 0 {
-				break
-			}
-		}
-		for _, r := range rows {
-			if err := sh.processCombined(expr.ValuesRow(r)); err != nil {
-				return err
-			}
-		}
-		sh.flushFactRow()
+// checkpoint finalizes the running partial and turns each group's moments
+// into the statement's estimates: the first k rows of the permutation are
+// a simple random sample without replacement of the table's n, a row
+// contributing its aggregate argument when it is in the group and 0
+// otherwise.
+func (d *prefixDraw) checkpoint(ctx context.Context, running *exec.AggPartial, k int, spec ErrorSpec) (*Result, error) {
+	fin, err := exec.FinalizeAggPartial(ctx, d.moments, running)
+	if err != nil {
+		return nil, err
 	}
-	return nil
-}
-
-func (sh *olaShardState) processCombined(row expr.Row) error {
-	q := sh.q
-	if q.where != nil {
-		keep, err := expr.EvalBool(q.where, row)
-		if err != nil || !keep {
-			return err
-		}
-	}
-	for k2, ge := range q.groupExprs {
-		v, err := ge.Eval(row)
-		if err != nil {
-			return err
-		}
-		sh.keyBuf[k2] = v
-	}
-	key := sampleKey(sh.keyBuf)
-	g, ok := sh.groups[key]
-	if !ok {
-		g = &olaGroup{key: key, vals: append([]storage.Value(nil), sh.keyBuf...),
-			aggs: make([]olaAgg, len(q.aggs))}
-		sh.groups[key] = g
-	}
-	rt, ok := sh.factTotals[key]
-	if !ok {
-		rt = &olaRowTotals{total: make([]float64, len(q.aggs)), seen: make([]bool, len(q.aggs))}
-		sh.factTotals[key] = rt
-	}
-	for ai, a := range q.aggs {
-		var z float64
-		switch a.Func {
-		case sqlparse.AggCount:
-			z = 1
-			if !a.Star && q.argExprs[ai] != nil {
-				v, err := q.argExprs[ai].Eval(row)
-				if err != nil {
-					return err
-				}
-				if v.IsNull() {
-					continue
-				}
-			}
-			rt.total[ai] += z
-			rt.seen[ai] = true
-		case sqlparse.AggSum:
-			v, err := q.argExprs[ai].Eval(row)
-			if err != nil {
-				return err
-			}
-			if v.IsNull() {
+	conf := confidencePerEstimate(spec, len(d.aggs), fin.NumRows())
+	out := &Result{Columns: append([]string(nil), d.proj.Names...),
+		Technique: TechniqueOLA, Guarantee: GuaranteeAPosteriori, Spec: spec}
+	groupCols := len(d.moments.GroupBy)
+	specOK := fin.NumRows() > 0
+	for i, frow := range fin.Rows {
+		row := make([]storage.Value, len(d.proj.Exprs))
+		items := make([]ItemResult, len(d.proj.Exprs))
+		for j, e := range d.proj.Exprs {
+			col := e.(*expr.ColRef).Index
+			if col < groupCols {
+				row[j] = frow[col]
+				items[j] = ItemResult{Name: out.Columns[j], Value: row[j]}
 				continue
 			}
-			rt.total[ai] += v.AsFloat()
-			rt.seen[ai] = true
-		default: // AVG: the joined row is the value unit
-			v, err := q.argExprs[ai].Eval(row)
-			if err != nil {
-				return err
-			}
-			if v.IsNull() {
-				continue
-			}
-			z = v.AsFloat()
-			g.aggs[ai].sum += z
-			g.aggs[ai].sumsq += z * z
-			g.aggs[ai].n++
-		}
-	}
-	return nil
-}
-
-func (sh *olaShardState) flushFactRow() {
-	for key, rt := range sh.factTotals {
-		g := sh.groups[key]
-		for ai := range sh.q.aggs {
-			if !rt.seen[ai] {
-				continue
-			}
-			z := rt.total[ai]
-			g.aggs[ai].sum += z
-			g.aggs[ai].sumsq += z * z
-			g.aggs[ai].n++
-		}
-		delete(sh.factTotals, key)
-	}
-}
-
-// processOLAChunk consumes permuted positions [lo, hi), cut into fixed
-// olaShardRows shards. Each shard accumulates into a fresh olaShardState
-// and folds into groups in shard order; a single worker runs the shards
-// sequentially through the same code, so estimates are bit-identical for
-// every worker count. The chunk is bounded work: cancellation is observed
-// between chunks by the caller, preserving OLA's graceful degradation.
-func processOLAChunk(q *olaQuery, groups map[string]*olaGroup, lo, hi, workers int) error {
-	nShards := (hi - lo + olaShardRows - 1) / olaShardRows
-	if workers > nShards {
-		workers = nShards
-	}
-	shards := make([]*olaShardState, nShards)
-	runShard := func(s int) error {
-		sh := newOLAShardState(q)
-		slo := lo + s*olaShardRows
-		shi := slo + olaShardRows
-		if shi > hi {
-			shi = hi
-		}
-		if err := sh.processPermRows(slo, shi); err != nil {
-			return err
-		}
-		shards[s] = sh
-		return nil
-	}
-	if workers <= 1 {
-		for s := 0; s < nShards; s++ {
-			if err := runShard(s); err != nil {
-				return err
-			}
-		}
-	} else {
-		var (
-			next     int64
-			wg       sync.WaitGroup
-			once     sync.Once
-			firstErr error
-		)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// Contain shard panics to this worker: the chunk fails with
-				// a typed error instead of the panic killing the process.
-				defer func() {
-					if r := recover(); r != nil {
-						once.Do(func() { firstErr = fault.AsError(r) })
-					}
-				}()
-				for {
-					s := int(atomic.AddInt64(&next, 1)) - 1
-					if s >= nShards {
-						return
-					}
-					if err := runShard(s); err != nil {
-						once.Do(func() { firstErr = err })
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return firstErr
-		}
-	}
-	// Ordered reduction: shard-local sums fold in shard order.
-	for _, sh := range shards {
-		for key, g := range sh.groups {
-			dst, ok := groups[key]
-			if !ok {
-				groups[key] = g
-				continue
-			}
-			for ai := range dst.aggs {
-				dst.aggs[ai].sum += g.aggs[ai].sum
-				dst.aggs[ai].sumsq += g.aggs[ai].sumsq
-				dst.aggs[ai].n += g.aggs[ai].n
-			}
-		}
-	}
-	return nil
-}
-
-// checkpoint materializes the current estimates into an annotated Result.
-func (e *OLAEngine) checkpoint(stmt *sqlparse.SelectStmt, aggs []*sqlparse.AggExpr,
-	groups map[string]*olaGroup, k, n int, spec ErrorSpec) *Result {
-
-	keys := make([]string, 0, len(groups))
-	for key := range groups {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-
-	conf := confidencePerEstimate(spec, len(aggs), len(groups))
-	out := &Result{Technique: TechniqueOLA, Guarantee: GuaranteeAPosteriori, Spec: spec}
-	for j, it := range stmt.Items {
-		out.Columns = append(out.Columns, it.Name(j))
-	}
-	fpc := 1 - float64(k)/math.Max(float64(n), 1)
-	if fpc < 0 {
-		fpc = 0
-	}
-	specOK := len(groups) > 0
-	for _, key := range keys {
-		g := groups[key]
-		row := make([]storage.Value, len(stmt.Items))
-		items := make([]ItemResult, len(stmt.Items))
-		for j, it := range stmt.Items {
-			name := it.Name(j)
-			switch node := it.Expr.(type) {
-			case *sqlparse.AggExpr:
-				a := g.aggs[node.Slot]
-				est, variance := olaEstimate(node.Func, a, k, n, fpc)
-				val := storage.Float64(est)
-				if node.Func == sqlparse.AggCount {
-					val = storage.Int64(int64(est + 0.5))
-				}
-				row[j] = val
-				iv := stats.CLTInterval(est, variance, math.Max(a.n, 2), conf)
-				rel := iv.RelHalfWidth(est)
-				items[j] = ItemResult{Name: name, Value: val, IsAggregate: true,
-					HasCI: true, CI: iv, RelHalfWidth: rel,
-					Variance: variance, SampleN: math.Max(a.n, 2)}
-				if rel > spec.RelError {
-					specOK = false
-				}
-			case *expr.ColRef:
-				// Bare group column: position matches GroupBy order.
-				idx := groupColumnIndex(stmt, node.Name)
-				var v storage.Value
-				if idx >= 0 && idx < len(g.vals) {
-					v = g.vals[idx]
-				}
-				row[j] = v
-				items[j] = ItemResult{Name: name, Value: v}
+			fn := d.aggs[col-groupCols].Func
+			m := fin.Details[i].Aggs[d.first[col-groupCols]:]
+			sum, cnt := m[0].Estimate, m[0].N
+			var est, variance float64
+			val := storage.NullValue(storage.TypeFloat64) // SUM and AVG over no value
+			switch fn {
+			case sqlparse.AggCount:
+				est, variance = stats.SRSTotal(sum, sum, k, d.n)
+				val = storage.Int64(int64(est + 0.5))
+			case sqlparse.AggSum:
+				est, variance = stats.SRSTotal(sum, m[1].Estimate, k, d.n)
 			default:
-				row[j] = storage.Value{}
-				items[j] = ItemResult{Name: name}
+				est, variance = stats.SRSMean(sum, m[1].Estimate, cnt, k, d.n)
+			}
+			if fn != sqlparse.AggCount && cnt > 0 {
+				val = storage.Float64(est)
+			}
+			iv := stats.CLTInterval(est, variance, math.Max(cnt, 2), conf)
+			row[j] = val
+			items[j] = ItemResult{Name: out.Columns[j], Value: val, IsAggregate: true,
+				HasCI: true, CI: iv, RelHalfWidth: iv.RelHalfWidth(est),
+				Variance: variance, SampleN: math.Max(cnt, 2)}
+			if items[j].RelHalfWidth > spec.RelError {
+				specOK = false
 			}
 		}
 		out.Rows = append(out.Rows, row)
 		out.Items = append(out.Items, items)
+		if fin.Details[i].GroupN == 0 && k < d.n {
+			// The global aggregate's one row over no qualifying input: zero
+			// observations are no estimate, whatever width the formulas give.
+			specOK = false
+			out.Guarantee = GuaranteeNone
+			out.Diagnostics.Messages = append(out.Diagnostics.Messages, fmt.Sprintf(
+				"ola: no qualifying row in the %d of %d rows read; the estimate carries no error statement", k, d.n))
+		}
 	}
 	out.Diagnostics.SpecSatisfied = specOK
-	return out
-}
-
-// olaEstimate scales group accumulators to population estimates under
-// simple random sampling of k of n rows.
-func olaEstimate(fn sqlparse.AggFunc, a olaAgg, k, n int, fpc float64) (est, variance float64) {
-	kk := float64(k)
-	nn := float64(n)
-	switch fn {
-	case sqlparse.AggAvg:
-		if a.n == 0 {
-			return 0, 0
-		}
-		mean := a.sum / a.n
-		if a.n < 2 {
-			return mean, mean * mean
-		}
-		s2 := (a.sumsq - a.sum*a.sum/a.n) / (a.n - 1)
-		return mean, s2 / a.n * fpc
-	default: // SUM and COUNT share the z-scaling form
-		zbar := a.sum / kk
-		est = nn * zbar
-		// s_z² over all k rows (zeros included for out-of-group rows).
-		sz2 := (a.sumsq - kk*zbar*zbar) / math.Max(kk-1, 1)
-		variance = nn * nn * fpc * sz2 / kk
-		return est, variance
-	}
-}
-
-func groupColumnIndex(stmt *sqlparse.SelectStmt, col string) int {
-	for i, g := range stmt.GroupBy {
-		if c, ok := g.(*expr.ColRef); ok && c.Name == col {
-			return i
-		}
-	}
-	return -1
-}
-
-// olaJoin is one fully-built dimension of an OLA join: the fact table
-// streams, each fact row probes the dimension hash table.
-type olaJoin struct {
-	dimSchema storage.Schema
-	leftKeys  []expr.Expr // bound to the combined schema left of this dim
-	ht        map[string][][]storage.Value
-	residual  expr.Expr // bound to the combined schema including this dim
-}
-
-// buildOLAJoin materializes a dimension hash table for one join clause.
-func (e *OLAEngine) buildOLAJoin(jc sqlparse.JoinClause, leftSchema storage.Schema) (*olaJoin, error) {
-	dim, err := e.Catalog.Table(jc.Table.Name)
-	if err != nil {
-		return nil, err
-	}
-	// Build from a snapshot so the hash table is consistent under
-	// concurrent appends to the dimension.
-	dim = dim.Snapshot()
-	if dim.NumRows() > e.Config.MaxBuildRows {
-		return nil, fmt.Errorf("core: OLA join table %s has %d rows, above MaxBuildRows %d",
-			jc.Table.Name, dim.NumRows(), e.Config.MaxBuildRows)
-	}
-	dimSchema := dim.Schema()
-	j := &olaJoin{dimSchema: dimSchema.Clone(), ht: make(map[string][][]storage.Value)}
-
-	var rightKeys []expr.Expr
-	var rest []expr.Expr
-	for _, c := range splitAndExpr(expr.Clone(jc.On)) {
-		if eq, ok := c.(*expr.Binary); ok && eq.Op == expr.OpEq {
-			lc, rc := expr.Columns(eq.L), expr.Columns(eq.R)
-			switch {
-			case coveredBySchema(lc, leftSchema) && coveredBySchema(rc, dimSchema):
-				if err := expr.Bind(eq.L, leftSchema); err != nil {
-					return nil, err
-				}
-				if err := expr.Bind(eq.R, dimSchema); err != nil {
-					return nil, err
-				}
-				j.leftKeys = append(j.leftKeys, eq.L)
-				rightKeys = append(rightKeys, eq.R)
-				continue
-			case coveredBySchema(rc, leftSchema) && coveredBySchema(lc, dimSchema):
-				if err := expr.Bind(eq.R, leftSchema); err != nil {
-					return nil, err
-				}
-				if err := expr.Bind(eq.L, dimSchema); err != nil {
-					return nil, err
-				}
-				j.leftKeys = append(j.leftKeys, eq.R)
-				rightKeys = append(rightKeys, eq.L)
-				continue
-			}
-		}
-		rest = append(rest, c)
-	}
-	if len(j.leftKeys) == 0 {
-		return nil, fmt.Errorf("core: OLA join with %s needs an equi-key", jc.Table.Name)
-	}
-	if len(rest) > 0 {
-		combined := append(leftSchema.Clone(), dimSchema...)
-		j.residual = combineAndExpr(rest)
-		if err := expr.Bind(j.residual, combined); err != nil {
-			return nil, err
-		}
-	}
-
-	keyVals := make([]storage.Value, len(rightKeys))
-	for i := 0; i < dim.NumRows(); i++ {
-		row := dim.Row(i)
-		r := expr.ValuesRow(row)
-		null := false
-		for k, ke := range rightKeys {
-			v, err := ke.Eval(r)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() {
-				null = true
-				break
-			}
-			keyVals[k] = v
-		}
-		if null {
-			continue
-		}
-		key := sampleKey(keyVals)
-		j.ht[key] = append(j.ht[key], row)
-	}
-	return j, nil
-}
-
-// probe expands one partial combined row through this dimension.
-func (j *olaJoin) probe(left []storage.Value) ([][]storage.Value, error) {
-	r := expr.ValuesRow(left)
-	keyVals := make([]storage.Value, len(j.leftKeys))
-	for k, ke := range j.leftKeys {
-		v, err := ke.Eval(r)
-		if err != nil {
-			return nil, err
-		}
-		if v.IsNull() {
-			return nil, nil
-		}
-		keyVals[k] = v
-	}
-	matches := j.ht[sampleKey(keyVals)]
-	if len(matches) == 0 {
-		return nil, nil
-	}
-	out := make([][]storage.Value, 0, len(matches))
-	for _, m := range matches {
-		combined := make([]storage.Value, 0, len(left)+len(m))
-		combined = append(combined, left...)
-		combined = append(combined, m...)
-		if j.residual != nil {
-			ok, err := expr.EvalBool(j.residual, expr.ValuesRow(combined))
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		out = append(out, combined)
-	}
 	return out, nil
 }
 
-func splitAndExpr(e expr.Expr) []expr.Expr {
-	if b, ok := e.(*expr.Binary); ok && b.Op == expr.OpAnd {
-		return append(splitAndExpr(b.L), splitAndExpr(b.R)...)
-	}
-	return []expr.Expr{e}
-}
-
-func combineAndExpr(list []expr.Expr) expr.Expr {
-	out := list[0]
-	for _, e := range list[1:] {
-		out = &expr.Binary{Op: expr.OpAnd, L: out, R: e}
-	}
-	return out
-}
-
-func coveredBySchema(cols []string, schema storage.Schema) bool {
-	for _, c := range cols {
-		if schema.ColumnIndex(c) < 0 {
-			return false
+// uniqueBuildKey reports whether some equality conjunct of a join's ON
+// clause pins one dimension column that is unique in the dimension, so a
+// fact row joins at most one dimension row whatever else the clause says.
+func uniqueBuildKey(on expr.Expr, dim *storage.Table) bool {
+	for _, c := range plan.SplitAnd(on) {
+		eq, _ := c.(*expr.Binary)
+		if eq == nil || eq.Op != expr.OpEq {
+			continue
+		}
+		l, _ := eq.L.(*expr.ColRef)
+		r, _ := eq.R.(*expr.ColRef)
+		if l == nil || r == nil {
+			continue
+		}
+		if dim.Schema().ColumnIndex(l.Name) < 0 {
+			l, r = r, l
+		}
+		if dim.Schema().ColumnIndex(r.Name) >= 0 {
+			continue // both sides are the dimension's: a filter, not a key
+		}
+		if st, err := dim.Stats(l.Name); err == nil && st.DistinctCount+st.NullCount == dim.NumRows() {
+			return true
 		}
 	}
-	return true
+	return false
 }
 
 // supported checks the OLA engine's query class.
@@ -823,9 +379,15 @@ func (e *OLAEngine) supported(stmt *sqlparse.SelectStmt) (bool, string) {
 		if err != nil {
 			return false, err.Error()
 		}
-		if dim.NumRows() > e.Config.MaxBuildRows {
+		if dim = dim.Snapshot(); dim.NumRows() > e.Config.MaxBuildRows {
 			return false, fmt.Sprintf("join table %s too large to build (%d rows)",
 				jc.Table.Name, dim.NumRows())
+		}
+		// The prefix estimator treats each joined row as one fact row's
+		// contribution, which holds exactly when a fact row matches at
+		// most one dimension row.
+		if !uniqueBuildKey(jc.On, dim) {
+			return false, fmt.Sprintf("join with %s is not on a unique key of %s", jc.Table.Name, jc.Table.Name)
 		}
 	}
 	if ok, reason := supportedForSampling(stmt); !ok {
@@ -840,36 +402,11 @@ func (e *OLAEngine) supported(stmt *sqlparse.SelectStmt) (bool, string) {
 		return false, "HAVING/ORDER BY/LIMIT not supported by OLA"
 	}
 	for _, it := range stmt.Items {
-		switch n := it.Expr.(type) {
-		case *sqlparse.AggExpr:
-		case *expr.ColRef:
-			if groupColumnIndex(stmt, n.Name) < 0 {
-				return false, fmt.Sprintf("select item %s is not a group column", n.Name)
-			}
+		switch it.Expr.(type) {
+		case *sqlparse.AggExpr, *expr.ColRef: // a column outside GROUP BY fails to plan
 		default:
 			return false, "OLA supports only bare aggregates and group columns as select items"
 		}
 	}
 	return true, ""
-}
-
-// tableRowAdapter adapts a storage table row to expr.Row.
-type tableRowAdapter struct {
-	t   *storage.Table
-	idx int
-}
-
-// ColumnValue implements expr.Row.
-func (r tableRowAdapter) ColumnValue(i int) storage.Value { return r.t.Column(i).Value(r.idx) }
-
-// sampleKey is groupKeyOf for core (avoids an exec dependency cycle).
-func sampleKey(vals []storage.Value) string {
-	if len(vals) == 0 {
-		return ""
-	}
-	key := vals[0].GroupKey()
-	for _, v := range vals[1:] {
-		key += "\x1f" + v.GroupKey()
-	}
-	return key
 }

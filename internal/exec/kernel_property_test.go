@@ -215,7 +215,19 @@ func TestMorselMatchesSerialBitForBit(t *testing.T) {
 // weights, GroupDetails and counters, to the bit, at one and four workers.
 func requireOneExecution(t *testing.T, cat *storage.Catalog, sql string) {
 	t.Helper()
+	requireOneExecutionOver(t, cat, sql, nil)
+}
+
+// requireOneExecutionOver is requireOneExecution with the FROM scan ranged
+// over window (nil: the whole table); it returns the serial result.
+func requireOneExecutionOver(t *testing.T, cat *storage.Catalog, sql string, window *plan.RowRange) *Result {
+	t.Helper()
 	ctx := context.Background()
+	buildPlan := func(t *testing.T, cat *storage.Catalog, sql string) plan.Node {
+		p := buildPlan(t, cat, sql)
+		plan.Scans(p)[0].Range = window
+		return p
+	}
 	serial, err := Run(buildPlan(t, cat, sql))
 	if err != nil {
 		t.Fatalf("serial %q: %v", sql, err)
@@ -247,6 +259,7 @@ func requireOneExecution(t *testing.T, cat *storage.Catalog, sql string) {
 			t.Fatalf("W=%d %q: partial → finalize vs serial: %v", workers, sql, err)
 		}
 	}
+	return serial
 }
 
 // TestOneExecutionEveryShape runs the identity over the shapes that pick a
@@ -256,6 +269,23 @@ func requireOneExecution(t *testing.T, cat *storage.Catalog, sql string) {
 // and a plan with no aggregate at all.
 func TestOneExecutionEveryShape(t *testing.T) {
 	cat := kernelCatalog(t, 40_000)
+	addKernelDim(t, cat)
+	for _, sql := range []string{
+		"SELECT s1, COUNT(*), SUM(f), AVG(f) FROM t TABLESAMPLE BERNOULLI (50) WHERE s2 = 'O' GROUP BY s1",
+		"SELECT label, COUNT(*), SUM(f) FROM t JOIN d ON i1 = dk GROUP BY label",
+		"SELECT s1, COUNT(*), SUM(f) FROM t TABLESAMPLE DISTINCT (50, 20) ON (s1, s2) GROUP BY s1",
+		"SELECT s1, i1, SUM(f) AS s FROM t GROUP BY s1, i1 HAVING SUM(f) > 30000 ORDER BY s DESC, s1, i1 LIMIT 7",
+		"SELECT COUNT(*), SUM(f), AVG(f), MIN(f) FROM t WHERE s1 = 'absent'",
+		"SELECT s1, f FROM t WHERE i1 = 3 ORDER BY f, s1 LIMIT 20",
+	} {
+		requireOneExecution(t, cat, sql)
+	}
+}
+
+// addKernelDim adds a five-row dimension d(dk, label) keyed on half of
+// kernelCatalog's i1 values.
+func addKernelDim(t *testing.T, cat *storage.Catalog) {
+	t.Helper()
 	dim := storage.NewTable("d", storage.Schema{
 		{Name: "dk", Type: storage.TypeInt64},
 		{Name: "label", Type: storage.TypeString},
@@ -268,15 +298,57 @@ func TestOneExecutionEveryShape(t *testing.T) {
 	if err := cat.Add(dim); err != nil {
 		t.Fatal(err)
 	}
-	for _, sql := range []string{
-		"SELECT s1, COUNT(*), SUM(f), AVG(f) FROM t TABLESAMPLE BERNOULLI (50) WHERE s2 = 'O' GROUP BY s1",
-		"SELECT label, COUNT(*), SUM(f) FROM t JOIN d ON i1 = dk GROUP BY label",
-		"SELECT s1, COUNT(*), SUM(f) FROM t TABLESAMPLE DISTINCT (50, 20) ON (s1, s2) GROUP BY s1",
-		"SELECT s1, i1, SUM(f) AS s FROM t GROUP BY s1, i1 HAVING SUM(f) > 30000 ORDER BY s DESC, s1, i1 LIMIT 7",
-		"SELECT COUNT(*), SUM(f), AVG(f), MIN(f) FROM t WHERE s1 = 'absent'",
-		"SELECT s1, f FROM t WHERE i1 = 3 ORDER BY f, s1 LIMIT 20",
-	} {
-		requireOneExecution(t, cat, sql)
+}
+
+// TestRangedScanReadsTheWindowInOrder: a FROM scan ranged over [lo, hi) of
+// a row order is a scan of a table holding exactly those rows in that
+// order — on the morsel path (ordered morsels cut from lo, so one worker
+// and four agree to the bit), on the serial scan below a join, and over an
+// empty window — with rows scanned = rows in the window.
+func TestRangedScanReadsTheWindowInOrder(t *testing.T) {
+	cat := kernelCatalog(t, 40_000)
+	addKernelDim(t, cat)
+	src, err := cat.Table("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := make([]int32, src.NumRows())
+	for i, r := range rand.New(rand.NewSource(3)).Perm(len(order)) {
+		order[i] = int32(r)
+	}
+	for _, w := range []plan.RowRange{{Order: order, Lo: 3000, Hi: 9500}, {Order: order, Lo: 700, Hi: 700}} {
+		// The window, materialized.
+		win := storage.NewTableWithBlockSize("t", src.Schema(), 256)
+		for _, r := range order[w.Lo:w.Hi] {
+			if err := win.AppendRow(src.Row(int(r))...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		winCat := storage.NewCatalog()
+		if err := winCat.Add(win); err != nil {
+			t.Fatal(err)
+		}
+		addKernelDim(t, winCat)
+		for _, sql := range []string{
+			"SELECT s1, i1, COUNT(*), SUM(f), SUM(f * f), AVG(f), COUNT(f) FROM t WHERE s2 = 'O' GROUP BY s1, i1",
+			"SELECT COUNT(*), SUM(f), SUM(f * f) FROM t WHERE i1 < 4.0",
+			"SELECT label, COUNT(*), SUM(f) FROM t JOIN d ON i1 = dk GROUP BY label",
+			"SELECT s1, f FROM t WHERE i1 = 3 ORDER BY f, s1 LIMIT 20",
+		} {
+			got := requireOneExecutionOver(t, cat, sql, &w)
+			want, err := Run(buildPlan(t, winCat, sql))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameResult(got, want); err != nil {
+				t.Errorf("[%d, %d) %q: ranged scan vs materialized window: %v", w.Lo, w.Hi, sql, err)
+			}
+		}
+	}
+	p := buildPlan(t, cat, "SELECT COUNT(*) FROM t TABLESAMPLE BERNOULLI (50)")
+	plan.Scans(p)[0].Range = &plan.RowRange{Order: order, Hi: 100}
+	if _, err := Run(p); err == nil {
+		t.Error("a ranged scan with a sampler must be refused")
 	}
 }
 

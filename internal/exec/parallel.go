@@ -9,9 +9,10 @@ package exec
 // the per-morsel partial aggregation states in ascending morsel order.
 //
 // Determinism: morsel boundaries depend only on the table (row count and
-// block size), never on the worker count, and the reduction folds
-// partials in morsel-index order, so every floating-point operation
-// happens in the same sequence regardless of how many workers ran.
+// block size) or, for a ranged scan, on the range — never on the worker
+// count — and the reduction folds partials in morsel-index order, so every
+// floating-point operation happens in the same sequence regardless of how
+// many workers ran.
 // Results and confidence intervals are therefore bit-identical for any
 // worker count. See DESIGN.md for the full argument.
 
@@ -36,6 +37,13 @@ import (
 // smallest multiple of the table's block size that reaches it, keeping
 // morsel boundaries block-aligned and independent of the worker count.
 const minMorselRows = 8192
+
+// orderedMorselRows is the morsel size of a ranged scan, cut at fixed
+// positions from the range's start so the fold order depends on the range
+// alone. Rows of an order are scattered over the table: there are no blocks
+// to align to, and a smaller morsel spreads a chunk-sized range over the
+// workers.
+const orderedMorselRows = 1024
 
 // injectMorsel fires once per claimed morsel inside the worker's
 // containment scope, so an injected panic exercises the same recovery
@@ -242,16 +250,11 @@ func (op *morselRun) computeGroups() (map[string]*groupState, error) {
 	// the read prefix nor move the row count mid-scan, and every worker
 	// sees the same version.
 	table := op.scan.Table.Snapshot()
-	nRows := table.NumRows()
 	op.counters.Passes++
 	op.kern = op.compileKernels(table)
 
-	blockSize := table.BlockSize()
-	morselRows := blockSize
-	for morselRows < minMorselRows {
-		morselRows += blockSize
-	}
-	nMorsels := (nRows + morselRows - 1) / morselRows
+	first, end, morselRows := op.morselGrid(table)
+	nMorsels := (end - first + morselRows - 1) / morselRows
 
 	workers := op.workers
 	if workers > nMorsels {
@@ -336,10 +339,10 @@ func (op *morselRun) computeGroups() (map[string]*groupState, error) {
 						fail(err)
 						break
 					}
-					lo := m * morselRows
+					lo := first + m*morselRows
 					hi := lo + morselRows
-					if hi > nRows {
-						hi = nRows
+					if hi > end {
+						hi = end
 					}
 					var part map[string]*groupState
 					var err error
@@ -412,6 +415,19 @@ func (op *morselRun) computeGroups() (map[string]*groupState, error) {
 	return groups, nil
 }
 
+// morselGrid returns what the morsels tile — table rows [first, end), or
+// those positions of the scan's row order — and the morsel size.
+func (op *morselRun) morselGrid(table *storage.Table) (first, end, morselRows int) {
+	if r := op.scan.Range; r != nil {
+		return r.Lo, r.Hi, orderedMorselRows
+	}
+	morselRows = table.BlockSize()
+	for morselRows < minMorselRows {
+		morselRows += table.BlockSize()
+	}
+	return 0, table.NumRows(), morselRows
+}
+
 // morselWorker holds one worker's private sampler and counters. Samplers
 // are deterministic functions of (seed, row/block index, key), so every
 // worker's instance makes identical decisions; each worker gets its own
@@ -438,20 +454,16 @@ func (op *morselRun) newWorker(table *storage.Table) (*morselWorker, error) {
 
 // processMorsel runs the fused pipeline over rows [lo, hi) — morsels are
 // block-aligned, so each block belongs to exactly one morsel and the
-// block counters stay exact — and returns the partial aggregation state.
+// block counters stay exact — or, for a ranged scan, over the rows at
+// positions [lo, hi) of its order, and returns the partial aggregation
+// state.
 func (wk *morselWorker) processMorsel(ctx context.Context, lo, hi int) (map[string]*groupState, error) {
 	op := wk.op
-	kern := &op.kern
 	groups := make(map[string]*groupState)
 	// Tally in locals and publish once per morsel: the workers' structs
 	// sit side by side on the heap, and a per-row store into one would
 	// keep invalidating the cache line its neighbour reads its fields from.
 	var counters Counters
-	blockSize := wk.table.BlockSize()
-	var weightCol storage.Column
-	if op.weightIdx >= 0 {
-		weightCol = wk.table.Column(op.weightIdx)
-	}
 	// Global aggregates have a single group; hoist it out of the row loop.
 	var global *groupState
 	if wk.groups == nil {
@@ -460,6 +472,21 @@ func (wk *morselWorker) processMorsel(ctx context.Context, lo, hi int) (map[stri
 	} else {
 		wk.groups.reset()
 	}
+	if r := op.scan.Range; r != nil {
+		// One cancellation checkpoint per ordered morsel; an order has no
+		// runs to exploit, so its rows fold one at a time.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		for _, row := range r.Order[lo:hi] {
+			if err := wk.foldRows(groups, global, int(row), int(row)+1, 1, &counters); err != nil {
+				return nil, err
+			}
+		}
+		wk.counters.Add(counters)
+		return groups, nil
+	}
+	blockSize := wk.table.BlockSize()
 	for row := lo; row < hi; {
 		// One cancellation checkpoint per block.
 		if err := ctx.Err(); err != nil {
@@ -481,108 +508,128 @@ func (wk *morselWorker) processMorsel(ctx context.Context, lo, hi int) (map[stri
 			counters.BlocksScanned++
 			blockWeight = d.Weight
 		}
-		for ; row < blockEnd; row++ {
-			counters.RowsScanned++
-			if kern.filter != nil {
-				if !kern.filter(row) {
-					continue
-				}
-			} else if op.scan.Filter != nil {
-				ok, err := expr.EvalBool(op.scan.Filter, tableRow{t: wk.table, idx: row})
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
+		if err := wk.foldRows(groups, global, row, blockEnd, blockWeight, &counters); err != nil {
+			return nil, err
+		}
+		row = blockEnd
+	}
+	wk.counters.Add(counters)
+	return groups, nil
+}
+
+// foldRows filters, samples and accumulates table rows [row, end) — a run
+// inside one block, kept at blockWeight — into groups (global, when set,
+// is the one group of a global aggregate), tallying into c.
+func (wk *morselWorker) foldRows(groups map[string]*groupState, global *groupState,
+	row, end int, blockWeight float64, c *Counters) error {
+	op := wk.op
+	kern := &op.kern
+	var weightCol storage.Column
+	if op.weightIdx >= 0 {
+		weightCol = wk.table.Column(op.weightIdx)
+	}
+	c.RowsScanned += int64(end - row)
+	var emitted int64
+	for ; row < end; row++ {
+		if kern.filter != nil {
+			if !kern.filter(row) {
+				continue
 			}
-			w := blockWeight
-			if wk.sampler != nil {
-				key := ""
-				if wk.keyer != nil {
-					key = wk.keyer.Key(row)
-				}
-				d := wk.sampler.Decide(row, key)
-				if !d.Keep {
-					continue
-				}
-				w *= d.Weight
+		} else if op.scan.Filter != nil {
+			ok, err := expr.EvalBool(op.scan.Filter, tableRow{t: wk.table, idx: row})
+			if err != nil {
+				return err
 			}
-			if weightCol != nil {
-				wv := weightCol.Value(row)
-				if !wv.IsNull() {
-					w *= wv.AsFloat()
-				}
+			if !ok {
+				continue
 			}
-			counters.RowsEmitted++
-			var mr mappedRow
-			if kern.needRow {
-				mr = mappedRow{t: wk.table, idx: row, out: op.outIdx}
+		}
+		w := blockWeight
+		if wk.sampler != nil {
+			key := ""
+			if wk.keyer != nil {
+				key = wk.keyer.Key(row)
 			}
-			keep := true
-			for i, pred := range op.residual {
-				if k := kern.residual[i]; k != nil {
-					if !k(row) {
-						keep = false
-						break
-					}
-					continue
-				}
-				ok, err := expr.EvalBool(pred, mr)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
+			d := wk.sampler.Decide(row, key)
+			if !d.Keep {
+				continue
+			}
+			w *= d.Weight
+		}
+		if weightCol != nil {
+			wv := weightCol.Value(row)
+			if !wv.IsNull() {
+				w *= wv.AsFloat()
+			}
+		}
+		emitted++
+		var mr mappedRow
+		if kern.needRow {
+			mr = mappedRow{t: wk.table, idx: row, out: op.outIdx}
+		}
+		keep := true
+		for i, pred := range op.residual {
+			if k := kern.residual[i]; k != nil {
+				if !k(row) {
 					keep = false
 					break
 				}
-			}
-			if !keep {
 				continue
 			}
-			gs := global
-			if gs == nil {
-				var err error
-				if gs, err = wk.groups.resolve(row, mr, groups); err != nil {
-					return nil, err
-				}
+			ok, err := expr.EvalBool(pred, mr)
+			if err != nil {
+				return err
 			}
-			gs.n++
-			for j := range op.node.Aggs {
-				st := gs.aggs[j]
-				if w != 1 {
-					st.weighted = true
-				}
-				switch kern.slotMode[j] {
-				case slotCountStar:
+			if !ok {
+				keep = false
+				break
+			}
+		}
+		if !keep {
+			continue
+		}
+		gs := global
+		if gs == nil {
+			var err error
+			if gs, err = wk.groups.resolve(row, mr, groups); err != nil {
+				return err
+			}
+		}
+		gs.n++
+		for j := range op.node.Aggs {
+			st := gs.aggs[j]
+			if w != 1 {
+				st.weighted = true
+			}
+			switch kern.slotMode[j] {
+			case slotCountStar:
+				st.ht.Add(1, w)
+				st.nonNull++
+			case slotCountCol:
+				if _, null := kern.slotArg[j](row); !null {
 					st.ht.Add(1, w)
 					st.nonNull++
-				case slotCountCol:
-					if _, null := kern.slotArg[j](row); !null {
-						st.ht.Add(1, w)
-						st.nonNull++
-					}
-				case slotSumAvg:
-					if v, null := kern.slotArg[j](row); !null {
-						st.ht.Add(v, w)
-						st.nonNull++
-					}
-				case slotPercentile:
-					if v, null := kern.slotArg[j](row); !null {
-						st.pctVals = append(st.pctVals, v)
-						st.pctWeights = append(st.pctWeights, w)
-						st.nonNull++
-					}
-				default:
-					if err := accumulate(st, op.node.Aggs[j], mr, w); err != nil {
-						return nil, err
-					}
+				}
+			case slotSumAvg:
+				if v, null := kern.slotArg[j](row); !null {
+					st.ht.Add(v, w)
+					st.nonNull++
+				}
+			case slotPercentile:
+				if v, null := kern.slotArg[j](row); !null {
+					st.pctVals = append(st.pctVals, v)
+					st.pctWeights = append(st.pctWeights, w)
+					st.nonNull++
+				}
+			default:
+				if err := accumulate(st, op.node.Aggs[j], mr, w); err != nil {
+					return err
 				}
 			}
 		}
 	}
-	wk.counters.Add(counters)
-	return groups, nil
+	c.RowsEmitted += emitted
+	return nil
 }
 
 // newGroupState builds an empty group state; groupVal is copied.

@@ -24,12 +24,14 @@ type scanOp struct {
 	scanBinding
 	samplerStages
 
-	table   *storage.Table
-	nRows   int
-	row     int
-	block   int
-	filter  boolKernel // compiled scan filter; nil falls back to the evaluator
-	scanned int64      // rows examined by this operator (for trace rows-in)
+	table *storage.Table
+	// pos is the cursor over [pos, end): table rows in storage order, or
+	// positions of order when the scan is ranged.
+	pos, end int
+	order    []int32
+	block    int
+	filter   boolKernel // compiled scan filter; nil falls back to the evaluator
+	scanned  int64      // rows examined by this operator (for trace rows-in)
 }
 
 func newScanOp(ctx context.Context, s *plan.Scan, counters *Counters) (*scanOp, error) {
@@ -50,6 +52,9 @@ type scanBinding struct {
 
 func bindScan(s *plan.Scan) (scanBinding, error) {
 	b := scanBinding{weightIdx: s.WeightColumnIndex()}
+	if s.Range != nil && s.Sample != nil {
+		return b, fmt.Errorf("exec: scan %s: a ranged scan takes no sampler", s.TableName)
+	}
 	tschema := s.Table.Schema()
 	for _, def := range s.Schema() {
 		idx := tschema.ColumnIndex(def.Name)
@@ -116,7 +121,10 @@ func (op *scanOp) Open() error {
 	// Scan a snapshot: concurrent appends to the live table neither tear
 	// the read prefix nor move the row count mid-scan.
 	op.table = op.scan.Table.Snapshot()
-	op.nRows = op.table.NumRows()
+	op.pos, op.end, op.order = 0, op.table.NumRows(), nil
+	if r := op.scan.Range; r != nil {
+		op.pos, op.end, op.order = r.Lo, r.Hi, r.Order
+	}
 	if op.scan.Filter != nil {
 		op.filter = compileBool(op.scan.Filter, op.table, nil)
 	}
@@ -124,7 +132,6 @@ func (op *scanOp) Open() error {
 	if op.samplerStages, err = stageSampler(op.scan, op.keyIdx, op.table); err != nil {
 		return err
 	}
-	op.row = 0
 	op.block = 0
 	op.counters.Passes++
 	return nil
@@ -157,7 +164,7 @@ func (r tableRow) ColumnValue(i int) storage.Value { return r.t.Column(i).Value(
 
 // Next implements Operator.
 func (op *scanOp) Next() (*Batch, error) {
-	if op.row >= op.nRows {
+	if op.pos >= op.end {
 		return nil, nil
 	}
 	// One cancellation checkpoint per batch: long scans under a blocking
@@ -168,35 +175,43 @@ func (op *scanOp) Next() (*Batch, error) {
 	}
 	batch := &Batch{}
 	blockSize := op.table.BlockSize()
-	for batch.Len() < BatchSize && op.row < op.nRows {
-		blockEnd := (op.block + 1) * blockSize
-		if blockEnd > op.nRows {
-			blockEnd = op.nRows
-		}
+	for batch.Len() < BatchSize && op.pos < op.end {
+		// The run [row, runEnd) of table rows read next: the rest of the
+		// current block, or the one row an order names.
+		row, runEnd := op.pos, 0
 		blockWeight := 1.0
-		if op.blockSamp != nil {
-			d := op.blockSamp.DecideBlock(op.block)
-			if !d.Keep {
-				op.counters.BlocksSkipped++
-				op.row = blockEnd
-				op.block++
-				continue
+		if op.order != nil {
+			row = int(op.order[op.pos])
+			runEnd = row + 1
+		} else {
+			runEnd = (op.block + 1) * blockSize
+			if runEnd > op.end {
+				runEnd = op.end
 			}
-			if op.row == op.block*blockSize {
-				// Count each kept block once, on first entry.
-				op.counters.BlocksScanned++
+			if op.blockSamp != nil {
+				d := op.blockSamp.DecideBlock(op.block)
+				if !d.Keep {
+					op.counters.BlocksSkipped++
+					op.pos = runEnd
+					op.block++
+					continue
+				}
+				if op.pos == op.block*blockSize {
+					// Count each kept block once, on first entry.
+					op.counters.BlocksScanned++
+				}
+				blockWeight = d.Weight
 			}
-			blockWeight = d.Weight
 		}
-		for ; op.row < blockEnd && batch.Len() < BatchSize; op.row++ {
+		for ; row < runEnd && batch.Len() < BatchSize; row++ {
 			op.counters.RowsScanned++
 			op.scanned++
 			if op.filter != nil {
-				if !op.filter(op.row) {
+				if !op.filter(row) {
 					continue
 				}
 			} else if op.scan.Filter != nil {
-				ok, err := expr.EvalBool(op.scan.Filter, tableRow{t: op.table, idx: op.row})
+				ok, err := expr.EvalBool(op.scan.Filter, tableRow{t: op.table, idx: row})
 				if err != nil {
 					return nil, err
 				}
@@ -208,23 +223,23 @@ func (op *scanOp) Next() (*Batch, error) {
 			if op.sampler != nil {
 				key := ""
 				if op.keyer != nil {
-					key = op.keyer.Key(op.row)
+					key = op.keyer.Key(row)
 				}
-				d := op.sampler.Decide(op.row, key)
+				d := op.sampler.Decide(row, key)
 				if !d.Keep {
 					continue
 				}
 				w *= d.Weight
 			}
 			if op.weightIdx >= 0 {
-				wv := op.table.Column(op.weightIdx).Value(op.row)
+				wv := op.table.Column(op.weightIdx).Value(row)
 				if !wv.IsNull() {
 					w *= wv.AsFloat()
 				}
 			}
 			out := make([]storage.Value, len(op.outIdx))
 			for i, idx := range op.outIdx {
-				out[i] = op.table.Column(idx).Value(op.row)
+				out[i] = op.table.Column(idx).Value(row)
 			}
 			batch.Rows = append(batch.Rows, out)
 			if w != 1 || batch.Weights != nil {
@@ -238,12 +253,17 @@ func (op *scanOp) Next() (*Batch, error) {
 			}
 			op.counters.RowsEmitted++
 		}
-		if op.row >= blockEnd {
-			op.block++
+		if op.order != nil {
+			op.pos++
+		} else {
+			op.pos = row
+			if row >= runEnd {
+				op.block++
+			}
 		}
 	}
 	if batch.Len() == 0 {
-		// The loop exits with an empty batch only when the table is
+		// The loop exits with an empty batch only when the scan is
 		// exhausted.
 		return nil, nil
 	}

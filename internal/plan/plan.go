@@ -39,8 +39,20 @@ type Scan struct {
 	// Projection, when non-nil, restricts output to the named columns (in
 	// the given order). Weight columns are always consumed regardless.
 	Projection []string
+	// Range, when non-nil, makes the scan read only a window of a row
+	// order, in that order, instead of the whole table in storage order.
+	// A ranged scan takes no sampler: the order is the draw.
+	Range *RowRange
 
 	out storage.Schema
+}
+
+// RowRange is the window [Lo, Hi) of a row order: Order[i] is the index of
+// the table row read i-th. Online aggregation reads its seeded permutation
+// through one, a chunk at a time.
+type RowRange struct {
+	Order  []int32
+	Lo, Hi int
 }
 
 // NewScan builds a scan node over table.

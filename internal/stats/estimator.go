@@ -202,6 +202,45 @@ func HTFromState(s HTState) HTEstimator {
 	return HTEstimator{sum: s.Sum, varSum: s.VarSum, n: s.N, wTot: s.WTot, w2Tot: s.W2Tot, covsn: s.CovSN}
 }
 
+// SRSTotal estimates a population total from a simple random sample
+// without replacement: the first k of pop rows in a random order, sum and
+// sumsq being Σz and Σz² over them, where z is the row's contribution (its
+// value when it qualifies, 0 otherwise):
+//
+//	Ŝ = pop·z̄,  Var(Ŝ) = pop²·(1−k/pop)·s_z²/k.
+//
+// It is online aggregation's estimator for SUM and COUNT; reading every
+// row (k = pop) gives the exact total with variance 0.
+func SRSTotal(sum, sumsq float64, k, pop int) (est, variance float64) {
+	kk, nn := float64(k), float64(pop)
+	zbar := sum / kk
+	// s_z² over all k rows (zeros included for non-qualifying rows).
+	sz2 := (sumsq - kk*zbar*zbar) / math.Max(kk-1, 1)
+	return nn * zbar, nn * nn * srsFPC(k, pop) * sz2 / kk
+}
+
+// SRSMean estimates a population mean from the n qualifying rows among the
+// first k of pop rows in a random order, sum and sumsq being Σx and Σx²
+// over the n. One observation carries no variance information: its
+// variance is reported as mean², which cltInterval turns into the widest
+// interval it documents.
+func SRSMean(sum, sumsq, n float64, k, pop int) (est, variance float64) {
+	if n == 0 {
+		return 0, 0
+	}
+	mean := sum / n
+	if n < 2 {
+		return mean, mean * mean
+	}
+	s2 := (sumsq - sum*sum/n) / (n - 1)
+	return mean, s2 / n * srsFPC(k, pop)
+}
+
+// srsFPC is the finite-population correction 1 − k/pop, floored at 0.
+func srsFPC(k, pop int) float64 {
+	return math.Max(1-float64(k)/math.Max(float64(pop), 1), 0)
+}
+
 // SumInterval returns a CLT confidence interval for the population sum.
 func (h *HTEstimator) SumInterval(confidence float64) Interval {
 	return cltInterval(h.sum, h.varSum, h.n, confidence)

@@ -388,3 +388,48 @@ func TestCLTCoverageEmpirical(t *testing.T) {
 		t.Errorf("95%% CI coverage = %v, badly undercovering", rate)
 	}
 }
+
+// TestSRSEstimators: the without-replacement prefix estimators. The pinned
+// rows are the outputs of the online-aggregation engine's private
+// olaEstimate on the same inputs, recorded before it moved here.
+func TestSRSEstimators(t *testing.T) {
+	for _, c := range []struct {
+		name          string
+		mean          bool
+		sum, sumsq, n float64
+		k, pop        int
+		est, variance float64
+	}{
+		{"total pinned", false, 1234.5, 98765.25, 40, 512, 4000, 0x1.2d644p+13, 0x1.37c628aeeef78p+22},
+		{"total pinned, negative", false, -17.25, 301.5, 3, 100, 100000, -0x1.0d88p+14, 0x1.1f487d8f45d18p+28},
+		{"count pinned", false, 37, 37, 37, 1000, 250000, 0x1.211p+13, 0x1.0f06dp+21},
+		{"count of nothing", false, 0, 0, 0, 4096, 250000, 0, 0},
+		{"total from one row read", false, 5, 25, 1, 1, 10, 50, 0},
+		{"mean pinned", true, 1234.5, 98765.25, 40, 512, 4000, 0x1.edccccccccccdp+04, 0x1.0f489ce212f14p+05},
+		{"mean of one observation", true, 7.5, 56.25, 1, 512, 4000, 7.5, 56.25},
+		{"mean of nothing", true, 0, 0, 0, 512, 4000, 0, 0},
+		{"mean pinned, whole table", true, 25.5, 130.75, 5, 4000, 4000, 0x1.4666666666666p+02, 0},
+		{"total, whole table", false, 1234.5, 98765.25, 40, 4000, 4000, 1234.5, 0},
+		{"total, all-equal values", false, 12 * 2.5, 12 * 6.25, 12, 12, 96, 240, 0},
+		{"mean, all-equal values", true, 12 * 2.5, 12 * 6.25, 12, 40, 96, 2.5, 0},
+	} {
+		est, variance := SRSTotal(c.sum, c.sumsq, c.k, c.pop)
+		if c.mean {
+			est, variance = SRSMean(c.sum, c.sumsq, c.n, c.k, c.pop)
+		}
+		if est != c.est || variance != c.variance {
+			t.Errorf("%s: (%v, %v), want (%v, %v)", c.name, est, variance, c.est, c.variance)
+		}
+	}
+	// One observation carries no spread: the interval is the widest
+	// cltInterval documents, estimate ± z·|estimate|.
+	est, variance := SRSMean(7.5, 56.25, 1, 512, 4000)
+	iv := CLTInterval(est, variance, 1, 0.95)
+	approx(t, iv.HalfWidth(), NormalQuantile(0.975)*7.5, 1e-12, "one-observation half width")
+	// More of the table read, same moments per row: a narrower interval.
+	_, few := SRSTotal(100, 400, 50, 1000)
+	_, many := SRSTotal(1000, 4000, 500, 1000)
+	if !(many < few && many > 0) {
+		t.Errorf("variance %v at 50%% read vs %v at 5%%", many, few)
+	}
+}

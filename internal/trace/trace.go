@@ -132,6 +132,17 @@ func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
 	return withSpan(ctx, sp)
 }
 
+// Detach returns ctx with no current span: work under it records nothing.
+// A loop that accounts for its iterations on its own accumulating spans —
+// online aggregation's chunks — runs them detached, so their operators do
+// not each add a subtree.
+func Detach(ctx context.Context) context.Context {
+	if SpanFromContext(ctx) == nil {
+		return ctx
+	}
+	return withSpan(ctx, nil)
+}
+
 // Propagate copies src's current span onto dst, so work continuing
 // under a fresh context (a degradation-ladder rung with its own budget)
 // keeps appending to the same trace. No-op when src carries no span.
