@@ -226,3 +226,49 @@ func TestWorkersStampedInEveryScanningMode(t *testing.T) {
 		}
 	}
 }
+
+// TestQueryContractOn: the engine-pinned contract entry stamps a contract
+// on every technique that can size one, rejects the rest, and lets a WITH
+// ERROR clause beat the spec argument.
+func TestQueryContractOn(t *testing.T) {
+	ev, err := workload.GenerateEvents(workload.EventsConfig{Seed: 4, Rows: 40000, NumGroups: 8, Skew: 0.8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := Open(ev.Catalog, WithOnlineConfig(OnlineConfig{DefaultRate: 0.5, MinTableRows: 1, Seed: 1}))
+	const q = "SELECT SUM(ev_value) FROM events"
+	spec := ErrorSpec{RelError: 0.05, Confidence: 0.95}
+	for _, tc := range []struct {
+		tech   Technique
+		sql    string
+		target float64 // 0: the technique cannot size a contract and is rejected
+	}{
+		{TechniqueOnline, q, 0.05},
+		{TechniqueOLA, q, 0.05},
+		{TechniqueOffline, q, 0.05},
+		{TechniqueOnline, q + " WITH ERROR 2% CONFIDENCE 90%", 0.02},
+		{TechniqueExact, q, 0},
+		{TechniqueSynopsis, q, 0},
+	} {
+		res, err := db.QueryContractOn(tc.tech, tc.sql, spec)
+		if tc.target == 0 {
+			if err == nil || !strings.Contains(err.Error(), "does not support error contracts") {
+				t.Errorf("%s: err = %v, want a contract-unsupported rejection", tc.tech, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.tech, err)
+		}
+		c := res.Diagnostics.Contract
+		if c == nil || c.Verdict == "" {
+			t.Fatalf("%s: no contract verdict stamped: %+v", tc.tech, res.Diagnostics)
+		}
+		if c.TargetRelError != tc.target || res.Spec.RelError != tc.target {
+			t.Errorf("%s %q: contract target %v / spec %v, want %v", tc.tech, tc.sql, c.TargetRelError, res.Spec.RelError, tc.target)
+		}
+		if c.Verdict == ContractMet && res.Guarantee != GuaranteeAPriori {
+			t.Errorf("%s: met verdict with guarantee %s, want a-priori", tc.tech, res.Guarantee)
+		}
+	}
+}

@@ -264,12 +264,50 @@ func TestE15ClusteredBlocksDegrade(t *testing.T) {
 	}
 }
 
+// TestE21ShardSweepShape: one shard reproduces the unsharded width cell
+// for cell, nothing is lost at any fan-out, and stratified composition
+// neither loses nor invents precision. The two non-timing columns are a
+// pure function of (Rows, Seed): identical across runs and worker counts
+// (E21 stays out of goldenIDs because its other two columns are wall-clock).
+func TestE21ShardSweepShape(t *testing.T) {
+	sweep := func(workers int) *Table {
+		tab, err := Run("E21", Scale{Rows: 60000, Trials: 3, Seed: 1, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+	tab := sweep(1)
+	wCol, cCol := findCol(t, tab, "rel_ci_width"), findCol(t, tab, "coverage")
+	if len(tab.Rows) != 5 {
+		t.Fatalf("E21: %d rows, want 5", len(tab.Rows))
+	}
+	for i, n := range []string{"0", "1", "2", "4", "8"} {
+		if tab.Rows[i][0] != n || tab.Rows[i][cCol] != "1.0000" {
+			t.Errorf("E21 row %d: shards=%s coverage=%s, want %s / 1.0000", i, tab.Rows[i][0], tab.Rows[i][cCol], n)
+		}
+	}
+	if tab.Rows[0][wCol] != tab.Rows[1][wCol] {
+		t.Errorf("E21: one shard width %s != unsharded %s", tab.Rows[1][wCol], tab.Rows[0][wCol])
+	}
+	if w0, w8 := cellFloat(t, tab, 0, wCol), cellFloat(t, tab, 4, wCol); w8 < 0.9*w0 || w8 > 1.1*w0 {
+		t.Errorf("E21: width at 8 shards %v not within 10%% of unsharded %v", w8, w0)
+	}
+	for name, other := range map[string]*Table{"second run": sweep(1), "workers=4": sweep(4)} {
+		for i := range tab.Rows {
+			if tab.Rows[i][wCol] != other.Rows[i][wCol] || tab.Rows[i][cCol] != other.Rows[i][cCol] {
+				t.Errorf("E21 row %d: %s changed width/coverage: %v vs %v", i, name, other.Rows[i], tab.Rows[i])
+			}
+		}
+	}
+}
+
 func TestRegistry(t *testing.T) {
 	ids := IDs()
-	if len(ids) < 20 {
+	if len(ids) < 21 {
 		t.Fatalf("experiments registered = %d", len(ids))
 	}
-	if ids[0] != "E1" || ids[len(ids)-1] != "E20" {
+	if ids[0] != "E1" || ids[len(ids)-1] != "E21" {
 		t.Errorf("ordering: %v", ids)
 	}
 	for _, id := range ids {

@@ -33,21 +33,34 @@ func chaosServer(t testing.TB, cfg Config) *Server {
 	return New(db, cfg)
 }
 
-// chaosQueries crosses every mode with a few query shapes.
-var chaosQueries = []QueryRequest{
-	{SQL: "SELECT SUM(x) FROM t WHERE x < 50", Mode: "exact"},
-	{SQL: "SELECT g, AVG(x), COUNT(*) FROM t GROUP BY g ORDER BY g", Mode: "exact"},
-	{SQL: "SELECT SUM(x) FROM t WHERE x < 50", Mode: "online", RelError: 0.5, Confidence: 0.95},
-	{SQL: "SELECT g, AVG(x), COUNT(*) FROM t GROUP BY g ORDER BY g", Mode: "offline", RelError: 0.5, Confidence: 0.95},
-	{SQL: "SELECT SUM(x) FROM t WHERE x < 50", Mode: "ola", RelError: 0.5, Confidence: 0.95},
-	{SQL: "SELECT COUNT(*) FROM t WHERE x >= 0", Mode: "auto", RelError: 0.5, Confidence: 0.95},
-}
+// chaosQueries is the full cross of the five modes with three query
+// shapes: 15 requests per replay round.
+var chaosQueries = func() []QueryRequest {
+	var out []QueryRequest
+	for _, mode := range []string{"auto", "exact", "online", "offline", "ola"} {
+		for _, sql := range []string{
+			"SELECT SUM(x) FROM t WHERE x < 50",
+			"SELECT g, AVG(x), COUNT(*) FROM t GROUP BY g ORDER BY g",
+			"SELECT COUNT(*) FROM t WHERE x >= 0",
+		} {
+			out = append(out, QueryRequest{SQL: sql, Mode: mode, RelError: 0.5, Confidence: 0.95})
+		}
+	}
+	return out
+}()
+
+// chaosPerQueryBound caps one request under injection: a fault may cost a
+// retry, a ladder rung or a typed error, never a hang.
+const chaosPerQueryBound = 30 * time.Second
 
 // checkChaosResponse asserts the per-response invariants that must hold
-// under injection: an allowed status, degradation flagged whenever a
-// substitute technique answered, and well-formed intervals.
-func checkChaosResponse(t *testing.T, req QueryRequest, status int, ok QueryResponse) {
+// under injection: bounded latency, an allowed status, degradation flagged
+// whenever a substitute technique answered, and well-formed intervals.
+func checkChaosResponse(t *testing.T, req QueryRequest, status int, ok QueryResponse, took time.Duration) {
 	t.Helper()
+	if took > chaosPerQueryBound {
+		t.Fatalf("%s %q: took %s, bound %s", req.Mode, req.SQL, took, chaosPerQueryBound)
+	}
 	switch status {
 	case http.StatusOK, http.StatusBadRequest, http.StatusRequestTimeout,
 		http.StatusTooManyRequests, http.StatusInternalServerError,
@@ -112,9 +125,10 @@ func TestChaosWildcardPanicSurvival(t *testing.T) {
 	}})
 	for round := 0; round < 8; round++ {
 		for _, req := range chaosQueries {
+			start := time.Now()
 			resp, ok, _ := postQuery(t, ts.URL, req)
 			resp.Body.Close()
-			checkChaosResponse(t, req, resp.StatusCode, ok)
+			checkChaosResponse(t, req, resp.StatusCode, ok, time.Since(start))
 		}
 	}
 	var fires int64
@@ -155,9 +169,10 @@ func TestChaosMixedFaultSchedule(t *testing.T) {
 	}})
 	for round := 0; round < 6; round++ {
 		for _, req := range chaosQueries {
+			start := time.Now()
 			resp, ok, _ := postQuery(t, ts.URL, req)
 			resp.Body.Close()
-			checkChaosResponse(t, req, resp.StatusCode, ok)
+			checkChaosResponse(t, req, resp.StatusCode, ok, time.Since(start))
 		}
 	}
 }
@@ -197,9 +212,10 @@ func TestChaosBaselineBitIdentical(t *testing.T) {
 	srv := chaosServer(t, Config{DegradeBudget: time.Second, BreakerThreshold: 8})
 	ts := httptest.NewServer(srv.Handler())
 	for _, req := range chaosQueries {
+		start := time.Now()
 		resp, ok, _ := postQuery(t, ts.URL, req)
 		resp.Body.Close()
-		checkChaosResponse(t, req, resp.StatusCode, ok)
+		checkChaosResponse(t, req, resp.StatusCode, ok, time.Since(start))
 	}
 	ts.Close()
 	fault.Uninstall()

@@ -186,8 +186,17 @@ func TestRemoteClusterKillDegradedHonest(t *testing.T) {
 	if olBad.Error != "" {
 		t.Fatalf("degraded online query: %s", olBad.Error)
 	}
-	if ol.Shards == nil || len(ol.Shards.Degraded) != 1 || !ol.Shards.Extrapolated {
-		t.Fatalf("degraded online run not extrapolation-flagged: %+v", ol.Shards)
+	if ol.Shards == nil || len(ol.Shards.Degraded) != 1 || ol.Shards.Degraded[0] != 2 ||
+		!ol.Shards.Extrapolated || ol.Shards.Coverage != cov {
+		t.Fatalf("degraded online run not extrapolation-flagged over shard 2 at coverage %v: %+v", cov, ol.Shards)
+	}
+	for _, row := range ol.Items {
+		for _, it := range row {
+			// NaN fails both comparisons.
+			if it.HasCI && (!(it.CILo <= it.CIHi) || !(it.Confidence > 0 && it.Confidence <= 1)) {
+				t.Fatalf("degraded online CI invalid: [%g, %g] at confidence %g", it.CILo, it.CIHi, it.Confidence)
+			}
+		}
 	}
 	olCount := ol.Rows[0][0].(float64)
 	if olCount < 0.8*healthy || olCount > 1.2*healthy {
@@ -218,8 +227,8 @@ func TestRemoteClusterKillDegradedHonest(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	for _, h := range groups[0].Health {
-		if h.Kind != "remote" || h.Addr == "" {
+	for i, h := range groups[0].Health {
+		if h.Kind != "remote" || h.Addr != rc.shardSrvs[i].URL {
 			t.Fatalf("health entry missing kind/addr: %+v", h)
 		}
 	}
