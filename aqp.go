@@ -696,13 +696,14 @@ func (db *DB) Explain(sql string) (string, error) {
 }
 
 // Exec runs a raw plan for a statement and returns the executor-level
-// result — an escape hatch for tooling that needs counters or weights.
+// result — an escape hatch for tooling that needs counters or weights. It
+// executes as Query does, on the morsel path at the DB's parallelism.
 func (db *DB) Exec(sql string) (*exec.Result, error) {
 	p, err := db.buildPlan(sql)
 	if err != nil {
 		return nil, err
 	}
-	return exec.Run(p)
+	return exec.RunParallel(p, db.workers)
 }
 
 func (db *DB) buildPlan(sql string) (plan.Node, error) {

@@ -125,21 +125,9 @@ func mustPlan(b *testing.B, cat *storage.Catalog, sql string) plan.Node {
 	return p
 }
 
-// BenchmarkScanSum measures a full-scan SUM through the executor.
-func BenchmarkScanSum(b *testing.B) {
-	star := benchStar(b, 200_000)
-	p := mustPlan(b, star.Catalog, "SELECT SUM(l_extendedprice) FROM lineitem")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := exec.Run(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(200_000*b.N)/b.Elapsed().Seconds(), "rows/s")
-}
-
 // benchMorselScan measures one statement through the morsel-parallel
-// executor over 250k lineitem rows at one and two workers.
+// executor — the path every served aggregate takes — over 250k lineitem
+// rows at one and two workers.
 func benchMorselScan(b *testing.B, sql string) {
 	const rows = 250_000
 	star := benchStar(b, rows)
@@ -178,17 +166,39 @@ func BenchmarkScanIntGroupBy(b *testing.B) {
 		FROM lineitem WHERE l_suppkey <= 500 GROUP BY l_suppkey ORDER BY l_suppkey LIMIT 10`)
 }
 
-// BenchmarkScanFiltered measures scan with a pushed-down predicate.
+// BenchmarkScanSum measures a full-scan SUM of one column.
+func BenchmarkScanSum(b *testing.B) {
+	benchMorselScan(b, "SELECT SUM(l_extendedprice) FROM lineitem")
+}
+
+// BenchmarkScanFiltered measures a scan with a pushed-down numeric
+// predicate.
 func BenchmarkScanFiltered(b *testing.B) {
-	star := benchStar(b, 200_000)
-	p := mustPlan(b, star.Catalog,
-		"SELECT SUM(l_extendedprice) FROM lineitem WHERE l_quantity < 10 AND l_discount > 0.02")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := exec.Run(p); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchMorselScan(b, "SELECT SUM(l_extendedprice) FROM lineitem WHERE l_quantity < 10 AND l_discount > 0.02")
+}
+
+// BenchmarkScanArithSum measures the served sum-revenue statement: an
+// arithmetic aggregate argument materialised a run at a time.
+func BenchmarkScanArithSum(b *testing.B) {
+	benchMorselScan(b, "SELECT SUM(l_extendedprice * (1 - l_discount)) AS revenue FROM lineitem")
+}
+
+// BenchmarkScanPricingSummary measures the served pricing-summary
+// statement: an integer filter, a two-column dictionary group-by and four
+// aggregate slots.
+func BenchmarkScanPricingSummary(b *testing.B) {
+	benchMorselScan(b, `SELECT l_returnflag, l_linestatus, SUM(l_quantity) AS sum_qty,
+		SUM(l_extendedprice) AS sum_price, AVG(l_discount) AS avg_disc, COUNT(*) AS n
+		FROM lineitem WHERE l_shipdate <= 2250
+		GROUP BY l_returnflag, l_linestatus ORDER BY l_returnflag, l_linestatus`)
+}
+
+// BenchmarkScanForecastRevenue measures the served forecast-revenue
+// statement: three range predicates narrowing one selection in turn.
+func BenchmarkScanForecastRevenue(b *testing.B) {
+	benchMorselScan(b, `SELECT SUM(l_extendedprice * l_discount) AS revenue
+		FROM lineitem WHERE l_shipdate BETWEEN 1000 AND 1365
+		AND l_discount BETWEEN 0.02 AND 0.06 AND l_quantity < 24`)
 }
 
 // BenchmarkHashJoin measures the join of lineitem with orders.

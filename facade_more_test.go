@@ -131,6 +131,35 @@ func TestExecEscapeHatch(t *testing.T) {
 	}
 }
 
+// TestExecHonoursParallelism: an aggregate through Exec takes the morsel
+// path Query takes — over three morsels its float sums equal Query's to the
+// bit, which the serial operators' single running sum does not — and
+// reports the same counters.
+func TestExecHonoursParallelism(t *testing.T) {
+	star, err := workload.GenerateStar(workload.Config{Seed: 1, LineitemRows: 20_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := Open(star.Catalog, WithParallelism(4))
+	const sql = "SELECT SUM(l_extendedprice * (1 - l_discount)) AS revenue, AVG(l_extendedprice) AS price FROM lineitem"
+	raw, err := db.Exec(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range raw.Rows[0] {
+		if got, want := raw.Rows[0][j].F, res.Rows[0][j].F; math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("column %d: Exec %v, Query %v: Exec is not on the morsel path", j, got, want)
+		}
+	}
+	if raw.Counters != res.Diagnostics.Counters {
+		t.Errorf("counters: Exec %+v, Query %+v", raw.Counters, res.Diagnostics.Counters)
+	}
+}
+
 func TestDumpTableCSV(t *testing.T) {
 	db := New()
 	tbl, err := db.CreateTable("t", Schema{

@@ -31,6 +31,7 @@ type groupState struct {
 	groupVal []storage.Value
 	aggs     []*aggState
 	n        float64
+	id       int32 // position in the group list of the morsel that made it
 }
 
 // aggOp is the aggregate terminal of every execution: it finalizes the

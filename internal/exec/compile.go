@@ -1,36 +1,50 @@
 package exec
 
-// Compiled row kernels for the morsel-parallel hot loop.
+// Vector kernels for the scan.
 //
-// The tree-walking evaluator allocates a Row adapter per row and pays an
-// interface dispatch plus Value boxing per expression node. For the
-// expression shapes that dominate aggregate scans — column references,
-// numeric literals, arithmetic, comparisons, AND/OR/NOT, and string
-// equality and IN against literals — we compile the tree once per scan
-// into closures that read the typed column storage directly. String
-// predicates compare dictionary codes: each literal is resolved against
-// the snapshot's dictionary at compile time, so the row loop never touches
-// string bytes. Compilation is best-effort: any unsupported node returns a
-// nil kernel and the caller falls back to the general evaluator for that
-// expression only.
+// The scan works on a run of rows — a storage block, or a morsel of a
+// ranged scan's order, at most maxRunRows rows — held as a selection
+// vector: the table row ids still in play, in input order. A predicate
+// compiles to a kernel that narrows a selection and keeps its order, a
+// numeric expression to one that materialises its value per selected row
+// into per-worker scratch; both loop over the typed column storage
+// (dictionary codes for strings, each literal looked up once per scan), so
+// the expression tree is walked once per run, not once per row.
 //
-// Faithfulness: every kernel reproduces the tree-walker's float operation
-// sequence exactly (AsFloat conversions, NULL propagation, short-circuit
-// two-valued logic, division-by-zero to NULL), so fast and slow paths are
-// bit-identical and the choice never changes a result.
+// The selection algebra is two-valued, as the evaluator's: a NULL operand
+// drops the row, AND narrows twice, NOT is the complement within the input
+// selection, and OR gives its right side only the rows the left side
+// refused and merges the two back by input position. Rows are matched by
+// id, which is exact because a predicate is a function of the row alone.
+//
+// Compilation is best-effort: an unsupported node yields a nil kernel and
+// the caller evaluates that expression with the tree walker per selected
+// row. Every kernel reproduces the tree walker's float operation sequence
+// (AsFloat conversions, NULL propagation, division by zero to NULL) and
+// rows do not interact, so the two forms are bit-identical and the choice
+// never changes a result.
 
 import (
+	"sync"
+
 	"repro/internal/expr"
 	"repro/internal/storage"
 )
 
-// numKernel evaluates a numeric expression for one table row, returning
-// the value as float64 (the evaluator's AsFloat form) and a NULL flag.
-type numKernel func(row int) (float64, bool)
+// maxRunRows caps a run, and with it a worker's scratch, whatever the
+// table's block size.
+const maxRunRows = 1024
 
-// boolKernel evaluates a predicate for one table row with SQL
-// three-valued logic collapsed to two-valued (NULL is false).
-type boolKernel func(row int) bool
+// selKernel writes the rows of in its predicate keeps to out, in in's
+// order, and returns them. out is at least as long as in and may be in
+// itself: a kernel reads in[i] before it writes out[k], k ≤ i.
+type selKernel func(sc *scratch, in, out []int32) []int32
+
+// valKernel materialises a numeric expression over a selection: vals[i] is
+// its value at row in[i] in the evaluator's AsFloat form, and nulls[i]
+// marks a NULL (nulls is nil when no operand can be NULL). The slices are
+// scratch or column storage: read-only, valid until the next kernel call.
+type valKernel func(sc *scratch, in []int32) (vals []float64, nulls []bool)
 
 // colMap translates an expression's bound column index to a table column
 // index; nil means identity (the expression is bound to the table schema).
@@ -43,108 +57,355 @@ func (m colMap) col(i int) int {
 	return m[i]
 }
 
-// compileNum compiles a numeric expression against t, or returns nil.
-func compileNum(e expr.Expr, t *storage.Table, m colMap) numKernel {
+// compiler compiles expressions against one table snapshot and records how
+// much scratch the kernels index: every kernel it returns must run with a
+// scratch made from it afterwards.
+type compiler struct {
+	t          *storage.Table
+	m          colMap
+	sels, nums int       // temporaries by nesting depth
+	consts     []float64 // numeric literals
+}
+
+// scratch is one worker's vector memory for one scan: the kernels'
+// vectors and the run pipeline's.
+type scratch struct {
+	mem *vectors // the pooled memory everything below is cut from
+
+	// The run being folded is the block rows [lo, lo+n), so a selection of
+	// n rows still in rows is all of them, ascending; n is 0 for rows of an
+	// order.
+	lo, n  int
+	rows   []int32     // the run's selection
+	sel    [][]int32   // selection temporaries, by depth
+	num    [][]float64 // value vectors, by depth
+	null   [][]bool    // NULL marks, by depth
+	keep   []bool      // a comparison's outcome per selected row
+	consts [][]float64 // a literal's value, once per row of a run
+
+	// The run pipeline's: a second selection (the residual predicates',
+	// then the regrouped run's) and, per selected row, the group id, the
+	// weight (and again regrouped), and a slot's non-NULL values and weights.
+	kept, gids        []int32
+	ones, ws, orderWs []float64
+	vals, valWs       []float64
+}
+
+// vectors is a scratch's backing memory. It is plain numbers, every vector
+// is written before it is read, and a query over a small table would
+// notice allocating and zeroing it, so finished scans hand it on.
+type vectors struct {
+	rows  []int32
+	nums  []float64
+	marks []bool
+}
+
+var vectorPool = sync.Pool{New: func() any { return new(vectors) }}
+
+func newScratch(c *compiler, runCap int) *scratch {
+	mem := vectorPool.Get().(*vectors)
+	rows := carve(&mem.rows, 3+c.sels, runCap)
+	nums := carve(&mem.nums, 5+c.nums+len(c.consts), runCap)
+	marks := carve(&mem.marks, 1+c.nums, runCap)
+	sc := &scratch{mem: mem, rows: rows[0], kept: rows[1], gids: rows[2], sel: rows[3:],
+		ones: fill(nums[0], 1), ws: nums[1], orderWs: nums[2], vals: nums[3], valWs: nums[4],
+		num: nums[5 : 5+c.nums], consts: nums[5+c.nums:], keep: marks[0], null: marks[1:]}
+	for k, v := range c.consts {
+		fill(sc.consts[k], v)
+	}
+	return sc
+}
+
+// release hands the scratch's memory on, once; the scan must be over.
+func (sc *scratch) release() {
+	if sc.mem != nil {
+		vectorPool.Put(sc.mem)
+		sc.mem = nil
+	}
+}
+
+// carve cuts n vectors of runCap elements each from buf, growing it first
+// if an earlier scan left it smaller.
+func carve[T any](buf *[]T, n, runCap int) [][]T {
+	if cap(*buf) < n*runCap {
+		*buf = make([]T, n*runCap)
+	}
+	rest, out := (*buf)[:n*runCap], make([][]T, n)
+	for i := range out {
+		out[i], rest = rest[:runCap:runCap], rest[runCap:]
+	}
+	return out
+}
+
+func fill(v []float64, x float64) []float64 {
+	for i := range v {
+		v[i] = x
+	}
+	return v
+}
+
+// blockRun makes the block rows [lo, hi) the current run and returns its
+// selection.
+func (sc *scratch) blockRun(lo, hi int) []int32 {
+	sc.lo, sc.n = lo, hi-lo
+	sel := sc.rows[:hi-lo]
+	for i := range sel {
+		sel[i] = int32(lo + i)
+	}
+	return sel
+}
+
+// orderRun makes the given rows of an order the current run.
+func (sc *scratch) orderRun(order []int32) []int32 {
+	sc.lo, sc.n = 0, 0
+	return sc.rows[:copy(sc.rows, order)]
+}
+
+// dense reports whether in is the whole of the current block run, still in
+// place: a regrouped copy has the length but not the order.
+func (sc *scratch) dense(in []int32) bool {
+	return sc.n > 0 && len(in) == sc.n && &in[0] == &sc.rows[0]
+}
+
+// rowFilter is one predicate of the scan: its vector kernel, or, for a
+// shape the compiler refuses, the evaluator per selected row.
+type rowFilter struct {
+	pred expr.Expr
+	kern selKernel
+}
+
+// filter compiles pred against the compiler's current column map.
+func (c *compiler) filter(pred expr.Expr) rowFilter {
+	return rowFilter{pred: pred, kern: c.pred(pred, 0)}
+}
+
+// narrow applies the predicate under selKernel's contract; row adapts the
+// table to the schema the predicate is bound to.
+func (f rowFilter) narrow(sc *scratch, row mappedRow, in, out []int32) ([]int32, error) {
+	if f.kern != nil {
+		return f.kern(sc, in, out), nil
+	}
+	k := 0
+	for _, r := range in {
+		row.idx = int(r)
+		ok, err := expr.EvalBool(f.pred, row)
+		if err != nil {
+			return nil, err
+		}
+		out[k] = r
+		if ok {
+			k++
+		}
+	}
+	return out[:k], nil
+}
+
+// num compiles a numeric expression whose vectors live at depth d, or
+// returns nil.
+func (c *compiler) num(e expr.Expr, d int) valKernel {
+	c.nums = max(c.nums, d+1)
 	switch n := e.(type) {
 	case *expr.ColRef:
-		switch c := t.Column(m.col(n.Index)).(type) {
+		switch col := c.t.Column(c.m.col(n.Index)).(type) {
 		case *storage.Int64Column:
-			return func(row int) (float64, bool) {
-				if c.IsNull(row) {
-					return 0, true
-				}
-				return float64(c.Int(row)), false
-			}
+			return loadNum(col.Ints(), col.Nulls(), d)
 		case *storage.Float64Column:
-			return func(row int) (float64, bool) {
-				if c.IsNull(row) {
-					return 0, true
-				}
-				return c.Float(row), false
-			}
+			return loadNum(col.Floats(), col.Nulls(), d)
 		}
-		return nil
 	case *expr.Lit:
-		if !n.Val.Typ.Numeric() {
+		if !n.Val.Typ.Numeric() || n.Val.IsNull() {
 			return nil
 		}
-		v, null := n.Val.AsFloat(), n.Val.IsNull()
-		return func(int) (float64, bool) { return v, null }
+		k := len(c.consts)
+		c.consts = append(c.consts, n.Val.AsFloat())
+		return func(sc *scratch, in []int32) ([]float64, []bool) { return sc.consts[k][:len(in)], nil }
 	case *expr.Binary:
 		// Integer-typed Add/Sub/Mul use int64 arithmetic in the tree
 		// walker; only the float branch is compiled, which evalArith takes
 		// exactly when either operand is (or division makes the result)
 		// TypeFloat64.
-		if n.Type() != storage.TypeFloat64 {
+		if n.Type() != storage.TypeFloat64 || n.Op < expr.OpAdd || n.Op > expr.OpDiv {
 			return nil
 		}
-		l := compileNum(n.L, t, m)
-		r := compileNum(n.R, t, m)
+		l, r := c.num(n.L, d), c.num(n.R, d+1)
 		if l == nil || r == nil {
 			return nil
 		}
-		switch n.Op {
-		case expr.OpAdd:
-			return func(row int) (float64, bool) {
-				a, an := l(row)
-				b, bn := r(row)
-				if an || bn {
-					return 0, true
-				}
-				return a + b, false
-			}
-		case expr.OpSub:
-			return func(row int) (float64, bool) {
-				a, an := l(row)
-				b, bn := r(row)
-				if an || bn {
-					return 0, true
-				}
-				return a - b, false
-			}
-		case expr.OpMul:
-			return func(row int) (float64, bool) {
-				a, an := l(row)
-				b, bn := r(row)
-				if an || bn {
-					return 0, true
-				}
-				return a * b, false
-			}
-		case expr.OpDiv:
-			return func(row int) (float64, bool) {
-				a, an := l(row)
-				b, bn := r(row)
-				if an || bn || b == 0 {
-					return 0, true
-				}
-				return a / b, false
-			}
-		}
-		return nil
+		return arith(n.Op, l, r, d)
 	}
 	return nil
 }
 
-// intKernel evaluates an integer expression for one table row as the
-// evaluator's TypeInt64 value and a NULL flag.
-type intKernel func(row int) (int64, bool)
-
-// compileInt compiles an expression whose evaluated value is always
-// TypeInt64 (or NULL) — an integer column or literal — or returns nil.
-func compileInt(e expr.Expr, t *storage.Table, m colMap) intKernel {
-	switch n := e.(type) {
-	case *expr.ColRef:
-		if c, ok := t.Column(m.col(n.Index)).(*storage.Int64Column); ok {
-			return func(row int) (int64, bool) { return c.Int(row), c.IsNull(row) }
+// loadNum reads a numeric column as float64.
+func loadNum[T int64 | float64](data []T, nulls []bool, d int) valKernel {
+	return func(sc *scratch, in []int32) ([]float64, []bool) {
+		out := sc.num[d][:len(in)]
+		if sc.dense(in) {
+			for i, v := range data[sc.lo : sc.lo+len(out)] {
+				out[i] = float64(v)
+			}
+		} else {
+			for i, r := range in {
+				out[i] = float64(data[r])
+			}
 		}
-	case *expr.Lit:
-		if n.Val.Typ == storage.TypeInt64 {
-			v, null := n.Val.I, n.Val.IsNull()
-			return func(int) (int64, bool) { return v, null }
+		if nulls == nil {
+			return out, nil
+		}
+		marks := sc.null[d][:len(in)]
+		for i, r := range in {
+			marks[i] = nulls[r]
+		}
+		return out, marks
+	}
+}
+
+// arith applies op element by element; l's vectors are at depth d, r's at
+// d+1, and the result overwrites l's. A NULL operand, or a zero divisor,
+// makes the result NULL.
+func arith(op expr.Op, l, r valKernel, d int) valKernel {
+	return func(sc *scratch, in []int32) ([]float64, []bool) {
+		a, an := l(sc, in)
+		b, bn := r(sc, in)
+		out := sc.num[d][:len(in)]
+		a, b = a[:len(out)], b[:len(out)]
+		switch op {
+		case expr.OpAdd:
+			for i := range out {
+				out[i] = a[i] + b[i]
+			}
+		case expr.OpSub:
+			for i := range out {
+				out[i] = a[i] - b[i]
+			}
+		case expr.OpMul:
+			for i := range out {
+				out[i] = a[i] * b[i]
+			}
+		case expr.OpDiv:
+			zero := sc.keep[:len(out)]
+			for i := range out {
+				zero[i] = b[i] == 0
+				out[i] = a[i] / b[i]
+			}
+			an = orMarks(sc.null[d][:len(out)], an, zero)
+		}
+		return out, orMarks(sc.null[d][:len(out)], an, bn)
+	}
+}
+
+// orMarks returns the union of two NULL-mark vectors in dst, which a (when
+// not nil) already is; nil means no NULLs.
+func orMarks(dst, a, b []bool) []bool {
+	switch {
+	case b == nil:
+		return a
+	case a == nil:
+		copy(dst, b)
+	default:
+		for i := range dst {
+			dst[i] = a[i] || b[i]
 		}
 	}
-	return nil
+	return dst
+}
+
+// compare keeps the rows where l op r holds and neither side is NULL. The
+// ordering operators follow Value.Compare, which promotes every numeric
+// pair to float64 and calls an unordered pair (a NaN) equal.
+func compare(op expr.Op, l, r valKernel) selKernel {
+	return func(sc *scratch, in, out []int32) []int32 {
+		a, an := l(sc, in)
+		b, bn := r(sc, in)
+		keep := sc.keep[:len(in)]
+		a, b = a[:len(keep)], b[:len(keep)]
+		switch op {
+		case expr.OpEq:
+			for i := range keep {
+				keep[i] = a[i] == b[i]
+			}
+		case expr.OpNe:
+			for i := range keep {
+				keep[i] = a[i] != b[i]
+			}
+		case expr.OpLt:
+			for i := range keep {
+				keep[i] = a[i] < b[i]
+			}
+		case expr.OpLe:
+			for i := range keep {
+				keep[i] = !(a[i] > b[i])
+			}
+		case expr.OpGt:
+			for i := range keep {
+				keep[i] = a[i] > b[i]
+			}
+		case expr.OpGe:
+			for i := range keep {
+				keep[i] = !(a[i] < b[i])
+			}
+		}
+		for _, nulls := range [2][]bool{an, bn} {
+			if nulls != nil {
+				for i := range keep {
+					keep[i] = keep[i] && !nulls[i]
+				}
+			}
+		}
+		k := 0
+		for i, r := range in {
+			out[k] = r
+			if keep[i] {
+				k++
+			}
+		}
+		return out[:k]
+	}
+}
+
+// intOperand is one side of an integer equality: a column, or a literal.
+type intOperand struct {
+	data  []int64
+	nulls []bool
+	lit   int64
+}
+
+// intOperand resolves an expression whose evaluated value is always
+// TypeInt64 — an integer column or a non-NULL integer literal.
+func (c *compiler) intOperand(e expr.Expr) (intOperand, bool) {
+	switch n := e.(type) {
+	case *expr.ColRef:
+		if col, ok := c.t.Column(c.m.col(n.Index)).(*storage.Int64Column); ok {
+			return intOperand{data: col.Ints(), nulls: col.Nulls()}, true
+		}
+	case *expr.Lit:
+		if n.Val.Typ == storage.TypeInt64 && !n.Val.IsNull() {
+			return intOperand{lit: n.Val.I}, true
+		}
+	}
+	return intOperand{}, false
+}
+
+// intEq compares an integer pair as int64 — Value.Equal does for same-typed
+// operands, and beyond 2^53 a float comparison could disagree.
+func intEq(l, r intOperand, ne bool) selKernel {
+	return func(_ *scratch, in, out []int32) []int32 {
+		k := 0
+		for _, row := range in {
+			a, b := l.lit, r.lit
+			if l.data != nil {
+				a = l.data[row]
+			}
+			if r.data != nil {
+				b = r.data[row]
+			}
+			out[k] = row
+			if (a == b) != ne && !(l.nulls != nil && l.nulls[row]) && !(r.nulls != nil && r.nulls[row]) {
+				k++
+			}
+		}
+		return out[:k]
+	}
 }
 
 // stringLit returns the literal's string when e is a non-NULL string
@@ -157,182 +418,170 @@ func stringLit(e expr.Expr) (string, bool) {
 }
 
 // dictColumn returns the dictionary column e references, if it is one.
-func dictColumn(e expr.Expr, t *storage.Table, m colMap) *storage.StringColumn {
-	if c, ok := e.(*expr.ColRef); ok {
-		d, _ := t.Column(m.col(c.Index)).(*storage.StringColumn)
+func (c *compiler) dictColumn(e expr.Expr) *storage.StringColumn {
+	if ref, ok := e.(*expr.ColRef); ok {
+		d, _ := c.t.Column(c.m.col(ref.Index)).(*storage.StringColumn)
 		return d
 	}
 	return nil
 }
 
-// compileStringEq compiles column = 'lit' (ne: column <> 'lit') on codes.
-// A literal no row holds makes = constant false and <> true for every
-// non-NULL row; NULL rows (code 0) fail both, as in the evaluator.
-func compileStringEq(d *storage.StringColumn, lit string, ne bool) boolKernel {
-	code, found := d.Lookup(lit)
-	switch {
-	case ne && found:
-		return func(row int) bool { c := d.Code(row); return c != code && c != 0 }
-	case ne:
-		return func(row int) bool { return d.Code(row) != 0 }
-	case found:
-		return func(row int) bool { return d.Code(row) == code }
-	}
-	return func(int) bool { return false }
-}
-
-// compileStringIn compiles column [NOT] IN (literals) on codes. List
-// entries that cannot equal a string — NULLs, other types, strings no row
-// holds — never match in the evaluator either, so they are dropped.
-func compileStringIn(d *storage.StringColumn, in *expr.In) boolKernel {
-	var codes []uint32
-	for _, e := range in.List {
-		l, ok := e.(*expr.Lit)
-		if !ok {
-			return nil
-		}
-		if s, ok := stringLit(l); ok {
-			if code, found := d.Lookup(s); found {
-				codes = append(codes, code)
+// stringIn compiles column [NOT] IN (codes) on dictionary codes; column =
+// 'lit' and <> 'lit' are the one-code cases. A NULL row (code 0) fails
+// every form, as in the evaluator, and so a literal no row holds — looked
+// up as code 0 — makes = constant false and <> true for every non-NULL row.
+func stringIn(d *storage.StringColumn, codes []uint32, negate bool) selKernel {
+	all := d.Codes()
+	return func(_ *scratch, in, out []int32) []int32 {
+		k := 0
+		for _, r := range in {
+			c := all[r]
+			found := false
+			for _, code := range codes {
+				found = found || c == code
+			}
+			out[k] = r
+			if found != negate && c != 0 {
+				k++
 			}
 		}
-	}
-	negate := in.Negate
-	return func(row int) bool {
-		c := d.Code(row)
-		if c == 0 {
-			return false
-		}
-		for _, code := range codes {
-			if c == code {
-				return !negate
-			}
-		}
-		return negate
+		return out[:k]
 	}
 }
 
-// compileBool compiles a predicate against t, or returns nil.
-func compileBool(e expr.Expr, t *storage.Table, m colMap) boolKernel {
+// pred compiles a predicate whose selection temporaries start at depth d,
+// or returns nil.
+func (c *compiler) pred(e expr.Expr, d int) selKernel {
 	switch n := e.(type) {
 	case *expr.ColRef:
 		if n.Typ != storage.TypeBool {
 			return nil
 		}
-		c := t.Column(m.col(n.Index))
-		return func(row int) bool {
-			v := c.Value(row)
-			return !v.IsNull() && v.B
+		col := c.t.Column(c.m.col(n.Index))
+		return func(_ *scratch, in, out []int32) []int32 {
+			k := 0
+			for _, r := range in {
+				v := col.Value(int(r))
+				out[k] = r
+				if !v.IsNull() && v.B {
+					k++
+				}
+			}
+			return out[:k]
 		}
 	case *expr.Unary:
 		// The evaluator's NOT is two-valued: NOT of a NULL or false
-		// operand is true, exactly the negation of the operand's kernel.
+		// operand is true, exactly the complement of the operand's rows.
 		if n.Op != expr.OpNot {
 			return nil
 		}
-		x := compileBool(n.X, t, m)
+		x := c.pred(n.X, d+1)
 		if x == nil {
 			return nil
 		}
-		return func(row int) bool { return !x(row) }
+		c.sels = max(c.sels, d+1)
+		return func(sc *scratch, in, out []int32) []int32 {
+			return mergeKept(in, x(sc, in, sc.sel[d]), nil, out, true)
+		}
 	case *expr.In:
-		if d := dictColumn(n.X, t, m); d != nil {
-			return compileStringIn(d, n)
-		}
-		return nil
-	case *expr.Binary:
-		switch n.Op {
-		case expr.OpAnd:
-			l := compileBool(n.L, t, m)
-			r := compileBool(n.R, t, m)
-			if l == nil || r == nil {
-				return nil
-			}
-			return func(row int) bool { return l(row) && r(row) }
-		case expr.OpOr:
-			l := compileBool(n.L, t, m)
-			r := compileBool(n.R, t, m)
-			if l == nil || r == nil {
-				return nil
-			}
-			return func(row int) bool { return l(row) || r(row) }
-		}
-		if !n.Op.Comparison() {
+		// List entries that cannot equal a string — NULLs, other types,
+		// strings no row holds — never match in the evaluator either, so
+		// they are dropped.
+		dict := c.dictColumn(n.X)
+		if dict == nil {
 			return nil
 		}
-		if n.Op == expr.OpEq || n.Op == expr.OpNe {
-			ne := n.Op == expr.OpNe
-			col, lit := n.L, n.R
-			if dictColumn(col, t, m) == nil {
-				col, lit = n.R, n.L
-			}
-			if d := dictColumn(col, t, m); d != nil {
-				if s, ok := stringLit(lit); ok {
-					return compileStringEq(d, s, ne)
-				}
+		var codes []uint32
+		for _, item := range n.List {
+			if _, ok := item.(*expr.Lit); !ok {
 				return nil
 			}
-			// Value.Equal compares same-typed int64s as integers; beyond
-			// 2^53 a float comparison could disagree, so an integer pair
-			// is compared as int64 and only a pair with a float operand as
-			// float64. The ordering operators always go through
-			// Value.Compare, which promotes every numeric pair to float64.
-			if n.L.Type() != storage.TypeFloat64 && n.R.Type() != storage.TypeFloat64 {
-				l := compileInt(n.L, t, m)
-				r := compileInt(n.R, t, m)
-				if l == nil || r == nil {
-					return nil
-				}
-				return func(row int) bool {
-					a, an := l(row)
-					b, bn := r(row)
-					return !an && !bn && (a == b) != ne
+			if s, ok := stringLit(item); ok {
+				if code, found := dict.Lookup(s); found {
+					codes = append(codes, code)
 				}
 			}
 		}
-		l := compileNum(n.L, t, m)
-		r := compileNum(n.R, t, m)
+		return stringIn(dict, codes, n.Negate)
+	case *expr.Binary:
+		return c.binaryPred(n, d)
+	}
+	return nil
+}
+
+func (c *compiler) binaryPred(n *expr.Binary, d int) selKernel {
+	if n.Op == expr.OpAnd || n.Op == expr.OpOr {
+		// An OR holds its left rows and the rest at depths d and d+1 while
+		// the right side runs, so both sides' temporaries start at d+2.
+		sub := d
+		if n.Op == expr.OpOr {
+			sub = d + 2
+			c.sels = max(c.sels, sub)
+		}
+		l, r := c.pred(n.L, sub), c.pred(n.R, sub)
 		if l == nil || r == nil {
 			return nil
 		}
-		switch n.Op {
-		case expr.OpEq:
-			return func(row int) bool {
-				a, an := l(row)
-				b, bn := r(row)
-				return !an && !bn && a == b
-			}
-		case expr.OpNe:
-			return func(row int) bool {
-				a, an := l(row)
-				b, bn := r(row)
-				return !an && !bn && a != b
-			}
-		case expr.OpLt:
-			return func(row int) bool {
-				a, an := l(row)
-				b, bn := r(row)
-				return !an && !bn && a < b
-			}
-		case expr.OpLe:
-			return func(row int) bool {
-				a, an := l(row)
-				b, bn := r(row)
-				return !an && !bn && a <= b
-			}
-		case expr.OpGt:
-			return func(row int) bool {
-				a, an := l(row)
-				b, bn := r(row)
-				return !an && !bn && a > b
-			}
-		case expr.OpGe:
-			return func(row int) bool {
-				a, an := l(row)
-				b, bn := r(row)
-				return !an && !bn && a >= b
-			}
+		if n.Op == expr.OpAnd {
+			return func(sc *scratch, in, out []int32) []int32 { return r(sc, l(sc, in, out), out) }
+		}
+		return func(sc *scratch, in, out []int32) []int32 {
+			left := l(sc, in, sc.sel[d])
+			rest := mergeKept(in, left, nil, sc.sel[d+1], true)
+			return mergeKept(in, left, r(sc, rest, rest), out, false)
 		}
 	}
-	return nil
+	if !n.Op.Comparison() {
+		return nil
+	}
+	if n.Op == expr.OpEq || n.Op == expr.OpNe {
+		ne := n.Op == expr.OpNe
+		col, lit := n.L, n.R
+		if c.dictColumn(col) == nil {
+			col, lit = n.R, n.L
+		}
+		if dict := c.dictColumn(col); dict != nil {
+			s, ok := stringLit(lit)
+			if !ok {
+				return nil
+			}
+			code, _ := dict.Lookup(s)
+			return stringIn(dict, []uint32{code}, ne)
+		}
+		if n.L.Type() != storage.TypeFloat64 && n.R.Type() != storage.TypeFloat64 {
+			l, lok := c.intOperand(n.L)
+			r, rok := c.intOperand(n.R)
+			if !lok || !rok {
+				return nil
+			}
+			return intEq(l, r, ne)
+		}
+	}
+	l, r := c.num(n.L, 0), c.num(n.R, 1)
+	if l == nil || r == nil {
+		return nil
+	}
+	return compare(n.Op, l, r)
+}
+
+// mergeKept walks in with a and b, two disjoint subsequences of it, and
+// writes to out the rows found in either — or, with complement set, in
+// neither — in in's order. out may be in.
+func mergeKept(in, a, b, out []int32, complement bool) []int32 {
+	i, j, k := 0, 0, 0
+	for _, r := range in {
+		kept := false
+		if i < len(a) && a[i] == r {
+			i++
+			kept = true
+		} else if j < len(b) && b[j] == r {
+			j++
+			kept = true
+		}
+		out[k] = r
+		if kept != complement {
+			k++
+		}
+	}
+	return out[:k]
 }

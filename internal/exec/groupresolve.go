@@ -1,16 +1,17 @@
 package exec
 
-// Typed group-key resolution for the morsel row loop.
+// Typed group-key resolution for the morsel run loop.
 //
-// A group's identity is its canonical key string (groupKeyOf), but the row
+// A group's identity is its canonical key string (groupKeyOf), but the run
 // loop must not build that string — or box a storage.Value — per row. The
 // resolver instead identifies a row's group by what storage already
 // holds: the dictionary code of a string column, the raw int64 of an
 // integer column. Within one morsel that typed identity maps one-to-one
 // onto the canonical key, so the canonical key and the group's values are
-// built only when a typed identity is first seen, and the row loop
-// allocates per group, not per row. Any other GROUP BY expression is
-// evaluated per row and identified by its GroupKey, as before.
+// built only when a typed identity is first seen; the resolver numbers a
+// morsel's groups in first-seen order and writes one such id per selected
+// row, and the aggregate slots index the group list by it. Any other
+// GROUP BY expression is evaluated per row and identified by its GroupKey.
 //
 // The partial a morsel returns is still keyed by canonical key, and rows
 // still accumulate into their group in row order, so nothing downstream —
@@ -35,67 +36,132 @@ type groupPart struct {
 	ints *storage.Int64Column
 }
 
-// groupResolver maps table rows to group states for one worker. It keeps
-// no state across morsels beyond reusable scratch.
+// groupResolver maps table rows to the ids of one morsel's group states,
+// for one worker. It keeps no state across morsels beyond reusable scratch.
 type groupResolver struct {
 	exprs []expr.Expr
 	parts []groupPart
-	slots int // aggregate slots per group
+	row   mappedRow // adapts the table for evaluated parts
+
+	list []*groupState // the morsel's groups, by id
+	slab groupSlab
 
 	// All parts are dictionary columns spanning at most maxDenseGroups
 	// code tuples: the group is found by direct index.
 	dicts   []*storage.StringColumn
-	dense   []*groupState
-	touched []int // dense slots filled by the current morsel
+	codes   [][]uint32 // the dicts' rows
+	dense   []int32    // id+1 per code tuple; 0 = not seen in this morsel
+	touched []int32    // code tuples filled by the current morsel
+
+	// One integer column: by the raw int64.
+	byInt   map[int64]int32
+	nullInt int32 // the NULL key's id, -1 until seen
 
 	// Otherwise: by the row's typed encoding.
-	typed map[string]*groupState
+	typed map[string]int32
 	buf   []byte
 
 	vals []storage.Value // scratch: the current row's group values
 }
 
-func newGroupResolver(exprs []expr.Expr, parts []groupPart, slots int) *groupResolver {
-	r := &groupResolver{exprs: exprs, parts: parts, slots: slots,
-		vals: make([]storage.Value, len(parts))}
+func newGroupResolver(exprs []expr.Expr, parts []groupPart, slots int, row mappedRow) *groupResolver {
+	r := &groupResolver{exprs: exprs, parts: parts, row: row, slab: groupSlab{slots: slots},
+		vals: make([]storage.Value, len(parts)), nullInt: -1}
 	for _, p := range parts {
 		if p.dict != nil {
 			r.dicts = append(r.dicts, p.dict)
+			r.codes = append(r.codes, p.dict.Codes())
 		}
 	}
+	space := 0
 	if len(r.dicts) == len(parts) {
-		if space := storage.CodeSpace(r.dicts, maxDenseGroups); space > 0 {
-			r.dense = make([]*groupState, space)
-			return r
-		}
+		space = storage.CodeSpace(r.dicts, maxDenseGroups)
 	}
-	r.typed = make(map[string]*groupState)
+	switch {
+	case space > 0:
+		r.dense = make([]int32, space)
+	case len(parts) == 1 && parts[0].ints != nil:
+		r.byInt = make(map[int64]int32)
+	default:
+		r.typed = make(map[string]int32)
+	}
 	return r
 }
 
-// reset forgets the previous morsel's groups.
+// reset forgets the previous morsel's groups. Their states belong to the
+// partial that morsel returned, so the slab starts a fresh chunk — sized
+// for as many groups again.
 func (r *groupResolver) reset() {
 	for _, slot := range r.touched {
-		r.dense[slot] = nil
+		r.dense[slot] = 0
 	}
 	r.touched = r.touched[:0]
+	clear(r.byInt)
+	r.nullInt = -1
 	clear(r.typed)
+	r.slab = groupSlab{slots: r.slab.slots, grow: len(r.list)}
+	r.list = r.list[:0]
 }
 
-// resolve returns the group state of the row, creating it in groups (the
-// morsel's partial, keyed by canonical key) when the group is new. mr is
-// consulted only by evaluated parts.
-func (r *groupResolver) resolve(row int, mr mappedRow, groups map[string]*groupState) (*groupState, error) {
-	if r.dense != nil {
-		slot := storage.CodeSlot(r.dicts, row)
-		gs := r.dense[slot]
-		if gs == nil {
-			gs = r.firstSeen(row, groups)
-			r.dense[slot] = gs
-			r.touched = append(r.touched, slot)
+// resolve writes to gids the group id of every row of sel, creating a
+// group in groups (the morsel's partial, keyed by canonical key) and in
+// list when it is new.
+func (r *groupResolver) resolve(sel, gids []int32, groups map[string]*groupState) error {
+	switch {
+	case r.dense != nil:
+		// The code tuple's slot, a column at a time.
+		gids = gids[:len(sel)]
+		for c, codes := range r.codes {
+			n := int32(r.dicts[c].NumCodes())
+			if c == 0 {
+				n = 0 // nothing to shift yet, whatever gids holds
+			}
+			for i, row := range sel {
+				gids[i] = gids[i]*n + int32(codes[row])
+			}
 		}
-		return gs, nil
+		dense := r.dense
+		for i, slot := range gids {
+			id := dense[slot]
+			if id == 0 {
+				id = r.firstSeen(int(sel[i]), groups) + 1
+				dense[slot] = id
+				r.touched = append(r.touched, slot)
+			}
+			gids[i] = id - 1
+		}
+	case r.byInt != nil:
+		keys, nulls := r.parts[0].ints.Ints(), r.parts[0].ints.Nulls()
+		for i, row := range sel {
+			if nulls != nil && nulls[row] {
+				if r.nullInt < 0 {
+					r.nullInt = r.firstSeen(int(row), groups)
+				}
+				gids[i] = r.nullInt
+				continue
+			}
+			id, ok := r.byInt[keys[row]]
+			if !ok {
+				id = r.firstSeen(int(row), groups)
+				r.byInt[keys[row]] = id
+			}
+			gids[i] = id
+		}
+	default:
+		for i, row := range sel {
+			id, err := r.resolveTyped(int(row), groups)
+			if err != nil {
+				return err
+			}
+			gids[i] = id
+		}
 	}
+	return nil
+}
+
+// resolveTyped identifies the row's group by the concatenation of its
+// parts' typed encodings.
+func (r *groupResolver) resolveTyped(row int, groups map[string]*groupState) (int32, error) {
 	buf := r.buf[:0]
 	for i, p := range r.parts {
 		switch {
@@ -108,9 +174,10 @@ func (r *groupResolver) resolve(row int, mr mappedRow, groups map[string]*groupS
 				buf = binary.LittleEndian.AppendUint64(append(buf, 0), uint64(p.ints.Int(row)))
 			}
 		default:
-			v, err := r.exprs[i].Eval(mr)
+			r.row.idx = row
+			v, err := r.exprs[i].Eval(r.row)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
 			r.vals[i] = v
 			key := v.GroupKey()
@@ -118,18 +185,18 @@ func (r *groupResolver) resolve(row int, mr mappedRow, groups map[string]*groupS
 		}
 	}
 	r.buf = buf
-	gs, ok := r.typed[string(buf)]
+	id, ok := r.typed[string(buf)]
 	if !ok {
-		gs = r.firstSeen(row, groups)
-		r.typed[string(buf)] = gs
+		id = r.firstSeen(row, groups)
+		r.typed[string(buf)] = id
 	}
-	return gs, nil
+	return id, nil
 }
 
 // firstSeen boxes the row's typed group values (evaluated parts are
-// already in vals), builds the canonical key, and returns that key's
-// group state, adding it to groups if it is new.
-func (r *groupResolver) firstSeen(row int, groups map[string]*groupState) *groupState {
+// already in vals), builds the canonical key, and returns the id of that
+// key's group state, adding it to groups and list if it is new.
+func (r *groupResolver) firstSeen(row int, groups map[string]*groupState) int32 {
 	for i, p := range r.parts {
 		switch {
 		case p.dict != nil:
@@ -146,8 +213,48 @@ func (r *groupResolver) firstSeen(row int, groups map[string]*groupState) *group
 	}
 	gs, ok := groups[key]
 	if !ok {
-		gs = newGroupState(key, r.vals, r.slots)
+		gs = r.slab.newGroup(key, r.vals)
+		gs.id = int32(len(r.list))
 		groups[key] = gs
+		r.list = append(r.list, gs)
+	}
+	return gs.id
+}
+
+// groupSlab hands out one morsel's group states from chunks — a handful of
+// allocations per chunk instead of per group. A full chunk is left to the
+// groups that point into it and a new one started; nothing is re-sliced,
+// so those pointers stay valid. A chunk holds grow groups, between
+// minSlabGroups and maxSlabGroups, and the next one twice as many: a
+// morsel with few groups stays small.
+type groupSlab struct {
+	slots, grow int
+	groups      []groupState
+	aggs        []aggState
+	ptrs        []*aggState
+	vals        []storage.Value
+}
+
+const minSlabGroups, maxSlabGroups = 8, 256
+
+// newGroup is newGroupState out of the slab.
+func (s *groupSlab) newGroup(key string, groupVal []storage.Value) *groupState {
+	if len(s.groups) == cap(s.groups) {
+		n := min(max(s.grow, minSlabGroups), maxSlabGroups)
+		s.grow = 2 * n
+		s.groups = make([]groupState, 0, n)
+		s.aggs = make([]aggState, n*s.slots)
+		s.ptrs = make([]*aggState, n*s.slots)
+		s.vals = make([]storage.Value, n*len(groupVal))
+	}
+	at := len(s.groups)
+	s.groups = append(s.groups, groupState{key: key})
+	gs := &s.groups[at]
+	gs.groupVal = s.vals[at*len(groupVal) : (at+1)*len(groupVal) : (at+1)*len(groupVal)]
+	copy(gs.groupVal, groupVal)
+	gs.aggs = s.ptrs[at*s.slots : (at+1)*s.slots : (at+1)*s.slots]
+	for j := range gs.aggs {
+		gs.aggs[j] = &s.aggs[at*s.slots+j]
 	}
 	return gs
 }

@@ -133,21 +133,60 @@ func scanFilter(t *testing.T, cat *storage.Catalog, where string) (expr.Expr, *s
 	return scans[0].Filter, scans[0].Table.Snapshot()
 }
 
-// TestCompiledPredicatesMatchEvaluator compares compileBool's kernels with
-// expr.EvalBool row by row over seeded random predicates: string =/<>/IN
-// with present and absent literals, integer equality past 2^53, NOT over
-// anything compilable, and NULLs everywhere.
+// testSelections draws the shapes a kernel meets: the empty selection, one
+// row, whole block runs of every awkward length, the first and last row of
+// a block, sparse ascending subsets of a run, and a window of a permuted
+// order. Each call of the returned function makes the next one the
+// scratch's current run and returns it.
+func testSelections(rng *rand.Rand, sc *scratch, rows int) []func() []int32 {
+	order := make([]int32, rows)
+	for i, r := range rng.Perm(rows) {
+		order[i] = int32(r)
+	}
+	block := func(lo, n int) func() []int32 {
+		return func() []int32 { return sc.blockRun(lo, lo+n) }
+	}
+	sparse := func(lo, n, keepOneIn int) func() []int32 {
+		return func() []int32 {
+			sel := sc.blockRun(lo, lo+n)
+			k := 0
+			for _, r := range sel {
+				if rng.Intn(keepOneIn) == 0 {
+					sel[k] = r
+					k++
+				}
+			}
+			return sel[:k]
+		}
+	}
+	return []func() []int32{
+		block(700, 0), block(0, 1), block(rows-1, 1), block(255, 1), block(256, 1),
+		block(512, 255), block(256, 256), block(1024, 1023), block(1024, 1024), block(rows-300, 300),
+		sparse(0, 1024, 2), sparse(1500, 1000, 20), sparse(256, 256, 300),
+		func() []int32 { return sc.orderRun(order[100:1124]) },
+		func() []int32 { return sc.orderRun(order[rows-7:]) },
+		func() []int32 { return sc.orderRun(order[40:41]) },
+	}
+}
+
+// TestCompiledPredicatesMatchEvaluator compares the compiler's filter
+// kernels with expr.EvalBool over seeded random predicates — string =/<>/IN
+// with present and absent literals, integer equality past 2^53, NOT and OR
+// over anything compilable, NULLs everywhere — and over every selection
+// shape: a kernel must return, in input order, exactly the rows the per-row
+// evaluator keeps, whether it narrows in place or into another vector.
 func TestCompiledPredicatesMatchEvaluator(t *testing.T) {
 	cat := kernelCatalog(t, 3000)
-	// The shapes this change moved onto the kernel path must compile, or
-	// the comparison below would pass by testing nothing.
+	// The shapes on the kernel path must compile, or the comparison below
+	// would pass by testing nothing.
 	for _, where := range []string{
 		"s1 = 'AIR'", "'AIR' <> s1", "s1 = 'absent'", "s1 <> 'absent'",
 		"s1 IN ('AIR', 'absent')", "s1 NOT IN ('AIR', 'RAIL')",
 		"i1 = 3", "i1 <> i2", "i2 = 9007199254740993",
 		"NOT (s1 = 'AIR' OR i1 = 3)", "i1 NOT BETWEEN 2 AND 6",
 	} {
-		if e, snap := scanFilter(t, cat, where); compileBool(e, snap, nil) == nil {
+		e, snap := scanFilter(t, cat, where)
+		if c := (&compiler{t: snap}); c.filter(e).kern == nil {
 			t.Errorf("WHERE %s does not compile", where)
 		}
 	}
@@ -157,23 +196,221 @@ func TestCompiledPredicatesMatchEvaluator(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		where := g.pred(3)
 		e, snap := scanFilter(t, cat, where)
-		k := compileBool(e, snap, nil)
-		if k == nil {
+		c := &compiler{t: snap}
+		f := c.filter(e)
+		if f.kern == nil {
 			continue
 		}
 		compiled++
-		for row := 0; row < snap.NumRows(); row++ {
-			want, err := expr.EvalBool(e, tableRow{t: snap, idx: row})
-			if err != nil {
-				t.Fatalf("WHERE %s: evaluator: %v", where, err)
+		sc := newScratch(c, maxRunRows)
+		other := make([]int32, maxRunRows)
+		for s, next := range testSelections(g.rng, sc, snap.NumRows()) {
+			in := next()
+			var want []int32
+			for _, r := range in {
+				ok, err := expr.EvalBool(e, mappedRow{t: snap, idx: int(r)})
+				if err != nil {
+					t.Fatalf("WHERE %s: evaluator: %v", where, err)
+				}
+				if ok {
+					want = append(want, r)
+				}
 			}
-			if got := k(row); got != want {
-				t.Fatalf("WHERE %s: row %d %v: kernel %v, evaluator %v", where, row, snap.Row(row), got, want)
+			out := in // narrow in place, or into another vector
+			if s%2 == 1 {
+				out = other
+			}
+			if got := f.kern(sc, in, out); !reflect.DeepEqual(append([]int32(nil), got...), want) {
+				t.Fatalf("WHERE %s: selection %d (%d rows): kernel kept %v, evaluator %v", where, s, len(in), got, want)
 			}
 		}
 	}
 	if compiled < 200 {
 		t.Errorf("only %d of 400 random predicates compiled", compiled)
+	}
+}
+
+// TestCompiledNumericsMatchEvaluator compares the numeric kernels — column
+// loads, literals, float arithmetic, division by zero, NULL marks — with
+// expr.Eval over every selection shape, by value bits.
+func TestCompiledNumericsMatchEvaluator(t *testing.T) {
+	cat := kernelCatalog(t, 3000)
+	rng := rand.New(rand.NewSource(17))
+	for _, arg := range []string{
+		"f", "i1", "i2", "f * 2 + 1", "f * (1 - f / 100)", "f / (i1 - 4.0)", "i1 / i2",
+		"(f + i1) * (f - i1)", "i1 * 0.5 - f / (f - 50)", "1.5", "f / 0",
+	} {
+		a := plan.FindAggregate(buildPlan(t, cat, "SELECT SUM("+arg+") FROM t"))
+		scan, _, ok := morselEligible(a)
+		if !ok {
+			t.Fatalf("SUM(%s) is not morsel-eligible", arg)
+		}
+		b, err := bindScan(scan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := scan.Table.Snapshot()
+		c := &compiler{t: snap, m: b.outIdx}
+		k := c.num(a.Aggs[0].Arg, 0)
+		if k == nil {
+			t.Errorf("SUM(%s): argument does not compile", arg)
+			continue
+		}
+		sc := newScratch(c, maxRunRows)
+		for s, next := range testSelections(rng, sc, snap.NumRows()) {
+			in := next()
+			vals, nulls := k(sc, in)
+			if len(vals) != len(in) || (nulls != nil && len(nulls) != len(in)) {
+				t.Fatalf("SUM(%s): selection %d: %d rows, %d values, %d marks", arg, s, len(in), len(vals), len(nulls))
+			}
+			for i, r := range in {
+				want, err := a.Aggs[0].Arg.Eval(mappedRow{t: snap, idx: int(r), out: b.outIdx})
+				if err != nil {
+					t.Fatal(err)
+				}
+				null := nulls != nil && nulls[i]
+				if null != want.IsNull() || (!null && math.Float64bits(vals[i]) != math.Float64bits(want.AsFloat())) {
+					t.Fatalf("SUM(%s): selection %d row %d %v: kernel %v (null %v), evaluator %v",
+						arg, s, r, snap.Row(int(r)), vals[i], null, want)
+				}
+			}
+		}
+	}
+}
+
+// hostileCatalog holds the values that break naive arithmetic — NaN, ±Inf,
+// -0.0, MaxFloat64, integers past 2^53 — among ordinary ones, NULLs, and a
+// run of blocks that is all NULL.
+func hostileCatalog(t *testing.T, rows int) *storage.Catalog {
+	t.Helper()
+	tbl := storage.NewTableWithBlockSize("h", storage.Schema{
+		{Name: "g", Type: storage.TypeString},
+		{Name: "i", Type: storage.TypeInt64},
+		{Name: "x", Type: storage.TypeFloat64},
+	}, 256)
+	rng := rand.New(rand.NewSource(23))
+	hostile := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
+		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64}
+	batch := make([][]storage.Value, rows)
+	for r := range batch {
+		x := storage.Float64(rng.NormFloat64() * 1e3)
+		switch {
+		case r >= 9000 && r < 9600 || rng.Intn(11) == 0:
+			x = storage.NullValue(storage.TypeFloat64)
+		case rng.Intn(40) == 0:
+			x = storage.Float64(hostile[rng.Intn(len(hostile))])
+		}
+		batch[r] = []storage.Value{
+			storage.Str(fmt.Sprint("g", rng.Intn(4))),
+			storage.Int64(1<<53 + int64(rng.Intn(5)) - 2),
+			x,
+		}
+	}
+	if err := tbl.AppendRows(batch); err != nil {
+		t.Fatal(err)
+	}
+	cat := storage.NewCatalog()
+	if err := cat.Add(tbl); err != nil {
+		t.Fatal(err)
+	}
+	return cat
+}
+
+// referenceFold is the row-at-a-time fold the run pipeline replaced, kept
+// as the reference: per morsel of morselRows rows it walks the rows one by
+// one — evaluator for the filter and the arguments, Decide for the sampler,
+// HTEstimator.Add through accumulate — and folds the morsels in order.
+func referenceFold(t *testing.T, a *plan.Aggregate, scan *plan.Scan, morselRows int) (*groupState, int64) {
+	t.Helper()
+	b, err := bindScan(scan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := scan.Table.Snapshot()
+	st, err := stageSampler(scan, b.keyIdx, table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total *groupState
+	var emitted int64
+	for lo := 0; lo < table.NumRows(); lo += morselRows {
+		part := newGroupState("", nil, len(a.Aggs))
+		for row := lo; row < min(lo+morselRows, table.NumRows()); row++ {
+			if ok, err := expr.EvalBool(scan.Filter, mappedRow{t: table, idx: row}); err != nil || !ok {
+				continue
+			}
+			d := st.sampler.Decide(row, "")
+			if !d.Keep {
+				continue
+			}
+			emitted++
+			part.n++
+			for j, spec := range a.Aggs {
+				if err := accumulate(part.aggs[j], spec, mappedRow{t: table, idx: row, out: b.outIdx}, d.Weight); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if total == nil {
+			total = part
+		} else {
+			mergeGroupState(total, part)
+		}
+	}
+	return total, emitted
+}
+
+// TestHostileValuesFoldBitForBit: over NaN, ±Inf, -0.0, MaxFloat64, int64
+// past 2^53 and an all-NULL run, sampled at 50 % so that w·(w−1)·x² meets an
+// infinite x, the morsel path returns the reference fold's estimates,
+// variances and counts — and the same bits at one and four workers.
+func TestHostileValuesFoldBitForBit(t *testing.T) {
+	cat := hostileCatalog(t, 20_000) // block 256: three morsels of 8192 rows
+	for _, where := range []string{
+		"x <= 1 OR NOT (x >= -1)", // an unordered pair compares equal in the evaluator
+		"NOT (x < 0) AND i <> 9007199254740993",
+		"g <> 'g1' OR x > 1e308",
+	} {
+		sql := "SELECT COUNT(*), COUNT(x), SUM(x), AVG(x), SUM(x * i), AVG(x / (i - 9007199254740992)), SUM(x * x)" +
+			" FROM h TABLESAMPLE BERNOULLI (50) WHERE " + where
+		a := plan.FindAggregate(buildPlan(t, cat, sql))
+		scan, _, ok := morselEligible(a)
+		if !ok || scan.Filter == nil {
+			t.Fatalf("%q: not a filtered morsel scan", sql)
+		}
+		ref, emitted := referenceFold(t, a, scan, 8192)
+		want := finalizeGroups(a, map[string]*groupState{"": ref})
+		var one *Batch
+		for _, workers := range []int{1, 4} {
+			part, err := RunAggPartialContext(context.Background(), buildPlan(t, cat, sql), workers)
+			if err != nil {
+				t.Fatalf("W=%d %q: %v", workers, sql, err)
+			}
+			got := finalizeGroups(a, part.groups)
+			if workers == 1 {
+				one = got
+			} else if err := sameDetail(got.Details[0], one.Details[0]); err != nil {
+				t.Errorf("%q: W=4 vs W=1: %v", sql, err)
+			}
+			// Against the reference a NaN matches any NaN: its payload
+			// depends on the operand order the compiler picked for Add's
+			// sums and for AddRun's, which is not ours to fix.
+			for j, x := range got.Details[0].Aggs {
+				y := want.Details[0].Aggs[j]
+				for _, f := range [][2]float64{{x.Estimate, y.Estimate}, {x.Variance, y.Variance}, {x.N, y.N}} {
+					if math.Float64bits(f[0]) != math.Float64bits(f[1]) && !(math.IsNaN(f[0]) && math.IsNaN(f[1])) {
+						t.Errorf("W=%d %q: slot %d: morsel fold %+v, reference %+v", workers, sql, j, x, y)
+					}
+				}
+			}
+			if got.Details[0].GroupN != want.Details[0].GroupN || fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+				t.Errorf("W=%d %q: rows %v (n=%v), reference %v (n=%v)", workers, sql,
+					got.Rows, got.Details[0].GroupN, want.Rows, want.Details[0].GroupN)
+			}
+			if part.Counters.RowsEmitted != emitted || emitted == 0 {
+				t.Errorf("W=%d %q: %d rows emitted, reference %d", workers, sql, part.Counters.RowsEmitted, emitted)
+			}
+		}
 	}
 }
 
@@ -517,7 +754,7 @@ func TestSerialScanFilterMatchesEvaluator(t *testing.T) {
 	e, snap := scanFilter(t, cat, where)
 	want := 0
 	for row := 0; row < snap.NumRows(); row++ {
-		if ok, err := expr.EvalBool(e, tableRow{t: snap, idx: row}); err != nil {
+		if ok, err := expr.EvalBool(e, mappedRow{t: snap, idx: row}); err != nil {
 			t.Fatal(err)
 		} else if ok {
 			want++

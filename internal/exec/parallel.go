@@ -42,8 +42,11 @@ const minMorselRows = 8192
 // positions from the range's start so the fold order depends on the range
 // alone. Rows of an order are scattered over the table: there are no blocks
 // to align to, and a smaller morsel spreads a chunk-sized range over the
-// workers.
+// workers. An ordered morsel is one run (the array type fails to compile
+// if it ever outgrows the run cap).
 const orderedMorselRows = 1024
+
+var _ [maxRunRows - orderedMorselRows]struct{}
 
 // injectMorsel fires once per claimed morsel inside the worker's
 // containment scope, so an injected panic exercises the same recovery
@@ -148,76 +151,67 @@ const (
 )
 
 // morselKernels holds the best-effort compiled form of the fused
-// pipeline's expressions. Nil kernels (and slotGeneral slots) fall back to
-// the tree-walking evaluator per expression; the compiled and interpreted
-// forms are bit-identical, so mixing them is safe.
+// pipeline's expressions. Filters without a kernel, group parts without a
+// typed column and slotGeneral slots fall back to the tree-walking
+// evaluator per expression; the compiled and interpreted forms are
+// bit-identical, so mixing them is safe.
 type morselKernels struct {
-	filter   boolKernel   // scan filter, bound to the table schema
-	residual []boolKernel // per residual predicate, bound to scan output
-	group    []groupPart  // typed access path per group expr
+	comp     *compiler   // sizes each worker's scratch
+	filter   rowFilter   // scan filter, bound to the table schema
+	residual []rowFilter // per residual predicate, bound to scan output
+	group    []groupPart // typed access path per group expr
 	slotMode []int
-	slotArg  []numKernel
-	needRow  bool // some fallback still needs the mappedRow adapter
+	slotArg  []valKernel
 }
 
 // compileKernels compiles what it can of the pipeline against a concrete
 // table snapshot.
 func (op *morselRun) compileKernels(t *storage.Table) morselKernels {
+	c := &compiler{t: t}
 	k := morselKernels{
-		residual: make([]boolKernel, len(op.residual)),
+		comp:     c,
+		residual: make([]rowFilter, len(op.residual)),
 		group:    make([]groupPart, len(op.node.GroupBy)),
 		slotMode: make([]int, len(op.node.Aggs)),
-		slotArg:  make([]numKernel, len(op.node.Aggs)),
+		slotArg:  make([]valKernel, len(op.node.Aggs)),
 	}
 	if op.scan.Filter != nil {
-		k.filter = compileBool(op.scan.Filter, t, nil)
+		k.filter = c.filter(op.scan.Filter)
 	}
-	m := colMap(op.outIdx)
+	c.m = op.outIdx
 	for i, pred := range op.residual {
-		k.residual[i] = compileBool(pred, t, m)
-		if k.residual[i] == nil {
-			k.needRow = true
-		}
+		k.residual[i] = c.filter(pred)
 	}
 	for i, ge := range op.node.GroupBy {
-		if c, ok := ge.(*expr.ColRef); ok {
-			switch col := t.Column(op.outIdx[c.Index]).(type) {
+		if ref, ok := ge.(*expr.ColRef); ok {
+			switch col := t.Column(op.outIdx[ref.Index]).(type) {
 			case *storage.StringColumn:
 				k.group[i].dict = col
-				continue
 			case *storage.Int64Column:
 				k.group[i].ints = col
-				continue
 			}
 		}
-		k.needRow = true
 	}
 	for j, spec := range op.node.Aggs {
-		k.slotMode[j] = slotGeneral
+		mode := slotGeneral
 		switch spec.Func {
 		case sqlparse.AggCount:
 			if spec.Star {
-				k.slotMode[j] = slotCountStar
+				mode = slotCountStar
 			} else if !spec.Distinct && spec.Arg != nil {
-				if arg := compileNum(spec.Arg, t, m); arg != nil {
-					k.slotMode[j] = slotCountCol
-					k.slotArg[j] = arg
-				}
+				mode = slotCountCol
 			}
 		case sqlparse.AggSum, sqlparse.AggAvg:
-			if arg := compileNum(spec.Arg, t, m); arg != nil {
-				k.slotMode[j] = slotSumAvg
-				k.slotArg[j] = arg
-			}
+			mode = slotSumAvg
 		case sqlparse.AggPercentile:
-			if arg := compileNum(spec.Arg, t, m); arg != nil {
-				k.slotMode[j] = slotPercentile
-				k.slotArg[j] = arg
+			mode = slotPercentile
+		}
+		if mode != slotGeneral && mode != slotCountStar {
+			if k.slotArg[j] = c.num(spec.Arg, 0); k.slotArg[j] == nil {
+				mode = slotGeneral
 			}
 		}
-		if k.slotMode[j] == slotGeneral {
-			k.needRow = true
-		}
+		k.slotMode[j] = mode
 	}
 	return k
 }
@@ -232,7 +226,8 @@ func newMorselRun(ctx context.Context, a *plan.Aggregate, s *plan.Scan, residual
 }
 
 // mappedRow adapts direct table access to the scan's output schema:
-// column i of the scan output is column out[i] of the table. Residual
+// column i of the scan output is column out[i] of the table (nil out: the
+// table's own schema, which the scan filter is bound to). Residual
 // predicates and aggregate expressions are bound to the scan output.
 type mappedRow struct {
 	t   *storage.Table
@@ -241,7 +236,9 @@ type mappedRow struct {
 }
 
 // ColumnValue implements expr.Row.
-func (r mappedRow) ColumnValue(i int) storage.Value { return r.t.Column(r.out[i]).Value(r.idx) }
+func (r mappedRow) ColumnValue(i int) storage.Value {
+	return r.t.Column(colMap(r.out).col(i)).Value(r.idx)
+}
 
 // computeGroups runs the parallel scan-aggregate and returns the merged
 // partial group states without finalizing them.
@@ -264,13 +261,20 @@ func (op *morselRun) computeGroups() (map[string]*groupState, error) {
 		workers = 1
 	}
 
-	wks := make([]*morselWorker, workers)
-	for w := range wks {
+	wks := make([]*morselWorker, 0, workers)
+	// Every return below is before a worker starts or after all have
+	// finished, so their vector memory can go back to the pool.
+	defer func() {
+		for _, wk := range wks {
+			wk.sc.release()
+		}
+	}()
+	for len(wks) < workers {
 		wk, err := op.newWorker(table)
 		if err != nil {
 			return nil, err
 		}
-		wks[w] = wk
+		wks = append(wks, wk)
 	}
 
 	// Trace setup happens before the workers launch and only observes the
@@ -428,16 +432,21 @@ func (op *morselRun) morselGrid(table *storage.Table) (first, end, morselRows in
 	return 0, table.NumRows(), morselRows
 }
 
-// morselWorker holds one worker's private sampler and counters. Samplers
-// are deterministic functions of (seed, row/block index, key), so every
-// worker's instance makes identical decisions; each worker gets its own
-// only to keep the hot loop free of sharing.
+// morselWorker holds one worker's private sampler, scratch and counters.
+// Samplers are deterministic functions of (seed, row/block index, key), so
+// every worker's instance makes identical decisions; each worker gets its
+// own only to keep the hot loop free of sharing.
 type morselWorker struct {
 	op    *morselRun
 	table *storage.Table
 	samplerStages
+	weights  storage.Column // the stored sample's weight column, or nil
 	groups   *groupResolver // nil for global aggregates
 	counters Counters
+
+	sc   *scratch       // vector memory, the worker's for the whole scan
+	ends []int32        // where each segment of the run ends
+	one  [1]*groupState // a global aggregate's one segment
 }
 
 func (op *morselRun) newWorker(table *storage.Table) (*morselWorker, error) {
@@ -446,8 +455,20 @@ func (op *morselRun) newWorker(table *storage.Table) (*morselWorker, error) {
 		return nil, err
 	}
 	wk := &morselWorker{op: op, table: table, samplerStages: st}
+	if op.weightIdx >= 0 {
+		wk.weights = table.Column(op.weightIdx)
+	}
+	// A run is a block, or a morsel of the order, capped at maxRunRows; a
+	// table smaller than that needs no more.
+	runCap := min(maxRunRows, table.BlockSize(), max(table.NumRows(), 1))
+	if r := op.scan.Range; r != nil {
+		runCap = min(maxRunRows, max(r.Hi-r.Lo, 1))
+	}
+	wk.sc = newScratch(op.kern.comp, runCap)
+	wk.ends = make([]int32, 0, maxRunRows/minRowsPerGroup) // as many segments as a run can have
 	if len(op.node.GroupBy) > 0 {
-		wk.groups = newGroupResolver(op.node.GroupBy, op.kern.group, len(op.node.Aggs))
+		wk.groups = newGroupResolver(op.node.GroupBy, op.kern.group, len(op.node.Aggs),
+			mappedRow{t: table, out: op.outIdx})
 	}
 	return wk, nil
 }
@@ -455,33 +476,32 @@ func (op *morselRun) newWorker(table *storage.Table) (*morselWorker, error) {
 // processMorsel runs the fused pipeline over rows [lo, hi) — morsels are
 // block-aligned, so each block belongs to exactly one morsel and the
 // block counters stay exact — or, for a ranged scan, over the rows at
-// positions [lo, hi) of its order, and returns the partial aggregation
-// state.
+// positions [lo, hi) of its order, a run at a time, and returns the partial
+// aggregation state.
 func (wk *morselWorker) processMorsel(ctx context.Context, lo, hi int) (map[string]*groupState, error) {
 	op := wk.op
-	groups := make(map[string]*groupState)
+	runCap := len(wk.sc.ones)
 	// Tally in locals and publish once per morsel: the workers' structs
 	// sit side by side on the heap, and a per-row store into one would
 	// keep invalidating the cache line its neighbour reads its fields from.
 	var counters Counters
 	// Global aggregates have a single group; hoist it out of the row loop.
 	var global *groupState
+	var groups map[string]*groupState
 	if wk.groups == nil {
 		global = newGroupState("", nil, len(op.node.Aggs))
-		groups[""] = global
+		groups = map[string]*groupState{"": global}
 	} else {
+		groups = make(map[string]*groupState, len(wk.groups.list))
 		wk.groups.reset()
 	}
 	if r := op.scan.Range; r != nil {
-		// One cancellation checkpoint per ordered morsel; an order has no
-		// runs to exploit, so its rows fold one at a time.
+		// One cancellation checkpoint per ordered morsel.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		for _, row := range r.Order[lo:hi] {
-			if err := wk.foldRows(groups, global, int(row), int(row)+1, 1, &counters); err != nil {
-				return nil, err
-			}
+		if err := wk.foldRun(groups, global, wk.sc.orderRun(r.Order[lo:hi]), 1, &counters); err != nil {
+			return nil, err
 		}
 		wk.counters.Add(counters)
 		return groups, nil
@@ -493,10 +513,7 @@ func (wk *morselWorker) processMorsel(ctx context.Context, lo, hi int) (map[stri
 			return nil, err
 		}
 		block := row / blockSize
-		blockEnd := (block + 1) * blockSize
-		if blockEnd > hi {
-			blockEnd = hi
-		}
+		blockEnd := min((block+1)*blockSize, hi)
 		blockWeight := 1.0
 		if wk.blockSamp != nil {
 			d := wk.blockSamp.DecideBlock(block)
@@ -508,8 +525,11 @@ func (wk *morselWorker) processMorsel(ctx context.Context, lo, hi int) (map[stri
 			counters.BlocksScanned++
 			blockWeight = d.Weight
 		}
-		if err := wk.foldRows(groups, global, row, blockEnd, blockWeight, &counters); err != nil {
-			return nil, err
+		for ; row < blockEnd; row += runCap {
+			sel := wk.sc.blockRun(row, min(row+runCap, blockEnd))
+			if err := wk.foldRun(groups, global, sel, blockWeight, &counters); err != nil {
+				return nil, err
+			}
 		}
 		row = blockEnd
 	}
@@ -517,119 +537,229 @@ func (wk *morselWorker) processMorsel(ctx context.Context, lo, hi int) (map[stri
 	return groups, nil
 }
 
-// foldRows filters, samples and accumulates table rows [row, end) — a run
-// inside one block, kept at blockWeight — into groups (global, when set,
-// is the one group of a global aggregate), tallying into c.
-func (wk *morselWorker) foldRows(groups map[string]*groupState, global *groupState,
-	row, end int, blockWeight float64, c *Counters) error {
+// foldRun filters, samples and accumulates one run — sel, the scratch's
+// current run, kept at blockWeight — into groups (global, when set, is the
+// one group of a global aggregate), tallying into c. The stages run in the
+// order a row would meet them — scan filter, row sampler, weight column,
+// residual predicates, group, aggregates — each over the whole selection,
+// and every accumulator still sees its rows in selection order.
+func (wk *morselWorker) foldRun(groups map[string]*groupState, global *groupState,
+	sel []int32, blockWeight float64, c *Counters) error {
 	op := wk.op
 	kern := &op.kern
-	var weightCol storage.Column
-	if op.weightIdx >= 0 {
-		weightCol = wk.table.Column(op.weightIdx)
-	}
-	c.RowsScanned += int64(end - row)
-	var emitted int64
-	for ; row < end; row++ {
-		if kern.filter != nil {
-			if !kern.filter(row) {
-				continue
-			}
-		} else if op.scan.Filter != nil {
-			ok, err := expr.EvalBool(op.scan.Filter, tableRow{t: wk.table, idx: row})
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
+	var err error
+	c.RowsScanned += int64(len(sel))
+	if op.scan.Filter != nil {
+		if sel, err = kern.filter.narrow(wk.sc, mappedRow{t: wk.table}, sel, sel); err != nil {
+			return err
 		}
-		w := blockWeight
-		if wk.sampler != nil {
+	}
+	// The rows' weights: ws[i] is sel[i]'s. With no keyed sampler and no
+	// weight column (sameWeight) every row of the run weighs the same.
+	w, ws := blockWeight, wk.sc.ws
+	switch {
+	case wk.uniform != nil:
+		var rowWeight float64
+		sel, rowWeight = wk.uniform.KeepRows(sel, sel)
+		w *= rowWeight
+	case wk.sampler != nil:
+		k := 0
+		for _, r := range sel {
 			key := ""
 			if wk.keyer != nil {
-				key = wk.keyer.Key(row)
+				key = wk.keyer.Key(int(r))
 			}
-			d := wk.sampler.Decide(row, key)
-			if !d.Keep {
-				continue
-			}
-			w *= d.Weight
-		}
-		if weightCol != nil {
-			wv := weightCol.Value(row)
-			if !wv.IsNull() {
-				w *= wv.AsFloat()
+			if d := wk.sampler.Decide(int(r), key); d.Keep {
+				sel[k], ws[k] = r, blockWeight*d.Weight
+				k++
 			}
 		}
-		emitted++
-		var mr mappedRow
-		if kern.needRow {
-			mr = mappedRow{t: wk.table, idx: row, out: op.outIdx}
+		sel = sel[:k]
+	}
+	sameWeight := wk.sampler == nil || wk.uniform != nil
+	switch ws = ws[:len(sel)]; {
+	case sameWeight && w == 1 && wk.weights == nil:
+		ws = wk.sc.ones[:len(sel)]
+	case sameWeight:
+		fill(ws, w)
+	}
+	if wk.weights != nil {
+		sameWeight = false
+		for i, r := range sel {
+			if wv := wk.weights.Value(int(r)); !wv.IsNull() {
+				ws[i] *= wv.AsFloat()
+			}
 		}
-		keep := true
-		for i, pred := range op.residual {
-			if k := kern.residual[i]; k != nil {
-				if !k(row) {
-					keep = false
-					break
+	}
+	c.RowsEmitted += int64(len(sel))
+	for _, f := range kern.residual {
+		kept, err := f.narrow(wk.sc, mappedRow{t: wk.table, out: op.outIdx}, sel, wk.sc.kept)
+		if err != nil {
+			return err
+		}
+		// The weights follow their rows: kept is a subsequence of sel.
+		k := 0
+		for i, r := range sel {
+			if k < len(kept) && kept[k] == r {
+				sel[k], ws[k] = r, ws[i]
+				k++
+			}
+		}
+		sel, ws = sel[:k], ws[:k]
+	}
+	if len(sel) == 0 {
+		return nil
+	}
+	weighted := w != 1
+	for i := 0; !sameWeight && !weighted && i < len(ws); i++ {
+		weighted = ws[i] != 1
+	}
+
+	// Group: a group id per selected row. A global aggregate's run is one
+	// segment of rows, its one group's; with few groups the run is regrouped
+	// into a segment per group; either way a slot folds a segment in one
+	// call. With many groups the rows stay put and fold one at a time.
+	segs, ends := wk.one[:], wk.ends[:0]
+	var gids []int32
+	if global != nil {
+		wk.one[0], ends = global, append(ends, int32(len(sel)))
+	} else {
+		gids = wk.sc.gids[:len(sel)]
+		if err := wk.groups.resolve(sel, gids, groups); err != nil {
+			return err
+		}
+		if segs = wk.groups.list; len(segs)*minRowsPerGroup <= len(sel) {
+			sel, ws, ends = wk.regroup(sel, gids, ws, sameWeight)
+		}
+	}
+	lo := int32(0)
+	for g, hi := range ends {
+		segs[g].n += float64(hi - lo)
+		lo = hi
+	}
+	if len(ends) == 0 {
+		for i, g := range gids {
+			gs := segs[g]
+			gs.n++
+			if weighted && ws[i] != 1 {
+				for _, st := range gs.aggs {
+					st.weighted = true
 				}
-				continue
-			}
-			ok, err := expr.EvalBool(pred, mr)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				keep = false
-				break
 			}
 		}
-		if !keep {
-			continue
-		}
-		gs := global
-		if gs == nil {
-			var err error
-			if gs, err = wk.groups.resolve(row, mr, groups); err != nil {
-				return err
-			}
-		}
-		gs.n++
-		for j := range op.node.Aggs {
-			st := gs.aggs[j]
-			if w != 1 {
-				st.weighted = true
-			}
-			switch kern.slotMode[j] {
-			case slotCountStar:
-				st.ht.Add(1, w)
-				st.nonNull++
-			case slotCountCol:
-				if _, null := kern.slotArg[j](row); !null {
-					st.ht.Add(1, w)
-					st.nonNull++
+	}
+
+	for j, spec := range op.node.Aggs {
+		mode := kern.slotMode[j]
+		var vals []float64
+		var nulls []bool
+		switch mode {
+		case slotGeneral:
+			mr := mappedRow{t: wk.table, out: op.outIdx}
+			g := 0
+			for i, r := range sel {
+				if len(ends) == 0 {
+					g = int(gids[i])
+				} else {
+					for int32(i) == ends[g] {
+						g++
+					}
 				}
-			case slotSumAvg:
-				if v, null := kern.slotArg[j](row); !null {
-					st.ht.Add(v, w)
-					st.nonNull++
-				}
-			case slotPercentile:
-				if v, null := kern.slotArg[j](row); !null {
-					st.pctVals = append(st.pctVals, v)
-					st.pctWeights = append(st.pctWeights, w)
-					st.nonNull++
-				}
-			default:
-				if err := accumulate(st, op.node.Aggs[j], mr, w); err != nil {
+				mr.idx = int(r)
+				if err := accumulate(segs[g].aggs[j], spec, mr, ws[i]); err != nil {
 					return err
 				}
 			}
+			continue
+		case slotCountStar:
+			vals = wk.sc.ones[:len(sel)]
+		case slotCountCol:
+			_, nulls = kern.slotArg[j](wk.sc, sel)
+			vals = wk.sc.ones[:len(sel)]
+		default:
+			vals, nulls = kern.slotArg[j](wk.sc, sel)
+		}
+		lo := int32(0)
+		for g, hi := range ends {
+			if hi == lo {
+				continue
+			}
+			st, segVals, segWs := segs[g].aggs[j], vals[lo:hi], ws[lo:hi]
+			if weighted && !st.weighted {
+				for _, w := range segWs {
+					st.weighted = st.weighted || w != 1
+				}
+			}
+			if nulls != nil {
+				// A NULL argument's row takes no part in the slot.
+				k := 0
+				for i, null := range nulls[lo:hi] {
+					if !null {
+						wk.sc.vals[k], wk.sc.valWs[k] = segVals[i], segWs[i]
+						k++
+					}
+				}
+				segVals, segWs = wk.sc.vals[:k], wk.sc.valWs[:k]
+			}
+			st.nonNull += float64(len(segVals))
+			if mode == slotPercentile {
+				st.pctVals = append(st.pctVals, segVals...)
+				st.pctWeights = append(st.pctWeights, segWs...)
+			} else {
+				st.ht.AddRun(segVals, segWs)
+			}
+			lo = hi
+		}
+		if len(ends) > 0 {
+			continue
+		}
+		for i, g := range gids {
+			if nulls != nil && nulls[i] {
+				continue
+			}
+			st := segs[g].aggs[j]
+			if mode == slotPercentile {
+				st.pctVals = append(st.pctVals, vals[i])
+				st.pctWeights = append(st.pctWeights, ws[i])
+			} else {
+				st.ht.Add(vals[i], ws[i])
+			}
+			st.nonNull++
 		}
 	}
-	c.RowsEmitted += emitted
 	return nil
+}
+
+// minRowsPerGroup is how many rows per group a run must average before it
+// is regrouped: below it the segments are too short to repay the sort.
+const minRowsPerGroup = 16
+
+// regroup sorts the run by group id, stably (a counting sort), so that a
+// group's rows stay in selection order: it returns the selection and its
+// weights group by group, with where each group's rows end.
+func (wk *morselWorker) regroup(sel, gids []int32, ws []float64, sameWeight bool) ([]int32, []float64, []int32) {
+	ends := wk.ends[:len(wk.groups.list)]
+	clear(ends)
+	for _, g := range gids {
+		ends[g]++
+	}
+	at := int32(0)
+	for g, n := range ends {
+		ends[g] = at // where group g's rows go next
+		at += n
+	}
+	bySel, byWs := wk.sc.kept[:len(sel)], ws
+	if !sameWeight {
+		byWs = wk.sc.orderWs[:len(sel)]
+	}
+	for i, g := range gids {
+		bySel[ends[g]] = sel[i]
+		if !sameWeight {
+			byWs[ends[g]] = ws[i]
+		}
+		ends[g]++
+	}
+	return bySel, byWs, ends
 }
 
 // newGroupState builds an empty group state; groupVal is copied.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/sample"
 	"repro/internal/storage"
@@ -30,8 +29,9 @@ type scanOp struct {
 	pos, end int
 	order    []int32
 	block    int
-	filter   boolKernel // compiled scan filter; nil falls back to the evaluator
-	scanned  int64      // rows examined by this operator (for trace rows-in)
+	filter   rowFilter // the scan filter, from the morsel path's compiler
+	sc       *scratch
+	scanned  int64 // rows examined by this operator (for trace rows-in)
 }
 
 func newScanOp(ctx context.Context, s *plan.Scan, counters *Counters) (*scanOp, error) {
@@ -83,7 +83,8 @@ func bindScan(s *plan.Scan) (scanBinding, error) {
 type samplerStages struct {
 	blockSamp *sample.Block
 	sampler   sample.RowSampler
-	keyer     *sample.Keyer // sampler key columns; nil without any
+	uniform   *sample.Uniform // sampler, when it is one: decides a run at a time
+	keyer     *sample.Keyer   // sampler key columns; nil without any
 }
 
 // stageSampler instantiates s's sampler against one snapshot of its table.
@@ -103,10 +104,11 @@ func stageSampler(s *plan.Scan, keyIdx []int, table *storage.Table) (samplerStag
 		// Split the stages so non-sampled blocks are skipped at the
 		// block level and kept blocks are thinned row by row.
 		st.blockSamp = t.BlockSampler()
-		st.sampler = biLevelRowStage{t}
+		st.sampler = t.RowStage()
 	default:
 		st.sampler = rs
 	}
+	st.uniform, _ = st.sampler.(*sample.Uniform)
 	if len(keyIdx) > 0 {
 		st.keyer = sample.NewKeyer(table, keyIdx)
 	}
@@ -125,9 +127,11 @@ func (op *scanOp) Open() error {
 	if r := op.scan.Range; r != nil {
 		op.pos, op.end, op.order = r.Lo, r.Hi, r.Order
 	}
+	c := &compiler{t: op.table}
 	if op.scan.Filter != nil {
-		op.filter = compileBool(op.scan.Filter, op.table, nil)
+		op.filter = c.filter(op.scan.Filter)
 	}
+	op.sc = newScratch(c, min(maxRunRows, op.table.BlockSize(), max(op.table.NumRows(), 1)))
 	var err error
 	if op.samplerStages, err = stageSampler(op.scan, op.keyIdx, op.table); err != nil {
 		return err
@@ -136,31 +140,6 @@ func (op *scanOp) Open() error {
 	op.counters.Passes++
 	return nil
 }
-
-// biLevelRowStage adapts the within-block stage of a bi-level sampler to
-// the RowSampler interface used in the scan's per-row loop; the block
-// stage runs separately so whole blocks can be skipped.
-type biLevelRowStage struct {
-	bl *sample.BiLevel
-}
-
-// Decide implements sample.RowSampler.
-func (b biLevelRowStage) Decide(rowIdx int, _ string) sample.RowDecision {
-	return b.bl.DecideRow(rowIdx)
-}
-
-// Rate implements sample.RowSampler.
-func (b biLevelRowStage) Rate() float64 { return b.bl.Rate() }
-
-// tableRow adapts direct table access to expr.Row for filter evaluation
-// bound against the full table schema.
-type tableRow struct {
-	t   *storage.Table
-	idx int
-}
-
-// ColumnValue implements expr.Row.
-func (r tableRow) ColumnValue(i int) storage.Value { return r.t.Column(i).Value(r.idx) }
 
 // Next implements Operator.
 func (op *scanOp) Next() (*Batch, error) {
@@ -176,18 +155,17 @@ func (op *scanOp) Next() (*Batch, error) {
 	batch := &Batch{}
 	blockSize := op.table.BlockSize()
 	for batch.Len() < BatchSize && op.pos < op.end {
-		// The run [row, runEnd) of table rows read next: the rest of the
-		// current block, or the one row an order names.
-		row, runEnd := op.pos, 0
+		// The run read next: the rest of the current block, or the next rows
+		// an order names, and no more rows than the batch has room for — so
+		// a full batch ends the scan's reading exactly at its last row.
+		n := min(BatchSize-batch.Len(), len(op.sc.rows), op.end-op.pos)
 		blockWeight := 1.0
+		var sel []int32
 		if op.order != nil {
-			row = int(op.order[op.pos])
-			runEnd = row + 1
+			sel = op.sc.orderRun(op.order[op.pos : op.pos+n])
+			op.pos += n
 		} else {
-			runEnd = (op.block + 1) * blockSize
-			if runEnd > op.end {
-				runEnd = op.end
-			}
+			runEnd := min((op.block+1)*blockSize, op.end)
 			if op.blockSamp != nil {
 				d := op.blockSamp.DecideBlock(op.block)
 				if !d.Keep {
@@ -202,23 +180,22 @@ func (op *scanOp) Next() (*Batch, error) {
 				}
 				blockWeight = d.Weight
 			}
-		}
-		for ; row < runEnd && batch.Len() < BatchSize; row++ {
-			op.counters.RowsScanned++
-			op.scanned++
-			if op.filter != nil {
-				if !op.filter(row) {
-					continue
-				}
-			} else if op.scan.Filter != nil {
-				ok, err := expr.EvalBool(op.scan.Filter, tableRow{t: op.table, idx: row})
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
+			n = min(n, runEnd-op.pos)
+			sel = op.sc.blockRun(op.pos, op.pos+n)
+			if op.pos += n; op.pos == runEnd {
+				op.block++
 			}
+		}
+		op.counters.RowsScanned += int64(n)
+		op.scanned += int64(n)
+		if op.scan.Filter != nil {
+			var err error
+			if sel, err = op.filter.narrow(op.sc, mappedRow{t: op.table}, sel, sel); err != nil {
+				return nil, err
+			}
+		}
+		for _, r := range sel {
+			row := int(r)
 			w := blockWeight
 			if op.sampler != nil {
 				key := ""
@@ -253,14 +230,6 @@ func (op *scanOp) Next() (*Batch, error) {
 			}
 			op.counters.RowsEmitted++
 		}
-		if op.order != nil {
-			op.pos++
-		} else {
-			op.pos = row
-			if row >= runEnd {
-				op.block++
-			}
-		}
 	}
 	if batch.Len() == 0 {
 		// The loop exits with an empty batch only when the scan is
@@ -275,5 +244,8 @@ func (op *scanOp) Next() (*Batch, error) {
 // span; everything above infers rows-in from child rows-out.
 func (op *scanOp) Close() error {
 	trace.SpanFromContext(op.ctx).SetRowsIn(op.scanned)
+	if op.sc != nil {
+		op.sc.release()
+	}
 	return nil
 }

@@ -174,6 +174,20 @@ func (u *Uniform) Decide(rowIdx int, _ string) RowDecision {
 	return RowDecision{}
 }
 
+// KeepRows is Decide over a run of rows: it writes the rows the sampler
+// keeps, in order, to out (which may be rows itself) and returns them with
+// the weight each carries.
+func (u *Uniform) KeepRows(rows, out []int32) ([]int32, float64) {
+	k := 0
+	for _, r := range rows {
+		out[k] = r
+		if hashToUnit(splitmix64(u.seed^splitmix64(uint64(r)))) < u.p {
+			k++
+		}
+	}
+	return out[:k], 1 / u.p
+}
+
 // Block is block-level (page) Bernoulli sampling: whole blocks of
 // blockSize rows are kept with probability p; rows in kept blocks carry
 // weight 1/p. It is the TABLESAMPLE SYSTEM analogue and the source of the
@@ -331,8 +345,8 @@ func (b *BiLevel) Rate() float64 { return b.block.Rate() * b.row.Rate() }
 // BlockSampler exposes the block stage for scan-level block skipping.
 func (b *BiLevel) BlockSampler() *Block { return b.block }
 
-// DecideRow is the within-block stage for rows of kept blocks.
-func (b *BiLevel) DecideRow(rowIdx int) RowDecision { return b.row.Decide(rowIdx, "") }
+// RowStage exposes the within-block stage, for rows of kept blocks.
+func (b *BiLevel) RowStage() *Uniform { return b.row }
 
 // Decide implements RowSampler (combined stages, for non-skipping paths).
 func (b *BiLevel) Decide(rowIdx int, key string) RowDecision {

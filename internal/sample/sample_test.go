@@ -3,6 +3,7 @@ package sample
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -534,5 +535,34 @@ func TestSpecString(t *testing.T) {
 	}
 	if (Spec{}).String() != "none" {
 		t.Error("zero spec renders none")
+	}
+}
+
+// TestUniformKeepRowsIsDecide: a run decided by KeepRows keeps exactly the
+// rows Decide keeps, in order, at Decide's weight, in place or not.
+func TestUniformKeepRowsIsDecide(t *testing.T) {
+	u := NewUniform(0.3, 7)
+	rows := make([]int32, 0, 2000)
+	for r := int32(5000); r > 3000; r-- { // any order, as a ranged scan's
+		rows = append(rows, r)
+	}
+	var want []int32
+	for _, r := range rows {
+		if d := u.Decide(int(r), ""); d.Keep {
+			want = append(want, r)
+			if d.Weight != 1/0.3 {
+				t.Fatalf("weight %v", d.Weight)
+			}
+		}
+	}
+	got, w := u.KeepRows(rows, make([]int32, len(rows)))
+	if !reflect.DeepEqual(got, want) || w != 1/0.3 || len(want) == 0 {
+		t.Fatalf("KeepRows kept %d rows at weight %v, Decide %d", len(got), w, len(want))
+	}
+	if got, _ = u.KeepRows(rows, rows); !reflect.DeepEqual(got, want) {
+		t.Fatal("KeepRows in place differs")
+	}
+	if bl := NewBiLevel(0.5, 0.3, 100, 7); bl.RowStage().Rate() != 0.3 {
+		t.Error("bi-level row stage is not its row sampler")
 	}
 }

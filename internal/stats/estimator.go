@@ -118,14 +118,38 @@ type HTEstimator struct {
 	covsn  float64 // Σ w (w-1) x — Cov(Ŝ, N̂) under independent inclusion
 }
 
-// Add accumulates one sampled row with value x and weight w = 1/π.
+// Add accumulates one sampled row with value x and weight w = 1/π. Every
+// product is rounded before it is summed (the float64 conversions forbid a
+// fused multiply-add), so Add and AddRun agree to the bit on every
+// architecture — a NaN being a NaN: which payload survives a sum of two
+// is the compiler's choice of operand order.
 func (h *HTEstimator) Add(x, w float64) {
-	h.sum += w * x
-	h.varSum += w * (w - 1) * x * x
+	h.sum += float64(w * x)
+	h.varSum += float64(w * (w - 1) * x * x)
 	h.n++
 	h.wTot += w
-	h.w2Tot += w * (w - 1)
-	h.covsn += w * (w - 1) * x
+	h.w2Tot += float64(w * (w - 1))
+	h.covsn += float64(w * (w - 1) * x)
+}
+
+// AddRun accumulates the rows (xs[i], ws[i]) in index order: exactly the
+// six updates Add makes per row, in Add's order, with the accumulators held
+// in registers across the run. A unit weight is not special-cased —
+// w·(w−1)·x² is NaN, not 0, for an infinite x, and the answer must not
+// depend on which of the two a caller used.
+func (h *HTEstimator) AddRun(xs, ws []float64) {
+	ws = ws[:len(xs)]
+	sum, varSum, n, wTot, w2Tot, covsn := h.sum, h.varSum, h.n, h.wTot, h.w2Tot, h.covsn
+	for i, x := range xs {
+		w := ws[i]
+		sum += float64(w * x)
+		varSum += float64(w * (w - 1) * x * x)
+		n++
+		wTot += w
+		w2Tot += float64(w * (w - 1))
+		covsn += float64(w * (w - 1) * x)
+	}
+	h.sum, h.varSum, h.n, h.wTot, h.w2Tot, h.covsn = sum, varSum, n, wTot, w2Tot, covsn
 }
 
 // Merge folds another estimator's accumulations into h. Every field is a

@@ -433,3 +433,39 @@ func TestSRSEstimators(t *testing.T) {
 		t.Errorf("variance %v at 50%% read vs %v at 5%%", many, few)
 	}
 }
+
+// TestHTEstimatorAddRunIsAdd: AddRun over a run equals Add row by row, to
+// the bit, on ordinary and hostile values and weights — an infinite x at
+// unit weight makes w·(w−1)·x² a NaN in both, not a 0 in one.
+func TestHTEstimatorAddRunIsAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	hostile := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), math.MaxFloat64, 1 << 53}
+	for trial := 0; trial < 50; trial++ {
+		n := rng.Intn(40)
+		xs, ws := make([]float64, n), make([]float64, n)
+		for i := range xs {
+			xs[i], ws[i] = rng.NormFloat64()*1e3, 1
+			if rng.Intn(3) == 0 {
+				ws[i] = 1 / (0.01 + rng.Float64())
+			}
+			if rng.Intn(8) == 0 {
+				xs[i] = hostile[rng.Intn(len(hostile))]
+			}
+		}
+		var byRow, byRun HTEstimator
+		byRun.Add(2.5, 4) // a run continues whatever came before
+		byRow.Add(2.5, 4)
+		for i := range xs {
+			byRow.Add(xs[i], ws[i])
+		}
+		byRun.AddRun(xs, ws)
+		a, b := byRow.State(), byRun.State()
+		for i, f := range [][2]float64{{a.Sum, b.Sum}, {a.VarSum, b.VarSum}, {a.N, b.N}, {a.WTot, b.WTot}, {a.W2Tot, b.W2Tot}, {a.CovSN, b.CovSN}} {
+			// A NaN's payload depends on the operand order the compiler
+			// picked for each add; any NaN equals any NaN here.
+			if math.Float64bits(f[0]) != math.Float64bits(f[1]) && !(math.IsNaN(f[0]) && math.IsNaN(f[1])) {
+				t.Fatalf("trial %d field %d: Add %v, AddRun %v (xs %v ws %v)", trial, i, f[0], f[1], xs, ws)
+			}
+		}
+	}
+}

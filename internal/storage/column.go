@@ -82,6 +82,14 @@ func (c *Int64Column) Value(i int) Value {
 // Int returns the raw int64 at i (0 for NULL).
 func (c *Int64Column) Int(i int) int64 { return c.data[i] }
 
+// Ints returns the column's values (0 for NULL), one per row. The slice is
+// the column's storage: read-only, and on a snapshot it never changes.
+func (c *Int64Column) Ints() []int64 { return c.data }
+
+// Nulls returns the column's NULL marks, one per row, or nil when no row
+// is NULL. Read-only, like Ints.
+func (c *Int64Column) Nulls() []bool { return c.nulls }
+
 // Append implements Column.
 func (c *Int64Column) Append(v Value) error {
 	if v.IsNull() {
@@ -122,6 +130,14 @@ func (c *Float64Column) Value(i int) Value {
 
 // Float returns the raw float64 at i (0 for NULL).
 func (c *Float64Column) Float(i int) float64 { return c.data[i] }
+
+// Floats returns the column's values (0 for NULL), one per row. The slice
+// is the column's storage: read-only, and on a snapshot it never changes.
+func (c *Float64Column) Floats() []float64 { return c.data }
+
+// Nulls returns the column's NULL marks, one per row, or nil when no row
+// is NULL. Read-only, like Floats.
+func (c *Float64Column) Nulls() []bool { return c.nulls }
 
 // Append implements Column.
 func (c *Float64Column) Append(v Value) error {
@@ -179,6 +195,10 @@ func (c *StringColumn) Value(i int) Value {
 
 // Code returns the dictionary code of row i; 0 means NULL.
 func (c *StringColumn) Code(i int) uint32 { return c.codes[i] }
+
+// Codes returns the dictionary code of every row; 0 means NULL. The slice
+// is the column's storage: read-only, and on a snapshot it never changes.
+func (c *StringColumn) Codes() []uint32 { return c.codes }
 
 // NumCodes returns the dictionary size including the NULL code, so every
 // row's code is below it.

@@ -203,10 +203,10 @@ func (v Value) GroupKey() string {
 	}
 	switch v.Typ {
 	case TypeInt64:
-		return "i" + strconv.FormatInt(v.I, 36)
+		return intKey(v.I)
 	case TypeFloat64:
 		if v.F == float64(int64(v.F)) {
-			return "i" + strconv.FormatInt(int64(v.F), 36)
+			return intKey(int64(v.F))
 		}
 		return "f" + strconv.FormatFloat(v.F, 'b', -1, 64)
 	case TypeString:
@@ -218,6 +218,12 @@ func (v Value) GroupKey() string {
 		return "b0"
 	}
 	return "?"
+}
+
+// intKey renders an integer's group key, "i" + base 36, in one allocation.
+func intKey(i int64) string {
+	var buf [16]byte // 'i', a sign, 13 digits
+	return string(strconv.AppendInt(append(buf[:0], 'i'), i, 36))
 }
 
 // ParseValue parses text into a value of the given type.
