@@ -193,6 +193,25 @@ func BenchmarkScanPricingSummary(b *testing.B) {
 		GROUP BY l_returnflag, l_linestatus ORDER BY l_returnflag, l_linestatus`)
 }
 
+// BenchmarkScanDistinctSampled measures the statement the online engine runs
+// for pricing-summary: the distinct sampler on the GROUP BY columns, its
+// strata resolved by the dictionary codes that resolve the groups.
+func BenchmarkScanDistinctSampled(b *testing.B) {
+	benchMorselScan(b, `SELECT l_returnflag, l_linestatus, SUM(l_quantity) AS sum_qty,
+		SUM(l_extendedprice) AS sum_price, AVG(l_discount) AS avg_disc, COUNT(*) AS n
+		FROM lineitem TABLESAMPLE DISTINCT (1, 30) ON (l_returnflag, l_linestatus) WHERE l_shipdate <= 2250
+		GROUP BY l_returnflag, l_linestatus ORDER BY l_returnflag, l_linestatus`)
+}
+
+// BenchmarkScanDistinctSampledIntKey measures the distinct sampler over 500
+// integer strata, fewer rows each per morsel than the pass-through: every
+// row waits for the ordered merge, and allocations must still track strata.
+func BenchmarkScanDistinctSampledIntKey(b *testing.B) {
+	benchMorselScan(b, `SELECT l_suppkey, COUNT(*) AS n, SUM(l_extendedprice) AS total
+		FROM lineitem TABLESAMPLE DISTINCT (1, 30) ON (l_suppkey) WHERE l_suppkey <= 500
+		GROUP BY l_suppkey ORDER BY l_suppkey LIMIT 10`)
+}
+
 // BenchmarkScanForecastRevenue measures the served forecast-revenue
 // statement: three range predicates narrowing one selection in turn.
 func BenchmarkScanForecastRevenue(b *testing.B) {

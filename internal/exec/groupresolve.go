@@ -214,11 +214,26 @@ func (r *groupResolver) firstSeen(row int, groups map[string]*groupState) int32 
 	gs, ok := groups[key]
 	if !ok {
 		gs = r.slab.newGroup(key, r.vals)
-		gs.id = int32(len(r.list))
 		groups[key] = gs
+	}
+	// New to the list: made just now, or made by the morsel's worker and met
+	// again by the ordered merge, which resolves from an empty list.
+	if !ok || int(gs.id) >= len(r.list) || r.list[gs.id] != gs {
+		gs.id = int32(len(r.list))
 		r.list = append(r.list, gs)
 	}
 	return gs.id
+}
+
+// typedPart is the typed access path to a column, if it has one.
+func typedPart(col storage.Column) (p groupPart) {
+	switch col := col.(type) {
+	case *storage.StringColumn:
+		p.dict = col
+	case *storage.Int64Column:
+		p.ints = col
+	}
+	return p
 }
 
 // groupSlab hands out one morsel's group states from chunks — a handful of

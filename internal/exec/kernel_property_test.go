@@ -319,7 +319,10 @@ func hostileCatalog(t *testing.T, rows int) *storage.Catalog {
 // referenceFold is the row-at-a-time fold the run pipeline replaced, kept
 // as the reference: per morsel of morselRows rows it walks the rows one by
 // one — evaluator for the filter and the arguments, Decide for the sampler,
-// HTEstimator.Add through accumulate — and folds the morsels in order.
+// HTEstimator.Add through accumulate — and folds the morsels in order. The
+// distinct sampler decides in scan order, as in the serial scan; the rows
+// it keeps among the first keep of their stratum in a morsel are added to
+// the morsel's sums after the others, which is the morsel path's order.
 func referenceFold(t *testing.T, a *plan.Aggregate, scan *plan.Scan, morselRows int) (*groupState, int64) {
 	t.Helper()
 	b, err := bindScan(scan)
@@ -331,25 +334,45 @@ func referenceFold(t *testing.T, a *plan.Aggregate, scan *plan.Scan, morselRows 
 	if err != nil {
 		t.Fatal(err)
 	}
+	type keptRow struct {
+		row int
+		w   float64
+	}
 	var total *groupState
 	var emitted int64
 	for lo := 0; lo < table.NumRows(); lo += morselRows {
 		part := newGroupState("", nil, len(a.Aggs))
+		fold := func(k keptRow) {
+			emitted++
+			part.n++
+			for j, spec := range a.Aggs {
+				if err := accumulate(part.aggs[j], spec, mappedRow{t: table, idx: k.row, out: b.outIdx}, k.w); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		met := map[string]int{} // rows of the morsel the sampler has met, by stratum
+		var heads []keptRow
 		for row := lo; row < min(lo+morselRows, table.NumRows()); row++ {
 			if ok, err := expr.EvalBool(scan.Filter, mappedRow{t: table, idx: row}); err != nil || !ok {
 				continue
 			}
-			d := st.sampler.Decide(row, "")
-			if !d.Keep {
-				continue
+			key := ""
+			if st.keyer != nil {
+				key = st.keyer.Key(row)
 			}
-			emitted++
-			part.n++
-			for j, spec := range a.Aggs {
-				if err := accumulate(part.aggs[j], spec, mappedRow{t: table, idx: row, out: b.outIdx}, d.Weight); err != nil {
-					t.Fatal(err)
-				}
+			d := st.sampler.Decide(row, key)
+			met[key]++
+			switch {
+			case !d.Keep:
+			case st.distinct != nil && met[key] <= scan.Sample.KeepThreshold:
+				heads = append(heads, keptRow{row, d.Weight})
+			default:
+				fold(keptRow{row, d.Weight})
 			}
+		}
+		for _, k := range heads {
+			fold(k)
 		}
 		if total == nil {
 			total = part
@@ -362,17 +385,21 @@ func referenceFold(t *testing.T, a *plan.Aggregate, scan *plan.Scan, morselRows 
 
 // TestHostileValuesFoldBitForBit: over NaN, ±Inf, -0.0, MaxFloat64, int64
 // past 2^53 and an all-NULL run, sampled at 50 % so that w·(w−1)·x² meets an
-// infinite x, the morsel path returns the reference fold's estimates,
-// variances and counts — and the same bits at one and four workers.
+// infinite x — by the Bernoulli coin and, once, by the distinct sampler,
+// whose rows carry two weights — the morsel path returns the reference
+// fold's estimates, variances and counts — and the same bits at one and
+// four workers.
 func TestHostileValuesFoldBitForBit(t *testing.T) {
 	cat := hostileCatalog(t, 20_000) // block 256: three morsels of 8192 rows
-	for _, where := range []string{
-		"x <= 1 OR NOT (x >= -1)", // an unordered pair compares equal in the evaluator
-		"NOT (x < 0) AND i <> 9007199254740993",
-		"g <> 'g1' OR x > 1e308",
+	for _, c := range [][2]string{
+		{"BERNOULLI (50)", "x <= 1 OR NOT (x >= -1)"}, // an unordered pair compares equal in the evaluator
+		{"BERNOULLI (50)", "NOT (x < 0) AND i <> 9007199254740993"},
+		{"BERNOULLI (50)", "g <> 'g1' OR x > 1e308"},
+		{"DISTINCT (50, 700) ON (g)", "NOT (x < 0) AND i <> 9007199254740993"},
+		{"DISTINCT (50, 700) ON (g)", "x > -1e300 AND x < 1e300"}, // finite sums: the order within a morsel shows
 	} {
 		sql := "SELECT COUNT(*), COUNT(x), SUM(x), AVG(x), SUM(x * i), AVG(x / (i - 9007199254740992)), SUM(x * x)" +
-			" FROM h TABLESAMPLE BERNOULLI (50) WHERE " + where
+			" FROM h TABLESAMPLE " + c[0] + " WHERE " + c[1]
 		a := plan.FindAggregate(buildPlan(t, cat, sql))
 		scan, _, ok := morselEligible(a)
 		if !ok || scan.Filter == nil {
@@ -501,9 +528,10 @@ func requireOneExecutionOver(t *testing.T, cat *storage.Catalog, sql string, win
 
 // TestOneExecutionEveryShape runs the identity over the shapes that pick a
 // different partial step or chain: morsel-eligible, a join below the
-// aggregate and the distinct sampler (both serial partials), HAVING +
-// ORDER BY + LIMIT above the aggregate, a global aggregate over no rows,
-// and a plan with no aggregate at all.
+// aggregate (a serial partial), the distinct sampler (a morsel partial
+// whose undecided rows the ordered merge settles), HAVING + ORDER BY +
+// LIMIT above the aggregate, a global aggregate over no rows, and a plan
+// with no aggregate at all.
 func TestOneExecutionEveryShape(t *testing.T) {
 	cat := kernelCatalog(t, 40_000)
 	addKernelDim(t, cat)
@@ -730,7 +758,7 @@ func TestStringGroupByMorselAllocations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			groups = len(part)
+			groups = len(part.groups)
 		})
 		if groups != c.groups {
 			t.Errorf("GROUP BY %s: %d groups, want %d", c.by, groups, c.groups)
@@ -744,10 +772,9 @@ func TestStringGroupByMorselAllocations(t *testing.T) {
 	}
 }
 
-// TestSerialScanFilterMatchesEvaluator checks the serial scan, which now
+// TestSerialScanFilterMatchesEvaluator checks the serial scan, which
 // compiles its filter and keys its sampler from cached keys, against the
-// interpreter, through the distinct sampler (which keeps the plan off the
-// morsel path).
+// interpreter, through the distinct sampler.
 func TestSerialScanFilterMatchesEvaluator(t *testing.T) {
 	cat := kernelCatalog(t, 5000)
 	where := "s1 IN ('AIR', 'SHIP') AND NOT (i1 = 3)"

@@ -12,7 +12,9 @@ package exec
 // block size) or, for a ranged scan, on the range — never on the worker
 // count — and the reduction folds partials in morsel-index order, so every
 // floating-point operation happens in the same sequence regardless of how
-// many workers ran.
+// many workers ran. A sampler decides a row from its index alone, except
+// the distinct sampler, which counts rows per stratum: a morsel decides the
+// rows its own count settles and the reduction, in morsel order, the rest.
 // Results and confidence intervals are therefore bit-identical for any
 // worker count. See DESIGN.md for the full argument.
 
@@ -27,7 +29,6 @@ import (
 	"repro/internal/expr"
 	"repro/internal/fault"
 	"repro/internal/plan"
-	"repro/internal/sample"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -88,8 +89,8 @@ func RunParallel(root plan.Node, workers int) (*Result, error) {
 // RunParallelContext executes a logical plan under ctx with the given
 // worker count (≤ 0 resolves via ResolveWorkers): an aggregate over a
 // Filter*→Scan chain computes its partial on the morsel-parallel path,
-// every other shape (joins below the aggregate, the stateful distinct
-// sampler, no aggregate at all) on the serial operators; results are
+// whatever the scan's sampler, every other shape (joins below the
+// aggregate, no aggregate at all) on the serial operators; results are
 // identical either way up to float summation order.
 func RunParallelContext(ctx context.Context, root plan.Node, workers int) (*Result, error) {
 	if workers <= 0 {
@@ -100,9 +101,9 @@ func RunParallelContext(ctx context.Context, root plan.Node, workers int) (*Resu
 
 // morselEligible reports whether the aggregate sits on a Filter*→Scan
 // chain it can fuse, returning the scan and the residual predicates in
-// application order (innermost first). The distinct sampler is excluded:
-// it counts rows per stratum, so its decisions depend on scan order and
-// must be made serially.
+// application order (innermost first). Every sampler qualifies: the
+// stateless ones decide a row from its index, and the distinct sampler's
+// per-stratum counts are settled in the ordered merge (foldDeferred).
 func morselEligible(a *plan.Aggregate) (*plan.Scan, []expr.Expr, bool) {
 	var residual []expr.Expr
 	n := a.Child
@@ -112,9 +113,6 @@ func morselEligible(a *plan.Aggregate) (*plan.Scan, []expr.Expr, bool) {
 			residual = append(residual, c.Pred)
 			n = c.Child
 		case *plan.Scan:
-			if c.Sample != nil && c.Sample.Kind == sample.KindDistinct {
-				return nil, nil, false
-			}
 			for i, j := 0, len(residual)-1; i < j; i, j = i+1, j-1 {
 				residual[i], residual[j] = residual[j], residual[i]
 			}
@@ -184,12 +182,7 @@ func (op *morselRun) compileKernels(t *storage.Table) morselKernels {
 	}
 	for i, ge := range op.node.GroupBy {
 		if ref, ok := ge.(*expr.ColRef); ok {
-			switch col := t.Column(op.outIdx[ref.Index]).(type) {
-			case *storage.StringColumn:
-				k.group[i].dict = col
-			case *storage.Int64Column:
-				k.group[i].ints = col
-			}
+			k.group[i] = typedPart(t.Column(op.outIdx[ref.Index]))
 		}
 	}
 	for j, spec := range op.node.Aggs {
@@ -296,7 +289,7 @@ func (op *morselRun) computeGroups() (map[string]*groupState, error) {
 		}
 	}
 
-	partials := make([]map[string]*groupState, nMorsels)
+	partials := make([]morselPart, nMorsels)
 	if nMorsels > 0 {
 		runCtx, cancel := context.WithCancel(op.ctx)
 		defer cancel()
@@ -348,7 +341,7 @@ func (op *morselRun) computeGroups() (map[string]*groupState, error) {
 					if hi > end {
 						hi = end
 					}
-					var part map[string]*groupState
+					var part morselPart
 					var err error
 					if wsp != nil {
 						t0 := time.Now()
@@ -384,6 +377,25 @@ func (op *morselRun) computeGroups() (map[string]*groupState, error) {
 			return nil, firstErr
 		}
 	}
+	var mergeStart time.Time
+	if op.sp != nil {
+		mergeStart = time.Now()
+	}
+	// The distinct sampler's undecided rows, morsel by morsel in scan order:
+	// the workers are done, so the first one's scratch and kernels serve.
+	var deferred int64
+	if wks[0].distinct != nil {
+		seen := make(map[string]*int32)
+		for m := range partials {
+			if err := op.ctx.Err(); err != nil {
+				return nil, err
+			}
+			if err := wks[0].foldDeferred(&partials[m], seen); err != nil {
+				return nil, err
+			}
+			deferred += int64(len(partials[m].rows))
+		}
+	}
 	var scanned int64
 	for _, wk := range wks {
 		op.counters.Add(wk.counters)
@@ -392,17 +404,16 @@ func (op *morselRun) computeGroups() (map[string]*groupState, error) {
 	// The scan is fused into this span, so its input is the rows examined.
 	op.sp.SetRowsIn(scanned)
 
-	var mergeStart time.Time
-	if op.sp != nil {
-		mergeStart = time.Now()
-	}
 	// Ordered reduction: fold partials in ascending morsel order. Each
 	// morsel contributes to a group exactly once, so per group the float
 	// operation sequence is fixed by morsel index alone — map iteration
 	// order within a partial only interleaves independent groups.
 	groups := make(map[string]*groupState)
 	for _, part := range partials {
-		for key, gs := range part {
+		for key, gs := range part.groups {
+			if gs.n == 0 && len(op.node.GroupBy) > 0 {
+				continue // a stratum the sampler counted and kept no row of
+			}
 			if dst, ok := groups[key]; ok {
 				mergeGroupState(dst, gs)
 			} else {
@@ -415,6 +426,7 @@ func (op *morselRun) computeGroups() (map[string]*groupState, error) {
 		ms.AddTime(time.Since(mergeStart))
 		ms.SetAttrInt("partials", int64(nMorsels))
 		ms.SetAttrInt("groups", int64(len(groups)))
+		ms.SetAttrInt("deferred_rows", deferred)
 	}
 	return groups, nil
 }
@@ -435,7 +447,9 @@ func (op *morselRun) morselGrid(table *storage.Table) (first, end, morselRows in
 // morselWorker holds one worker's private sampler, scratch and counters.
 // Samplers are deterministic functions of (seed, row/block index, key), so
 // every worker's instance makes identical decisions; each worker gets its
-// own only to keep the hot loop free of sharing.
+// own only to keep the hot loop free of sharing. The distinct sampler also
+// counts rows per stratum: a worker counts within its morsel, decides the
+// rows that settles and sets the others aside for the ordered merge.
 type morselWorker struct {
 	op    *morselRun
 	table *storage.Table
@@ -443,6 +457,15 @@ type morselWorker struct {
 	weights  storage.Column // the stored sample's weight column, or nil
 	groups   *groupResolver // nil for global aggregates
 	counters Counters
+
+	// The distinct sampler's: strata numbers a morsel's strata as groups
+	// numbers its groups, and is groups when the sampler's key columns are
+	// the GROUP BY's (strataOf is then nil); otherwise the strata live in
+	// strataOf, not in the partial.
+	strata     *groupResolver
+	strataOf   map[string]*groupState
+	ranks      []int32 // per stratum id, its rows met so far, up to the pass-through
+	rows, sids []int32 // the morsel's undecided rows and their stratum ids
 
 	sc   *scratch       // vector memory, the worker's for the whole scan
 	ends []int32        // where each segment of the run ends
@@ -470,7 +493,44 @@ func (op *morselRun) newWorker(table *storage.Table) (*morselWorker, error) {
 		wk.groups = newGroupResolver(op.node.GroupBy, op.kern.group, len(op.node.Aggs),
 			mappedRow{t: table, out: op.outIdx})
 	}
+	if wk.distinct != nil {
+		wk.strata = wk.groups
+		same := len(op.node.GroupBy) == len(op.keyIdx)
+		for i := 0; same && i < len(op.keyIdx); i++ {
+			ref, ok := op.node.GroupBy[i].(*expr.ColRef)
+			same = ok && op.outIdx[ref.Index] == op.keyIdx[i]
+		}
+		if !same {
+			keys, parts := make([]expr.Expr, len(op.keyIdx)), make([]groupPart, len(op.keyIdx))
+			for i, idx := range op.keyIdx {
+				keys[i], parts[i] = &expr.ColRef{Index: idx}, typedPart(table.Column(idx))
+			}
+			wk.strata = newGroupResolver(keys, parts, 0, mappedRow{t: table})
+			wk.strataOf = make(map[string]*groupState)
+		}
+	}
 	return wk, nil
+}
+
+// morselPart is what a morsel hands the ordered merge: its partial group
+// states and, under the distinct sampler, the rows it could not decide —
+// rows[i], of stratum strata[sids[i]], is among the first keep rows of its
+// stratum in the morsel, so whether it passes depends on the morsels before.
+type morselPart struct {
+	groups     map[string]*groupState
+	rows, sids []int32
+	strata     []*groupState // by stratum id; the key names the stratum across morsels
+}
+
+// part wraps up the current morsel: the worker's buffers are the next one's.
+func (wk *morselWorker) part(groups map[string]*groupState) morselPart {
+	p := morselPart{groups: groups}
+	if wk.distinct != nil {
+		p.rows = append(p.rows, wk.rows...)
+		p.sids = append(p.sids, wk.sids...)
+		p.strata = append(p.strata, wk.strata.list...)
+	}
+	return p
 }
 
 // processMorsel runs the fused pipeline over rows [lo, hi) — morsels are
@@ -478,7 +538,7 @@ func (op *morselRun) newWorker(table *storage.Table) (*morselWorker, error) {
 // block counters stay exact — or, for a ranged scan, over the rows at
 // positions [lo, hi) of its order, a run at a time, and returns the partial
 // aggregation state.
-func (wk *morselWorker) processMorsel(ctx context.Context, lo, hi int) (map[string]*groupState, error) {
+func (wk *morselWorker) processMorsel(ctx context.Context, lo, hi int) (morselPart, error) {
 	op := wk.op
 	runCap := len(wk.sc.ones)
 	// Tally in locals and publish once per morsel: the workers' structs
@@ -495,22 +555,29 @@ func (wk *morselWorker) processMorsel(ctx context.Context, lo, hi int) (map[stri
 		groups = make(map[string]*groupState, len(wk.groups.list))
 		wk.groups.reset()
 	}
+	if wk.distinct != nil {
+		wk.ranks, wk.rows, wk.sids = wk.ranks[:0], wk.rows[:0], wk.sids[:0]
+		if wk.strataOf != nil {
+			wk.strata.reset()
+			clear(wk.strataOf)
+		}
+	}
 	if r := op.scan.Range; r != nil {
 		// One cancellation checkpoint per ordered morsel.
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return morselPart{}, err
 		}
 		if err := wk.foldRun(groups, global, wk.sc.orderRun(r.Order[lo:hi]), 1, &counters); err != nil {
-			return nil, err
+			return morselPart{}, err
 		}
 		wk.counters.Add(counters)
-		return groups, nil
+		return wk.part(groups), nil
 	}
 	blockSize := wk.table.BlockSize()
 	for row := lo; row < hi; {
 		// One cancellation checkpoint per block.
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return morselPart{}, err
 		}
 		block := row / blockSize
 		blockEnd := min((block+1)*blockSize, hi)
@@ -528,41 +595,72 @@ func (wk *morselWorker) processMorsel(ctx context.Context, lo, hi int) (map[stri
 		for ; row < blockEnd; row += runCap {
 			sel := wk.sc.blockRun(row, min(row+runCap, blockEnd))
 			if err := wk.foldRun(groups, global, sel, blockWeight, &counters); err != nil {
-				return nil, err
+				return morselPart{}, err
 			}
 		}
 		row = blockEnd
 	}
 	wk.counters.Add(counters)
-	return groups, nil
+	return wk.part(groups), nil
 }
 
 // foldRun filters, samples and accumulates one run — sel, the scratch's
 // current run, kept at blockWeight — into groups (global, when set, is the
 // one group of a global aggregate), tallying into c. The stages run in the
-// order a row would meet them — scan filter, row sampler, weight column,
-// residual predicates, group, aggregates — each over the whole selection,
-// and every accumulator still sees its rows in selection order.
+// order a row would meet them — scan filter, row sampler, then foldKept's:
+// weight column, residual predicates, group, aggregates — each over the
+// whole selection, and every accumulator still sees its rows in selection
+// order.
 func (wk *morselWorker) foldRun(groups map[string]*groupState, global *groupState,
 	sel []int32, blockWeight float64, c *Counters) error {
-	op := wk.op
-	kern := &op.kern
-	var err error
 	c.RowsScanned += int64(len(sel))
-	if op.scan.Filter != nil {
-		if sel, err = kern.filter.narrow(wk.sc, mappedRow{t: wk.table}, sel, sel); err != nil {
+	if wk.op.scan.Filter != nil {
+		var err error
+		if sel, err = wk.op.kern.filter.narrow(wk.sc, mappedRow{t: wk.table}, sel, sel); err != nil {
 			return err
 		}
 	}
-	// The rows' weights: ws[i] is sel[i]'s. With no keyed sampler and no
-	// weight column (sameWeight) every row of the run weighs the same.
-	w, ws := blockWeight, wk.sc.ws
+	// The rows' weights: w each or, after a keyed sampler, ws[i] for sel[i].
+	w, ws := blockWeight, []float64(nil)
+	var gids []int32
 	switch {
 	case wk.uniform != nil:
 		var rowWeight float64
 		sel, rowWeight = wk.uniform.KeepRows(sel, sel)
 		w *= rowWeight
+	case wk.distinct != nil:
+		// Counting from the morsel's first row, a row past the pass-through
+		// is past it in the whole scan too: the coin decides it here. One
+		// within it (weight 1: at rate 1 that is every row, which loses
+		// nothing) waits for the counts of the morsels before.
+		strata, sids, marks := groups, wk.sc.gids[:len(sel)], wk.sc.ws
+		if wk.strataOf != nil {
+			strata = wk.strataOf
+		}
+		if err := wk.strata.resolve(sel, sids, strata); err != nil {
+			return err
+		}
+		for len(wk.ranks) < len(wk.strata.list) {
+			wk.ranks = append(wk.ranks, 0)
+		}
+		wk.distinct.KeepRows(sel, sids, wk.ranks, marks)
+		k := 0
+		for i, r := range sel {
+			switch marks[i] {
+			case 0:
+			case 1:
+				wk.rows, wk.sids = append(wk.rows, r), append(wk.sids, sids[i])
+			default:
+				sel[k], sids[k] = r, sids[i]
+				k++
+			}
+		}
+		sel, w = sel[:k], w*(1/wk.distinct.Rate())
+		if wk.strataOf == nil {
+			gids = sids[:k] // the strata are the groups
+		}
 	case wk.sampler != nil:
+		ws = wk.sc.ws
 		k := 0
 		for _, r := range sel {
 			key := ""
@@ -574,14 +672,75 @@ func (wk *morselWorker) foldRun(groups map[string]*groupState, global *groupStat
 				k++
 			}
 		}
-		sel = sel[:k]
+		sel, ws = sel[:k], ws[:k]
 	}
-	sameWeight := wk.sampler == nil || wk.uniform != nil
-	switch ws = ws[:len(sel)]; {
-	case sameWeight && w == 1 && wk.weights == nil:
+	return wk.foldKept(groups, global, sel, w, ws, gids, c)
+}
+
+// foldDeferred settles the rows morsel p set aside and folds the kept ones
+// into its partial, after the rows the morsel folded itself. seen counts,
+// per stratum key, the rows the morsels before p passed (up to the
+// pass-through), and is brought up to date: a row is then decided exactly
+// as the serial scan's sampler decides it, whatever the worker count.
+func (wk *morselWorker) foldDeferred(p *morselPart, seen map[string]*int32) error {
+	ranks := wk.ranks[:0]
+	for _, st := range p.strata {
+		n := seen[st.key]
+		if n == nil {
+			n = new(int32)
+			seen[st.key] = n
+		}
+		ranks = append(ranks, *n)
+	}
+	wk.ranks = ranks
+	var global *groupState
+	switch {
+	case wk.groups == nil:
+		global = p.groups[""]
+	case wk.strataOf == nil:
+		wk.groups.list = p.strata // the stratum ids are the partial's group ids
+	default:
+		wk.groups.reset() // the partial's groups are taken up again as rows meet them
+	}
+	for lo, runCap := 0, len(wk.sc.ones); lo < len(p.rows); lo += runCap {
+		hi := min(lo+runCap, len(p.rows))
+		sel, sids, ws := wk.sc.orderRun(p.rows[lo:hi]), p.sids[lo:hi], wk.sc.ws
+		wk.distinct.KeepRows(sel, sids, ranks, ws)
+		k := 0
+		for i, r := range sel {
+			if ws[i] != 0 {
+				sel[k], sids[k], ws[k] = r, sids[i], ws[i]
+				k++
+			}
+		}
+		var gids []int32
+		if wk.strataOf == nil {
+			gids = sids[:k]
+		}
+		if err := wk.foldKept(p.groups, global, sel[:k], 1, ws[:k], gids, &wk.counters); err != nil {
+			return err
+		}
+	}
+	for i, st := range p.strata {
+		*seen[st.key] = ranks[i]
+	}
+	return nil
+}
+
+// foldKept accumulates the rows the samplers kept — sel, each weighing w
+// or, with ws set, ws[i], and, with gids set, of the group gids[i] of the
+// resolver's list — into groups, tallying into c.
+func (wk *morselWorker) foldKept(groups map[string]*groupState, global *groupState,
+	sel []int32, w float64, ws []float64, gids []int32, c *Counters) error {
+	op := wk.op
+	kern := &op.kern
+	sameWeight := ws == nil
+	switch {
+	case !sameWeight:
+	case w == 1 && wk.weights == nil:
 		ws = wk.sc.ones[:len(sel)]
-	case sameWeight:
-		fill(ws, w)
+	default:
+		ws = fill(wk.sc.ws[:len(sel)], w)
 	}
 	if wk.weights != nil {
 		sameWeight = false
@@ -597,15 +756,21 @@ func (wk *morselWorker) foldRun(groups map[string]*groupState, global *groupStat
 		if err != nil {
 			return err
 		}
-		// The weights follow their rows: kept is a subsequence of sel.
+		// The weights (and group ids) follow their rows: kept is a
+		// subsequence of sel.
 		k := 0
 		for i, r := range sel {
 			if k < len(kept) && kept[k] == r {
 				sel[k], ws[k] = r, ws[i]
+				if gids != nil {
+					gids[k] = gids[i]
+				}
 				k++
 			}
 		}
-		sel, ws = sel[:k], ws[:k]
+		if sel, ws = sel[:k], ws[:k]; gids != nil {
+			gids = gids[:k]
+		}
 	}
 	if len(sel) == 0 {
 		return nil
@@ -620,13 +785,14 @@ func (wk *morselWorker) foldRun(groups map[string]*groupState, global *groupStat
 	// into a segment per group; either way a slot folds a segment in one
 	// call. With many groups the rows stay put and fold one at a time.
 	segs, ends := wk.one[:], wk.ends[:0]
-	var gids []int32
 	if global != nil {
 		wk.one[0], ends = global, append(ends, int32(len(sel)))
 	} else {
-		gids = wk.sc.gids[:len(sel)]
-		if err := wk.groups.resolve(sel, gids, groups); err != nil {
-			return err
+		if gids == nil {
+			gids = wk.sc.gids[:len(sel)]
+			if err := wk.groups.resolve(sel, gids, groups); err != nil {
+				return err
+			}
 		}
 		if segs = wk.groups.list; len(segs)*minRowsPerGroup <= len(sel) {
 			sel, ws, ends = wk.regroup(sel, gids, ws, sameWeight)

@@ -6,12 +6,15 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 
+	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // parallelCatalog builds an events-like table big enough to span several
@@ -162,29 +165,140 @@ func TestParallelWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestParallelDistinctFallsBackSerial: the distinct sampler is stateful
-// (per-stratum pass counts depend on scan order), so the morsel path must
-// decline it and the result must equal the serial executor's exactly.
-func TestParallelDistinctFallsBackSerial(t *testing.T) {
-	cat := parallelCatalog(t, 20_000)
-	sql := "SELECT g, COUNT(*) FROM ev TABLESAMPLE DISTINCT (10, 50) ON (g) GROUP BY g ORDER BY g"
-	serial, err := Run(buildPlan(t, cat, sql))
-	if err != nil {
+// distinctCatalog builds a table for the distinct sampler: three morsels
+// (block 256, 20 000 rows) of skewed strata on a string, an integer and a
+// float column, with NULL keys, a stratum of five rows ("rare", whose r is
+// 0), one that first appears in the last morsel ("late"), and integer
+// measures, so that at rates 1/2^k every weighted sum is an exact integer
+// whatever order it is added in.
+func distinctCatalog(t testing.TB) *storage.Catalog {
+	t.Helper()
+	tbl := storage.NewTableWithBlockSize("d", storage.Schema{
+		{Name: "s", Type: storage.TypeString},
+		{Name: "k", Type: storage.TypeInt64},
+		{Name: "x", Type: storage.TypeFloat64},
+		{Name: "v", Type: storage.TypeInt64},
+		{Name: "flag", Type: storage.TypeInt64},
+		{Name: "r", Type: storage.TypeInt64},
+	}, 256)
+	rng := rand.New(rand.NewSource(5))
+	common := []string{"a", "a", "a", "a", "b", "b", "c", "d", "e"}
+	const rows = 20_000
+	batch := make([][]storage.Value, rows)
+	for i := range batch {
+		s, k, r := storage.Str(common[rng.Intn(len(common))]), storage.Int64(int64(rng.Intn(7))), int64(1+rng.Intn(3))
+		switch {
+		case i%4000 == 1234:
+			s, r = storage.Str("rare"), 0
+		case i >= 17_000 && rng.Intn(20) == 0:
+			s = storage.Str("late")
+		case rng.Intn(31) == 0:
+			s = storage.NullValue(storage.TypeString)
+		}
+		if rng.Intn(29) == 0 {
+			k = storage.NullValue(storage.TypeInt64)
+		}
+		batch[i] = []storage.Value{s, k, storage.Float64(float64(rng.Intn(4)) + 0.5),
+			storage.Int64(int64(rng.Intn(100))), storage.Int64(int64(rng.Intn(2))), storage.Int64(r)}
+	}
+	if err := tbl.AppendRows(batch); err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunParallel(buildPlan(t, cat, sql), 4)
-	if err != nil {
+	cat := storage.NewCatalog()
+	if err := cat.Add(tbl); err != nil {
 		t.Fatal(err)
 	}
-	if par.NumRows() != serial.NumRows() {
-		t.Fatalf("%d rows vs %d serial", par.NumRows(), serial.NumRows())
+	return cat
+}
+
+// TestParallelDistinctKeepsTheSerialSample: the distinct sampler counts
+// rows per stratum in scan order, and the morsel path must keep exactly the
+// rows, at exactly the weights, the serial scan's sampler keeps — for any
+// worker count. Sums here are exact integers, so equality to the bit pins
+// the kept set and the weights, not the rounding.
+func TestParallelDistinctKeepsTheSerialSample(t *testing.T) {
+	cat := distinctCatalog(t)
+	// withResidual leaves pred above the scan, where the sampler's rows meet
+	// it after the sampler has counted them.
+	withResidual := func(sql, pred string) func() plan.Node {
+		return func() plan.Node {
+			p := buildPlan(t, cat, sql)
+			a := plan.FindAggregate(p)
+			stmt, err := sqlparse.Parse("SELECT COUNT(*) FROM d WHERE " + pred)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := expr.Bind(stmt.Where, a.Child.Schema()); err != nil {
+				t.Fatal(err)
+			}
+			a.Child = &plan.Filter{Child: a.Child, Pred: stmt.Where}
+			return p
+		}
 	}
-	for i := range serial.Rows {
-		for j := range serial.Rows[i] {
-			if serial.Value(i, j) != par.Value(i, j) {
-				t.Errorf("row %d col %d: %v vs %v", i, j, par.Value(i, j), serial.Value(i, j))
+	plain := func(sql string) func() plan.Node {
+		return func() plan.Node { return buildPlan(t, cat, sql) }
+	}
+	cases := map[string]func() plan.Node{
+		"keep 30":              plain("SELECT s, COUNT(*), SUM(v), AVG(v) FROM d TABLESAMPLE DISTINCT (25, 30) ON (s) GROUP BY s"),
+		"keep 1":               plain("SELECT s, COUNT(*), SUM(v) FROM d TABLESAMPLE DISTINCT (50, 1) ON (s) GROUP BY s"),
+		"keep above a stratum": plain("SELECT s, COUNT(*), SUM(v) FROM d TABLESAMPLE DISTINCT (12.5, 3000) ON (s) GROUP BY s"),
+		"NULL integer keys":    plain("SELECT k, COUNT(*), SUM(v), AVG(v) FROM d TABLESAMPLE DISTINCT (25, 30) ON (k) GROUP BY k"),
+		"composite key":        plain("SELECT s, k, COUNT(*), SUM(v) FROM d TABLESAMPLE DISTINCT (25, 30) ON (s, k) GROUP BY s, k"),
+		"float key":            plain("SELECT x, COUNT(*), SUM(v) FROM d TABLESAMPLE DISTINCT (6.25, 30) ON (x) GROUP BY x"),
+		"scan filter":          plain("SELECT s, COUNT(*), SUM(v) FROM d TABLESAMPLE DISTINCT (25, 30) ON (s) WHERE flag = 1 GROUP BY s"),
+		"filter and residual": withResidual(
+			"SELECT s, COUNT(*), SUM(v), SUM(r) FROM d TABLESAMPLE DISTINCT (25, 30) ON (s) WHERE flag = 1 GROUP BY s", "r > 0"),
+		"keys not the GROUP BY's": plain("SELECT k, COUNT(*), SUM(v) FROM d TABLESAMPLE DISTINCT (25, 30) ON (s) GROUP BY k"),
+		"keys in another order":   plain("SELECT s, k, COUNT(*), SUM(v) FROM d TABLESAMPLE DISTINCT (25, 30) ON (k, s) GROUP BY s, k"),
+		"residual, other keys": withResidual(
+			"SELECT k, COUNT(*), SUM(v), SUM(r) FROM d TABLESAMPLE DISTINCT (25, 30) ON (s, k) GROUP BY k", "r > 1"),
+		"global aggregate": plain("SELECT COUNT(*), SUM(v), AVG(v) FROM d TABLESAMPLE DISTINCT (6.25, 30) ON (s)"),
+	}
+	for name, build := range cases {
+		serial, err := Run(build())
+		if err != nil {
+			t.Fatalf("%s: serial: %v", name, err)
+		}
+		if name == "filter and residual" {
+			for _, row := range serial.Rows {
+				if row[0] == storage.Str("rare") {
+					t.Errorf("%s: the stratum whose rows all fail the residual is a group: %v", name, row)
+				}
 			}
 		}
+		if serial.Counters.RowsEmitted == 0 || serial.Counters.RowsEmitted >= serial.Counters.RowsScanned {
+			t.Errorf("%s: %d of %d rows emitted: not a sample", name, serial.Counters.RowsEmitted, serial.Counters.RowsScanned)
+		}
+		for _, workers := range []int{1, 2, 3, 4} {
+			par, err := RunParallel(build(), workers)
+			if err != nil {
+				t.Fatalf("%s W=%d: %v", name, workers, err)
+			}
+			if err := sameResult(par, serial); err != nil {
+				t.Errorf("%s W=%d: morsel path vs serial: %v", name, workers, err)
+			}
+		}
+	}
+
+	// The serial share is on the trace: the rows the ordered merge settled,
+	// at most keep per stratum (eight of them) and morsel (three).
+	tr := trace.New("query")
+	if _, err := RunParallelContext(trace.WithTracer(context.Background(), tr), cases["keep 30"](), 2); err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	merge := tr.Profile().Find("merge")
+	if merge == nil {
+		t.Fatalf("no merge span\n%s", tr.Profile())
+	}
+	if n, err := strconv.Atoi(merge.Attr("deferred_rows")); err != nil || n < 30 || n > 30*8*3 {
+		t.Errorf("merge span: deferred_rows = %q", merge.Attr("deferred_rows"))
+	}
+
+	p := buildPlan(t, cat, "SELECT s, COUNT(*) FROM d TABLESAMPLE DISTINCT (25, 30) ON (s) GROUP BY s")
+	plan.Scans(p)[0].Range = &plan.RowRange{Order: []int32{5, 3, 1}, Hi: 3}
+	if _, err := RunParallel(p, 4); err == nil {
+		t.Error("a ranged scan with a distinct sampler must be refused")
 	}
 }
 

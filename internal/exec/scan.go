@@ -15,7 +15,10 @@ import (
 // decision. Filter-before-sampler matters for the stateful distinct
 // sampler: its per-stratum pass-through must count only qualifying rows so
 // small *output* groups survive; for the stateless samplers the two orders
-// are distributionally identical (the sampling-equivalence rule).
+// are distributionally identical (the sampling-equivalence rule). It is the
+// reference for that sampler: it feeds sample.Distinct one row at a time in
+// scan order, and the morsel scan, which counts per morsel and settles the
+// rest in its ordered merge, must keep the rows this keeps.
 type scanOp struct {
 	scan     *plan.Scan
 	counters *Counters
@@ -79,12 +82,14 @@ func bindScan(s *plan.Scan) (scanBinding, error) {
 // it: a block stage that skips whole blocks, a row stage that thins the
 // rows of kept blocks, and the keyer feeding the row stage its stratum key.
 // All nil for an unsampled scan. Samplers are deterministic functions of
-// (seed, row/block index, key), so each morsel worker stages its own.
+// (seed, row/block index, key) — the distinct sampler of its caller's
+// per-stratum count besides — so each morsel worker stages its own.
 type samplerStages struct {
 	blockSamp *sample.Block
 	sampler   sample.RowSampler
-	uniform   *sample.Uniform // sampler, when it is one: decides a run at a time
-	keyer     *sample.Keyer   // sampler key columns; nil without any
+	uniform   *sample.Uniform  // sampler, when it is one: decides a run at a time
+	distinct  *sample.Distinct // sampler, when it is one: the morsel scan decides a run by stratum ids
+	keyer     *sample.Keyer    // sampler key columns; nil without any
 }
 
 // stageSampler instantiates s's sampler against one snapshot of its table.
@@ -109,6 +114,7 @@ func stageSampler(s *plan.Scan, keyIdx []int, table *storage.Table) (samplerStag
 		st.sampler = rs
 	}
 	st.uniform, _ = st.sampler.(*sample.Uniform)
+	st.distinct, _ = st.sampler.(*sample.Distinct)
 	if len(keyIdx) > 0 {
 		st.keyer = sample.NewKeyer(table, keyIdx)
 	}

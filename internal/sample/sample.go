@@ -12,6 +12,7 @@ package sample
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/storage"
@@ -95,6 +96,10 @@ func (s Spec) Validate() error {
 	}
 	if s.Kind == KindDistinct && s.KeepThreshold < 0 {
 		return fmt.Errorf("sample: negative keep threshold")
+	}
+	if s.Kind == KindDistinct && s.NoWeight {
+		// Its rows carry two weights; forcing both to 1 is no sampler's design.
+		return fmt.Errorf("sample: the distinct sampler takes no unit weight")
 	}
 	if s.Kind == KindBiLevel && (s.RowRate <= 0 || s.RowRate > 1) {
 		return fmt.Errorf("sample: bilevel row rate %v out of (0,1]", s.RowRate)
@@ -274,13 +279,13 @@ func hashString(s string) uint64 {
 // GROUP BY queries.
 //
 // Distinct is stateful (it counts rows per stratum) and must see rows in a
-// deterministic order for reproducibility; scans feed it in row order.
+// deterministic order for reproducibility: the serial scan feeds Decide in
+// row order, the morsel scan keeps the counts itself and calls KeepRows.
 type Distinct struct {
-	p     float64
-	keep  int
-	seed  uint64
-	seen  map[string]*int // rows seen per stratum; a pointer, so a row costs one map probe
-	limit int             // safety cap on strata tracked
+	p    float64
+	keep int
+	seed uint64
+	seen map[string]*int // rows seen per stratum; a pointer, so a row costs one map probe
 }
 
 // NewDistinct returns a distinct sampler with per-stratum pass-through
@@ -289,8 +294,7 @@ func NewDistinct(p float64, keep int, seed int64) *Distinct {
 	if keep <= 0 {
 		keep = 1
 	}
-	return &Distinct{p: p, keep: keep, seed: uint64(seed),
-		seen: make(map[string]*int), limit: 1 << 22}
+	return &Distinct{p: p, keep: keep, seed: uint64(seed), seen: make(map[string]*int)}
 }
 
 // Rate implements RowSampler.
@@ -302,23 +306,46 @@ func (d *Distinct) StrataSeen() int { return len(d.seen) }
 // Decide implements RowSampler.
 func (d *Distinct) Decide(rowIdx int, key string) RowDecision {
 	count := d.seen[key]
-	if count == nil && len(d.seen) < d.limit {
+	if count == nil {
 		count = new(int)
 		d.seen[key] = count
 	}
-	n := 0
-	if count != nil {
-		n = *count
-		*count++
-	}
+	n := *count
+	*count++
 	if n < d.keep {
 		return RowDecision{Keep: true, Weight: 1}
 	}
-	h := splitmix64(d.seed ^ splitmix64(uint64(rowIdx)*0x9e3779b97f4a7c15+7))
-	if hashToUnit(h) < d.p {
+	if d.coin(rowIdx) {
 		return RowDecision{Keep: true, Weight: 1 / d.p}
 	}
 	return RowDecision{}
+}
+
+// coin is the tail's Bernoulli trial, a function of the seed and the row.
+func (d *Distinct) coin(rowIdx int) bool {
+	return hashToUnit(splitmix64(d.seed^splitmix64(uint64(rowIdx)*0x9e3779b97f4a7c15+7))) < d.p
+}
+
+// KeepRows is Decide over a run of rows whose strata the caller has
+// numbered and counts itself: strata[i] is the stratum of rows[i], and
+// seen[s] how many rows of stratum s came before the run, counted as far
+// as the pass-through and advanced as the run goes. ws[i] becomes the
+// weight rows[i] is kept at: 1 among the first keep rows of its stratum,
+// 1/p for a later row the coin keeps, 0 for one it drops. The receiver's
+// own counts take no part, so one sampler serves any number of callers.
+func (d *Distinct) KeepRows(rows, strata, seen []int32, ws []float64) {
+	keep, tail := int32(min(d.keep, math.MaxInt32)), 1/d.p
+	for i, r := range rows {
+		s := strata[i]
+		switch n := seen[s]; {
+		case n < keep:
+			seen[s], ws[i] = n+1, 1
+		case d.coin(int(r)):
+			ws[i] = tail
+		default:
+			ws[i] = 0
+		}
+	}
 }
 
 // BiLevel composes block-level Bernoulli sampling (rate pb, so non-sampled

@@ -3,6 +3,7 @@ package sample
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -29,6 +30,7 @@ func TestSpecValidate(t *testing.T) {
 		{Kind: KindUniformRow, Rate: 1.5},
 		{Kind: KindUniverse, Rate: 0.1},
 		{Kind: KindDistinct, Rate: 0.1},
+		{Kind: KindDistinct, Rate: 0.1, KeyColumns: []string{"g"}, NoWeight: true},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -564,5 +566,55 @@ func TestUniformKeepRowsIsDecide(t *testing.T) {
 	}
 	if bl := NewBiLevel(0.5, 0.3, 100, 7); bl.RowStage().Rate() != 0.3 {
 		t.Error("bi-level row stage is not its row sampler")
+	}
+}
+
+// TestDistinctKeepRowsIsDecide: over runs of rows whose strata the caller
+// numbers, KeepRows with the caller's counts gives every row the weight a
+// fresh sampler's Decide gives it in the same order (0 = dropped), with a
+// stratum that stays inside the pass-through, one that first appears in a
+// later run, and counts carried from run to run.
+func TestDistinctKeepRowsIsDecide(t *testing.T) {
+	const keep = 30
+	serial, byRun := NewDistinct(0.25, keep, 11), NewDistinct(0.25, keep, 11)
+	keys := []string{"big", "mid", "rare", "late"}
+	rng := rand.New(rand.NewSource(3))
+	seen := make([]int32, len(keys))
+	heads, tails, dropped := 0, 0, 0
+	for run := 0; run < 8; run++ {
+		rows, strata := make([]int32, 500), make([]int32, 500)
+		for i := range rows {
+			rows[i] = int32(9000 - run*500 - i) // any order, as long as it is the same
+			switch s := rng.Intn(40); {
+			case s == 0 && run%3 == 0 && i%5 == 0:
+				strata[i] = 2
+			case s == 1 && run >= 5:
+				strata[i] = 3
+			case s < 12:
+				strata[i] = 1
+			}
+		}
+		ws := make([]float64, len(rows))
+		byRun.KeepRows(rows, strata, seen, ws)
+		for i, r := range rows {
+			d := serial.Decide(int(r), keys[strata[i]])
+			if ws[i] != d.Weight {
+				t.Fatalf("run %d row %d (%s): weight %v, Decide %+v", run, r, keys[strata[i]], ws[i], d)
+			}
+			switch d.Weight {
+			case 0:
+				dropped++
+			case 1:
+				heads++
+			default:
+				tails++
+			}
+		}
+	}
+	if seen[0] != keep || seen[1] != keep || seen[2] == 0 || seen[2] >= keep || seen[3] == 0 {
+		t.Errorf("counts %v: want big and mid at the pass-through, rare under it, late seen", seen)
+	}
+	if heads != int(seen[0]+seen[1]+seen[2]+seen[3]) || tails == 0 || dropped == 0 || byRun.StrataSeen() != 0 {
+		t.Errorf("%d heads, %d tails, %d dropped, %d strata in the sampler's own counts", heads, tails, dropped, byRun.StrataSeen())
 	}
 }
