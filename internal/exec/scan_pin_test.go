@@ -113,8 +113,9 @@ func scanPinCatalog(t *testing.T) *storage.Catalog {
 
 // TestScanPin holds the scan's answers to the bit — every result cell,
 // weight, GroupDetail field and counter of the statements the benchmark
-// serves, sampled, stored-sample, ranged and NULL-heavy — at one and four
-// workers. It is the exec-level twin of core's contract_pin.json.
+// serves, sampled, stored-sample, ranged and NULL-heavy, joined and
+// row-returning — at one and four workers. It is the exec-level twin of
+// core's contract_pin.json.
 func TestScanPin(t *testing.T) {
 	cat := scanPinCatalog(t)
 	type stmt struct {
@@ -158,6 +159,39 @@ func TestScanPin(t *testing.T) {
 			COUNT(*) AS n, MIN(x) AS lo, PERCENTILE(x, 0.5) AS med
 			FROM nulls WHERE y > 0.1 OR NOT (x < 5) GROUP BY k ORDER BY k`},
 		stmt{name: "null-heavy.global", sql: `SELECT COUNT(x), SUM(x), AVG(x + y), COUNT(*) FROM nulls WHERE NOT (y = 0.5)`})
+
+	// Joins, exact and at the online engine's placement (a sample of the
+	// fact, the dimension whole), and row-returning plans.
+	joinRng, joins := rand.New(rand.NewSource(2)), map[string]string{}
+	for _, tpl := range workload.StarTemplates() {
+		if strings.HasSuffix(tpl.Name, "-join") {
+			joins[tpl.Name] = tpl.Instantiate(joinRng)
+		}
+	}
+	for _, name := range []string{"order-priority-join", "brand-revenue-join"} {
+		stmts = append(stmts, stmt{name: name, sql: joins[name]}, stmt{name: name + ".bernoulli5",
+			sql: strings.Replace(joins[name], "FROM lineitem", "FROM lineitem TABLESAMPLE BERNOULLI (5)", 1)})
+	}
+	stmts = append(stmts,
+		stmt{name: "universe-pair", sql: `SELECT o_orderpriority, COUNT(*) AS n, SUM(l_extendedprice) AS rev
+			FROM lineitem TABLESAMPLE UNIVERSE (5) ON (l_orderkey) JOIN orders TABLESAMPLE UNIVERSE (5) ON (o_orderkey)
+			ON l_orderkey = o_orderkey GROUP BY o_orderpriority ORDER BY o_orderpriority`},
+		stmt{name: "join-residual", sql: `SELECT p_brand, COUNT(*) AS n, SUM(l_extendedprice) AS rev, AVG(l_discount) AS ad
+			FROM lineitem JOIN part ON l_partkey = p_partkey AND l_quantity < p_size GROUP BY p_brand ORDER BY p_brand`},
+		stmt{name: "join-dim-where", sql: `SELECT l_shipmode, COUNT(*) AS n, SUM(l_extendedprice * (1 - l_discount)) AS rev
+			FROM lineitem JOIN part ON l_partkey = p_partkey WHERE p_size < 10 AND p_brand <> 'Brand#07' AND l_quantity > 20
+			GROUP BY l_shipmode ORDER BY l_shipmode`},
+		stmt{name: "join-two-level", sql: `SELECT c_mktsegment, COUNT(*) AS n, SUM(l_extendedprice) AS rev, AVG(l_quantity) AS aq
+			FROM lineitem JOIN orders ON l_orderkey = o_orderkey JOIN customer ON o_custkey = c_custkey
+			GROUP BY c_mktsegment ORDER BY c_mktsegment`},
+		stmt{name: "brand-revenue-join.ranged", sql: joins["brand-revenue-join"], window: &plan.RowRange{Order: order, Lo: 3000, Hi: 21_500}},
+		stmt{name: "rows.order-limit", sql: `SELECT l_orderkey, l_extendedprice, l_shipmode FROM lineitem
+			WHERE l_quantity > 48 ORDER BY l_extendedprice DESC, l_orderkey LIMIT 20`},
+		stmt{name: "rows.limit", sql: `SELECT l_orderkey, l_quantity FROM lineitem LIMIT 5`},
+		stmt{name: "rows.sampled", sql: `SELECT l_orderkey, l_extendedprice FROM lineitem TABLESAMPLE BERNOULLI (5)
+			WHERE l_quantity > 45 ORDER BY l_orderkey LIMIT 20`},
+		stmt{name: "rows.join", sql: `SELECT l_orderkey, o_orderpriority, l_extendedprice FROM lineitem JOIN orders
+			ON l_orderkey = o_orderkey WHERE l_quantity > 49 AND o_orderstatus = 'F' ORDER BY l_orderkey, l_extendedprice LIMIT 20`})
 
 	var cases []scanPinCase
 	for _, s := range stmts {
