@@ -1,18 +1,15 @@
 package exec
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/sqlparse"
 	"repro/internal/stats"
 	"repro/internal/storage"
-	"repro/internal/trace"
 )
 
 type aggState struct {
@@ -34,156 +31,12 @@ type groupState struct {
 	id       int32 // position in the group list of the morsel that made it
 }
 
-// aggOp is the aggregate terminal of every execution: it finalizes the
-// group states of one Aggregate node — handed to it already merged (the
-// gather side of a scatter) or computed on first Next from the rows below —
-// into the node's output batch. When any input row carried a weight != 1
-// the outputs are Horvitz–Thompson estimates, and per-group variance
-// estimates are published in the batch's Details for downstream
-// confidence-interval construction.
-type aggOp struct {
-	ctx      context.Context // carries sp, so the operators below nest under it
-	node     *plan.Aggregate
-	counters *Counters
-	sp       *trace.Span // nil when tracing is off
-
-	part   *AggPartial // handed in; nil = compute the local partial
-	morsel *morselRun  // local partial on the morsel path; nil = serial operators
-	done   bool
-}
-
-// newAggOp opens a's span under ctx, labelled with how the group states
-// will be obtained, and returns the terminal. step marks a run that stops
-// at the partial.
-func newAggOp(ctx context.Context, a *plan.Aggregate, counters *Counters, src aggSource, step string) (*aggOp, error) {
-	op := &aggOp{node: a, counters: counters, part: src.part}
-	var (
-		scan     *plan.Scan
-		residual []expr.Expr
-		how      = step
-	)
-	switch {
-	case src.part != nil:
-		how = "gather"
-	case src.workers > 0:
-		if scan, residual, _ = morselEligible(a); scan != nil {
-			how = strings.TrimSpace("morsel " + step)
-		}
-	}
-	label := a.Explain()
-	if how != "" {
-		label += " [" + how + "]"
-	}
-	op.sp, op.ctx = trace.StartOp(ctx, label)
-	if src.part != nil {
-		op.sp.SetAttrInt("groups", int64(len(src.part.groups)))
-	}
-	if scan != nil {
-		var err error
-		if op.morsel, err = newMorselRun(op.ctx, a, scan, residual, counters, src.workers, op.sp); err != nil {
-			return nil, err
-		}
-	}
-	return op, nil
-}
-
-// Schema implements Operator.
-func (op *aggOp) Schema() storage.Schema { return op.node.Schema() }
-
-// Open implements Operator. The rows below are opened, drained and closed
-// by the first Next.
-func (op *aggOp) Open() error { return nil }
-
-// Close implements Operator.
-func (op *aggOp) Close() error { return nil }
-
-// Next implements Operator.
-func (op *aggOp) Next() (*Batch, error) {
-	if op.done {
-		return nil, nil
-	}
-	op.done = true
-	groups, err := op.partial()
-	if err != nil {
-		return nil, err
-	}
-	out := finalizeGroups(op.node, groups)
-	if out.Len() == 0 {
-		return nil, nil
-	}
-	return out, nil
-}
-
-// partial returns the aggregate's group states: the ones handed in, else
-// the local partial — the rows below folded on the morsel path when the
-// shape is eligible and workers allow, otherwise by draining the serial
-// operators.
-func (op *aggOp) partial() (map[string]*groupState, error) {
-	if op.part != nil {
-		return op.part.groups, nil
-	}
-	if op.morsel != nil {
-		return op.morsel.computeGroups()
-	}
-	child, err := build(op.ctx, op.node.Child, op.counters, aggSource{})
-	if err != nil {
-		return nil, err
-	}
-	if err := child.Open(); err != nil {
-		return nil, err
-	}
-	groups := make(map[string]*groupState)
-	if err := drainIntoGroups(op.node, child, groups); err != nil {
-		_ = child.Close()
-		return nil, err
-	}
-	return groups, child.Close()
-}
-
-// drainIntoGroups drains child, accumulating every row into the group
-// states.
-func drainIntoGroups(node *plan.Aggregate, child Operator, groups map[string]*groupState) error {
-	keyBuf := make([]storage.Value, len(node.GroupBy))
-	for {
-		in, err := child.Next()
-		if err != nil {
-			return err
-		}
-		if in == nil {
-			return nil
-		}
-		for i, row := range in.Rows {
-			r := expr.ValuesRow(row)
-			for k, ge := range node.GroupBy {
-				v, err := ge.Eval(r)
-				if err != nil {
-					return err
-				}
-				keyBuf[k] = v
-			}
-			key := groupKeyOf(keyBuf)
-			gs, ok := groups[key]
-			if !ok {
-				gs = newGroupState(key, keyBuf, len(node.Aggs))
-				groups[key] = gs
-			}
-			w := in.Weight(i)
-			gs.n++
-			for j, spec := range node.Aggs {
-				if err := accumulate(gs.aggs[j], spec, r, w); err != nil {
-					return err
-				}
-			}
-		}
-	}
-}
-
-// finalizeGroups renders accumulated group states to an output batch with
+// finalizeGroups renders accumulated group states to output rows with
 // per-group statistical details, ordered by canonical group key.
-func finalizeGroups(node *plan.Aggregate, groups map[string]*groupState) *Batch {
+func finalizeGroups(node *plan.Aggregate, groups map[string]*groupState) ([][]storage.Value, []*GroupDetail) {
 	// SQL semantics: a global aggregate over empty input yields one row.
 	if len(groups) == 0 && len(node.GroupBy) == 0 {
-		groups[""] = newGroupState("", nil, len(node.Aggs))
+		groups = map[string]*groupState{"": newGroupState("", nil, len(node.Aggs))}
 	}
 
 	keys := make([]string, 0, len(groups))
@@ -192,7 +45,8 @@ func finalizeGroups(node *plan.Aggregate, groups map[string]*groupState) *Batch 
 	}
 	sort.Strings(keys)
 
-	out := &Batch{}
+	var rows [][]storage.Value
+	var details []*GroupDetail
 	for _, k := range keys {
 		gs := groups[k]
 		row := make([]storage.Value, 0, len(gs.groupVal)+len(gs.aggs))
@@ -203,10 +57,9 @@ func finalizeGroups(node *plan.Aggregate, groups map[string]*groupState) *Batch 
 			row = append(row, v)
 			detail.Aggs[j] = d
 		}
-		out.Rows = append(out.Rows, row)
-		out.Details = append(out.Details, detail)
+		rows, details = append(rows, row), append(details, detail)
 	}
-	return out
+	return rows, details
 }
 
 func accumulate(st *aggState, spec plan.AggSpec, r expr.Row, w float64) error {

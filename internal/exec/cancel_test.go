@@ -8,18 +8,40 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/plan"
+	"repro/internal/storage"
 )
 
 // TestChaosCancelMidMorsel cancels the context while a morsel-parallel
-// scan is in flight and asserts the contract: RunParallelContext
-// returns context.Canceled (not a partial result), and every worker
-// goroutine has exited by the time it returns — the final goroutine
-// count settles back to the pre-scan baseline, so repeated cancelled
-// queries cannot accrete leaked workers.
+// scan is in flight — the scan of a table, and a join whose build side is
+// as large, so the cancel lands in the build scan too — and asserts the
+// contract: RunParallelContext returns context.Canceled (not a partial
+// result), and every worker goroutine has exited by the time it returns —
+// the final goroutine count settles back to the pre-scan baseline, so
+// repeated cancelled queries cannot accrete leaked workers.
 func TestChaosCancelMidMorsel(t *testing.T) {
 	t.Cleanup(fault.Uninstall)
 	cat := parallelCatalog(t, 200000)
-	p := buildPlan(t, cat, "SELECT g, SUM(v), COUNT(*) FROM ev GROUP BY g ORDER BY g")
+	dim := storage.NewTableWithBlockSize("dim", storage.Schema{{Name: "dk", Type: storage.TypeInt64}}, 256)
+	keys := make([][]storage.Value, 200000)
+	for i := range keys {
+		keys[i] = []storage.Value{storage.Int64(int64(i))}
+	}
+	if err := dim.AppendRows(keys); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.Add(dim); err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{
+		"SELECT g, SUM(v), COUNT(*) FROM ev GROUP BY g ORDER BY g",
+		"SELECT g, SUM(v), COUNT(*) FROM ev JOIN dim ON k = dk GROUP BY g ORDER BY g",
+	} {
+		cancelMidMorsel(t, buildPlan(t, cat, sql))
+	}
+}
+
+func cancelMidMorsel(t *testing.T, p plan.Node) {
 
 	// Slow each morsel down deterministically so the scan is reliably
 	// still running when the cancel lands: ~25 morsels × 1ms across 4

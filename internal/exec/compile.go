@@ -46,25 +46,62 @@ type selKernel func(sc *scratch, in, out []int32) []int32
 // scratch or column storage: read-only, valid until the next kernel call.
 type valKernel func(sc *scratch, in []int32) (vals []float64, nulls []bool)
 
-// colMap translates an expression's bound column index to a table column
-// index; nil means identity (the expression is bound to the table schema).
-type colMap []int
+// colRef is where a bound column lives: column col of the table of one
+// side of the row — side 0 the scanned table, side j the j-th join's build.
+type colRef struct{ side, col int }
 
-func (m colMap) col(i int) int {
-	if m == nil {
-		return i
+// rowView binds an expression's column indices to table columns. With cols
+// nil, index i is column i of side 0's table: the scan filter's binding.
+type rowView struct {
+	tables []*storage.Table
+	cols   []colRef
+}
+
+func (v *rowView) ref(i int) colRef {
+	if v.cols == nil {
+		return colRef{col: i}
 	}
-	return m[i]
+	return v.cols[i]
+}
+
+// column returns the table column bound index i reads, and its side.
+func (v *rowView) column(i int) (storage.Column, int) {
+	r := v.ref(i)
+	return v.tables[r.side].Column(r.col), r.side
+}
+
+// mappedRow is the row at position idx of the view, for the evaluator: a
+// table row of side 0 itself, or, with at set (after a join), the row of
+// each side at[side][idx].
+type mappedRow struct {
+	v   *rowView
+	at  [][]int32
+	idx int
+}
+
+// ColumnValue implements expr.Row.
+func (r mappedRow) ColumnValue(i int) storage.Value {
+	ref, row := r.v.ref(i), r.idx
+	if r.at != nil {
+		row = int(r.at[ref.side][row])
+	}
+	return r.v.tables[ref.side].Column(ref.col).Value(row)
 }
 
 // compiler compiles expressions against one table snapshot and records how
 // much scratch the kernels index: every kernel it returns must run with a
 // scratch made from it afterwards.
 type compiler struct {
-	t          *storage.Table
-	m          colMap
-	sels, nums int       // temporaries by nesting depth
-	consts     []float64 // numeric literals
+	v                 *rowView
+	sels, nums, sides int       // temporaries by nesting depth; sides read
+	consts            []float64 // numeric literals
+}
+
+// column resolves a bound column and records that its side is read.
+func (c *compiler) column(i int) (storage.Column, int) {
+	col, side := c.v.column(i)
+	c.sides = max(c.sides, side+1)
+	return col, side
 }
 
 // scratch is one worker's vector memory for one scan: the kernels'
@@ -77,6 +114,9 @@ type scratch struct {
 	// order.
 	lo, n  int
 	rows   []int32     // the run's selection
+	at     [][]int32   // after a join: per side, the table row at each position; else nil
+	ident  []int32     // after a join: the positions 0, 1, … of its rows, all of them
+	side   [][]int32   // per side, the rows a kernel reads at its selection
 	sel    [][]int32   // selection temporaries, by depth
 	num    [][]float64 // value vectors, by depth
 	null   [][]bool    // NULL marks, by depth
@@ -104,10 +144,10 @@ var vectorPool = sync.Pool{New: func() any { return new(vectors) }}
 
 func newScratch(c *compiler, runCap int) *scratch {
 	mem := vectorPool.Get().(*vectors)
-	rows := carve(&mem.rows, 3+c.sels, runCap)
+	rows := carve(&mem.rows, 3+c.sides+c.sels, runCap)
 	nums := carve(&mem.nums, 5+c.nums+len(c.consts), runCap)
 	marks := carve(&mem.marks, 1+c.nums, runCap)
-	sc := &scratch{mem: mem, rows: rows[0], kept: rows[1], gids: rows[2], sel: rows[3:],
+	sc := &scratch{mem: mem, rows: rows[0], kept: rows[1], gids: rows[2], side: rows[3 : 3+c.sides], sel: rows[3+c.sides:],
 		ones: fill(nums[0], 1), ws: nums[1], orderWs: nums[2], vals: nums[3], valWs: nums[4],
 		num: nums[5 : 5+c.nums], consts: nums[5+c.nums:], keep: marks[0], null: marks[1:]}
 	for k, v := range c.consts {
@@ -161,6 +201,22 @@ func (sc *scratch) orderRun(order []int32) []int32 {
 	return sc.rows[:copy(sc.rows, order)]
 }
 
+// rowsOf returns the side's table rows at the selected positions: in
+// itself before a join, gathered through at after one.
+func (sc *scratch) rowsOf(side int, in []int32) []int32 {
+	switch {
+	case sc.at == nil:
+		return in
+	case len(in) > 0 && len(in) == len(sc.ident) && &in[0] == &sc.ident[0]:
+		return sc.at[side][:len(in)] // every joined row, in order: no gather
+	}
+	out, at := sc.side[side][:len(in)], sc.at[side]
+	for i, p := range in {
+		out[i] = at[p]
+	}
+	return out
+}
+
 // dense reports whether in is the whole of the current block run, still in
 // place: a regrouped copy has the length but not the order.
 func (sc *scratch) dense(in []int32) bool {
@@ -206,11 +262,12 @@ func (c *compiler) num(e expr.Expr, d int) valKernel {
 	c.nums = max(c.nums, d+1)
 	switch n := e.(type) {
 	case *expr.ColRef:
-		switch col := c.t.Column(c.m.col(n.Index)).(type) {
+		col, side := c.column(n.Index)
+		switch col := col.(type) {
 		case *storage.Int64Column:
-			return loadNum(col.Ints(), col.Nulls(), d)
+			return loadNum(col.Ints(), col.Nulls(), d, side)
 		case *storage.Float64Column:
-			return loadNum(col.Floats(), col.Nulls(), d)
+			return loadNum(col.Floats(), col.Nulls(), d, side)
 		}
 	case *expr.Lit:
 		if !n.Val.Typ.Numeric() || n.Val.IsNull() {
@@ -237,15 +294,16 @@ func (c *compiler) num(e expr.Expr, d int) valKernel {
 }
 
 // loadNum reads a numeric column as float64.
-func loadNum[T int64 | float64](data []T, nulls []bool, d int) valKernel {
+func loadNum[T int64 | float64](data []T, nulls []bool, d, side int) valKernel {
 	return func(sc *scratch, in []int32) ([]float64, []bool) {
+		rows := sc.rowsOf(side, in)
 		out := sc.num[d][:len(in)]
-		if sc.dense(in) {
+		if sc.dense(rows) {
 			for i, v := range data[sc.lo : sc.lo+len(out)] {
 				out[i] = float64(v)
 			}
 		} else {
-			for i, r := range in {
+			for i, r := range rows {
 				out[i] = float64(data[r])
 			}
 		}
@@ -253,7 +311,7 @@ func loadNum[T int64 | float64](data []T, nulls []bool, d int) valKernel {
 			return out, nil
 		}
 		marks := sc.null[d][:len(in)]
-		for i, r := range in {
+		for i, r := range rows {
 			marks[i] = nulls[r]
 		}
 		return out, marks
@@ -367,6 +425,7 @@ func compare(op expr.Op, l, r valKernel) selKernel {
 type intOperand struct {
 	data  []int64
 	nulls []bool
+	side  int
 	lit   int64
 }
 
@@ -375,8 +434,9 @@ type intOperand struct {
 func (c *compiler) intOperand(e expr.Expr) (intOperand, bool) {
 	switch n := e.(type) {
 	case *expr.ColRef:
-		if col, ok := c.t.Column(c.m.col(n.Index)).(*storage.Int64Column); ok {
-			return intOperand{data: col.Ints(), nulls: col.Nulls()}, true
+		col, side := c.column(n.Index)
+		if col, ok := col.(*storage.Int64Column); ok {
+			return intOperand{data: col.Ints(), nulls: col.Nulls(), side: side}, true
 		}
 	case *expr.Lit:
 		if n.Val.Typ == storage.TypeInt64 && !n.Val.IsNull() {
@@ -389,18 +449,19 @@ func (c *compiler) intOperand(e expr.Expr) (intOperand, bool) {
 // intEq compares an integer pair as int64 — Value.Equal does for same-typed
 // operands, and beyond 2^53 a float comparison could disagree.
 func intEq(l, r intOperand, ne bool) selKernel {
-	return func(_ *scratch, in, out []int32) []int32 {
+	return func(sc *scratch, in, out []int32) []int32 {
+		lr, rr := sc.rowsOf(l.side, in), sc.rowsOf(r.side, in)
 		k := 0
-		for _, row := range in {
+		for i, p := range in {
 			a, b := l.lit, r.lit
 			if l.data != nil {
-				a = l.data[row]
+				a = l.data[lr[i]]
 			}
 			if r.data != nil {
-				b = r.data[row]
+				b = r.data[rr[i]]
 			}
-			out[k] = row
-			if (a == b) != ne && !(l.nulls != nil && l.nulls[row]) && !(r.nulls != nil && r.nulls[row]) {
+			out[k] = p
+			if (a == b) != ne && !(l.nulls != nil && l.nulls[lr[i]]) && !(r.nulls != nil && r.nulls[rr[i]]) {
 				k++
 			}
 		}
@@ -417,30 +478,33 @@ func stringLit(e expr.Expr) (string, bool) {
 	return "", false
 }
 
-// dictColumn returns the dictionary column e references, if it is one.
-func (c *compiler) dictColumn(e expr.Expr) *storage.StringColumn {
+// dictColumn returns the dictionary column e references, if it is one, and
+// its side.
+func (c *compiler) dictColumn(e expr.Expr) (*storage.StringColumn, int) {
 	if ref, ok := e.(*expr.ColRef); ok {
-		d, _ := c.t.Column(c.m.col(ref.Index)).(*storage.StringColumn)
-		return d
+		col, side := c.column(ref.Index)
+		d, _ := col.(*storage.StringColumn)
+		return d, side
 	}
-	return nil
+	return nil, 0
 }
 
 // stringIn compiles column [NOT] IN (codes) on dictionary codes; column =
 // 'lit' and <> 'lit' are the one-code cases. A NULL row (code 0) fails
 // every form, as in the evaluator, and so a literal no row holds — looked
 // up as code 0 — makes = constant false and <> true for every non-NULL row.
-func stringIn(d *storage.StringColumn, codes []uint32, negate bool) selKernel {
+func stringIn(d *storage.StringColumn, side int, codes []uint32, negate bool) selKernel {
 	all := d.Codes()
-	return func(_ *scratch, in, out []int32) []int32 {
+	return func(sc *scratch, in, out []int32) []int32 {
+		rows := sc.rowsOf(side, in)
 		k := 0
-		for _, r := range in {
-			c := all[r]
+		for i, p := range in {
+			c := all[rows[i]]
 			found := false
 			for _, code := range codes {
 				found = found || c == code
 			}
-			out[k] = r
+			out[k] = p
 			if found != negate && c != 0 {
 				k++
 			}
@@ -457,12 +521,13 @@ func (c *compiler) pred(e expr.Expr, d int) selKernel {
 		if n.Typ != storage.TypeBool {
 			return nil
 		}
-		col := c.t.Column(c.m.col(n.Index))
-		return func(_ *scratch, in, out []int32) []int32 {
+		col, side := c.column(n.Index)
+		return func(sc *scratch, in, out []int32) []int32 {
+			rows := sc.rowsOf(side, in)
 			k := 0
-			for _, r := range in {
-				v := col.Value(int(r))
-				out[k] = r
+			for i, p := range in {
+				v := col.Value(int(rows[i]))
+				out[k] = p
 				if !v.IsNull() && v.B {
 					k++
 				}
@@ -487,7 +552,7 @@ func (c *compiler) pred(e expr.Expr, d int) selKernel {
 		// List entries that cannot equal a string — NULLs, other types,
 		// strings no row holds — never match in the evaluator either, so
 		// they are dropped.
-		dict := c.dictColumn(n.X)
+		dict, side := c.dictColumn(n.X)
 		if dict == nil {
 			return nil
 		}
@@ -502,7 +567,7 @@ func (c *compiler) pred(e expr.Expr, d int) selKernel {
 				}
 			}
 		}
-		return stringIn(dict, codes, n.Negate)
+		return stringIn(dict, side, codes, n.Negate)
 	case *expr.Binary:
 		return c.binaryPred(n, d)
 	}
@@ -537,16 +602,16 @@ func (c *compiler) binaryPred(n *expr.Binary, d int) selKernel {
 	if n.Op == expr.OpEq || n.Op == expr.OpNe {
 		ne := n.Op == expr.OpNe
 		col, lit := n.L, n.R
-		if c.dictColumn(col) == nil {
+		if d, _ := c.dictColumn(col); d == nil {
 			col, lit = n.R, n.L
 		}
-		if dict := c.dictColumn(col); dict != nil {
+		if dict, side := c.dictColumn(col); dict != nil {
 			s, ok := stringLit(lit)
 			if !ok {
 				return nil
 			}
 			code, _ := dict.Lookup(s)
-			return stringIn(dict, []uint32{code}, ne)
+			return stringIn(dict, side, []uint32{code}, ne)
 		}
 		if n.L.Type() != storage.TypeFloat64 && n.R.Type() != storage.TypeFloat64 {
 			l, lok := c.intOperand(n.L)

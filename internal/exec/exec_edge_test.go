@@ -38,10 +38,12 @@ func bigCatalog(t *testing.T, rows, blockSize int) *storage.Catalog {
 }
 
 func TestMultiBatchScan(t *testing.T) {
-	// Rows > BatchSize forces several batches; counts must be exact.
-	cat := bigCatalog(t, BatchSize*3+17, 64)
+	// Rows spanning several morsels and a ragged last block; counts must be
+	// exact.
+	const rows = 3*minMorselRows + 17
+	cat := bigCatalog(t, rows, 64)
 	res := runSQL(t, cat, "SELECT COUNT(*) FROM big")
-	if got := f(t, res, 0, 0); got != float64(BatchSize*3+17) {
+	if got := f(t, res, 0, 0); got != rows {
 		t.Fatalf("count = %v", got)
 	}
 }
@@ -136,11 +138,37 @@ func TestScanFilterPlusSamplerOrder(t *testing.T) {
 	}
 }
 
-func TestLimitAcrossBatches(t *testing.T) {
-	cat := bigCatalog(t, BatchSize*2, 512)
-	res := runSQL(t, cat, "SELECT v FROM big LIMIT 5000")
-	if res.NumRows() != 5000 {
-		t.Fatalf("limit across batches = %d", res.NumRows())
+// TestLimitStopsInStorageOrder: a LIMIT with no ORDER BY returns the first
+// rows in storage order at any worker count, and the scan stops claiming
+// morsels once the finished prefix holds them: the counters are those of
+// the first morsel alone, whatever ran beyond it.
+func TestLimitStopsInStorageOrder(t *testing.T) {
+	cat := bigCatalog(t, 5*minMorselRows, 512)
+	var one *Result
+	for _, workers := range []int{1, 4} {
+		res, err := RunParallel(buildPlan(t, cat, "SELECT v FROM big LIMIT 5"), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.NumRows() != 5 {
+			t.Fatalf("W=%d: %d rows", workers, res.NumRows())
+		}
+		for i := range 5 {
+			if got, want := f(t, res, i, 0), float64(i%1000)/10; got != want {
+				t.Errorf("W=%d: row %d = %v, want %v (storage order)", workers, i, got, want)
+			}
+		}
+		if c := res.Counters; c.RowsScanned != minMorselRows || c.Passes != 1 {
+			t.Errorf("W=%d: counters %+v, want one morsel of %d rows", workers, c, minMorselRows)
+		}
+		if one == nil {
+			one = res
+		} else if err := sameResult(res, one); err != nil {
+			t.Errorf("W=4 vs W=1: %v", err)
+		}
+	}
+	if res := runSQL(t, cat, "SELECT v FROM big LIMIT 0"); res.NumRows() != 0 || res.Counters.RowsScanned != 0 {
+		t.Errorf("LIMIT 0: %d rows, counters %+v", res.NumRows(), res.Counters)
 	}
 }
 

@@ -77,7 +77,7 @@ func runSQL(t *testing.T, cat *storage.Catalog, sql string) *Result {
 	if err != nil {
 		t.Fatalf("plan %q: %v", sql, err)
 	}
-	res, err := Run(p)
+	res, err := RunParallel(p, 1)
 	if err != nil {
 		t.Fatalf("exec %q: %v", sql, err)
 	}

@@ -29,11 +29,13 @@ import (
 // through the typed-key map.
 const maxDenseGroups = 1 << 12
 
-// groupPart is the typed access path of one GROUP BY expression; with
-// neither column set the expression is evaluated per row.
+// groupPart is the typed access path of one GROUP BY expression, a column
+// of one side of the row; with neither column set the expression is
+// evaluated per row.
 type groupPart struct {
 	dict *storage.StringColumn
 	ints *storage.Int64Column
+	side int
 }
 
 // groupResolver maps table rows to the ids of one morsel's group states,
@@ -42,6 +44,8 @@ type groupResolver struct {
 	exprs []expr.Expr
 	parts []groupPart
 	row   mappedRow // adapts the table for evaluated parts
+	sc    *scratch  // the worker's: where a join's positions are read
+	rows  [][]int32 // per typed part, its table rows at the current selection
 
 	list []*groupState // the morsel's groups, by id
 	slab groupSlab
@@ -64,9 +68,9 @@ type groupResolver struct {
 	vals []storage.Value // scratch: the current row's group values
 }
 
-func newGroupResolver(exprs []expr.Expr, parts []groupPart, slots int, row mappedRow) *groupResolver {
-	r := &groupResolver{exprs: exprs, parts: parts, row: row, slab: groupSlab{slots: slots},
-		vals: make([]storage.Value, len(parts)), nullInt: -1}
+func newGroupResolver(exprs []expr.Expr, parts []groupPart, slots int, row mappedRow, sc *scratch) *groupResolver {
+	r := &groupResolver{exprs: exprs, parts: parts, row: row, sc: sc, rows: make([][]int32, len(parts)),
+		slab: groupSlab{slots: slots}, vals: make([]storage.Value, len(parts)), nullInt: -1}
 	for _, p := range parts {
 		if p.dict != nil {
 			r.dicts = append(r.dicts, p.dict)
@@ -107,6 +111,12 @@ func (r *groupResolver) reset() {
 // group in groups (the morsel's partial, keyed by canonical key) and in
 // list when it is new.
 func (r *groupResolver) resolve(sel, gids []int32, groups map[string]*groupState) error {
+	for c, p := range r.parts {
+		if p.dict != nil || p.ints != nil {
+			r.rows[c] = r.sc.rowsOf(p.side, sel)
+		}
+	}
+	r.row.at = r.sc.at
 	switch {
 	case r.dense != nil:
 		// The code tuple's slot, a column at a time.
@@ -116,7 +126,7 @@ func (r *groupResolver) resolve(sel, gids []int32, groups map[string]*groupState
 			if c == 0 {
 				n = 0 // nothing to shift yet, whatever gids holds
 			}
-			for i, row := range sel {
+			for i, row := range r.rows[c] {
 				gids[i] = gids[i]*n + int32(codes[row])
 			}
 		}
@@ -124,7 +134,7 @@ func (r *groupResolver) resolve(sel, gids []int32, groups map[string]*groupState
 		for i, slot := range gids {
 			id := dense[slot]
 			if id == 0 {
-				id = r.firstSeen(int(sel[i]), groups) + 1
+				id = r.firstSeen(i, groups) + 1
 				dense[slot] = id
 				r.touched = append(r.touched, slot)
 			}
@@ -132,24 +142,24 @@ func (r *groupResolver) resolve(sel, gids []int32, groups map[string]*groupState
 		}
 	case r.byInt != nil:
 		keys, nulls := r.parts[0].ints.Ints(), r.parts[0].ints.Nulls()
-		for i, row := range sel {
+		for i, row := range r.rows[0] {
 			if nulls != nil && nulls[row] {
 				if r.nullInt < 0 {
-					r.nullInt = r.firstSeen(int(row), groups)
+					r.nullInt = r.firstSeen(i, groups)
 				}
 				gids[i] = r.nullInt
 				continue
 			}
 			id, ok := r.byInt[keys[row]]
 			if !ok {
-				id = r.firstSeen(int(row), groups)
+				id = r.firstSeen(i, groups)
 				r.byInt[keys[row]] = id
 			}
 			gids[i] = id
 		}
 	default:
-		for i, row := range sel {
-			id, err := r.resolveTyped(int(row), groups)
+		for i, p := range sel {
+			id, err := r.resolveTyped(i, int(p), groups)
 			if err != nil {
 				return err
 			}
@@ -159,27 +169,27 @@ func (r *groupResolver) resolve(sel, gids []int32, groups map[string]*groupState
 	return nil
 }
 
-// resolveTyped identifies the row's group by the concatenation of its
-// parts' typed encodings.
-func (r *groupResolver) resolveTyped(row int, groups map[string]*groupState) (int32, error) {
+// resolveTyped identifies the group of the i-th selected row, at position
+// pos, by the concatenation of its parts' typed encodings.
+func (r *groupResolver) resolveTyped(i, pos int, groups map[string]*groupState) (int32, error) {
 	buf := r.buf[:0]
-	for i, p := range r.parts {
+	for c, p := range r.parts {
 		switch {
 		case p.dict != nil:
-			buf = binary.LittleEndian.AppendUint32(buf, p.dict.Code(row))
+			buf = binary.LittleEndian.AppendUint32(buf, p.dict.Code(int(r.rows[c][i])))
 		case p.ints != nil:
-			if p.ints.IsNull(row) {
+			if row := int(r.rows[c][i]); p.ints.IsNull(row) {
 				buf = append(buf, 1)
 			} else {
 				buf = binary.LittleEndian.AppendUint64(append(buf, 0), uint64(p.ints.Int(row)))
 			}
 		default:
-			r.row.idx = row
-			v, err := r.exprs[i].Eval(r.row)
+			r.row.idx = pos
+			v, err := r.exprs[c].Eval(r.row)
 			if err != nil {
 				return 0, err
 			}
-			r.vals[i] = v
+			r.vals[c] = v
 			key := v.GroupKey()
 			buf = append(binary.AppendUvarint(buf, uint64(len(key))), key...)
 		}
@@ -187,27 +197,27 @@ func (r *groupResolver) resolveTyped(row int, groups map[string]*groupState) (in
 	r.buf = buf
 	id, ok := r.typed[string(buf)]
 	if !ok {
-		id = r.firstSeen(row, groups)
+		id = r.firstSeen(i, groups)
 		r.typed[string(buf)] = id
 	}
 	return id, nil
 }
 
-// firstSeen boxes the row's typed group values (evaluated parts are
-// already in vals), builds the canonical key, and returns the id of that
-// key's group state, adding it to groups and list if it is new.
-func (r *groupResolver) firstSeen(row int, groups map[string]*groupState) int32 {
-	for i, p := range r.parts {
+// firstSeen boxes the i-th selected row's typed group values (evaluated
+// parts are already in vals), builds the canonical key, and returns the id
+// of that key's group state, adding it to groups and list if it is new.
+func (r *groupResolver) firstSeen(i int, groups map[string]*groupState) int32 {
+	for c, p := range r.parts {
 		switch {
 		case p.dict != nil:
-			r.vals[i] = p.dict.Value(row)
+			r.vals[c] = p.dict.Value(int(r.rows[c][i]))
 		case p.ints != nil:
-			r.vals[i] = p.ints.Value(row)
+			r.vals[c] = p.ints.Value(int(r.rows[c][i]))
 		}
 	}
 	var key string
 	if len(r.parts) == 1 && r.parts[0].dict != nil {
-		key = r.parts[0].dict.RowKey(row)
+		key = r.parts[0].dict.RowKey(int(r.rows[0][i]))
 	} else {
 		key = groupKeyOf(r.vals)
 	}
@@ -225,8 +235,22 @@ func (r *groupResolver) firstSeen(row int, groups map[string]*groupState) int32 
 	return gs.id
 }
 
-// typedPart is the typed access path to a column, if it has one.
-func typedPart(col storage.Column) (p groupPart) {
+// groupKeyOf builds the canonical composite key of a value tuple.
+func groupKeyOf(vals []storage.Value) string {
+	if len(vals) == 0 {
+		return ""
+	}
+	key := vals[0].GroupKey()
+	for _, v := range vals[1:] {
+		key += "\x1f" + v.GroupKey()
+	}
+	return key
+}
+
+// typedPart is the typed access path to a column of the given side, if it
+// has one.
+func typedPart(col storage.Column, side int) (p groupPart) {
+	p.side = side
 	switch col := col.(type) {
 	case *storage.StringColumn:
 		p.dict = col

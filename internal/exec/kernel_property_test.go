@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/expr"
@@ -186,7 +187,7 @@ func TestCompiledPredicatesMatchEvaluator(t *testing.T) {
 		"NOT (s1 = 'AIR' OR i1 = 3)", "i1 NOT BETWEEN 2 AND 6",
 	} {
 		e, snap := scanFilter(t, cat, where)
-		if c := (&compiler{t: snap}); c.filter(e).kern == nil {
+		if c := (&compiler{v: tableView(snap)}); c.filter(e).kern == nil {
 			t.Errorf("WHERE %s does not compile", where)
 		}
 	}
@@ -196,7 +197,7 @@ func TestCompiledPredicatesMatchEvaluator(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		where := g.pred(3)
 		e, snap := scanFilter(t, cat, where)
-		c := &compiler{t: snap}
+		c := &compiler{v: tableView(snap)}
 		f := c.filter(e)
 		if f.kern == nil {
 			continue
@@ -208,7 +209,7 @@ func TestCompiledPredicatesMatchEvaluator(t *testing.T) {
 			in := next()
 			var want []int32
 			for _, r := range in {
-				ok, err := expr.EvalBool(e, mappedRow{t: snap, idx: int(r)})
+				ok, err := expr.EvalBool(e, mappedRow{v: c.v, idx: int(r)})
 				if err != nil {
 					t.Fatalf("WHERE %s: evaluator: %v", where, err)
 				}
@@ -241,16 +242,15 @@ func TestCompiledNumericsMatchEvaluator(t *testing.T) {
 		"(f + i1) * (f - i1)", "i1 * 0.5 - f / (f - 50)", "1.5", "f / 0",
 	} {
 		a := plan.FindAggregate(buildPlan(t, cat, "SELECT SUM("+arg+") FROM t"))
-		scan, _, ok := morselEligible(a)
-		if !ok {
-			t.Fatalf("SUM(%s) is not morsel-eligible", arg)
-		}
-		b, err := bindScan(scan)
+		op, err := newMorselRun(context.Background(), a.Child, &Counters{}, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap := scan.Table.Snapshot()
-		c := &compiler{t: snap, m: b.outIdx}
+		snap, err := op.prepare()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &compiler{v: &op.view}
 		k := c.num(a.Aggs[0].Arg, 0)
 		if k == nil {
 			t.Errorf("SUM(%s): argument does not compile", arg)
@@ -264,7 +264,7 @@ func TestCompiledNumericsMatchEvaluator(t *testing.T) {
 				t.Fatalf("SUM(%s): selection %d: %d rows, %d values, %d marks", arg, s, len(in), len(vals), len(nulls))
 			}
 			for i, r := range in {
-				want, err := a.Aggs[0].Arg.Eval(mappedRow{t: snap, idx: int(r), out: b.outIdx})
+				want, err := a.Aggs[0].Arg.Eval(mappedRow{v: c.v, idx: int(r)})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -316,134 +316,84 @@ func hostileCatalog(t *testing.T, rows int) *storage.Catalog {
 	return cat
 }
 
-// referenceFold is the row-at-a-time fold the run pipeline replaced, kept
-// as the reference: per morsel of morselRows rows it walks the rows one by
-// one — evaluator for the filter and the arguments, Decide for the sampler,
-// HTEstimator.Add through accumulate — and folds the morsels in order. The
-// distinct sampler decides in scan order, as in the serial scan; the rows
-// it keeps among the first keep of their stratum in a morsel are added to
-// the morsel's sums after the others, which is the morsel path's order.
-func referenceFold(t *testing.T, a *plan.Aggregate, scan *plan.Scan, morselRows int) (*groupState, int64) {
-	t.Helper()
-	b, err := bindScan(scan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	table := scan.Table.Snapshot()
-	st, err := stageSampler(scan, b.keyIdx, table)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type keptRow struct {
-		row int
-		w   float64
-	}
-	var total *groupState
-	var emitted int64
-	for lo := 0; lo < table.NumRows(); lo += morselRows {
-		part := newGroupState("", nil, len(a.Aggs))
-		fold := func(k keptRow) {
-			emitted++
-			part.n++
-			for j, spec := range a.Aggs {
-				if err := accumulate(part.aggs[j], spec, mappedRow{t: table, idx: k.row, out: b.outIdx}, k.w); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		met := map[string]int{} // rows of the morsel the sampler has met, by stratum
-		var heads []keptRow
-		for row := lo; row < min(lo+morselRows, table.NumRows()); row++ {
-			if ok, err := expr.EvalBool(scan.Filter, mappedRow{t: table, idx: row}); err != nil || !ok {
-				continue
-			}
-			key := ""
-			if st.keyer != nil {
-				key = st.keyer.Key(row)
-			}
-			d := st.sampler.Decide(row, key)
-			met[key]++
-			switch {
-			case !d.Keep:
-			case st.distinct != nil && met[key] <= scan.Sample.KeepThreshold:
-				heads = append(heads, keptRow{row, d.Weight})
-			default:
-				fold(keptRow{row, d.Weight})
-			}
-		}
-		for _, k := range heads {
-			fold(k)
-		}
-		if total == nil {
-			total = part
-		} else {
-			mergeGroupState(total, part)
-		}
-	}
-	return total, emitted
-}
+// tableView binds expressions to a table's own schema.
+func tableView(t *storage.Table) *rowView { return &rowView{tables: []*storage.Table{t}} }
 
 // TestHostileValuesFoldBitForBit: over NaN, ±Inf, -0.0, MaxFloat64, int64
 // past 2^53 and an all-NULL run, sampled at 50 % so that w·(w−1)·x² meets an
-// infinite x — by the Bernoulli coin and, once, by the distinct sampler,
-// whose rows carry two weights — the morsel path returns the reference
-// fold's estimates, variances and counts — and the same bits at one and
-// four workers.
+// infinite x — by the Bernoulli coin and by the distinct sampler, whose
+// rows carry two weights, and through a join whose build rows fan out and
+// weigh in as factors — the morsel path returns the oracle's estimates,
+// variances, counts and counters, and the same bits at one and four
+// workers.
 func TestHostileValuesFoldBitForBit(t *testing.T) {
 	cat := hostileCatalog(t, 20_000) // block 256: three morsels of 8192 rows
+	dim := storage.NewTable("hd", storage.Schema{{Name: "hg", Type: storage.TypeString}, {Name: "hw", Type: storage.TypeFloat64}})
+	for _, r := range [][]storage.Value{{storage.Str("g0"), storage.Float64(math.Inf(1))}, {storage.Str("g2"), storage.Float64(-0.5)},
+		{storage.Str("g0"), storage.Float64(3)}, {storage.NullValue(storage.TypeString), storage.Float64(1)}} {
+		if err := dim.AppendRow(r...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cat.Add(dim); err != nil {
+		t.Fatal(err)
+	}
+	const aggs = "SELECT COUNT(*), COUNT(x), SUM(x), AVG(x), SUM(x * i), AVG(x / (i - 9007199254740992)), SUM(x * x)"
 	for _, c := range [][2]string{
 		{"BERNOULLI (50)", "x <= 1 OR NOT (x >= -1)"}, // an unordered pair compares equal in the evaluator
 		{"BERNOULLI (50)", "NOT (x < 0) AND i <> 9007199254740993"},
 		{"BERNOULLI (50)", "g <> 'g1' OR x > 1e308"},
 		{"DISTINCT (50, 700) ON (g)", "NOT (x < 0) AND i <> 9007199254740993"},
 		{"DISTINCT (50, 700) ON (g)", "x > -1e300 AND x < 1e300"}, // finite sums: the order within a morsel shows
+		{"BERNOULLI (50) JOIN hd ON g = hg", "x > -1e300 AND x < 1e300"},
+		{"DISTINCT (50, 700) ON (g) JOIN hd ON g = hg AND x * hw < 1e300", "NOT (x < 0)"},
 	} {
-		sql := "SELECT COUNT(*), COUNT(x), SUM(x), AVG(x), SUM(x * i), AVG(x / (i - 9007199254740992)), SUM(x * x)" +
-			" FROM h TABLESAMPLE " + c[0] + " WHERE " + c[1]
-		a := plan.FindAggregate(buildPlan(t, cat, sql))
-		scan, _, ok := morselEligible(a)
-		if !ok || scan.Filter == nil {
-			t.Fatalf("%q: not a filtered morsel scan", sql)
+		sql := aggs + ", SUM(x * 0.5) FROM h TABLESAMPLE " + c[0] + " WHERE " + c[1]
+		if strings.Contains(c[0], "JOIN") {
+			sql = aggs + ", SUM(x * hw) FROM h TABLESAMPLE " + c[0] + " WHERE " + c[1]
 		}
-		ref, emitted := referenceFold(t, a, scan, 8192)
-		want := finalizeGroups(a, map[string]*groupState{"": ref})
-		var one *Batch
+		want := oracleRun(t, buildPlan(t, cat, sql))
+		var one *Result
 		for _, workers := range []int{1, 4} {
-			part, err := RunAggPartialContext(context.Background(), buildPlan(t, cat, sql), workers)
+			p := buildPlan(t, cat, sql)
+			part, err := RunAggPartialContext(context.Background(), p, workers)
 			if err != nil {
 				t.Fatalf("W=%d %q: %v", workers, sql, err)
 			}
-			got := finalizeGroups(a, part.groups)
+			got, err := FinalizeAggPartial(context.Background(), p, part)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if workers == 1 {
 				one = got
 			} else if err := sameDetail(got.Details[0], one.Details[0]); err != nil {
 				t.Errorf("%q: W=4 vs W=1: %v", sql, err)
 			}
-			// Against the reference a NaN matches any NaN: its payload
+			// Against the oracle a NaN matches any NaN: its payload
 			// depends on the operand order the compiler picked for Add's
 			// sums and for AddRun's, which is not ours to fix.
 			for j, x := range got.Details[0].Aggs {
 				y := want.Details[0].Aggs[j]
 				for _, f := range [][2]float64{{x.Estimate, y.Estimate}, {x.Variance, y.Variance}, {x.N, y.N}} {
 					if math.Float64bits(f[0]) != math.Float64bits(f[1]) && !(math.IsNaN(f[0]) && math.IsNaN(f[1])) {
-						t.Errorf("W=%d %q: slot %d: morsel fold %+v, reference %+v", workers, sql, j, x, y)
+						t.Errorf("W=%d %q: slot %d: morsel fold %+v, oracle %+v", workers, sql, j, x, y)
 					}
 				}
 			}
 			if got.Details[0].GroupN != want.Details[0].GroupN || fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
-				t.Errorf("W=%d %q: rows %v (n=%v), reference %v (n=%v)", workers, sql,
+				t.Errorf("W=%d %q: rows %v (n=%v), oracle %v (n=%v)", workers, sql,
 					got.Rows, got.Details[0].GroupN, want.Rows, want.Details[0].GroupN)
 			}
-			if part.Counters.RowsEmitted != emitted || emitted == 0 {
-				t.Errorf("W=%d %q: %d rows emitted, reference %d", workers, sql, part.Counters.RowsEmitted, emitted)
+			if got.Counters != want.Counters || want.Counters.RowsEmitted == 0 {
+				t.Errorf("W=%d %q: counters %+v, oracle %+v", workers, sql, got.Counters, want.Counters)
 			}
 		}
 	}
 }
 
 // TestMorselMatchesSerialBitForBit runs seeded random group-bys and
-// predicates through the serial operators and the morsel path at one and
-// four workers and requires identical rows and identical GroupDetails —
+// predicates through the row-at-a-time oracle and the morsel path at one
+// and four workers and requires identical rows and identical GroupDetails —
 // keys, group sizes, estimates and variances — to the bit.
 func TestMorselMatchesSerialBitForBit(t *testing.T) {
 	cat := kernelCatalog(t, 40_000) // five morsels
@@ -467,14 +417,14 @@ func TestMorselMatchesSerialBitForBit(t *testing.T) {
 			sql += " WHERE " + g.pred(2)
 		}
 		sql += " GROUP BY " + by
-		// The serial result is ordered by canonical key too, so rows and
+		// The oracle's result is ordered by canonical key too, so rows and
 		// details line up without an ORDER BY.
 		requireOneExecution(t, cat, sql)
 	}
 }
 
-// requireOneExecution is the seam's identity: the serial reference (Run),
-// the local run (RunParallelContext) and partial → finalize
+// requireOneExecution is the seam's identity: the oracle (oracleRun), the
+// local run (RunParallelContext) and partial → finalize
 // (RunAggPartialContext, then FinalizeAggPartial) return identical rows,
 // weights, GroupDetails and counters, to the bit, at one and four workers.
 func requireOneExecution(t *testing.T, cat *storage.Catalog, sql string) {
@@ -483,7 +433,7 @@ func requireOneExecution(t *testing.T, cat *storage.Catalog, sql string) {
 }
 
 // requireOneExecutionOver is requireOneExecution with the FROM scan ranged
-// over window (nil: the whole table); it returns the serial result.
+// over window (nil: the whole table); it returns the oracle's result.
 func requireOneExecutionOver(t *testing.T, cat *storage.Catalog, sql string, window *plan.RowRange) *Result {
 	t.Helper()
 	ctx := context.Background()
@@ -492,17 +442,14 @@ func requireOneExecutionOver(t *testing.T, cat *storage.Catalog, sql string, win
 		plan.Scans(p)[0].Range = window
 		return p
 	}
-	serial, err := Run(buildPlan(t, cat, sql))
-	if err != nil {
-		t.Fatalf("serial %q: %v", sql, err)
-	}
+	serial := oracleRun(t, buildPlan(t, cat, sql))
 	for _, workers := range []int{1, 4} {
 		par, err := RunParallelContext(ctx, buildPlan(t, cat, sql), workers)
 		if err != nil {
 			t.Fatalf("W=%d %q: %v", workers, sql, err)
 		}
 		if err := sameResult(par, serial); err != nil {
-			t.Fatalf("W=%d %q: parallel vs serial: %v", workers, sql, err)
+			t.Fatalf("W=%d %q: morsel path vs oracle: %v", workers, sql, err)
 		}
 		p := buildPlan(t, cat, sql)
 		part, err := RunAggPartialContext(ctx, p, workers)
@@ -520,24 +467,31 @@ func requireOneExecutionOver(t *testing.T, cat *storage.Catalog, sql string, win
 			t.Fatalf("W=%d %q: finalize: %v", workers, sql, err)
 		}
 		if err := sameResult(fin, serial); err != nil {
-			t.Fatalf("W=%d %q: partial → finalize vs serial: %v", workers, sql, err)
+			t.Fatalf("W=%d %q: partial → finalize vs oracle: %v", workers, sql, err)
 		}
 	}
 	return serial
 }
 
-// TestOneExecutionEveryShape runs the identity over the shapes that pick a
-// different partial step or chain: morsel-eligible, a join below the
-// aggregate (a serial partial), the distinct sampler (a morsel partial
-// whose undecided rows the ordered merge settles), HAVING + ORDER BY +
-// LIMIT above the aggregate, a global aggregate over no rows, and a plan
-// with no aggregate at all.
+// TestOneExecutionEveryShape runs the identity over the shapes that take a
+// different stage or chain: a scan, joins below the aggregate (one, with a
+// residual, a sampled fact, a sampled and filtered build, two levels, a
+// string key, a composite key, a global aggregate over none), the distinct
+// sampler (a morsel partial whose undecided rows the ordered merge settles),
+// alone and under a join, HAVING + ORDER BY + LIMIT above the aggregate, a
+// global aggregate over no rows, and plans with no aggregate at all.
 func TestOneExecutionEveryShape(t *testing.T) {
 	cat := kernelCatalog(t, 40_000)
 	addKernelDim(t, cat)
 	for _, sql := range []string{
 		"SELECT s1, COUNT(*), SUM(f), AVG(f) FROM t TABLESAMPLE BERNOULLI (50) WHERE s2 = 'O' GROUP BY s1",
 		"SELECT label, COUNT(*), SUM(f) FROM t JOIN d ON i1 = dk GROUP BY label",
+		"SELECT label, s2, COUNT(*), SUM(f), AVG(f) FROM t TABLESAMPLE BERNOULLI (50) JOIN d ON i1 = dk AND f < dk * 20 WHERE s1 <> 'AIR' GROUP BY label, s2",
+		"SELECT s1, COUNT(*), SUM(f) FROM t JOIN d TABLESAMPLE BERNOULLI (50) ON i1 = dk WHERE label <> 'd1' GROUP BY s1",
+		"SELECT el, COUNT(*), SUM(f * ew) FROM t JOIN d ON i1 = dk JOIN e ON label = el GROUP BY el",
+		"SELECT COUNT(*), SUM(f) FROM t JOIN d ON i1 = dk AND s1 = label",
+		"SELECT s1, COUNT(*), SUM(f) FROM t TABLESAMPLE DISTINCT (50, 20) ON (s1) JOIN d ON i1 = dk GROUP BY s1",
+		"SELECT s1, label, f FROM t JOIN d ON i1 = dk WHERE f > 90 ORDER BY f, s1, label LIMIT 30",
 		"SELECT s1, COUNT(*), SUM(f) FROM t TABLESAMPLE DISTINCT (50, 20) ON (s1, s2) GROUP BY s1",
 		"SELECT s1, i1, SUM(f) AS s FROM t GROUP BY s1, i1 HAVING SUM(f) > 30000 ORDER BY s DESC, s1, i1 LIMIT 7",
 		"SELECT COUNT(*), SUM(f), AVG(f), MIN(f) FROM t WHERE s1 = 'absent'",
@@ -548,7 +502,8 @@ func TestOneExecutionEveryShape(t *testing.T) {
 }
 
 // addKernelDim adds a five-row dimension d(dk, label) keyed on half of
-// kernelCatalog's i1 values.
+// kernelCatalog's i1 values, and e(el, ew), keyed by value on d's labels
+// with a duplicate and a key d does not hold.
 func addKernelDim(t *testing.T, cat *storage.Catalog) {
 	t.Helper()
 	dim := storage.NewTable("d", storage.Schema{
@@ -560,15 +515,27 @@ func addKernelDim(t *testing.T, cat *storage.Catalog) {
 			t.Fatal(err)
 		}
 	}
-	if err := cat.Add(dim); err != nil {
-		t.Fatal(err)
+	e := storage.NewTable("e", storage.Schema{
+		{Name: "el", Type: storage.TypeString},
+		{Name: "ew", Type: storage.TypeFloat64},
+	})
+	for _, r := range [][]storage.Value{{storage.Str("d9"), storage.Float64(4)}, {storage.Str("d0"), storage.Float64(1.5)},
+		{storage.Str("d1"), storage.Float64(2)}, {storage.Str("d0"), storage.Float64(-1)}} {
+		if err := e.AppendRow(r...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tbl := range []*storage.Table{dim, e} {
+		if err := cat.Add(tbl); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
 // TestRangedScanReadsTheWindowInOrder: a FROM scan ranged over [lo, hi) of
 // a row order is a scan of a table holding exactly those rows in that
 // order — on the morsel path (ordered morsels cut from lo, so one worker
-// and four agree to the bit), on the serial scan below a join, and over an
+// and four agree to the bit), below a join, and over an
 // empty window — with rows scanned = rows in the window.
 func TestRangedScanReadsTheWindowInOrder(t *testing.T) {
 	cat := kernelCatalog(t, 40_000)
@@ -601,18 +568,14 @@ func TestRangedScanReadsTheWindowInOrder(t *testing.T) {
 			"SELECT s1, f FROM t WHERE i1 = 3 ORDER BY f, s1 LIMIT 20",
 		} {
 			got := requireOneExecutionOver(t, cat, sql, &w)
-			want, err := Run(buildPlan(t, winCat, sql))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sameResult(got, want); err != nil {
+			if err := sameResult(got, oracleRun(t, buildPlan(t, winCat, sql))); err != nil {
 				t.Errorf("[%d, %d) %q: ranged scan vs materialized window: %v", w.Lo, w.Hi, sql, err)
 			}
 		}
 	}
 	p := buildPlan(t, cat, "SELECT COUNT(*) FROM t TABLESAMPLE BERNOULLI (50)")
 	plan.Scans(p)[0].Range = &plan.RowRange{Order: order, Hi: 100}
-	if _, err := Run(p); err == nil {
+	if _, err := RunParallel(p, 1); err == nil {
 		t.Error("a ranged scan with a sampler must be refused")
 	}
 }
@@ -737,16 +700,15 @@ func TestStringGroupByMorselAllocations(t *testing.T) {
 	}{{"s1", 6}, {"s1, s2", 10}, {"s1, i1", 60}} {
 		sql := fmt.Sprintf("SELECT %s, COUNT(*), SUM(f) FROM t WHERE s2 = 'O' OR s1 <> 'AIR' GROUP BY %s", c.by, c.by)
 		a := plan.FindAggregate(buildPlan(t, cat, sql))
-		scan, residual, ok := morselEligible(a)
-		if !ok {
-			t.Fatalf("%q is not morsel-eligible", sql)
-		}
-		op, err := newMorselRun(context.Background(), a, scan, residual, &Counters{}, 1, nil)
+		op, err := newMorselRun(context.Background(), a.Child, &Counters{}, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap := scan.Table.Snapshot()
-		op.kern = op.compileKernels(snap)
+		op.agg = a
+		snap, err := op.prepare()
+		if err != nil {
+			t.Fatal(err)
+		}
 		wk, err := op.newWorker(snap)
 		if err != nil {
 			t.Fatal(err)
@@ -772,27 +734,27 @@ func TestStringGroupByMorselAllocations(t *testing.T) {
 	}
 }
 
-// TestSerialScanFilterMatchesEvaluator checks the serial scan, which
-// compiles its filter and keys its sampler from cached keys, against the
-// interpreter, through the distinct sampler.
+// TestSerialScanFilterMatchesEvaluator checks the scan at one worker,
+// which compiles its filter and keys its sampler from cached keys, against
+// the evaluator, through the distinct sampler.
 func TestSerialScanFilterMatchesEvaluator(t *testing.T) {
 	cat := kernelCatalog(t, 5000)
 	where := "s1 IN ('AIR', 'SHIP') AND NOT (i1 = 3)"
 	e, snap := scanFilter(t, cat, where)
 	want := 0
 	for row := 0; row < snap.NumRows(); row++ {
-		if ok, err := expr.EvalBool(e, mappedRow{t: snap, idx: row}); err != nil {
+		if ok, err := expr.EvalBool(e, mappedRow{v: tableView(snap), idx: row}); err != nil {
 			t.Fatal(err)
 		} else if ok {
 			want++
 		}
 	}
-	res, err := Run(buildPlan(t, cat, "SELECT COUNT(*) FROM t TABLESAMPLE DISTINCT (100, 5) ON (s1, s2) WHERE "+where))
+	res, err := RunParallel(buildPlan(t, cat, "SELECT COUNT(*) FROM t TABLESAMPLE DISTINCT (100, 5) ON (s1, s2) WHERE "+where), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := res.Rows[0][0].AsInt(); got != int64(want) || want == 0 {
-		t.Errorf("serial scan counted %d rows, evaluator %d", got, want)
+		t.Errorf("scan counted %d rows, evaluator %d", got, want)
 	}
 	if res.Counters.RowsEmitted != int64(want) {
 		t.Errorf("RowsEmitted = %d, want %d", res.Counters.RowsEmitted, want)

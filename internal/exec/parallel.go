@@ -2,11 +2,11 @@ package exec
 
 // Morsel-driven parallel execution.
 //
-// RunParallelContext splits an eligible plan — a hash aggregate over a
-// (filtered, sampled) base-table scan — into fixed, block-aligned row
-// ranges ("morsels"), processes each morsel on one of a pool of workers
-// with a fused scan+filter+sample+partial-aggregate pipeline, and merges
-// the per-morsel partial aggregation states in ascending morsel order.
+// Every plan runs here: the scan at the bottom of its left-deep chain is
+// split into fixed, block-aligned row ranges ("morsels"), each morsel is
+// processed on one of a pool of workers by a fused scan + filter + sample
+// + join probe + fold pipeline, and the per-morsel results — partial
+// aggregation states, or kept rows — are merged in ascending morsel order.
 //
 // Determinism: morsel boundaries depend only on the table (row count and
 // block size) or, for a ranged scan, on the range — never on the worker
@@ -19,9 +19,13 @@ package exec
 // worker count. See DESIGN.md for the full argument.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,62 +85,51 @@ func ResolveWorkers(ctx context.Context, cfg int) int {
 	return 1
 }
 
-// RunParallel executes a logical plan with the given worker count.
-func RunParallel(root plan.Node, workers int) (*Result, error) {
-	return RunParallelContext(context.Background(), root, workers)
-}
-
-// RunParallelContext executes a logical plan under ctx with the given
-// worker count (≤ 0 resolves via ResolveWorkers): an aggregate over a
-// Filter*→Scan chain computes its partial on the morsel-parallel path,
-// whatever the scan's sampler, every other shape (joins below the
-// aggregate, no aggregate at all) on the serial operators; results are
-// identical either way up to float summation order.
-func RunParallelContext(ctx context.Context, root plan.Node, workers int) (*Result, error) {
-	if workers <= 0 {
-		workers = ResolveWorkers(ctx, 0)
-	}
-	return run(ctx, root, aggSource{workers: workers})
-}
-
-// morselEligible reports whether the aggregate sits on a Filter*→Scan
-// chain it can fuse, returning the scan and the residual predicates in
-// application order (innermost first). Every sampler qualifies: the
-// stateless ones decide a row from its index, and the distinct sampler's
-// per-stratum counts are settled in the ordered merge (foldDeferred).
-func morselEligible(a *plan.Aggregate) (*plan.Scan, []expr.Expr, bool) {
-	var residual []expr.Expr
-	n := a.Child
-	for {
-		switch c := n.(type) {
-		case *plan.Filter:
-			residual = append(residual, c.Pred)
-			n = c.Child
-		case *plan.Scan:
-			for i, j := 0, len(residual)-1; i < j; i, j = i+1, j-1 {
-				residual[i], residual[j] = residual[j], residual[i]
-			}
-			return c, residual, true
-		default:
-			return nil, nil, false
-		}
-	}
-}
-
-// morselRun is one fused parallel scan-aggregate: per morsel it scans,
-// filters, samples, and partially aggregates without materializing
-// intermediate batches, then merges the partials deterministically.
+// morselRun is one fused parallel pipeline: per morsel it scans, filters,
+// samples, probes the joins' build sides, and folds the rows into its
+// terminal — an aggregate's partial groups, a projection's rows, or, for a
+// join's build side, the kept rows' ids — without materializing
+// intermediate rows, then merges the morsels in order.
 type morselRun struct {
 	ctx      context.Context
-	node     *plan.Aggregate
 	scan     *plan.Scan
-	residual []expr.Expr
+	joins    []*joinStage // bottom-up
+	residual []expr.Expr  // Filter predicates above the scan, innermost first
+	agg      *plan.Aggregate
+	project  *plan.Project // the row terminal; with agg nil too, the run collects row ids
+	limit    int           // the row terminal stops once its finished prefix holds limit rows; -1: never
 	counters *Counters
 	workers  int
 	scanBinding
 
-	kern morselKernels // compiled against the snapshot in computeGroups
-	sp   *trace.Span   // the aggregate's span, nil when tracing is off
+	view rowView       // the row the pipeline folds: the scan's output, then each build's
+	kern morselKernels // compiled against the snapshot in run
+	sp   *trace.Span   // the terminal's span, nil when tracing is off
+}
+
+// newMorselRun lays out the left-deep chain below a terminal — Filter and
+// Join nodes down to a scan, whose right-hand sides the joins build from.
+func newMorselRun(ctx context.Context, below plan.Node, counters *Counters, workers int, sp *trace.Span) (*morselRun, error) {
+	op := &morselRun{ctx: ctx, counters: counters, workers: workers, sp: sp, limit: -1}
+	for n := below; op.scan == nil; {
+		switch c := n.(type) {
+		case *plan.Filter:
+			op.residual = append(op.residual, c.Pred)
+			n = c.Child
+		case *plan.Join:
+			op.joins = append(op.joins, &joinStage{node: c})
+			n = c.Left
+		case *plan.Scan:
+			op.scan = c
+		default:
+			return nil, fmt.Errorf("exec: no scan path through %s", n.Explain())
+		}
+	}
+	slices.Reverse(op.residual)
+	slices.Reverse(op.joins)
+	var err error
+	op.scanBinding, err = bindScan(op.scan)
+	return op, err
 }
 
 // Aggregate-slot fast-path modes; slotGeneral falls back to accumulate.
@@ -155,37 +148,40 @@ const (
 // bit-identical, so mixing them is safe.
 type morselKernels struct {
 	comp     *compiler   // sizes each worker's scratch
-	filter   rowFilter   // scan filter, bound to the table schema
-	residual []rowFilter // per residual predicate, bound to scan output
+	scanView *rowView    // the table's own schema, which the scan filter is bound to
+	filter   rowFilter   // scan filter
+	residual []rowFilter // per residual predicate, bound to the pipeline's row
 	group    []groupPart // typed access path per group expr
 	slotMode []int
 	slotArg  []valKernel
 }
 
-// compileKernels compiles what it can of the pipeline against a concrete
-// table snapshot.
-func (op *morselRun) compileKernels(t *storage.Table) morselKernels {
-	c := &compiler{t: t}
-	k := morselKernels{
-		comp:     c,
-		residual: make([]rowFilter, len(op.residual)),
-		group:    make([]groupPart, len(op.node.GroupBy)),
-		slotMode: make([]int, len(op.node.Aggs)),
-		slotArg:  make([]valKernel, len(op.node.Aggs)),
-	}
+// compileKernels compiles what it can of the pipeline against the
+// snapshots in op.view.
+func (op *morselRun) compileKernels() morselKernels {
+	c := &compiler{v: &rowView{tables: op.view.tables}}
+	k := morselKernels{comp: c, scanView: c.v, residual: make([]rowFilter, len(op.residual))}
 	if op.scan.Filter != nil {
 		k.filter = c.filter(op.scan.Filter)
 	}
-	c.m = op.outIdx
+	c.v = &op.view
 	for i, pred := range op.residual {
 		k.residual[i] = c.filter(pred)
 	}
-	for i, ge := range op.node.GroupBy {
+	for _, js := range op.joins {
+		js.compile(c)
+	}
+	if op.agg == nil {
+		return k
+	}
+	k.group = make([]groupPart, len(op.agg.GroupBy))
+	k.slotMode, k.slotArg = make([]int, len(op.agg.Aggs)), make([]valKernel, len(op.agg.Aggs))
+	for i, ge := range op.agg.GroupBy {
 		if ref, ok := ge.(*expr.ColRef); ok {
-			k.group[i] = typedPart(t.Column(op.outIdx[ref.Index]))
+			k.group[i] = typedPart(c.column(ref.Index))
 		}
 	}
-	for j, spec := range op.node.Aggs {
+	for j, spec := range op.agg.Aggs {
 		mode := slotGeneral
 		switch spec.Func {
 		case sqlparse.AggCount:
@@ -209,50 +205,57 @@ func (op *morselRun) compileKernels(t *storage.Table) morselKernels {
 	return k
 }
 
-func newMorselRun(ctx context.Context, a *plan.Aggregate, s *plan.Scan, residual []expr.Expr, counters *Counters, workers int, sp *trace.Span) (*morselRun, error) {
-	b, err := bindScan(s)
-	if err != nil {
-		return nil, err
-	}
-	return &morselRun{ctx: ctx, node: a, scan: s, residual: residual,
-		counters: counters, workers: workers, scanBinding: b, sp: sp}, nil
+// emitted is one row of the row terminal: the scan's table row it came
+// from, its weight and, under a projection, its values.
+type emitted struct {
+	row  int32
+	w    float64
+	vals []storage.Value
 }
 
-// mappedRow adapts direct table access to the scan's output schema:
-// column i of the scan output is column out[i] of the table (nil out: the
-// table's own schema, which the scan filter is bound to). Residual
-// predicates and aggregate expressions are bound to the scan output.
-type mappedRow struct {
-	t   *storage.Table
-	idx int
-	out []int
-}
-
-// ColumnValue implements expr.Row.
-func (r mappedRow) ColumnValue(i int) storage.Value {
-	return r.t.Column(colMap(r.out).col(i)).Value(r.idx)
-}
-
-// computeGroups runs the parallel scan-aggregate and returns the merged
-// partial group states without finalizing them.
-func (op *morselRun) computeGroups() (map[string]*groupState, error) {
-	// Scan a snapshot: concurrent appends to the live table neither tear
-	// the read prefix nor move the row count mid-scan, and every worker
-	// sees the same version.
+// prepare snapshots the scanned table — concurrent appends then neither
+// tear the read prefix nor move the row count mid-scan, and every worker
+// sees the same version — runs each join's build, and compiles the
+// pipeline against the snapshots.
+func (op *morselRun) prepare() (*storage.Table, error) {
 	table := op.scan.Table.Snapshot()
 	op.counters.Passes++
-	op.kern = op.compileKernels(table)
+	op.view = rowView{tables: []*storage.Table{table}}
+	for _, i := range op.outIdx {
+		op.view.cols = append(op.view.cols, colRef{col: i})
+	}
+	for j, js := range op.joins {
+		if err := op.build(js); err != nil {
+			return nil, err
+		}
+		op.view.tables = append(op.view.tables, js.table)
+		for _, i := range js.outIdx {
+			op.view.cols = append(op.view.cols, colRef{side: j + 1, col: i})
+		}
+	}
+	if op.sp != nil && len(op.joins) > 0 {
+		var joins, built []string
+		for _, js := range op.joins {
+			joins, built = append(joins, js.node.Explain()), append(built, strconv.Itoa(len(js.index.rows)))
+		}
+		op.sp.SetAttr("join", strings.Join(joins, "; "))
+		op.sp.SetAttr("build_rows", strings.Join(built, ", "))
+	}
+	op.kern = op.compileKernels()
+	return table, nil
+}
 
+// run executes the pipeline — each join's build, then the scan's morsels —
+// and returns the merged groups of the aggregate terminal or the kept rows
+// of the row terminal, in scan order.
+func (op *morselRun) run() (map[string]*groupState, []emitted, error) {
+	table, err := op.prepare()
+	if err != nil {
+		return nil, nil, err
+	}
 	first, end, morselRows := op.morselGrid(table)
 	nMorsels := (end - first + morselRows - 1) / morselRows
-
-	workers := op.workers
-	if workers > nMorsels {
-		workers = nMorsels
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(min(op.workers, nMorsels), 1)
 
 	wks := make([]*morselWorker, 0, workers)
 	// Every return below is before a worker starts or after all have
@@ -265,16 +268,15 @@ func (op *morselRun) computeGroups() (map[string]*groupState, error) {
 	for len(wks) < workers {
 		wk, err := op.newWorker(table)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		wks = append(wks, wk)
 	}
 
-	// Trace setup happens before the workers launch and only observes the
-	// already-decided morsel geometry: worker spans are pre-created here in
-	// index order so the profile is deterministic, and nothing below feeds
-	// back into sizing, claiming, or merge order.
-	var workerSpans []*trace.Span
+	// Trace setup only observes the already-decided morsel geometry: worker
+	// spans are created in index order before the workers launch, so the
+	// profile is deterministic, and nothing feeds back into sizing,
+	// claiming, or merge order.
 	if op.sp != nil {
 		op.sp.SetAttr("scan", op.scan.Explain())
 		op.sp.SetAttrInt("workers", int64(workers))
@@ -283,135 +285,134 @@ func (op *morselRun) computeGroups() (map[string]*groupState, error) {
 		if op.scan.Sample != nil {
 			op.sp.SetAttr("sample", op.scan.Sample.String())
 		}
-		workerSpans = make([]*trace.Span, workers)
-		for w := range workerSpans {
-			workerSpans[w] = op.sp.NewChild(fmt.Sprintf("worker %d", w))
-		}
 	}
 
 	partials := make([]morselPart, nMorsels)
-	if nMorsels > 0 {
-		runCtx, cancel := context.WithCancel(op.ctx)
-		defer cancel()
-		var (
-			next     int64
-			wg       sync.WaitGroup
-			once     sync.Once
-			firstErr error
-		)
-		fail := func(err error) {
-			// First failure wins and cancels the siblings.
-			once.Do(func() { firstErr = err; cancel() })
+	runCtx, cancel := context.WithCancel(op.ctx)
+	defer cancel()
+	var (
+		next     int64
+		wg       sync.WaitGroup
+		once     sync.Once
+		firstErr error
+		// Under a LIMIT the workers stop claiming once the morsels
+		// finished from the first on hold enough rows.
+		stop               atomic.Bool
+		mu                 sync.Mutex
+		done               = make([]bool, nMorsels)
+		prefix, prefixRows int
+	)
+	stop.Store(op.limit == 0)
+	finished := func(m int) {
+		if op.limit < 0 {
+			return
 		}
-		for w, wk := range wks {
-			var wsp *trace.Span
-			if workerSpans != nil {
-				wsp = workerSpans[w]
+		mu.Lock()
+		for done[m] = true; prefix < nMorsels && done[prefix]; prefix++ {
+			prefixRows += len(partials[prefix].rows)
+		}
+		if prefixRows >= op.limit {
+			stop.Store(true)
+		}
+		mu.Unlock()
+	}
+	fail := func(err error) {
+		// First failure wins and cancels the siblings.
+		once.Do(func() { firstErr = err; cancel() })
+	}
+	for w, wk := range wks {
+		var wsp *trace.Span
+		if op.sp != nil {
+			wsp = op.sp.NewChild(fmt.Sprintf("worker %d", w))
+		}
+		wg.Add(1)
+		go func(wk *morselWorker, wsp *trace.Span) {
+			defer wg.Done()
+			// Contain worker panics: convert to a typed error that fails
+			// only this query and cancels the sibling workers, instead
+			// of killing the process.
+			defer func() {
+				if r := recover(); r != nil {
+					fail(fault.AsError(r))
+				}
+			}()
+			busy, morsels, wallStart := time.Duration(0), int64(0), time.Now()
+			for !stop.Load() {
+				m := int(atomic.AddInt64(&next, 1)) - 1
+				if m >= nMorsels {
+					break
+				}
+				if err := injectMorsel.Inject(); err != nil {
+					fail(err)
+					break
+				}
+				lo := first + m*morselRows
+				hi := min(lo+morselRows, end)
+				t0 := time.Now()
+				part, err := wk.processMorsel(runCtx, lo, hi)
+				if err != nil {
+					fail(err)
+					break
+				}
+				busy += time.Since(t0)
+				morsels++
+				partials[m] = part
+				finished(m)
 			}
-			wg.Add(1)
-			go func(wk *morselWorker, wsp *trace.Span) {
-				defer wg.Done()
-				// Contain worker panics: convert to a typed error that fails
-				// only this query and cancels the sibling workers, instead
-				// of killing the process.
-				defer func() {
-					if r := recover(); r != nil {
-						fail(fault.AsError(r))
-					}
-				}()
-				var (
-					busy      time.Duration
-					morsels   int64
-					wallStart time.Time
-				)
-				if wsp != nil {
-					wallStart = time.Now()
-				}
-				for {
-					m := int(atomic.AddInt64(&next, 1)) - 1
-					if m >= nMorsels {
-						break
-					}
-					if err := injectMorsel.Inject(); err != nil {
-						fail(err)
-						break
-					}
-					lo := first + m*morselRows
-					hi := lo + morselRows
-					if hi > end {
-						hi = end
-					}
-					var part morselPart
-					var err error
-					if wsp != nil {
-						t0 := time.Now()
-						part, err = wk.processMorsel(runCtx, lo, hi)
-						busy += time.Since(t0)
-						morsels++
-					} else {
-						part, err = wk.processMorsel(runCtx, lo, hi)
-					}
-					if err != nil {
-						fail(err)
-						break
-					}
-					partials[m] = part
-				}
-				if wsp != nil {
-					// Stall = wall time minus morsel-processing time: claim
-					// contention plus tail idling after the last morsel.
-					wsp.AddTime(busy)
-					wsp.SetAttrInt("morsels", morsels)
-					stall := time.Since(wallStart) - busy
-					if stall < 0 {
-						stall = 0
-					}
-					wsp.SetAttr("stall", stall.Round(time.Microsecond).String())
-					wsp.SetRowsIn(wk.counters.RowsScanned)
-					wsp.AddRows(wk.counters.RowsEmitted)
-				}
-			}(wk, wsp)
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
-		}
+			if wsp != nil {
+				// Stall = wall time minus morsel-processing time: claim
+				// contention plus tail idling after the last morsel.
+				wsp.AddTime(busy)
+				wsp.SetAttrInt("morsels", morsels)
+				wsp.SetAttr("stall", max(time.Since(wallStart)-busy, 0).Round(time.Microsecond).String())
+				wsp.SetRowsIn(wk.counters.RowsScanned)
+				wsp.AddRows(wk.counters.RowsEmitted)
+			}
+		}(wk, wsp)
 	}
-	var mergeStart time.Time
-	if op.sp != nil {
-		mergeStart = time.Now()
+	wg.Wait()
+	if firstErr != nil {
+		return nil, nil, firstErr
 	}
-	// The distinct sampler's undecided rows, morsel by morsel in scan order:
-	// the workers are done, so the first one's scratch and kernels serve.
-	var deferred int64
+	mergeStart := time.Now()
+	// Ordered reduction: the morsels in ascending order — under a LIMIT,
+	// up to the first that completes it, whatever the workers ran beyond.
+	// The distinct sampler's undecided rows are settled first, morsel by
+	// morsel in scan order: the workers are done, so the first one's
+	// scratch and kernels serve. Each morsel contributes to a group exactly
+	// once, so per group the float operation sequence is fixed by morsel
+	// index alone — map iteration order within a partial only interleaves
+	// independent groups.
+	var seen map[string]*int32
 	if wks[0].distinct != nil {
-		seen := make(map[string]*int32)
-		for m := range partials {
-			if err := op.ctx.Err(); err != nil {
-				return nil, err
-			}
-			if err := wks[0].foldDeferred(&partials[m], seen); err != nil {
-				return nil, err
-			}
-			deferred += int64(len(partials[m].rows))
-		}
+		seen = make(map[string]*int32)
 	}
-	var scanned int64
-	for _, wk := range wks {
-		op.counters.Add(wk.counters)
-		scanned += wk.counters.RowsScanned
-	}
-	// The scan is fused into this span, so its input is the rows examined.
-	op.sp.SetRowsIn(scanned)
-
-	// Ordered reduction: fold partials in ascending morsel order. Each
-	// morsel contributes to a group exactly once, so per group the float
-	// operation sequence is fixed by morsel index alone — map iteration
-	// order within a partial only interleaves independent groups.
 	groups := make(map[string]*groupState)
-	for _, part := range partials {
-		for key, gs := range part.groups {
-			if gs.n == 0 && len(op.node.GroupBy) > 0 {
+	var rows []emitted
+	if op.agg == nil {
+		n := 0
+		for _, p := range partials {
+			n += len(p.rows)
+		}
+		rows = make([]emitted, 0, n)
+	}
+	var scanned, deferred int64
+	for m := range partials {
+		p := &partials[m]
+		if seen != nil {
+			if err := op.ctx.Err(); err != nil {
+				return nil, nil, err
+			}
+			if err := wks[0].foldDeferred(p, seen); err != nil {
+				return nil, nil, err
+			}
+			deferred += int64(len(p.deferRows))
+		}
+		op.counters.Add(p.counters)
+		scanned += p.counters.RowsScanned
+		rows = append(rows, p.rows...)
+		for key, gs := range p.groups {
+			if gs.n == 0 && len(op.agg.GroupBy) > 0 {
 				continue // a stratum the sampler counted and kept no row of
 			}
 			if dst, ok := groups[key]; ok {
@@ -420,7 +421,12 @@ func (op *morselRun) computeGroups() (map[string]*groupState, error) {
 				groups[key] = gs
 			}
 		}
+		if op.limit >= 0 && len(rows) >= op.limit {
+			break
+		}
 	}
+	// The scan is fused into this span, so its input is the rows examined.
+	op.sp.SetRowsIn(scanned)
 	if op.sp != nil {
 		ms := op.sp.NewChild("merge")
 		ms.AddTime(time.Since(mergeStart))
@@ -428,7 +434,7 @@ func (op *morselRun) computeGroups() (map[string]*groupState, error) {
 		ms.SetAttrInt("groups", int64(len(groups)))
 		ms.SetAttrInt("deferred_rows", deferred)
 	}
-	return groups, nil
+	return groups, rows, nil
 }
 
 // morselGrid returns what the morsels tile — table rows [first, end), or
@@ -455,8 +461,10 @@ type morselWorker struct {
 	table *storage.Table
 	samplerStages
 	weights  storage.Column // the stored sample's weight column, or nil
-	groups   *groupResolver // nil for global aggregates
-	counters Counters
+	groups   *groupResolver // nil for global aggregates and the row terminal
+	counters Counters       // for the worker's span
+	out      []emitted      // the row terminal's rows of the current morsel
+	levels   []*probeLevel  // per join, the probe's vectors
 
 	// The distinct sampler's: strata numbers a morsel's strata as groups
 	// numbers its groups, and is groups when the sampler's key columns are
@@ -489,44 +497,51 @@ func (op *morselRun) newWorker(table *storage.Table) (*morselWorker, error) {
 	}
 	wk.sc = newScratch(op.kern.comp, runCap)
 	wk.ends = make([]int32, 0, maxRunRows/minRowsPerGroup) // as many segments as a run can have
-	if len(op.node.GroupBy) > 0 {
-		wk.groups = newGroupResolver(op.node.GroupBy, op.kern.group, len(op.node.Aggs),
-			mappedRow{t: table, out: op.outIdx})
+	if op.agg != nil && len(op.agg.GroupBy) > 0 {
+		wk.groups = newGroupResolver(op.agg.GroupBy, op.kern.group, len(op.agg.Aggs), mappedRow{v: &op.view}, wk.sc)
 	}
 	if wk.distinct != nil {
-		wk.strata = wk.groups
-		same := len(op.node.GroupBy) == len(op.keyIdx)
+		same := wk.groups != nil && len(op.joins) == 0 && len(op.agg.GroupBy) == len(op.keyIdx)
 		for i := 0; same && i < len(op.keyIdx); i++ {
-			ref, ok := op.node.GroupBy[i].(*expr.ColRef)
+			ref, ok := op.agg.GroupBy[i].(*expr.ColRef)
 			same = ok && op.outIdx[ref.Index] == op.keyIdx[i]
 		}
+		wk.strata = wk.groups
 		if !same {
 			keys, parts := make([]expr.Expr, len(op.keyIdx)), make([]groupPart, len(op.keyIdx))
 			for i, idx := range op.keyIdx {
-				keys[i], parts[i] = &expr.ColRef{Index: idx}, typedPart(table.Column(idx))
+				keys[i], parts[i] = &expr.ColRef{Index: idx}, typedPart(table.Column(idx), 0)
 			}
-			wk.strata = newGroupResolver(keys, parts, 0, mappedRow{t: table})
+			wk.strata = newGroupResolver(keys, parts, 0, mappedRow{v: op.kern.scanView}, wk.sc)
 			wk.strataOf = make(map[string]*groupState)
 		}
+	}
+	for j, js := range op.joins {
+		wk.levels = append(wk.levels, newProbeLevel(op, js, j, runCap, wk.sc))
 	}
 	return wk, nil
 }
 
 // morselPart is what a morsel hands the ordered merge: its partial group
-// states and, under the distinct sampler, the rows it could not decide —
-// rows[i], of stratum strata[sids[i]], is among the first keep rows of its
-// stratum in the morsel, so whether it passes depends on the morsels before.
+// states or kept rows, its counters and, under the distinct sampler, the
+// rows it could not decide — deferRows[i], of stratum strata[sids[i]], is
+// among the first keep rows of its stratum in the morsel, so whether it
+// passes depends on the morsels before.
 type morselPart struct {
-	groups     map[string]*groupState
-	rows, sids []int32
-	strata     []*groupState // by stratum id; the key names the stratum across morsels
+	groups          map[string]*groupState
+	rows            []emitted
+	counters        Counters
+	deferRows, sids []int32
+	strata          []*groupState // by stratum id; the key names the stratum across morsels
 }
 
 // part wraps up the current morsel: the worker's buffers are the next one's.
-func (wk *morselWorker) part(groups map[string]*groupState) morselPart {
-	p := morselPart{groups: groups}
+func (wk *morselWorker) part(groups map[string]*groupState, c Counters) morselPart {
+	p := morselPart{groups: groups, rows: wk.out, counters: c}
+	wk.out = nil
+	wk.counters.Add(c)
 	if wk.distinct != nil {
-		p.rows = append(p.rows, wk.rows...)
+		p.deferRows = append(p.deferRows, wk.rows...)
 		p.sids = append(p.sids, wk.sids...)
 		p.strata = append(p.strata, wk.strata.list...)
 	}
@@ -548,10 +563,12 @@ func (wk *morselWorker) processMorsel(ctx context.Context, lo, hi int) (morselPa
 	// Global aggregates have a single group; hoist it out of the row loop.
 	var global *groupState
 	var groups map[string]*groupState
-	if wk.groups == nil {
-		global = newGroupState("", nil, len(op.node.Aggs))
+	switch {
+	case op.agg == nil:
+	case wk.groups == nil:
+		global = newGroupState("", nil, len(op.agg.Aggs))
 		groups = map[string]*groupState{"": global}
-	} else {
+	default:
 		groups = make(map[string]*groupState, len(wk.groups.list))
 		wk.groups.reset()
 	}
@@ -562,6 +579,9 @@ func (wk *morselWorker) processMorsel(ctx context.Context, lo, hi int) (morselPa
 			clear(wk.strataOf)
 		}
 	}
+	for _, lv := range wk.levels {
+		lv.reset()
+	}
 	if r := op.scan.Range; r != nil {
 		// One cancellation checkpoint per ordered morsel.
 		if err := ctx.Err(); err != nil {
@@ -570,8 +590,7 @@ func (wk *morselWorker) processMorsel(ctx context.Context, lo, hi int) (morselPa
 		if err := wk.foldRun(groups, global, wk.sc.orderRun(r.Order[lo:hi]), 1, &counters); err != nil {
 			return morselPart{}, err
 		}
-		wk.counters.Add(counters)
-		return wk.part(groups), nil
+		return wk.part(groups, counters), nil
 	}
 	blockSize := wk.table.BlockSize()
 	for row := lo; row < hi; {
@@ -600,23 +619,22 @@ func (wk *morselWorker) processMorsel(ctx context.Context, lo, hi int) (morselPa
 		}
 		row = blockEnd
 	}
-	wk.counters.Add(counters)
-	return wk.part(groups), nil
+	return wk.part(groups, counters), nil
 }
 
 // foldRun filters, samples and accumulates one run — sel, the scratch's
 // current run, kept at blockWeight — into groups (global, when set, is the
 // one group of a global aggregate), tallying into c. The stages run in the
 // order a row would meet them — scan filter, row sampler, then foldKept's:
-// weight column, residual predicates, group, aggregates — each over the
-// whole selection, and every accumulator still sees its rows in selection
-// order.
+// weight column, join probes, residual predicates, then the terminal —
+// each over the whole selection, and every accumulator still sees its rows
+// in selection order.
 func (wk *morselWorker) foldRun(groups map[string]*groupState, global *groupState,
 	sel []int32, blockWeight float64, c *Counters) error {
 	c.RowsScanned += int64(len(sel))
 	if wk.op.scan.Filter != nil {
 		var err error
-		if sel, err = wk.op.kern.filter.narrow(wk.sc, mappedRow{t: wk.table}, sel, sel); err != nil {
+		if sel, err = wk.op.kern.filter.narrow(wk.sc, mappedRow{v: wk.op.kern.scanView}, sel, sel); err != nil {
 			return err
 		}
 	}
@@ -681,7 +699,7 @@ func (wk *morselWorker) foldRun(groups map[string]*groupState, global *groupStat
 // into its partial, after the rows the morsel folded itself. seen counts,
 // per stratum key, the rows the morsels before p passed (up to the
 // pass-through), and is brought up to date: a row is then decided exactly
-// as the serial scan's sampler decides it, whatever the worker count.
+// as a sampler fed the scan row by row decides it, whatever the worker count.
 func (wk *morselWorker) foldDeferred(p *morselPart, seen map[string]*int32) error {
 	ranks := wk.ranks[:0]
 	for _, st := range p.strata {
@@ -695,6 +713,8 @@ func (wk *morselWorker) foldDeferred(p *morselPart, seen map[string]*int32) erro
 	wk.ranks = ranks
 	var global *groupState
 	switch {
+	case wk.op.agg == nil:
+		wk.out = p.rows // the settled rows join the morsel's, then take their place in scan order
 	case wk.groups == nil:
 		global = p.groups[""]
 	case wk.strataOf == nil:
@@ -702,9 +722,9 @@ func (wk *morselWorker) foldDeferred(p *morselPart, seen map[string]*int32) erro
 	default:
 		wk.groups.reset() // the partial's groups are taken up again as rows meet them
 	}
-	for lo, runCap := 0, len(wk.sc.ones); lo < len(p.rows); lo += runCap {
-		hi := min(lo+runCap, len(p.rows))
-		sel, sids, ws := wk.sc.orderRun(p.rows[lo:hi]), p.sids[lo:hi], wk.sc.ws
+	for lo, runCap := 0, len(wk.sc.ones); lo < len(p.deferRows); lo += runCap {
+		hi := min(lo+runCap, len(p.deferRows))
+		sel, sids, ws := wk.sc.orderRun(p.deferRows[lo:hi]), p.sids[lo:hi], wk.sc.ws
 		wk.distinct.KeepRows(sel, sids, ranks, ws)
 		k := 0
 		for i, r := range sel {
@@ -717,23 +737,28 @@ func (wk *morselWorker) foldDeferred(p *morselPart, seen map[string]*int32) erro
 		if wk.strataOf == nil {
 			gids = sids[:k]
 		}
-		if err := wk.foldKept(p.groups, global, sel[:k], 1, ws[:k], gids, &wk.counters); err != nil {
+		if err := wk.foldKept(p.groups, global, sel[:k], 1, ws[:k], gids, &p.counters); err != nil {
 			return err
 		}
 	}
 	for i, st := range p.strata {
 		*seen[st.key] = ranks[i]
 	}
+	if wk.op.agg == nil {
+		p.rows, wk.out = wk.out, nil
+		if len(p.deferRows) > 0 {
+			slices.SortStableFunc(p.rows, func(a, b emitted) int { return cmp.Compare(a.row, b.row) })
+		}
+	}
 	return nil
 }
 
-// foldKept accumulates the rows the samplers kept — sel, each weighing w
-// or, with ws set, ws[i], and, with gids set, of the group gids[i] of the
-// resolver's list — into groups, tallying into c.
+// foldKept folds the rows the samplers kept — sel, each weighing w or,
+// with ws set, ws[i], and, with gids set, of the group gids[i] of the
+// resolver's list — into groups, tallying into c: through the joins, when
+// the pipeline has any, and then fold.
 func (wk *morselWorker) foldKept(groups map[string]*groupState, global *groupState,
 	sel []int32, w float64, ws []float64, gids []int32, c *Counters) error {
-	op := wk.op
-	kern := &op.kern
 	sameWeight := ws == nil
 	switch {
 	case !sameWeight:
@@ -751,29 +776,55 @@ func (wk *morselWorker) foldKept(groups map[string]*groupState, global *groupSta
 		}
 	}
 	c.RowsEmitted += int64(len(sel))
-	for _, f := range kern.residual {
-		kept, err := f.narrow(wk.sc, mappedRow{t: wk.table, out: op.outIdx}, sel, wk.sc.kept)
-		if err != nil {
-			return err
-		}
-		// The weights (and group ids) follow their rows: kept is a
-		// subsequence of sel.
-		k := 0
-		for i, r := range sel {
-			if k < len(kept) && kept[k] == r {
-				sel[k], ws[k] = r, ws[i]
-				if gids != nil {
-					gids[k] = gids[i]
-				}
-				k++
+	if len(wk.levels) > 0 {
+		return wk.probe(0, groups, global, sel, ws)
+	}
+	return wk.fold(groups, global, sel, w, ws, gids, sameWeight)
+}
+
+// narrow keeps the rows of sel that f holds, at the positions row reads;
+// their weights (and group ids) follow them.
+func (wk *morselWorker) narrow(f rowFilter, row mappedRow, sel []int32, ws []float64, gids []int32) ([]int32, []float64, []int32, error) {
+	kept, err := f.narrow(wk.sc, row, sel, wk.sc.kept)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	// kept is a subsequence of sel.
+	k := 0
+	for i, r := range sel {
+		if k < len(kept) && kept[k] == r {
+			sel[k], ws[k] = r, ws[i]
+			if gids != nil {
+				gids[k] = gids[i]
 			}
+			k++
 		}
-		if sel, ws = sel[:k], ws[:k]; gids != nil {
-			gids = gids[:k]
+	}
+	if gids != nil {
+		gids = gids[:k]
+	}
+	return sel[:k], ws[:k], gids, nil
+}
+
+// fold applies the residual predicates to the rows sel — positions of the
+// joined row after a join — and hands the survivors to the terminal: the
+// row terminal emits them, the aggregate accumulates them into groups.
+func (wk *morselWorker) fold(groups map[string]*groupState, global *groupState,
+	sel []int32, w float64, ws []float64, gids []int32, sameWeight bool) error {
+	op := wk.op
+	kern := &op.kern
+	row := mappedRow{v: &op.view, at: wk.sc.at}
+	for _, f := range kern.residual {
+		var err error
+		if sel, ws, gids, err = wk.narrow(f, row, sel, ws, gids); err != nil {
+			return err
 		}
 	}
 	if len(sel) == 0 {
 		return nil
+	}
+	if op.agg == nil {
+		return wk.emit(sel, ws)
 	}
 	weighted := w != 1
 	for i := 0; !sameWeight && !weighted && i < len(ws); i++ {
@@ -815,13 +866,13 @@ func (wk *morselWorker) foldKept(groups map[string]*groupState, global *groupSta
 		}
 	}
 
-	for j, spec := range op.node.Aggs {
+	for j, spec := range op.agg.Aggs {
 		mode := kern.slotMode[j]
 		var vals []float64
 		var nulls []bool
 		switch mode {
 		case slotGeneral:
-			mr := mappedRow{t: wk.table, out: op.outIdx}
+			mr := row
 			g := 0
 			for i, r := range sel {
 				if len(ends) == 0 {
@@ -892,6 +943,33 @@ func (wk *morselWorker) foldKept(groups map[string]*groupState, global *groupSta
 			}
 			st.nonNull++
 		}
+	}
+	return nil
+}
+
+// emit is the row terminal: each row of sel, with its weight and, under a
+// projection, its values, joins the morsel's rows.
+func (wk *morselWorker) emit(sel []int32, ws []float64) error {
+	var exprs []expr.Expr
+	if p := wk.op.project; p != nil {
+		exprs = p.Exprs
+	}
+	vals := make([]storage.Value, len(sel)*len(exprs))
+	row := mappedRow{v: &wk.op.view, at: wk.sc.at}
+	for i, pos := range sel {
+		e := emitted{row: pos, w: ws[i], vals: vals[:len(exprs):len(exprs)]}
+		if row.at != nil {
+			e.row = row.at[0][pos]
+		}
+		vals, row.idx = vals[len(exprs):], int(pos)
+		for k, x := range exprs {
+			v, err := x.Eval(row)
+			if err != nil {
+				return err
+			}
+			e.vals[k] = v
+		}
+		wk.out = append(wk.out, e)
 	}
 	return nil
 }

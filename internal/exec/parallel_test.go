@@ -88,17 +88,14 @@ var parallelQueries = []string{
 	"SELECT COUNT(*) FROM ev TABLESAMPLE UNIVERSE (30) ON (g)",
 }
 
-// TestParallelMatchesSerial checks the morsel path against the serial
-// Volcano operators. The two accumulate floats in different orders, so
-// float aggregates compare under a relative tolerance; everything else
-// must match exactly.
+// TestParallelMatchesSerial checks the morsel path at four workers against
+// the row-at-a-time oracle. Percentiles and exponential measures put the
+// float order to the test, so float aggregates compare under a relative
+// tolerance; everything else must match exactly.
 func TestParallelMatchesSerial(t *testing.T) {
 	cat := parallelCatalog(t, 40_000)
 	for _, sql := range parallelQueries {
-		serial, err := Run(buildPlan(t, cat, sql))
-		if err != nil {
-			t.Fatalf("serial %q: %v", sql, err)
-		}
+		serial := oracleRun(t, buildPlan(t, cat, sql))
 		par, err := RunParallel(buildPlan(t, cat, sql), 4)
 		if err != nil {
 			t.Fatalf("parallel %q: %v", sql, err)
@@ -213,7 +210,7 @@ func distinctCatalog(t testing.TB) *storage.Catalog {
 
 // TestParallelDistinctKeepsTheSerialSample: the distinct sampler counts
 // rows per stratum in scan order, and the morsel path must keep exactly the
-// rows, at exactly the weights, the serial scan's sampler keeps — for any
+// rows, at exactly the weights, the oracle's serial sampler keeps — for any
 // worker count. Sums here are exact integers, so equality to the bit pins
 // the kept set and the weights, not the rounding.
 func TestParallelDistinctKeepsTheSerialSample(t *testing.T) {
@@ -255,10 +252,7 @@ func TestParallelDistinctKeepsTheSerialSample(t *testing.T) {
 		"global aggregate": plain("SELECT COUNT(*), SUM(v), AVG(v) FROM d TABLESAMPLE DISTINCT (6.25, 30) ON (s)"),
 	}
 	for name, build := range cases {
-		serial, err := Run(build())
-		if err != nil {
-			t.Fatalf("%s: serial: %v", name, err)
-		}
+		serial := oracleRun(t, build())
 		if name == "filter and residual" {
 			for _, row := range serial.Rows {
 				if row[0] == storage.Str("rare") {
@@ -275,7 +269,7 @@ func TestParallelDistinctKeepsTheSerialSample(t *testing.T) {
 				t.Fatalf("%s W=%d: %v", name, workers, err)
 			}
 			if err := sameResult(par, serial); err != nil {
-				t.Errorf("%s W=%d: morsel path vs serial: %v", name, workers, err)
+				t.Errorf("%s W=%d: morsel path vs oracle: %v", name, workers, err)
 			}
 		}
 	}

@@ -4,7 +4,7 @@ package exec
 //
 // Sharded scatter-gather execution fans a query's aggregate subtree out to
 // independent shards, each of which returns an AggPartial — the same
-// mergeable group states the morsel-parallel operator folds internally —
+// mergeable group states the morsel path folds internally —
 // and the gather step merges them in shard order, finalizes once, and
 // re-applies the plan nodes sitting above the aggregate (HAVING filter,
 // projection, sort, limit). Merging HT partials across shards is exactly
@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"time"
 
 	"repro/internal/plan"
 )
@@ -44,13 +45,11 @@ func EmptyAggPartial() *AggPartial {
 }
 
 // RunAggPartialContext executes root's aggregate subtree — the (single)
-// Aggregate node and everything below it — and returns the mergeable
-// partial state without finalizing it: the local-partial step of
-// RunParallelContext alone. Eligible aggregate-over-scan shapes run on the
-// morsel-parallel path with the given worker count; other shapes (e.g. the
-// stateful distinct sampler) accumulate serially. Plan nodes above the
-// aggregate are not executed here; FinalizeAggPartial re-applies them after
-// partials are merged.
+// Aggregate node and everything below it — on the morsel path with the
+// given worker count and returns the mergeable partial state without
+// finalizing it: the first step of RunParallelContext alone. Plan nodes
+// above the aggregate are not executed here; FinalizeAggPartial re-applies
+// them after partials are merged.
 func RunAggPartialContext(ctx context.Context, root plan.Node, workers int) (*AggPartial, error) {
 	a := plan.FindAggregate(root)
 	if a == nil {
@@ -59,15 +58,15 @@ func RunAggPartialContext(ctx context.Context, root plan.Node, workers int) (*Ag
 	if workers <= 0 {
 		workers = ResolveWorkers(ctx, 0)
 	}
+	t0 := time.Now()
 	part := &AggPartial{}
-	op, err := newAggOp(ctx, a, &part.Counters, aggSource{workers: workers}, "partial")
+	groups, sp, err := aggGroups(ctx, a, nil, &part.Counters, workers, " partial")
 	if err != nil {
 		return nil, err
 	}
-	if part.groups, err = op.partial(); err != nil {
-		return nil, err
-	}
-	op.sp.AddRows(int64(len(part.groups)))
+	part.groups = groups
+	sp.AddTime(time.Since(t0))
+	sp.AddRows(int64(len(groups)))
 	return part, nil
 }
 
@@ -166,5 +165,5 @@ func (p *AggPartial) ScaleForCoverage(r float64) {
 // exactly like an unsharded run. The partial's counters are carried into
 // the result. A plan with no aggregate to take the partial is an error.
 func FinalizeAggPartial(ctx context.Context, root plan.Node, part *AggPartial) (*Result, error) {
-	return run(ctx, root, aggSource{part: part})
+	return run(ctx, root, part, 0)
 }

@@ -66,7 +66,7 @@ func TestPercentileSampled(t *testing.T) {
 		}
 		plan.ApplySampler(p, "p", sample.Spec{
 			Kind: sample.KindUniformRow, Rate: 0.05, Seed: int64(tr) * 31})
-		res, err := Run(p)
+		res, err := RunParallel(p, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,15 +1,16 @@
-// Package exec implements the physical, streaming (Volcano-style, batched)
-// executor for logical plans: table scans with inline sampling, filters,
-// projections, hash joins, weighted hash aggregation with
-// Horvitz–Thompson variance tracking, sorting, and limits.
+// Package exec executes logical plans on one morsel-driven scan loop: the
+// table at the bottom of a plan's left-deep chain is read a run of rows at
+// a time through vector kernels — filter, inline sampler, the probes of the
+// joins' build sides (each scanned once, on the same loop), residual
+// predicates — into a terminal that folds the rows into weighted hash
+// aggregation with Horvitz–Thompson variance tracking, or emits them; the
+// chain above (HAVING, projection, sort, limit) runs over the materialized
+// result. Any worker count gives the same answer, bit for bit.
 package exec
 
 import (
 	"repro/internal/storage"
 )
-
-// BatchSize is the number of rows per batch flowing between operators.
-const BatchSize = 4096
 
 // AggDetail carries the statistical state of one aggregate in one group,
 // used by AQP engines to build confidence intervals.
@@ -43,27 +44,6 @@ type GroupDetail struct {
 	Aggs []AggDetail
 }
 
-// Batch is a unit of rows flowing between operators.
-type Batch struct {
-	Rows [][]storage.Value
-	// Weights are per-row Horvitz–Thompson weights; nil means all 1.
-	Weights []float64
-	// Details, when non-nil, parallels Rows with per-group statistics
-	// produced by an upstream aggregation.
-	Details []*GroupDetail
-}
-
-// Len returns the number of rows in the batch.
-func (b *Batch) Len() int { return len(b.Rows) }
-
-// Weight returns the weight of row i.
-func (b *Batch) Weight(i int) float64 {
-	if b.Weights == nil {
-		return 1
-	}
-	return b.Weights[i]
-}
-
 // Counters tallies the physical work of a plan execution; the experiment
 // harness uses them as scale-free cost measures.
 type Counters struct {
@@ -89,16 +69,7 @@ func (c *Counters) Add(o Counters) {
 	c.Passes += o.Passes
 }
 
-// Operator is a physical operator. Usage: Open, then Next until it
-// returns a nil batch, then Close.
-type Operator interface {
-	Schema() storage.Schema
-	Open() error
-	Next() (*Batch, error)
-	Close() error
-}
-
-// Result is a fully drained plan execution.
+// Result is a plan execution, materialized.
 type Result struct {
 	Schema storage.Schema
 	Rows   [][]storage.Value

@@ -3,137 +3,228 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sort"
+	"time"
 
+	"repro/internal/expr"
 	"repro/internal/plan"
+	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
-// aggSource says where a plan's Aggregate node gets its group states —
-// the one step that differs between executions of the same plan. The rows
-// below the aggregate and the chain above it (HAVING filter, projection,
-// sort, limit) are built the same way whatever the source.
-type aggSource struct {
-	// part, when set, was computed and merged elsewhere (the gather side of
-	// a scatter) and is only finalized here; the rows below are not run.
-	part *AggPartial
-	// workers > 0 lets a morselEligible aggregate compute its partial on
-	// the morsel path; 0 is the serial interpreter.
-	workers int
+// RunParallel executes a logical plan with the given worker count.
+func RunParallel(root plan.Node, workers int) (*Result, error) {
+	return RunParallelContext(context.Background(), root, workers)
 }
 
-// build compiles a logical plan into a physical operator tree. All scans
-// share the provided counters and check ctx between batches, so long scans
-// observe cancellation and deadlines at BatchSize granularity. When the
-// context carries a trace span, every operator is wrapped with span
-// accounting under a child span named by the plan node.
-func build(ctx context.Context, n plan.Node, counters *Counters, src aggSource) (Operator, error) {
-	if a, ok := n.(*plan.Aggregate); ok {
-		// The aggregate opens its own span: the label says how it runs.
-		op, err := newAggOp(ctx, a, counters, src, "")
+// RunParallelContext executes a logical plan under ctx with the given
+// worker count (≤ 0 resolves via ResolveWorkers). Every plan runs on the
+// morsel path: the aggregate's partial, or a plan without one's projected
+// rows, then the chain above. A cancelled or expired context stops the scan
+// at the next block with ctx.Err().
+func RunParallelContext(ctx context.Context, root plan.Node, workers int) (*Result, error) {
+	if workers <= 0 {
+		workers = ResolveWorkers(ctx, 0)
+	}
+	return run(ctx, root, nil, workers)
+}
+
+// run executes root: the rows at its bottom — the aggregate's groups, taken
+// from part when it is set, or a plan without an aggregate's projected
+// rows — then the chain above them. Each node of the chain keeps a span,
+// nested as the plan is, timed inclusively of the work below it.
+func run(ctx context.Context, root plan.Node, part *AggPartial, workers int) (*Result, error) {
+	agg := plan.FindAggregate(root)
+	if part != nil && agg == nil {
+		return nil, fmt.Errorf("exec: plan is not gatherable: it has no aggregate to take the partial")
+	}
+	var chain []plan.Node // top first
+	bottom := root
+	for above := true; above; {
+		switch bottom.(type) {
+		case *plan.Limit, *plan.Sort:
+		case *plan.Filter, *plan.Project:
+			above = agg != nil
+		default:
+			above = false
+		}
+		if above {
+			chain, bottom = append(chain, bottom), bottom.Children()[0]
+		}
+	}
+	spans := make([]*trace.Span, len(chain))
+	for i, n := range chain {
+		spans[i], ctx = trace.StartOp(ctx, n.Explain())
+	}
+	t0 := time.Now()
+	res := &Result{Schema: bottom.Schema()}
+	if agg != nil {
+		groups, sp, err := aggGroups(ctx, agg, part, &res.Counters, workers, "")
 		if err != nil {
 			return nil, err
 		}
-		return wrapOp(op, op.sp), nil
-	}
-	sp, cctx := trace.StartOp(ctx, n.Explain())
-	var err error
-	child := func(c plan.Node) Operator {
-		if err != nil {
-			return nil
-		}
-		var op Operator
-		op, err = build(cctx, c, counters, src)
-		return op
-	}
-	var op Operator
-	switch t := n.(type) {
-	case *plan.Scan:
-		if src.part != nil {
-			return nil, fmt.Errorf("exec: plan is not gatherable: scan of %s is not below an aggregate", t.TableName)
-		}
-		op, err = newScanOp(cctx, t, counters)
-	case *plan.Filter:
-		op = &filterOp{child: child(t.Child), pred: t.Pred}
-	case *plan.Project:
-		op = &projectOp{child: child(t.Child), node: t, schema: t.Schema()}
-	case *plan.Join:
-		op = &hashJoinOp{node: t, left: child(t.Left), right: child(t.Right), schema: t.Schema()}
-	case *plan.Sort:
-		op = &sortOp{node: t, child: child(t.Child)}
-	case *plan.Limit:
-		op = &limitOp{child: child(t.Child), n: t.N}
-	default:
-		err = fmt.Errorf("exec: unknown plan node %T", n)
-	}
-	if err != nil {
+		res.Rows, res.Details = finalizeGroups(agg, groups)
+		sp.AddTime(time.Since(t0))
+		sp.AddRows(int64(len(res.Rows)))
+	} else if err := runRows(ctx, bottom, chain, res, workers); err != nil {
 		return nil, err
 	}
-	return wrapOp(op, sp), nil
-}
-
-// Run executes a logical plan to completion on the serial operators,
-// materializing the result. It is the interpreter reference the kernel and
-// morsel paths are tested against.
-func Run(root plan.Node) (*Result, error) {
-	return run(context.Background(), root, aggSource{})
-}
-
-// run builds root around the given aggregate source, drains it to a
-// materialized Result under ctx, and closes it. Scans check the context
-// between batches, so a deadline or cancellation aborts the query mid-scan
-// with ctx.Err() rather than running to completion.
-func run(ctx context.Context, root plan.Node, src aggSource) (*Result, error) {
-	var counters Counters
-	if src.part != nil {
-		counters = src.part.Counters
-	}
-	op, err := build(ctx, root, &counters, src)
-	if err != nil {
-		return nil, err
-	}
-	if err := op.Open(); err != nil {
-		return nil, err
-	}
-	res := &Result{Schema: root.Schema()}
-	for {
-		if err := ctx.Err(); err != nil {
-			_ = op.Close()
+	for i := len(chain) - 1; i >= 0; i-- {
+		if err := applyNode(chain[i], res); err != nil {
 			return nil, err
 		}
-		b, err := op.Next()
-		if err != nil {
-			_ = op.Close()
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		for i, row := range b.Rows {
-			res.Rows = append(res.Rows, row)
-			if b.Weights != nil {
-				if res.Weights == nil {
-					res.Weights = make([]float64, len(res.Rows)-1)
-					for j := range res.Weights {
-						res.Weights[j] = 1
-					}
-				}
-				res.Weights = append(res.Weights, b.Weights[i])
-			} else if res.Weights != nil {
-				res.Weights = append(res.Weights, 1)
-			}
-			if b.Details != nil {
-				if res.Details == nil {
-					res.Details = make([]*GroupDetail, len(res.Rows)-1)
-				}
-				res.Details = append(res.Details, b.Details[i])
-			} else if res.Details != nil {
-				res.Details = append(res.Details, nil)
-			}
-		}
+		spans[i].AddTime(time.Since(t0))
+		spans[i].AddRows(int64(len(res.Rows)))
 	}
-	if err := op.Close(); err != nil {
-		return nil, err
-	}
-	res.Counters = counters
 	return res, nil
+}
+
+// aggGroups opens the aggregate's span, labelled with how its groups are
+// obtained, and returns them: the partial handed in (the gather side of a
+// scatter), or the rows below folded on the morsel path. step marks a run
+// that stops at the partial.
+func aggGroups(ctx context.Context, a *plan.Aggregate, part *AggPartial, counters *Counters,
+	workers int, step string) (map[string]*groupState, *trace.Span, error) {
+	if part != nil {
+		sp, _ := trace.StartOp(ctx, a.Explain()+" [gather]")
+		sp.SetAttrInt("groups", int64(len(part.groups)))
+		*counters = part.Counters
+		return part.groups, sp, nil
+	}
+	sp, ctx := trace.StartOp(ctx, a.Explain()+" [morsel"+step+"]")
+	op, err := newMorselRun(ctx, a.Child, counters, workers, sp)
+	if err != nil {
+		return nil, nil, err
+	}
+	op.agg = a
+	groups, _, err := op.run()
+	return groups, sp, err
+}
+
+// runRows runs a plan without an aggregate: its projection's rows, in scan
+// order. A LIMIT right above it, with no ORDER BY between, lets the scan
+// stop once it holds the rows.
+func runRows(ctx context.Context, bottom plan.Node, chain []plan.Node, res *Result, workers int) error {
+	p, ok := bottom.(*plan.Project)
+	if !ok {
+		return fmt.Errorf("exec: plan has neither an aggregate nor a projection: %s", bottom.Explain())
+	}
+	t0 := time.Now()
+	sp, ctx := trace.StartOp(ctx, p.Explain()+" [morsel]")
+	op, err := newMorselRun(ctx, p.Child, &res.Counters, workers, sp)
+	if err != nil {
+		return err
+	}
+	op.project = p
+	if len(chain) > 0 {
+		if l, ok := chain[len(chain)-1].(*plan.Limit); ok {
+			op.limit = l.N
+		}
+	}
+	_, rows, err := op.run()
+	if err != nil {
+		return err
+	}
+	for _, e := range rows {
+		res.Rows, res.Weights = append(res.Rows, e.vals), append(res.Weights, e.w)
+	}
+	if !slices.ContainsFunc(res.Weights, func(w float64) bool { return w != 1 }) {
+		res.Weights = nil // all 1
+	}
+	sp.AddTime(time.Since(t0))
+	sp.AddRows(int64(len(rows)))
+	return nil
+}
+
+// applyNode runs one node of the chain over the materialized rows below
+// it; weights and group details follow their rows.
+func applyNode(n plan.Node, res *Result) error {
+	res.Schema = n.Schema()
+	switch t := n.(type) {
+	case *plan.Filter:
+		var keep []int
+		for i, row := range res.Rows {
+			ok, err := expr.EvalBool(t.Pred, expr.ValuesRow(row))
+			if err != nil {
+				return err
+			}
+			if ok {
+				keep = append(keep, i)
+			}
+		}
+		res.pick(keep)
+	case *plan.Project:
+		for i, row := range res.Rows {
+			vals := make([]storage.Value, len(t.Exprs))
+			for j, e := range t.Exprs {
+				v, err := e.Eval(expr.ValuesRow(row))
+				if err != nil {
+					return err
+				}
+				vals[j] = v
+			}
+			res.Rows[i] = vals
+		}
+	case *plan.Sort:
+		return sortRows(res, t.Keys)
+	case *plan.Limit:
+		if len(res.Rows) > t.N {
+			res.pick(firstN(t.N))
+		}
+	}
+	return nil
+}
+
+// pick keeps the rows at idx, in idx's order, with their weights and
+// details.
+func (r *Result) pick(idx []int) {
+	r.Rows, r.Weights, r.Details = permute(r.Rows, idx), permute(r.Weights, idx), permute(r.Details, idx)
+}
+
+// permute returns s's elements at idx, or nil for none.
+func permute[T any](s []T, idx []int) []T {
+	if s == nil || len(idx) == 0 {
+		return nil
+	}
+	out := make([]T, len(idx))
+	for i, j := range idx {
+		out[i] = s[j]
+	}
+	return out
+}
+
+// sortRows orders the rows by the sort keys, stably.
+func sortRows(r *Result, keys []plan.SortKey) error {
+	vals := make([][]storage.Value, len(r.Rows))
+	for i, row := range r.Rows {
+		vals[i] = make([]storage.Value, len(keys))
+		for k, sk := range keys {
+			v, err := sk.Expr.Eval(expr.ValuesRow(row))
+			if err != nil {
+				return err
+			}
+			vals[i][k] = v
+		}
+	}
+	idx := firstN(len(r.Rows))
+	sort.SliceStable(idx, func(a, b int) bool {
+		for k, sk := range keys {
+			if c := vals[idx[a]][k].Compare(vals[idx[b]][k]); c != 0 {
+				return (c < 0) != sk.Desc
+			}
+		}
+		return false
+	})
+	r.pick(idx)
+	return nil
+}
+
+// firstN returns 0, 1, …, n-1.
+func firstN(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
 }

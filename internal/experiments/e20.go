@@ -11,15 +11,15 @@ import (
 )
 
 func init() {
-	register("E20", "morsel-driven parallel speedup vs the serial Volcano executor", runE20)
+	register("E20", "morsel-driven parallel speedup over one worker", runE20)
 }
 
 // E20 — intra-query parallelism. The morsel-driven path splits the scan
 // into block-aligned morsels, aggregates each on a worker, and merges
 // partial states in morsel order, so the answer is bit-identical for any
-// worker count. This experiment measures the speedup of that path over
-// the legacy serial Volcano executor on an exact aggregate scan, and
-// verifies that every mode returns the same answer.
+// worker count. This experiment measures the speedup of more workers over
+// one on an exact aggregate scan, and verifies that every worker count
+// returns the same answer.
 func runE20(s Scale) (*Table, error) {
 	ev, err := workload.GenerateEvents(workload.EventsConfig{
 		Seed: s.Seed, Rows: s.Rows, NumGroups: 16, ValueDist: "exp"})
@@ -67,9 +67,7 @@ func runE20(s Scale) (*Table, error) {
 		workers int
 		run     func(plan.Node) (*exec.Result, error)
 	}
-	modes := []mode{
-		{"volcano-serial", 0, func(p plan.Node) (*exec.Result, error) { return exec.Run(p) }},
-	}
+	var modes []mode
 	for _, w := range []int{1, 2, 4} {
 		w := w
 		modes = append(modes, mode{fmt.Sprintf("morsel-w%d", w), w,
@@ -77,39 +75,26 @@ func runE20(s Scale) (*Table, error) {
 	}
 
 	t := &Table{ID: "E20", Title: "morsel-driven parallel speedup on an exact aggregate scan",
-		Header: []string{"mode", "workers", "best_latency", "speedup_vs_serial", "rows_scanned", "sum"}}
-	var serial time.Duration
-	var volcanoSum, morselSum float64
-	var morselSet bool
-	for _, m := range modes {
+		Header: []string{"mode", "workers", "best_latency", "speedup_vs_w1", "rows_scanned", "sum"}}
+	var one time.Duration
+	var oneSum float64
+	for i, m := range modes {
 		el, res, err := timeIt(m.run)
 		if err != nil {
 			return nil, err
 		}
+		// Every worker count must return the one worker's answer, bit for bit.
 		sum := res.Rows[0][0].AsFloat()
-		if m.workers == 0 {
-			serial = el
-			volcanoSum = sum
-		} else if !morselSet {
-			// The Volcano executor accumulates in a different float order,
-			// so it agrees only to rounding; morsel modes must be
-			// bit-identical to each other regardless of worker count.
-			morselSum, morselSet = sum, true
-			if relErr(sum, volcanoSum) > 1e-9 {
-				return nil, fmt.Errorf("experiments: morsel answer %v far from serial %v", sum, volcanoSum)
-			}
-		} else if sum != morselSum {
-			return nil, fmt.Errorf("experiments: mode %s answer %v != morsel reference %v", m.name, sum, morselSum)
+		if i == 0 {
+			one, oneSum = el, sum
+		} else if sum != oneSum {
+			return nil, fmt.Errorf("experiments: mode %s answer %v != one worker's %v", m.name, sum, oneSum)
 		}
-		workers := "-"
-		if m.workers > 0 {
-			workers = itoa(int64(m.workers))
-		}
-		t.AddRow(m.name, workers, el.Round(time.Microsecond).String(),
-			f2(float64(serial)/float64(el)), itoa(res.Counters.RowsScanned), f2(sum))
+		t.AddRow(m.name, itoa(int64(m.workers)), el.Round(time.Microsecond).String(),
+			f2(float64(one)/float64(el)), itoa(res.Counters.RowsScanned), f2(sum))
 	}
 	t.AddNote("morsel workers aggregate block-aligned morsels and merge partials in morsel order")
-	t.AddNote("answers are bit-identical across modes and worker counts (checked above)")
-	t.AddNote("on a single-core host the speedup comes from the fused morsel pipeline, not concurrency")
+	t.AddNote("answers are bit-identical across worker counts (checked above)")
+	t.AddNote("speedup is over one worker; past the host's core count more workers add nothing")
 	return t, nil
 }

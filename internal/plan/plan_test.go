@@ -208,7 +208,7 @@ func TestPushdownEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		r1, err := exec.Run(optimized)
+		r1, err := exec.RunParallel(optimized, 1)
 		if err != nil {
 			return false
 		}
