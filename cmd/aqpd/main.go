@@ -100,7 +100,7 @@ func main() {
 		shardKey   = flag.String("shard-key", "", "shard-routing column (required with -shards > 1)")
 		shardKind  = flag.String("shard-kind", "hash", "shard routing: hash or range")
 		shardTable = flag.String("shard-table", "", "table to shard (default: every table that has the -shard-key column)")
-		shardServe = flag.Bool("shard-serve", false, "run as a shard server: serve one loaded table's partition over the shard wire protocol (/shard/estimate, /shard/rebuild, /shard/health) instead of the full query API")
+		shardServe = flag.Bool("shard-serve", false, "run as a shard server: serve one loaded table's partition over the shard wire protocol (/shard/estimate, /shard/health) instead of the full query API")
 		shardID    = flag.Int("shard-id", 0, "this shard's index within its group (with -shard-serve)")
 		remoteCall = flag.Duration("remote-call-timeout", 0, "per-call deadline on remote-shard RPCs (0 = library default)")
 		remoteHdg  = flag.Duration("remote-hedge-delay", 0, "remote-shard hedge delay (0 = adaptive p95, negative disables hedging)")

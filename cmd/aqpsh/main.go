@@ -474,8 +474,8 @@ func meta(sh *shell, line string) bool {
 		for _, n := range names {
 			g := db.Shards().Get(n)
 			fmt.Printf("%s: %s, %d rows\n", n, g.Key(), g.Rows())
-			fmt.Printf("  %-6s %-7s %10s %8s %8s %12s %8s  %s\n",
-				"SHARD", "KIND", "ROWS", "OPEN", "TRIPS", "SAMPLE_ROWS", "FRESH", "REMOTE")
+			fmt.Printf("  %-6s %-7s %10s %8s %8s  %s\n",
+				"SHARD", "KIND", "ROWS", "OPEN", "TRIPS", "REMOTE")
 			for _, h := range g.Health() {
 				remote := ""
 				if h.Kind == "remote" {
@@ -486,8 +486,8 @@ func meta(sh *shell, line string) bool {
 					remote = fmt.Sprintf("%s %s probe=%.1fms retries=%d hedges=%d/%d",
 						h.Addr, state, h.ProbeLatencyMS, h.Retries, h.HedgeWins, h.Hedges)
 				}
-				fmt.Printf("  %-6d %-7s %10d %8v %8d %12d %8v  %s\n",
-					h.ID, h.Kind, h.Rows, h.Open, h.Trips, h.SampleRows, h.SampleFresh, remote)
+				fmt.Printf("  %-6d %-7s %10d %8v %8d  %s\n",
+					h.ID, h.Kind, h.Rows, h.Open, h.Trips, remote)
 			}
 		}
 	case "\\synopsis":

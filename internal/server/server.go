@@ -598,7 +598,7 @@ type ShardGroupStatus struct {
 }
 
 // handleShards reports every sharded table's layout and per-shard health
-// (row counts, sample freshness, breaker state and trip counts).
+// (row counts, liveness, breaker state and trip counts).
 func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")

@@ -1,15 +1,16 @@
 package server
 
 // ShardServer: the serving side of the remote-shard RPC seam. One process
-// holds one partition of one table and exposes the three wire endpoints
-// (estimate / rebuild / health). It is deliberately dumb — no admission
-// control, no engines, no degradation ladder — because the coordinator
-// owns query semantics: the shard server's only job is to run an
-// aggregate subtree over its rows with the sampler spec it was handed
-// (seeds already shard-derived) and ship the partial state back bit-true.
-// Malformed or version-skewed requests are refused loudly with 4xx, which
-// the client treats as permanent (no retry); execution failures are 5xx,
-// which the client's retry envelope may re-attempt.
+// holds one partition of one table and exposes the two wire endpoints
+// (estimate / health). It is deliberately dumb — no admission control, no
+// engines, no degradation ladder — because the coordinator owns query
+// semantics: the shard server's only job is to run an aggregate subtree
+// over its rows with the sampler spec it was handed (seeds already
+// shard-derived) and ship the partial state back bit-true, as the raw
+// bytes of the partial wire format. Malformed, oversized or
+// version-skewed requests are refused loudly with 4xx, which the client
+// treats as permanent (no retry); execution failures are 5xx, which the
+// client's retry envelope may re-attempt.
 
 import (
 	"context"
@@ -18,6 +19,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"strconv"
 
 	"repro/internal/exec"
 	"repro/internal/fault"
@@ -31,6 +33,9 @@ import (
 // can fail the server side of the seam as well as the client side.
 var injectShardServe = fault.NewPoint("shardserver.estimate",
 	"shard server: estimate execution")
+
+// maxRequestBytes bounds an estimate request body.
+const maxRequestBytes = 1 << 20
 
 // ShardServerConfig configures one shard-server process.
 type ShardServerConfig struct {
@@ -66,7 +71,6 @@ func NewShardServer(t *storage.Table, cfg ShardServerConfig) *ShardServer {
 func (s *ShardServer) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/shard/estimate", s.handleEstimate)
-	mux.HandleFunc("/shard/rebuild", s.handleRebuild)
 	mux.HandleFunc("/shard/health", s.handleHealth)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
@@ -79,9 +83,13 @@ func (s *ShardServer) readBody(w http.ResponseWriter, r *http.Request, v any) bo
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return false
 	}
-	data, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	data, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes+1))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "read body: %v", err)
+		return false
+	}
+	if len(data) > maxRequestBytes {
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxRequestBytes)
 		return false
 	}
 	if err := json.Unmarshal(data, v); err != nil {
@@ -145,13 +153,17 @@ func (s *ShardServer) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "encode partial: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, shard.EstimateResponse{
-		V:       shard.WireVersion,
-		ShardID: s.cfg.ShardID,
-		Rows:    s.shard.Rows(),
-		TraceID: traceID,
-		Partial: blob,
-	})
+	h := w.Header()
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Content-Length", strconv.Itoa(len(blob)))
+	h.Set(shard.HeaderWireVersion, strconv.Itoa(shard.WireVersion))
+	h.Set(shard.HeaderShardID, strconv.Itoa(s.cfg.ShardID))
+	h.Set(shard.HeaderRows, strconv.Itoa(s.shard.Rows()))
+	if traceID != "" {
+		h.Set(shard.HeaderTraceID, traceID)
+	}
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(blob)
 }
 
 // estimate runs the shard's estimate with panic containment: an injected
@@ -166,38 +178,15 @@ func (s *ShardServer) estimate(ctx context.Context, q shard.Query, workers int) 
 	return s.shard.Estimate(ctx, q, workers)
 }
 
-func (s *ShardServer) handleRebuild(w http.ResponseWriter, r *http.Request) {
-	var req shard.RebuildRequest
-	if !s.readBody(w, r, &req) {
-		return
-	}
-	if req.V != shard.WireVersion {
-		writeError(w, http.StatusBadRequest,
-			"rebuild request wire version %d unsupported (this build speaks v%d)", req.V, shard.WireVersion)
-		return
-	}
-	if !s.checkTable(w, req.Table) {
-		return
-	}
-	if err := s.shard.Rebuild(req.Rate, req.Seed); err != nil {
-		writeError(w, http.StatusBadRequest, "rebuild: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, shard.RebuildResponse{V: shard.WireVersion, SampleRows: s.shard.Health().SampleRows})
-}
-
 func (s *ShardServer) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	h := s.shard.Health()
 	writeJSON(w, http.StatusOK, shard.HealthWire{
-		V:           shard.WireVersion,
-		ShardID:     s.cfg.ShardID,
-		Table:       s.cfg.Table,
-		Rows:        h.Rows,
-		SampleRows:  h.SampleRows,
-		SampleFresh: h.SampleFresh,
+		V:       shard.WireVersion,
+		ShardID: s.cfg.ShardID,
+		Table:   s.cfg.Table,
+		Rows:    s.shard.Rows(),
 	})
 }

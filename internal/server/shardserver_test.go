@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	aqp "repro"
+	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/shard"
 )
@@ -274,9 +276,9 @@ func TestRemoteClusterKillDegradedHonest(t *testing.T) {
 	}
 }
 
-// TestShardServerVersionSkewRejected: the serving side refuses unknown
-// wire versions loudly with a 400 naming both versions, and refuses
-// requests for a table it does not serve.
+// TestShardServerVersionSkewRejected: the estimate endpoint refuses
+// unknown wire versions — v1 clients included — loudly with a 400 naming
+// both versions, and refuses requests for a table it does not serve.
 func TestShardServerVersionSkewRejected(t *testing.T) {
 	db := buildDB(t, 1_000)
 	tbl, err := db.Table("t")
@@ -287,23 +289,23 @@ func TestShardServerVersionSkewRejected(t *testing.T) {
 	ts := httptest.NewServer(ss.Handler())
 	defer ts.Close()
 
-	for _, path := range []string{"/shard/estimate", "/shard/rebuild"} {
-		body, _ := json.Marshal(map[string]any{"v": 99, "table": "t", "sql": "SELECT COUNT(*) FROM t"})
-		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+	for _, v := range []int{1, 99} {
+		body, _ := json.Marshal(map[string]any{"v": v, "table": "t", "sql": "SELECT COUNT(*) FROM t"})
+		resp, err := http.Post(ts.URL+"/shard/estimate", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		raw, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s with v=99: HTTP %d, want 400", path, resp.StatusCode)
+			t.Fatalf("estimate with v=%d: HTTP %d, want 400", v, resp.StatusCode)
 		}
-		if !strings.Contains(string(raw), "version 99 unsupported") {
-			t.Fatalf("%s version rejection does not name the versions: %s", path, raw)
+		if want := fmt.Sprintf("version %d unsupported (this build speaks v%d)", v, shard.WireVersion); !strings.Contains(string(raw), want) {
+			t.Fatalf("v=%d rejection does not name the versions: %s", v, raw)
 		}
 	}
 
-	body, _ := json.Marshal(map[string]any{"v": 1, "table": "other", "sql": "SELECT COUNT(*) FROM other"})
+	body, _ := json.Marshal(map[string]any{"v": shard.WireVersion, "table": "other", "sql": "SELECT COUNT(*) FROM other"})
 	resp, err := http.Post(ts.URL+"/shard/estimate", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -314,9 +316,32 @@ func TestShardServerVersionSkewRejected(t *testing.T) {
 	}
 }
 
+// TestShardServerOversizedRequestRefused: a request body over the 1 MiB
+// cap is refused by name with a 413, which the client treats as
+// permanent, instead of being parsed as a truncated prefix.
+func TestShardServerOversizedRequestRefused(t *testing.T) {
+	db := buildDB(t, 1_000)
+	tbl, err := db.Table("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewShardServer(tbl, ShardServerConfig{}).Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/shard/estimate", "application/json", bytes.NewReader(make([]byte, maxRequestBytes+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(raw), "request body exceeds 1048576 bytes") {
+		t.Fatalf("oversized request: HTTP %d %s, want a named 413", resp.StatusCode, raw)
+	}
+}
+
 // TestShardServerTraceparentEcho: the estimate handler adopts the
-// caller's traceparent and echoes the trace ID, proving context
-// propagation across the process boundary.
+// caller's traceparent and echoes the trace ID in a reply header, proving
+// context propagation across the process boundary; the body is exactly a
+// decodable partial.
 func TestShardServerTraceparentEcho(t *testing.T) {
 	db := buildDB(t, 1_000)
 	tbl, err := db.Table("t")
@@ -327,7 +352,7 @@ func TestShardServerTraceparentEcho(t *testing.T) {
 	ts := httptest.NewServer(ss.Handler())
 	defer ts.Close()
 
-	body, _ := json.Marshal(map[string]any{"v": 1, "table": "t", "sql": "SELECT COUNT(*) FROM t"})
+	body, _ := json.Marshal(map[string]any{"v": shard.WireVersion, "table": "t", "sql": "SELECT COUNT(*) FROM t"})
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/shard/estimate", bytes.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
 	const tid = "4bf92f3577b34da6a3ce929d0e0e4736"
@@ -337,73 +362,18 @@ func TestShardServerTraceparentEcho(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var er shard.EstimateResponse
-	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK || er.ShardID != 3 {
-		t.Fatalf("estimate: HTTP %d shard %d", resp.StatusCode, er.ShardID)
-	}
-	if er.TraceID != tid {
-		t.Fatalf("trace ID not echoed: got %q want %q", er.TraceID, tid)
-	}
-}
-
-// TestShardServerRebuildParity: rebuilding via the wire with a derived
-// seed produces exactly the sample a local shard would build, reported
-// through /shard/health as fresh — the rebuild path's half of the
-// local/remote parity guarantee.
-func TestShardServerRebuildParity(t *testing.T) {
-	db := buildDB(t, 8_000)
-	g, err := db.ShardTable("t", aqp.ShardKey{Column: "id", Kind: aqp.ShardHash, Count: 2})
+	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Local build for the reference sample-row counts.
-	if err := g.BuildSamples(0.25, 42); err != nil {
-		t.Fatal(err)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(shard.HeaderShardID) != "3" ||
+		resp.Header.Get(shard.HeaderRows) != "1000" || resp.Header.Get("Content-Type") != "application/octet-stream" {
+		t.Fatalf("estimate: HTTP %d headers %v", resp.StatusCode, resp.Header)
 	}
-	localRows := make([]int, 2)
-	for i, s := range g.Shards() {
-		localRows[i] = s.Health().SampleRows
+	if got := resp.Header.Get(shard.HeaderTraceID); got != tid {
+		t.Fatalf("trace ID not echoed: got %q want %q", got, tid)
 	}
-
-	// Serve the same partitions and rebuild over the wire with the same
-	// derived seeds.
-	db2 := buildDB(t, 8_000)
-	g2, err := db2.ShardTable("t", aqp.ShardKey{Column: "id", Kind: aqp.ShardHash, Count: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		ss := NewShardServer(g2.ShardTable(i), ShardServerConfig{ShardID: i, Table: "t"})
-		ts := httptest.NewServer(ss.Handler())
-		body, _ := json.Marshal(shard.RebuildRequest{V: shard.WireVersion, Table: "t", Rate: 0.25, Seed: shard.DeriveSeed(42, i)})
-		resp, err := http.Post(ts.URL+"/shard/rebuild", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rr shard.RebuildResponse
-		if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if rr.SampleRows != localRows[i] {
-			t.Fatalf("shard %d wire rebuild kept %d rows, local kept %d (same rate+seed must match)",
-				i, rr.SampleRows, localRows[i])
-		}
-		hr, err := http.Get(ts.URL + "/shard/health")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var hw shard.HealthWire
-		if err := json.NewDecoder(hr.Body).Decode(&hw); err != nil {
-			t.Fatal(err)
-		}
-		hr.Body.Close()
-		if hw.SampleRows != rr.SampleRows || !hw.SampleFresh {
-			t.Fatalf("shard %d health after rebuild: %+v", i, hw)
-		}
-		ts.Close()
+	if _, err := exec.DecodeAggPartialWire(raw); err != nil {
+		t.Fatalf("estimate body is not a partial: %v", err)
 	}
 }

@@ -160,9 +160,6 @@ func (g *Group) Close() {
 	}
 }
 
-// Remote reports whether the group's shards are remote.
-func (g *Group) Remote() bool { return g.remote }
-
 // rangeCuts computes Count-1 upper boundaries at even quantiles of the
 // key column's current distribution (nulls excluded — they route to
 // shard 0 alongside the lowest range).
@@ -291,21 +288,6 @@ func (g *Group) observe(ev Event) {
 	if fn != nil {
 		fn(ev)
 	}
-}
-
-// BuildSamples (re)materializes every shard's own uniform sample at the
-// given rate; each shard's seed is derived independently here, so local
-// and remote shards receive identical, already-derived seeds.
-func (g *Group) BuildSamples(rate float64, seed int64) error {
-	if err := g.Sync(); err != nil {
-		return err
-	}
-	for _, s := range g.shards {
-		if err := s.Rebuild(rate, DeriveSeed(seed, s.ID())); err != nil {
-			return fmt.Errorf("shard: sample for %s shard %d: %w", g.name, s.ID(), err)
-		}
-	}
-	return nil
 }
 
 // Health reports every shard's health, with breaker state stamped on.

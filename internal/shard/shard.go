@@ -97,12 +97,6 @@ type Health struct {
 	Open bool `json:"open"`
 	// Trips is how many times the breaker has tripped since creation.
 	Trips int64 `json:"trips"`
-	// SampleRows is the size of the shard's materialized sample (0 when
-	// none has been built).
-	SampleRows int `json:"sample_rows"`
-	// SampleFresh reports whether the materialized sample was built at the
-	// shard's current version (vacuously false when none exists).
-	SampleFresh bool `json:"sample_fresh"`
 	// Alive is the last health probe's verdict (always true for local
 	// shards, which cannot be partitioned away from the coordinator).
 	Alive bool `json:"alive"`
@@ -143,10 +137,6 @@ type Shard interface {
 	// Estimate executes the query's aggregate subtree against this shard
 	// and returns the mergeable partial state.
 	Estimate(ctx context.Context, q Query, workers int) (*exec.AggPartial, error)
-	// Rebuild (re)materializes the shard's own uniform sample at the given
-	// rate. The seed is already shard-derived by the caller (see
-	// DeriveSeed), keeping cross-shard samples independent.
-	Rebuild(rate float64, seed int64) error
 	// Health reports the shard's population and containment state.
 	Health() Health
 	// Bounds returns the observed [min, max] of the shard key when the
@@ -157,15 +147,13 @@ type Shard interface {
 }
 
 // LocalShard is the in-process Shard: a slice of the base table held as
-// its own *storage.Table, with a per-shard fault injection point and an
-// optionally materialized per-shard sample.
+// its own *storage.Table, with a per-shard fault injection point.
 type LocalShard struct {
 	id    int
 	table *storage.Table
 	point *fault.Point
 
-	mu  sync.Mutex
-	smp *sample.StratifiedResult
+	mu sync.Mutex
 	// minKey/maxKey bound the observed shard-key values (range sharding
 	// only); used by the scatter executor to prune shards that cannot
 	// contain rows matching a range predicate on the key.
@@ -193,10 +181,6 @@ func (s *LocalShard) Kind() string { return "local" }
 // Rows implements Shard.
 func (s *LocalShard) Rows() int { return s.table.NumRows() }
 
-// Scan returns the shard's table for planning and scanning (local shards
-// only; remote shards hold their rows in another process).
-func (s *LocalShard) Scan() *storage.Table { return s.table }
-
 // ErrPlan marks an Estimate failure as the query's own: it does not plan
 // against the shard's table, so running it again cannot succeed.
 var ErrPlan = errors.New("shard: query does not plan")
@@ -213,37 +197,10 @@ func (s *LocalShard) Estimate(ctx context.Context, q Query, workers int) (*exec.
 	return exec.RunAggPartialContext(ctx, p, workers)
 }
 
-// Rebuild implements Shard. The seed arrives already shard-derived.
-func (s *LocalShard) Rebuild(rate float64, seed int64) error {
-	res, err := sample.BuildUniformTable(s.table, rate, seed,
-		fmt.Sprintf("%s__sample", s.table.Name()))
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.smp = res
-	s.mu.Unlock()
-	return nil
-}
-
-// Sample returns the shard's materialized sample, or nil.
-func (s *LocalShard) Sample() *sample.StratifiedResult {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.smp
-}
-
 // Health implements Shard. Breaker state is stamped on by the owning
 // Group, which holds the breakers.
 func (s *LocalShard) Health() Health {
-	h := Health{ID: s.id, Kind: "local", Rows: s.table.NumRows(), Alive: true}
-	s.mu.Lock()
-	if s.smp != nil {
-		h.SampleRows = s.smp.SampleRows
-		h.SampleFresh = s.smp.BuildVersion == s.table.Version()
-	}
-	s.mu.Unlock()
-	return h
+	return Health{ID: s.id, Kind: "local", Rows: s.table.NumRows(), Alive: true}
 }
 
 // Bounds implements Shard: the observed [min, max] of the shard key, if

@@ -193,41 +193,6 @@ func TestSyncRoutesNewRows(t *testing.T) {
 	}
 }
 
-func TestBuildSamplesPerShard(t *testing.T) {
-	base := eventsTable(t, 2000, 17)
-	g, err := Partition(base, Key{Column: "ev_user", Kind: KeyHash, Count: 4}, fault.BreakerConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.BuildSamples(0.25, 99); err != nil {
-		t.Fatal(err)
-	}
-	for i, h := range g.Health() {
-		if h.SampleRows <= 0 {
-			t.Errorf("shard %d has no materialized sample", i)
-		}
-		if !h.SampleFresh {
-			t.Errorf("shard %d sample not fresh right after build", i)
-		}
-	}
-	// Appending to the base makes shard samples stale after sync.
-	if err := base.AppendRow(eventsTable(t, 1, 18).Row(0)...); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	stale := 0
-	for _, h := range g.Health() {
-		if h.SampleRows > 0 && !h.SampleFresh {
-			stale++
-		}
-	}
-	if stale == 0 {
-		t.Error("no shard sample went stale after new rows arrived")
-	}
-}
-
 func TestMapRegistry(t *testing.T) {
 	var nilMap *Map
 	if nilMap.Get("x") != nil || nilMap.Names() != nil {

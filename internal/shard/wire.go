@@ -1,29 +1,38 @@
 package shard
 
-// Wire schema for the remote-shard RPC seam. Three endpoints, all
-// JSON-over-HTTP, all idempotent (safe to retry and to hedge):
+// Wire schema for the remote-shard RPC seam. Two endpoints over HTTP,
+// both idempotent (safe to retry and to hedge):
 //
-//	POST /shard/estimate — run a query's aggregate subtree, return the
-//	  serialized exec.AggPartial (its own versioned wire schema).
-//	POST /shard/rebuild  — (re)materialize the shard's uniform sample at
-//	  a rate and an already-derived seed; rebuilding twice with the same
-//	  arguments yields the same sample.
-//	GET  /shard/health   — population and sample freshness.
+//	POST /shard/estimate — a JSON EstimateRequest runs a query's aggregate
+//	  subtree; a 200 reply is application/octet-stream whose body is
+//	  exactly the exec.AggPartial wire bytes (binary, its own version),
+//	  with the shard's identity and population in the Header* headers.
+//	GET  /shard/health   — a JSON HealthWire: the shard's population.
 //
-// Every request and response carries a schema version; either side
-// refuses an unknown version loudly rather than guessing. The request
-// types live here (not in internal/server) so the client and the server
-// share one definition without an import cycle: server imports shard,
-// never the reverse.
+// Requests and the health reply carry WireVersion in their JSON, estimate
+// replies in HeaderWireVersion; either side refuses an unknown version
+// loudly rather than guessing. Every non-200 reply is a JSON WireError.
+// The types live here (not in internal/server) so the client and the
+// server share one definition without an import cycle: server imports
+// shard, never the reverse.
 
-import (
-	"encoding/json"
-
-	"repro/internal/sample"
-)
+import "repro/internal/sample"
 
 // WireVersion is the current RPC schema version.
-const WireVersion = 1
+const WireVersion = 2
+
+// Estimate reply headers.
+const (
+	HeaderWireVersion = "X-Shard-Wire-Version"
+	HeaderShardID     = "X-Shard-Id"
+	// HeaderRows is the shard's population size — the gather step's
+	// coverage accounting (and honest extrapolation) depends on it.
+	HeaderRows = "X-Shard-Rows"
+	// HeaderTraceID echoes the trace ID parsed from the request's
+	// traceparent header, proving context propagation across the process
+	// boundary.
+	HeaderTraceID = "X-Shard-Trace-Id"
+)
 
 // EstimateRequest asks a shard server to execute the statement's
 // aggregate subtree over its partition. Sample (when present) is already
@@ -37,44 +46,12 @@ type EstimateRequest struct {
 	Workers int          `json:"workers,omitempty"`
 }
 
-// EstimateResponse carries the serialized partial state back.
-type EstimateResponse struct {
-	V       int `json:"v"`
-	ShardID int `json:"shard_id"`
-	// Rows is the shard's population size — the gather step's coverage
-	// accounting (and honest extrapolation) depends on it.
-	Rows int `json:"rows"`
-	// TraceID echoes the trace ID parsed from the request's traceparent
-	// header, proving context propagation across the process boundary.
-	TraceID string `json:"trace_id,omitempty"`
-	// Partial is the exec.AggPartial wire form (itself versioned).
-	Partial json.RawMessage `json:"partial"`
-}
-
-// RebuildRequest (re)materializes the shard's uniform sample. Seed is
-// already shard-derived by the coordinator (see DeriveSeed), so local and
-// remote shards build byte-identical samples.
-type RebuildRequest struct {
-	V     int     `json:"v"`
-	Table string  `json:"table"`
-	Rate  float64 `json:"rate"`
-	Seed  int64   `json:"seed"`
-}
-
-// RebuildResponse reports the materialized sample size.
-type RebuildResponse struct {
-	V          int `json:"v"`
-	SampleRows int `json:"sample_rows"`
-}
-
 // HealthWire is the shard server's health report.
 type HealthWire struct {
-	V           int    `json:"v"`
-	ShardID     int    `json:"shard_id"`
-	Table       string `json:"table"`
-	Rows        int    `json:"rows"`
-	SampleRows  int    `json:"sample_rows"`
-	SampleFresh bool   `json:"sample_fresh"`
+	V       int    `json:"v"`
+	ShardID int    `json:"shard_id"`
+	Table   string `json:"table"`
+	Rows    int    `json:"rows"`
 }
 
 // WireError is the body of a non-200 response.
