@@ -261,6 +261,30 @@ func BenchmarkBlockSampledScan(b *testing.B) {
 	}
 }
 
+// BenchmarkScanRowSampled measures the uniform row sampler's scan at one
+// worker, the counterpart of BenchmarkBlockSampledScan: it reads only the
+// rows its remembered decisions keep. One run before the timer decides the
+// rows, as the first query at a (seed, rate) does for every later one.
+func BenchmarkScanRowSampled(b *testing.B) {
+	star := benchStar(b, 200_000)
+	for _, ratePct := range []int{1, 10} {
+		b.Run(fmt.Sprintf("rate=%d%%", ratePct), func(b *testing.B) {
+			p := mustPlan(b, star.Catalog, fmt.Sprintf(
+				"SELECT SUM(l_extendedprice) FROM lineitem TABLESAMPLE BERNOULLI (%d)", ratePct))
+			if _, err := exec.RunParallel(p, 1); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := exec.RunParallel(p, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSamplerDecide measures per-row sampler decision cost.
 func BenchmarkSamplerDecide(b *testing.B) {
 	keys := make([]string, 1024)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -24,6 +25,18 @@ func TestEngineNames(t *testing.T) {
 	}
 	if NewSynopsisEngine(ev.Catalog).Name() != TechniqueSynopsis {
 		t.Error("synopsis name")
+	}
+}
+
+// TestOnlineDefaultRateRefusesNaN: an out-of-range default rate falls back
+// to 1 %, and so does NaN, which no range comparison catches: a NaN rate
+// would keep no rows and weigh them NaN.
+func TestOnlineDefaultRateRefusesNaN(t *testing.T) {
+	ev := smallEvents(t, 1000, 0)
+	for _, rate := range []float64{0, -0.5, 1.5, math.NaN(), math.Inf(1)} {
+		if got := NewOnlineEngine(ev.Catalog, OnlineConfig{DefaultRate: rate}).Config.DefaultRate; got != 0.01 {
+			t.Errorf("DefaultRate %v became %v, want 0.01", rate, got)
+		}
 	}
 }
 

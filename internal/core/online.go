@@ -105,7 +105,7 @@ type cachedSample struct {
 
 // NewOnlineEngine builds an online engine with the given config.
 func NewOnlineEngine(cat *storage.Catalog, cfg OnlineConfig) *OnlineEngine {
-	if cfg.DefaultRate <= 0 || cfg.DefaultRate > 1 {
+	if !(cfg.DefaultRate > 0 && cfg.DefaultRate <= 1) { // a NaN rate too
 		cfg.DefaultRate = 0.01
 	}
 	if cfg.DistinctKeep <= 0 {

@@ -2,8 +2,9 @@ package exec
 
 // Vector kernels for the scan.
 //
-// The scan works on a run of rows — a storage block, or a morsel of a
-// ranged scan's order, at most maxRunRows rows — held as a selection
+// The scan works on a run of rows — a storage block, the rows a uniform
+// sampler keeps, or a morsel of a ranged scan's order, at most maxRunRows
+// rows — held as a selection
 // vector: the table row ids still in play, in input order. A predicate
 // compiles to a kernel that narrows a selection and keeps its order, a
 // numeric expression to one that materialises its value per selected row
@@ -25,6 +26,7 @@ package exec
 // never changes a result.
 
 import (
+	"math/bits"
 	"sync"
 
 	"repro/internal/expr"
@@ -111,7 +113,7 @@ type scratch struct {
 
 	// The run being folded is the block rows [lo, lo+n), so a selection of
 	// n rows still in rows is all of them, ascending; n is 0 for rows of an
-	// order.
+	// order and for kept rows with gaps between them.
 	lo, n  int
 	rows   []int32     // the run's selection
 	at     [][]int32   // after a join: per side, the table row at each position; else nil
@@ -191,6 +193,41 @@ func (sc *scratch) blockRun(lo, hi int) []int32 {
 	sel := sc.rows[:hi-lo]
 	for i := range sel {
 		sel[i] = int32(lo + i)
+	}
+	return sel
+}
+
+// keptRun makes the current run its first n rows, extended by the rows of
+// [lo, hi) set in kept (a uniform sampler's bitmap) until the run is full,
+// and returns its selection and where it stopped: hi, or the first kept row
+// it had no room for. The run is ascending; it is a block run exactly when
+// no row between its first and last was dropped.
+func (sc *scratch) keptRun(n int, kept []uint64, lo, hi int) ([]int32, int) {
+	sel := sc.rows
+	for row := lo; row < hi; {
+		end := min(row|63+1, hi)
+		set := kept[row/64] >> (row % 64)
+		if end-row < 64 {
+			set &= 1<<(end-row) - 1
+		}
+		for ; set != 0; set &= set - 1 {
+			r := row + bits.TrailingZeros64(set)
+			if n == len(sel) {
+				return sc.keptSel(sel), r
+			}
+			sel[n] = int32(r)
+			n++
+		}
+		row = end
+	}
+	return sc.keptSel(sel[:n]), hi
+}
+
+// keptSel records whether sel, a kept run, is dense.
+func (sc *scratch) keptSel(sel []int32) []int32 {
+	sc.lo, sc.n = 0, 0
+	if k := len(sel); k > 0 && int(sel[k-1]-sel[0]) == k-1 {
+		sc.lo, sc.n = int(sel[0]), k
 	}
 	return sel
 }

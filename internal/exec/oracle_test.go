@@ -208,8 +208,8 @@ func oracleScan(t testing.TB, s *plan.Scan, c *Counters) []oracleRow {
 				c.BlocksSkipped++
 			}
 		}
-		if !blockKeep {
-			continue
+		if !blockKeep || st.uniform != nil && !st.uniform.Decide(row, "").Keep {
+			continue // a row the uniform sampler drops is never read
 		}
 		c.RowsScanned++
 		if s.Filter != nil {

@@ -47,9 +47,10 @@ type GroupDetail struct {
 // Counters tallies the physical work of a plan execution; the experiment
 // harness uses them as scale-free cost measures.
 type Counters struct {
-	// RowsScanned counts base-table rows the scan had to read (rows in
-	// visited blocks). Row-level samplers still read every row; the block
-	// sampler skips whole blocks.
+	// RowsScanned counts base-table rows the scan read: the rows of visited
+	// blocks, and under a uniform row sampler only those it keeps, which the
+	// scan finds in the sampler's remembered decisions. The block sampler
+	// skips whole blocks; the distinct and universe samplers read every row.
 	RowsScanned int64
 	// RowsEmitted counts rows surviving scan filters and samplers.
 	RowsEmitted int64

@@ -207,13 +207,20 @@ func TestE14CoverageGrowsWithBudget(t *testing.T) {
 	}
 }
 
-func TestE16CacheSavesScans(t *testing.T) {
+// TestE16CacheReadsTheKeptRowsPlusABuild: the online scan reads only the
+// rows its sampler keeps, so over the 12-query session it reads ~2% of the
+// table per query, and the cache — the same rows, materialized — reads
+// exactly those plus the one base scan that built it.
+func TestE16CacheReadsTheKeptRowsPlusABuild(t *testing.T) {
 	tab := run(t, "E16")
 	rowsCol := findCol(t, tab, "rows_scanned")
 	plain := cellFloat(t, tab, 0, rowsCol)
 	cached := cellFloat(t, tab, 1, rowsCol)
-	if cached >= plain/2 {
-		t.Errorf("E16: cache should at least halve scanned rows: %v vs %v", cached, plain)
+	if perQuery := plain / 12 / float64(shapeScale.Rows); perQuery < 0.01 || perQuery > 0.03 {
+		t.Errorf("E16: the online scan read %.4f of the table per query, want ~0.02", perQuery)
+	}
+	if cached != plain+float64(shapeScale.Rows) {
+		t.Errorf("E16: the cache read %v rows, want the online engine's %v plus one %d-row build", cached, plain, shapeScale.Rows)
 	}
 	hitCol := findCol(t, tab, "cache_hits")
 	if cellFloat(t, tab, 1, hitCol) < 10 {

@@ -69,7 +69,7 @@ func BuildOutlierIndex(src *storage.Table, column string, k int, p float64, seed
 	if k <= 0 {
 		return nil, fmt.Errorf("sample: outlier count must be positive")
 	}
-	if p <= 0 || p > 1 {
+	if !(p > 0 && p <= 1) {
 		return nil, fmt.Errorf("sample: outlier remainder rate %v out of (0,1]", p)
 	}
 	// Scan a snapshot so the build is safe under concurrent appends.

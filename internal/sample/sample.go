@@ -85,7 +85,11 @@ func (s Spec) Validate() error {
 	if s.Kind == KindNone {
 		return nil
 	}
-	if s.Rate <= 0 || s.Rate > 1 {
+	if s.Kind > KindBiLevel {
+		return fmt.Errorf("sample: unknown sampler kind %d", s.Kind)
+	}
+	// Written so that a NaN rate, for which every comparison is false, fails.
+	if !(s.Rate > 0 && s.Rate <= 1) {
 		return fmt.Errorf("sample: rate %v out of (0,1]", s.Rate)
 	}
 	switch s.Kind {
@@ -101,7 +105,7 @@ func (s Spec) Validate() error {
 		// Its rows carry two weights; forcing both to 1 is no sampler's design.
 		return fmt.Errorf("sample: the distinct sampler takes no unit weight")
 	}
-	if s.Kind == KindBiLevel && (s.RowRate <= 0 || s.RowRate > 1) {
+	if s.Kind == KindBiLevel && !(s.RowRate > 0 && s.RowRate <= 1) {
 		return fmt.Errorf("sample: bilevel row rate %v out of (0,1]", s.RowRate)
 	}
 	return nil
@@ -170,27 +174,12 @@ func NewUniform(p float64, seed int64) *Uniform {
 // Rate implements RowSampler.
 func (u *Uniform) Rate() float64 { return u.p }
 
-// Decide implements RowSampler.
+// Decide implements RowSampler. A scan asks Kept instead, a table at a time.
 func (u *Uniform) Decide(rowIdx int, _ string) RowDecision {
-	h := splitmix64(u.seed ^ splitmix64(uint64(rowIdx)))
-	if hashToUnit(h) < u.p {
+	if u.keeps(rowIdx) {
 		return RowDecision{Keep: true, Weight: 1 / u.p}
 	}
 	return RowDecision{}
-}
-
-// KeepRows is Decide over a run of rows: it writes the rows the sampler
-// keeps, in order, to out (which may be rows itself) and returns them with
-// the weight each carries.
-func (u *Uniform) KeepRows(rows, out []int32) ([]int32, float64) {
-	k := 0
-	for _, r := range rows {
-		out[k] = r
-		if hashToUnit(splitmix64(u.seed^splitmix64(uint64(r)))) < u.p {
-			k++
-		}
-	}
-	return out[:k], 1 / u.p
 }
 
 // Block is block-level (page) Bernoulli sampling: whole blocks of

@@ -244,7 +244,7 @@ func BuildStratifiedNeyman(src *storage.Table, cfg NeymanConfig, name string) (*
 // BuildUniformTable materializes a uniform Bernoulli sample of src at rate
 // p as a standalone table with a weight column (all weights 1/p).
 func BuildUniformTable(src *storage.Table, p float64, seed int64, name string) (*StratifiedResult, error) {
-	if p <= 0 || p > 1 {
+	if !(p > 0 && p <= 1) {
 		return nil, fmt.Errorf("sample: uniform rate %v out of (0,1]", p)
 	}
 	// Scan a snapshot so the build is safe under concurrent appends.

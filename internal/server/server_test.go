@@ -190,7 +190,12 @@ func TestOLADeadlinePartial(t *testing.T) {
 
 	// A non-OLA engine under the same impossible deadline is
 	// all-or-nothing, but the degradation ladder substitutes a partial
-	// OLA estimate rather than failing: 200 with degraded:true.
+	// OLA estimate rather than failing: 200 with degraded:true. Every
+	// morsel is slowed so the exact scan cannot beat 1 ms on any machine.
+	fault.Install(fault.Schedule{Seed: 3, Rules: []fault.Rule{
+		{Point: "exec.morsel", Kind: fault.KindLatency, P: 1, Latency: 5 * time.Millisecond},
+	}})
+	t.Cleanup(fault.Uninstall)
 	resp, ok, bad = postQuery(t, ts.URL, QueryRequest{
 		SQL: "SELECT AVG(x) FROM t", Mode: "exact", TimeoutMS: 1,
 	})
@@ -209,6 +214,7 @@ func TestOLADeadlinePartial(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("exact under 1ms deadline, no_degrade: status = %d, want 504", resp.StatusCode)
 	}
+	fault.Uninstall()
 
 	snap := getMetrics(t, ts.URL)
 	if snap.Counters["queries_partial_total"] == 0 {

@@ -235,6 +235,8 @@ func (s *LocalShard) extendBounds(v storage.Value) {
 // is stamped onto every scan; nil Sample clears samplers, matching the
 // exact engine. LocalShard and the shard-server estimate handler share
 // this, so a remote shard executes exactly the plan its local twin would.
+// A statement with no aggregate, or a sampler spec that is invalid or keys
+// on a column the table lacks, is refused here: it could never execute.
 func BuildShardQueryPlan(q Query, t *storage.Table) (plan.Node, error) {
 	if q.Stmt == nil || q.Stmt.From.Name == "" {
 		return nil, fmt.Errorf("shard: query has no FROM table")
@@ -243,9 +245,20 @@ func BuildShardQueryPlan(q Query, t *storage.Table) (plan.Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	if plan.FindAggregate(p) == nil {
+		return nil, fmt.Errorf("shard: statement has no aggregate to estimate")
+	}
 	if q.Sample == nil {
 		plan.ClearSamplers(p)
 		return p, nil
+	}
+	if err := q.Sample.Validate(); err != nil {
+		return nil, err
+	}
+	for _, col := range q.Sample.KeyColumns {
+		if t.Schema().ColumnIndex(col) < 0 {
+			return nil, fmt.Errorf("shard: sampler key column %q not in table %s", col, q.Stmt.From.Name)
+		}
 	}
 	spec := *q.Sample
 	for _, s := range plan.Scans(p) {
