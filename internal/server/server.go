@@ -25,6 +25,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/insight"
+	"repro/internal/sample"
 	"repro/internal/shard"
 	"repro/internal/sqlparse"
 	"repro/internal/telemetry"
@@ -719,6 +720,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"uptime_seconds":    int64(time.Since(s.start).Seconds()),
 	}
 	s.engineTrippedGauges(gauges)
+	// The uniform sampler's kept-row memo is process-wide: its counts cover
+	// every scan this process ran.
+	kept := sample.KeptMemoStats()
+	gauges["kept_memo_entries"] = int64(kept.Entries)
+	gauges["kept_memo_evictions"] = kept.Evictions
+	for outcome, n := range map[string]int64{"hit": kept.Hits, "miss": kept.Misses, "grow": kept.Grows} {
+		gauges[Key("kept_memo_lookups", "outcome", outcome)] = n
+	}
 	if s.insight != nil {
 		gauges["workload_fingerprints"] = int64(s.insight.Len())
 	}
