@@ -131,9 +131,9 @@ func itemInterval(e expr.Expr, detail *exec.GroupDetail, conf float64) (iv stats
 		case expr.OpSub:
 			return stats.Interval{Lo: ivL.Lo - ivR.Hi, Hi: ivL.Hi - ivR.Lo, Confidence: c}, isAgg, true
 		case expr.OpMul:
-			return stats.CombineIntervalsProduct(0, 0, ivL, ivR), isAgg, true
+			return stats.CombineIntervalsProduct(ivL, ivR), isAgg, true
 		case expr.OpDiv:
-			return stats.CombineIntervalsRatio(0, 0, ivL, ivR), isAgg, true
+			return stats.CombineIntervalsRatio(ivL, ivR), isAgg, true
 		}
 		return stats.Interval{}, isAgg, false
 	case *expr.Call, *expr.In:

@@ -28,6 +28,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/sample"
 	"repro/internal/sqlparse"
+	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
@@ -210,8 +211,6 @@ type contractRun struct {
 	// two's per-shard Neyman allocation.
 	moments        [][]exec.SlotMoment
 	shardFractions []float64
-	// note is appended after the verdict messages.
-	note string
 }
 
 // foldPilot adds the pilot's cost to a stage-two answer: two passes over
@@ -235,8 +234,8 @@ func foldPilot(out *Result, pilot *contractRun) {
 //     spec-stopping disabled, since stopping on an interim CI (peeking) is
 //     exactly what a contract must not do;
 //   - offline: the stored ladder has fixed sizes the contract cannot steer,
-//     so two transient uniform samples are drawn from the base table, their
-//     build scans paid and counted like any other maintenance.
+//     so both stages draw a uniform sample from the base table at the
+//     stage's rate, as the online engine does, and read only its kept rows.
 func ExecuteContract(ctx context.Context, eng Engine, stmt *sqlparse.SelectStmt,
 	spec ErrorSpec, cfg ContractConfig) (*Result, error) {
 
@@ -308,9 +307,6 @@ func runContract(ctx context.Context, name string, inject *fault.Point, exact *E
 		sum.Conclude(out.MaxRelHalfWidth(), degraded)
 		out.Diagnostics.Contract = sum
 		stampInfeasible(&out.Diagnostics, sum)
-		if fin.note != "" {
-			out.Diagnostics.Messages = append(out.Diagnostics.Messages, fin.note)
-		}
 		trace.SpanFromContext(ctx).SetAttrFloat("final_fraction", sum.FinalFraction)
 		return out, nil
 	})
@@ -321,14 +317,22 @@ func (e *OnlineEngine) contractPlan(ctx context.Context, stmt *sqlparse.SelectSt
 	if err != nil || why != "" {
 		return nil, why, err
 	}
-	// One plan, re-run with its samplers turned to the stage's rate and seed.
-	// A scatter-gather pilot also collects per-shard slot moments: the
-	// composed (merged-in-shard-order) pilot sizes stage two exactly like an
-	// unsharded one — merging HT partials is stratified composition, so the
-	// composed variance is the one sizing needs — and the sized row budget is
-	// split across shards Neyman-style.
+	return stagedPlan(e.Catalog, stmt, spec, d, e.Config.Seed), "", nil
+}
+
+// stagedPlan is the contract plan of a draw whose samplers sit on its plan:
+// one plan, re-run with its samplers turned to the stage's rate and seed
+// (seed for the pilot, an independent one derived from it for stage two).
+// A scatter-gather pilot also collects per-shard slot moments: the composed
+// (merged-in-shard-order) pilot sizes stage two exactly like an unsharded
+// one — merging HT partials is stratified composition, so the composed
+// variance is the one sizing needs — and the sized row budget is split
+// across shards Neyman-style.
+func stagedPlan(cat *storage.Catalog, stmt *sqlparse.SelectStmt, spec ErrorSpec,
+	d draw, seed int64) *contractPlan {
+
 	run := func(ctx context.Context, rate float64, pilot *contractRun) (contractRun, error) {
-		d, seed, r := d, e.Config.Seed, contractRun{fraction: rate}
+		d, seed, r := d, seed, contractRun{fraction: rate}
 		if pilot == nil {
 			d.moments = &r.moments
 		} else {
@@ -341,7 +345,7 @@ func (e *OnlineEngine) contractPlan(ctx context.Context, stmt *sqlparse.SelectSt
 				s.Sample.Rate, s.Sample.Seed = rate, seed
 			}
 		}
-		out, err := execute(ctx, e.Catalog, stmt, spec, d)
+		out, err := execute(ctx, cat, stmt, spec, d)
 		if err != nil {
 			return r, err
 		}
@@ -351,7 +355,7 @@ func (e *OnlineEngine) contractPlan(ctx context.Context, stmt *sqlparse.SelectSt
 		}
 		return r, nil
 	}
-	return &contractPlan{pop: sampledRows(d.plan), run: run}, "", nil
+	return &contractPlan{pop: sampledRows(d.plan), run: run}
 }
 
 // neymanRates splits the sized stage-two row budget across shards from the
@@ -429,44 +433,25 @@ func (e *OLAEngine) contractPlan(_ context.Context, stmt *sqlparse.SelectStmt, s
 	return &contractPlan{pop: int64(t.NumRows()), run: run}, "", nil
 }
 
-func (e *OfflineEngine) contractPlan(_ context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec) (*contractPlan, string, error) {
+// contractPlan draws both stages from the base table: the stored ladder has
+// fixed sizes a contract cannot steer. The statement's own samplers give
+// way to a uniform sampler on its FROM scan, so a TABLESAMPLE clause does
+// not thin the stage's draw a second time.
+func (e *OfflineEngine) contractPlan(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec) (*contractPlan, string, error) {
 	if ok, reason := supportedForSampling(stmt); !ok {
 		return nil, reason, nil
 	}
-	source := stmt.From.Name
-	t, err := e.Catalog.Table(source)
+	p, err := buildPlan(ctx, stmt, e.Catalog)
 	if err != nil {
 		return nil, "", err
 	}
-	n := t.NumRows()
-	if n == 0 {
+	plan.ClearSamplers(p)
+	from := plan.Scans(p)[0] // plans list the FROM scan before the joined ones
+	if from.Table.NumRows() == 0 {
 		return nil, "empty table", nil
 	}
-	run := func(ctx context.Context, rate float64, pilot *contractRun) (contractRun, error) {
-		seed, name := e.Config.Seed, source+"__contract_pilot"
-		if pilot != nil {
-			seed, name = contractStageSeed(seed), source+"__contract_stage2"
-		}
-		built, err := sample.BuildUniformTable(t, rate, seed, name)
-		if err != nil {
-			return contractRun{}, err
-		}
-		// The build scans the base table: maintenance paid inline.
-		out, err := execute(ctx, e.Catalog, stmt, spec, draw{
-			tech: TechniqueOffline, guarantee: GuaranteeAPosteriori, workers: e.Config.Workers,
-			standIn: &standIn{source: source, data: built.Table, name: name,
-				buildVersion: built.BuildVersion, buildRows: built.SourceRows, buildCost: int64(n)}})
-		if err != nil {
-			return contractRun{}, err
-		}
-		r := contractRun{res: out, rows: int64(built.SampleRows), fraction: rate}
-		if pilot != nil {
-			foldPilot(out, pilot)
-			r.note = fmt.Sprintf(
-				"offline: contract answered from a transient %d-row uniform sample (fraction %.4g), not the stored ladder",
-				built.SampleRows, rate)
-		}
-		return r, nil
-	}
-	return &contractPlan{pop: int64(n), run: run}, "", nil
+	from.Sample = &sample.Spec{Kind: sample.KindUniformRow, Rate: 1, Seed: e.Config.Seed}
+	d := draw{tech: TechniqueOffline, guarantee: GuaranteeAPosteriori, workers: e.Config.Workers, plan: p,
+		notes: []string{"offline: contract drawn from the base table, not the stored ladder"}}
+	return stagedPlan(e.Catalog, stmt, spec, d, e.Config.Seed), "", nil
 }

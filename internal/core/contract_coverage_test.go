@@ -93,8 +93,8 @@ var contractTargets = []float64{0.01, 0.02, 0.05}
 
 // contractEngines builds one fresh engine per (kind, trial); each trial
 // gets its own seed so trials are independent draws. The offline engine
-// needs no stored sample: the contract path draws transient uniform
-// samples (pilot + sized stage two) from the base table per run.
+// needs no stored sample: both contract stages (pilot + sized stage two)
+// draw from the base table, as the online engine's do.
 func contractEngines(ev *workload.Events) []struct {
 	name string
 	mk   func(trial int) Engine

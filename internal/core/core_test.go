@@ -3,9 +3,13 @@ package core
 import (
 	"context"
 	"math"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/contract"
+	"repro/internal/sample"
 	"repro/internal/sqlparse"
 	"repro/internal/workload"
 )
@@ -219,91 +223,186 @@ func TestOnlineFallbackToExactOnMiss(t *testing.T) {
 	}
 }
 
+// TestOnlineSampleCache: the kept-row memo is the online engine's sample
+// cache. Every query reads only the kept rows (no build scan), a different
+// statement at the same (seed, rate) reuses them, and an append grows the
+// bitmap over the new rows instead of rebuilding it.
 func TestOnlineSampleCache(t *testing.T) {
 	ev := smallEvents(t, 60000, 0)
 	cfg := DefaultOnlineConfig()
 	cfg.MinTableRows = 1000
 	cfg.DefaultRate = 0.05
-	cfg.CacheSamples = true
+	cfg.Seed = 4242 // a pair no other test scans at
 	e := NewOnlineEngine(ev.Catalog, cfg)
-	sql := "SELECT SUM(ev_value) AS s FROM events"
-
-	// First query: miss — builds and pays a base scan.
-	res1, err := e.Execute(context.Background(), parse(t, sql), DefaultErrorSpec)
-	if err != nil {
-		t.Fatal(err)
+	run := func(sql string) *Result {
+		t.Helper()
+		res, err := e.Execute(context.Background(), parse(t, sql), DefaultErrorSpec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	if hits, misses := e.CacheStats(); misses != 1 || hits != 0 {
-		t.Fatalf("miss/hit = %d/%d", misses, hits)
+	before := sample.KeptMemoStats()
+	kept := run("SELECT SUM(ev_value) AS s FROM events").Diagnostics.Counters.RowsScanned
+	if kept > 60000/10 {
+		t.Errorf("first query read %d rows, want ~5%% of 60000", kept)
 	}
-	if res1.Diagnostics.Counters.RowsScanned < 60000 {
-		t.Errorf("miss must pay the base scan: %d", res1.Diagnostics.Counters.RowsScanned)
+	res := run("SELECT AVG(ev_value) AS m, COUNT(*) AS n FROM events")
+	if st := sample.KeptMemoStats(); st.Misses-before.Misses != 1 || st.Hits-before.Hits != 1 {
+		t.Errorf("miss/hit = %d/%d, want 1/1", st.Misses-before.Misses, st.Hits-before.Hits)
 	}
-
-	// Second (different) query on the same table: hit — scans only the sample.
-	res2, err := e.Execute(context.Background(), parse(t, "SELECT AVG(ev_value) AS m, COUNT(*) AS n FROM events"), DefaultErrorSpec)
-	if err != nil {
-		t.Fatal(err)
+	if rows := res.Diagnostics.Counters.RowsScanned; rows != kept {
+		t.Errorf("second statement read %d rows, want the kept %d", rows, kept)
 	}
-	if hits, _ := e.CacheStats(); hits != 1 {
-		t.Fatalf("expected cache hit, hits=%d messages=%v", hits, res2.Diagnostics.Messages)
-	}
-	if res2.Diagnostics.Counters.RowsScanned >= 60000 {
-		t.Errorf("hit must not rescan the base table: %d", res2.Diagnostics.Counters.RowsScanned)
-	}
-	// Estimates still sane.
-	if math.Abs(res2.Float(0, 1)-60000)/60000 > 0.15 {
-		t.Errorf("cached count estimate = %v", res2.Float(0, 1))
+	if math.Abs(res.Float(0, 1)-60000)/60000 > 0.15 {
+		t.Errorf("count estimate = %v", res.Float(0, 1))
 	}
 
-	// Appending data invalidates the cache (freshness guard).
+	// An append grows the bitmap; the answer covers the new rows.
 	if err := ev.AppendShifted(5000, 1, 9); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Execute(context.Background(), parse(t, sql), DefaultErrorSpec); err != nil {
-		t.Fatal(err)
+	grown := sample.KeptMemoStats()
+	res = run("SELECT COUNT(*) AS n FROM events")
+	if st := sample.KeptMemoStats(); st.Grows-grown.Grows != 1 || st.Misses != grown.Misses {
+		t.Errorf("after an append: grows %d, misses %d; want one grow, no miss",
+			st.Grows-grown.Grows, st.Misses-grown.Misses)
 	}
-	if _, misses := e.CacheStats(); misses != 2 {
-		t.Errorf("stale cache must rebuild: misses=%d", misses)
+	if rows := res.Diagnostics.Counters.RowsScanned; rows <= kept || rows > 65000/10 {
+		t.Errorf("after an append read %d rows, want a few more than %d", rows, kept)
 	}
-
-	// Explicit TABLESAMPLE opts out of caching.
-	hitsBefore, _ := e.CacheStats()
-	if _, err := e.Execute(context.Background(), parse(t, "SELECT SUM(ev_value) FROM events TABLESAMPLE BERNOULLI (5)"), DefaultErrorSpec); err != nil {
-		t.Fatal(err)
-	}
-	if hits, _ := e.CacheStats(); hits != hitsBefore {
-		t.Error("user TABLESAMPLE must bypass the cache")
+	if math.Abs(res.Float(0, 0)-65000)/65000 > 0.15 {
+		t.Errorf("count estimate after the append = %v", res.Float(0, 0))
 	}
 }
 
-// TestOnlineSampleCacheBuiltOnce: N concurrent first queries build the
-// cached sample once — one miss, N−1 hits — and the counters are read
-// through the engine lock (run under -race).
+// TestOnlineSampleCacheBuiltOnce: N concurrent first queries decide the
+// kept rows once between them — one miss, N−1 hits — and all read the same
+// rows (run under -race).
 func TestOnlineSampleCacheBuiltOnce(t *testing.T) {
 	ev := smallEvents(t, 60000, 0)
 	cfg := DefaultOnlineConfig()
 	cfg.MinTableRows = 1000
 	cfg.DefaultRate = 0.05
-	cfg.CacheSamples = true
+	cfg.Seed = 4343 // a pair no other test scans at
 	e := NewOnlineEngine(ev.Catalog, cfg)
 	stmt := parse(t, "SELECT SUM(ev_value) AS s FROM events")
+	before := sample.KeptMemoStats()
 
 	const n = 8
+	scanned := make([]int64, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := e.Execute(context.Background(), stmt, DefaultErrorSpec); err != nil {
+			res, err := e.Execute(context.Background(), stmt, DefaultErrorSpec)
+			if err != nil {
 				t.Error(err)
+				return
 			}
-			e.CacheStats() // readers race the writers in cachedDraw
+			scanned[i] = res.Diagnostics.Counters.RowsScanned
 		}()
 	}
 	wg.Wait()
-	if hits, misses := e.CacheStats(); misses != 1 || hits != n-1 {
-		t.Errorf("miss/hit = %d/%d, want 1/%d", misses, hits, n-1)
+	if st := sample.KeptMemoStats(); st.Misses-before.Misses != 1 || st.Hits-before.Hits != n-1 {
+		t.Errorf("miss/hit = %d/%d, want 1/%d", st.Misses-before.Misses, st.Hits-before.Hits, n-1)
+	}
+	for i, rows := range scanned {
+		if rows != scanned[0] {
+			t.Errorf("query %d read %d rows, query 0 %d", i, rows, scanned[0])
+		}
+	}
+}
+
+// TestOfflineIgnoresTableSample: a stored sample is certified as stored,
+// so an offline answer (and a profiling run) strips the statement's
+// TABLESAMPLE instead of thinning the sample again under the a-priori
+// label, and says so.
+func TestOfflineIgnoresTableSample(t *testing.T) {
+	ev := smallEvents(t, 100000, 0)
+	plain := "SELECT SUM(ev_value) FROM events"
+	sampled := plain + " TABLESAMPLE BERNOULLI (10)"
+	engine := func(profile string) *OfflineEngine {
+		e := NewOfflineEngine(ev.Catalog, DefaultOfflineConfig())
+		if err := e.BuildSamples("events", nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.ProfileQuery(profile); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	e := engine(plain)
+	for i, s := range engine(sampled).Samples("events") {
+		if want := e.Samples("events")[i].Profile; !reflect.DeepEqual(s.Profile, want) {
+			t.Errorf("profiled with TABLESAMPLE %v, without %v", s.Profile, want)
+		}
+	}
+	spec := ErrorSpec{RelError: 0.05, Confidence: 0.95}
+	want, err := e.Execute(context.Background(), parse(t, plain), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.Execute(context.Background(), parse(t, sampled), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Technique != TechniqueOffline || got.Guarantee != GuaranteeAPriori {
+		t.Fatalf("answered by %v under %v; messages %v", got.Technique, got.Guarantee, got.Diagnostics.Messages)
+	}
+	if got.Float(0, 0) != want.Float(0, 0) || got.Items[0][0].CI != want.Items[0][0].CI ||
+		got.Diagnostics.Counters.RowsScanned != want.Diagnostics.Counters.RowsScanned ||
+		got.Diagnostics.SampleFraction != want.Diagnostics.SampleFraction {
+		t.Errorf("with TABLESAMPLE: %v %+v, %d rows, fraction %v; without: %v %+v, %d rows, fraction %v",
+			got.Float(0, 0), got.Items[0][0].CI, got.Diagnostics.Counters.RowsScanned, got.Diagnostics.SampleFraction,
+			want.Float(0, 0), want.Items[0][0].CI, want.Diagnostics.Counters.RowsScanned, want.Diagnostics.SampleFraction)
+	}
+	ignored := func(r *Result) bool {
+		return containsSub(strings.Join(r.Diagnostics.Messages, "\n"), "TABLESAMPLE ignored")
+	}
+	if !ignored(got) || ignored(want) {
+		t.Errorf("messages %v / %v: only the TABLESAMPLE statement says it was ignored",
+			got.Diagnostics.Messages, want.Diagnostics.Messages)
+	}
+}
+
+// TestOfflineContractDrawsLikeOnline: the offline contract draws both
+// stages from the base table on the online engine's stage function, so at
+// one seed it answers exactly as the online engine does, reports the rows
+// and fraction it read, and the statement's TABLESAMPLE does not thin the
+// stage's draw a second time.
+func TestOfflineContractDrawsLikeOnline(t *testing.T) {
+	ev := smallEvents(t, 100000, 0)
+	stmt := parse(t, "SELECT SUM(ev_value) FROM events TABLESAMPLE BERNOULLI (10)")
+	spec := ErrorSpec{RelError: 0.05, Confidence: 0.95}
+	run := func(e Engine) *Result {
+		res, err := ExecuteContract(context.Background(), e, stmt, spec, DefaultContractConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	off := run(NewOfflineEngine(ev.Catalog, OfflineConfig{Seed: 7}))
+	on := run(NewOnlineEngine(ev.Catalog, OnlineConfig{DefaultRate: 0.01, MinTableRows: 1, Seed: 7}))
+	so, sn := off.Diagnostics.Contract, on.Diagnostics.Contract
+	if so.Verdict != contract.VerdictMet || off.Guarantee != GuaranteeAPriori {
+		t.Errorf("offline verdict %s under %v, want met a-priori", so.Verdict, off.Guarantee)
+	}
+	if c := off.Diagnostics.Counters; c.RowsScanned != so.PilotRows+so.FinalRows || c.Passes != 2 {
+		t.Errorf("offline read %d rows in %d passes, reports pilot %d + final %d",
+			c.RowsScanned, c.Passes, so.PilotRows, so.FinalRows)
+	}
+	if got := float64(so.PilotRows) / 100000; math.Abs(got-so.PilotFraction) > 0.005 {
+		t.Errorf("pilot read %.4f of the table, reports fraction %.4f", got, so.PilotFraction)
+	}
+	if off.Float(0, 0) != on.Float(0, 0) || off.Items[0][0].CI != on.Items[0][0].CI ||
+		off.Diagnostics.Counters != on.Diagnostics.Counters || off.Diagnostics.SampleFraction != on.Diagnostics.SampleFraction ||
+		so.PilotRows != sn.PilotRows || so.FinalRows != sn.FinalRows || so.FinalFraction != sn.FinalFraction ||
+		so.Verdict != sn.Verdict || off.Guarantee != on.Guarantee {
+		t.Errorf("offline %v %+v %+v %+v, online %v %+v %+v %+v",
+			off.Float(0, 0), off.Items[0][0].CI, off.Diagnostics.Counters, *so,
+			on.Float(0, 0), on.Items[0][0].CI, on.Diagnostics.Counters, *sn)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -302,7 +303,7 @@ func (e *OfflineEngine) ProfileQuery(sql string) error {
 		in := s.standIn()
 		e.mu.RUnlock()
 		approx, err := execute(ctx, e.Catalog, stmt, DefaultErrorSpec, draw{
-			tech: TechniqueOffline, guarantee: GuaranteeNone, standIn: &in, workers: e.Config.Workers})
+			tech: TechniqueOffline, guarantee: GuaranteeNone, standIn: &in, strip: true, workers: e.Config.Workers})
 		if err != nil {
 			continue
 		}
@@ -441,7 +442,10 @@ func (e *OfflineEngine) selectSample(stmt *sqlparse.SelectStmt, spec ErrorSpec, 
 
 // Execute implements Engine: the draw is the cheapest stored sample
 // certified for the spec (fresh, or stale as the policy permits), standing
-// in for its source table; without one the statement runs exactly.
+// in for its source table; without one the statement runs exactly. The
+// sample is the whole draw: the statement's TABLESAMPLE clauses are
+// stripped, as ProfileQuery strips them, since the certificate is for the
+// sample as stored.
 func (e *OfflineEngine) Execute(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec) (*Result, error) {
 	return engineRun(ctx, "offline", injectOffline, spec, func(ctx context.Context, spec ErrorSpec) (*Result, error) {
 		best, why, err := e.certified(ctx, stmt, spec)
@@ -452,9 +456,13 @@ func (e *OfflineEngine) Execute(ctx context.Context, stmt *sqlparse.SelectStmt, 
 			return e.exactEngine().fallBack(ctx, stmt, spec, "offline: "+why)
 		}
 		d := draw{tech: TechniqueOffline, guarantee: GuaranteeAPriori, standIn: &best.standIn,
-			workers: e.Config.Workers,
+			strip: true, workers: e.Config.Workers,
 			notes: []string{fmt.Sprintf("offline: answered from sample %s (%d rows, profiled err %.4f)",
 				best.name, best.data.NumRows(), best.prof)}}
+		if stmt.From.Sample != nil || slices.ContainsFunc(stmt.Joins,
+			func(j sqlparse.JoinClause) bool { return j.Table.Sample != nil }) {
+			d.notes = append(d.notes, "offline: TABLESAMPLE ignored — the stored sample is the draw")
+		}
 		if best.stale {
 			d.guarantee = GuaranteeNone
 		}

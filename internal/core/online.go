@@ -37,14 +37,6 @@ type OnlineConfig struct {
 	// miss the spec. Costs a second pass over the data (recorded in
 	// Counters.Passes).
 	FallbackToExact bool
-	// CacheSamples enables Taster-style sample reuse: the first query
-	// that uniform-samples a table materializes the sample, and
-	// subsequent queries answer from it without touching the base table,
-	// until the base table's version changes. The cache turns the online
-	// engine into an online/offline hybrid: zero *up-front* cost, but
-	// amortized scans — while inheriting the offline freshness liability,
-	// which the engine guards with version checks.
-	CacheSamples bool
 	// MinExpectedSampleRows is the selectivity guard: when an attached
 	// histogram predicts that selectivity × rows × rate falls below this
 	// bound, sampling cannot produce a usable estimate and the engine
@@ -84,23 +76,12 @@ type OnlineEngine struct {
 	// exactly as before.
 	Shards *shard.Map
 
-	// mu guards the sample cache, the hit/miss counters, and the
-	// histogram registry so concurrent queries may share one engine.
+	// mu guards the histogram registry so concurrent queries may share
+	// one engine.
 	mu sync.RWMutex
-	// cache holds Taster-style reusable uniform samples by table name.
-	cache map[string]*cachedSample
-	// cacheHits / cacheMisses count reuse effectiveness (see CacheStats).
-	cacheHits, cacheMisses int
 	// histograms holds per-column selectivity estimators keyed
 	// "table.column" (see AttachHistogram).
 	histograms map[string]*sketch.EquiDepthHistogram
-}
-
-// cachedSample is a reusable uniform sample (with weight column) of its
-// source table at rate, stamped with the base-table watermark at build time.
-type cachedSample struct {
-	standIn
-	rate float64
 }
 
 // NewOnlineEngine builds an online engine with the given config.
@@ -112,7 +93,6 @@ func NewOnlineEngine(cat *storage.Catalog, cfg OnlineConfig) *OnlineEngine {
 		cfg.DistinctKeep = 30
 	}
 	return &OnlineEngine{Catalog: cat, Config: cfg,
-		cache:      make(map[string]*cachedSample),
 		histograms: make(map[string]*sketch.EquiDepthHistogram)}
 }
 
@@ -129,13 +109,6 @@ func (e *OnlineEngine) AttachHistogram(table, column string, h *sketch.EquiDepth
 	e.mu.Lock()
 	e.histograms[table+"."+column] = h
 	e.mu.Unlock()
-}
-
-// CacheStats returns the cache hit/miss counters under the engine lock.
-func (e *OnlineEngine) CacheStats() (hits, misses int) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.cacheHits, e.cacheMisses
 }
 
 // BuildHistogram scans a numeric column and attaches an equi-depth
@@ -195,8 +168,8 @@ func (e *OnlineEngine) estimatedQualifyingRows(s *plan.Scan) (float64, bool) {
 func (e *OnlineEngine) Name() Technique { return TechniqueOnline }
 
 // Execute implements Engine: decide the draw — samplers placed on the
-// plan, the shard group to scatter over, or the cached sample standing in —
-// and run it. Statements that cannot or should not be sampled run exactly.
+// plan, and the shard group to scatter over — and run it. Statements that
+// cannot or should not be sampled run exactly.
 func (e *OnlineEngine) Execute(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec) (*Result, error) {
 	return engineRun(ctx, "online", injectOnline, spec, func(ctx context.Context, spec ErrorSpec) (*Result, error) {
 		d, why, err := e.draw(ctx, stmt)
@@ -213,16 +186,6 @@ func (e *OnlineEngine) Execute(ctx context.Context, stmt *sqlparse.SelectStmt, s
 		}
 		if e.Config.FallbackToExact {
 			d.onMiss = e.exactEngine()
-		}
-		if e.Config.CacheSamples && d.group == nil {
-			// Sharded tables answer scatter-gather; the sample cache does not
-			// apply (each shard owns its own independently seeded sample).
-			csp, _ := trace.StartSpan(ctx, "sample-cache")
-			err = e.cachedDraw(&d, stmt)
-			csp.End()
-			if err != nil {
-				return nil, err
-			}
 		}
 		return execute(ctx, e.Catalog, stmt, spec, d)
 	})
@@ -270,64 +233,6 @@ func (e *OnlineEngine) selectivityGuard(p plan.Node) string {
 		}
 	}
 	return ""
-}
-
-// cachedDraw turns d into a draw from the Taster-style reusable uniform
-// sample of the table d's plan samples, materializing it on first use. It
-// applies only when the engine (not the user) placed a single uniform
-// sampler, and leaves d alone otherwise. The engine lock is held across
-// the check-and-build so concurrent queries over the same table build the
-// cached sample once.
-func (e *OnlineEngine) cachedDraw(d *draw, stmt *sqlparse.SelectStmt) error {
-	// User-written TABLESAMPLE clauses opt out of caching.
-	if stmt.From.Sample != nil {
-		return nil
-	}
-	for _, j := range stmt.Joins {
-		if j.Table.Sample != nil {
-			return nil
-		}
-	}
-	var sampled *plan.Scan
-	for _, s := range plan.Scans(d.plan) {
-		if s.Sample == nil {
-			continue
-		}
-		if sampled != nil || s.Sample.Kind != sample.KindUniformRow {
-			return nil // multi-table or non-uniform: no caching
-		}
-		sampled = s
-	}
-	if sampled == nil {
-		return nil
-	}
-	name, base, rate := sampled.TableName, sampled.Table, sampled.Sample.Rate
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	c := e.cache[name]
-	var buildCost int64
-	if c == nil || c.buildVersion != base.Version() || c.rate != rate {
-		res, err := sample.BuildUniformTable(base, rate, e.Config.Seed, name+"__cache")
-		if err != nil {
-			return err
-		}
-		c = &cachedSample{rate: rate, standIn: standIn{source: name, data: res.Table,
-			name: res.Table.Name(), buildVersion: res.BuildVersion, buildRows: res.SourceRows}}
-		e.cache[name] = c
-		e.cacheMisses++
-		buildCost = int64(base.NumRows())
-		d.notes = append(d.notes, fmt.Sprintf("online: cache miss — materialized %d-row sample of %s",
-			res.SampleRows, name))
-	} else {
-		e.cacheHits++
-		d.notes = append(d.notes, fmt.Sprintf("online: cache hit — reusing %d-row sample of %s",
-			c.data.NumRows(), name))
-	}
-	in := c.standIn
-	in.buildCost = buildCost
-	d.standIn, d.plan = &in, nil
-	return nil
 }
 
 // placeSamplers injects samplers into the plan scans following the plan

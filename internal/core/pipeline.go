@@ -29,14 +29,14 @@ type draw struct {
 	// context override or runtime.GOMAXPROCS.
 	workers int
 
-	// standIn, when set, is the materialized sample that takes a base
-	// table's place: stored (offline), cached (online) or transient
-	// (offline contract stages).
+	// standIn, when set, is the stored offline sample that takes a base
+	// table's place.
 	standIn *standIn
 	// plan, when set, is the statement's plan with the draw's samplers
-	// already on its scans — the online engine plans in order to decide.
-	// Otherwise execute plans against the catalog with standIn in place,
-	// keeping the statement's own TABLESAMPLE clauses unless strip.
+	// already on its scans — the online engine plans in order to decide,
+	// and a contract stage sets their rate and seed. Otherwise execute
+	// plans against the catalog with standIn in place, keeping the
+	// statement's own TABLESAMPLE clauses unless strip.
 	plan  plan.Node
 	strip bool
 
@@ -63,9 +63,6 @@ type standIn struct {
 	buildRows    int
 	// stale reports that the base table has moved since the build.
 	stale bool
-	// buildCost is the base rows scanned to materialize data for this
-	// query (0 when it was already there): real work, counted as scanned.
-	buildCost int64
 }
 
 // engineRun is every engine's entry and exit: panic containment and error
@@ -152,9 +149,6 @@ func execute(ctx context.Context, cat *storage.Catalog, stmt *sqlparse.SelectStm
 		// stretched to cover — an exact run has no variance to widen, a
 		// lost range shard is a systematic gap: no defensible statement.
 		guarantee = GuaranteeNone
-	}
-	if in != nil {
-		raw.Counters.RowsScanned += in.buildCost
 	}
 	out := annotate(stmt, raw, spec, tech, guarantee)
 	asp.End()

@@ -1,7 +1,7 @@
 package core
 
 // The seam pin: every kind of draw the engines hand the execution pipeline
-// — exact, as-written, online plain / cached / sharded, offline stored,
+// — exact, as-written, online plain / sharded, offline stored,
 // contract stages — with the Diagnostics the pipeline stamps on the answer,
 // recorded before the per-engine execute bodies were folded into it.
 
@@ -87,7 +87,6 @@ func TestPipelinePin(t *testing.T) {
 	if err := offline.ProfileQuery(sum.String()); err != nil {
 		t.Fatal(err)
 	}
-	cached := online(nil, func(c *OnlineConfig) { c.CacheSamples = true })
 	tight := ErrorSpec{RelError: 0.02, Confidence: 0.95}
 
 	type runFn func(ctx context.Context) (*Result, error)
@@ -119,8 +118,6 @@ func TestPipelinePin(t *testing.T) {
 		{"as-written-unsampled", asWritten(sum), ""},
 		{"online", engine(online(nil, nil), sum), ""},
 		{"online-tablesample", engine(online(nil, nil), sampled), ""},
-		{"online-cache-miss", engine(cached, sum), ""},
-		{"online-cache-hit", engine(cached, sum), ""},
 		{"online-shards1", engine(online(hash(1), nil), sum), ""},
 		{"online-shards4", engine(online(hash(4), nil), sum), ""},
 		{"online-shards4-faulted", engine(online(hash(4), nil), sum), "shard.estimate.2:panic:1"},
@@ -175,30 +172,26 @@ func TestPipelinePin(t *testing.T) {
 	}
 }
 
-// Every draw gets the spec-miss fallback, the cached one included: with
-// FallbackToExact on, a cached sample whose CIs miss the spec must re-run
-// exactly and account for both passes just like the uncached engine.
+// Every draw gets the spec-miss fallback, one whose kept rows the memo
+// already holds included: with FallbackToExact on, a repeat query whose CIs
+// miss the spec must re-run exactly and account for both passes just like
+// the first.
 func TestPipelineFallbackCoversCachedDraw(t *testing.T) {
 	ev, stmt, truth := coverageFixture(t)
 	tight := ErrorSpec{RelError: 0.001, Confidence: 0.99}
-	run := func(cache bool) *Result {
-		e := NewOnlineEngine(ev.Catalog, OnlineConfig{DefaultRate: 0.01, MinTableRows: 1, Seed: 7,
-			FallbackToExact: true, CacheSamples: cache})
+	e := NewOnlineEngine(ev.Catalog, OnlineConfig{DefaultRate: 0.01, MinTableRows: 1, Seed: 7,
+		FallbackToExact: true})
+	for _, name := range []string{"first", "repeat"} {
 		res, err := e.Execute(context.Background(), stmt, tight)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
-	}
-	plain, cached := run(false), run(true)
-	for name, res := range map[string]*Result{"uncached": plain, "cached": cached} {
-		if !res.Diagnostics.FellBackToExact || res.Technique != TechniqueExact || res.Float(0, 0) != truth {
-			t.Errorf("%s: fell_back=%v technique=%v value=%v, want the exact re-run (%v); messages %v",
-				name, res.Diagnostics.FellBackToExact, res.Technique, res.Float(0, 0), truth, res.Diagnostics.Messages)
+		if !res.Diagnostics.FellBackToExact || res.Technique != TechniqueExact || res.Float(0, 0) != truth ||
+			res.Diagnostics.Counters.Passes != 2 {
+			t.Errorf("%s: fell_back=%v technique=%v value=%v passes=%d, want the exact re-run (%v) in 2 passes; messages %v",
+				name, res.Diagnostics.FellBackToExact, res.Technique, res.Float(0, 0), res.Diagnostics.Counters.Passes,
+				truth, res.Diagnostics.Messages)
 		}
-	}
-	if p, c := plain.Diagnostics.Counters.Passes, cached.Diagnostics.Counters.Passes; p != 2 || c != p {
-		t.Errorf("passes: uncached %d, cached %d, want 2 and 2", p, c)
 	}
 }
 

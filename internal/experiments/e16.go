@@ -5,21 +5,23 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/sample"
 	"repro/internal/sqlparse"
 	"repro/internal/workload"
 )
 
 func init() {
-	register("E16", "sample reuse (Taster-style cache): amortizing the online scan", runE16)
+	register("E16", "sample reuse (the kept-row memo): amortizing the online draw", runE16)
 }
 
 // E16 — sample reuse. Claim (the online/offline hybrid the paper points
-// to, à la Taster/Idea): caching the sample a query-time engine draws
-// amortizes its cost over a session — at the price of inheriting the
-// offline freshness liability, which version checks must guard. Since the
-// online scan reads only the rows its sampler keeps, that cost is no
-// longer a scan per query: both engines read the same kept rows per query,
-// and the cache reads one base scan more, to build.
+// to, à la Taster/Idea): reusing the sample a query-time engine draws
+// amortizes its cost over a session. The online engine's reuse is the
+// kept-row memo: the uniform coin's decisions, remembered per (seed, rate)
+// as a bitmap. The same session runs with the memo emptied before every
+// query and with it kept; both read the same kept rows, so what reuse buys
+// is the hash over the table, not rows. An append then grows the bitmap
+// over the new rows instead of rebuilding anything.
 func runE16(s Scale) (*Table, error) {
 	ev, err := workload.GenerateEvents(workload.EventsConfig{
 		Seed: s.Seed, Rows: s.Rows, NumGroups: 16})
@@ -32,61 +34,56 @@ func runE16(s Scale) (*Table, error) {
 		"SELECT SUM(ev_value) AS c FROM events WHERE ev_ts > 1000",
 		"SELECT COUNT(*) AS d FROM events WHERE ev_flag = true",
 	}
-	runSeq := func(e *core.OnlineEngine) (int64, time.Duration, error) {
+	cfg := core.DefaultOnlineConfig()
+	cfg.MinTableRows = 1000
+	cfg.DefaultRate = 0.02
+	e := core.NewOnlineEngine(ev.Catalog, cfg)
+
+	t := &Table{ID: "E16", Title: "sample reuse across a 12-query session (3 reps x 4 queries), then one query after an append",
+		Header: []string{"session", "rows_scanned", "total_latency", "memo_hits", "memo_misses", "memo_grows"}}
+	// session runs qs reps times, emptying the memo before each query when
+	// forget is set, and adds its row.
+	session := func(name string, qs []string, reps int, forget bool) error {
 		var rows int64
 		var total time.Duration
-		for rep := 0; rep < 3; rep++ {
-			for _, q := range queries {
+		before := sample.KeptMemoStats()
+		for rep := 0; rep < reps; rep++ {
+			for _, q := range qs {
 				stmt, err := sqlparse.Parse(q)
 				if err != nil {
-					return 0, 0, err
+					return err
+				}
+				if forget {
+					sample.ForgetKept()
 				}
 				t0 := time.Now()
 				res, err := e.Execute(context.Background(), stmt, core.ErrorSpec{RelError: 0.2, Confidence: 0.95})
 				if err != nil {
-					return 0, 0, err
+					return err
 				}
 				total += time.Since(t0)
 				rows += res.Diagnostics.Counters.RowsScanned
 			}
 		}
-		return rows, total, nil
+		after := sample.KeptMemoStats()
+		t.AddRow(name, itoa(rows), total.Round(time.Millisecond).String(), itoa(after.Hits-before.Hits),
+			itoa(after.Misses-before.Misses), itoa(after.Grows-before.Grows))
+		return nil
 	}
-
-	base := core.DefaultOnlineConfig()
-	base.MinTableRows = 1000
-	base.DefaultRate = 0.02
-
-	plain := core.NewOnlineEngine(ev.Catalog, base)
-	plainRows, plainTime, err := runSeq(plain)
-	if err != nil {
+	if err := session("memo emptied before every query", queries, 3, true); err != nil {
 		return nil, err
 	}
-
-	cachedCfg := base
-	cachedCfg.CacheSamples = true
-	cached := core.NewOnlineEngine(ev.Catalog, cachedCfg)
-	cachedRows, cachedTime, err := runSeq(cached)
-	if err != nil {
+	sample.ForgetKept()
+	if err := session("memo kept", queries, 3, false); err != nil {
 		return nil, err
 	}
-
-	// Updates invalidate: one append, one more query forces a rebuild.
 	if err := ev.AppendShifted(s.Rows/20, 1, 77); err != nil {
 		return nil, err
 	}
-	stmt, _ := sqlparse.Parse(queries[0])
-	if _, err := cached.Execute(context.Background(), stmt, core.ErrorSpec{RelError: 0.2, Confidence: 0.95}); err != nil {
+	if err := session("memo kept, after a 5% append", queries[:1], 1, false); err != nil {
 		return nil, err
 	}
-
-	t := &Table{ID: "E16", Title: "sample reuse across a 12-query session (3 reps x 4 queries)",
-		Header: []string{"engine", "rows_scanned", "total_latency", "cache_hits", "cache_misses"}}
-	t.AddRow("online (no cache)", itoa(plainRows), plainTime.Round(time.Millisecond).String(), "-", "-")
-	hits, misses := cached.CacheStats()
-	t.AddRow("online + sample cache", itoa(cachedRows), cachedTime.Round(time.Millisecond).String(),
-		itoa(int64(hits)), itoa(int64(misses)))
-	t.AddNote("both read only the kept rows per query; the cache adds one base scan to build, and updates force a rebuild (second miss)")
-	t.AddNote("what reuse still buys is a compact copy to read; it costs the offline freshness guard")
+	t.AddNote("both sessions read the same kept rows; the emptied memo pays a hash per table row on every query, the kept one once")
+	t.AddNote("after the append the memo decides only the new rows (one grow): no copy to rebuild, no freshness guard to keep")
 	return t, nil
 }

@@ -207,24 +207,26 @@ func TestE14CoverageGrowsWithBudget(t *testing.T) {
 	}
 }
 
-// TestE16CacheReadsTheKeptRowsPlusABuild: the online scan reads only the
-// rows its sampler keeps, so over the 12-query session it reads ~2% of the
-// table per query, and the cache — the same rows, materialized — reads
-// exactly those plus the one base scan that built it.
-func TestE16CacheReadsTheKeptRowsPlusABuild(t *testing.T) {
+// TestE16MemoReusesTheKeptRows: with the memo emptied before every query
+// or kept, the 12-query session reads the same kept rows, ~2% of the table
+// per query; only the memo's lookups differ — a miss per query against one
+// miss and eleven hits. An append then grows the bitmap: no miss, no copy.
+func TestE16MemoReusesTheKeptRows(t *testing.T) {
 	tab := run(t, "E16")
 	rowsCol := findCol(t, tab, "rows_scanned")
-	plain := cellFloat(t, tab, 0, rowsCol)
-	cached := cellFloat(t, tab, 1, rowsCol)
-	if perQuery := plain / 12 / float64(shapeScale.Rows); perQuery < 0.01 || perQuery > 0.03 {
+	cold, kept := cellFloat(t, tab, 0, rowsCol), cellFloat(t, tab, 1, rowsCol)
+	if perQuery := cold / 12 / float64(shapeScale.Rows); perQuery < 0.01 || perQuery > 0.03 {
 		t.Errorf("E16: the online scan read %.4f of the table per query, want ~0.02", perQuery)
 	}
-	if cached != plain+float64(shapeScale.Rows) {
-		t.Errorf("E16: the cache read %v rows, want the online engine's %v plus one %d-row build", cached, plain, shapeScale.Rows)
+	if kept != cold {
+		t.Errorf("E16: the kept memo read %v rows, the emptied one %v; want the same kept rows", kept, cold)
 	}
-	hitCol := findCol(t, tab, "cache_hits")
-	if cellFloat(t, tab, 1, hitCol) < 10 {
-		t.Errorf("E16: expected >=10 hits, got %v", tab.Rows[1][hitCol])
+	for row, want := range [][3]float64{{0, 12, 0}, {11, 1, 0}, {0, 0, 1}} {
+		for i, col := range []string{"memo_hits", "memo_misses", "memo_grows"} {
+			if got := cellFloat(t, tab, row, findCol(t, tab, col)); got != want[i] {
+				t.Errorf("E16 %q: %s = %v, want %v", tab.Rows[row][0], col, got, want[i])
+			}
+		}
 	}
 }
 

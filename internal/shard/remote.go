@@ -213,8 +213,14 @@ func (r *RemoteShard) Estimate(ctx context.Context, q Query, workers int) (*exec
 		return nil, fmt.Errorf("shard %d: estimate response wire version %s; this build speaks v%d", r.id, v, WireVersion)
 	}
 	rows, err := strconv.Atoi(rep.hdr.Get(HeaderRows))
+	if err == nil {
+		err = checkRows(rows)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("shard %d: estimate response %s: %w", r.id, HeaderRows, err)
+		// The population feeds coverage, extrapolation and Neyman rates:
+		// a reply that garbles it is malformed, and asking again sends the
+		// same reply.
+		return nil, fmt.Errorf("%w: shard %d: estimate response %s: %w", fault.ErrNoRetry, r.id, HeaderRows, err)
 	}
 	part, err := exec.DecodeAggPartialWire(rep.body)
 	if err != nil {
@@ -480,14 +486,10 @@ func (r *RemoteShard) probeOnce(ctx context.Context) error {
 		r.setAlive(false, 0)
 		return fmt.Errorf("shard %d health: HTTP %d", r.id, resp.StatusCode)
 	}
-	var hw HealthWire
-	if err := json.Unmarshal(data, &hw); err != nil {
+	hw, err := decodeHealth(data)
+	if err != nil {
 		r.setAlive(false, 0)
-		return fmt.Errorf("shard %d health: %w", r.id, err)
-	}
-	if hw.V != WireVersion {
-		r.setAlive(false, 0)
-		return fmt.Errorf("shard %d health: wire version %d (this build speaks v%d)", r.id, hw.V, WireVersion)
+		return fmt.Errorf("%w: shard %d health: %w", fault.ErrNoRetry, r.id, err)
 	}
 	lat := time.Since(start)
 	r.mu.Lock()
@@ -498,6 +500,28 @@ func (r *RemoteShard) probeOnce(ctx context.Context) error {
 	r.mu.Unlock()
 	if !wasAlive {
 		r.emit("probe_up", "")
+	}
+	return nil
+}
+
+// decodeHealth parses a /shard/health body. It accepts only a report in
+// this build's WireVersion with a population of at least zero rows.
+func decodeHealth(data []byte) (HealthWire, error) {
+	var hw HealthWire
+	if err := json.Unmarshal(data, &hw); err != nil {
+		return hw, err
+	}
+	if hw.V != WireVersion {
+		return hw, fmt.Errorf("wire version %d (this build speaks v%d)", hw.V, WireVersion)
+	}
+	return hw, checkRows(hw.Rows)
+}
+
+// checkRows refuses a negative population, which would turn coverage and
+// the survivors' extrapolation ratio inside out.
+func checkRows(n int) error {
+	if n < 0 {
+		return fmt.Errorf("negative row count %d", n)
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -574,4 +575,109 @@ func TestRemoteProbeTransitions(t *testing.T) {
 	if downs != 1 {
 		t.Fatalf("probe_down fired %d times, want exactly once (edge-triggered)", downs)
 	}
+}
+
+// TestRemoteNegativeRowsRefused: a shard's population feeds coverage, the
+// survivors' extrapolation ratio and Neyman rates, so an estimate reply
+// whose X-Shard-Rows is negative is a malformed reply: the leg fails
+// permanently, the shard degrades, and no later scatter counts the lie.
+func TestRemoteNegativeRowsRefused(t *testing.T) {
+	evw, lg := scatterFixture(t, Key{Column: "ev_user", Kind: KeyHash, Count: 2}, fault.BreakerConfig{})
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		h := &testShardHandler{id: i, tbl: lg.ShardTable(i)}
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			maps.Copy(w.Header(), rec.Header())
+			if i == 0 && r.URL.Path == "/shard/estimate" {
+				w.Header().Set(HeaderRows, "-5")
+			}
+			w.WriteHeader(rec.Code)
+			w.Write(rec.Body.Bytes())
+		}))
+		t.Cleanup(srv.Close)
+		addrs = append(addrs, srv.URL)
+	}
+	rg, err := AttachRemote(evw.Table, Key{Column: "ev_user", Kind: KeyHash, Count: 2}, addrs,
+		RemoteOptions{ProbeInterval: -1, HedgeDelay: -1, Retry: fault.RetryConfig{Tries: 3, Base: time.Millisecond}},
+		fault.BreakerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rg.Close()
+	for pass := 0; pass < 2; pass++ {
+		res, err := rg.Scatter(context.Background(), parse(t, "SELECT COUNT(*) FROM events"),
+			ExecOptions{Workers: 2, AllowDegraded: true})
+		if err != nil {
+			t.Fatalf("scatter: %v", err)
+		}
+		if len(res.Failed) != 1 || res.Failed[0] != 0 {
+			t.Fatalf("pass %d: failed shards %v, want [0]", pass, res.Failed)
+		}
+		if err := res.Outcomes[0].Err; !errors.Is(err, fault.ErrNoRetry) || !strings.Contains(err.Error(), "negative") {
+			t.Fatalf("pass %d: shard 0 error %v is not a permanent refusal naming the negative count", pass, err)
+		}
+		if want := lg.ShardTable(0).NumRows() + lg.ShardTable(1).NumRows(); res.TotalRows != want ||
+			res.CoveredRows != lg.ShardTable(1).NumRows() {
+			t.Fatalf("pass %d: total %d covered %d, want %d and shard 1's %d",
+				pass, res.TotalRows, res.CoveredRows, want, lg.ShardTable(1).NumRows())
+		}
+	}
+}
+
+// TestRemoteHealthNegativeRowsDown: a health reply with a negative row count
+// is malformed: attach refuses it, and a live shard whose probe turns
+// malformed is marked down and keeps its last good population.
+func TestRemoteHealthNegativeRowsDown(t *testing.T) {
+	var lie atomic.Bool
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rows := 10
+		if lie.Load() {
+			rows = -5
+		}
+		json.NewEncoder(w).Encode(HealthWire{V: WireVersion, Rows: rows})
+	}))
+	defer srv.Close()
+	rs := newRemoteShard(0, "events", srv.URL, RemoteOptions{ProbeInterval: -1})
+	if err := rs.probeOnce(context.Background()); err != nil || !rs.Health().Alive || rs.Rows() != 10 {
+		t.Fatalf("honest probe: err %v, health %+v", err, rs.Health())
+	}
+	lie.Store(true)
+	err := rs.probeOnce(context.Background())
+	if !errors.Is(err, fault.ErrNoRetry) || !strings.Contains(fmt.Sprint(err), "negative") {
+		t.Fatalf("probe error %v is not a permanent refusal naming the negative count", err)
+	}
+	if h := rs.Health(); h.Alive || h.Rows != 10 {
+		t.Fatalf("after a malformed probe: alive %v rows %d, want down with the last good 10", h.Alive, h.Rows)
+	}
+	ev, _ := scatterFixture(t, Key{Column: "ev_user", Kind: KeyHash, Count: 1}, fault.BreakerConfig{})
+	_, err = AttachRemote(ev.Table, Key{Column: "ev_user", Kind: KeyHash, Count: 1}, []string{srv.URL},
+		RemoteOptions{ProbeInterval: -1}, fault.BreakerConfig{})
+	if err == nil || !strings.Contains(err.Error(), "negative") {
+		t.Fatalf("attach to a shard reporting negative rows: %v", err)
+	}
+}
+
+// FuzzHealthReply: no /shard/health body may panic the decoder, and any
+// body it accepts carries this build's WireVersion and a population of at
+// least zero rows.
+func FuzzHealthReply(f *testing.F) {
+	for _, seed := range []string{
+		`{"v":2,"shard_id":0,"table":"events","rows":1000}`,
+		`{"v":2,"rows":-1}`,
+		`{"v":1,"rows":10}`,
+		`{"v":2,"rows":9223372036854775807}`,
+		`{"v":2,"rows":1e3}`,
+		`{"v":"2"}`,
+		`null`, `[]`, ``, `{`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		hw, err := decodeHealth(body)
+		if err == nil && (hw.V != WireVersion || hw.Rows < 0) {
+			t.Fatalf("accepted %q as %+v", body, hw)
+		}
+	})
 }

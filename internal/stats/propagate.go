@@ -2,47 +2,6 @@ package stats
 
 import "math"
 
-// Relative-error propagation rules for composite aggregates. Each rule
-// bounds the relative error of a composite estimator given relative-error
-// bounds e1, e2 on its positive inputs. These are the standard
-// uncertainty-propagation bounds, provable by direct algebra:
-//
-//	product:  |xy − x̂ŷ|/(xy)       ≤ e1 + e2 + e1·e2
-//	ratio:    |x/y − x̂/ŷ|/(x/y)    ≤ (e1 + e2) / (1 − e2)   (e2 < 1)
-//	sum:      |ax+by − ax̂−bŷ| / (ax+by) ≤ max(e1, e2)       (a,b ≥ 0)
-
-// PropagateProduct bounds the relative error of a product of two estimates.
-func PropagateProduct(e1, e2 float64) float64 { return e1 + e2 + e1*e2 }
-
-// PropagateRatio bounds the relative error of a ratio of two estimates.
-// Returns +Inf when the denominator error can reach 1 (total loss).
-func PropagateRatio(e1, e2 float64) float64 {
-	if e2 >= 1 {
-		return math.Inf(1)
-	}
-	return (e1 + e2) / (1 - e2)
-}
-
-// PropagateSum bounds the relative error of a nonnegative linear
-// combination of two estimates.
-func PropagateSum(e1, e2 float64) float64 { return math.Max(e1, e2) }
-
-// AllocateRelError splits a composite relative-error budget evenly across k
-// simple aggregates such that propagating the per-part errors through any
-// chain of the rules above stays within the budget. For products the split
-// must satisfy k·e + O(e²) ≤ budget; we solve the product case exactly for
-// k = 2 and fall back to budget/k (safe for sums and ratios with small e).
-func AllocateRelError(budget float64, k int) float64 {
-	if k <= 1 {
-		return budget
-	}
-	if k == 2 {
-		// Solve 2e + e² = budget  →  e = sqrt(1+budget) − 1.
-		return math.Sqrt(1+budget) - 1
-	}
-	return budget / float64(k)
-}
-
 // AllocateConfidence splits an overall confidence across k events by
 // Boole's inequality: if each event individually fails with probability
 // (1-c')/1 where c' is the returned per-event confidence, the probability
@@ -57,7 +16,7 @@ func AllocateConfidence(c float64, k int) float64 {
 // CombineIntervalsProduct returns an interval for the product X·Y of two
 // independent positive estimates with intervals ix, iy, by interval
 // arithmetic (conservative).
-func CombineIntervalsProduct(x, y float64, ix, iy Interval) Interval {
+func CombineIntervalsProduct(ix, iy Interval) Interval {
 	candidates := [4]float64{ix.Lo * iy.Lo, ix.Lo * iy.Hi, ix.Hi * iy.Lo, ix.Hi * iy.Hi}
 	lo, hi := candidates[0], candidates[0]
 	for _, c := range candidates[1:] {
@@ -69,7 +28,7 @@ func CombineIntervalsProduct(x, y float64, ix, iy Interval) Interval {
 
 // CombineIntervalsRatio returns an interval for X/Y by interval arithmetic.
 // If iy straddles zero the result is unbounded and Lo/Hi are ±Inf.
-func CombineIntervalsRatio(x, y float64, ix, iy Interval) Interval {
+func CombineIntervalsRatio(ix, iy Interval) Interval {
 	conf := math.Min(ix.Confidence, iy.Confidence)
 	if iy.Lo <= 0 && iy.Hi >= 0 {
 		return Interval{Lo: math.Inf(-1), Hi: math.Inf(1), Confidence: conf}
