@@ -4,9 +4,10 @@
 #   ./ab_bench.sh [-n pairs] [-s seed] [-w workload[,workload…]] [-d dir] [-o file] [PARENT [CHANGE]]
 #
 # PARENT (default HEAD~1) and CHANGE (default HEAD) are git revisions. Each
-# is exported with `git archive` into a sibling tree under dir (default a
-# fresh temporary directory): the committed files only, so edits in the
-# working tree are never measured and no worktree metadata is left in .git.
+# is cloned into a sibling tree under dir (default a fresh temporary
+# directory) and checked out there: the committed files only, so edits in
+# the working tree are never measured, this repository's .git is left as it
+# was, and each run's environment record names its own commit.
 # For every workload (default: all of BENCHMARK.json's) it runs `pairs`
 # pairs of
 #
@@ -27,23 +28,22 @@ while getopts "n:s:w:d:o:h" opt; do
 	w) workloads=${OPTARG//,/ } ;;
 	d) dir=$OPTARG ;;
 	o) out=$OPTARG ;;
-	*) sed -n '2,18p' "$0" | sed 's/^# \{0,1\}//'; exit 2 ;;
+	*) sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'; exit 2 ;;
 	esac
 done
 shift $((OPTIND - 1))
 parent=$(git rev-parse --verify "${1:-HEAD~1}^{commit}")
 change=$(git rev-parse --verify "${2:-HEAD}^{commit}")
 root=$(git rev-parse --show-toplevel)
-[ -n "$workloads" ] || workloads=$(jq -r '.workloads[].name' "$root/BENCHMARK.json")
+[ -n "$workloads" ] || workloads=$(jq -r '[.workloads[].name] | join(" ")' "$root/BENCHMARK.json")
 [ -n "$dir" ] || dir=$(mktemp -d)
 dir=$(cd "$dir" && pwd)
 case $out in /*) ;; *) out="$PWD/$out" ;; esac
 
 for side in parent change; do
-	rm -rf "${dir:?}/$side"
-	mkdir -p "$dir/$side"
-	git -C "$root" archive "${!side}" | tar -x -C "$dir/$side"
-	rm -f "$dir/$side.json"
+	rm -rf "${dir:?}/$side" "$dir/$side.json"
+	git clone -q --no-checkout "$root" "$dir/$side"
+	git -C "$dir/$side" checkout -q --detach "${!side}"
 done
 echo "parent $parent, change $change: $pairs pairs × {$workloads} at seed $seed, trees in $dir" >&2
 
