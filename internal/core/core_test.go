@@ -234,6 +234,7 @@ func TestOnlineSampleCache(t *testing.T) {
 	cfg.DefaultRate = 0.05
 	cfg.Seed = 4242 // a pair no other test scans at
 	e := NewOnlineEngine(ev.Catalog, cfg)
+	sample.ForgetKept() // as at process start, whatever ran before
 	run := func(sql string) *Result {
 		t.Helper()
 		res, err := e.Execute(context.Background(), parse(t, sql), DefaultErrorSpec)
@@ -287,6 +288,7 @@ func TestOnlineSampleCacheBuiltOnce(t *testing.T) {
 	cfg.Seed = 4343 // a pair no other test scans at
 	e := NewOnlineEngine(ev.Catalog, cfg)
 	stmt := parse(t, "SELECT SUM(ev_value) AS s FROM events")
+	sample.ForgetKept() // as at process start, whatever ran before
 	before := sample.KeptMemoStats()
 
 	const n = 8
