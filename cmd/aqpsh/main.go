@@ -56,62 +56,54 @@ import (
 	"repro/internal/workload"
 )
 
-// shell bundles the open DB with its embedded accuracy auditor and a
-// session-local telemetry stack (metrics registry, flight recorder, SLO
-// engine); \gen swaps the DB and auditor, telemetry spans the session.
+// shell bundles the open DB with the session's observers — the same
+// post-serve sinks aqpd files with (metrics, flight recorder, workload
+// insight, and an accuracy auditor that re-executes every approximate
+// answer) — and a session-local SLO engine over them. \gen swaps the DB
+// and rebinds the auditor; the rest spans the session.
 type shell struct {
 	db  *aqp.DB
 	aud *audit.Auditor
+	obs *server.Observers
 
-	met     *server.Metrics
-	flight  *telemetry.Recorder
-	tstore  *telemetry.Store
-	slo     *telemetry.SLO
-	insight *insight.Registry
+	tstore *telemetry.Store
+	slo    *telemetry.SLO
 }
 
-// setDB replaces the database and rebinds the auditor to it.
-func (sh *shell) setDB(db *aqp.DB) {
-	sh.aud.Close()
-	sh.db = db
-	sh.aud = sh.newAuditor(db)
-}
-
-// initTelemetry builds the session-local observability stack. The store
-// is snapped on demand (\slo), never on a ticker — an interactive shell
-// has no background cadence worth paying for.
-func (sh *shell) initTelemetry() {
-	sh.met = server.NewMetrics()
-	sh.flight = telemetry.NewRecorder(telemetry.RecorderConfig{Queries: 64})
-	sh.insight = insight.New(insight.Config{OnEvent: func(ev insight.Event) {
-		// Mirror aqpd: sentinel transitions land on the session's flight
-		// timeline so \flight and \top tell one story.
-		switch ev.Kind {
-		case insight.EventRegression:
-			sh.met.Inc(server.Key("workload_regressions_total", "signal", ev.Signal))
-			sh.flight.AddEvent(telemetry.Event{Kind: "workload_regression", Name: ev.Fingerprint, Shard: -1})
-		case insight.EventRecovered:
-			sh.flight.AddEvent(telemetry.Event{Kind: "workload_recovered", Name: ev.Fingerprint, Shard: -1})
-		}
-	}})
+// newShell opens an empty session. The auditor audits every approximate
+// answer (fraction 1, no capacity gate — a single-user shell has no
+// foreground to starve). The store is snapped on demand (\slo), never on
+// a ticker — an interactive shell has no background cadence worth paying
+// for.
+func newShell() *shell {
+	sh := &shell{obs: server.NewObservers(server.Config{Telemetry: true, AuditFraction: 1, AuditSeed: 42})}
 	sh.tstore = telemetry.NewStore(telemetry.StoreConfig{
-		Collect: func() telemetry.Sample { return sh.met.TelemetrySample(nil) },
+		Collect: func() telemetry.Sample { return sh.obs.Metrics().TelemetrySample(nil) },
 	})
 	sh.slo = telemetry.NewSLO(sh.tstore, nil, nil)
 	sh.tstore.Snap() // baseline edge for the first \slo
+	sh.setDB(aqp.New())
+	return sh
+}
+
+// setDB replaces the database and rebinds the observers to it.
+func (sh *shell) setDB(db *aqp.DB) {
+	sh.db = db
+	sh.aud = sh.obs.Attach(db, nil)
 }
 
 // run executes one SQL line in the given mode: the line's one parse, the
-// façade's Run, the session records, the printed answer and — for answers
-// the auditor should see — the audit offer all share one statement.
-func (sh *shell) run(sql string, req aqp.Request, offer bool) {
-	start := time.Now()
+// façade's Run, the filing and the printed answer share one statement.
+func (sh *shell) run(sql string, req aqp.Request) {
+	served := server.Served{Start: time.Now(), SQL: sql, Mode: string(req.Mode)}
 	var res *aqp.Result
-	stmt, err := sqlparse.Parse(sql)
+	var err error
+	served.Stmt, err = sqlparse.Parse(sql)
 	if err == nil {
-		res, err = sh.db.Run(context.Background(), stmt, req)
+		res, err = sh.db.Run(context.Background(), served.Stmt, req)
 	}
-	sh.record(sql, req.Mode, stmt, res, err, start)
+	served.Finish(res, err)
+	sh.obs.File(served)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -120,55 +112,10 @@ func (sh *shell) run(sql string, req aqp.Request, offer bool) {
 	for _, m := range res.Diagnostics.Messages {
 		fmt.Println("  ·", m)
 	}
-	if offer {
-		sh.aud.OfferStmt(res, stmt)
-	}
-}
-
-// record files one executed statement (nil when the SQL did not parse)
-// with the session metrics and the flight recorder, so \slo and \flight
-// observe shell work the same way aqpd observes served queries.
-func (sh *shell) record(sql string, mode aqp.Mode, stmt *sqlparse.SelectStmt, res *aqp.Result, err error, start time.Time) {
-	served := server.Served{Start: start, LatencyMS: float64(time.Since(start).Microseconds()) / 1e3,
-		SQL: sql, Mode: string(mode), Stmt: stmt, Res: res, Err: err, Status: 200}
-	if err != nil {
-		served.Status = 500
-		sh.met.Inc("queries_errors_total")
-		sh.met.Inc("queries_total")
-	} else {
-		tech := string(res.Technique)
-		sh.met.Inc(server.Key("queries_total", "technique", tech))
-		sh.met.Observe(server.Key("query_latency_ms", "technique", tech), served.LatencyMS)
-		if res.Diagnostics.Degraded {
-			sh.met.Inc("queries_degraded_total")
-		}
-	}
-	sh.insight.ObserveStmt(stmt, served.Observation())
-	sh.flight.Record(served.Record())
-}
-
-// newAuditor audits every approximate answer (fraction 1, no capacity
-// gate — a single-user shell has no foreground to starve). Verdicts
-// feed the session's per-fingerprint coverage scorecards (\top).
-func (sh *shell) newAuditor(db *aqp.DB) *audit.Auditor {
-	return audit.New(db, nil, audit.Config{Fraction: 1, Seed: 42,
-		OnEvent: func(ev audit.Event) {
-			if sh.insight == nil {
-				return
-			}
-			switch ev.Kind {
-			case audit.EventCovered:
-				sh.insight.ReportAudit(ev.Fingerprint, ev.Technique, true)
-			case audit.EventMissed:
-				sh.insight.ReportAudit(ev.Fingerprint, ev.Technique, false)
-			}
-		}})
 }
 
 func main() {
-	sh := &shell{db: aqp.New()}
-	sh.initTelemetry()
-	sh.aud = sh.newAuditor(sh.db)
+	sh := newShell()
 	fmt.Println("aqpsh — approximate query shell (\\gen to create data, \\quit to exit)")
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -187,7 +134,7 @@ func main() {
 			}
 			continue
 		}
-		sh.run(line, aqp.Request{}, true)
+		sh.run(line, aqp.Request{})
 	}
 }
 
@@ -266,7 +213,7 @@ func meta(sh *shell, line string) bool {
 		// EXPLAIN ANALYZE through the advisor: the span tree (per-operator
 		// timings, rows in/out, worker morsels) comes back as the rows,
 		// above the usual technique / shards footer.
-		sh.run("EXPLAIN ANALYZE "+rest, aqp.Request{}, false)
+		sh.run("EXPLAIN ANALYZE "+rest, aqp.Request{})
 	case "\\advise":
 		d, err := db.Advise(rest)
 		if err != nil {
@@ -276,13 +223,13 @@ func meta(sh *shell, line string) bool {
 		fmt.Printf("technique=%s guarantee=%s reason=%s\n", d.Technique, d.Guarantee, d.Reason)
 	case "\\exact", "\\online", "\\offline":
 		mode, _ := aqp.ParseMode(cmd[1:])
-		sh.run(rest, aqp.Request{Mode: mode}, false)
+		sh.run(rest, aqp.Request{Mode: mode})
 	case "\\ola":
 		sh.run(rest, aqp.Request{Mode: aqp.ModeOLA, Observe: func(p aqp.Progress) bool {
 			fmt.Printf("  %5.1f%% read, current max CI half-width %.4f\n",
 				p.Fraction*100, p.Result.MaxRelHalfWidth())
 			return true
-		}}, false)
+		}})
 	case "\\contract":
 		// Pilot-sized two-stage execution: FormatResult appends the
 		// contract footer (verdict, sized fractions, pilot/final rows).
@@ -296,7 +243,7 @@ func meta(sh *shell, line string) bool {
 			fmt.Println("usage: \\contract [online|ola|offline] <sql WITH ERROR e% CONFIDENCE c%>")
 			return false
 		}
-		sh.run(sql, aqp.Request{Mode: mode, Contract: true}, true)
+		sh.run(sql, aqp.Request{Mode: mode, Contract: true})
 	case "\\prep":
 		if len(fields) < 3 {
 			fmt.Println("usage: \\prep <table> <col[,col...]>")
@@ -367,7 +314,7 @@ func meta(sh *shell, line string) bool {
 			}
 			n = v
 		}
-		b := sh.flight.Snapshot("aqpsh")
+		b := sh.obs.Flight().Snapshot("aqpsh")
 		if len(b.Queries) == 0 {
 			fmt.Println("flight recorder empty (run some queries first)")
 			return false
@@ -405,12 +352,12 @@ func meta(sh *shell, line string) bool {
 			}
 			n = v
 		}
-		cards := sh.insight.Top(n, insight.ByTraffic)
+		cards := sh.obs.Insight().Top(n, insight.ByTraffic)
 		if len(cards) == 0 {
 			fmt.Println("no query shapes fingerprinted yet (run some SQL first)")
 			return false
 		}
-		sum := sh.insight.Summary()
+		sum := sh.obs.Insight().Summary()
 		fmt.Printf("%d shape(s) tracked, %d quer%s offered",
 			sum.Fingerprints, sum.Offered, plural(sum.Offered, "y", "ies"))
 		if sum.Evictions > 0 {

@@ -35,19 +35,16 @@ var injectServerQuery = fault.NewPoint("server.query", "query handler, post-admi
 // the last resort (narrowest query class).
 var degradeLadder = [...]aqp.Mode{aqp.ModeOLA, aqp.ModeOffline, aqp.ModeSynopsis}
 
-// newBreakers builds one circuit breaker per engine mode. The map is
-// complete and read-only after construction, so lookups need no lock.
-// onTransition (may be nil) observes every state change with the engine
-// key attached, feeding the flight recorder's breaker event stream.
+// newBreakers builds one circuit breaker per engine mode; onTransition
+// observes every state change with the engine key attached, feeding the
+// flight recorder's breaker event stream. The map is complete and
+// read-only after construction, so lookups need no lock.
 func newBreakers(cfg Config, onTransition func(engine string, from, to fault.BreakerState)) map[aqp.Mode]*fault.Breaker {
 	m := make(map[aqp.Mode]*fault.Breaker)
 	for _, k := range aqp.Modes {
-		bc := fault.BreakerConfig{Threshold: cfg.BreakerThreshold, Cooldown: cfg.BreakerCooldown}
-		if onTransition != nil {
-			engine := string(k)
-			bc.OnTransition = func(from, to fault.BreakerState) { onTransition(engine, from, to) }
-		}
-		m[k] = fault.NewBreaker(bc)
+		engine := string(k)
+		m[k] = fault.NewBreaker(fault.BreakerConfig{Threshold: cfg.BreakerThreshold, Cooldown: cfg.BreakerCooldown,
+			OnTransition: func(from, to fault.BreakerState) { onTransition(engine, from, to) }})
 	}
 	return m
 }
@@ -59,12 +56,12 @@ func (s *Server) executeEngine(ctx context.Context, stmt *sqlparse.SelectStmt, r
 	key := string(req.Mode)
 	brk := s.brk[req.Mode]
 	if brk != nil && !brk.Allow() {
-		s.met.Inc(Key("breaker_open_total", "engine", key))
+		s.obs.met.Inc(Key("breaker_open_total", "engine", key))
 		return nil, fmt.Errorf("%w: circuit breaker open for engine %s", core.ErrEngineUnavailable, key)
 	}
 	res, err := s.db.Run(ctx, stmt, req)
 	if errors.Is(err, core.ErrQueryPanic) {
-		s.met.Inc(Key("query_panics_total", "engine", key))
+		s.obs.met.Inc(Key("query_panics_total", "engine", key))
 	}
 	if brk != nil {
 		// Only engine faults (panics, injected faults) count against the
@@ -72,7 +69,7 @@ func (s *Server) executeEngine(ctx context.Context, stmt *sqlparse.SelectStmt, r
 		// health, and counting them would trip breakers under load.
 		engineFault := err != nil && (errors.Is(err, core.ErrQueryPanic) || fault.Injected(err))
 		if brk.Record(!engineFault) {
-			s.met.Inc(Key("breaker_trips_total", "engine", key))
+			s.obs.met.Inc(Key("breaker_trips_total", "engine", key))
 			s.cfg.Logger.Warn("circuit breaker tripped", "engine", key, "err", err.Error())
 		}
 	}
@@ -126,7 +123,7 @@ func (s *Server) executeResilient(ctx, parent context.Context, stmt *sqlparse.Se
 		sub.Diagnostics.Degraded = true
 		sub.Diagnostics.Messages = append(sub.Diagnostics.Messages, fmt.Sprintf(
 			"server: %s engine failed (%v); degraded to %s", primary, err, rung))
-		s.met.Inc(Key("queries_degraded_total", "to", string(rung)))
+		s.obs.met.Inc(Key("queries_degraded_total", "to", string(rung)))
 		s.cfg.Logger.Warn("query degraded", "from", primary, "to", rung, "err", err.Error())
 		return sub, string(primary), nil
 	}
@@ -162,16 +159,4 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// engineTrippedGauges appends engine_tripped gauges (1 = breaker not
-// closed) to the metrics gauge map.
-func (s *Server) engineTrippedGauges(gauges map[string]int64) {
-	for k, b := range s.brk {
-		v := int64(0)
-		if b.State() != fault.BreakerClosed {
-			v = 1
-		}
-		gauges[Key("engine_tripped", "engine", string(k))] = v
-	}
 }

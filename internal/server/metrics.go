@@ -229,18 +229,19 @@ func (m *Metrics) Snapshot(gauges map[string]int64) Snapshot {
 }
 
 // TelemetrySample converts the registry (plus caller-supplied gauges)
-// into one time-series sample for the telemetry store: counters as
-// floats, histograms as cumulative bucket counts. One full copy under
-// the registry lock, once per snapshot cadence — never on a query path.
-func (m *Metrics) TelemetrySample(gauges map[string]float64) telemetry.Sample {
+// into one time-series sample for the telemetry store: counters and
+// gauges as floats, histograms as cumulative bucket counts. One full copy
+// under the registry lock, once per snapshot cadence — never on a query
+// path.
+func (m *Metrics) TelemetrySample(gauges map[string]int64) telemetry.Sample {
+	smp := telemetry.Sample{T: time.Now(), Gauges: make(map[string]float64, len(gauges))}
+	for k, v := range gauges {
+		smp.Gauges[k] = float64(v)
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	smp := telemetry.Sample{
-		T:        time.Now(),
-		Counters: make(map[string]float64, len(m.counters)),
-		Gauges:   gauges,
-		Hists:    make(map[string]telemetry.Hist, len(m.hists)),
-	}
+	smp.Counters = make(map[string]float64, len(m.counters))
+	smp.Hists = make(map[string]telemetry.Hist, len(m.hists))
 	for k, v := range m.counters {
 		smp.Counters[k] = float64(v)
 	}

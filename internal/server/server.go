@@ -24,7 +24,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/fault"
-	"repro/internal/insight"
 	"repro/internal/sample"
 	"repro/internal/shard"
 	"repro/internal/sqlparse"
@@ -148,19 +147,14 @@ type Server struct {
 	db    *aqp.DB
 	cfg   Config
 	adm   *Admission
-	met   *Metrics
-	aud   *audit.Auditor
+	obs   *Observers                  // every post-serve sink
 	brk   map[aqp.Mode]*fault.Breaker // per-mode circuit breakers, read-only map
 	mux   *http.ServeMux
 	start time.Time
 
-	// Observability layer; all nil when Config.Telemetry is off.
-	tstore     *telemetry.Store
-	slo        *telemetry.SLO
-	flight     *telemetry.Recorder
-	spans      *telemetry.SpanExporter
-	flightSink func(telemetry.Bundle)
-	insight    *insight.Registry
+	// Time series and objectives; nil when Config.Telemetry is off.
+	tstore *telemetry.Store
+	slo    *telemetry.SLO
 }
 
 // New builds a server over db.
@@ -170,55 +164,18 @@ func New(db *aqp.DB, cfg Config) *Server {
 		db:    db,
 		cfg:   cfg,
 		adm:   NewAdmission(cfg.Workers, cfg.QueueCap),
-		met:   NewMetrics(),
+		obs:   NewObservers(cfg),
 		mux:   http.NewServeMux(),
 		start: time.Now(),
 	}
 	if cfg.Telemetry {
 		s.initTelemetry(cfg)
 	}
-	s.brk = newBreakers(cfg, s.onBreakerTransition)
-	if cfg.AuditFraction > 0 {
-		// Ground truth runs through the exact path of the same DB; the
-		// admission controller is the idle gate, so audits only borrow
-		// worker slots the foreground is not using.
-		s.aud = audit.New(db, s.adm, audit.Config{
-			Fraction: cfg.AuditFraction,
-			QueueCap: cfg.AuditQueueCap,
-			Window:   cfg.AuditWindow,
-			Seed:     cfg.AuditSeed,
-			Logger:   cfg.Logger,
-			OnEvent:  s.onAuditEvent,
-		})
-	}
-	// Per-shard outcome telemetry: one counter increment per shard per
-	// scatter, labeled by table, shard, and outcome; the flight recorder
-	// additionally retains non-ok outcomes as events. Remote envelope
-	// events (retries, hedges, probe transitions) get their own counters —
-	// they describe the wire, not a scatter outcome — and all but routine
-	// hedge fires land in the flight recorder too.
-	db.Shards().SetObserver(func(ev shard.Event) {
-		switch ev.Type {
-		case "retry", "hedge", "hedge_win", "probe_down", "probe_up":
-			s.met.Inc(fmt.Sprintf(`shard_remote_total{event="%s",shard="%d",table="%s"}`,
-				EscapeLabelValue(ev.Type), ev.Shard, EscapeLabelValue(ev.Table)))
-			if s.flight != nil && ev.Type != "hedge" {
-				s.flight.AddEvent(telemetry.Event{
-					Kind: "shard_remote", Name: ev.Table, Detail: ev.Type, Shard: ev.Shard,
-					TraceID: ev.TraceID,
-				})
-			}
-		default:
-			s.met.Inc(fmt.Sprintf(`shard_exec_total{outcome="%s",shard="%d",table="%s"}`,
-				EscapeLabelValue(ev.Type), ev.Shard, EscapeLabelValue(ev.Table)))
-			if s.flight != nil && ev.Type != "ok" {
-				s.flight.AddEvent(telemetry.Event{
-					Kind: "shard", Name: ev.Table, Detail: ev.Type, Shard: ev.Shard,
-					TraceID: ev.TraceID,
-				})
-			}
-		}
-	})
+	s.brk = newBreakers(cfg, s.obs.onBreakerTransition)
+	// Ground truth runs through the exact path of the same DB; the
+	// admission controller is the idle gate, so audits only borrow worker
+	// slots the foreground is not using.
+	s.obs.Attach(db, s.adm)
 	s.mux.HandleFunc("/query", s.handleQuery)
 	s.mux.HandleFunc("/audit", s.handleAudit)
 	s.mux.HandleFunc("/shards", s.handleShards)
@@ -246,7 +203,7 @@ func New(db *aqp.DB, cfg Config) *Server {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Metrics returns the server's metrics registry.
-func (s *Server) Metrics() *Metrics { return s.met }
+func (s *Server) Metrics() *Metrics { return s.obs.met }
 
 // Admission returns the admission controller (exposed for tests and for
 // gauge reporting).
@@ -254,15 +211,15 @@ func (s *Server) Admission() *Admission { return s.adm }
 
 // Auditor returns the accuracy auditor, or nil when auditing is
 // disabled (exposed for tests and CLI drains).
-func (s *Server) Auditor() *audit.Auditor { return s.aud }
+func (s *Server) Auditor() *audit.Auditor { return s.obs.aud }
 
 // Shutdown stops admitting queries and waits for in-flight ones to
 // drain, or until ctx expires. Pending audits are abandoned — they are
 // best-effort telemetry, not client work.
 func (s *Server) Shutdown(ctx context.Context) error {
 	err := s.adm.Drain(ctx)
-	if s.aud != nil {
-		s.aud.Close()
+	if s.obs.aud != nil {
+		s.obs.aud.Close()
 	}
 	if s.tstore != nil {
 		s.tstore.Close()
@@ -271,60 +228,17 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// onAuditEvent folds audit-lane outcomes into the metrics registry.
-func (s *Server) onAuditEvent(ev audit.Event) {
-	switch ev.Kind {
-	case audit.EventAudited:
-		s.met.Inc(Key("audits_total", "technique", ev.Technique))
-		s.met.Observe(Key("audit_lag_ms", "technique", ev.Technique), ev.LagMS)
-	case audit.EventCovered:
-		s.met.Inc(Key("audit_covered_total", "technique", ev.Technique))
-		s.met.ObserveWith(Key("audit_rel_error", "technique", ev.Technique),
-			ev.RelError, errorWidthBuckets)
-		if s.insight != nil {
-			s.insight.ReportAudit(ev.Fingerprint, ev.Technique, true)
-		}
-	case audit.EventMissed:
-		s.met.Inc(Key("audit_missed_total", "technique", ev.Technique))
-		s.met.ObserveWith(Key("audit_rel_error", "technique", ev.Technique),
-			ev.RelError, errorWidthBuckets)
-		if s.insight != nil {
-			s.insight.ReportAudit(ev.Fingerprint, ev.Technique, false)
-		}
-	case audit.EventViolation:
-		s.met.Inc(Key("coverage_violation_total", "technique", ev.Technique))
-	case audit.EventContractHeld:
-		s.met.Inc(Key("audit_contract_held_total", "technique", ev.Technique))
-	case audit.EventContractBroken:
-		s.met.Inc(Key("audit_contract_broken_total", "technique", ev.Technique))
-	case audit.EventContractViolation:
-		s.met.Inc(Key("contract_violation_total", "technique", ev.Technique))
-	case audit.EventDropped:
-		s.met.Inc("audit_dropped_total")
-	case audit.EventDeduped:
-		s.met.Inc("audit_deduped_total")
-	case audit.EventError:
-		s.met.Inc("audit_errors_total")
-	case audit.EventUnmatched:
-		s.met.Inc(Key("audit_unmatched_total", "technique", ev.Technique))
-	case audit.EventStale:
-		s.met.Inc(Key("sample_stale_detected_total", "table", ev.Table))
-	case audit.EventPanic:
-		s.met.Inc("audit_panics_total")
-	}
-}
-
 // handleAudit serves the rolling accuracy-audit report.
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	if s.aud == nil {
+	if s.obs.aud == nil {
 		writeJSON(w, http.StatusOK, audit.Report{Enabled: false})
 		return
 	}
-	writeJSON(w, http.StatusOK, s.aud.Report())
+	writeJSON(w, http.StatusOK, s.obs.aud.Report())
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {
@@ -367,19 +281,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// poison only this request, never the process.
 	pw := &panicWriter{ResponseWriter: w}
 	w = pw
+	var served Served
 	defer func() {
 		if rec := recover(); rec != nil {
-			err := fault.AsError(rec)
-			s.met.Inc(Key("query_panics_total", "engine", "server"))
-			s.met.Inc("queries_errors_total")
-			s.cfg.Logger.Error("query handler panic contained", "err", err)
+			s.obs.met.Inc(Key("query_panics_total", "engine", "server"))
+			served.Finish(nil, fault.AsError(rec)) // a 500
+			s.obs.File(served)
 			if !pw.wrote {
-				writeError(w, http.StatusInternalServerError, "%v", core.Classify(err))
+				writeError(w, served.Status, "%v", served.Err)
 			}
 			// A contained handler panic is exactly what the flight
-			// recorder exists for: dump automatically.
-			if s.flight != nil && s.flightSink != nil {
-				s.flightSink(s.FlightBundle("panic"))
+			// recorder exists for: dump automatically, the panicked query
+			// included.
+			if s.obs.flight != nil && s.cfg.FlightSink != nil {
+				s.cfg.FlightSink(s.FlightBundle("panic"))
 			}
 		}
 	}()
@@ -401,7 +316,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	release, err := s.adm.Acquire(r.Context())
 	switch {
 	case errors.Is(err, ErrShed):
-		s.met.Inc("queries_shed_total")
+		s.obs.met.Inc("queries_shed_total")
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "overloaded: %d running, %d queued", s.adm.InFlight(), s.adm.QueueDepth())
 		return
@@ -410,17 +325,24 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	case err != nil:
 		// The client went away while queued.
-		s.met.Inc("queries_abandoned_total")
+		s.obs.met.Inc("queries_abandoned_total")
 		writeError(w, http.StatusRequestTimeout, "canceled while queued: %v", err)
 		return
 	}
 	defer release()
 
+	// The request's one parse, after admission so shed and queued
+	// requests cost none: the engines, every rung of the degradation
+	// ladder, the auditor and the workload registry share this statement.
+	served = Served{Start: time.Now(), SQL: req.SQL, Mode: req.Mode}
+	served.Stmt, err = sqlparse.Parse(req.SQL)
+
 	// Chaos seam: an injected panic here exercises the handler
 	// containment above; an injected error takes the typed 503 path.
-	if err := injectServerQuery.Inject(); err != nil {
-		s.met.Inc("queries_errors_total")
-		writeError(w, http.StatusServiceUnavailable, "%v", core.Classify(err))
+	if ierr := injectServerQuery.Inject(); ierr != nil {
+		served.Finish(nil, ierr)
+		s.obs.File(served)
+		writeError(w, served.Status, "%v", served.Err)
 		return
 	}
 
@@ -449,16 +371,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// span trees; an inbound W3C traceparent header joins its trace, so
 	// the query's spans carry the caller's trace ID.
 	var tr *trace.Tracer
-	if req.Trace || s.flight != nil {
+	if req.Trace || s.obs.flight != nil {
 		tid, parentSpan, _ := trace.ParseTraceparent(r.Header.Get("traceparent"))
 		tr = trace.NewWithParent("query", tid, parentSpan)
 		ctx = trace.WithTracer(ctx, tr)
 	}
 
-	// The request's one parse, after admission so shed and queued
-	// requests cost none: the engines, every rung of the degradation
-	// ladder, the auditor and the workload registry share this statement.
-	start := time.Now()
 	run := aqp.Request{Mode: mode, Contract: req.Contract}
 	if req.RelError > 0 {
 		run.Spec = core.ErrorSpec{RelError: req.RelError, Confidence: req.Confidence}
@@ -467,126 +385,27 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var res *core.Result
-	var degradedFrom string
-	stmt, err := sqlparse.Parse(req.SQL)
 	if err == nil {
-		res, degradedFrom, err = s.executeResilient(ctx, r.Context(), stmt, run, req.NoDegrade, workers)
+		res, served.DegradedFrom, err = s.executeResilient(ctx, r.Context(), served.Stmt, run, req.NoDegrade, workers)
 	}
-	elapsed := time.Since(start)
-	latencyMS := float64(elapsed.Microseconds()) / 1e3
-	var prof *trace.Profile
+	served.Finish(res, err)
 	if tr != nil {
-		prof = tr.Profile()
+		served.Profile = tr.Profile()
 		w.Header().Set("traceparent", tr.Root().Traceparent())
 	}
-	served := Served{Start: start, LatencyMS: latencyMS, SQL: req.SQL, Mode: req.Mode,
-		Stmt: stmt, Res: res, Err: err, Status: http.StatusOK}
-	if err != nil {
-		err = core.Classify(err)
-		status := http.StatusBadRequest
-		switch {
-		case errors.Is(err, core.ErrTimeout) || errors.Is(err, context.DeadlineExceeded):
-			// Non-OLA engines are all-or-nothing: past the deadline (and
-			// past the degradation ladder) there is no estimate to return.
-			status = http.StatusGatewayTimeout
-			s.met.Inc("queries_deadline_total")
-		case errors.Is(err, core.ErrOverloaded):
-			status = http.StatusTooManyRequests
-		case errors.Is(err, core.ErrEngineUnavailable):
-			status = http.StatusServiceUnavailable
-		case errors.Is(err, core.ErrQueryPanic):
-			status = http.StatusInternalServerError
-		case errors.Is(err, context.Canceled):
-			status = http.StatusRequestTimeout
-		}
-		s.met.Inc("queries_errors_total")
-		served.Err, served.Status = err, status
-		// Failures count against the shape too: a fingerprint whose
-		// queries started erroring is exactly what /workload should show.
-		if s.insight != nil {
-			// stmt is nil when the SQL did not parse: counted, not filed.
-			s.insight.ObserveStmt(stmt, served.Observation())
-		}
-		qr := served.Record()
-		s.cfg.Logger.Warn("query failed",
-			"sql", req.SQL, "mode", req.Mode, "fingerprint", qr.Fingerprint,
-			"latency_ms", latencyMS, "status", status, "err", err.Error())
-		s.recordQuery(qr, prof)
-		writeError(w, status, "%v", err)
+	s.obs.File(served)
+	if served.Err != nil {
+		writeError(w, served.Status, "%v", served.Err)
 		return
 	}
 
-	tech := string(res.Technique)
-	s.met.Inc(Key("queries_total", "technique", tech))
-	s.met.Inc(Key("queries_by_guarantee", "guarantee", res.Guarantee.String()))
-	s.met.Add("rows_scanned_total", res.Diagnostics.Counters.RowsScanned)
-	s.met.Observe(Key("query_latency_ms", "technique", tech), latencyMS)
-	s.met.ObserveWith(Key("query_rows_scanned", "technique", tech),
-		float64(res.Diagnostics.Counters.RowsScanned), rowsScannedBuckets)
-	if res.Diagnostics.Partial {
-		s.met.Inc("queries_partial_total")
-	}
-	if c := res.Diagnostics.Contract; c != nil {
-		s.met.Inc(Key("queries_contract_total", "outcome", string(c.Verdict)))
-	}
-	// Accuracy telemetry for approximate answers: the realized relative
-	// CI half-width vs the promised one, and whether the spec was met —
-	// the production signal that a sample ladder or synopsis has gone
-	// stale relative to the workload.
-	if res.Guarantee != core.GuaranteeExact {
-		s.met.ObserveWith(Key("query_ci_rel_width", "technique", tech),
-			res.MaxRelHalfWidth(), errorWidthBuckets)
-		if res.Spec.RelError > 0 {
-			s.met.ObserveWith(Key("query_ci_target_width", "technique", tech),
-				res.Spec.RelError, errorWidthBuckets)
-		}
-		if res.Diagnostics.SpecSatisfied {
-			s.met.Inc(Key("queries_spec_met_total", "technique", tech))
-		} else {
-			s.met.Inc(Key("queries_spec_missed_total", "technique", tech))
-		}
-	}
-
-	logAttrs := []any{
-		"sql", req.SQL, "mode", req.Mode, "technique", tech,
-		"fingerprint", res.Diagnostics.Fingerprint,
-		"guarantee", res.Guarantee.String(), "latency_ms", latencyMS,
-		"rows_scanned", res.Diagnostics.Counters.RowsScanned,
-		"sample_fraction", res.Diagnostics.SampleFraction,
-		"workers", res.Diagnostics.Workers,
-		"spec_satisfied", res.Diagnostics.SpecSatisfied,
-		"partial", res.Diagnostics.Partial,
-		"degraded", res.Diagnostics.Degraded,
-	}
-	if elapsed >= s.cfg.SlowQuery {
-		s.cfg.Logger.Warn("slow query", logAttrs...)
-	} else {
-		s.cfg.Logger.Debug("query", logAttrs...)
-	}
-
-	// Hand the served answer to the accuracy auditor. Offer never blocks
-	// and never mutates res; whether this answer gets a ground-truth
-	// re-execution was decided by a coin fixed before the estimate
-	// existed, so the audit stream is an unbiased sample of production.
-	s.aud.OfferStmt(res, stmt)
-
-	// File the outcome with the workload-insight registry. Like the
-	// auditor's Offer, this only observes: it never mutates res and
-	// cannot fail the query.
-	if s.insight != nil {
-		s.insight.ObserveStmt(stmt, served.Observation())
-	}
-	qr := served.Record()
-	qr.DegradedFrom = degradedFrom
-	s.recordQuery(qr, prof)
-
 	resp := encodeResult(res)
-	resp.DegradedFrom = degradedFrom
-	if prof != nil {
+	resp.DegradedFrom = served.DegradedFrom
+	if prof := served.Profile; prof != nil {
 		resp.TraceID = prof.TraceID
-	}
-	if req.Trace && prof != nil {
-		resp.Trace = prof
+		if req.Trace {
+			resp.Trace = prof
+		}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -676,7 +495,7 @@ func (s *Server) handleBuildSamples(w http.ResponseWriter, r *http.Request) {
 	release, err := s.adm.Acquire(r.Context())
 	if err != nil {
 		if errors.Is(err, ErrShed) {
-			s.met.Inc("queries_shed_total")
+			s.obs.met.Inc("queries_shed_total")
 			writeError(w, http.StatusTooManyRequests, "overloaded")
 			return
 		}
@@ -686,18 +505,18 @@ func (s *Server) handleBuildSamples(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	if err := s.db.BuildOfflineSamples(req.Table, req.QCS); err != nil {
-		s.met.Inc("queries_errors_total")
+		s.obs.met.Inc("queries_errors_total")
 		writeError(w, http.StatusBadRequest, "build samples: %v", err)
 		return
 	}
 	if len(req.Profile) > 0 {
 		if err := s.db.ProfileOffline(req.Profile...); err != nil {
-			s.met.Inc("queries_errors_total")
+			s.obs.met.Inc("queries_errors_total")
 			writeError(w, http.StatusBadRequest, "profile: %v", err)
 			return
 		}
 	}
-	s.met.Inc("samples_built_total")
+	s.obs.met.Inc("samples_built_total")
 	writeJSON(w, http.StatusOK, BuildSamplesResponse{
 		Table:   req.Table,
 		Samples: sampleInfos(s.db.OfflineEngine(), req.Table),
@@ -711,7 +530,23 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	gauges := map[string]int64{
+	gauges := s.gauges()
+	gaugesF := s.sloGauges()
+	if r.URL.Query().Get("format") == "prom" {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		s.obs.met.WritePrometheus(w, gauges, gaugesF, BuildInfo())
+		return
+	}
+	snap := s.obs.met.Snapshot(gauges)
+	snap.GaugesF = gaugesF
+	snap.Info = BuildInfo()
+	writeJSON(w, http.StatusOK, snap)
+}
+
+// gauges reads every instantaneous gauge once: /metrics, its Prometheus
+// form and the time-series collector all serve this one set.
+func (s *Server) gauges() map[string]int64 {
+	g := map[string]int64{
 		"queue_depth":       int64(s.adm.QueueDepth()),
 		"in_flight":         int64(s.adm.InFlight()),
 		"workers":           int64(s.adm.Workers()),
@@ -719,39 +554,35 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"max_query_workers": int64(s.cfg.MaxQueryWorkers),
 		"uptime_seconds":    int64(time.Since(s.start).Seconds()),
 	}
-	s.engineTrippedGauges(gauges)
+	for k, b := range s.brk {
+		g[Key("engine_tripped", "engine", string(k))] = b01(b.State() != fault.BreakerClosed)
+	}
 	// The uniform sampler's kept-row memo is process-wide: its counts cover
 	// every scan this process ran.
 	kept := sample.KeptMemoStats()
-	gauges["kept_memo_entries"] = int64(kept.Entries)
-	gauges["kept_memo_evictions"] = kept.Evictions
+	g["kept_memo_entries"] = int64(kept.Entries)
+	g["kept_memo_evictions"] = kept.Evictions
 	for outcome, n := range map[string]int64{"hit": kept.Hits, "miss": kept.Misses, "grow": kept.Grows} {
-		gauges[Key("kept_memo_lookups", "outcome", outcome)] = n
+		g[Key("kept_memo_lookups", "outcome", outcome)] = n
 	}
-	if s.insight != nil {
-		gauges["workload_fingerprints"] = int64(s.insight.Len())
+	if s.obs.insight != nil {
+		g["workload_fingerprints"] = int64(s.obs.insight.Len())
 	}
-	if s.aud != nil {
-		rep := s.aud.Report()
-		gauges["audit_backlog"] = int64(rep.Backlog)
+	if s.obs.aud != nil {
+		rep := s.obs.aud.Report()
+		g["audit_backlog"] = int64(rep.Backlog)
 		for _, t := range rep.Tables {
-			v := int64(0)
-			if t.Stale {
-				v = 1
-			}
-			gauges[Key("sample_stale", "table", t.Table)] = v
+			g[Key("sample_stale", "table", t.Table)] = b01(t.Stale)
 		}
 	}
-	gaugesF := s.sloGauges()
-	if r.URL.Query().Get("format") == "prom" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.met.WritePrometheus(w, gauges, gaugesF, BuildInfo())
-		return
+	return g
+}
+
+func b01(b bool) int64 {
+	if b {
+		return 1
 	}
-	snap := s.met.Snapshot(gauges)
-	snap.GaugesF = gaugesF
-	snap.Info = BuildInfo()
-	writeJSON(w, http.StatusOK, snap)
+	return 0
 }
 
 // handleHealthz reports liveness, drain state, and build identity.

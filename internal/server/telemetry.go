@@ -8,40 +8,24 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/fault"
-	"repro/internal/insight"
-	"repro/internal/sqlparse"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
-// initTelemetry wires the observability layer when Config.Telemetry is
-// set: flight recorder, span exporter, time-series store, and SLO
-// engine. The store's cadence ticker is NOT started here — cmd/aqpd
-// starts it; tests drive Snap explicitly for determinism.
+// initTelemetry wires the time-series store and SLO engine (the flight
+// recorder, span exporter and workload insight live in the Observers).
+// The store's cadence ticker is NOT started here — cmd/aqpd starts it;
+// tests drive Snap explicitly for determinism.
 func (s *Server) initTelemetry(cfg Config) {
-	s.flight = telemetry.NewRecorder(telemetry.RecorderConfig{Queries: cfg.FlightQueries})
-	s.spans = telemetry.NewSpanExporter("aqpd", 0)
-	s.flightSink = cfg.FlightSink
 	s.tstore = telemetry.NewStore(telemetry.StoreConfig{
 		Step:    cfg.TelemetryStep,
 		Window:  cfg.TelemetryWindow,
-		Collect: s.collectSample,
-		// Every stored sample re-evaluates the objectives, so fast-burn
-		// detection latency is one snapshot step.
-		OnSnap: func(telemetry.Sample) { s.evalSLO() },
+		Collect: func() telemetry.Sample { return s.obs.met.TelemetrySample(s.gauges()) },
+		// Every stored sample re-evaluates the objectives (the engine caches
+		// the statuses for the /metrics gauges and bundle dumps), so
+		// fast-burn detection latency is one snapshot step.
+		OnSnap: func(telemetry.Sample) { s.slo.Evaluate() },
 	})
 	s.slo = telemetry.NewSLO(s.tstore, cfg.Objectives, s.onFastBurn)
-	s.initInsight(cfg)
-	// Process-global fault-fire feed. Installed only when telemetry is
-	// on so chaos tests without telemetry see the bare injection path.
-	flight := s.flight
-	fault.SetOnFire(func(point string, kind fault.Kind) {
-		flight.AddEvent(telemetry.Event{
-			Kind: "fault_fire", Name: point, Detail: kind.String(), Shard: -1,
-		})
-	})
 }
 
 // TelemetryStore returns the time-series store (nil when telemetry is
@@ -51,7 +35,7 @@ func (s *Server) TelemetryStore() *telemetry.Store { return s.tstore }
 // FlightBundle assembles a flight-recorder dump with current SLO
 // statuses and build identity attached.
 func (s *Server) FlightBundle(reason string) telemetry.Bundle {
-	b := s.flight.Snapshot(reason)
+	b := s.obs.flight.Snapshot(reason)
 	if s.slo != nil {
 		b.SLO = s.slo.Last()
 		if len(b.SLO) == 0 {
@@ -64,31 +48,6 @@ func (s *Server) FlightBundle(reason string) telemetry.Bundle {
 	}
 	b.Info = BuildInfo()
 	return b
-}
-
-// collectSample is the store's collector: one registry copy plus the
-// instantaneous gauges.
-func (s *Server) collectSample() telemetry.Sample {
-	gauges := map[string]float64{
-		"queue_depth": float64(s.adm.QueueDepth()),
-		"in_flight":   float64(s.adm.InFlight()),
-	}
-	if s.aud != nil {
-		gauges["audit_backlog"] = float64(s.aud.Report().Backlog)
-	}
-	if s.insight != nil {
-		gauges["workload_fingerprints"] = float64(s.insight.Len())
-	}
-	return s.met.TelemetrySample(gauges)
-}
-
-// evalSLO re-evaluates every objective; the engine caches the statuses
-// for the /metrics gauges and bundle dumps.
-func (s *Server) evalSLO() {
-	if s.slo == nil {
-		return
-	}
-	s.slo.Evaluate()
 }
 
 // sloGauges renders the last-evaluated objective statuses as float
@@ -115,100 +74,15 @@ func (s *Server) sloGauges() map[string]float64 {
 // recorder so the postmortem record is captured while the offending
 // queries are still in the rings.
 func (s *Server) onFastBurn(st telemetry.ObjectiveStatus) {
-	s.met.Inc(Key("slo_fast_burn_total", "objective", st.Objective.Name))
+	s.obs.met.Inc(Key("slo_fast_burn_total", "objective", st.Objective.Name))
 	s.cfg.Logger.Error("SLO fast burn",
 		"objective", st.Objective.Name,
 		"fast_burn", st.Fast.Burn, "slow_burn", st.Slow.Burn,
 		"budget_remaining", st.BudgetRemaining)
 	b := s.FlightBundle("slo_fast_burn:" + st.Objective.Name)
-	if s.flightSink != nil {
-		s.flightSink(b)
+	if s.cfg.FlightSink != nil {
+		s.cfg.FlightSink(b)
 	}
-}
-
-// onBreakerTransition files every circuit-breaker state change as a
-// flight event. Installed on every breaker at construction; a nil flight
-// recorder (telemetry off) makes it a no-op.
-func (s *Server) onBreakerTransition(engine string, from, to fault.BreakerState) {
-	if s.flight == nil {
-		return
-	}
-	s.flight.AddEvent(telemetry.Event{
-		Kind: "breaker", Name: engine,
-		Detail: from.String() + "->" + to.String(), Shard: -1,
-	})
-}
-
-// Served is one executed statement as the post-serve observers see it: the
-// one derivation, from a result, of the workload observation and the flight
-// record that aqpd's handler and aqpsh's session both file.
-type Served struct {
-	Start     time.Time
-	LatencyMS float64
-	SQL, Mode string
-	// Stmt is nil when the SQL did not parse; Res is nil when the query
-	// failed, Err then says why and Status how it was answered.
-	Stmt   *sqlparse.SelectStmt
-	Res    *core.Result
-	Err    error
-	Status int
-}
-
-// Observation is what the workload-insight registry files.
-func (q Served) Observation() insight.Observation {
-	if q.Res == nil {
-		return insight.Observation{LatencyMS: q.LatencyMS, Err: true}
-	}
-	d := &q.Res.Diagnostics
-	return insight.Observation{
-		Technique:       string(q.Res.Technique),
-		LatencyMS:       q.LatencyMS,
-		RowsScanned:     d.Counters.RowsScanned,
-		RelWidth:        q.Res.MaxRelHalfWidth(),
-		Approximate:     q.Res.Guarantee != core.GuaranteeExact,
-		Degraded:        d.Degraded,
-		Extrapolated:    d.Shards != nil && d.Shards.Extrapolated,
-		Partial:         d.Partial,
-		ContractVerdict: q.contractVerdict(),
-	}
-}
-
-// Record is what the flight recorder files.
-func (q Served) Record() telemetry.QueryRecord {
-	qr := telemetry.QueryRecord{Start: q.Start, SQL: q.SQL, Mode: q.Mode,
-		Status: q.Status, LatencyMS: q.LatencyMS}
-	if q.Stmt != nil {
-		qr.Fingerprint = q.Stmt.Fingerprint().Hash
-	}
-	if q.Res == nil {
-		qr.Err = q.Err.Error()
-		return qr
-	}
-	d := &q.Res.Diagnostics
-	qr.Technique, qr.RowsScanned = string(q.Res.Technique), d.Counters.RowsScanned
-	qr.Degraded, qr.Partial, qr.ContractVerdict = d.Degraded, d.Partial, q.contractVerdict()
-	return qr
-}
-
-func (q Served) contractVerdict() string {
-	if c := q.Res.Diagnostics.Contract; c != nil {
-		return string(c.Verdict)
-	}
-	return ""
-}
-
-// recordQuery files one completed (or failed) query with the flight
-// recorder and exports its spans. prof may be nil (tracing off).
-func (s *Server) recordQuery(qr telemetry.QueryRecord, prof *trace.Profile) {
-	if s.flight == nil {
-		return
-	}
-	if prof != nil {
-		qr.Spans = prof
-		qr.TraceID = prof.TraceID
-		s.spans.Export(prof)
-	}
-	s.flight.Record(qr)
 }
 
 // HistoryPoint is one derived time-series point.
@@ -346,7 +220,7 @@ func (s *Server) handleFlightRecord(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	if s.flight == nil {
+	if s.obs.flight == nil {
 		writeError(w, http.StatusNotFound, "telemetry disabled (start aqpd with -telemetry)")
 		return
 	}
@@ -359,9 +233,9 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	if s.spans == nil {
+	if s.obs.spans == nil {
 		writeError(w, http.StatusNotFound, "telemetry disabled (start aqpd with -telemetry)")
 		return
 	}
-	writeJSON(w, http.StatusOK, s.spans.Feed())
+	writeJSON(w, http.StatusOK, s.obs.spans.Feed())
 }

@@ -7,6 +7,7 @@ package server
 // run in parallel and always disarm on cleanup.
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -502,5 +503,32 @@ func TestFlightRecorderPanicDump(t *testing.T) {
 	}
 	if dumps[0].Reason != "panic" {
 		t.Fatalf("bundle reason = %q, want panic", dumps[0].Reason)
+	}
+	// The dump is for the query that panicked: it must be in it.
+	var found bool
+	for _, qr := range dumps[0].Queries {
+		found = found || (qr.Status == http.StatusInternalServerError && qr.SQL == "SELECT COUNT(*) FROM t")
+	}
+	if !found {
+		t.Fatalf("panic dump lacks the panicked query: %+v", dumps[0].Queries)
+	}
+}
+
+// TestHistoryGaugesMatchMetrics: the time-series collector and /metrics
+// read one gauge set, so every gauge /metrics serves is in the history too.
+func TestHistoryGaugesMatchMetrics(t *testing.T) {
+	cfg := telemetryConfig()
+	cfg.AuditFraction = 1
+	srv := New(buildDB(t, 2000), cfg)
+	defer srv.Shutdown(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	postQuery(t, ts.URL, QueryRequest{SQL: "SELECT COUNT(*) FROM t", Mode: "exact"})
+
+	smp := srv.TelemetryStore().Snap()
+	for k := range getMetrics(t, ts.URL).Gauges {
+		if _, ok := smp.Gauges[k]; !ok {
+			t.Errorf("gauge %s served by /metrics but missing from the history sample", k)
+		}
 	}
 }

@@ -1,67 +1,15 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
 	"strconv"
 
 	"repro/internal/insight"
-	"repro/internal/telemetry"
 )
-
-// initInsight wires the workload-insight registry. It rides with
-// telemetry (so the telemetry-overhead A/B gate covers its cost) and is
-// bounded by Config.WorkloadCap; a negative cap opts out.
-func (s *Server) initInsight(cfg Config) {
-	if cfg.WorkloadCap < 0 {
-		return
-	}
-	s.insight = insight.New(insight.Config{
-		Cap:     cfg.WorkloadCap,
-		Window:  cfg.WorkloadWindow,
-		OnEvent: s.onInsightEvent,
-	})
-}
 
 // WorkloadRegistry returns the workload-insight registry (nil when
 // telemetry is off or WorkloadCap is negative).
-func (s *Server) WorkloadRegistry() *insight.Registry { return s.insight }
-
-// onInsightEvent folds sentinel transitions and evictions into the
-// metrics registry and the flight recorder. A tripped sentinel is the
-// per-shape analogue of an SLO burn: the flight event puts it on the
-// same postmortem timeline as faults, breaker trips, and shard loss.
-func (s *Server) onInsightEvent(ev insight.Event) {
-	switch ev.Kind {
-	case insight.EventRegression:
-		s.met.Inc(Key("workload_regressions_total", "signal", ev.Signal))
-		s.cfg.Logger.Warn("workload regression",
-			"fingerprint", ev.Fingerprint, "signal", ev.Signal,
-			"technique", ev.Technique,
-			"baseline", ev.Baseline, "current", ev.Current,
-			"template", ev.Template)
-		s.flight.AddEvent(telemetry.Event{
-			Kind: "workload_regression", Name: ev.Fingerprint,
-			Detail: insightDetail(ev), Shard: -1,
-		})
-	case insight.EventRecovered:
-		s.met.Inc(Key("workload_recoveries_total", "signal", ev.Signal))
-		s.flight.AddEvent(telemetry.Event{
-			Kind: "workload_recovered", Name: ev.Fingerprint,
-			Detail: insightDetail(ev), Shard: -1,
-		})
-	case insight.EventEvicted:
-		s.met.Inc("workload_evictions_total")
-	}
-}
-
-func insightDetail(ev insight.Event) string {
-	sig := ev.Signal
-	if ev.Technique != "" {
-		sig += "/" + ev.Technique
-	}
-	return fmt.Sprintf("%s: baseline %.4g, current %.4g", sig, ev.Baseline, ev.Current)
-}
+func (s *Server) WorkloadRegistry() *insight.Registry { return s.obs.insight }
 
 // WorkloadResponse is the body of GET /workload.
 type WorkloadResponse struct {
@@ -79,7 +27,7 @@ func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	if s.insight == nil {
+	if s.obs.insight == nil {
 		writeError(w, http.StatusNotFound, "workload insight disabled (start aqpd with -telemetry)")
 		return
 	}
@@ -104,8 +52,8 @@ func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, WorkloadResponse{
 		Enabled: true,
-		Summary: s.insight.Summary(),
+		Summary: s.obs.insight.Summary(),
 		By:      by,
-		Top:     s.insight.Top(n, by),
+		Top:     s.obs.insight.Top(n, by),
 	})
 }
