@@ -261,6 +261,7 @@ func Open(cat *storage.Catalog, opts ...Option) *DB {
 	db.offline = core.NewOfflineEngine(cat, db.offlineCfg)
 	db.ola = core.NewOLAEngine(cat, db.olaCfg)
 	db.synopsis = core.NewSynopsisEngine(cat)
+	db.online.Synopses = db.synopsis
 	db.advisor = core.NewAdvisor(db.exact, db.online, db.offline, db.ola, db.synopsis)
 	return db
 }

@@ -83,6 +83,35 @@ func TestQueryOnlineViaFacade(t *testing.T) {
 	}
 }
 
+// TestSelectivityGuardReadsSynopsisHistogram: the online engine's
+// selectivity guard sees the histogram BuildSynopsis built, and only once
+// it is built.
+func TestSelectivityGuardReadsSynopsisHistogram(t *testing.T) {
+	ev, err := workload.GenerateEvents(workload.EventsConfig{Seed: 3, Rows: 60000, NumGroups: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := Open(ev.Catalog, WithOnlineConfig(OnlineConfig{
+		DefaultRate: 0.01, MinTableRows: 1000, MinExpectedSampleRows: 30, Seed: 1}))
+	const selective = "SELECT SUM(ev_value) FROM events WHERE ev_value > 1e9"
+	res, err := db.QueryOnline(selective, DefaultErrorSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Diagnostics.FellBackToExact {
+		t.Fatalf("guard acted without a histogram: %v", res.Diagnostics.Messages)
+	}
+	if err := db.BuildSynopsis("events", "ev_value"); err != nil {
+		t.Fatal(err)
+	}
+	if res, err = db.QueryOnline(selective, DefaultErrorSpec); err != nil {
+		t.Fatal(err)
+	}
+	if !res.Diagnostics.FellBackToExact {
+		t.Fatalf("guard missed the synopsis histogram: %v", res.Diagnostics.Messages)
+	}
+}
+
 func TestBuildSynopsisAndRebuildViaFacade(t *testing.T) {
 	ev, err := workload.GenerateEvents(workload.EventsConfig{Seed: 4, Rows: 20000, NumGroups: 8})
 	if err != nil {

@@ -97,21 +97,6 @@ type Config struct {
 	// Window is the rolling-window size of the per-technique coverage and
 	// relative-error estimators (default 256).
 	Window int
-	// TargetLo/TargetHi is the acceptable empirical-coverage band of the
-	// error budget (default [0.93, 0.97] around the nominal 95%).
-	TargetLo, TargetHi float64
-	// BudgetMinAudits is the minimum window occupancy before budget
-	// verdicts are issued (default 30) — Wilson bounds on a handful of
-	// audits are too wide to mean anything.
-	BudgetMinAudits int
-	// StaleMinMisses is how many drift-correlated misses a table needs in
-	// its window before the staleness signal fires (default 3).
-	StaleMinMisses int
-	// Timeout bounds each ground-truth execution (default 30s).
-	Timeout time.Duration
-	// IdleRetry is the backoff while the foreground keeps the gate busy
-	// (default 2ms).
-	IdleRetry time.Duration
 	// Seed drives the deterministic audit-sampling decisions.
 	Seed int64
 	// Logger receives budget-burn and staleness warnings (nil discards).
@@ -128,26 +113,25 @@ func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = 256
 	}
-	if c.TargetLo <= 0 {
-		c.TargetLo = 0.93
-	}
-	if c.TargetHi <= 0 || c.TargetHi > 1 {
-		c.TargetHi = 0.97
-	}
-	if c.BudgetMinAudits <= 0 {
-		c.BudgetMinAudits = 30
-	}
-	if c.StaleMinMisses <= 0 {
-		c.StaleMinMisses = 3
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 30 * time.Second
-	}
-	if c.IdleRetry <= 0 {
-		c.IdleRetry = 2 * time.Millisecond
-	}
 	return c
 }
+
+const (
+	// targetLo and targetHi bound the acceptable empirical-coverage band of
+	// the error budget, around the nominal 95%.
+	targetLo, targetHi = 0.93, 0.97
+	// budgetMinAudits is the minimum window occupancy before budget
+	// verdicts are issued: Wilson bounds on a handful of audits are too
+	// wide to mean anything.
+	budgetMinAudits = 30
+	// staleMinMisses is how many drift-correlated misses a table needs in
+	// its window before the staleness signal fires.
+	staleMinMisses = 3
+	// groundTruthTimeout bounds each ground-truth execution.
+	groundTruthTimeout = 30 * time.Second
+	// idleRetry is the backoff while the foreground keeps the gate busy.
+	idleRetry = 2 * time.Millisecond
+)
 
 // job is one pending audit: everything captured at serve time. The
 // claimed result is immutable after serving, so it is held by reference.
@@ -529,7 +513,7 @@ func (a *Auditor) waitIdle() (release func(), ok bool) {
 		select {
 		case <-a.stop:
 			return nil, false
-		case <-time.After(a.cfg.IdleRetry):
+		case <-time.After(idleRetry):
 		}
 	}
 }
@@ -540,7 +524,7 @@ func (a *Auditor) groundTruth(j *job) (*core.Result, error) {
 	if err := injectGroundTruth.Inject(); err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), a.cfg.Timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), groundTruthTimeout)
 	defer cancel()
 	tr := trace.New("audit " + j.technique)
 	ctx = trace.WithTracer(ctx, tr)
@@ -631,11 +615,11 @@ func (a *Auditor) finish(j *job, truth *core.Result) {
 // bound confidently below the target band means the technique is burning
 // its error budget — count it and warn on the transition into violation.
 func (a *Auditor) checkBudgetLocked(key estKey, e *estimator) []Event {
-	if e.cov.N() < a.cfg.BudgetMinAudits {
+	if e.cov.N() < budgetMinAudits {
 		return nil
 	}
 	wil := e.cov.Wilson(0.95)
-	if wil.Hi < a.cfg.TargetLo {
+	if wil.Hi < targetLo {
 		e.violations++
 		a.violations++
 		ev := Event{Kind: EventViolation, Technique: key.technique, Aggregate: key.aggregate}
@@ -645,7 +629,7 @@ func (a *Auditor) checkBudgetLocked(key estKey, e *estimator) []Event {
 				a.cfg.Logger.Warn("audit: coverage budget burn",
 					"technique", key.technique, "aggregate", key.aggregate,
 					"coverage", e.cov.Rate(), "wilson_hi", wil.Hi,
-					"target_lo", a.cfg.TargetLo, "window", e.cov.N())
+					"target_lo", targetLo, "window", e.cov.N())
 			}
 		}
 		return []Event{ev}
@@ -687,7 +671,7 @@ func (a *Auditor) recordDriftLocked(j *job, truth *core.Result, cmp compareResul
 	ts.next = (ts.next + 1) % len(ts.ring)
 
 	staleMisses, freshMisses := ts.counts()
-	nowStale := staleMisses >= a.cfg.StaleMinMisses && staleMisses > freshMisses
+	nowStale := staleMisses >= staleMinMisses && staleMisses > freshMisses
 	var events []Event
 	if nowStale && !ts.stale {
 		events = append(events, Event{Kind: EventStale, Table: table})

@@ -177,10 +177,12 @@ func TestCoverageAndDedup(t *testing.T) {
 func TestBudgetViolationOnMisses(t *testing.T) {
 	exec := &fakeExec{truth: 100, rows: 1000}
 	rec := &recorder{}
-	a := New(exec, nil, Config{Fraction: 1, BudgetMinAudits: 5, OnEvent: rec.hook()})
+	a := New(exec, nil, Config{Fraction: 1, OnEvent: rec.hook()})
 	defer a.Close()
 
-	for i := 0; i < 10; i++ {
+	// More audits than budgetMinAudits, so the budget verdict is issued.
+	const n = budgetMinAudits + 10
+	for i := 0; i < n; i++ {
 		// Claimed CI [200, 210] never contains the truth 100.
 		a.Offer(claimed(205, 200, 210, 1000), distinctSQL(i))
 	}
@@ -192,7 +194,7 @@ func TestBudgetViolationOnMisses(t *testing.T) {
 		t.Fatalf("all audits must miss: %+v", tc)
 	}
 	if tc.BudgetOK {
-		t.Fatalf("0%% coverage over 10 audits must burn the budget: %+v", tc)
+		t.Fatalf("0%% coverage over %d audits must burn the budget: %+v", n, tc)
 	}
 	if r.Violations == 0 || rec.count(EventViolation) == 0 {
 		t.Fatalf("no violation recorded: %+v", r)
@@ -207,7 +209,7 @@ func TestStalenessAttribution(t *testing.T) {
 	// 1000-row sample build. Misses must be attributed to drift.
 	exec := &fakeExec{truth: 100, rows: 1500}
 	rec := &recorder{}
-	a := New(exec, nil, Config{Fraction: 1, StaleMinMisses: 3, OnEvent: rec.hook()})
+	a := New(exec, nil, Config{Fraction: 1, OnEvent: rec.hook()})
 	defer a.Close()
 
 	for i := 0; i < 5; i++ {
@@ -235,7 +237,7 @@ func TestStalenessAttribution(t *testing.T) {
 
 	// Fresh misses (no appended rows) must NOT flag staleness.
 	exec2 := &fakeExec{truth: 100, rows: 1000}
-	b := New(exec2, nil, Config{Fraction: 1, StaleMinMisses: 3})
+	b := New(exec2, nil, Config{Fraction: 1})
 	defer b.Close()
 	for i := 0; i < 5; i++ {
 		b.Offer(claimed(205, 200, 210, 1000), distinctSQL(i))

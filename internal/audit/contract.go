@@ -97,7 +97,7 @@ func (a *Auditor) recordContractLocked(j *job, cmp compareResult) []Event {
 	// Budget verdict: the hold rate should sit at or above the mean
 	// contracted confidence. A Wilson upper bound confidently below it
 	// means broken contracts are outrunning their allowance.
-	if cs.held.N() >= a.cfg.BudgetMinAudits {
+	if cs.held.N() >= budgetMinAudits {
 		wil := cs.held.Wilson(0.95)
 		if want := 1 - cs.meanAllowance(); wil.Hi < want {
 			cs.violations++
@@ -150,7 +150,7 @@ func (a *Auditor) contractReportLocked() []ContractCoverage {
 			Required:   1 - cs.meanAllowance(),
 			Violations: cs.violations,
 		}
-		cc.BudgetOK = cs.held.N() < a.cfg.BudgetMinAudits || wil.Hi >= cc.Required
+		cc.BudgetOK = cs.held.N() < budgetMinAudits || wil.Hi >= cc.Required
 		out = append(out, cc)
 	}
 	return out

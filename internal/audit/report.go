@@ -81,8 +81,8 @@ func (a *Auditor) Report() Report {
 		Enabled:    a.cfg.Fraction > 0,
 		Fraction:   a.cfg.Fraction,
 		Window:     a.cfg.Window,
-		TargetLo:   a.cfg.TargetLo,
-		TargetHi:   a.cfg.TargetHi,
+		TargetLo:   targetLo,
+		TargetHi:   targetHi,
 		Offered:    a.offered,
 		Sampled:    a.sampled,
 		Deduped:    a.deduped,
@@ -122,8 +122,8 @@ func (a *Auditor) Report() Report {
 			RelErrMax:  e.rel.Max(),
 			Violations: e.violations,
 		}
-		tc.BudgetOK = e.cov.N() < a.cfg.BudgetMinAudits ||
-			(wil.Hi >= a.cfg.TargetLo && wil.Lo <= a.cfg.TargetHi)
+		tc.BudgetOK = e.cov.N() < budgetMinAudits ||
+			(wil.Hi >= targetLo && wil.Lo <= targetHi)
 		r.Techniques = append(r.Techniques, tc)
 	}
 	sort.Slice(r.Techniques, func(i, j int) bool {

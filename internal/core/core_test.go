@@ -415,7 +415,8 @@ func TestOnlineSelectivityGuard(t *testing.T) {
 	cfg.DefaultRate = 0.01
 	cfg.MinExpectedSampleRows = 30
 	e := NewOnlineEngine(ev.Catalog, cfg)
-	if err := e.BuildHistogram("events", "ev_value", 128); err != nil {
+	e.Synopses = NewSynopsisEngine(ev.Catalog)
+	if err := e.Synopses.BuildColumn("events", "ev_value", 128); err != nil {
 		t.Fatal(err)
 	}
 
@@ -460,7 +461,7 @@ func TestOnlineSelectivityGuard(t *testing.T) {
 		t.Error("guard must not trigger without a histogram")
 	}
 
-	if err := e.BuildHistogram("events", "nope", 10); err == nil {
+	if err := e.Synopses.BuildColumn("events", "nope", 10); err == nil {
 		t.Error("unknown column must error")
 	}
 }

@@ -60,13 +60,6 @@ type OfflineConfig struct {
 	// Workers is the morsel-parallel worker count for sample scans; 0
 	// defers to a context override or runtime.GOMAXPROCS.
 	Workers int
-	// RebuildRetries is the total attempt count for inline sample
-	// rebuilds under StaleRebuild; transient failures are retried with
-	// jittered exponential backoff (default 3).
-	RebuildRetries int
-	// RebuildBackoff is the base backoff between rebuild attempts
-	// (default 2ms, doubling per attempt).
-	RebuildBackoff time.Duration
 }
 
 // DefaultOfflineConfig returns caps {64, 256, 1024}, uniform rates
@@ -494,12 +487,10 @@ func (e *OfflineEngine) certified(ctx context.Context, stmt *sqlparse.SelectStmt
 		// the whole table's ladder, then select again (nothing stale now).
 		selsp.SetAttr("rebuild", "true")
 		// Rebuilds hit storage and can fail transiently; retry with
-		// jittered exponential backoff before giving up on the query.
-		rerr := fault.Retry(ctx, fault.RetryConfig{
-			Tries: e.Config.RebuildRetries,
-			Base:  e.Config.RebuildBackoff,
-			Seed:  e.Config.Seed,
-		}, func() error { return e.Rebuild(table) })
+		// jittered exponential backoff (fault.Retry's defaults: 3 tries,
+		// 2ms doubling) before giving up on the query.
+		rerr := fault.Retry(ctx, fault.RetryConfig{Seed: e.Config.Seed},
+			func() error { return e.Rebuild(table) })
 		if rerr != nil {
 			return nil, "", rerr
 		}

@@ -374,22 +374,8 @@ func uniqueBuildKey(on expr.Expr, dim *storage.Table) bool {
 
 // supported checks the OLA engine's query class.
 func (e *OLAEngine) supported(stmt *sqlparse.SelectStmt) (bool, string) {
-	for _, jc := range stmt.Joins {
-		dim, err := e.Catalog.Table(jc.Table.Name)
-		if err != nil {
-			return false, err.Error()
-		}
-		if dim = dim.Snapshot(); dim.NumRows() > e.Config.MaxBuildRows {
-			return false, fmt.Sprintf("join table %s too large to build (%d rows)",
-				jc.Table.Name, dim.NumRows())
-		}
-		// The prefix estimator treats each joined row as one fact row's
-		// contribution, which holds exactly when a fact row matches at
-		// most one dimension row.
-		if !uniqueBuildKey(jc.On, dim) {
-			return false, fmt.Sprintf("join with %s is not on a unique key of %s", jc.Table.Name, jc.Table.Name)
-		}
-	}
+	// The statement-shape checks are cheap; the join checks below scan each
+	// dimension, so a statement refused on shape never pays for them.
 	if ok, reason := supportedForSampling(stmt); !ok {
 		return false, reason
 	}
@@ -406,6 +392,22 @@ func (e *OLAEngine) supported(stmt *sqlparse.SelectStmt) (bool, string) {
 		case *sqlparse.AggExpr, *expr.ColRef: // a column outside GROUP BY fails to plan
 		default:
 			return false, "OLA supports only bare aggregates and group columns as select items"
+		}
+	}
+	for _, jc := range stmt.Joins {
+		dim, err := e.Catalog.Table(jc.Table.Name)
+		if err != nil {
+			return false, err.Error()
+		}
+		if dim = dim.Snapshot(); dim.NumRows() > e.Config.MaxBuildRows {
+			return false, fmt.Sprintf("join table %s too large to build (%d rows)",
+				jc.Table.Name, dim.NumRows())
+		}
+		// The prefix estimator treats each joined row as one fact row's
+		// contribution, which holds exactly when a fact row matches at
+		// most one dimension row.
+		if !uniqueBuildKey(jc.On, dim) {
+			return false, fmt.Sprintf("join with %s is not on a unique key of %s", jc.Table.Name, jc.Table.Name)
 		}
 	}
 	return true, ""

@@ -369,3 +369,41 @@ func TestOLAPermutationSharedAcrossQueries(t *testing.T) {
 		t.Errorf("after an append: %d-row permutation, lineage %d rows", len(grown), res.Diagnostics.Lineage.TableRows)
 	}
 }
+
+// TestOLARefusalCostsWhatExactCosts: a join statement OLA refuses on its
+// shape (here ORDER BY) runs exactly without first scanning the dimension
+// for a unique key, so the refusal allocates what the exact engine does
+// plus a fallback message.
+func TestOLARefusalCostsWhatExactCosts(t *testing.T) {
+	star, err := workload.GenerateStar(workload.Config{Seed: 2, LineitemRows: 8000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stmt := parse(t, `SELECT o_orderpriority, COUNT(*) AS n
+		FROM lineitem JOIN orders ON l_orderkey = o_orderkey
+		GROUP BY o_orderpriority ORDER BY o_orderpriority`)
+	ctx := context.Background()
+	ola := NewOLAEngine(star.Catalog, DefaultOLAConfig())
+	exact := &ExactEngine{Catalog: star.Catalog, Workers: 1}
+	ola.Config.Workers = 1
+	res, err := ola.Execute(ctx, stmt, DefaultErrorSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Diagnostics.FellBackToExact {
+		t.Fatalf("OLA answered an ORDER BY statement: %v", res.Diagnostics.Messages)
+	}
+	run := func(e Engine) func() {
+		return func() {
+			if _, err := e.Execute(ctx, stmt, DefaultErrorSpec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	exactAllocs := testing.AllocsPerRun(5, run(exact))
+	olaAllocs := testing.AllocsPerRun(5, run(ola))
+	if olaAllocs > exactAllocs+32 {
+		t.Errorf("OLA refusal allocates %.0f times per query, exact %.0f: the refusal pays for more than the exact run",
+			olaAllocs, exactAllocs)
+	}
+}

@@ -3,14 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/expr"
 	"repro/internal/fault"
 	"repro/internal/plan"
 	"repro/internal/sample"
 	"repro/internal/shard"
-	"repro/internal/sketch"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -30,14 +28,11 @@ type OnlineConfig struct {
 	// DistinctKeep is the per-stratum pass-through count of the distinct
 	// sampler used for GROUP BY queries.
 	DistinctKeep int
-	// UseBlockSampling swaps the uniform row sampler for the block
-	// sampler (higher scan savings, correlated rows).
-	UseBlockSampling bool
 	// FallbackToExact re-runs the query exactly when the realized CIs
 	// miss the spec. Costs a second pass over the data (recorded in
 	// Counters.Passes).
 	FallbackToExact bool
-	// MinExpectedSampleRows is the selectivity guard: when an attached
+	// MinExpectedSampleRows is the selectivity guard: when a synopsis
 	// histogram predicts that selectivity × rows × rate falls below this
 	// bound, sampling cannot produce a usable estimate and the engine
 	// runs the query exactly instead — the "selective queries cannot be
@@ -75,13 +70,9 @@ type OnlineEngine struct {
 	// stratified estimate. A nil map (or unsharded table) leaves execution
 	// exactly as before.
 	Shards *shard.Map
-
-	// mu guards the histogram registry so concurrent queries may share
-	// one engine.
-	mu sync.RWMutex
-	// histograms holds per-column selectivity estimators keyed
-	// "table.column" (see AttachHistogram).
-	histograms map[string]*sketch.EquiDepthHistogram
+	// Synopses, when set, lends its per-column equi-depth histograms to
+	// the MinExpectedSampleRows guard (see SynopsisEngine.BuildColumn).
+	Synopses *SynopsisEngine
 }
 
 // NewOnlineEngine builds an online engine with the given config.
@@ -92,8 +83,7 @@ func NewOnlineEngine(cat *storage.Catalog, cfg OnlineConfig) *OnlineEngine {
 	if cfg.DistinctKeep <= 0 {
 		cfg.DistinctKeep = 30
 	}
-	return &OnlineEngine{Catalog: cat, Config: cfg,
-		histograms: make(map[string]*sketch.EquiDepthHistogram)}
+	return &OnlineEngine{Catalog: cat, Config: cfg}
 }
 
 // exactEngine builds the exact-fallback engine, inheriting the worker
@@ -102,62 +92,19 @@ func (e *OnlineEngine) exactEngine() *ExactEngine {
 	return &ExactEngine{Catalog: e.Catalog, Workers: e.Config.Workers, Shards: e.Shards}
 }
 
-// AttachHistogram registers a selectivity estimator for table.column,
-// enabling the MinExpectedSampleRows guard on range predicates over that
-// column. Histograms are typically built once from internal/sketch.
-func (e *OnlineEngine) AttachHistogram(table, column string, h *sketch.EquiDepthHistogram) {
-	e.mu.Lock()
-	e.histograms[table+"."+column] = h
-	e.mu.Unlock()
-}
-
-// BuildHistogram scans a numeric column and attaches an equi-depth
-// histogram for it.
-func (e *OnlineEngine) BuildHistogram(table, column string, buckets int) error {
-	t, err := e.Catalog.Table(table)
-	if err != nil {
-		return err
-	}
-	idx := t.Schema().ColumnIndex(column)
-	if idx < 0 {
-		return fmt.Errorf("core: histogram column %s.%s not found", table, column)
-	}
-	col := t.Snapshot().Column(idx)
-	if !col.Type().Numeric() {
-		return fmt.Errorf("core: histogram column %s.%s is not numeric", table, column)
-	}
-	vals := make([]float64, 0, col.Len())
-	for i := 0; i < col.Len(); i++ {
-		if !col.IsNull(i) {
-			vals = append(vals, col.Value(i).AsFloat())
-		}
-	}
-	if buckets <= 0 {
-		buckets = 128
-	}
-	h, err := sketch.BuildEquiDepth(vals, buckets)
-	if err != nil {
-		return err
-	}
-	e.AttachHistogram(table, column, h)
-	return nil
-}
-
 // estimatedQualifyingRows predicts how many rows of a sampled scan would
-// survive its pushed-down filter, using attached histograms for
-// single-column range predicates. Returns (estimate, true) when a usable
+// survive its pushed-down filter, using the synopsis engine's histograms
+// for single-column range predicates. Returns (estimate, true) when a usable
 // prediction exists.
 func (e *OnlineEngine) estimatedQualifyingRows(s *plan.Scan) (float64, bool) {
 	if s.Filter == nil {
 		return float64(s.Table.NumRows()), true
 	}
 	col, lo, hi, ok := rangePredicate(s.Filter)
-	if !ok {
+	if !ok || e.Synopses == nil {
 		return 0, false
 	}
-	e.mu.RLock()
-	h := e.histograms[s.TableName+"."+col]
-	e.mu.RUnlock()
+	h := e.Synopses.histogram(s.TableName, col)
 	if h == nil {
 		return 0, false
 	}
@@ -267,13 +214,9 @@ func (e *OnlineEngine) placeSamplers(stmt *sqlparse.SelectStmt, p plan.Node) []s
 		}
 	}
 	uniformOnBiggest := func(why string) {
-		kind := sample.KindUniformRow
-		if e.Config.UseBlockSampling {
-			kind = sample.KindBlock
-		}
-		biggest.Sample = &sample.Spec{Kind: kind, Rate: e.Config.DefaultRate, Seed: e.Config.Seed}
+		biggest.Sample = &sample.Spec{Kind: sample.KindUniformRow, Rate: e.Config.DefaultRate, Seed: e.Config.Seed}
 		notes = append(notes, fmt.Sprintf("online: %s sampler on %s at %.4g (%s)",
-			kind, biggest.TableName, e.Config.DefaultRate, why))
+			sample.KindUniformRow, biggest.TableName, e.Config.DefaultRate, why))
 	}
 
 	// Case 1: GROUP BY. Only the largest (fact) table is sampled:

@@ -128,6 +128,13 @@ func (e *SynopsisEngine) BuildColumn(table, col string, buckets int) error {
 	return nil
 }
 
+// histogram returns the equi-depth histogram built for table.col, or nil.
+func (e *SynopsisEngine) histogram(table, col string) *sketch.EquiDepthHistogram {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.histograms[synKey(table, col)]
+}
+
 // Execute implements Engine. Unsupported queries return an error — the
 // Advisor is responsible for routing them elsewhere. Synopsis answers are
 // O(synopsis) — no scan to cancel — so the context is only checked once

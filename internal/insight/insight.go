@@ -26,70 +26,38 @@ type Config struct {
 	// (least-recently-offered) is evicted when a new shape arrives at
 	// capacity (default 256, minimum 1).
 	Cap int
-	// Window is the per-half sentinel window: each fingerprint retains
-	// 2*Window latency and CI-width observations, the older half being
-	// the trailing baseline and the newer half the current window
-	// (default 64).
-	Window int
-	// LatencyFactor trips the latency sentinel when the current-window
-	// p95 exceeds factor × baseline p95 (default 2).
-	LatencyFactor float64
-	// LatencyFloorMS is the absolute regression floor: current p95 must
-	// also exceed baseline by this many milliseconds, so microsecond
-	// noise on fast shapes never pages (default 1ms).
-	LatencyFloorMS float64
-	// WidthFactor and WidthFloor are the CI relative-width analogues
-	// (defaults 2 and 0.005).
-	WidthFactor float64
-	WidthFloor  float64
-	// CoverageFloor is the audited CI coverage below which the coverage
-	// sentinel trips, judged by the Wilson upper bound so small samples
-	// cannot page (default 0.85).
-	CoverageFloor float64
-	// MinAudits is the minimum audited count before the coverage
-	// sentinel may trip (default 20).
-	MinAudits int
-	// Confidence is the Wilson confidence for the coverage gate
-	// (default 0.95).
-	Confidence float64
 	// OnEvent, when non-nil, receives sentinel and eviction events. It
 	// is called outside the registry lock; callbacks must not re-enter
 	// the registry.
 	OnEvent func(Event)
-	// Now overrides the clock (tests); nil uses time.Now.
-	Now func() time.Time
 }
 
 func (c Config) withDefaults() Config {
 	if c.Cap <= 0 {
 		c.Cap = 256
 	}
-	if c.Window <= 0 {
-		c.Window = 64
-	}
-	if c.LatencyFactor <= 1 {
-		c.LatencyFactor = 2
-	}
-	if c.LatencyFloorMS <= 0 {
-		c.LatencyFloorMS = 1
-	}
-	if c.WidthFactor <= 1 {
-		c.WidthFactor = 2
-	}
-	if c.WidthFloor <= 0 {
-		c.WidthFloor = 0.005
-	}
-	if c.CoverageFloor <= 0 || c.CoverageFloor >= 1 {
-		c.CoverageFloor = 0.85
-	}
-	if c.MinAudits <= 0 {
-		c.MinAudits = 20
-	}
-	if c.Confidence <= 0 || c.Confidence >= 1 {
-		c.Confidence = 0.95
-	}
 	return c
 }
+
+const (
+	// window is the per-half sentinel window: each fingerprint retains
+	// 2*window latency and CI-width observations, the older half being
+	// the trailing baseline and the newer half the current window.
+	window = 64
+	// latencyFactor trips the latency sentinel when the current-window
+	// p95 exceeds latencyFactor × baseline p95, and latencyFloorMS is the
+	// absolute floor: current p95 must also exceed the baseline by this
+	// many milliseconds, so microsecond noise on fast shapes never pages.
+	latencyFactor, latencyFloorMS = 2, 1
+	// widthFactor and widthFloor are the CI relative-width analogues.
+	widthFactor, widthFloor = 2, 0.005
+	// coverageFloor is the audited CI coverage below which the coverage
+	// sentinel trips, judged by the Wilson upper bound at coverageConfidence
+	// so small samples cannot page, and only once minAudits audits are in.
+	coverageFloor      = 0.85
+	coverageConfidence = 0.95
+	minAudits          = 20
+)
 
 // Event kinds.
 const (
@@ -194,13 +162,6 @@ func New(cfg Config) *Registry {
 	}
 }
 
-func (r *Registry) now() time.Time {
-	if r.cfg.Now != nil {
-		return r.cfg.Now()
-	}
-	return time.Now()
-}
-
 // Offer is ObserveStmt for callers that hold only the SQL text.
 func (r *Registry) Offer(sql string, obs Observation) string {
 	stmt, _ := sqlparse.Parse(sql) // nil when the SQL does not parse
@@ -224,7 +185,7 @@ func (r *Registry) ObserveStmt(stmt *sqlparse.SelectStmt, obs Observation) strin
 	r.mu.Lock()
 	r.offered++
 	c := r.touch(fp, &events)
-	c.lastSeen = r.now()
+	c.lastSeen = time.Now()
 	c.queries++
 	if obs.Err {
 		c.errors++
@@ -249,7 +210,7 @@ func (r *Registry) ObserveStmt(stmt *sqlparse.SelectStmt, obs Observation) strin
 		}
 	}
 	if obs.Technique != "" {
-		t := c.tech(obs.Technique, r.cfg.Window)
+		t := c.tech(obs.Technique)
 		t.queries++
 		t.rowsScanned += obs.RowsScanned
 		if obs.Degraded {
@@ -291,10 +252,10 @@ func (r *Registry) ReportAudit(fingerprint, technique string, covered bool) {
 		r.mu.Unlock()
 		return
 	}
-	t := c.tech(technique, r.cfg.Window)
+	t := c.tech(technique)
 	t.cov.Push(covered)
-	iv := t.cov.Wilson(r.cfg.Confidence)
-	low := t.cov.N() >= r.cfg.MinAudits && iv.Hi < r.cfg.CoverageFloor
+	iv := t.cov.Wilson(coverageConfidence)
+	low := t.cov.N() >= minAudits && iv.Hi < coverageFloor
 	if low != t.covTripped {
 		t.covTripped = low
 		kind := EventRecovered
@@ -308,7 +269,7 @@ func (r *Registry) ReportAudit(fingerprint, technique string, covered bool) {
 			Kind: kind, Signal: SignalCoverage,
 			Fingerprint: c.fp.Hash, Template: c.fp.Template,
 			Technique: technique,
-			Baseline:  r.cfg.CoverageFloor, Current: t.cov.Rate(),
+			Baseline:  coverageFloor, Current: t.cov.Rate(),
 		})
 	}
 	r.mu.Unlock()
@@ -336,10 +297,10 @@ func (r *Registry) touch(fp sqlparse.Fingerprint, events *[]Event) *card {
 		}
 		c = &card{
 			fp:        fp,
-			firstSeen: r.now(),
+			firstSeen: time.Now(),
 			contract:  make(map[string]int64),
-			lat:       newSentinel(r.cfg.Window, r.cfg.LatencyFactor, r.cfg.LatencyFloorMS),
-			width:     newSentinel(r.cfg.Window, r.cfg.WidthFactor, r.cfg.WidthFloor),
+			lat:       newSentinel(window, latencyFactor, latencyFloorMS),
+			width:     newSentinel(window, widthFactor, widthFloor),
 			techs:     make(map[string]*techCard),
 			active:    make(map[string]bool),
 		}
@@ -382,7 +343,7 @@ func (r *Registry) pushSentinel(c *card, s *sentinel, signal string, v float64, 
 	}
 }
 
-func (c *card) tech(name string, window int) *techCard {
+func (c *card) tech(name string) *techCard {
 	t, ok := c.techs[name]
 	if !ok {
 		t = &techCard{

@@ -95,7 +95,7 @@ func TestEvictionLRU(t *testing.T) {
 // (Deterministic hot-survival is TestEvictionLRU; under concurrent
 // churn a true LRU can in principle rotate any key out.)
 func TestEvictionUnderCapPressureConcurrent(t *testing.T) {
-	r := New(Config{Cap: 4, Window: 8})
+	r := New(Config{Cap: 4})
 	hot := "SELECT COUNT(*) FROM t WHERE x > 1"
 	hotHash := r.Offer(hot, obs("online", 1))
 
@@ -141,12 +141,12 @@ func TestEvictionUnderCapPressureConcurrent(t *testing.T) {
 	}
 
 	// Deterministic post-phase: re-warm the hot shape and audit it
-	// serially; the bounded coverage window must hold exactly Window
+	// serially; the bounded coverage window must hold exactly window
 	// outcomes.
 	if got := r.Offer(hot, obs("online", 1)); got != hotHash {
 		t.Fatalf("hot fingerprint changed: %s vs %s", got, hotHash)
 	}
-	for i := 0; i < 12; i++ {
+	for i := 0; i < window+4; i++ {
 		r.ReportAudit(hotHash, "online", true)
 	}
 	for _, c := range r.Top(0, ByTraffic) {
@@ -155,8 +155,8 @@ func TestEvictionUnderCapPressureConcurrent(t *testing.T) {
 		}
 		for _, ts := range c.Techniques {
 			if ts.Technique == "online" {
-				if ts.CoverageN != 8 {
-					t.Fatalf("coverage window N = %d, want 8 (bounded)", ts.CoverageN)
+				if ts.CoverageN != window {
+					t.Fatalf("coverage window N = %d, want %d (bounded)", ts.CoverageN, window)
 				}
 				return
 			}
@@ -179,7 +179,7 @@ func TestReportAuditUnknownFingerprint(t *testing.T) {
 
 // TestTopOrders: the three rankings order as documented.
 func TestTopOrders(t *testing.T) {
-	r := New(Config{Window: 2})
+	r := New(Config{})
 	// Shape A: high traffic, fast.
 	for i := 0; i < 10; i++ {
 		r.Offer("SELECT COUNT(*) FROM t", obs("exact", 1))

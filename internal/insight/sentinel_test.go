@@ -115,15 +115,17 @@ func TestSentinelQuantiles(t *testing.T) {
 // that fingerprint only, and the scorecard exposes the sentinel state.
 func TestRegistrySeededLatencyRegression(t *testing.T) {
 	var events []Event
-	r := New(Config{Window: 4, OnEvent: func(ev Event) { events = append(events, ev) }})
+	r := New(Config{OnEvent: func(ev Event) { events = append(events, ev) }})
 	victim := "SELECT SUM(x) FROM t WHERE x > 5"
 	bystander := "SELECT COUNT(*) FROM t"
 	var victimHash string
-	for i := 0; i < 8; i++ {
+	// Fill both halves of the ring at the baseline, then push enough slow
+	// observations into the current half to move its p95.
+	for i := 0; i < 2*window; i++ {
 		victimHash = r.Offer(victim, obs("online", 10))
 		r.Offer(bystander, obs("exact", 10))
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < window/16; i++ {
 		r.Offer(victim, obs("online", 200)) // seeded regression
 		r.Offer(bystander, obs("exact", 10))
 	}
@@ -161,11 +163,10 @@ func TestRegistrySeededLatencyRegression(t *testing.T) {
 // trip the Wilson-gated coverage sentinel; covered audits recover it.
 func TestRegistryCoverageSentinel(t *testing.T) {
 	var events []Event
-	r := New(Config{Window: 64, MinAudits: 20, CoverageFloor: 0.85,
-		OnEvent: func(ev Event) { events = append(events, ev) }})
+	r := New(Config{OnEvent: func(ev Event) { events = append(events, ev) }})
 	sql := "SELECT SUM(x) FROM t WHERE x > 5"
 	h := r.Offer(sql, obs("online", 1))
-	// All misses: after MinAudits the Wilson upper bound collapses far
+	// All misses: after minAudits the Wilson upper bound collapses far
 	// below the floor.
 	for i := 0; i < 30; i++ {
 		r.ReportAudit(h, "online", false)
@@ -184,7 +185,7 @@ func TestRegistryCoverageSentinel(t *testing.T) {
 		t.Fatalf("trip = %+v", trip)
 	}
 	// A run of covered audits pushes the window back above the floor.
-	for i := 0; i < 64; i++ {
+	for i := 0; i < window; i++ {
 		r.ReportAudit(h, "online", true)
 	}
 	recovered := false

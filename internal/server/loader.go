@@ -5,16 +5,17 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	aqp "repro"
+	"repro/internal/storage"
 )
 
 // LoadCSVFile loads a CSV file (header row required) into db under
-// name, inferring the column types from the data: a column is BIGINT if
-// every non-empty cell parses as an integer, DOUBLE if every cell
-// parses as a number, BOOLEAN for true/false, VARCHAR otherwise.
+// name, inferring the column types from the data: a column is BOOLEAN if
+// every non-NULL cell parses as one, else BIGINT, else DOUBLE, else
+// VARCHAR. Cells parse by storage.ParseValue, the rule aqp.DB.LoadCSV
+// uses too.
 func LoadCSVFile(db *aqp.DB, name, path string) (*aqp.Table, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -51,9 +52,9 @@ func LoadCSVReader(db *aqp.DB, name string, r io.Reader) (*aqp.Table, error) {
 		for j := range schema {
 			cell := ""
 			if j < len(rec) {
-				cell = strings.TrimSpace(rec[j])
+				cell = rec[j]
 			}
-			v, err := parseCell(schema[j].Type, cell)
+			v, err := storage.ParseValue(schema[j].Type, cell)
 			if err != nil {
 				return nil, fmt.Errorf("server: %s line %d column %s: %w", name, i+2, schema[j].Name, err)
 			}
@@ -67,71 +68,33 @@ func LoadCSVReader(db *aqp.DB, name string, r io.Reader) (*aqp.Table, error) {
 	return t, nil
 }
 
-func isNullCell(cell string) bool {
-	return cell == "" || strings.EqualFold(cell, "null")
-}
-
-// inferColumnType scans column j of the data rows and returns the most
-// specific type that fits every non-null cell.
+// inferColumnType scans column j of the data rows and returns the first
+// of BOOLEAN, BIGINT and DOUBLE that parses every non-NULL cell, VARCHAR
+// when none does or every cell is NULL.
 func inferColumnType(rows [][]string, j int) aqp.Type {
-	isInt, isFloat, isBool := true, true, true
+	types := []aqp.Type{aqp.TypeBool, aqp.TypeInt64, aqp.TypeFloat64}
 	seen := false
 	for _, rec := range rows {
+		if len(types) == 0 {
+			break
+		}
 		if j >= len(rec) {
 			continue
 		}
-		cell := strings.TrimSpace(rec[j])
-		if isNullCell(cell) {
+		if v, _ := storage.ParseValue(aqp.TypeString, rec[j]); v.IsNull() {
 			continue
 		}
 		seen = true
-		if _, err := strconv.ParseInt(cell, 10, 64); err != nil {
-			isInt = false
+		fit := types[:0]
+		for _, t := range types {
+			if _, err := storage.ParseValue(t, rec[j]); err == nil {
+				fit = append(fit, t)
+			}
 		}
-		if _, err := strconv.ParseFloat(cell, 64); err != nil {
-			isFloat = false
-		}
-		if !strings.EqualFold(cell, "true") && !strings.EqualFold(cell, "false") {
-			isBool = false
-		}
-		if !isInt && !isFloat && !isBool {
-			break
-		}
+		types = fit
 	}
-	switch {
-	case !seen:
-		return aqp.TypeString
-	case isBool:
-		return aqp.TypeBool
-	case isInt:
-		return aqp.TypeInt64
-	case isFloat:
-		return aqp.TypeFloat64
-	default:
+	if !seen || len(types) == 0 {
 		return aqp.TypeString
 	}
-}
-
-func parseCell(t aqp.Type, cell string) (aqp.Value, error) {
-	if isNullCell(cell) {
-		return aqp.Null(t), nil
-	}
-	switch t {
-	case aqp.TypeInt64:
-		v, err := strconv.ParseInt(cell, 10, 64)
-		if err != nil {
-			return aqp.Value{}, err
-		}
-		return aqp.Int64(v), nil
-	case aqp.TypeFloat64:
-		v, err := strconv.ParseFloat(cell, 64)
-		if err != nil {
-			return aqp.Value{}, err
-		}
-		return aqp.Float64(v), nil
-	case aqp.TypeBool:
-		return aqp.Bool(strings.EqualFold(cell, "true")), nil
-	default:
-		return aqp.Str(cell), nil
-	}
+	return types[0]
 }

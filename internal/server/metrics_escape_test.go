@@ -95,7 +95,7 @@ func TestKeyKeepsRawUTF8(t *testing.T) {
 func TestPrometheusGaugeFamilyGrouping(t *testing.T) {
 	m := NewMetrics()
 	var sb strings.Builder
-	m.WritePrometheus(&sb, map[string]int64{
+	m.WritePrometheus(&sb, nil, map[string]int64{
 		Key("sample_stale", "table", "events"): 1,
 		Key("sample_stale", "table", "stars"):  0,
 		"audit_backlog":                        3,

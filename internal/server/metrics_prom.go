@@ -78,20 +78,23 @@ func writeHelpType(w io.Writer, fam, typ string) {
 // latency histogram families additionally get a `_seconds`-suffixed
 // unit-correct copy (bounds and sum scaled by 1e-3) under the SI-unit
 // name Prometheus conventions expect, while the original ms families
-// keep their names for dashboard compatibility. Gauges and build info
-// are supplied by the caller like in Snapshot; gaugesF carries
+// keep their names for dashboard compatibility. counters adds counter
+// series kept outside the registry; gauges and build info are supplied
+// by the caller like in Snapshot; gaugesF carries
 // float-valued gauges (SLO burn rates); info becomes a constant
 // `aqpd_build_info 1` gauge with the identity as labels, the standard
 // Prometheus idiom for exposing versions.
-func (m *Metrics) WritePrometheus(w io.Writer, gauges map[string]int64, gaugesF map[string]float64, info map[string]string) {
+func (m *Metrics) WritePrometheus(w io.Writer, counters, gauges map[string]int64, gaugesF map[string]float64, info map[string]string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
 	// Counters, grouped into families by base name.
 	counterFamilies := make(map[string][]string) // family -> rendered series lines
-	for k, v := range m.counters {
-		fam, _ := splitKey(k)
-		counterFamilies[fam] = append(counterFamilies[fam], fmt.Sprintf("%s %d\n", k, v))
+	for _, set := range []map[string]int64{m.counters, counters} {
+		for k, v := range set {
+			fam, _ := splitKey(k)
+			counterFamilies[fam] = append(counterFamilies[fam], fmt.Sprintf("%s %d\n", k, v))
+		}
 	}
 	for _, fam := range sortedKeys(counterFamilies) {
 		writeHelpType(w, fam, "counter")

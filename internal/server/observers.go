@@ -46,9 +46,7 @@ func NewObservers(cfg Config) *Observers {
 		// Workload insight rides with telemetry (so the telemetry-overhead
 		// gate covers its cost); a negative WorkloadCap opts out.
 		if cfg.WorkloadCap >= 0 {
-			o.insight = insight.New(insight.Config{
-				Cap: cfg.WorkloadCap, Window: cfg.WorkloadWindow, OnEvent: o.onInsightEvent,
-			})
+			o.insight = insight.New(insight.Config{Cap: cfg.WorkloadCap, OnEvent: o.onInsightEvent})
 		}
 		fault.SetOnFire(o.onFaultFire)
 	}

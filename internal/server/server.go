@@ -105,10 +105,6 @@ type Config struct {
 	// sentinels behind GET /workload. 0 takes the registry default
 	// (256); negative disables workload insight even with telemetry on.
 	WorkloadCap int
-	// WorkloadWindow overrides the per-fingerprint sentinel half-window
-	// (0 takes the registry default; exposed for tests, which need
-	// small windows to trip sentinels deterministically).
-	WorkloadWindow int
 }
 
 func (c Config) withDefaults() Config {
@@ -530,23 +526,27 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	gauges := s.gauges()
+	gauges, counters := s.readings()
 	gaugesF := s.sloGauges()
 	if r.URL.Query().Get("format") == "prom" {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.obs.met.WritePrometheus(w, gauges, gaugesF, BuildInfo())
+		s.obs.met.WritePrometheus(w, counters, gauges, gaugesF, BuildInfo())
 		return
 	}
 	snap := s.obs.met.Snapshot(gauges)
+	for k, v := range counters {
+		snap.Counters[k] = v
+	}
 	snap.GaugesF = gaugesF
 	snap.Info = BuildInfo()
 	writeJSON(w, http.StatusOK, snap)
 }
 
-// gauges reads every instantaneous gauge once: /metrics, its Prometheus
-// form and the time-series collector all serve this one set.
-func (s *Server) gauges() map[string]int64 {
-	g := map[string]int64{
+// readings reads every instantaneous gauge once, with the cumulative
+// counters kept outside the metrics registry: /metrics, its Prometheus
+// form and the time-series collector all serve these two sets.
+func (s *Server) readings() (gauges, counters map[string]int64) {
+	gauges = map[string]int64{
 		"queue_depth":       int64(s.adm.QueueDepth()),
 		"in_flight":         int64(s.adm.InFlight()),
 		"workers":           int64(s.adm.Workers()),
@@ -555,27 +555,29 @@ func (s *Server) gauges() map[string]int64 {
 		"uptime_seconds":    int64(time.Since(s.start).Seconds()),
 	}
 	for k, b := range s.brk {
-		g[Key("engine_tripped", "engine", string(k))] = b01(b.State() != fault.BreakerClosed)
+		gauges[Key("engine_tripped", "engine", string(k))] = b01(b.State() != fault.BreakerClosed)
 	}
 	// The uniform sampler's kept-row memo is process-wide: its counts cover
 	// every scan this process ran.
 	kept := sample.KeptMemoStats()
-	g["kept_memo_entries"] = int64(kept.Entries)
-	g["kept_memo_evictions"] = kept.Evictions
-	for outcome, n := range map[string]int64{"hit": kept.Hits, "miss": kept.Misses, "grow": kept.Grows} {
-		g[Key("kept_memo_lookups", "outcome", outcome)] = n
+	gauges["kept_memo_entries"] = int64(kept.Entries)
+	counters = map[string]int64{
+		"kept_memo_evictions":                       kept.Evictions,
+		Key("kept_memo_lookups", "outcome", "hit"):  kept.Hits,
+		Key("kept_memo_lookups", "outcome", "miss"): kept.Misses,
+		Key("kept_memo_lookups", "outcome", "grow"): kept.Grows,
 	}
 	if s.obs.insight != nil {
-		g["workload_fingerprints"] = int64(s.obs.insight.Len())
+		gauges["workload_fingerprints"] = int64(s.obs.insight.Len())
 	}
 	if s.obs.aud != nil {
 		rep := s.obs.aud.Report()
-		g["audit_backlog"] = int64(rep.Backlog)
+		gauges["audit_backlog"] = int64(rep.Backlog)
 		for _, t := range rep.Tables {
-			g[Key("sample_stale", "table", t.Table)] = b01(t.Stale)
+			gauges[Key("sample_stale", "table", t.Table)] = b01(t.Stale)
 		}
 	}
-	return g
+	return gauges, counters
 }
 
 func b01(b bool) int64 {

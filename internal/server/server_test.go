@@ -463,6 +463,42 @@ func TestLoadCSVReaderInference(t *testing.T) {
 	}
 }
 
+// TestLoadCSVPathsAgree: aqpd's inferring loader and aqp.DB.LoadCSV parse
+// cells by one rule — trimmed, NULL in any case, true/false in any case —
+// so one CSV loaded through both, under the inferred schema, gives the
+// same table.
+func TestLoadCSVPathsAgree(t *testing.T) {
+	const csvData = "id,price,name,active\n" +
+		" 1, 9.5 , apple ,TRUE\n" +
+		"2,3,banana,false\n" +
+		"Null,,cherry,null\n" +
+		"4,NULL, ,True\n"
+	inferred, err := LoadCSVReader(aqp.New(), "fruit", strings.NewReader(csvData))
+	if err != nil {
+		t.Fatal(err)
+	}
+	typed, err := aqp.New().LoadCSV("fruit", inferred.Schema(), strings.NewReader(csvData))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b bytes.Buffer
+	if err := aqp.DumpTableCSV(&a, inferred); err != nil {
+		t.Fatal(err)
+	}
+	if err := aqp.DumpTableCSV(&b, typed); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Fatalf("loader table:\n%s\nLoadCSV table:\n%s", a.String(), b.String())
+	}
+	want := []aqp.Type{aqp.TypeInt64, aqp.TypeFloat64, aqp.TypeString, aqp.TypeBool}
+	for i, w := range want {
+		if got := inferred.Schema()[i].Type; got != w {
+			t.Fatalf("column %s type = %v, want %v", inferred.Schema()[i].Name, got, w)
+		}
+	}
+}
+
 func TestAdmissionUnit(t *testing.T) {
 	a := NewAdmission(2, 1)
 	r1, err := a.Acquire(context.Background())

@@ -17,9 +17,16 @@ import (
 // tests drive Snap explicitly for determinism.
 func (s *Server) initTelemetry(cfg Config) {
 	s.tstore = telemetry.NewStore(telemetry.StoreConfig{
-		Step:    cfg.TelemetryStep,
-		Window:  cfg.TelemetryWindow,
-		Collect: func() telemetry.Sample { return s.obs.met.TelemetrySample(s.gauges()) },
+		Step:   cfg.TelemetryStep,
+		Window: cfg.TelemetryWindow,
+		Collect: func() telemetry.Sample {
+			gauges, counters := s.readings()
+			smp := s.obs.met.TelemetrySample(gauges)
+			for k, v := range counters {
+				smp.Counters[k] = float64(v)
+			}
+			return smp
+		},
 		// Every stored sample re-evaluates the objectives (the engine caches
 		// the statuses for the /metrics gauges and bundle dumps), so
 		// fast-burn detection latency is one snapshot step.

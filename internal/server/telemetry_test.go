@@ -532,3 +532,52 @@ func TestHistoryGaugesMatchMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestKeptMemoCountsAreCounters: the kept-row memo's lookup and eviction
+// counts only grow, so every view serves them as counters — TYPE counter
+// in the Prometheus text, the counters map in the JSON, and Sample.Counters
+// in the history, where a rate over a query burst is positive.
+func TestKeptMemoCountsAreCounters(t *testing.T) {
+	srv := New(buildDB(t, 100000), telemetryConfig())
+	defer srv.Shutdown(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	srv.TelemetryStore().Snap()
+	for i := 0; i < 3; i++ {
+		resp, _, bad := postQuery(t, ts.URL, QueryRequest{SQL: "SELECT SUM(x) FROM t", Mode: "online"})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("query %d: status %d: %s", i, resp.StatusCode, bad.Error)
+		}
+	}
+	srv.TelemetryStore().Snap()
+
+	resp, err := http.Get(ts.URL + "/metrics?format=prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, fam := range []string{"kept_memo_lookups", "kept_memo_evictions"} {
+		if !strings.Contains(string(prom), "# TYPE "+fam+" counter\n") {
+			t.Errorf("Prometheus output does not type %s as a counter:\n%s", fam, prom)
+		}
+	}
+	snap := getMetrics(t, ts.URL)
+	if _, ok := snap.Counters[Key("kept_memo_lookups", "outcome", "hit")]; !ok {
+		t.Errorf("JSON counters lack kept_memo_lookups: %v", snap.Counters)
+	}
+	if _, ok := snap.Gauges["kept_memo_evictions"]; ok {
+		t.Error("JSON still serves kept_memo_evictions as a gauge")
+	}
+
+	var hist HistoryResponse
+	if code := getJSON(t, ts.URL+"/metrics/history?window=15m&step=10s&rate=kept_memo_lookups", &hist); code != http.StatusOK {
+		t.Fatalf("/metrics/history: status %d", code)
+	}
+	rates := hist.Rates["kept_memo_lookups"]
+	if len(rates) == 0 || rates[len(rates)-1].V <= 0 {
+		t.Fatalf("kept_memo_lookups rate = %+v, want > 0 after sampled queries", rates)
+	}
+}

@@ -145,9 +145,7 @@ func TestWorkloadGating(t *testing.T) {
 // fingerprint stays clean.
 func TestWorkloadSeededRegression(t *testing.T) {
 	db := buildDB(t, 1000)
-	cfg := telemetryConfig()
-	cfg.WorkloadWindow = 4
-	srv := New(db, cfg)
+	srv := New(db, telemetryConfig())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -157,8 +155,11 @@ func TestWorkloadSeededRegression(t *testing.T) {
 	}
 	victim := "SELECT SUM(x) FROM t WHERE x > 5"
 	bystander := "SELECT COUNT(*) FROM t"
+	// The sentinel compares two 64-observation halves: fill both at the
+	// baseline, then put four slow observations in the current half, enough
+	// to move its p95.
 	var victimFP string
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 128; i++ {
 		victimFP = reg.Offer(victim, insight.Observation{Technique: "online", LatencyMS: 10})
 		reg.Offer(bystander, insight.Observation{Technique: "exact", LatencyMS: 10})
 	}

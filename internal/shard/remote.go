@@ -59,34 +59,31 @@ const (
 	// coldHedgeDelay is the hedge delay before the latency ring has
 	// enough observations to estimate a p95.
 	coldHedgeDelay = 25 * time.Millisecond
+	// gatherSlack is reserved out of the query deadline for the merge/
+	// finalize step after the last shard answers.
+	gatherSlack = 100 * time.Millisecond
+	// hedgeMaxFraction caps hedged calls as a fraction of total calls.
+	hedgeMaxFraction = 0.1
 )
 
 // RemoteOptions tunes the remote-shard client envelope. The zero value
 // gives sane defaults throughout.
 type RemoteOptions struct {
 	// CallTimeout caps any single RPC (default 10s). The effective
-	// per-call deadline is min(CallTimeout, query deadline − GatherSlack).
+	// per-call deadline is min(CallTimeout, query deadline − gatherSlack).
 	CallTimeout time.Duration
-	// GatherSlack is reserved out of the query deadline for the merge/
-	// finalize step after the last shard answers (default 100ms).
-	GatherSlack time.Duration
 	// Retry tunes the per-call retry envelope. Tries is capped at 4; the
 	// jitter is seeded per shard, so replays retry identically.
 	Retry fault.RetryConfig
 	// HedgeDelay fixes the hedge delay. 0 selects the adaptive delay: the
 	// p95 of the shard's recent call latencies (25ms until warmed up).
-	// Negative disables hedging.
+	// Negative disables hedging. Hedged calls never exceed
+	// hedgeMaxFraction of all calls.
 	HedgeDelay time.Duration
-	// HedgeMaxFraction caps hedged calls as a fraction of total calls
-	// (default 0.1). Negative disables hedging.
-	HedgeMaxFraction float64
 	// ProbeInterval is the background health-probe cadence (default 2s).
 	// Negative disables background probing (the attach-time probe still
 	// runs).
 	ProbeInterval time.Duration
-	// Client overrides the HTTP client (tests; defaults to a dedicated
-	// client with connection reuse).
-	Client *http.Client
 }
 
 // latRing is a fixed ring of recent call latencies for the adaptive
@@ -151,16 +148,12 @@ type RemoteShard struct {
 }
 
 func newRemoteShard(id int, table, addr string, opt RemoteOptions) *RemoteShard {
-	client := opt.Client
-	if client == nil {
-		client = &http.Client{}
-	}
 	return &RemoteShard{
 		id:     id,
 		table:  table,
 		addr:   strings.TrimRight(addr, "/"),
 		opt:    opt,
-		client: client,
+		client: &http.Client{},
 		stop:   make(chan struct{}),
 	}
 }
@@ -264,11 +257,7 @@ func (r *RemoteShard) callCtx(ctx context.Context) (context.Context, context.Can
 		limit = 10 * time.Second
 	}
 	if dl, ok := ctx.Deadline(); ok {
-		slack := r.opt.GatherSlack
-		if slack <= 0 {
-			slack = 100 * time.Millisecond
-		}
-		if rem := time.Until(dl) - slack; rem < limit {
+		if rem := time.Until(dl) - gatherSlack; rem < limit {
 			limit = rem
 		}
 	}
@@ -375,19 +364,12 @@ func (r *RemoteShard) hedged(ctx context.Context, path string, body []byte) (rep
 
 // hedgeDelay decides whether this call may hedge, and after how long.
 func (r *RemoteShard) hedgeDelay() (time.Duration, bool) {
-	if r.opt.HedgeDelay < 0 || r.opt.HedgeMaxFraction < 0 {
+	if r.opt.HedgeDelay < 0 {
 		return 0, false
 	}
-	frac := r.opt.HedgeMaxFraction
-	if frac == 0 {
-		frac = 0.1
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	// Budget: hedges may not exceed frac of calls (+1 so a cold client
-	// can hedge its very first straggler).
-	if float64(r.hedges.Load()) >= frac*float64(r.calls.Load())+1 {
+	// Budget: hedges may not exceed hedgeMaxFraction of calls (+1 so a
+	// cold client can hedge its very first straggler).
+	if float64(r.hedges.Load()) >= hedgeMaxFraction*float64(r.calls.Load())+1 {
 		return 0, false
 	}
 	if r.opt.HedgeDelay > 0 {

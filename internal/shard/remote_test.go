@@ -313,7 +313,7 @@ func TestRemoteHedgeWins(t *testing.T) {
 // always slow cannot double its own load through hedging.
 func TestRemoteHedgeBudget(t *testing.T) {
 	rs := newRemoteShard(0, "events", "http://127.0.0.1:9", RemoteOptions{
-		HedgeDelay: time.Millisecond, HedgeMaxFraction: 0.1,
+		HedgeDelay: time.Millisecond,
 	})
 	// Simulate 100 calls with the hedger consulted each time.
 	var hedges int
@@ -337,7 +337,7 @@ func TestRemoteHedgeBudget(t *testing.T) {
 // call quickly instead of hanging the scatter.
 func TestRemoteCallDeadline(t *testing.T) {
 	_, _, rg, handlers := remoteFixture(t, 2, RemoteOptions{
-		ProbeInterval: -1, HedgeDelay: -1, GatherSlack: 20 * time.Millisecond,
+		ProbeInterval: -1, HedgeDelay: -1,
 		Retry: fault.RetryConfig{Tries: 1},
 	})
 	handlers[0].before = func(n int, w http.ResponseWriter) bool {
@@ -345,7 +345,7 @@ func TestRemoteCallDeadline(t *testing.T) {
 		http.Error(w, "too late", http.StatusInternalServerError)
 		return true
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
 	defer cancel()
 	start := time.Now()
 	res, err := rg.Scatter(ctx, parse(t, "SELECT COUNT(*) FROM events"),

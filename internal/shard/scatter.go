@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/exec"
 	"repro/internal/expr"
@@ -47,9 +46,6 @@ type ExecOptions struct {
 	// AllowDegraded lets the query succeed on surviving shards when some
 	// fail; false fails the whole query on the first shard error.
 	AllowDegraded bool
-	// StragglerTimeout, when > 0, abandons any shard that has not
-	// finished within it, treating the shard as failed.
-	StragglerTimeout time.Duration
 	// ShardRates, when non-nil, overrides Sample.Rate per shard (indexed
 	// by shard ID) — the Neyman-allocated stage-two fractions of a
 	// contract run. Must have one entry per shard.
@@ -188,7 +184,7 @@ func (g *Group) Scatter(ctx context.Context, stmt *sqlparse.SelectStmt, opt Exec
 		go func(i int, lctx context.Context) {
 			defer wg.Done()
 			defer spans[i].End()
-			parts[i], errs[i] = g.runShard(lctx, i, queries[i], per, opt.StragglerTimeout)
+			parts[i], errs[i] = g.runShard(lctx, i, queries[i], per)
 		}(i, lctx)
 	}
 	wg.Wait()
@@ -247,38 +243,14 @@ func (g *Group) Scatter(ctx context.Context, stmt *sqlparse.SelectStmt, opt Exec
 	return res, nil
 }
 
-// runShard executes one shard's estimate, containing panics and applying
-// the straggler deadline.
-func (g *Group) runShard(ctx context.Context, i int, q Query, workers int, deadline time.Duration) (*exec.AggPartial, error) {
-	sh := g.shards[i]
-	run := func() (part *exec.AggPartial, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fault.AsError(r)
-			}
-		}()
-		return sh.Estimate(ctx, q, workers)
-	}
-	if deadline <= 0 {
-		return run()
-	}
-	type out struct {
-		part *exec.AggPartial
-		err  error
-	}
-	ch := make(chan out, 1)
-	go func() {
-		p, e := run()
-		ch <- out{p, e}
+// runShard executes one shard's estimate, containing panics.
+func (g *Group) runShard(ctx context.Context, i int, q Query, workers int) (part *exec.AggPartial, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fault.AsError(r)
+		}
 	}()
-	select {
-	case o := <-ch:
-		return o.part, o.err
-	case <-time.After(deadline):
-		return nil, fmt.Errorf("shard %d: straggler deadline %v exceeded", i, deadline)
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	return g.shards[i].Estimate(ctx, q, workers)
 }
 
 // keyInterval extracts the [lo, hi] constraint a WHERE clause places on

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/exec"
 	"repro/internal/fault"
@@ -339,26 +338,5 @@ func TestKeyInterval(t *testing.T) {
 	lo, hi = iv("SELECT COUNT(*) FROM events WHERE ev_user < 5")
 	if !lo.IsNull() || !hi.IsNull() {
 		t.Fatalf("foreign column leaked a bound: lo=%v hi=%v", lo, hi)
-	}
-}
-
-// TestScatterStragglerDeadline: a shard stuck past the deadline is
-// abandoned as failed; survivors still answer under AllowDegraded.
-func TestScatterStragglerDeadline(t *testing.T) {
-	_, g := scatterFixture(t, Key{Column: "ev_user", Kind: KeyHash, Count: 4}, fault.BreakerConfig{})
-	rules, err := fault.ParseRules("shard.estimate.3:latency:1:1h")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fault.Install(fault.Schedule{Seed: 3, Rules: rules})
-	defer fault.Uninstall()
-
-	sres, err := g.Scatter(context.Background(), parse(t, "SELECT COUNT(*) AS c FROM events"),
-		ExecOptions{Workers: 4, AllowDegraded: true, StragglerTimeout: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sres.Failed) != 1 || sres.Failed[0] != 3 {
-		t.Fatalf("Failed = %v, want [3]", sres.Failed)
 	}
 }

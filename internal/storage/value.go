@@ -7,6 +7,7 @@ package storage
 import (
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // Type identifies the runtime type of a Value or Column.
@@ -226,9 +227,12 @@ func intKey(i int64) string {
 	return string(strconv.AppendInt(append(buf[:0], 'i'), i, 36))
 }
 
-// ParseValue parses text into a value of the given type.
+// ParseValue parses text into a value of the given type, the one rule for
+// every CSV cell: surrounding whitespace is trimmed, an empty cell or NULL
+// in any case is NULL, and a BOOLEAN is true or false in any case.
 func ParseValue(t Type, s string) (Value, error) {
-	if s == "" || s == "NULL" || s == "null" {
+	s = strings.TrimSpace(s)
+	if s == "" || strings.EqualFold(s, "null") {
 		return NullValue(t), nil
 	}
 	switch t {
@@ -247,11 +251,13 @@ func ParseValue(t Type, s string) (Value, error) {
 	case TypeString:
 		return Str(s), nil
 	case TypeBool:
-		b, err := strconv.ParseBool(s)
-		if err != nil {
-			return Value{}, fmt.Errorf("storage: parse %q as BOOLEAN: %w", s, err)
+		switch {
+		case strings.EqualFold(s, "true"):
+			return Bool(true), nil
+		case strings.EqualFold(s, "false"):
+			return Bool(false), nil
 		}
-		return Bool(b), nil
+		return Value{}, fmt.Errorf("storage: parse %q as BOOLEAN: want true or false", s)
 	}
 	return Value{}, fmt.Errorf("storage: parse into invalid type")
 }
