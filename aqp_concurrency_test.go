@@ -203,3 +203,55 @@ func TestQueryContextDeadline(t *testing.T) {
 		t.Fatalf("partial AVG = %v, want ~49.5", got)
 	}
 }
+
+// TestPropertyMatrixDuringRebuild measures the property matrix while
+// another goroutine rebuilds the offline samples it reports maintenance
+// for. Under -race it checks that the matrix reads the offline engine's
+// maintenance stats under the engine lock.
+func TestPropertyMatrixDuringRebuild(t *testing.T) {
+	db := aqp.New()
+	tbl, err := db.CreateTable("t", aqp.Schema{
+		{Name: "x", Type: aqp.TypeFloat64},
+		{Name: "g", Type: aqp.TypeString},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]aqp.Value, 4000)
+	for i := range rows {
+		rows[i] = []aqp.Value{aqp.Float64(float64(i % 100)), aqp.Str(fmt.Sprintf("g%d", i%4))}
+	}
+	if err := tbl.AppendRows(rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.BuildOfflineSamples("t", [][]string{{"g"}}); err != nil {
+		t.Fatal(err)
+	}
+	probe := []string{"SELECT g, SUM(x) FROM t GROUP BY g"}
+	if err := db.ProfileOffline(probe...); err != nil {
+		t.Fatal(err)
+	}
+
+	const rebuilds = 20
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rebuilds; i++ {
+			if err := db.RebuildOfflineSamples("t"); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 5; i++ {
+		if _, err := db.PropertyMatrix(probe, aqp.ErrorSpec{RelError: 0.5, Confidence: 0.9}); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	wg.Wait()
+	if got := db.OfflineEngine().MaintenanceStats().Rebuilds; got != rebuilds {
+		t.Fatalf("rebuilds = %d, want %d", got, rebuilds)
+	}
+}

@@ -111,7 +111,7 @@ func TestOfflinePipelineThroughFacade(t *testing.T) {
 		t.Errorf("advise = %+v", dec)
 	}
 	// Maintenance stats exposed.
-	if db.OfflineEngine().Maintenance.SamplesBuilt == 0 {
+	if db.OfflineEngine().MaintenanceStats().SamplesBuilt == 0 {
 		t.Error("maintenance stats missing")
 	}
 }

@@ -36,7 +36,7 @@ func main() {
 	if err := db.ProfileOffline(q); err != nil {
 		log.Fatal(err)
 	}
-	m := db.OfflineEngine().Maintenance
+	m := db.OfflineEngine().MaintenanceStats()
 	fmt.Printf("precompute: %d samples, %d rows scanned\n", m.SamplesBuilt, m.RowsScanned)
 
 	run := func(label string) {
@@ -77,10 +77,10 @@ func main() {
 	run("after drift (stale):")
 
 	// Pay the maintenance bill.
-	before := db.OfflineEngine().Maintenance.RowsScanned
+	before := db.OfflineEngine().MaintenanceStats().RowsScanned
 	if err := db.RebuildOfflineSamples("events"); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("rebuild scanned %d rows\n", db.OfflineEngine().Maintenance.RowsScanned-before)
+	fmt.Printf("rebuild scanned %d rows\n", db.OfflineEngine().MaintenanceStats().RowsScanned-before)
 	run("after rebuild:")
 }

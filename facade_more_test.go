@@ -135,7 +135,7 @@ func TestBuildSynopsisAndRebuildViaFacade(t *testing.T) {
 	if err := db.RebuildOfflineSamples("events"); err != nil {
 		t.Fatal(err)
 	}
-	if db.OfflineEngine().Maintenance.Rebuilds != 1 {
+	if db.OfflineEngine().MaintenanceStats().Rebuilds != 1 {
 		t.Error("rebuild not recorded")
 	}
 }

@@ -59,27 +59,6 @@ type Estimate struct {
 	N        float64
 }
 
-// Options tunes sizing.
-type Options struct {
-	// BudgetRate is the admission budget: the largest stage-two sampling
-	// fraction the engine may spend (default 1 = whole table).
-	BudgetRate float64
-	// VarianceConfidence is the one-sided chi-square confidence level of
-	// the finite-sample variance upper bound (default 0.9). Sizing from
-	// the raw pilot variance would undershoot roughly half the time.
-	VarianceConfidence float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.BudgetRate <= 0 || o.BudgetRate > 1 {
-		o.BudgetRate = 1
-	}
-	if o.VarianceConfidence <= 0 || o.VarianceConfidence >= 1 {
-		o.VarianceConfidence = 0.9
-	}
-	return o
-}
-
 // Sizing is the stage-two plan for one contract.
 type Sizing struct {
 	// Rate is the stage-two sampling fraction to run at. When the
@@ -159,23 +138,26 @@ func RequiredRate(e Estimate, pilotRate, relErr, conf, varConf float64) (float64
 // largest required rate — wins. An unsizable estimate or a requirement
 // past the budget makes the contract infeasible; Rate then falls back to
 // the budget so the engine can still return its best a-posteriori effort.
-func Size(ests []Estimate, pilotRate, relErr, conf float64, opts Options) Sizing {
-	opts = opts.withDefaults()
+// budget is the admission budget, the largest stage-two fraction the
+// engine may spend (in (0, 1]); varConf is the one-sided chi-square level
+// of the pilot variance's upper bound (in (0, 1)), since sizing from the
+// raw pilot variance would undershoot roughly half the time.
+func Size(ests []Estimate, pilotRate, relErr, conf, budget, varConf float64) Sizing {
 	s := Sizing{Feasible: true}
 	if len(ests) == 0 {
 		s.Feasible = false
 		s.Reason = "pilot produced no aggregate estimates"
-		s.Rate = opts.BudgetRate
+		s.Rate = budget
 		return s
 	}
 	perEst := stats.AllocateConfidence(conf, len(ests))
 	for _, e := range ests {
-		r, reason := RequiredRate(e, pilotRate, relErr, perEst, opts.VarianceConfidence)
+		r, reason := RequiredRate(e, pilotRate, relErr, perEst, varConf)
 		if reason != "" {
 			s.Feasible = false
 			s.Reason = reason
-			s.Rate = opts.BudgetRate
-			s.RequiredRate = math.Max(s.RequiredRate, opts.BudgetRate)
+			s.Rate = budget
+			s.RequiredRate = math.Max(s.RequiredRate, budget)
 			return s
 		}
 		if r > s.RequiredRate {
@@ -183,10 +165,10 @@ func Size(ests []Estimate, pilotRate, relErr, conf float64, opts Options) Sizing
 		}
 	}
 	s.Rate = s.RequiredRate
-	if s.RequiredRate > opts.BudgetRate {
+	if s.RequiredRate > budget {
 		s.Feasible = false
 		s.Reason = "required sampling fraction exceeds the admission budget"
-		s.Rate = opts.BudgetRate
+		s.Rate = budget
 	}
 	return s
 }

@@ -104,11 +104,11 @@ func TestRequiredRateDegenerate(t *testing.T) {
 func TestSizeBindingAndBudget(t *testing.T) {
 	noisy := Estimate{Value: 1000, Variance: 4e6, N: 400}
 	quiet := Estimate{Value: 1000, Variance: 100, N: 400}
-	s := Size([]Estimate{quiet, noisy}, 0.01, 0.05, 0.95, Options{})
+	s := Size([]Estimate{quiet, noisy}, 0.01, 0.05, 0.95, 1, 0.9)
 	if !s.Feasible {
 		t.Fatalf("expected feasible: %+v", s)
 	}
-	only := Size([]Estimate{noisy}, 0.01, 0.05, 0.95, Options{})
+	only := Size([]Estimate{noisy}, 0.01, 0.05, 0.95, 1, 0.9)
 	if s.RequiredRate < only.RequiredRate {
 		t.Fatalf("binding estimate must dominate: joint %g < solo %g", s.RequiredRate, only.RequiredRate)
 	}
@@ -118,7 +118,7 @@ func TestSizeBindingAndBudget(t *testing.T) {
 		t.Fatalf("confidence split should raise the joint rate: %g vs %g", s.RequiredRate, only.RequiredRate)
 	}
 
-	tight := Size([]Estimate{noisy}, 0.01, 0.05, 0.95, Options{BudgetRate: only.RequiredRate / 2})
+	tight := Size([]Estimate{noisy}, 0.01, 0.05, 0.95, only.RequiredRate/2, 0.9)
 	if tight.Feasible {
 		t.Fatalf("expected infeasible under half budget: %+v", tight)
 	}
@@ -129,11 +129,11 @@ func TestSizeBindingAndBudget(t *testing.T) {
 		t.Fatal("infeasible sizing must carry a reason")
 	}
 
-	bad := Size([]Estimate{{Value: 0, Variance: 1, N: 50}}, 0.01, 0.05, 0.95, Options{BudgetRate: 0.5})
+	bad := Size([]Estimate{{Value: 0, Variance: 1, N: 50}}, 0.01, 0.05, 0.95, 0.5, 0.9)
 	if bad.Feasible || bad.Reason == "" || bad.Rate != 0.5 {
 		t.Fatalf("unsizable estimate: %+v", bad)
 	}
-	empty := Size(nil, 0.01, 0.05, 0.95, Options{})
+	empty := Size(nil, 0.01, 0.05, 0.95, 1, 0.9)
 	if empty.Feasible {
 		t.Fatalf("no estimates should be infeasible: %+v", empty)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"repro/internal/sqlparse"
 	"repro/internal/trace"
@@ -60,7 +59,7 @@ func (a *Advisor) Choose(stmt *sqlparse.SelectStmt, spec ErrorSpec) Decision {
 	// The engine's own selection names the sample, so the advice and the
 	// answer agree on which one.
 	if a.Offline != nil {
-		if best, _ := a.Offline.selectSample(stmt, spec, true); best != nil {
+		if best := a.Offline.selectSample(stmt, spec, true); best != nil {
 			return Decision{Technique: TechniqueOffline, Guarantee: GuaranteeAPriori,
 				Reason: fmt.Sprintf("certified fresh offline sample %s", best.name)}
 		}
@@ -128,7 +127,7 @@ func (a *Advisor) Matrix(probe []string, spec ErrorSpec) ([]TechniqueProperties,
 		rows = append(rows, engineRow{eng: a.Online})
 	}
 	if a.Offline != nil {
-		rows = append(rows, engineRow{eng: a.Offline, preRows: a.Offline.Maintenance.RowsScanned})
+		rows = append(rows, engineRow{eng: a.Offline, preRows: a.Offline.MaintenanceStats().RowsScanned})
 	}
 	if a.OLA != nil {
 		rows = append(rows, engineRow{eng: a.OLA})
@@ -185,7 +184,7 @@ func (a *Advisor) Matrix(probe []string, spec ErrorSpec) ([]TechniqueProperties,
 			props.MeanWorkSaved = workSaved / float64(workSamples)
 		}
 		if tech == TechniqueOffline {
-			props.MaintenanceRows = a.Offline.Maintenance.RowsScanned - er.preRows
+			props.MaintenanceRows = a.Offline.MaintenanceStats().RowsScanned - er.preRows
 			if props.MaintenanceRows < 0 {
 				props.MaintenanceRows = 0
 			}
@@ -193,17 +192,4 @@ func (a *Advisor) Matrix(probe []string, spec ErrorSpec) ([]TechniqueProperties,
 		out = append(out, props)
 	}
 	return out, nil
-}
-
-// FormatMatrix renders the matrix as an aligned text table.
-func FormatMatrix(rows []TechniqueProperties) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-20s %10s %10s %10s %12s %12s\n",
-		"technique", "supported", "a-priori", "work-saved", "precompute", "maintenance")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-20s %9.0f%% %9.0f%% %9.0f%% %12d %12d\n",
-			r.Technique, r.SupportedFraction*100, r.APrioriFraction*100,
-			r.MeanWorkSaved*100, r.PrecomputeRows, r.MaintenanceRows)
-	}
-	return b.String()
 }

@@ -149,10 +149,8 @@ func sizeContract(ests []contract.Estimate, badName, refusal string, pilotRate f
 			Reason:       refusal,
 		}
 	} else {
-		sz = contract.Size(ests, pilotRate, spec.RelError, spec.Confidence, contract.Options{
-			BudgetRate:         cfg.BudgetFraction,
-			VarianceConfidence: cfg.VarianceConfidence,
-		})
+		sz = contract.Size(ests, pilotRate, spec.RelError, spec.Confidence,
+			cfg.BudgetFraction, cfg.VarianceConfidence)
 	}
 	return sz, min(max(sz.Rate, pilotRate), 1)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"slices"
 	"sort"
 	"strings"
@@ -19,7 +18,7 @@ import (
 )
 
 // Offline-engine injection points: engine entry and the sample rebuild
-// path (the transient-failure seam the retry/backoff guards).
+// path.
 var (
 	injectOffline        = fault.NewPoint("core.offline", "offline-samples engine entry")
 	injectOfflineRebuild = fault.NewPoint("core.offline.rebuild", "offline sample store rebuild")
@@ -36,9 +35,6 @@ const (
 	// StaleServe answers from the stale sample with GuaranteeNone —
 	// what a system that skips maintenance silently does.
 	StaleServe
-	// StaleRebuild rebuilds the affected samples first (the maintenance
-	// cost the paper highlights), then answers.
-	StaleRebuild
 )
 
 // OfflineConfig tunes offline sample construction and selection.
@@ -133,12 +129,12 @@ type OfflineEngine struct {
 	Catalog *storage.Catalog
 	Config  OfflineConfig
 
-	// mu guards the sample registry, profiles, Maintenance stats, and
+	// mu guards the sample registry, profiles, maintenance stats, and
 	// nextID: queries read the registry concurrently; BuildSamples,
 	// Rebuild, and ProfileQuery write it.
 	mu          sync.RWMutex
 	samples     map[string][]*StoredSample // by source table
-	Maintenance MaintenanceStats
+	maintenance MaintenanceStats
 	nextID      int
 }
 
@@ -168,13 +164,13 @@ func (e *OfflineEngine) Samples(table string) []*StoredSample {
 func (e *OfflineEngine) MaintenanceStats() MaintenanceStats {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.Maintenance
+	return e.maintenance
 }
 
 // BuildSamples materializes the configured sample ladder for a table:
 // one stratified sample per (QCS, cap) pair plus uniform samples at the
 // configured rates. This is the precomputation step — its cost is recorded
-// in Maintenance.
+// in MaintenanceStats.
 func (e *OfflineEngine) BuildSamples(table string, qcsList [][]string) error {
 	t, err := e.Catalog.Table(table)
 	if err != nil {
@@ -204,10 +200,10 @@ func (e *OfflineEngine) BuildSamples(table string, qcsList [][]string) error {
 		}
 		s.BuildCostRows = s.BuildRows
 		e.samples[table] = append(e.samples[table], s)
-		e.Maintenance.SamplesBuilt++
-		e.Maintenance.RowsScanned += int64(s.BuildCostRows)
+		e.maintenance.SamplesBuilt++
+		e.maintenance.RowsScanned += int64(s.BuildCostRows)
 	}
-	e.Maintenance.WallTime += time.Since(start)
+	e.maintenance.WallTime += time.Since(start)
 	return nil
 }
 
@@ -252,10 +248,10 @@ func (e *OfflineEngine) Rebuild(table string) error {
 			return err
 		}
 		e.nextID++
-		e.Maintenance.RowsScanned += int64(t.NumRows())
+		e.maintenance.RowsScanned += int64(t.NumRows())
 	}
-	e.Maintenance.Rebuilds++
-	e.Maintenance.WallTime += time.Since(start)
+	e.maintenance.Rebuilds++
+	e.maintenance.WallTime += time.Since(start)
 	return nil
 }
 
@@ -309,20 +305,6 @@ func (e *OfflineEngine) ProfileQuery(sql string) error {
 			s.Profile[key] = relErr
 		}
 		e.mu.Unlock()
-	}
-	return nil
-}
-
-// ProfileTemplates profiles n instances of each (template, instantiator)
-// pair. rng drives template parameter draws.
-func (e *OfflineEngine) ProfileTemplates(instantiate []func(*rand.Rand) string, n int, seed int64) error {
-	rng := rand.New(rand.NewSource(seed))
-	for _, gen := range instantiate {
-		for i := 0; i < n; i++ {
-			if err := e.ProfileQuery(gen(rng)); err != nil {
-				return err
-			}
-		}
 	}
 	return nil
 }
@@ -398,14 +380,14 @@ type offlineCand struct {
 // selectSample picks the cheapest applicable candidate whose profile
 // certifies the spec, under the registry lock — the one certification test,
 // shared with the Advisor. Stale candidates are skipped when freshOnly and
-// otherwise handled per the stale policy: wantRebuild reports that one was
-// seen under StaleRebuild (the caller rebuilds and reselects).
-func (e *OfflineEngine) selectSample(stmt *sqlparse.SelectStmt, spec ErrorSpec, freshOnly bool) (best *offlineCand, wantRebuild bool) {
+// otherwise handled per the stale policy.
+func (e *OfflineEngine) selectSample(stmt *sqlparse.SelectStmt, spec ErrorSpec, freshOnly bool) *offlineCand {
 	table := stmt.From.Name
 	qcs := e.queryQCS(stmt)
 	key := profileKey(table, qcs)
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	var best *offlineCand
 	for _, s := range e.samples[table] {
 		if !e.applicable(s, stmt, qcs) {
 			continue
@@ -415,22 +397,17 @@ func (e *OfflineEngine) selectSample(stmt *sqlparse.SelectStmt, spec ErrorSpec, 
 			continue
 		}
 		stale := !s.Fresh(e.Catalog)
-		if stale {
-			switch {
-			case freshOnly || e.Config.StalePolicy == StaleFallbackExact:
-				continue
-			case e.Config.StalePolicy == StaleRebuild:
-				wantRebuild = true
-				continue
-			}
-			// StaleServe: serve anyway, under a downgraded guarantee.
+		if stale && (freshOnly || e.Config.StalePolicy == StaleFallbackExact) {
+			continue
 		}
+		// A stale candidate here is served (StaleServe) under a
+		// downgraded guarantee.
 		if best == nil || s.Rows < best.data.NumRows() {
 			best = &offlineCand{standIn: s.standIn(), prof: prof}
 			best.stale = stale
 		}
 	}
-	return best, wantRebuild
+	return best
 }
 
 // Execute implements Engine: the draw is the cheapest stored sample
@@ -441,10 +418,7 @@ func (e *OfflineEngine) selectSample(stmt *sqlparse.SelectStmt, spec ErrorSpec, 
 // sample as stored.
 func (e *OfflineEngine) Execute(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec) (*Result, error) {
 	return engineRun(ctx, "offline", injectOffline, spec, func(ctx context.Context, spec ErrorSpec) (*Result, error) {
-		best, why, err := e.certified(ctx, stmt, spec)
-		if err != nil {
-			return nil, err
-		}
+		best, why := e.certified(ctx, stmt, spec)
 		if best == nil {
 			return e.exactEngine().fallBack(ctx, stmt, spec, "offline: "+why)
 		}
@@ -468,41 +442,26 @@ func (e *OfflineEngine) exactEngine() *ExactEngine {
 	return &ExactEngine{Catalog: e.Catalog, Workers: e.Config.Workers}
 }
 
-// certified selects the sample that answers the statement, paying an inline
-// rebuild first when the stale policy asks for one; a nil candidate comes
-// with why the statement runs exactly.
-func (e *OfflineEngine) certified(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec) (*offlineCand, string, error) {
+// certified selects the sample that answers the statement; a nil candidate
+// comes with why the statement runs exactly.
+func (e *OfflineEngine) certified(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec) (*offlineCand, string) {
 	if ok, reason := supportedForSampling(stmt); !ok {
-		return nil, "fell back to exact: " + reason, nil
+		return nil, "fell back to exact: " + reason
 	}
 	table := stmt.From.Name
 	if len(e.Samples(table)) == 0 {
-		return nil, "no samples for table " + table, nil
+		return nil, "no samples for table " + table
 	}
 	selsp, _ := trace.StartSpan(ctx, "select-sample")
 	defer selsp.End()
-	best, wantRebuild := e.selectSample(stmt, spec, false)
-	if wantRebuild {
-		// The maintenance cost the paper highlights, paid inline: refresh
-		// the whole table's ladder, then select again (nothing stale now).
-		selsp.SetAttr("rebuild", "true")
-		// Rebuilds hit storage and can fail transiently; retry with
-		// jittered exponential backoff (fault.Retry's defaults: 3 tries,
-		// 2ms doubling) before giving up on the query.
-		rerr := fault.Retry(ctx, fault.RetryConfig{Seed: e.Config.Seed},
-			func() error { return e.Rebuild(table) })
-		if rerr != nil {
-			return nil, "", rerr
-		}
-		best, _ = e.selectSample(stmt, spec, false)
-	}
+	best := e.selectSample(stmt, spec, false)
 	if best == nil {
-		return nil, "no certified sample for spec (unpredicted QCS, too-tight spec, or stale samples)", nil
+		return nil, "no certified sample for spec (unpredicted QCS, too-tight spec, or stale samples)"
 	}
 	selsp.SetAttr("sample", best.name)
 	selsp.SetAttrInt("sample_rows", int64(best.data.NumRows()))
 	selsp.SetAttrFloat("profiled_err", best.prof)
-	return best, "", nil
+	return best, ""
 }
 
 // maxRelError compares two results row-by-row on aggregate items,

@@ -146,21 +146,3 @@ func subsetOf(qcs []string, set map[string]bool) bool {
 	}
 	return true
 }
-
-// BuildPlanned materializes a budget plan through the engine, registering
-// every chosen sample.
-func (e *OfflineEngine) BuildPlanned(table string, plan []PlannedSample) error {
-	// Temporarily narrow the ladder to each plan's cap and suppress the
-	// per-call uniform samples (they would otherwise be rebuilt once per
-	// plan entry).
-	savedCaps, savedRates := e.Config.Caps, e.Config.UniformRates
-	defer func() { e.Config.Caps, e.Config.UniformRates = savedCaps, savedRates }()
-	e.Config.UniformRates = nil
-	for _, p := range plan {
-		e.Config.Caps = []int{p.Cap}
-		if err := e.BuildSamples(table, [][]string{p.QCS}); err != nil {
-			return err
-		}
-	}
-	return nil
-}

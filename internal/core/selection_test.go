@@ -114,28 +114,3 @@ func TestPlanSubsumption(t *testing.T) {
 		t.Errorf("compound QCS should be selected: %+v", plan)
 	}
 }
-
-func TestBuildPlanned(t *testing.T) {
-	ev, err := workload.GenerateEvents(workload.EventsConfig{
-		Seed: 4, Rows: 20000, NumGroups: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultOfflineConfig()
-	cfg.UniformRates = []float64{0.01}
-	e := NewOfflineEngine(ev.Catalog, cfg)
-	plan := []PlannedSample{
-		{QCS: []string{"ev_group"}, Cap: 64},
-		{QCS: []string{"ev_flag"}, Cap: 32},
-	}
-	if err := e.BuildPlanned("events", plan); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(e.Samples("events")); got != 2 {
-		t.Fatalf("samples = %d, want 2 (no uniform duplicates)", got)
-	}
-	// Config restored.
-	if len(e.Config.UniformRates) != 1 || len(e.Config.Caps) != len(cfg.Caps) {
-		t.Error("config not restored after BuildPlanned")
-	}
-}

@@ -174,12 +174,13 @@ func runE6(s Scale) (*Table, error) {
 			f4(relErr(onRes.Float(0, 0), truth)))
 	}
 	// The cost of becoming fresh again.
-	before := offline.Maintenance.RowsScanned
+	before := offline.MaintenanceStats().RowsScanned
 	if err := offline.Rebuild("events"); err != nil {
 		return nil, err
 	}
+	after := offline.MaintenanceStats().RowsScanned
 	t.AddNote("rebuild scanned %d rows to restore freshness (cumulative maintenance: %d rows)",
-		offline.Maintenance.RowsScanned-before, offline.Maintenance.RowsScanned)
+		after-before, after)
 	t.AddNote("the stale sample's own CI stays narrow while its bias grows — maintenance is not optional")
 	return t, nil
 }

@@ -31,18 +31,3 @@ func (r *Reservoir[T]) Add(item T) {
 
 // Items returns the current sample (shared slice; do not mutate).
 func (r *Reservoir[T]) Items() []T { return r.items }
-
-// Seen returns the number of elements offered so far.
-func (r *Reservoir[T]) Seen() int { return r.seen }
-
-// Weight returns the Horvitz–Thompson weight of each retained element:
-// seen/k when the reservoir is full, 1 otherwise.
-func (r *Reservoir[T]) Weight() float64 {
-	if len(r.items) == 0 {
-		return 0
-	}
-	if r.seen <= r.k {
-		return 1
-	}
-	return float64(r.seen) / float64(r.k)
-}

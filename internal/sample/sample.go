@@ -204,9 +204,6 @@ func NewBlock(p float64, blockSize int, seed int64) *Block {
 // Rate implements RowSampler.
 func (b *Block) Rate() float64 { return b.p }
 
-// BlockSize returns the sampling granularity in rows.
-func (b *Block) BlockSize() int { return b.blockSize }
-
 // DecideBlock returns the decision for an entire block.
 func (b *Block) DecideBlock(blockIdx int) RowDecision {
 	h := splitmix64(b.seed ^ splitmix64(uint64(blockIdx)*0x5851f42d4c957f2d+1))

@@ -357,15 +357,6 @@ func (m *Map) Names() []string {
 	return names
 }
 
-// Summaries reports every group's shape, ordered by table name.
-func (m *Map) Summaries() []GroupSummary {
-	var out []GroupSummary
-	for _, n := range m.Names() {
-		out = append(out, m.Get(n).Summary())
-	}
-	return out
-}
-
 // SetObserver installs the observer on every current group.
 func (m *Map) SetObserver(fn func(Event)) {
 	if m == nil {

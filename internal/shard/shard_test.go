@@ -213,8 +213,10 @@ func TestMapRegistry(t *testing.T) {
 	if m.Get("events") != g || m.Get("other") != nil {
 		t.Fatal("Get lookup wrong")
 	}
-	sums := m.Summaries()
-	if len(sums) != 1 || sums[0].Table != "events" || sums[0].Count != 2 {
-		t.Fatalf("Summaries = %+v", sums)
+	if names := m.Names(); len(names) != 1 || names[0] != "events" {
+		t.Fatalf("Names = %v", names)
+	}
+	if sum := m.Get("events").Summary(); sum.Table != "events" || sum.Count != 2 {
+		t.Fatalf("Summary = %+v", sum)
 	}
 }

@@ -84,26 +84,8 @@ func (cm *CountMin) Estimate(key string) uint64 {
 	return min
 }
 
-// N returns the total stream length.
-func (cm *CountMin) N() uint64 { return cm.n }
-
 // ErrorBound returns the additive error ε·N exceeded with probability at
 // most δ.
 func (cm *CountMin) ErrorBound() float64 {
 	return math.E / float64(cm.width) * float64(cm.n)
-}
-
-// Bytes returns the memory footprint of the cells array.
-func (cm *CountMin) Bytes() int { return len(cm.cells) * 8 }
-
-// Merge adds another sketch with identical dimensions into cm.
-func (cm *CountMin) Merge(o *CountMin) error {
-	if cm.width != o.width || cm.depth != o.depth {
-		return fmt.Errorf("sketch: CountMin dimension mismatch")
-	}
-	for i := range cm.cells {
-		cm.cells[i] += o.cells[i]
-	}
-	cm.n += o.n
-	return nil
 }

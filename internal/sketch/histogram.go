@@ -1,8 +1,7 @@
 // Package sketch implements precomputed synopses — the non-sampling branch
-// of the AQP design space the paper surveys: histograms (equi-depth and
-// equi-width) for range aggregates and selectivity estimation, a Count-Min
-// sketch for point frequencies, HyperLogLog for distinct counts, and an
-// AMS sketch for second frequency moments. Synopses answer their narrow
+// of the AQP design space the paper surveys: equi-depth histograms for
+// range aggregates and selectivity estimation, a Count-Min sketch for
+// point frequencies and HyperLogLog for distinct counts. Synopses answer their narrow
 // query class in O(synopsis) time but cannot serve arbitrary queries —
 // the generality limit that motivates sampling-based AQP.
 package sketch
@@ -19,8 +18,6 @@ type EquiDepthHistogram struct {
 	bounds []float64 // len = buckets+1; bounds[0]=min, bounds[len-1]=max
 	counts []float64 // rows per bucket
 	total  float64
-	min    float64
-	max    float64
 }
 
 // BuildEquiDepth builds a histogram with at most buckets buckets over the
@@ -37,7 +34,7 @@ func BuildEquiDepth(values []float64, buckets int) (*EquiDepthHistogram, error) 
 	if buckets > n {
 		buckets = n
 	}
-	h := &EquiDepthHistogram{total: float64(n), min: values[0], max: values[n-1]}
+	h := &EquiDepthHistogram{total: float64(n)}
 	h.bounds = append(h.bounds, values[0])
 	per := float64(n) / float64(buckets)
 	for b := 1; b <= buckets; b++ {
@@ -84,90 +81,3 @@ func (h *EquiDepthHistogram) EstimateRangeCount(lo, hi float64) float64 {
 	}
 	return est
 }
-
-// EstimateSelectivity estimates the fraction of rows in [lo, hi].
-func (h *EquiDepthHistogram) EstimateSelectivity(lo, hi float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.EstimateRangeCount(lo, hi) / h.total
-}
-
-// Quantile returns an estimate of the q-th quantile (q in [0,1]).
-func (h *EquiDepthHistogram) Quantile(q float64) float64 {
-	if q <= 0 {
-		return h.min
-	}
-	if q >= 1 {
-		return h.max
-	}
-	target := q * h.total
-	var acc float64
-	for b := 0; b < len(h.counts); b++ {
-		if acc+h.counts[b] >= target {
-			frac := (target - acc) / h.counts[b]
-			return h.bounds[b] + frac*(h.bounds[b+1]-h.bounds[b])
-		}
-		acc += h.counts[b]
-	}
-	return h.max
-}
-
-// EquiWidthHistogram summarizes values with fixed-width buckets.
-type EquiWidthHistogram struct {
-	min, max float64
-	width    float64
-	counts   []float64
-	total    float64
-}
-
-// BuildEquiWidth builds a fixed-width histogram.
-func BuildEquiWidth(values []float64, buckets int) (*EquiWidthHistogram, error) {
-	if len(values) == 0 {
-		return nil, fmt.Errorf("sketch: empty input")
-	}
-	if buckets <= 0 {
-		return nil, fmt.Errorf("sketch: buckets must be positive")
-	}
-	mn, mx := values[0], values[0]
-	for _, v := range values {
-		mn = math.Min(mn, v)
-		mx = math.Max(mx, v)
-	}
-	h := &EquiWidthHistogram{min: mn, max: mx, counts: make([]float64, buckets), total: float64(len(values))}
-	if mx == mn {
-		h.width = 1
-	} else {
-		h.width = (mx - mn) / float64(buckets)
-	}
-	for _, v := range values {
-		b := int((v - mn) / h.width)
-		if b >= buckets {
-			b = buckets - 1
-		}
-		h.counts[b]++
-	}
-	return h, nil
-}
-
-// EstimateRangeCount estimates the count of values in [lo, hi].
-func (h *EquiWidthHistogram) EstimateRangeCount(lo, hi float64) float64 {
-	if hi < lo {
-		return 0
-	}
-	var est float64
-	for b := range h.counts {
-		blo := h.min + float64(b)*h.width
-		bhi := blo + h.width
-		if bhi < lo || blo > hi {
-			continue
-		}
-		l := math.Max(lo, blo)
-		r := math.Min(hi, bhi)
-		est += h.counts[b] * (r - l) / h.width
-	}
-	return est
-}
-
-// Total returns the summarized row count.
-func (h *EquiWidthHistogram) Total() float64 { return h.total }

@@ -65,90 +65,3 @@ func (h *HyperLogLog) Estimate() float64 {
 
 // StdError returns the theoretical relative standard error.
 func (h *HyperLogLog) StdError() float64 { return 1.04 / math.Sqrt(float64(h.m)) }
-
-// Bytes returns the register memory footprint.
-func (h *HyperLogLog) Bytes() int { return len(h.regs) }
-
-// Merge takes the register-wise max of another sketch with identical
-// precision (union semantics).
-func (h *HyperLogLog) Merge(o *HyperLogLog) error {
-	if h.p != o.p {
-		return fmt.Errorf("sketch: HLL precision mismatch")
-	}
-	for i, r := range o.regs {
-		if r > h.regs[i] {
-			h.regs[i] = r
-		}
-	}
-	return nil
-}
-
-// AMS estimates the second frequency moment F2 = Σ f(k)² of a stream
-// (useful for self-join size estimation) with depth×width counters of
-// random ±1 projections.
-type AMS struct {
-	width  int
-	depth  int
-	cells  []float64
-	seedsA []uint64
-}
-
-// NewAMS allocates an AMS sketch. Relative error ~ 1/sqrt(width) with
-// failure probability shrinking in depth (median of means).
-func NewAMS(width, depth int) (*AMS, error) {
-	if width <= 0 || depth <= 0 {
-		return nil, fmt.Errorf("sketch: AMS dimensions must be positive")
-	}
-	a := &AMS{width: width, depth: depth,
-		cells: make([]float64, width*depth), seedsA: make([]uint64, depth*width)}
-	var s uint64 = 0x2545F4914F6CDD1D
-	for i := range a.seedsA {
-		s = mix64(s + 0x9e3779b97f4a7c15)
-		a.seedsA[i] = s
-	}
-	return a, nil
-}
-
-// Add observes key with multiplicity delta.
-func (a *AMS) Add(key string, delta float64) {
-	b := []byte(key)
-	for d := 0; d < a.depth; d++ {
-		for w := 0; w < a.width; w++ {
-			h := hashBytes(b, a.seedsA[d*a.width+w])
-			sign := float64(1)
-			if h&1 == 1 {
-				sign = -1
-			}
-			a.cells[d*a.width+w] += sign * delta
-		}
-	}
-}
-
-// EstimateF2 returns the median over depth of the mean over width of the
-// squared projections.
-func (a *AMS) EstimateF2() float64 {
-	meds := make([]float64, a.depth)
-	for d := 0; d < a.depth; d++ {
-		var mean float64
-		for w := 0; w < a.width; w++ {
-			c := a.cells[d*a.width+w]
-			mean += c * c
-		}
-		meds[d] = mean / float64(a.width)
-	}
-	return median(meds)
-}
-
-func median(xs []float64) float64 {
-	cp := append([]float64(nil), xs...)
-	for i := 1; i < len(cp); i++ {
-		for j := i; j > 0 && cp[j] < cp[j-1]; j-- {
-			cp[j], cp[j-1] = cp[j-1], cp[j]
-		}
-	}
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
-}

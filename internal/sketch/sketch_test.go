@@ -37,7 +37,7 @@ func TestEquiDepthBasics(t *testing.T) {
 	}
 }
 
-func TestEquiDepthSelectivityAndQuantile(t *testing.T) {
+func TestEquiDepthNormalRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	vals := make([]float64, 20000)
 	for i := range vals {
@@ -48,16 +48,9 @@ func TestEquiDepthSelectivityAndQuantile(t *testing.T) {
 		t.Fatal(err)
 	}
 	// P(|Z|<=1) ≈ 0.683.
-	sel := h.EstimateSelectivity(-1, 1)
+	sel := h.EstimateRangeCount(-1, 1) / h.Total()
 	if math.Abs(sel-0.683) > 0.03 {
 		t.Errorf("selectivity = %v", sel)
-	}
-	med := h.Quantile(0.5)
-	if math.Abs(med) > 0.05 {
-		t.Errorf("median = %v", med)
-	}
-	if h.Quantile(0) != h.min || h.Quantile(1) != h.max {
-		t.Error("quantile edges")
 	}
 }
 
@@ -72,32 +65,6 @@ func TestEquiDepthErrors(t *testing.T) {
 	h, err := BuildEquiDepth([]float64{1, 2}, 10)
 	if err != nil || h.Buckets() > 2 {
 		t.Errorf("clamp: %v %v", h, err)
-	}
-}
-
-func TestEquiWidth(t *testing.T) {
-	vals := make([]float64, 1000)
-	for i := range vals {
-		vals[i] = float64(i % 100)
-	}
-	h, err := BuildEquiWidth(vals, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Total() != 1000 {
-		t.Fatal("total")
-	}
-	got := h.EstimateRangeCount(0, 49.5)
-	if math.Abs(got-500) > 60 {
-		t.Errorf("half range = %v", got)
-	}
-	// Constant column.
-	hc, err := BuildEquiWidth([]float64{5, 5, 5}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := hc.EstimateRangeCount(4, 6); got <= 0 {
-		t.Errorf("constant column range = %v", got)
 	}
 }
 
@@ -141,9 +108,6 @@ func TestCountMinNeverUnderestimates(t *testing.T) {
 			t.Fatalf("CMS underestimated %s: %d < %d", k, est, c)
 		}
 	}
-	if cm.N() != 20000 {
-		t.Fatalf("N = %d", cm.N())
-	}
 }
 
 func TestCountMinErrorBound(t *testing.T) {
@@ -168,26 +132,6 @@ func TestCountMinErrorBound(t *testing.T) {
 	}
 	if frac := float64(violations) / float64(len(truth)); frac > 0.05 {
 		t.Errorf("CMS error bound violated for %v of keys", frac)
-	}
-	if cm.Bytes() <= 0 {
-		t.Error("Bytes")
-	}
-}
-
-func TestCountMinMerge(t *testing.T) {
-	a, _ := NewCountMin(0.01, 0.05)
-	b, _ := NewCountMin(0.01, 0.05)
-	a.Add("x", 3)
-	b.Add("x", 4)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Estimate("x") < 7 {
-		t.Errorf("merged estimate = %d", a.Estimate("x"))
-	}
-	c, _ := NewCountMin(0.1, 0.05)
-	if err := a.Merge(c); err == nil {
-		t.Error("dimension mismatch must error")
 	}
 }
 
@@ -236,52 +180,8 @@ func TestHLLDuplicatesDontInflate(t *testing.T) {
 	}
 }
 
-func TestHLLMerge(t *testing.T) {
-	a, _ := NewHyperLogLog(12)
-	b, _ := NewHyperLogLog(12)
-	for i := 0; i < 5000; i++ {
-		a.Add(fmt.Sprintf("a%d", i))
-		b.Add(fmt.Sprintf("b%d", i))
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	est := a.Estimate()
-	if math.Abs(est-10000)/10000 > 0.1 {
-		t.Errorf("merged estimate = %v", est)
-	}
-	c, _ := NewHyperLogLog(10)
-	if err := a.Merge(c); err == nil {
-		t.Error("precision mismatch must error")
-	}
+func TestHLLParamValidation(t *testing.T) {
 	if _, err := NewHyperLogLog(3); err == nil {
 		t.Error("precision 3 invalid")
-	}
-}
-
-func TestAMSF2(t *testing.T) {
-	a, err := NewAMS(256, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stream with known F2: 100 keys with frequency 10 => F2 = 100*100 = 10000.
-	for k := 0; k < 100; k++ {
-		a.Add(fmt.Sprintf("k%d", k), 10)
-	}
-	est := a.EstimateF2()
-	if math.Abs(est-10000)/10000 > 0.3 {
-		t.Errorf("AMS F2 = %v, want ~10000", est)
-	}
-	if _, err := NewAMS(0, 1); err == nil {
-		t.Error("bad dims must error")
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if median([]float64{3, 1, 2}) != 2 {
-		t.Error("odd median")
-	}
-	if median([]float64{4, 1, 2, 3}) != 2.5 {
-		t.Error("even median")
 	}
 }

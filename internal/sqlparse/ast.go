@@ -201,14 +201,6 @@ type TableRef struct {
 	Sample *TableSample
 }
 
-// Label returns the alias if set, else the table name.
-func (t TableRef) Label() string {
-	if t.Alias != "" {
-		return t.Alias
-	}
-	return t.Name
-}
-
 // JoinClause is an INNER JOIN with an ON condition.
 type JoinClause struct {
 	Table TableRef
@@ -267,15 +259,6 @@ func (s *SelectStmt) Aggregates() []*AggExpr { return s.aggs }
 
 // HasAggregates reports whether any select item contains an aggregate call.
 func (s *SelectStmt) HasAggregates() bool { return s.itemAggs > 0 }
-
-// Tables returns all referenced table names, base first.
-func (s *SelectStmt) Tables() []string {
-	out := []string{s.From.Name}
-	for _, j := range s.Joins {
-		out = append(out, j.Table.Name)
-	}
-	return out
-}
 
 // String renders the statement back to SQL (canonicalized).
 func (s *SelectStmt) String() string {

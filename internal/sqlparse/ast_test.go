@@ -58,17 +58,6 @@ func TestSelectItemName(t *testing.T) {
 	}
 }
 
-func TestTableRefLabel(t *testing.T) {
-	tr := TableRef{Name: "orders", Alias: "o"}
-	if tr.Label() != "o" {
-		t.Error("alias label")
-	}
-	tr.Alias = ""
-	if tr.Label() != "orders" {
-		t.Error("name label")
-	}
-}
-
 func TestHasAggregates(t *testing.T) {
 	with := mustParse(t, "SELECT SUM(x) FROM t")
 	if !with.HasAggregates() {

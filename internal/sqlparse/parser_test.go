@@ -99,7 +99,10 @@ func TestParseJoin(t *testing.T) {
 	if len(stmt.Joins) != 2 {
 		t.Fatalf("joins = %d", len(stmt.Joins))
 	}
-	tables := stmt.Tables()
+	tables := []string{stmt.From.Name}
+	for _, j := range stmt.Joins {
+		tables = append(tables, j.Table.Name)
+	}
 	if strings.Join(tables, ",") != "lineitem,orders,customer" {
 		t.Fatalf("tables = %v", tables)
 	}

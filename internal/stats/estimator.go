@@ -28,76 +28,6 @@ func (iv Interval) RelHalfWidth(estimate float64) float64 {
 	return iv.HalfWidth() / math.Abs(estimate)
 }
 
-// Moments is a Welford accumulator for (optionally weighted) means and
-// variances. The zero value is ready to use.
-type Moments struct {
-	n    float64 // count of observations
-	w    float64 // total weight
-	mean float64 // weighted mean
-	m2   float64 // weighted sum of squared deviations
-}
-
-// Add accumulates an unweighted observation.
-func (m *Moments) Add(x float64) { m.AddWeighted(x, 1) }
-
-// AddWeighted accumulates an observation with weight w > 0.
-func (m *Moments) AddWeighted(x, w float64) {
-	if w <= 0 {
-		return
-	}
-	m.n++
-	m.w += w
-	d := x - m.mean
-	m.mean += (w / m.w) * d
-	m.m2 += w * d * (x - m.mean)
-}
-
-// Count returns the number of observations.
-func (m *Moments) Count() float64 { return m.n }
-
-// Weight returns the total accumulated weight.
-func (m *Moments) Weight() float64 { return m.w }
-
-// Mean returns the weighted mean.
-func (m *Moments) Mean() float64 { return m.mean }
-
-// Variance returns the weighted population variance.
-func (m *Moments) Variance() float64 {
-	if m.w == 0 {
-		return 0
-	}
-	return m.m2 / m.w
-}
-
-// SampleVariance returns the bias-corrected sample variance (unweighted
-// correction n/(n-1) applied to the weighted population variance).
-func (m *Moments) SampleVariance() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	return m.Variance() * m.n / (m.n - 1)
-}
-
-// StdDev returns the square root of SampleVariance.
-func (m *Moments) StdDev() float64 { return math.Sqrt(m.SampleVariance()) }
-
-// Merge combines another accumulator into m.
-func (m *Moments) Merge(o Moments) {
-	if o.w == 0 {
-		return
-	}
-	if m.w == 0 {
-		*m = o
-		return
-	}
-	w := m.w + o.w
-	d := o.mean - m.mean
-	m.mean += d * o.w / w
-	m.m2 += o.m2 + d*d*m.w*o.w/w
-	m.w = w
-	m.n += o.n
-}
-
 // HTEstimator accumulates a Horvitz–Thompson estimate of a population SUM
 // from a without-replacement sample where row i was included with
 // probability 1/weight(i). For each sampled row call Add(x, w) with
@@ -263,16 +193,6 @@ func SRSMean(sum, sumsq, n float64, k, pop int) (est, variance float64) {
 // srsFPC is the finite-population correction 1 − k/pop, floored at 0.
 func srsFPC(k, pop int) float64 {
 	return math.Max(1-float64(k)/math.Max(float64(pop), 1), 0)
-}
-
-// SumInterval returns a CLT confidence interval for the population sum.
-func (h *HTEstimator) SumInterval(confidence float64) Interval {
-	return cltInterval(h.sum, h.varSum, h.n, confidence)
-}
-
-// MeanInterval returns a CLT confidence interval for the population mean.
-func (h *HTEstimator) MeanInterval(confidence float64) Interval {
-	return cltInterval(h.Mean(), h.MeanVariance(), h.n, confidence)
 }
 
 // CLTInterval builds an estimate ± t·σ interval from an estimate, its

@@ -11,18 +11,15 @@ package stats
 // variance of a composed mean is the population-weighted combination —
 // no covariance terms appear.
 //
-// The primary gather path does not go through these functions: merging the
-// per-shard HT partial states (plain sums over sampled rows) *is* the
-// stratified composition, losslessly — see exec.MergeAggPartials. The
-// functions here are the reference algebra: tests verify the HT merge
-// agrees with them, and the degraded-coverage extrapolation below uses
-// them when shards are lost mid-query.
+// The gather path does not go through CombineTotals: merging the per-shard
+// HT partial states (plain sums over sampled rows) *is* the stratified
+// composition, losslessly — see exec.MergeAggPartials. CombineTotals is the
+// reference algebra tests verify the HT merge against.
 
 // Stratum is one independent stratum's (estimate, variance) pair with the
 // sample size that produced it and the stratum's population size.
 type Stratum struct {
-	// Estimate is the stratum-level point estimate (a total for
-	// CombineTotals, a mean for CombineMeans).
+	// Estimate is the stratum-level point estimate of a total.
 	Estimate float64
 	// Variance is the estimated variance of Estimate.
 	Variance float64
@@ -46,77 +43,15 @@ func CombineTotals(strata []Stratum) (est, variance, n float64) {
 	return est, variance, n
 }
 
-// CombineMeans composes independent per-stratum means into the population
-// mean: each stratum mean is weighted by its population share W_h =
-// Pop_h / ΣPop, so
-//
-//	μ̂ = Σ W_h μ̂_h,   Var(μ̂) = Σ W_h² Var(μ̂_h).
-//
-// Strata with zero population contribute nothing. When every Pop is zero
-// the unweighted average is returned (degenerate but defined).
-func CombineMeans(strata []Stratum) (est, variance, n float64) {
-	var pop float64
-	for _, s := range strata {
-		pop += s.Pop
-		n += s.N
-	}
-	if pop == 0 {
-		k := float64(len(strata))
-		if k == 0 {
-			return 0, 0, 0
-		}
-		for _, s := range strata {
-			est += s.Estimate / k
-			variance += s.Variance / (k * k)
-		}
-		return est, variance, n
-	}
-	for _, s := range strata {
-		w := s.Pop / pop
-		est += w * s.Estimate
-		variance += w * w * s.Variance
-	}
-	return est, variance, n
-}
-
-// FPC is the finite-population correction (Pop - n) / (Pop - 1): the
-// variance shrink factor for sampling n of Pop rows without replacement.
-// It applies when a stratum's sample is a substantial fraction of its
-// population — per-shard samples of small shards — and degenerates to 0
-// when the sample is the whole population (a census has no sampling
-// error) and to ~1 when n ≪ Pop. Callers multiply a with-replacement
-// (or Bernoulli) variance estimate by it; out-of-range inputs return 1
-// so the correction never inflates variance.
-func FPC(pop, n float64) float64 {
-	if pop <= 1 || n <= 0 || n > pop {
-		return 1
-	}
-	return (pop - n) / (pop - 1)
-}
-
-// ExtrapolateTotal rescales a total estimated from a covered subpopulation
-// to the full population, under the assumption that covered and uncovered
-// rows are exchangeable (hash sharding assigns rows to shards uniformly,
-// so surviving shards are an unbiased window on the whole table). With
-// R = totalPop / coveredPop the point estimate scales by R and the
-// variance by R²: Var(R·Ŝ) = R²·Var(Ŝ). The exchangeability assumption
-// is exactly why range-sharded groups must NOT extrapolate — a lost range
-// shard is a systematic, not random, coverage gap.
-func ExtrapolateTotal(est, variance, coveredPop, totalPop float64) (float64, float64) {
-	if coveredPop <= 0 || totalPop <= coveredPop {
-		return est, variance
-	}
-	r := totalPop / coveredPop
-	return est * r, variance * r * r
-}
-
 // ScalePopulation rescales the estimator as if the sampled population were
 // 1/r of the full one: totals (Sum, Count) scale by r and their variances
 // by r², while ratio estimates (Mean) and their delta-method variances are
 // invariant — every term of MeanVariance's numerator picks up r² and the
-// denominator wTot² does too. This is the estimator-level form of
-// ExtrapolateTotal, used when shards are lost mid-query: the surviving
-// shards' merged HT state is scaled by total/covered population.
+// denominator wTot² does too. It is used when shards are lost mid-query:
+// the surviving shards' merged HT state is scaled by total/covered
+// population, which assumes covered and uncovered rows are exchangeable
+// (hash sharding assigns rows to shards uniformly), so range-sharded
+// groups must not extrapolate.
 func (h *HTEstimator) ScalePopulation(r float64) {
 	if r <= 0 || r == 1 {
 		return

@@ -19,69 +19,6 @@ func TestCombineTotals(t *testing.T) {
 	}
 }
 
-func TestCombineMeans(t *testing.T) {
-	// Two strata, populations 75/25: mean = .75*10 + .25*20 = 12.5,
-	// variance = .75²·4 + .25²·8 = 2.75.
-	est, v, n := CombineMeans([]Stratum{
-		{Estimate: 10, Variance: 4, N: 30, Pop: 75},
-		{Estimate: 20, Variance: 8, N: 10, Pop: 25},
-	})
-	if math.Abs(est-12.5) > 1e-12 || math.Abs(v-2.75) > 1e-12 || n != 40 {
-		t.Fatalf("got est=%v v=%v n=%v", est, v, n)
-	}
-	// Zero-population strata contribute nothing.
-	est, _, _ = CombineMeans([]Stratum{
-		{Estimate: 10, Variance: 4, N: 30, Pop: 100},
-		{Estimate: 999, Variance: 1, N: 1, Pop: 0},
-	})
-	if math.Abs(est-10) > 1e-12 {
-		t.Fatalf("zero-pop stratum shifted the mean: %v", est)
-	}
-	// All-zero populations: degenerate unweighted average.
-	est, _, _ = CombineMeans([]Stratum{{Estimate: 4}, {Estimate: 8}})
-	if est != 6 {
-		t.Fatalf("degenerate average: %v", est)
-	}
-	if est, v, n = CombineMeans(nil); est != 0 || v != 0 || n != 0 {
-		t.Fatalf("empty strata: got est=%v v=%v n=%v", est, v, n)
-	}
-}
-
-func TestFPC(t *testing.T) {
-	if got := FPC(100, 100); got != 0 {
-		t.Fatalf("census FPC = %v, want 0", got)
-	}
-	if got := FPC(101, 1); got != 1 {
-		t.Fatalf("n=1 FPC = %v, want (101-1)/(101-1)=1", got)
-	}
-	if got := FPC(1e9, 10); got < 0.999999 || got > 1 {
-		t.Fatalf("n<<Pop FPC = %v, want ~1", got)
-	}
-	for _, bad := range [][2]float64{{0, 5}, {1, 1}, {10, 0}, {10, 11}, {10, -1}} {
-		if got := FPC(bad[0], bad[1]); got != 1 {
-			t.Fatalf("FPC(%v, %v) = %v, want 1 (out of range)", bad[0], bad[1], got)
-		}
-	}
-	// In range, FPC shrinks variance.
-	if got := FPC(100, 50); got <= 0 || got >= 1 {
-		t.Fatalf("FPC(100, 50) = %v, want in (0,1)", got)
-	}
-}
-
-func TestExtrapolateTotal(t *testing.T) {
-	est, v := ExtrapolateTotal(100, 16, 500, 1000)
-	if est != 200 || v != 64 {
-		t.Fatalf("got est=%v v=%v, want 200, 64", est, v)
-	}
-	// Degenerate inputs pass through unchanged.
-	for _, c := range [][2]float64{{0, 1000}, {1000, 1000}, {1000, 500}} {
-		est, v = ExtrapolateTotal(100, 16, c[0], c[1])
-		if est != 100 || v != 16 {
-			t.Fatalf("covered=%v total=%v: got est=%v v=%v, want unchanged", c[0], c[1], est, v)
-		}
-	}
-}
-
 // TestMergeIsStratifiedComposition verifies the central claim of the
 // sharded gather path: merging per-stratum HT partial states reproduces —
 // bit for bit — the stratified composition of the per-stratum estimates,

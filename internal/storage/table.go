@@ -91,37 +91,12 @@ func (t *Table) NumRows() int {
 // BlockSize returns the rows-per-block granularity.
 func (t *Table) BlockSize() int { return t.blockSize }
 
-// NumBlocks returns the number of (possibly partial) blocks.
-func (t *Table) NumBlocks() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.rows == 0 {
-		return 0
-	}
-	return (t.rows + t.blockSize - 1) / t.blockSize
-}
-
 // Version returns a counter incremented on every AppendRow/AppendRows call;
 // offline sample catalogs use it to detect staleness.
 func (t *Table) Version() uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.version
-}
-
-// BlockBounds returns the half-open row range [lo, hi) of block b.
-func (t *Table) BlockBounds(b int) (lo, hi int) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	lo = b * t.blockSize
-	hi = lo + t.blockSize
-	if hi > t.rows {
-		hi = t.rows
-	}
-	if lo > t.rows {
-		lo = t.rows
-	}
-	return lo, hi
 }
 
 // Snapshot returns a consistent read-only view of the table as of now:
@@ -150,15 +125,6 @@ func (t *Table) Snapshot() *Table {
 
 // Column returns the i-th column.
 func (t *Table) Column(i int) Column { return t.cols[i] }
-
-// ColumnByName returns the named column, or nil.
-func (t *Table) ColumnByName(name string) Column {
-	i := t.schema.ColumnIndex(name)
-	if i < 0 {
-		return nil
-	}
-	return t.cols[i]
-}
 
 // Row materializes row i as a slice of values.
 func (t *Table) Row(i int) []Value {
@@ -279,13 +245,6 @@ func (c *Catalog) Add(t *Table) error {
 // itself is left alone.
 func (c *Catalog) Overlay(name string, t *Table) *Catalog {
 	return &Catalog{tables: map[string]*Table{name: t}, parent: c}
-}
-
-// Drop removes a table by name if present.
-func (c *Catalog) Drop(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.tables, name)
 }
 
 // Table looks up a table by name.

@@ -3,7 +3,7 @@
 // tunable Zipf skew (substituting for the proprietary benchmarks used by
 // the AQP literature), a single-table skewed event log, parameterized
 // query templates with query-column-set (QCS) metadata for offline sample
-// planning, workload drift, and update streams for staleness experiments.
+// planning, and update streams for staleness experiments.
 package workload
 
 import (

@@ -136,50 +136,3 @@ func EventTemplates() []Template {
 		},
 	}
 }
-
-// Drift models a workload whose template mix changes over time: at time
-// t in [0,1], templates are drawn from a mixture that interpolates
-// between the Before and After weight vectors. Offline AQP tuned on the
-// "before" mix degrades as t grows — the maintenance argument.
-type Drift struct {
-	Templates []Template
-	Before    []float64
-	After     []float64
-	rng       *rand.Rand
-}
-
-// NewDrift builds a drift model; weight vectors must match the template
-// count and sum to anything positive (they are normalized).
-func NewDrift(templates []Template, before, after []float64, seed int64) (*Drift, error) {
-	if len(before) != len(templates) || len(after) != len(templates) {
-		return nil, fmt.Errorf("workload: weight vectors must match template count")
-	}
-	return &Drift{Templates: templates, Before: before, After: after,
-		rng: rand.New(rand.NewSource(seed))}, nil
-}
-
-// Draw picks a template at time t in [0,1] and instantiates it.
-func (d *Drift) Draw(t float64) (Template, string) {
-	if t < 0 {
-		t = 0
-	}
-	if t > 1 {
-		t = 1
-	}
-	weights := make([]float64, len(d.Templates))
-	var total float64
-	for i := range weights {
-		weights[i] = (1-t)*d.Before[i] + t*d.After[i]
-		total += weights[i]
-	}
-	x := d.rng.Float64() * total
-	for i, w := range weights {
-		if x < w {
-			tpl := d.Templates[i]
-			return tpl, tpl.Instantiate(d.rng)
-		}
-		x -= w
-	}
-	tpl := d.Templates[len(d.Templates)-1]
-	return tpl, tpl.Instantiate(d.rng)
-}

@@ -160,29 +160,3 @@ func TestTemplatesRunOnStar(t *testing.T) {
 		_ = s
 	}
 }
-
-func TestDrift(t *testing.T) {
-	tpls := EventTemplates()
-	d, err := NewDrift(tpls, []float64{1, 0, 0}, []float64{0, 0, 1}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// At t=0 only template 0 is drawn; at t=1 only template 2.
-	for i := 0; i < 20; i++ {
-		tpl, _ := d.Draw(0)
-		if tpl.Name != tpls[0].Name {
-			t.Fatalf("t=0 drew %s", tpl.Name)
-		}
-		tpl, _ = d.Draw(1)
-		if tpl.Name != tpls[2].Name {
-			t.Fatalf("t=1 drew %s", tpl.Name)
-		}
-	}
-	// Out-of-range t clamps.
-	if tpl, _ := d.Draw(-5); tpl.Name != tpls[0].Name {
-		t.Error("t<0 must clamp to 0")
-	}
-	if _, err := NewDrift(tpls, []float64{1}, []float64{1}, 1); err == nil {
-		t.Error("weight length mismatch must error")
-	}
-}
