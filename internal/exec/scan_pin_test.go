@@ -145,6 +145,31 @@ func TestScanPin(t *testing.T) {
 	}
 	stmts = append(stmts, stmt{name: "top-suppliers.bernoulli5",
 		sql: strings.Replace(topSuppliers, "FROM lineitem", "FROM lineitem TABLESAMPLE BERNOULLI (5)", 1)})
+	// Many groups, every one pinned: unlimited, under a distinct sampler
+	// whose strata are the groups, under one whose strata are not, and with
+	// the slots that keep more than HT sums.
+	allSuppliers := strings.TrimSuffix(topSuppliers, " LIMIT 10")
+	stmts = append(stmts,
+		stmt{name: "top-suppliers.all", sql: allSuppliers},
+		stmt{name: "top-suppliers.distinct",
+			sql: strings.Replace(allSuppliers, "FROM lineitem", "FROM lineitem TABLESAMPLE DISTINCT (1, 30) ON (l_suppkey)", 1)},
+		stmt{name: "shipmode.distinct-suppliers", sql: `SELECT l_shipmode, COUNT(*) AS n, SUM(l_extendedprice) AS total,
+			AVG(l_quantity) AS aq FROM lineitem TABLESAMPLE DISTINCT (2, 20) ON (l_suppkey)
+			WHERE l_suppkey <= 500 GROUP BY l_shipmode ORDER BY l_shipmode`},
+		stmt{name: "suppliers.distinct-modes", sql: `SELECT l_suppkey, COUNT(*) AS n, SUM(l_extendedprice) AS total
+			FROM lineitem TABLESAMPLE DISTINCT (5, 10) ON (l_shipmode, l_returnflag)
+			WHERE l_suppkey <= 300 GROUP BY l_suppkey ORDER BY l_suppkey`},
+		stmt{name: "suppliers.mixed-slots", sql: `SELECT l_suppkey, COUNT(*) AS n, MIN(l_quantity) AS lo, MAX(l_extendedprice) AS hi,
+			MIN(l_shipmode) AS first_mode, COUNT(DISTINCT l_shipmode) AS modes, PERCENTILE(l_extendedprice, 0.5) AS med,
+			AVG(l_discount) AS ad FROM lineitem WHERE l_suppkey <= 300 GROUP BY l_suppkey ORDER BY l_suppkey`},
+		stmt{name: "suppliers.mixed-slots.bernoulli5", sql: `SELECT l_suppkey, MAX(l_quantity) AS hi, COUNT(DISTINCT l_shipmode) AS modes,
+			PERCENTILE(l_extendedprice, 0.9) AS p90, SUM(l_tax) AS tax FROM lineitem TABLESAMPLE BERNOULLI (5)
+			GROUP BY l_suppkey ORDER BY l_suppkey`},
+		stmt{name: "global.distinct-suppliers", sql: `SELECT COUNT(*) AS n, SUM(l_extendedprice) AS total
+			FROM lineitem TABLESAMPLE DISTINCT (3, 15) ON (l_suppkey) WHERE l_quantity > 10`},
+		stmt{name: "order-priority-join.distinct", sql: `SELECT o_orderpriority, COUNT(*) AS n, SUM(l_extendedprice) AS rev
+			FROM lineitem TABLESAMPLE DISTINCT (2, 10) ON (l_suppkey) JOIN orders ON l_orderkey = o_orderkey
+			GROUP BY o_orderpriority ORDER BY o_orderpriority`})
 	stmts = append(stmts, stmt{name: "stored-sample",
 		sql: `SELECT l_shipmode, COUNT(*) AS n, SUM(l_extendedprice) AS total, AVG(l_quantity) AS aq
 			FROM lineitem_s WHERE l_discount < 0.08 GROUP BY l_shipmode ORDER BY l_shipmode`})
