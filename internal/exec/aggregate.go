@@ -28,7 +28,188 @@ type groupState struct {
 	groupVal []storage.Value
 	aggs     []*aggState
 	n        float64
-	id       int32 // position in the group list of the morsel that made it
+}
+
+// newGroupState builds an empty group state; groupVal is copied.
+func newGroupState(key string, groupVal []storage.Value, slots int) *groupState {
+	gs := &groupState{key: key}
+	if len(groupVal) > 0 {
+		gs.groupVal = append([]storage.Value(nil), groupVal...)
+	}
+	states := make([]aggState, slots)
+	gs.aggs = make([]*aggState, slots)
+	for j := range gs.aggs {
+		gs.aggs[j] = &states[j]
+	}
+	return gs
+}
+
+// mergeGroupState folds src into dst; callers fold in a fixed order.
+func mergeGroupState(dst, src *groupState) {
+	dst.n += src.n
+	for j := range dst.aggs {
+		mergeAggState(dst.aggs[j], src.aggs[j])
+	}
+}
+
+// mergeAggState folds one aggregate's partial state into another. Every
+// component is a plain sum, union, extremum, or ordered concatenation, so
+// folding partials in morsel (or shard) order reproduces the serial
+// accumulation sequence of the same decomposition exactly.
+func mergeAggState(dst, src *aggState) {
+	dst.ht.Merge(src.ht)
+	dst.weighted = dst.weighted || src.weighted
+	dst.nonNull += src.nonNull
+	if !src.min.IsNull() && (dst.min.IsNull() || src.min.Compare(dst.min) < 0) {
+		dst.min = src.min
+	}
+	if !src.max.IsNull() && (dst.max.IsNull() || src.max.Compare(dst.max) > 0) {
+		dst.max = src.max
+	}
+	if len(src.distinct) > 0 {
+		if dst.distinct == nil {
+			dst.distinct = make(map[string]struct{}, len(src.distinct))
+		}
+		for k := range src.distinct {
+			dst.distinct[k] = struct{}{}
+		}
+	}
+	dst.pctVals = append(dst.pctVals, src.pctVals...)
+	dst.pctWeights = append(dst.pctWeights, src.pctWeights...)
+}
+
+// groupStripes is the aggregate state of a list of groups, a column per
+// component, indexed by the group's place in the list: the rows each group
+// folded, whether any of them weighed other than 1, and per aggregate slot
+// its own column — the six HT sums of a SUM, COUNT or AVG a kernel folds,
+// or the whole aggState of any other slot. A slot's non-null count is its
+// HT row count: both grow by one per row the slot takes.
+type groupStripes struct {
+	n        []float64
+	weighted []bool
+	slots    []slotStripe
+}
+
+type slotStripe struct {
+	ht    []stats.HTEstimator // nil for a whole-state slot
+	whole []aggState
+}
+
+// htSlot reports whether a slot in the given mode keeps only HT sums.
+func htSlot(mode int) bool {
+	return mode == slotCountStar || mode == slotCountCol || mode == slotSumAvg
+}
+
+// newGroupStripes returns empty stripes for slots in the given modes, with
+// room for size groups.
+func newGroupStripes(modes []int, size int) groupStripes {
+	s := groupStripes{n: make([]float64, 0, size), weighted: make([]bool, 0, size), slots: make([]slotStripe, len(modes))}
+	for j, mode := range modes {
+		if htSlot(mode) {
+			s.slots[j].ht = make([]stats.HTEstimator, 0, size)
+		} else {
+			s.slots[j].whole = make([]aggState, 0, size)
+		}
+	}
+	return s
+}
+
+// add appends an empty group.
+func (s *groupStripes) add() {
+	s.n, s.weighted = append(s.n, 0), append(s.weighted, false)
+	for j := range s.slots {
+		if st := &s.slots[j]; st.ht != nil {
+			st.ht = append(st.ht, stats.HTEstimator{})
+		} else {
+			st.whole = append(st.whole, aggState{})
+		}
+	}
+}
+
+// take sets group g to group l of o.
+func (s *groupStripes) take(g int, o *groupStripes, l int) {
+	s.n[g], s.weighted[g] = o.n[l], o.weighted[l]
+	for j, st := range s.slots {
+		if st.ht != nil {
+			st.ht[g] = o.slots[j].ht[l]
+		} else {
+			st.whole[g] = o.slots[j].whole[l]
+		}
+	}
+}
+
+// merge folds group l of o into group g, as mergeGroupState does.
+func (s *groupStripes) merge(g int, o *groupStripes, l int) {
+	s.n[g] += o.n[l]
+	s.weighted[g] = s.weighted[g] || o.weighted[l]
+	for j, st := range s.slots {
+		if st.ht != nil {
+			st.ht[g].Merge(o.slots[j].ht[l])
+		} else {
+			mergeAggState(&st.whole[g], &o.slots[j].whole[l])
+		}
+	}
+}
+
+// scanGroups is a scan's groups, by run-wide id, as the ordered reduction
+// folds the morsels' partials into them.
+type scanGroups struct {
+	dict *groupDict
+	groupStripes
+	met   []bool // by id: some morsel has contributed
+	count int    // the ids met
+}
+
+func newScanGroups(dict *groupDict, modes []int) *scanGroups {
+	return &scanGroups{dict: dict, groupStripes: newGroupStripes(modes, len(dict.keys))}
+}
+
+// fold folds a morsel's partial in. The first contribution to a group is
+// copied, later ones added component by component.
+func (sg *scanGroups) fold(p *morselPart) {
+	for l, g := range p.ids {
+		for int(g) >= len(sg.met) {
+			sg.add()
+			sg.met = append(sg.met, false)
+		}
+		if sg.met[g] {
+			sg.merge(int(g), &p.groupStripes, l)
+			continue
+		}
+		sg.take(int(g), &p.groupStripes, l)
+		sg.met[g] = true
+		sg.count++
+	}
+}
+
+// states returns the groups met as group states, keyed by canonical key.
+func (sg *scanGroups) states() map[string]*groupState {
+	slots := len(sg.slots)
+	groups := make(map[string]*groupState, sg.count)
+	gss := make([]groupState, 0, sg.count)
+	aggs, ptrs := make([]aggState, sg.count*slots), make([]*aggState, sg.count*slots)
+	for g, met := range sg.met {
+		if !met {
+			continue
+		}
+		at := len(gss) * slots
+		gss = append(gss, groupState{key: sg.dict.keys[g], groupVal: sg.dict.values(g), n: sg.n[g],
+			aggs: ptrs[at : at+slots : at+slots]})
+		for j, st := range sg.slots {
+			a := &aggs[at+j]
+			if st.ht != nil {
+				a.ht = st.ht[g]
+				a.nonNull = a.ht.N()
+			} else {
+				*a = st.whole[g]
+			}
+			a.weighted = sg.weighted[g]
+			ptrs[at+j] = a
+		}
+		gs := &gss[len(gss)-1]
+		groups[gs.key] = gs
+	}
+	return groups
 }
 
 // finalizeGroups renders accumulated group states to output rows with
@@ -45,19 +226,24 @@ func finalizeGroups(node *plan.Aggregate, groups map[string]*groupState) ([][]st
 	}
 	sort.Strings(keys)
 
-	var rows [][]storage.Value
-	var details []*GroupDetail
-	for _, k := range keys {
+	if len(keys) == 0 {
+		return nil, nil
+	}
+	// One allocation each for the cells, the details and their slots.
+	width, slots := len(node.GroupBy)+len(node.Aggs), len(node.Aggs)
+	cells, ds, aggs := make([]storage.Value, 0, len(keys)*width), make([]GroupDetail, len(keys)), make([]AggDetail, len(keys)*slots)
+	rows, details := make([][]storage.Value, len(keys)), make([]*GroupDetail, len(keys))
+	for i, k := range keys {
 		gs := groups[k]
-		row := make([]storage.Value, 0, len(gs.groupVal)+len(gs.aggs))
-		row = append(row, gs.groupVal...)
-		detail := &GroupDetail{Key: gs.key, GroupN: gs.n, Aggs: make([]AggDetail, len(gs.aggs))}
+		at := len(cells)
+		cells = append(cells, gs.groupVal...)
+		ds[i] = GroupDetail{Key: gs.key, GroupN: gs.n, Aggs: aggs[i*slots : (i+1)*slots : (i+1)*slots]}
 		for j, spec := range node.Aggs {
 			v, d := finalize(gs.aggs[j], spec)
-			row = append(row, v)
-			detail.Aggs[j] = d
+			cells = append(cells, v)
+			ds[i].Aggs[j] = d
 		}
-		rows, details = append(rows, row), append(details, detail)
+		rows[i], details[i] = cells[at:len(cells):len(cells)], &ds[i]
 	}
 	return rows, details
 }

@@ -6,19 +6,20 @@ package exec
 // loop must not build that string — or box a storage.Value — per row. The
 // resolver instead identifies a row's group by what storage already
 // holds: the dictionary code of a string column, the raw int64 of an
-// integer column. Within one morsel that typed identity maps one-to-one
-// onto the canonical key, so the canonical key and the group's values are
-// built only when a typed identity is first seen; the resolver numbers a
-// morsel's groups in first-seen order and writes one such id per selected
-// row, and the aggregate slots index the group list by it. Any other
-// GROUP BY expression is evaluated per row and identified by its GroupKey.
+// integer column. Within one scan a typed identity names one canonical key
+// (two identities may name the same one), so a worker builds a key and its
+// group values only when it first meets a typed identity, has the scan's
+// groupDict number that key, and keeps the number for every later morsel;
+// it writes one such run-wide id per selected row. Any other GROUP BY
+// expression is evaluated per row and identified by its GroupKey.
 //
-// The partial a morsel returns is still keyed by canonical key, and rows
-// still accumulate into their group in row order, so nothing downstream —
-// merge order, finalize order, the float operation sequence — changes.
+// The ids only name groups: rows still accumulate into their group in row
+// order and morsels merge in morsel order, so nothing downstream — merge
+// order, finalize order, the float operation sequence — depends on them.
 
 import (
 	"encoding/binary"
+	"sync"
 
 	"repro/internal/expr"
 	"repro/internal/storage"
@@ -29,6 +30,51 @@ import (
 // through the typed-key map.
 const maxDenseGroups = 1 << 12
 
+// groupDict numbers the groups of one scan: a canonical key gets its
+// run-wide id the first time any worker meets it, and the dictionary keeps
+// the key and the values it was built from. The workers share it, and
+// reach it only for a typed identity they have not met before.
+type groupDict struct {
+	mu    sync.Mutex
+	ids   map[string]int32
+	keys  []string        // by id
+	vals  []storage.Value // width per id
+	width int
+}
+
+func newGroupDict(width int) *groupDict {
+	return &groupDict{ids: make(map[string]int32), width: width}
+}
+
+// id returns key's run-wide id, numbering it if it is new; vals are copied.
+func (d *groupDict) id(key string, vals []storage.Value) int32 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	id, ok := d.ids[key]
+	if !ok {
+		id = int32(len(d.keys))
+		d.ids[key] = id
+		d.keys = append(d.keys, key)
+		d.vals = append(d.vals, vals...)
+	}
+	return id
+}
+
+// size returns how many keys have been numbered so far.
+func (d *groupDict) size() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.keys)
+}
+
+// values returns the group values of id.
+func (d *groupDict) values(id int) []storage.Value {
+	if d.width == 0 {
+		return nil
+	}
+	return d.vals[id*d.width : (id+1)*d.width : (id+1)*d.width]
+}
+
 // groupPart is the typed access path of one GROUP BY expression, a column
 // of one side of the row; with neither column set the expression is
 // evaluated per row.
@@ -38,8 +84,10 @@ type groupPart struct {
 	side int
 }
 
-// groupResolver maps table rows to the ids of one morsel's group states,
-// for one worker. It keeps no state across morsels beyond reusable scratch.
+// groupResolver maps table rows to ids, for one worker: the first time it
+// meets a typed identity it builds the canonical key and values and has
+// newID number them, and it answers every later row of that identity, in
+// any morsel, from its own tables.
 type groupResolver struct {
 	exprs []expr.Expr
 	parts []groupPart
@@ -47,19 +95,20 @@ type groupResolver struct {
 	sc    *scratch  // the worker's: where a join's positions are read
 	rows  [][]int32 // per typed part, its table rows at the current selection
 
-	list []*groupState // the morsel's groups, by id
-	slab groupSlab
+	// newID numbers a key met for the first time (vals is scratch), and
+	// ids is one past the largest id it has returned.
+	newID func(key string, vals []storage.Value) int32
+	ids   int32
 
 	// All parts are dictionary columns spanning at most maxDenseGroups
 	// code tuples: the group is found by direct index.
-	dicts   []*storage.StringColumn
-	codes   [][]uint32 // the dicts' rows
-	dense   []int32    // id+1 per code tuple; 0 = not seen in this morsel
-	touched []int32    // code tuples filled by the current morsel
+	dicts []*storage.StringColumn
+	codes [][]uint32 // the dicts' rows
+	dense []int32    // id+1 per code tuple; 0 = not met yet
 
 	// One integer column: by the raw int64.
 	byInt   map[int64]int32
-	nullInt int32 // the NULL key's id, -1 until seen
+	nullInt int32 // the NULL key's id, -1 until met
 
 	// Otherwise: by the row's typed encoding.
 	typed map[string]int32
@@ -68,9 +117,10 @@ type groupResolver struct {
 	vals []storage.Value // scratch: the current row's group values
 }
 
-func newGroupResolver(exprs []expr.Expr, parts []groupPart, slots int, row mappedRow, sc *scratch) *groupResolver {
+func newGroupResolver(exprs []expr.Expr, parts []groupPart, row mappedRow, sc *scratch,
+	newID func(string, []storage.Value) int32) *groupResolver {
 	r := &groupResolver{exprs: exprs, parts: parts, row: row, sc: sc, rows: make([][]int32, len(parts)),
-		slab: groupSlab{slots: slots}, vals: make([]storage.Value, len(parts)), nullInt: -1}
+		newID: newID, vals: make([]storage.Value, len(parts)), nullInt: -1}
 	for _, p := range parts {
 		if p.dict != nil {
 			r.dicts = append(r.dicts, p.dict)
@@ -92,25 +142,8 @@ func newGroupResolver(exprs []expr.Expr, parts []groupPart, slots int, row mappe
 	return r
 }
 
-// reset forgets the previous morsel's groups. Their states belong to the
-// partial that morsel returned, so the slab starts a fresh chunk — sized
-// for as many groups again.
-func (r *groupResolver) reset() {
-	for _, slot := range r.touched {
-		r.dense[slot] = 0
-	}
-	r.touched = r.touched[:0]
-	clear(r.byInt)
-	r.nullInt = -1
-	clear(r.typed)
-	r.slab = groupSlab{slots: r.slab.slots, grow: len(r.list)}
-	r.list = r.list[:0]
-}
-
-// resolve writes to gids the group id of every row of sel, creating a
-// group in groups (the morsel's partial, keyed by canonical key) and in
-// list when it is new.
-func (r *groupResolver) resolve(sel, gids []int32, groups map[string]*groupState) error {
+// resolve writes to ids the id of every row of sel.
+func (r *groupResolver) resolve(sel, ids []int32) error {
 	for c, p := range r.parts {
 		if p.dict != nil || p.ints != nil {
 			r.rows[c] = r.sc.rowsOf(p.side, sel)
@@ -120,58 +153,57 @@ func (r *groupResolver) resolve(sel, gids []int32, groups map[string]*groupState
 	switch {
 	case r.dense != nil:
 		// The code tuple's slot, a column at a time.
-		gids = gids[:len(sel)]
+		ids = ids[:len(sel)]
 		for c, codes := range r.codes {
 			n := int32(r.dicts[c].NumCodes())
 			if c == 0 {
-				n = 0 // nothing to shift yet, whatever gids holds
+				n = 0 // nothing to shift yet, whatever ids holds
 			}
 			for i, row := range r.rows[c] {
-				gids[i] = gids[i]*n + int32(codes[row])
+				ids[i] = ids[i]*n + int32(codes[row])
 			}
 		}
 		dense := r.dense
-		for i, slot := range gids {
+		for i, slot := range ids {
 			id := dense[slot]
 			if id == 0 {
-				id = r.firstSeen(i, groups) + 1
+				id = r.firstSeen(i) + 1
 				dense[slot] = id
-				r.touched = append(r.touched, slot)
 			}
-			gids[i] = id - 1
+			ids[i] = id - 1
 		}
 	case r.byInt != nil:
 		keys, nulls := r.parts[0].ints.Ints(), r.parts[0].ints.Nulls()
 		for i, row := range r.rows[0] {
 			if nulls != nil && nulls[row] {
 				if r.nullInt < 0 {
-					r.nullInt = r.firstSeen(i, groups)
+					r.nullInt = r.firstSeen(i)
 				}
-				gids[i] = r.nullInt
+				ids[i] = r.nullInt
 				continue
 			}
 			id, ok := r.byInt[keys[row]]
 			if !ok {
-				id = r.firstSeen(i, groups)
+				id = r.firstSeen(i)
 				r.byInt[keys[row]] = id
 			}
-			gids[i] = id
+			ids[i] = id
 		}
 	default:
 		for i, p := range sel {
-			id, err := r.resolveTyped(i, int(p), groups)
+			id, err := r.resolveTyped(i, int(p))
 			if err != nil {
 				return err
 			}
-			gids[i] = id
+			ids[i] = id
 		}
 	}
 	return nil
 }
 
-// resolveTyped identifies the group of the i-th selected row, at position
-// pos, by the concatenation of its parts' typed encodings.
-func (r *groupResolver) resolveTyped(i, pos int, groups map[string]*groupState) (int32, error) {
+// resolveTyped identifies the i-th selected row, at position pos, by the
+// concatenation of its parts' typed encodings.
+func (r *groupResolver) resolveTyped(i, pos int) (int32, error) {
 	buf := r.buf[:0]
 	for c, p := range r.parts {
 		switch {
@@ -197,16 +229,16 @@ func (r *groupResolver) resolveTyped(i, pos int, groups map[string]*groupState) 
 	r.buf = buf
 	id, ok := r.typed[string(buf)]
 	if !ok {
-		id = r.firstSeen(i, groups)
+		id = r.firstSeen(i)
 		r.typed[string(buf)] = id
 	}
 	return id, nil
 }
 
 // firstSeen boxes the i-th selected row's typed group values (evaluated
-// parts are already in vals), builds the canonical key, and returns the id
-// of that key's group state, adding it to groups and list if it is new.
-func (r *groupResolver) firstSeen(i int, groups map[string]*groupState) int32 {
+// parts are already in vals), builds the canonical key and returns the id
+// newID gives them.
+func (r *groupResolver) firstSeen(i int) int32 {
 	for c, p := range r.parts {
 		switch {
 		case p.dict != nil:
@@ -221,18 +253,9 @@ func (r *groupResolver) firstSeen(i int, groups map[string]*groupState) int32 {
 	} else {
 		key = groupKeyOf(r.vals)
 	}
-	gs, ok := groups[key]
-	if !ok {
-		gs = r.slab.newGroup(key, r.vals)
-		groups[key] = gs
-	}
-	// New to the list: made just now, or made by the morsel's worker and met
-	// again by the ordered merge, which resolves from an empty list.
-	if !ok || int(gs.id) >= len(r.list) || r.list[gs.id] != gs {
-		gs.id = int32(len(r.list))
-		r.list = append(r.list, gs)
-	}
-	return gs.id
+	id := r.newID(key, r.vals)
+	r.ids = max(r.ids, id+1)
+	return id
 }
 
 // groupKeyOf builds the canonical composite key of a value tuple.
@@ -258,42 +281,4 @@ func typedPart(col storage.Column, side int) (p groupPart) {
 		p.ints = col
 	}
 	return p
-}
-
-// groupSlab hands out one morsel's group states from chunks — a handful of
-// allocations per chunk instead of per group. A full chunk is left to the
-// groups that point into it and a new one started; nothing is re-sliced,
-// so those pointers stay valid. A chunk holds grow groups, between
-// minSlabGroups and maxSlabGroups, and the next one twice as many: a
-// morsel with few groups stays small.
-type groupSlab struct {
-	slots, grow int
-	groups      []groupState
-	aggs        []aggState
-	ptrs        []*aggState
-	vals        []storage.Value
-}
-
-const minSlabGroups, maxSlabGroups = 8, 256
-
-// newGroup is newGroupState out of the slab.
-func (s *groupSlab) newGroup(key string, groupVal []storage.Value) *groupState {
-	if len(s.groups) == cap(s.groups) {
-		n := min(max(s.grow, minSlabGroups), maxSlabGroups)
-		s.grow = 2 * n
-		s.groups = make([]groupState, 0, n)
-		s.aggs = make([]aggState, n*s.slots)
-		s.ptrs = make([]*aggState, n*s.slots)
-		s.vals = make([]storage.Value, n*len(groupVal))
-	}
-	at := len(s.groups)
-	s.groups = append(s.groups, groupState{key: key})
-	gs := &s.groups[at]
-	gs.groupVal = s.vals[at*len(groupVal) : (at+1)*len(groupVal) : (at+1)*len(groupVal)]
-	copy(gs.groupVal, groupVal)
-	gs.aggs = s.ptrs[at*s.slots : (at+1)*s.slots : (at+1)*s.slots]
-	for j := range gs.aggs {
-		gs.aggs[j] = &s.aggs[at*s.slots+j]
-	}
-	return gs
 }

@@ -216,11 +216,10 @@ type probeLevel struct {
 	ws        []float64
 	sel, kids []int32 // positions; per probing row, its key id
 
-	// A key without a raw int64: its typed identity, resolved per morsel,
-	// and per resolved key its id in the index (-1: none).
-	keys      *groupResolver
-	keyGroups map[string]*groupState
-	kidOf     []int32
+	// A key without a raw int64: its typed identity, resolved once per
+	// worker, and per resolved key its id in the index (-1: none).
+	keys  *groupResolver
+	kidOf []int32
 }
 
 func newProbeLevel(op *morselRun, js *joinStage, j, runCap int, sc *scratch) *probeLevel {
@@ -229,26 +228,27 @@ func newProbeLevel(op *morselRun, js *joinStage, j, runCap int, sc *scratch) *pr
 	for s := range lv.at {
 		lv.at[s] = make([]int32, runCap)
 	}
-	if !js.index.intKeyed() {
-		lv.keys = newGroupResolver(js.node.LeftKeys, js.keyParts, 0, mappedRow{v: &op.view}, sc)
-		lv.keyGroups = make(map[string]*groupState)
+	if ix := &js.index; !ix.intKeyed() {
+		lv.keys = newGroupResolver(js.node.LeftKeys, js.keyParts, mappedRow{v: &op.view}, sc,
+			func(key string, vals []storage.Value) int32 {
+				id, ok := ix.keys[key]
+				for _, v := range vals {
+					ok = ok && !v.IsNull()
+				}
+				if !ok {
+					id = -1
+				}
+				lv.kidOf = append(lv.kidOf, id)
+				return int32(len(lv.kidOf) - 1)
+			})
 	}
 	return lv
 }
 
-// reset forgets the previous morsel's resolved keys.
-func (lv *probeLevel) reset() {
-	if lv.keys != nil {
-		lv.keys.reset()
-		clear(lv.keyGroups)
-		lv.kidOf = lv.kidOf[:0]
-	}
-}
-
 // probe joins the rows sel — scanned rows at the first join, positions of
 // the join below after it — weighing ws, to join j's build side, and hands
-// the joined rows on, at most a run at a time, to fold into groups.
-func (wk *morselWorker) probe(j int, groups map[string]*groupState, global *groupState, sel []int32, ws []float64) error {
+// the joined rows on, at most a run at a time, to fold.
+func (wk *morselWorker) probe(j int, sel []int32, ws []float64) error {
 	js, lv := wk.op.joins[j], wk.levels[j]
 	kids := lv.kids[:len(sel)]
 	if err := wk.lookup(js, lv, sel, kids); err != nil {
@@ -265,7 +265,7 @@ func (wk *morselWorker) probe(j int, groups map[string]*groupState, global *grou
 		}
 		for e := offs[k]; e < offs[k+1]; e++ {
 			if n == len(jws) {
-				if err := wk.joined(j, groups, global, n); err != nil {
+				if err := wk.joined(j, n); err != nil {
 					return err
 				}
 				n = 0
@@ -277,12 +277,12 @@ func (wk *morselWorker) probe(j int, groups map[string]*groupState, global *grou
 	if n == 0 {
 		return nil
 	}
-	return wk.joined(j, groups, global, n)
+	return wk.joined(j, n)
 }
 
 // joined passes on the first n rows join j produced: its ON residual
 // narrows them, then the next join probes them or they fold.
-func (wk *morselWorker) joined(j int, groups map[string]*groupState, global *groupState, n int) error {
+func (wk *morselWorker) joined(j int, n int) error {
 	lv, below, ident := wk.levels[j], wk.sc.at, wk.sc.ident
 	if below != nil {
 		// The probing rows are positions of the join below: read each side's
@@ -305,9 +305,9 @@ func (wk *morselWorker) joined(j int, groups map[string]*groupState, global *gro
 	switch {
 	case err != nil || len(sel) == 0:
 	case j+1 < len(wk.levels):
-		err = wk.probe(j+1, groups, global, sel, ws)
+		err = wk.probe(j+1, sel, ws)
 	default:
-		err = wk.fold(groups, global, sel, 1, ws, nil, false)
+		err = wk.fold(sel, 1, ws, nil, false)
 	}
 	wk.sc.at, wk.sc.ident = below, ident
 	return err
@@ -337,18 +337,8 @@ func (wk *morselWorker) lookup(js *joinStage, lv *probeLevel, sel, kids []int32)
 		return nil
 	}
 	gids := wk.sc.gids[:len(sel)]
-	if err := lv.keys.resolve(sel, gids, lv.keyGroups); err != nil {
+	if err := lv.keys.resolve(sel, gids); err != nil {
 		return err
-	}
-	for _, gs := range lv.keys.list[len(lv.kidOf):] {
-		id, ok := ix.keys[gs.key]
-		for _, v := range gs.groupVal {
-			ok = ok && !v.IsNull()
-		}
-		if !ok {
-			id = -1
-		}
-		lv.kidOf = append(lv.kidOf, id)
 	}
 	for i, g := range gids {
 		kids[i] = lv.kidOf[g]

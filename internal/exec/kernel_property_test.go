@@ -691,7 +691,8 @@ func sameDetail(a, b *GroupDetail) error {
 }
 
 // TestStringGroupByMorselAllocations guards the point of typed key
-// resolution: a string group-by morsel allocates per group, not per row.
+// resolution: a string group-by morsel allocates per group, not per row,
+// and a worker that has met its groups allocates per morsel, not per group.
 func TestStringGroupByMorselAllocations(t *testing.T) {
 	cat := kernelCatalog(t, 10_000)
 	for _, c := range []struct {
@@ -699,37 +700,104 @@ func TestStringGroupByMorselAllocations(t *testing.T) {
 		groups int
 	}{{"s1", 6}, {"s1, s2", 10}, {"s1, i1", 60}} {
 		sql := fmt.Sprintf("SELECT %s, COUNT(*), SUM(f) FROM t WHERE s2 = 'O' OR s1 <> 'AIR' GROUP BY %s", c.by, c.by)
-		a := plan.FindAggregate(buildPlan(t, cat, sql))
-		op, err := newMorselRun(context.Background(), a.Child, &Counters{}, 1, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		op.agg = a
-		snap, err := op.prepare()
-		if err != nil {
-			t.Fatal(err)
-		}
-		wk, err := op.newWorker(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const rows = 8192
-		var groups int
-		allocs := testing.AllocsPerRun(5, func() {
-			part, err := wk.processMorsel(context.Background(), 0, rows)
-			if err != nil {
-				t.Fatal(err)
-			}
-			groups = len(part.groups)
-		})
+		groups, allocs := morselAllocs(t, cat, sql)
 		if groups != c.groups {
 			t.Errorf("GROUP BY %s: %d groups, want %d", c.by, groups, c.groups)
 		}
 		// A group costs its state, values, key and map entries; the old
 		// path also paid at least one allocation per row.
 		if limit := float64(12*groups + 16); allocs > limit {
-			t.Errorf("GROUP BY %s: %.0f allocations for %d groups over %d rows (limit %.0f)",
-				c.by, allocs, groups, rows, limit)
+			t.Errorf("GROUP BY %s: %.0f allocations for %d groups (limit %.0f)", c.by, allocs, groups, limit)
+		}
+	}
+	// 500 integer groups: the worker's later morsels reuse every group's
+	// run-wide id, so a morsel costs its stripes alone.
+	many := intGroupCatalog(t, 500, 8192)
+	groups, allocs := morselAllocs(t, many, "SELECT k, COUNT(*), SUM(f) FROM g WHERE f < 90 GROUP BY k")
+	if groups != 500 {
+		t.Errorf("GROUP BY k: %d groups, want 500", groups)
+	}
+	if allocs > 16 {
+		t.Errorf("GROUP BY k: %.0f allocations for a morsel of %d met groups (limit 16)", allocs, groups)
+	}
+}
+
+// morselAllocs folds the first morsel of sql's scan on one worker, once to
+// meet its groups and then as testing.AllocsPerRun measures, and returns
+// the morsel's groups and allocations.
+func morselAllocs(t *testing.T, cat *storage.Catalog, sql string) (groups int, allocs float64) {
+	t.Helper()
+	a := plan.FindAggregate(buildPlan(t, cat, sql))
+	op, err := newMorselRun(context.Background(), a.Child, &Counters{}, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op.agg = a
+	snap, err := op.prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wk, err := op.newWorker(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs = testing.AllocsPerRun(5, func() {
+		var part morselPart
+		if err := wk.processMorsel(context.Background(), 0, 8192, &part); err != nil {
+			t.Fatal(err)
+		}
+		groups = len(part.ids)
+	})
+	return groups, allocs
+}
+
+// intGroupCatalog builds table g: an integer key k of the given number of
+// groups and a float measure f, in 1024-row blocks.
+func intGroupCatalog(t *testing.T, groups, rows int) *storage.Catalog {
+	t.Helper()
+	tbl := storage.NewTableWithBlockSize("g", storage.Schema{
+		{Name: "k", Type: storage.TypeInt64},
+		{Name: "f", Type: storage.TypeFloat64},
+	}, 1024)
+	rng := rand.New(rand.NewSource(5))
+	batch := make([][]storage.Value, rows)
+	for r := range batch {
+		batch[r] = []storage.Value{storage.Int64(int64(rng.Intn(groups))), storage.Float64(float64(rng.Intn(100)))}
+	}
+	if err := tbl.AppendRows(batch); err != nil {
+		t.Fatal(err)
+	}
+	cat := storage.NewCatalog()
+	if err := cat.Add(tbl); err != nil {
+		t.Fatal(err)
+	}
+	return cat
+}
+
+// TestManyGroupScanAllocations holds a whole many-group scan's allocations
+// to groups × workers: each worker builds a group's key and values once per
+// scan, not once per morsel, and a morsel allocates a fixed handful of
+// stripes whatever its group count.
+func TestManyGroupScanAllocations(t *testing.T) {
+	const groups, morsels = 500, 16
+	cat := intGroupCatalog(t, groups, morsels*8192)
+	p := buildPlan(t, cat, "SELECT k, COUNT(*), SUM(f), AVG(f) FROM g WHERE f < 90 GROUP BY k ORDER BY k")
+	for _, workers := range []int{1, 2} {
+		var rows int
+		allocs := testing.AllocsPerRun(3, func() {
+			res, err := RunParallel(p, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows = len(res.Rows)
+		})
+		if rows != groups {
+			t.Fatalf("W=%d: %d groups, want %d", workers, rows, groups)
+		}
+		// Per morsel per group would be at least groups × morsels = 8000.
+		if limit := float64(2*groups*workers + 16*morsels + 200); allocs > limit {
+			t.Errorf("W=%d: %.0f allocations for %d groups over %d morsels (limit %.0f)",
+				workers, allocs, groups, morsels, limit)
 		}
 	}
 }

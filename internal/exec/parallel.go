@@ -33,6 +33,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/fault"
 	"repro/internal/plan"
+	"repro/internal/sample"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -106,6 +107,11 @@ type morselRun struct {
 	kern morselKernels // compiled against the snapshot in run
 	kept []uint64      // a uniform row stage's kept rows of the snapshot, a bit each, shared by the workers
 	sp   *trace.Span   // the terminal's span, nil when tracing is off
+
+	// The scan's run-wide numbering of the aggregate's groups (a global
+	// aggregate's one group is id 0) and of the distinct sampler's strata,
+	// which is groupIDs when the strata are the groups.
+	groupIDs, strataIDs *groupDict
 }
 
 // newMorselRun lays out the left-deep chain below a terminal — Filter and
@@ -243,13 +249,40 @@ func (op *morselRun) prepare() (*storage.Table, error) {
 		op.sp.SetAttr("build_rows", strings.Join(built, ", "))
 	}
 	op.kern = op.compileKernels()
+	if op.agg != nil {
+		op.groupIDs = newGroupDict(len(op.agg.GroupBy))
+		if len(op.agg.GroupBy) == 0 {
+			op.groupIDs.id("", nil)
+		}
+	}
+	if s := op.scan.Sample; s != nil && s.Kind == sample.KindDistinct {
+		op.strataIDs = op.groupIDs
+		if !op.strataAreGroups() {
+			op.strataIDs = newGroupDict(len(op.keyIdx))
+		}
+	}
 	return table, nil
+}
+
+// strataAreGroups reports whether the distinct sampler's key columns are
+// the GROUP BY's, in order, on a scan with no join: a row's stratum is
+// then its group.
+func (op *morselRun) strataAreGroups() bool {
+	if op.agg == nil || len(op.joins) > 0 || len(op.agg.GroupBy) == 0 || len(op.agg.GroupBy) != len(op.keyIdx) {
+		return false
+	}
+	for i, g := range op.agg.GroupBy {
+		if ref, ok := g.(*expr.ColRef); !ok || op.outIdx[ref.Index] != op.keyIdx[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // run executes the pipeline — each join's build, then the scan's morsels —
 // and returns the merged groups of the aggregate terminal or the kept rows
 // of the row terminal, in scan order.
-func (op *morselRun) run() (map[string]*groupState, []emitted, error) {
+func (op *morselRun) run() (*scanGroups, []emitted, error) {
 	table, err := op.prepare()
 	if err != nil {
 		return nil, nil, err
@@ -357,14 +390,12 @@ func (op *morselRun) run() (map[string]*groupState, []emitted, error) {
 				lo := first + m*morselRows
 				hi := min(lo+morselRows, end)
 				t0 := time.Now()
-				part, err := wk.processMorsel(runCtx, lo, hi)
-				if err != nil {
+				if err := wk.processMorsel(runCtx, lo, hi, &partials[m]); err != nil {
 					fail(err)
 					break
 				}
 				busy += time.Since(t0)
 				morsels++
-				partials[m] = part
 				finished(m)
 			}
 			if wsp != nil {
@@ -387,15 +418,17 @@ func (op *morselRun) run() (map[string]*groupState, []emitted, error) {
 	// up to the first that completes it, whatever the workers ran beyond.
 	// The distinct sampler's undecided rows are settled first, morsel by
 	// morsel in scan order: the workers are done, so the first one's
-	// scratch and kernels serve. Each morsel contributes to a group exactly
+	// scratch and kernels serve. Each morsel contributes to a group at most
 	// once, so per group the float operation sequence is fixed by morsel
-	// index alone — map iteration order within a partial only interleaves
-	// independent groups.
-	var seen map[string]*int32
+	// index alone.
+	var seen []int32 // per stratum, the rows the morsels so far passed, up to the pass-through
 	if wks[0].distinct != nil {
-		seen = make(map[string]*int32)
+		seen = make([]int32, len(op.strataIDs.keys))
 	}
-	groups := make(map[string]*groupState)
+	var groups *scanGroups
+	if op.agg != nil {
+		groups = newScanGroups(op.groupIDs, op.kern.slotMode)
+	}
 	var rows []emitted
 	if op.agg == nil {
 		n := 0
@@ -419,15 +452,8 @@ func (op *morselRun) run() (map[string]*groupState, []emitted, error) {
 		op.counters.Add(p.counters)
 		scanned += p.counters.RowsScanned
 		rows = append(rows, p.rows...)
-		for key, gs := range p.groups {
-			if gs.n == 0 && len(op.agg.GroupBy) > 0 {
-				continue // a stratum the sampler counted and kept no row of
-			}
-			if dst, ok := groups[key]; ok {
-				mergeGroupState(dst, gs)
-			} else {
-				groups[key] = gs
-			}
+		if groups != nil {
+			groups.fold(p)
 		}
 		if op.limit >= 0 && len(rows) >= op.limit {
 			break
@@ -439,7 +465,11 @@ func (op *morselRun) run() (map[string]*groupState, []emitted, error) {
 		ms := op.sp.NewChild("merge")
 		ms.AddTime(time.Since(mergeStart))
 		ms.SetAttrInt("partials", int64(nMorsels))
-		ms.SetAttrInt("groups", int64(len(groups)))
+		met := 0
+		if groups != nil {
+			met = groups.count
+		}
+		ms.SetAttrInt("groups", int64(met))
 		ms.SetAttrInt("deferred_rows", deferred)
 	}
 	return groups, rows, nil
@@ -469,23 +499,23 @@ type morselWorker struct {
 	table *storage.Table
 	samplerStages
 	weights  storage.Column // the stored sample's weight column, or nil
-	groups   *groupResolver // nil for global aggregates and the row terminal
+	groups   *groupResolver // run-wide group ids; nil for global aggregates and the row terminal
 	counters Counters       // for the worker's span
 	out      []emitted      // the row terminal's rows of the current morsel
 	levels   []*probeLevel  // per join, the probe's vectors
 
-	// The distinct sampler's: strata numbers a morsel's strata as groups
-	// numbers its groups, and is groups when the sampler's key columns are
-	// the GROUP BY's (strataOf is then nil); otherwise the strata live in
-	// strataOf, not in the partial.
+	acc   *morselPart // the partial the aggregate folds into
+	local []int32     // per run-wide group id, its place in acc's list plus one; 0: not in it
+	most  int         // the most groups a partial of the worker's has held
+
+	// The distinct sampler's: strata gives the rows' run-wide stratum ids,
+	// and is groups when the strata are the groups.
 	strata     *groupResolver
-	strataOf   map[string]*groupState
-	ranks      []int32 // per stratum id, its rows met so far, up to the pass-through
+	ranks      []int32 // per stratum id, its rows met in the morsel so far, up to the pass-through
 	rows, sids []int32 // the morsel's undecided rows and their stratum ids
 
-	sc   *scratch       // vector memory, the worker's for the whole scan
-	ends []int32        // where each segment of the run ends
-	one  [1]*groupState // a global aggregate's one segment
+	sc   *scratch // vector memory, the worker's for the whole scan
+	ends []int32  // where each segment of the run ends
 }
 
 func (op *morselRun) newWorker(table *storage.Table) (*morselWorker, error) {
@@ -506,22 +536,16 @@ func (op *morselRun) newWorker(table *storage.Table) (*morselWorker, error) {
 	wk.sc = newScratch(op.kern.comp, runCap)
 	wk.ends = make([]int32, 0, maxRunRows/minRowsPerGroup) // as many segments as a run can have
 	if op.agg != nil && len(op.agg.GroupBy) > 0 {
-		wk.groups = newGroupResolver(op.agg.GroupBy, op.kern.group, len(op.agg.Aggs), mappedRow{v: &op.view}, wk.sc)
+		wk.groups = newGroupResolver(op.agg.GroupBy, op.kern.group, mappedRow{v: &op.view}, wk.sc, op.groupIDs.id)
 	}
 	if wk.distinct != nil {
-		same := wk.groups != nil && len(op.joins) == 0 && len(op.agg.GroupBy) == len(op.keyIdx)
-		for i := 0; same && i < len(op.keyIdx); i++ {
-			ref, ok := op.agg.GroupBy[i].(*expr.ColRef)
-			same = ok && op.outIdx[ref.Index] == op.keyIdx[i]
-		}
 		wk.strata = wk.groups
-		if !same {
+		if op.strataIDs != op.groupIDs {
 			keys, parts := make([]expr.Expr, len(op.keyIdx)), make([]groupPart, len(op.keyIdx))
 			for i, idx := range op.keyIdx {
 				keys[i], parts[i] = &expr.ColRef{Index: idx}, typedPart(table.Column(idx), 0)
 			}
-			wk.strata = newGroupResolver(keys, parts, 0, mappedRow{v: op.kern.scanView}, wk.sc)
-			wk.strataOf = make(map[string]*groupState)
+			wk.strata = newGroupResolver(keys, parts, mappedRow{v: op.kern.scanView}, wk.sc, op.strataIDs.id)
 		}
 	}
 	for j, js := range op.joins {
@@ -530,75 +554,129 @@ func (op *morselRun) newWorker(table *storage.Table) (*morselWorker, error) {
 	return wk, nil
 }
 
-// morselPart is what a morsel hands the ordered merge: its partial group
-// states or kept rows, its counters and, under the distinct sampler, the
-// rows it could not decide — deferRows[i], of stratum strata[sids[i]], is
-// among the first keep rows of its stratum in the morsel, so whether it
-// passes depends on the morsels before.
+// morselPart is what a morsel hands the ordered merge: the groups it
+// folded, by run-wide id, and their state, or its kept rows; its counters;
+// and, under the distinct sampler, the rows it could not decide —
+// deferRows[i], of the stratum with run-wide id sids[i], is among the first
+// keep rows of its stratum in the morsel, so whether it passes depends on
+// the morsels before.
 type morselPart struct {
-	groups          map[string]*groupState
+	ids []int32 // run-wide group id by place in the stripes
+	groupStripes
 	rows            []emitted
 	counters        Counters
 	deferRows, sids []int32
-	strata          []*groupState // by stratum id; the key names the stratum across morsels
 }
 
-// part wraps up the current morsel: the worker's buffers are the next one's.
-func (wk *morselWorker) part(groups map[string]*groupState, c Counters) morselPart {
-	p := morselPart{groups: groups, rows: wk.out, counters: c}
+// globalIDs is the group list of a global aggregate's partial: its one group.
+var globalIDs = []int32{0}
+
+// start makes p, a new partial, the one the aggregate folds into, with
+// room for an eighth more groups than the worker's largest partial so far
+// has, but for no more than the scan has met.
+func (wk *morselWorker) start(p *morselPart) {
+	if wk.groups == nil {
+		p.groupStripes = newGroupStripes(wk.op.kern.slotMode, 1)
+		p.ids = globalIDs
+		p.add()
+	} else {
+		size := wk.op.groupIDs.size()
+		if wk.most > 0 {
+			size = min(size, wk.most+wk.most/8)
+		}
+		p.groupStripes = newGroupStripes(wk.op.kern.slotMode, size)
+		p.ids = make([]int32, 0, size)
+	}
+	wk.enter(p)
+}
+
+// enter makes p the partial the aggregate folds into.
+func (wk *morselWorker) enter(p *morselPart) {
+	if wk.groups != nil {
+		if wk.acc != nil {
+			for _, g := range wk.acc.ids {
+				wk.local[g] = 0
+			}
+		}
+		for l, g := range p.ids {
+			wk.local = cover(wk.local, int(g)+1)
+			wk.local[g] = int32(l) + 1
+		}
+	}
+	wk.acc = p
+}
+
+// cover extends ids, which never shrinks, with zeros to at least n entries.
+func cover(ids []int32, n int) []int32 {
+	if n <= len(ids) {
+		return ids
+	}
+	return slices.Grow(ids, n-len(ids))[:n]
+}
+
+// toLocal turns the run-wide group ids gids into places in the list of the
+// partial the aggregate folds into, adding each group it has not met.
+func (wk *morselWorker) toLocal(gids []int32) {
+	acc := wk.acc
+	for i, g := range gids {
+		if int(g) >= len(wk.local) {
+			wk.local = cover(wk.local, int(g)+1)
+		}
+		l := wk.local[g]
+		if l == 0 {
+			acc.ids = append(acc.ids, g)
+			acc.add()
+			l = int32(len(acc.ids))
+			wk.local[g] = l
+		}
+		gids[i] = l - 1
+	}
+}
+
+// finish wraps up the current morsel into p: the worker's buffers are the
+// next one's.
+func (wk *morselWorker) finish(p *morselPart, c Counters) {
+	p.rows, p.counters = wk.out, c
 	wk.out = nil
 	wk.counters.Add(c)
+	wk.most = max(wk.most, len(p.ids))
 	if wk.distinct != nil {
 		p.deferRows = append(p.deferRows, wk.rows...)
 		p.sids = append(p.sids, wk.sids...)
-		p.strata = append(p.strata, wk.strata.list...)
 	}
-	return p
 }
 
 // processMorsel runs the fused pipeline over rows [lo, hi) — morsels are
 // block-aligned, so each block belongs to exactly one morsel and the
 // block counters stay exact — or, for a ranged scan, over the rows at
-// positions [lo, hi) of its order, a run at a time, and returns the partial
-// aggregation state.
-func (wk *morselWorker) processMorsel(ctx context.Context, lo, hi int) (morselPart, error) {
+// positions [lo, hi) of its order, a run at a time, into the partial p.
+func (wk *morselWorker) processMorsel(ctx context.Context, lo, hi int, p *morselPart) error {
 	op := wk.op
 	runCap := len(wk.sc.ones)
 	// Tally in locals and publish once per morsel: the workers' structs
 	// sit side by side on the heap, and a per-row store into one would
 	// keep invalidating the cache line its neighbour reads its fields from.
 	var counters Counters
-	// Global aggregates have a single group; hoist it out of the row loop.
-	var global *groupState
-	var groups map[string]*groupState
-	switch {
-	case op.agg == nil:
-	case wk.groups == nil:
-		global = newGroupState("", nil, len(op.agg.Aggs))
-		groups = map[string]*groupState{"": global}
-	default:
-		groups = make(map[string]*groupState, len(wk.groups.list))
-		wk.groups.reset()
+	if op.agg != nil {
+		wk.start(p)
 	}
 	if wk.distinct != nil {
-		wk.ranks, wk.rows, wk.sids = wk.ranks[:0], wk.rows[:0], wk.sids[:0]
-		if wk.strataOf != nil {
-			wk.strata.reset()
-			clear(wk.strataOf)
+		// Only a stratum with an undecided row has counted one.
+		for _, s := range wk.sids {
+			wk.ranks[s] = 0
 		}
-	}
-	for _, lv := range wk.levels {
-		lv.reset()
+		wk.rows, wk.sids = wk.rows[:0], wk.sids[:0]
 	}
 	if r := op.scan.Range; r != nil {
 		// One cancellation checkpoint per ordered morsel.
 		if err := ctx.Err(); err != nil {
-			return morselPart{}, err
+			return err
 		}
-		if err := wk.foldRun(groups, global, wk.sc.orderRun(r.Order[lo:hi]), 1, &counters); err != nil {
-			return morselPart{}, err
+		if err := wk.foldRun(wk.sc.orderRun(r.Order[lo:hi]), 1, &counters); err != nil {
+			return err
 		}
-		return wk.part(groups, counters), nil
+		wk.finish(p, counters)
+		return nil
 	}
 	blockSize := wk.table.BlockSize()
 	// Under a uniform row stage a run is the rows it keeps, gathered across
@@ -608,7 +686,7 @@ func (wk *morselWorker) processMorsel(ctx context.Context, lo, hi int) (morselPa
 	for row := lo; row < hi; {
 		// One cancellation checkpoint per block.
 		if err := ctx.Err(); err != nil {
-			return morselPart{}, err
+			return err
 		}
 		block := row / blockSize
 		blockEnd := min((block+1)*blockSize, hi)
@@ -625,15 +703,15 @@ func (wk *morselWorker) processMorsel(ctx context.Context, lo, hi int) (morselPa
 		if wk.uniform == nil {
 			for ; row < blockEnd; row += runCap {
 				sel := wk.sc.blockRun(row, min(row+runCap, blockEnd))
-				if err := wk.foldRun(groups, global, sel, blockWeight, &counters); err != nil {
-					return morselPart{}, err
+				if err := wk.foldRun(sel, blockWeight, &counters); err != nil {
+					return err
 				}
 			}
 		} else {
 			for row < blockEnd {
 				if kept, row = wk.sc.keptRun(len(kept), op.kept, row, blockEnd); len(kept) == runCap {
-					if err := wk.foldRun(groups, global, kept, blockWeight, &counters); err != nil {
-						return morselPart{}, err
+					if err := wk.foldRun(kept, blockWeight, &counters); err != nil {
+						return err
 					}
 					kept = kept[:0]
 				}
@@ -642,24 +720,23 @@ func (wk *morselWorker) processMorsel(ctx context.Context, lo, hi int) (morselPa
 		row = blockEnd
 	}
 	if len(kept) > 0 {
-		if err := wk.foldRun(groups, global, kept, blockWeight, &counters); err != nil {
-			return morselPart{}, err
+		if err := wk.foldRun(kept, blockWeight, &counters); err != nil {
+			return err
 		}
 	}
-	return wk.part(groups, counters), nil
+	wk.finish(p, counters)
+	return nil
 }
 
 // foldRun filters, samples and accumulates one run — sel, the scratch's
-// current run, kept at blockWeight — into groups (global, when set, is the
-// one group of a global aggregate), tallying into c. The stages run in the
-// order a row would meet them — scan filter, row sampler, then foldKept's:
-// weight column, join probes, residual predicates, then the terminal —
-// each over the whole selection, and every accumulator still sees its rows
-// in selection order. A uniform row sampler is the exception: it built the
-// run (keptRun), so only the rows it keeps are read at all, and here it
-// adds just their weight.
-func (wk *morselWorker) foldRun(groups map[string]*groupState, global *groupState,
-	sel []int32, blockWeight float64, c *Counters) error {
+// current run, kept at blockWeight — into the worker's partial, tallying
+// into c. The stages run in the order a row would meet them — scan filter,
+// row sampler, then foldKept's: weight column, join probes, residual
+// predicates, then the terminal — each over the whole selection, and every
+// accumulator still sees its rows in selection order. A uniform row sampler
+// is the exception: it built the run (keptRun), so only the rows it keeps
+// are read at all, and here it adds just their weight.
+func (wk *morselWorker) foldRun(sel []int32, blockWeight float64, c *Counters) error {
 	c.RowsScanned += int64(len(sel))
 	if wk.op.scan.Filter != nil {
 		var err error
@@ -678,16 +755,11 @@ func (wk *morselWorker) foldRun(groups map[string]*groupState, global *groupStat
 		// is past it in the whole scan too: the coin decides it here. One
 		// within it (weight 1: at rate 1 that is every row, which loses
 		// nothing) waits for the counts of the morsels before.
-		strata, sids, marks := groups, wk.sc.gids[:len(sel)], wk.sc.ws
-		if wk.strataOf != nil {
-			strata = wk.strataOf
-		}
-		if err := wk.strata.resolve(sel, sids, strata); err != nil {
+		sids, marks := wk.sc.gids[:len(sel)], wk.sc.ws
+		if err := wk.strata.resolve(sel, sids); err != nil {
 			return err
 		}
-		for len(wk.ranks) < len(wk.strata.list) {
-			wk.ranks = append(wk.ranks, 0)
-		}
+		wk.ranks = cover(wk.ranks, int(wk.strata.ids))
 		wk.distinct.KeepRows(sel, sids, wk.ranks, marks)
 		k := 0
 		for i, r := range sel {
@@ -701,7 +773,7 @@ func (wk *morselWorker) foldRun(groups map[string]*groupState, global *groupStat
 			}
 		}
 		sel, w = sel[:k], w*(1/wk.distinct.Rate())
-		if wk.strataOf == nil {
+		if wk.strata == wk.groups {
 			gids = sids[:k] // the strata are the groups
 		}
 	case wk.sampler != nil:
@@ -719,40 +791,24 @@ func (wk *morselWorker) foldRun(groups map[string]*groupState, global *groupStat
 		}
 		sel, ws = sel[:k], ws[:k]
 	}
-	return wk.foldKept(groups, global, sel, w, ws, gids, c)
+	return wk.foldKept(sel, w, ws, gids, c)
 }
 
 // foldDeferred settles the rows morsel p set aside and folds the kept ones
 // into its partial, after the rows the morsel folded itself. seen counts,
-// per stratum key, the rows the morsels before p passed (up to the
+// per stratum, the rows the morsels before p passed (up to the
 // pass-through), and is brought up to date: a row is then decided exactly
 // as a sampler fed the scan row by row decides it, whatever the worker count.
-func (wk *morselWorker) foldDeferred(p *morselPart, seen map[string]*int32) error {
-	ranks := wk.ranks[:0]
-	for _, st := range p.strata {
-		n := seen[st.key]
-		if n == nil {
-			n = new(int32)
-			seen[st.key] = n
-		}
-		ranks = append(ranks, *n)
-	}
-	wk.ranks = ranks
-	var global *groupState
-	switch {
-	case wk.op.agg == nil:
+func (wk *morselWorker) foldDeferred(p *morselPart, seen []int32) error {
+	if wk.op.agg == nil {
 		wk.out = p.rows // the settled rows join the morsel's, then take their place in scan order
-	case wk.groups == nil:
-		global = p.groups[""]
-	case wk.strataOf == nil:
-		wk.groups.list = p.strata // the stratum ids are the partial's group ids
-	default:
-		wk.groups.reset() // the partial's groups are taken up again as rows meet them
+	} else {
+		wk.enter(p)
 	}
 	for lo, runCap := 0, len(wk.sc.ones); lo < len(p.deferRows); lo += runCap {
 		hi := min(lo+runCap, len(p.deferRows))
 		sel, sids, ws := wk.sc.orderRun(p.deferRows[lo:hi]), p.sids[lo:hi], wk.sc.ws
-		wk.distinct.KeepRows(sel, sids, ranks, ws)
+		wk.distinct.KeepRows(sel, sids, seen, ws)
 		k := 0
 		for i, r := range sel {
 			if ws[i] != 0 {
@@ -761,15 +817,12 @@ func (wk *morselWorker) foldDeferred(p *morselPart, seen map[string]*int32) erro
 			}
 		}
 		var gids []int32
-		if wk.strataOf == nil {
+		if wk.strata == wk.groups {
 			gids = sids[:k]
 		}
-		if err := wk.foldKept(p.groups, global, sel[:k], 1, ws[:k], gids, &p.counters); err != nil {
+		if err := wk.foldKept(sel[:k], 1, ws[:k], gids, &p.counters); err != nil {
 			return err
 		}
-	}
-	for i, st := range p.strata {
-		*seen[st.key] = ranks[i]
 	}
 	if wk.op.agg == nil {
 		p.rows, wk.out = wk.out, nil
@@ -781,11 +834,10 @@ func (wk *morselWorker) foldDeferred(p *morselPart, seen map[string]*int32) erro
 }
 
 // foldKept folds the rows the samplers kept — sel, each weighing w or,
-// with ws set, ws[i], and, with gids set, of the group gids[i] of the
-// resolver's list — into groups, tallying into c: through the joins, when
-// the pipeline has any, and then fold.
-func (wk *morselWorker) foldKept(groups map[string]*groupState, global *groupState,
-	sel []int32, w float64, ws []float64, gids []int32, c *Counters) error {
+// with ws set, ws[i], and, with gids set, of the run-wide group gids[i] —
+// into the worker's partial, tallying into c: through the joins, when the
+// pipeline has any, and then fold.
+func (wk *morselWorker) foldKept(sel []int32, w float64, ws []float64, gids []int32, c *Counters) error {
 	sameWeight := ws == nil
 	switch {
 	case !sameWeight:
@@ -804,9 +856,9 @@ func (wk *morselWorker) foldKept(groups map[string]*groupState, global *groupSta
 	}
 	c.RowsEmitted += int64(len(sel))
 	if len(wk.levels) > 0 {
-		return wk.probe(0, groups, global, sel, ws)
+		return wk.probe(0, sel, ws)
 	}
-	return wk.fold(groups, global, sel, w, ws, gids, sameWeight)
+	return wk.fold(sel, w, ws, gids, sameWeight)
 }
 
 // narrow keeps the rows of sel that f holds, at the positions row reads;
@@ -835,9 +887,9 @@ func (wk *morselWorker) narrow(f rowFilter, row mappedRow, sel []int32, ws []flo
 
 // fold applies the residual predicates to the rows sel — positions of the
 // joined row after a join — and hands the survivors to the terminal: the
-// row terminal emits them, the aggregate accumulates them into groups.
-func (wk *morselWorker) fold(groups map[string]*groupState, global *groupState,
-	sel []int32, w float64, ws []float64, gids []int32, sameWeight bool) error {
+// row terminal emits them, the aggregate accumulates them into the
+// worker's partial.
+func (wk *morselWorker) fold(sel []int32, w float64, ws []float64, gids []int32, sameWeight bool) error {
 	op := wk.op
 	kern := &op.kern
 	row := mappedRow{v: &op.view, at: wk.sc.at}
@@ -858,43 +910,46 @@ func (wk *morselWorker) fold(groups map[string]*groupState, global *groupState,
 		weighted = ws[i] != 1
 	}
 
-	// Group: a group id per selected row. A global aggregate's run is one
-	// segment of rows, its one group's; with few groups the run is regrouped
-	// into a segment per group; either way a slot folds a segment in one
-	// call. With many groups the rows stay put and fold one at a time.
-	segs, ends := wk.one[:], wk.ends[:0]
-	if global != nil {
-		wk.one[0], ends = global, append(ends, int32(len(sel)))
+	// Group: a place in the partial's group list per selected row. A global
+	// aggregate's run is one segment of rows, its one group's; with few
+	// groups the run is regrouped into a segment per group; either way a
+	// slot folds a segment in one call. With many groups the rows stay put
+	// and fold one at a time.
+	acc, ends := wk.acc, wk.ends[:0]
+	if wk.groups == nil {
+		ends = append(ends, int32(len(sel)))
 	} else {
 		if gids == nil {
 			gids = wk.sc.gids[:len(sel)]
-			if err := wk.groups.resolve(sel, gids, groups); err != nil {
+			if err := wk.groups.resolve(sel, gids); err != nil {
 				return err
 			}
 		}
-		if segs = wk.groups.list; len(segs)*minRowsPerGroup <= len(sel) {
+		wk.toLocal(gids)
+		if len(acc.ids)*minRowsPerGroup <= len(sel) {
 			sel, ws, ends = wk.regroup(sel, gids, ws, sameWeight)
 		}
 	}
+	n, flagged := acc.n, acc.weighted
 	lo := int32(0)
 	for g, hi := range ends {
-		segs[g].n += float64(hi - lo)
+		n[g] += float64(hi - lo)
+		if weighted && hi > lo && !flagged[g] {
+			flagged[g] = slices.ContainsFunc(ws[lo:hi], func(w float64) bool { return w != 1 })
+		}
 		lo = hi
 	}
 	if len(ends) == 0 {
 		for i, g := range gids {
-			gs := segs[g]
-			gs.n++
+			n[g]++
 			if weighted && ws[i] != 1 {
-				for _, st := range gs.aggs {
-					st.weighted = true
-				}
+				flagged[g] = true
 			}
 		}
 	}
 
 	for j, spec := range op.agg.Aggs {
-		mode := kern.slotMode[j]
+		mode, ht, whole := kern.slotMode[j], acc.slots[j].ht, acc.slots[j].whole
 		var vals []float64
 		var nulls []bool
 		switch mode {
@@ -910,7 +965,7 @@ func (wk *morselWorker) fold(groups map[string]*groupState, global *groupState,
 					}
 				}
 				mr.idx = int(r)
-				if err := accumulate(segs[g].aggs[j], spec, mr, ws[i]); err != nil {
+				if err := accumulate(&whole[g], spec, mr, ws[i]); err != nil {
 					return err
 				}
 			}
@@ -928,10 +983,7 @@ func (wk *morselWorker) fold(groups map[string]*groupState, global *groupState,
 			if hi == lo {
 				continue
 			}
-			st, segVals, segWs := segs[g].aggs[j], vals[lo:hi], ws[lo:hi]
-			if weighted && !st.weighted {
-				st.weighted = slices.ContainsFunc(segWs, func(w float64) bool { return w != 1 })
-			}
+			segVals, segWs := vals[lo:hi], ws[lo:hi]
 			if nulls != nil {
 				// A NULL argument's row takes no part in the slot.
 				k := 0
@@ -943,12 +995,13 @@ func (wk *morselWorker) fold(groups map[string]*groupState, global *groupState,
 				}
 				segVals, segWs = wk.sc.vals[:k], wk.sc.valWs[:k]
 			}
-			st.nonNull += float64(len(segVals))
 			if mode == slotPercentile {
+				st := &whole[g]
+				st.nonNull += float64(len(segVals))
 				st.pctVals = append(st.pctVals, segVals...)
 				st.pctWeights = append(st.pctWeights, segWs...)
 			} else {
-				st.ht.AddRun(segVals, segWs)
+				ht[g].AddRun(segVals, segWs)
 			}
 			lo = hi
 		}
@@ -956,17 +1009,16 @@ func (wk *morselWorker) fold(groups map[string]*groupState, global *groupState,
 			continue
 		}
 		for i, g := range gids {
-			if nulls != nil && nulls[i] {
-				continue
-			}
-			st := segs[g].aggs[j]
-			if mode == slotPercentile {
+			switch {
+			case nulls != nil && nulls[i]:
+			case mode == slotPercentile:
+				st := &whole[g]
+				st.nonNull++
 				st.pctVals = append(st.pctVals, vals[i])
 				st.pctWeights = append(st.pctWeights, ws[i])
-			} else {
-				st.ht.Add(vals[i], ws[i])
+			default:
+				ht[g].Add(vals[i], ws[i])
 			}
-			st.nonNull++
 		}
 	}
 	return nil
@@ -1007,7 +1059,7 @@ const minRowsPerGroup = 16
 // group's rows stay in selection order: it returns the selection and its
 // weights group by group, with where each group's rows end.
 func (wk *morselWorker) regroup(sel, gids []int32, ws []float64, sameWeight bool) ([]int32, []float64, []int32) {
-	ends := wk.ends[:len(wk.groups.list)]
+	ends := wk.ends[:len(wk.acc.ids)]
 	clear(ends)
 	for _, g := range gids {
 		ends[g]++
@@ -1029,52 +1081,4 @@ func (wk *morselWorker) regroup(sel, gids []int32, ws []float64, sameWeight bool
 		ends[g]++
 	}
 	return bySel, byWs, ends
-}
-
-// newGroupState builds an empty group state; groupVal is copied.
-func newGroupState(key string, groupVal []storage.Value, slots int) *groupState {
-	gs := &groupState{key: key}
-	if len(groupVal) > 0 {
-		gs.groupVal = append([]storage.Value(nil), groupVal...)
-	}
-	states := make([]aggState, slots)
-	gs.aggs = make([]*aggState, slots)
-	for j := range gs.aggs {
-		gs.aggs[j] = &states[j]
-	}
-	return gs
-}
-
-// mergeGroupState folds src into dst; callers fold in morsel order.
-func mergeGroupState(dst, src *groupState) {
-	dst.n += src.n
-	for j := range dst.aggs {
-		mergeAggState(dst.aggs[j], src.aggs[j])
-	}
-}
-
-// mergeAggState folds one aggregate's partial state into another. Every
-// component is a plain sum, union, extremum, or ordered concatenation, so
-// folding partials in morsel order reproduces the serial accumulation
-// sequence of the same morsel decomposition exactly.
-func mergeAggState(dst, src *aggState) {
-	dst.ht.Merge(src.ht)
-	dst.weighted = dst.weighted || src.weighted
-	dst.nonNull += src.nonNull
-	if !src.min.IsNull() && (dst.min.IsNull() || src.min.Compare(dst.min) < 0) {
-		dst.min = src.min
-	}
-	if !src.max.IsNull() && (dst.max.IsNull() || src.max.Compare(dst.max) > 0) {
-		dst.max = src.max
-	}
-	if len(src.distinct) > 0 {
-		if dst.distinct == nil {
-			dst.distinct = make(map[string]struct{}, len(src.distinct))
-		}
-		for k := range src.distinct {
-			dst.distinct[k] = struct{}{}
-		}
-	}
-	dst.pctVals = append(dst.pctVals, src.pctVals...)
-	dst.pctWeights = append(dst.pctWeights, src.pctWeights...)
 }

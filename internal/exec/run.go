@@ -99,7 +99,10 @@ func aggGroups(ctx context.Context, a *plan.Aggregate, part *AggPartial, counter
 	}
 	op.agg = a
 	groups, _, err := op.run()
-	return groups, sp, err
+	if err != nil {
+		return nil, sp, err
+	}
+	return groups.states(), sp, nil
 }
 
 // runRows runs a plan without an aggregate: its projection's rows, in scan
@@ -144,8 +147,10 @@ func applyNode(n plan.Node, res *Result) error {
 	switch t := n.(type) {
 	case *plan.Filter:
 		var keep []int
+		held := new(expr.ValuesRow) // one Row for the pass: a ValuesRow passed by value boxes per call
 		for i, row := range res.Rows {
-			ok, err := expr.EvalBool(t.Pred, expr.ValuesRow(row))
+			*held = row
+			ok, err := expr.EvalBool(t.Pred, held)
 			if err != nil {
 				return err
 			}
@@ -155,10 +160,13 @@ func applyNode(n plan.Node, res *Result) error {
 		}
 		res.pick(keep)
 	case *plan.Project:
+		width := len(t.Exprs)
+		cells, held := make([]storage.Value, len(res.Rows)*width), new(expr.ValuesRow)
 		for i, row := range res.Rows {
-			vals := make([]storage.Value, len(t.Exprs))
+			*held = row
+			vals := cells[i*width : (i+1)*width : (i+1)*width]
 			for j, e := range t.Exprs {
-				v, err := e.Eval(expr.ValuesRow(row))
+				v, err := e.Eval(held)
 				if err != nil {
 					return err
 				}
@@ -196,21 +204,22 @@ func permute[T any](s []T, idx []int) []T {
 
 // sortRows orders the rows by the sort keys, stably.
 func sortRows(r *Result, keys []plan.SortKey) error {
-	vals := make([][]storage.Value, len(r.Rows))
+	width := len(keys)
+	vals, held := make([]storage.Value, len(r.Rows)*width), new(expr.ValuesRow)
 	for i, row := range r.Rows {
-		vals[i] = make([]storage.Value, len(keys))
+		*held = row
 		for k, sk := range keys {
-			v, err := sk.Expr.Eval(expr.ValuesRow(row))
+			v, err := sk.Expr.Eval(held)
 			if err != nil {
 				return err
 			}
-			vals[i][k] = v
+			vals[i*width+k] = v
 		}
 	}
 	idx := firstN(len(r.Rows))
 	sort.SliceStable(idx, func(a, b int) bool {
 		for k, sk := range keys {
-			if c := vals[idx[a]][k].Compare(vals[idx[b]][k]); c != 0 {
+			if c := vals[idx[a]*width+k].Compare(vals[idx[b]*width+k]); c != 0 {
 				return (c < 0) != sk.Desc
 			}
 		}
