@@ -165,9 +165,13 @@ func newScanGroups(dict *groupDict, modes []int) *scanGroups {
 }
 
 // fold folds a morsel's partial in. The first contribution to a group is
-// copied, later ones added component by component.
+// copied, later ones added component by component; a group the partial
+// holds a place for but folded no row into is skipped.
 func (sg *scanGroups) fold(p *morselPart) {
 	for l, g := range p.ids {
+		if p.n[l] == 0 && sg.dict.width > 0 {
+			continue
+		}
 		for int(g) >= len(sg.met) {
 			sg.add()
 			sg.met = append(sg.met, false)

@@ -504,9 +504,10 @@ type morselWorker struct {
 	out      []emitted      // the row terminal's rows of the current morsel
 	levels   []*probeLevel  // per join, the probe's vectors
 
-	acc   *morselPart // the partial the aggregate folds into
-	local []int32     // per run-wide group id, its place in acc's list plus one; 0: not in it
-	most  int         // the most groups a partial of the worker's has held
+	acc    *morselPart // the partial the aggregate folds into
+	direct bool        // acc's places are the groups' run-wide ids
+	local  []int32     // otherwise, per run-wide group id, its place in acc's list plus one; 0: not in it
+	most   int         // the most groups a partial of the worker's has held
 
 	// The distinct sampler's: strata gives the rows' run-wide stratum ids,
 	// and is groups when the strata are the groups.
@@ -537,6 +538,7 @@ func (op *morselRun) newWorker(table *storage.Table) (*morselWorker, error) {
 	wk.ends = make([]int32, 0, maxRunRows/minRowsPerGroup) // as many segments as a run can have
 	if op.agg != nil && len(op.agg.GroupBy) > 0 {
 		wk.groups = newGroupResolver(op.agg.GroupBy, op.kern.group, mappedRow{v: &op.view}, wk.sc, op.groupIDs.id)
+		wk.direct = wk.groups.dense != nil && len(wk.groups.dense) <= maxDirectGroups
 	}
 	if wk.distinct != nil {
 		wk.strata = wk.groups
@@ -571,6 +573,12 @@ type morselPart struct {
 // globalIDs is the group list of a global aggregate's partial: its one group.
 var globalIDs = []int32{0}
 
+// maxDirectGroups bounds the code space of a dictionary GROUP BY whose
+// partials place a group at its run-wide id: a morsel then holds stripes
+// for every group the scan has met, which costs little at this size, and
+// saves a per-row translation to places in the partial's own list.
+const maxDirectGroups = 256
+
 // start makes p, a new partial, the one the aggregate folds into, with
 // room for an eighth more groups than the worker's largest partial so far
 // has, but for no more than the scan has met.
@@ -592,7 +600,7 @@ func (wk *morselWorker) start(p *morselPart) {
 
 // enter makes p the partial the aggregate folds into.
 func (wk *morselWorker) enter(p *morselPart) {
-	if wk.groups != nil {
+	if wk.groups != nil && !wk.direct {
 		if wk.acc != nil {
 			for _, g := range wk.acc.ids {
 				wk.local[g] = 0
@@ -630,6 +638,14 @@ func (wk *morselWorker) toLocal(gids []int32) {
 			wk.local[g] = l
 		}
 		gids[i] = l - 1
+	}
+}
+
+// cover extends a partial whose places are run-wide ids to the ids below n.
+func (p *morselPart) cover(n int) {
+	for len(p.ids) < n {
+		p.ids = append(p.ids, int32(len(p.ids)))
+		p.add()
 	}
 }
 
@@ -804,6 +820,9 @@ func (wk *morselWorker) foldDeferred(p *morselPart, seen []int32) error {
 		wk.out = p.rows // the settled rows join the morsel's, then take their place in scan order
 	} else {
 		wk.enter(p)
+		if wk.direct {
+			p.cover(wk.op.groupIDs.size()) // the strata ids come from every worker
+		}
 	}
 	for lo, runCap := 0, len(wk.sc.ones); lo < len(p.deferRows); lo += runCap {
 		hi := min(lo+runCap, len(p.deferRows))
@@ -925,7 +944,11 @@ func (wk *morselWorker) fold(sel []int32, w float64, ws []float64, gids []int32,
 				return err
 			}
 		}
-		wk.toLocal(gids)
+		if wk.direct {
+			acc.cover(int(wk.groups.ids))
+		} else {
+			wk.toLocal(gids)
+		}
 		if len(acc.ids)*minRowsPerGroup <= len(sel) {
 			sel, ws, ends = wk.regroup(sel, gids, ws, sameWeight)
 		}

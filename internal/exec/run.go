@@ -160,6 +160,9 @@ func applyNode(n plan.Node, res *Result) error {
 		}
 		res.pick(keep)
 	case *plan.Project:
+		if passesThrough(t) {
+			return nil
+		}
 		width := len(t.Exprs)
 		cells, held := make([]storage.Value, len(res.Rows)*width), new(expr.ValuesRow)
 		for i, row := range res.Rows {
@@ -182,6 +185,20 @@ func applyNode(n plan.Node, res *Result) error {
 		}
 	}
 	return nil
+}
+
+// passesThrough reports whether p's expressions are its child's columns,
+// all of them and in order: its rows are then the child's rows.
+func passesThrough(p *plan.Project) bool {
+	if len(p.Exprs) != len(p.Child.Schema()) {
+		return false
+	}
+	for j, e := range p.Exprs {
+		if ref, ok := e.(*expr.ColRef); !ok || ref.Index != j {
+			return false
+		}
+	}
+	return true
 }
 
 // pick keeps the rows at idx, in idx's order, with their weights and
