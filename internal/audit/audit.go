@@ -464,26 +464,38 @@ func (a *Auditor) auditOne(j *job) (alive bool) {
 	if err != nil {
 		a.mu.Lock()
 		a.errors++
-		a.busy = false
 		a.mu.Unlock()
 		a.emit(Event{Kind: EventError, Technique: j.technique})
+		a.idle()
 		return true
 	}
 	a.finish(j, truth)
 	return true
 }
 
-// notePanic counts and reports one contained panic.
+// notePanic counts and reports one contained panic; one in the worker
+// ends its audit.
 func (a *Auditor) notePanic(where, technique string, err error) {
 	a.mu.Lock()
 	a.panics++
-	a.busy = false
 	a.mu.Unlock()
 	if a.cfg.Logger != nil {
 		a.cfg.Logger.Error("audit: panic contained", "where", where,
 			"technique", technique, "err", err)
 	}
 	a.emit(Event{Kind: EventPanic, Technique: technique})
+	if where == "worker" {
+		a.idle()
+	}
+}
+
+// idle marks the worker's audit done. It is called after the audit's last
+// event is emitted, so Backlog — and Drain — count the audit until its
+// events have reached the sinks.
+func (a *Auditor) idle() {
+	a.mu.Lock()
+	a.busy = false
+	a.mu.Unlock()
 }
 
 // pop takes the oldest job and marks the worker busy, so Backlog counts
@@ -545,9 +557,7 @@ func (a *Auditor) groundTruth(j *job) (*core.Result, error) {
 // only when the worker is shutting down.
 func (a *Auditor) finish(j *job, truth *core.Result) {
 	if truth == nil {
-		a.mu.Lock()
-		a.busy = false
-		a.mu.Unlock()
+		a.idle()
 		return
 	}
 	cmp := compare(j, truth)
@@ -602,12 +612,12 @@ func (a *Auditor) finish(j *job, truth *core.Result) {
 		}
 		events = append(events, a.recordContractLocked(j, cmp)...)
 		events = append(events, a.recordDriftLocked(j, truth, cmp)...)
-		a.busy = false
 	}()
 
 	for _, ev := range events {
 		a.emit(ev)
 	}
+	a.idle()
 }
 
 // checkBudgetLocked issues the error-budget verdict for one estimator

@@ -455,3 +455,34 @@ func TestShardDegradedAttribution(t *testing.T) {
 		t.Fatalf("tagged %d untagged %d, want 2/1", tagged, untagged)
 	}
 }
+
+// TestDrainWaitsForSinks holds Drain to its word: an audit counts in the
+// backlog until its last event has reached the sink, on the answer path
+// and on the ground-truth error path alike.
+func TestDrainWaitsForSinks(t *testing.T) {
+	for _, fail := range []bool{false, true} {
+		exec := &fakeExec{truth: 100, rows: 1000}
+		if fail {
+			exec.err = fmt.Errorf("boom")
+		}
+		entered, release := make(chan struct{}), make(chan struct{})
+		var once sync.Once
+		a := New(exec, nil, Config{Fraction: 1, OnEvent: func(Event) {
+			once.Do(func() { close(entered); <-release })
+		}})
+		a.Offer(claimed(98, 90, 110, 1000), distinctSQL(0))
+		select {
+		case <-entered:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("fail=%t: no audit event", fail)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		if err := a.Drain(ctx); err == nil {
+			t.Errorf("fail=%t: Drain returned while the sink still held the audit's first event", fail)
+		}
+		cancel()
+		close(release)
+		drain(t, a)
+		a.Close()
+	}
+}
