@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -64,6 +65,34 @@ var reachInterfaceMethods = []string{
 // its name is a method of an interface declared in the module or one of
 // reachInterfaceMethods.
 func TestInternalDeclarationsReachable(t *testing.T) {
+	rep, err := reachResult()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("reach: %d unreached outside the allowlist, %d allowlisted", len(rep.unreached), rep.allowlisted)
+	for _, name := range rep.unreached {
+		t.Errorf("%s: no program reaches it; delete it, or allowlist it with a reason", name)
+	}
+	for _, name := range rep.stale {
+		t.Errorf("allowlist entry %s is reached or gone; drop it", name)
+	}
+}
+
+// reachReport is what the walk finds: the unreached internal/ declarations
+// outside the allowlist, how many are on it, and the allowlist entries
+// that are reached or gone.
+type reachReport struct {
+	unreached   []string
+	allowlisted int
+	stale       []string
+}
+
+// reachResult walks the module once per test process; the size row reads
+// it too.
+var reachResult = sync.OnceValues(walkReach)
+
+func walkReach() (reachReport, error) {
+	var rep reachReport
 	l := &reachLoader{
 		fset:  token.NewFileSet(),
 		files: map[string][]string{},
@@ -71,7 +100,7 @@ func TestInternalDeclarationsReachable(t *testing.T) {
 		std:   importer.Default(),
 	}
 	if err := l.scan("."); err != nil {
-		t.Fatal(err)
+		return rep, err
 	}
 	paths := make([]string, 0, len(l.files))
 	for path := range l.files {
@@ -80,7 +109,7 @@ func TestInternalDeclarationsReachable(t *testing.T) {
 	sort.Strings(paths)
 	for _, path := range paths {
 		if _, err := l.load(path); err != nil {
-			t.Fatal(err)
+			return rep, err
 		}
 	}
 
@@ -161,8 +190,6 @@ func TestInternalDeclarationsReachable(t *testing.T) {
 	}
 	r.drain()
 
-	var unreached []string
-	allowlisted := 0
 	seen := map[string]bool{}
 	for obj := range decls {
 		if r.reached[obj] || obj.Pkg() == nil || !strings.HasPrefix(obj.Pkg().Path(), "repro/internal/") {
@@ -171,21 +198,19 @@ func TestInternalDeclarationsReachable(t *testing.T) {
 		name := reachName(obj)
 		seen[name] = true
 		if _, ok := reachAllowlist[name]; ok {
-			allowlisted++
+			rep.allowlisted++
 			continue
 		}
-		unreached = append(unreached, name)
+		rep.unreached = append(rep.unreached, name)
 	}
-	sort.Strings(unreached)
-	t.Logf("reach: %d unreached outside the allowlist, %d allowlisted", len(unreached), allowlisted)
-	for _, name := range unreached {
-		t.Errorf("%s: no program reaches it; delete it, or allowlist it with a reason", name)
-	}
+	sort.Strings(rep.unreached)
 	for name := range reachAllowlist {
 		if !seen[name] {
-			t.Errorf("allowlist entry %s is reached or gone; drop it", name)
+			rep.stale = append(rep.stale, name)
 		}
 	}
+	sort.Strings(rep.stale)
+	return rep, nil
 }
 
 type reachPkg struct {
