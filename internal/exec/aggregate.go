@@ -170,7 +170,7 @@ func newScanGroups(dict *groupDict, modes []int) *scanGroups {
 func (sg *scanGroups) fold(p *morselPart) {
 	for l, g := range p.ids {
 		if p.n[l] == 0 && sg.dict.width > 0 {
-			continue
+			continue // a global aggregate's one group stands even so
 		}
 		for int(g) >= len(sg.met) {
 			sg.add()

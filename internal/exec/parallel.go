@@ -607,15 +607,16 @@ func (wk *morselWorker) enter(p *morselPart) {
 			}
 		}
 		for l, g := range p.ids {
-			wk.local = cover(wk.local, int(g)+1)
+			wk.local = zeroExtend(wk.local, int(g)+1)
 			wk.local[g] = int32(l) + 1
 		}
 	}
 	wk.acc = p
 }
 
-// cover extends ids, which never shrinks, with zeros to at least n entries.
-func cover(ids []int32, n int) []int32 {
+// zeroExtend extends ids, which never shrinks, with zeros to at least n
+// entries.
+func zeroExtend(ids []int32, n int) []int32 {
 	if n <= len(ids) {
 		return ids
 	}
@@ -628,7 +629,7 @@ func (wk *morselWorker) toLocal(gids []int32) {
 	acc := wk.acc
 	for i, g := range gids {
 		if int(g) >= len(wk.local) {
-			wk.local = cover(wk.local, int(g)+1)
+			wk.local = zeroExtend(wk.local, int(g)+1)
 		}
 		l := wk.local[g]
 		if l == 0 {
@@ -775,7 +776,7 @@ func (wk *morselWorker) foldRun(sel []int32, blockWeight float64, c *Counters) e
 		if err := wk.strata.resolve(sel, sids); err != nil {
 			return err
 		}
-		wk.ranks = cover(wk.ranks, int(wk.strata.ids))
+		wk.ranks = zeroExtend(wk.ranks, int(wk.strata.ids))
 		wk.distinct.KeepRows(sel, sids, wk.ranks, marks)
 		k := 0
 		for i, r := range sel {
