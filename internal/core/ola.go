@@ -207,7 +207,7 @@ func (e *OLAEngine) progress(ctx context.Context, stmt *sqlparse.SelectStmt, spe
 	chunkCtx := trace.Detach(context.WithoutCancel(ctx))
 
 	// The estimate over no rows stands when there is nothing to read.
-	running := exec.EmptyAggPartial()
+	running := new(exec.AggPartial)
 	final, err := d.checkpoint(chunkCtx, running, 1, spec)
 	if err != nil {
 		return nil, err

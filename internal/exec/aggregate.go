@@ -3,7 +3,9 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/expr"
 	"repro/internal/plan"
@@ -21,35 +23,6 @@ type aggState struct {
 	// Percentile state: the (weighted) observed values.
 	pctVals    []float64
 	pctWeights []float64
-}
-
-type groupState struct {
-	key      string
-	groupVal []storage.Value
-	aggs     []*aggState
-	n        float64
-}
-
-// newGroupState builds an empty group state; groupVal is copied.
-func newGroupState(key string, groupVal []storage.Value, slots int) *groupState {
-	gs := &groupState{key: key}
-	if len(groupVal) > 0 {
-		gs.groupVal = append([]storage.Value(nil), groupVal...)
-	}
-	states := make([]aggState, slots)
-	gs.aggs = make([]*aggState, slots)
-	for j := range gs.aggs {
-		gs.aggs[j] = &states[j]
-	}
-	return gs
-}
-
-// mergeGroupState folds src into dst; callers fold in a fixed order.
-func mergeGroupState(dst, src *groupState) {
-	dst.n += src.n
-	for j := range dst.aggs {
-		mergeAggState(dst.aggs[j], src.aggs[j])
-	}
 }
 
 // mergeAggState folds one aggregate's partial state into another. Every
@@ -83,7 +56,8 @@ func mergeAggState(dst, src *aggState) {
 // folded, whether any of them weighed other than 1, and per aggregate slot
 // its own column — the six HT sums of a SUM, COUNT or AVG a kernel folds,
 // or the whole aggState of any other slot. A slot's non-null count is its
-// HT row count: both grow by one per row the slot takes.
+// HT row count: both grow by one per row the slot takes. A slot is
+// weighted when its group is or, for a whole slot, when its state says so.
 type groupStripes struct {
 	n        []float64
 	weighted []bool
@@ -95,23 +69,27 @@ type slotStripe struct {
 	whole []aggState
 }
 
-// htSlot reports whether a slot in the given mode keeps only HT sums.
-func htSlot(mode int) bool {
-	return mode == slotCountStar || mode == slotCountCol || mode == slotSumAvg
-}
-
-// newGroupStripes returns empty stripes for slots in the given modes, with
-// room for size groups.
-func newGroupStripes(modes []int, size int) groupStripes {
-	s := groupStripes{n: make([]float64, 0, size), weighted: make([]bool, 0, size), slots: make([]slotStripe, len(modes))}
-	for j, mode := range modes {
-		if htSlot(mode) {
+// newGroupStripes returns empty stripes with room for size groups: slot j
+// keeps HT sums only when htOnly[j] holds, its whole aggState otherwise.
+func newGroupStripes(htOnly []bool, size int) groupStripes {
+	s := groupStripes{n: make([]float64, 0, size), weighted: make([]bool, 0, size), slots: make([]slotStripe, len(htOnly))}
+	for j, ht := range htOnly {
+		if ht {
 			s.slots[j].ht = make([]stats.HTEstimator, 0, size)
 		} else {
 			s.slots[j].whole = make([]aggState, 0, size)
 		}
 	}
 	return s
+}
+
+// layout returns which of s's slots keep HT sums only.
+func (s *groupStripes) layout() []bool {
+	htOnly := make([]bool, len(s.slots))
+	for j, st := range s.slots {
+		htOnly[j] = st.ht != nil
+	}
+	return htOnly
 }
 
 // add appends an empty group.
@@ -126,7 +104,7 @@ func (s *groupStripes) add() {
 	}
 }
 
-// take sets group g to group l of o.
+// take sets group g to group l of o, whose slots are laid out as s's.
 func (s *groupStripes) take(g int, o *groupStripes, l int) {
 	s.n[g], s.weighted[g] = o.n[l], o.weighted[l]
 	for j, st := range s.slots {
@@ -138,7 +116,7 @@ func (s *groupStripes) take(g int, o *groupStripes, l int) {
 	}
 }
 
-// merge folds group l of o into group g, as mergeGroupState does.
+// merge folds group l of o, whose slots are laid out as s's, into group g.
 func (s *groupStripes) merge(g int, o *groupStripes, l int) {
 	s.n[g] += o.n[l]
 	s.weighted[g] = s.weighted[g] || o.weighted[l]
@@ -151,6 +129,30 @@ func (s *groupStripes) merge(g int, o *groupStripes, l int) {
 	}
 }
 
+// widen holds slot j whole from now on: each group's HT sums become an
+// aggState of them with their row count as its non-null count, and the
+// weighted flag stays the group's. A whole state read back is then the
+// state an HT slot reads as, so merging it moves no bit.
+func (s *groupStripes) widen(j int) {
+	st := &s.slots[j]
+	st.whole = make([]aggState, len(st.ht), cap(st.ht))
+	for g, ht := range st.ht {
+		st.whole[g] = aggState{ht: ht, nonNull: ht.N()}
+	}
+	st.ht = nil
+}
+
+// state returns slot j's state in group g as a whole aggState.
+func (s *groupStripes) state(g, j int) aggState {
+	st := &s.slots[j]
+	if st.ht != nil {
+		return aggState{ht: st.ht[g], nonNull: st.ht[g].N(), weighted: s.weighted[g]}
+	}
+	a := st.whole[g]
+	a.weighted = a.weighted || s.weighted[g]
+	return a
+}
+
 // scanGroups is a scan's groups, by run-wide id, as the ordered reduction
 // folds the morsels' partials into them.
 type scanGroups struct {
@@ -158,10 +160,6 @@ type scanGroups struct {
 	groupStripes
 	met   []bool // by id: some morsel has contributed
 	count int    // the ids met
-}
-
-func newScanGroups(dict *groupDict, modes []int) *scanGroups {
-	return &scanGroups{dict: dict, groupStripes: newGroupStripes(modes, len(dict.keys))}
 }
 
 // fold folds a morsel's partial in. The first contribution to a group is
@@ -186,68 +184,52 @@ func (sg *scanGroups) fold(p *morselPart) {
 	}
 }
 
-// states returns the groups met as group states, keyed by canonical key.
-func (sg *scanGroups) states() map[string]*groupState {
-	slots := len(sg.slots)
-	groups := make(map[string]*groupState, sg.count)
-	gss := make([]groupState, 0, sg.count)
-	aggs, ptrs := make([]aggState, sg.count*slots), make([]*aggState, sg.count*slots)
+// partial returns the groups met as a partial in canonical key order. It
+// is the one place group keys are sorted: every partial after it keeps the
+// order by merge-joining.
+func (sg *scanGroups) partial() *AggPartial {
+	ids := make([]int32, 0, sg.count)
 	for g, met := range sg.met {
-		if !met {
-			continue
+		if met {
+			ids = append(ids, int32(g))
 		}
-		at := len(gss) * slots
-		gss = append(gss, groupState{key: sg.dict.keys[g], groupVal: sg.dict.values(g), n: sg.n[g],
-			aggs: ptrs[at : at+slots : at+slots]})
-		for j, st := range sg.slots {
-			a := &aggs[at+j]
-			if st.ht != nil {
-				a.ht = st.ht[g]
-				a.nonNull = a.ht.N()
-			} else {
-				*a = st.whole[g]
-			}
-			a.weighted = sg.weighted[g]
-			ptrs[at+j] = a
-		}
-		gs := &gss[len(gss)-1]
-		groups[gs.key] = gs
 	}
-	return groups
+	d := sg.dict
+	slices.SortFunc(ids, func(a, b int32) int { return strings.Compare(d.keys[a], d.keys[b]) })
+	byID := &AggPartial{keys: d.keys, width: d.width, vals: d.vals, groupStripes: sg.groupStripes}
+	p := &AggPartial{keys: make([]string, 0, len(ids)), width: d.width,
+		vals: make([]storage.Value, 0, len(ids)*d.width), groupStripes: newGroupStripes(sg.layout(), len(ids))}
+	for _, g := range ids {
+		p.push(byID, int(g))
+	}
+	return p
 }
 
-// finalizeGroups renders accumulated group states to output rows with
-// per-group statistical details, ordered by canonical group key.
-func finalizeGroups(node *plan.Aggregate, groups map[string]*groupState) ([][]storage.Value, []*GroupDetail) {
-	// SQL semantics: a global aggregate over empty input yields one row.
-	if len(groups) == 0 && len(node.GroupBy) == 0 {
-		groups = map[string]*groupState{"": newGroupState("", nil, len(node.Aggs))}
-	}
-
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	if len(keys) == 0 {
-		return nil, nil
+// finalizeGroups renders a partial's groups to output rows with per-group
+// statistical details, in the partial's order: by canonical group key.
+func finalizeGroups(node *plan.Aggregate, p *AggPartial) ([][]storage.Value, []*GroupDetail) {
+	if len(p.keys) == 0 {
+		if len(node.GroupBy) > 0 {
+			return nil, nil
+		}
+		// SQL semantics: a global aggregate over empty input yields one row.
+		p = &AggPartial{keys: []string{""}, groupStripes: newGroupStripes(make([]bool, len(node.Aggs)), 1)}
+		p.add()
 	}
 	// One allocation each for the cells, the details and their slots.
-	width, slots := len(node.GroupBy)+len(node.Aggs), len(node.Aggs)
-	cells, ds, aggs := make([]storage.Value, 0, len(keys)*width), make([]GroupDetail, len(keys)), make([]AggDetail, len(keys)*slots)
-	rows, details := make([][]storage.Value, len(keys)), make([]*GroupDetail, len(keys))
-	for i, k := range keys {
-		gs := groups[k]
+	groups, width, slots := len(p.keys), len(node.GroupBy)+len(node.Aggs), len(node.Aggs)
+	cells, ds, aggs := make([]storage.Value, 0, groups*width), make([]GroupDetail, groups), make([]AggDetail, groups*slots)
+	rows, details := make([][]storage.Value, groups), make([]*GroupDetail, groups)
+	for g, key := range p.keys {
 		at := len(cells)
-		cells = append(cells, gs.groupVal...)
-		ds[i] = GroupDetail{Key: gs.key, GroupN: gs.n, Aggs: aggs[i*slots : (i+1)*slots : (i+1)*slots]}
+		cells = append(cells, p.values(g)...)
+		ds[g] = GroupDetail{Key: key, GroupN: p.n[g], Aggs: aggs[g*slots : (g+1)*slots : (g+1)*slots]}
 		for j, spec := range node.Aggs {
-			v, d := finalize(gs.aggs[j], spec)
+			v, d := finalize(p.state(g, j), spec)
 			cells = append(cells, v)
-			ds[i].Aggs[j] = d
+			ds[g].Aggs[j] = d
 		}
-		rows[i], details[i] = cells[at:len(cells):len(cells)], &ds[i]
+		rows[g], details[g] = cells[at:len(cells):len(cells)], &ds[g]
 	}
 	return rows, details
 }
@@ -324,7 +306,7 @@ func accumulate(st *aggState, spec plan.AggSpec, r expr.Row, w float64) error {
 	return nil
 }
 
-func finalize(st *aggState, spec plan.AggSpec) (storage.Value, AggDetail) {
+func finalize(st aggState, spec plan.AggSpec) (storage.Value, AggDetail) {
 	switch spec.Func {
 	case sqlparse.AggCount:
 		if spec.Distinct {

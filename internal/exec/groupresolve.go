@@ -67,14 +67,6 @@ func (d *groupDict) size() int {
 	return len(d.keys)
 }
 
-// values returns the group values of id.
-func (d *groupDict) values(id int) []storage.Value {
-	if d.width == 0 {
-		return nil
-	}
-	return d.vals[id*d.width : (id+1)*d.width : (id+1)*d.width]
-}
-
 // groupPart is the typed access path of one GROUP BY expression, a column
 // of one side of the row; with neither column set the expression is
 // evaluated per row.

@@ -11,10 +11,10 @@ import (
 // The row-at-a-time oracle the morsel path is tested against: the evaluator
 // for every predicate and expression, Decide for the samplers, a canonical
 // key (groupKeyOf) and a loop over its build rows per join, and
-// HTEstimator.Add through accumulate per group, morsel by morsel of the
-// scanned table, merged in order — the float order the morsel path
-// promises, the distinct sampler's set-aside rows folding after their
-// morsel's others. The chain above the bottom is applyNode's.
+// HTEstimator.Add through accumulate into whole-slot stripes per group,
+// morsel by morsel of the scanned table, merged in order — the float order
+// the morsel path promises, the distinct sampler's set-aside rows folding
+// after their morsel's others. The chain above the bottom is applyNode's.
 
 // oracleRow is one row the oracle's scans and joins produce.
 type oracleRow struct {
@@ -39,30 +39,28 @@ func oracleRun(t testing.TB, root plan.Node) *Result {
 	res := &Result{Schema: bottom.Schema()}
 	if agg != nil {
 		rows := oracleRows(t, agg.Child, &res.Counters)
-		total := map[string]*groupState{}
+		parts := []*AggPartial{new(AggPartial)} // each morsel's groups merge into it in order
 		for lo := 0; lo < len(rows); {
 			hi := lo
 			for hi < len(rows) && rows[hi].morsel == rows[lo].morsel {
 				hi++
 			}
-			part := map[string]*groupState{}
+			dict, part := newGroupDict(len(agg.GroupBy)), newGroupStripes(make([]bool, len(agg.Aggs)), 0)
 			for _, head := range []bool{false, true} {
 				for _, r := range rows[lo:hi] {
 					if r.head == head {
-						oracleFold(t, agg, part, r)
+						oracleFold(t, agg, dict, &part, r)
 					}
 				}
 			}
-			for k, gs := range part {
-				if dst := total[k]; dst != nil {
-					mergeGroupState(dst, gs)
-				} else {
-					total[k] = gs
-				}
+			met := make([]bool, len(dict.keys))
+			for g := range met {
+				met[g] = true
 			}
+			parts = append(parts, (&scanGroups{dict: dict, groupStripes: part, met: met, count: len(met)}).partial())
 			lo = hi
 		}
-		res.Rows, res.Details = finalizeGroups(agg, total)
+		res.Rows, res.Details = finalizeGroups(agg, MergeAggPartials(parts))
 	} else {
 		p := bottom.(*plan.Project)
 		weighted := false
@@ -86,20 +84,20 @@ func oracleRun(t testing.TB, root plan.Node) *Result {
 	return res
 }
 
-// oracleFold accumulates one row into its group of part.
-func oracleFold(t testing.TB, agg *plan.Aggregate, part map[string]*groupState, r oracleRow) {
+// oracleFold accumulates one row into its group of part, a group per id of
+// dict, every slot whole.
+func oracleFold(t testing.TB, agg *plan.Aggregate, dict *groupDict, part *groupStripes, r oracleRow) {
 	key := make([]storage.Value, len(agg.GroupBy))
 	for i, g := range agg.GroupBy {
 		key[i] = oracleEval(t, g, r.vals)
 	}
-	gs := part[groupKeyOf(key)]
-	if gs == nil {
-		gs = newGroupState(groupKeyOf(key), key, len(agg.Aggs))
-		part[gs.key] = gs
+	g := int(dict.id(groupKeyOf(key), key))
+	if g == len(part.n) {
+		part.add()
 	}
-	gs.n++
+	part.n[g]++
 	for j, spec := range agg.Aggs {
-		if err := accumulate(gs.aggs[j], spec, expr.ValuesRow(r.vals), r.w); err != nil {
+		if err := accumulate(&part.slots[j].whole[g], spec, expr.ValuesRow(r.vals), r.w); err != nil {
 			t.Fatal(err)
 		}
 	}

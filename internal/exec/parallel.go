@@ -118,6 +118,9 @@ type morselRun struct {
 // Join nodes down to a scan, whose right-hand sides the joins build from.
 func newMorselRun(ctx context.Context, below plan.Node, counters *Counters, workers int, sp *trace.Span) (*morselRun, error) {
 	op := &morselRun{ctx: ctx, counters: counters, workers: workers, sp: sp, limit: -1}
+	if workers <= 0 {
+		op.workers = ResolveWorkers(ctx, 0)
+	}
 	for n := below; op.scan == nil; {
 		switch c := n.(type) {
 		case *plan.Filter:
@@ -160,6 +163,7 @@ type morselKernels struct {
 	residual []rowFilter // per residual predicate, bound to the pipeline's row
 	group    []groupPart // typed access path per group expr
 	slotMode []int
+	htOnly   []bool // per slot: its mode folds HT sums only
 	slotArg  []valKernel
 }
 
@@ -182,7 +186,7 @@ func (op *morselRun) compileKernels() morselKernels {
 		return k
 	}
 	k.group = make([]groupPart, len(op.agg.GroupBy))
-	k.slotMode, k.slotArg = make([]int, len(op.agg.Aggs)), make([]valKernel, len(op.agg.Aggs))
+	k.slotMode, k.htOnly, k.slotArg = make([]int, len(op.agg.Aggs)), make([]bool, len(op.agg.Aggs)), make([]valKernel, len(op.agg.Aggs))
 	for i, ge := range op.agg.GroupBy {
 		if ref, ok := ge.(*expr.ColRef); ok {
 			k.group[i] = typedPart(c.column(ref.Index))
@@ -208,6 +212,7 @@ func (op *morselRun) compileKernels() morselKernels {
 			}
 		}
 		k.slotMode[j] = mode
+		k.htOnly[j] = mode == slotCountStar || mode == slotCountCol || mode == slotSumAvg
 	}
 	return k
 }
@@ -427,7 +432,7 @@ func (op *morselRun) run() (*scanGroups, []emitted, error) {
 	}
 	var groups *scanGroups
 	if op.agg != nil {
-		groups = newScanGroups(op.groupIDs, op.kern.slotMode)
+		groups = &scanGroups{dict: op.groupIDs, groupStripes: newGroupStripes(op.kern.htOnly, len(op.groupIDs.keys))}
 	}
 	var rows []emitted
 	if op.agg == nil {
@@ -584,7 +589,7 @@ const maxDirectGroups = 256
 // has, but for no more than the scan has met.
 func (wk *morselWorker) start(p *morselPart) {
 	if wk.groups == nil {
-		p.groupStripes = newGroupStripes(wk.op.kern.slotMode, 1)
+		p.groupStripes = newGroupStripes(wk.op.kern.htOnly, 1)
 		p.ids = globalIDs
 		p.add()
 	} else {
@@ -592,7 +597,7 @@ func (wk *morselWorker) start(p *morselPart) {
 		if wk.most > 0 {
 			size = min(size, wk.most+wk.most/8)
 		}
-		p.groupStripes = newGroupStripes(wk.op.kern.slotMode, size)
+		p.groupStripes = newGroupStripes(wk.op.kern.htOnly, size)
 		p.ids = make([]int32, 0, size)
 	}
 	wk.enter(p)

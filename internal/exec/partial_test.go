@@ -120,7 +120,7 @@ func TestGatherableShapes(t *testing.T) {
 		"SELECT g, SUM(v) FROM ev GROUP BY g HAVING SUM(v) > 0 ORDER BY g LIMIT 2": true,
 		"SELECT k, v FROM ev": false, // no aggregate
 	} {
-		_, err := FinalizeAggPartial(context.Background(), buildPlan(t, cat, sql), EmptyAggPartial())
+		_, err := FinalizeAggPartial(context.Background(), buildPlan(t, cat, sql), new(AggPartial))
 		if got := err == nil; got != want {
 			t.Errorf("FinalizeAggPartial(%q) error = %v, want gatherable = %v", sql, err, want)
 		}

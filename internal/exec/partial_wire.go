@@ -53,38 +53,29 @@ const (
 )
 
 // EncodeAggPartialWire serializes a partial aggregation state. The output
-// is deterministic: groups in sorted key order, distinct sets sorted.
+// is deterministic: groups in the partial's key order, distinct sets sorted.
 func EncodeAggPartialWire(p *AggPartial) ([]byte, error) {
 	if p == nil {
 		return nil, fmt.Errorf("exec: cannot encode a nil partial")
 	}
-	keys := make([]string, 0, len(p.groups))
-	for k := range p.groups {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
 	var width, slots int
-	if len(keys) > 0 {
-		width, slots = len(p.groups[keys[0]].groupVal), len(p.groups[keys[0]].aggs)
+	if len(p.keys) > 0 {
+		width, slots = p.width, len(p.slots)
 	}
-	buf := append(make([]byte, 0, 64+len(keys)*(24+12*width+64*slots)), wireMagic...)
+	buf := append(make([]byte, 0, 64+len(p.keys)*(24+12*width+64*slots)), wireMagic...)
 	c := p.Counters
 	for _, v := range [...]int64{AggPartialWireVersion, c.RowsScanned, c.RowsEmitted, c.BlocksScanned,
-		c.BlocksSkipped, c.Passes, int64(width), int64(slots), int64(len(keys))} {
+		c.BlocksSkipped, c.Passes, int64(width), int64(slots), int64(len(p.keys))} {
 		buf = binary.AppendUvarint(buf, uint64(v))
 	}
-	for _, k := range keys {
-		gs := p.groups[k]
-		if gs.key != k || len(gs.groupVal) != width || len(gs.aggs) != slots {
-			return nil, fmt.Errorf("exec: encode partial: group %q is not shaped like the partial's first group", k)
-		}
+	for g, k := range p.keys {
 		buf = appendStr(buf, k)
-		for _, v := range gs.groupVal {
+		for _, v := range p.values(g) {
 			buf = appendValue(buf, v)
 		}
-		buf = appendF64s(buf, gs.n)
-		for _, st := range gs.aggs {
-			buf = appendAgg(buf, st)
+		buf = appendF64s(buf, p.n[g])
+		for j := range slots {
+			buf = appendAgg(buf, p.state(g, j))
 		}
 	}
 	return buf, nil
@@ -132,7 +123,7 @@ func zeroValue(v storage.Value) bool {
 	return v.Typ == storage.TypeInvalid && !v.Null && !v.B && v.I == 0 && math.Float64bits(v.F) == 0 && v.S == ""
 }
 
-func appendAgg(buf []byte, st *aggState) []byte {
+func appendAgg(buf []byte, st aggState) []byte {
 	f := bit(st.weighted, aggWeighted) | bit(!zeroValue(st.min), aggMin) | bit(!zeroValue(st.max), aggMax) |
 		bit(st.distinct != nil, aggDistinct) | bit(st.pctVals != nil, aggPctVals) | bit(st.pctWeights != nil, aggPctWeights)
 	h := st.ht.State()
@@ -264,8 +255,8 @@ func (r *wireReader) agg(st *aggState) {
 	}
 	if f&aggDistinct != 0 {
 		n := r.count(1)
-		// Presized only as far as the bytes left can back, as slabCap does,
-		// at up to 64 bytes a string-keyed entry once the table rounds up.
+		// Presized only as far as the bytes left can back, at up to 64
+		// bytes a string-keyed entry once the table rounds up.
 		st.distinct = make(map[string]struct{}, min(n, slabMemPerWireByte*len(r.b)/64))
 		prev := ""
 		for i := 0; i < n; i++ {
@@ -284,17 +275,12 @@ func (r *wireReader) agg(st *aggState) {
 	}
 }
 
-// slabMemPerWireByte bounds a slab's presized memory by the bytes left.
-// An aggregate state is 216 bytes in memory and at least 57 on the wire,
-// so a slab of them never outgrows this and never moves.
+// slabMemPerWireByte bounds the memory the decoder presizes by the bytes
+// left. A group is at least 9 bytes on the wire and 25 in its stripes, and
+// a slot of it at least 57 and 216, so stripes presized for the groups a
+// count claims stay under it; group values and distinct sets, far larger
+// in memory than on the wire, are presized only as far as it allows.
 const slabMemPerWireByte = 4
-
-// slabCap returns an empty slice with room for count items, or for as many
-// as slabMemPerWireByte times the bytes left can hold, whichever is fewer.
-func slabCap[T any](r *wireReader, count int) []T {
-	var item T
-	return make([]T, 0, min(count, slabMemPerWireByte*len(r.b)/int(unsafe.Sizeof(item))))
-}
 
 // DecodeAggPartialWire deserializes a partial aggregation state,
 // consuming data exactly.
@@ -318,27 +304,23 @@ func DecodeAggPartialWire(data []byte) (*AggPartial, error) {
 	width := r.count(2)  // a value is at least its type and flags
 	slots := r.count(57) // an aggregate is at least its flags and 7 floats
 	n := r.count(1 + 2*width + 8 + 57*slots)
-	// One slab per kind for the whole partial. A value is 2 wire bytes but
-	// 48 in memory, so a slab sized from its claimed count alone would let a
-	// short body commit many times its length before a group is read:
-	// each is presized only as far as the bytes left can back (slabCap) and
-	// past that grows as items are read. A slab may move as it grows, so
-	// pointers and sub-slices into them are taken once every group is read.
-	gss := slabCap[groupState](r, n)
-	vals := slabCap[storage.Value](r, n*width)
-	states := slabCap[aggState](r, n*slots)
-	for i := 0; i < n && r.err == nil; i++ {
+	// Every slot is held whole: the wire does not say which are HT sums
+	// only. Values grow past what the bytes left can back only as read.
+	p.width, p.keys, p.groupStripes = width, make([]string, 0, n), newGroupStripes(make([]bool, slots), n)
+	p.vals = make([]storage.Value, 0, min(n*width, slabMemPerWireByte*len(r.b)/int(unsafe.Sizeof(storage.Value{}))))
+	for g := 0; g < n && r.err == nil; g++ {
 		key := r.str()
-		if i > 0 && key <= gss[i-1].key {
+		if g > 0 && key <= p.keys[g-1] {
 			r.fail("group keys out of order at %q", key)
 		}
+		p.keys = append(p.keys, key)
 		for j := 0; j < width && r.err == nil; j++ {
-			vals = append(vals, r.value())
+			p.vals = append(p.vals, r.value())
 		}
-		gss = append(gss, groupState{key: key, n: r.f64()})
+		p.add()
+		p.n[g] = r.f64()
 		for j := 0; j < slots && r.err == nil; j++ {
-			states = append(states, aggState{})
-			r.agg(&states[len(states)-1])
+			r.agg(&p.slots[j].whole[g])
 		}
 	}
 	if len(r.b) > 0 {
@@ -346,19 +328,6 @@ func DecodeAggPartialWire(data []byte) (*AggPartial, error) {
 	}
 	if r.err != nil {
 		return nil, r.err
-	}
-	// Sub-slices are capped so an append in a later merge reallocates
-	// rather than overwrite a neighbour.
-	p.groups = make(map[string]*groupState, len(gss))
-	ptrs := make([]*aggState, len(states))
-	for i := range gss {
-		gs := &gss[i]
-		gs.groupVal = vals[i*width : (i+1)*width : (i+1)*width]
-		gs.aggs = ptrs[i*slots : (i+1)*slots : (i+1)*slots]
-		for j := range gs.aggs {
-			gs.aggs[j] = &states[i*slots+j]
-		}
-		p.groups[gs.key] = gs
 	}
 	return p, nil
 }

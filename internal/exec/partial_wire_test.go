@@ -102,29 +102,29 @@ func TestAggPartialWireGolden(t *testing.T) {
 
 // partialDiff describes the first difference between two partials, or
 // returns "". Floats compare by bits; distinct sets, percentile lists and
-// group values by content.
+// group values by content; each slot as the whole state it reads as.
 func partialDiff(a, b *AggPartial) string {
 	if a.Counters != b.Counters {
 		return fmt.Sprintf("counters %+v vs %+v", a.Counters, b.Counters)
 	}
-	if len(a.groups) != len(b.groups) {
-		return fmt.Sprintf("%d groups vs %d", len(a.groups), len(b.groups))
+	if len(a.keys) != len(b.keys) {
+		return fmt.Sprintf("%d groups vs %d", len(a.keys), len(b.keys))
 	}
-	for k, ga := range a.groups {
-		gb, ok := b.groups[k]
-		if !ok {
-			return fmt.Sprintf("group %q missing", k)
+	if len(a.keys) > 0 && (a.width != b.width || len(a.slots) != len(b.slots)) {
+		return fmt.Sprintf("shape %d×%d vs %d×%d", a.width, len(a.slots), b.width, len(b.slots))
+	}
+	for g, k := range a.keys {
+		if b.keys[g] != k || !sameBits(a.n[g], b.n[g]) {
+			return fmt.Sprintf("group %d (%q) header differs", g, k)
 		}
-		if ga.key != gb.key || !sameBits(ga.n, gb.n) || len(ga.groupVal) != len(gb.groupVal) || len(ga.aggs) != len(gb.aggs) {
-			return fmt.Sprintf("group %q header differs", k)
-		}
-		for i := range ga.groupVal {
-			if !sameValue(ga.groupVal[i], gb.groupVal[i]) {
-				return fmt.Sprintf("group %q value %d: %+v vs %+v", k, i, ga.groupVal[i], gb.groupVal[i])
+		for i, v := range a.values(g) {
+			if w := b.values(g)[i]; !sameValue(v, w) {
+				return fmt.Sprintf("group %q value %d: %+v vs %+v", k, i, v, w)
 			}
 		}
-		for j, sa := range ga.aggs {
-			if d := aggDiff(sa, gb.aggs[j]); d != "" {
+		for j := range a.slots {
+			sa, sb := a.state(g, j), b.state(g, j)
+			if d := aggDiff(&sa, &sb); d != "" {
 				return fmt.Sprintf("group %q slot %d: %s", k, j, d)
 			}
 		}
@@ -170,6 +170,62 @@ func sameValue(a, b storage.Value) bool {
 	return a.Typ == b.Typ && a.Null == b.Null && a.I == b.I && sameBits(a.F, b.F) && a.S == b.S && a.B == b.B
 }
 
+// TestAggPartialMixedLayoutMerge: an in-process partial holds its SUM,
+// COUNT and AVG slots as HT sums only, a decoded one every slot whole. For
+// every wire shape, merging an in-process partial with a decoded one, in
+// either order and either way round, is bit-identical to merging two
+// in-process partials, finalized and re-encoded. The small table lacks
+// some of the large one's groups, so both the in-place merge and the
+// merged list are taken.
+func TestAggPartialMixedLayoutMerge(t *testing.T) {
+	ctx := context.Background()
+	cats := []*storage.Catalog{parallelCatalog(t, 500), parallelCatalog(t, 9)}
+	for _, q := range wireQueries {
+		t.Run(q.name, func(t *testing.T) {
+			run := func(c int) *AggPartial {
+				part, err := RunAggPartialContext(ctx, buildPlan(t, cats[c], q.sql), 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return part
+			}
+			decoded := func(c int) *AggPartial {
+				blob, err := EncodeAggPartialWire(run(c))
+				if err != nil {
+					t.Fatal(err)
+				}
+				dec, err := DecodeAggPartialWire(blob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return dec
+			}
+			finish := func(part *AggPartial) (*Result, []byte) {
+				res, err := FinalizeAggPartial(ctx, buildPlan(t, cats[0], q.sql), part)
+				if err != nil {
+					t.Fatal(err)
+				}
+				blob, err := EncodeAggPartialWire(part)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, blob
+			}
+			for _, order := range [][2]int{{0, 1}, {1, 0}} {
+				a, b := order[0], order[1]
+				want, wantBlob := finish(MergeAggPartials([]*AggPartial{run(a), run(b)}))
+				for _, mixed := range [][]*AggPartial{{run(a), decoded(b)}, {decoded(a), run(b)}} {
+					got, blob := finish(MergeAggPartials(mixed))
+					assertResultsBitIdentical(t, q.sql, want, got)
+					if !bytes.Equal(blob, wantBlob) {
+						t.Errorf("tables %v: mixed merge re-encodes to other bytes", order)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestAggPartialWireSpecialFloats: −0, ±Inf, a NaN with a payload, a
 // denormal and ±MaxFloat64 cross an HT state, a group weight, an extremum
 // and a percentile list with their exact bits.
@@ -186,9 +242,9 @@ func TestAggPartialWireSpecialFloats(t *testing.T) {
 		pctVals:    special,
 		pctWeights: special,
 	}
-	part := &AggPartial{groups: map[string]*groupState{
-		"": {key: "", n: nan, aggs: []*aggState{st}},
-	}}
+	part := &AggPartial{keys: []string{""}, groupStripes: newGroupStripes([]bool{false}, 1)}
+	part.add()
+	part.n[0], part.slots[0].whole[0] = nan, *st
 	blob, err := EncodeAggPartialWire(part)
 	if err != nil {
 		t.Fatal(err)
@@ -283,8 +339,8 @@ func TestAggPartialWireClaimsBoundMemory(t *testing.T) {
 
 // FuzzDecodeAggPartialWire: the decoder is the one parser another process
 // feeds. It must never panic, never allocate from a count the input cannot
-// back, and any input it accepts must re-encode to bytes that decode to
-// the same partial.
+// back, any input it accepts must re-encode to bytes that decode to the
+// same partial, and that partial must merge with a decoded copy of itself.
 func FuzzDecodeAggPartialWire(f *testing.F) {
 	for _, q := range wireQueries {
 		blob, err := os.ReadFile(goldenPath(q.name))
@@ -313,6 +369,9 @@ func FuzzDecodeAggPartialWire(f *testing.F) {
 		}
 		if diff := partialDiff(p, q); diff != "" {
 			t.Fatalf("re-encoding decodes to a different partial: %s", diff)
+		}
+		if MergeAggPartials([]*AggPartial{p, q}).NumGroups() != q.NumGroups() {
+			t.Fatal("merging a partial with a copy of itself changed its groups")
 		}
 	})
 }

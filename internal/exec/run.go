@@ -24,9 +24,6 @@ func RunParallel(root plan.Node, workers int) (*Result, error) {
 // rows, then the chain above. A cancelled or expired context stops the scan
 // at the next block with ctx.Err().
 func RunParallelContext(ctx context.Context, root plan.Node, workers int) (*Result, error) {
-	if workers <= 0 {
-		workers = ResolveWorkers(ctx, 0)
-	}
 	return run(ctx, root, nil, workers)
 }
 
@@ -60,11 +57,12 @@ func run(ctx context.Context, root plan.Node, part *AggPartial, workers int) (*R
 	t0 := time.Now()
 	res := &Result{Schema: bottom.Schema()}
 	if agg != nil {
-		groups, sp, err := aggGroups(ctx, agg, part, &res.Counters, workers, "")
+		part, sp, err := aggGroups(ctx, agg, part, workers, "")
 		if err != nil {
 			return nil, err
 		}
-		res.Rows, res.Details = finalizeGroups(agg, groups)
+		res.Counters = part.Counters
+		res.Rows, res.Details = finalizeGroups(agg, part)
 		sp.AddTime(time.Since(t0))
 		sp.AddRows(int64(len(res.Rows)))
 	} else if err := runRows(ctx, bottom, chain, res, workers); err != nil {
@@ -81,19 +79,18 @@ func run(ctx context.Context, root plan.Node, part *AggPartial, workers int) (*R
 }
 
 // aggGroups opens the aggregate's span, labelled with how its groups are
-// obtained, and returns them: the partial handed in (the gather side of a
-// scatter), or the rows below folded on the morsel path. step marks a run
-// that stops at the partial.
-func aggGroups(ctx context.Context, a *plan.Aggregate, part *AggPartial, counters *Counters,
-	workers int, step string) (map[string]*groupState, *trace.Span, error) {
+// obtained, and returns them as a partial: the one handed in (the gather
+// side of a scatter), or the rows below folded on the morsel path. step
+// marks a run that stops at the partial.
+func aggGroups(ctx context.Context, a *plan.Aggregate, part *AggPartial, workers int, step string) (*AggPartial, *trace.Span, error) {
 	if part != nil {
 		sp, _ := trace.StartOp(ctx, a.Explain()+" [gather]")
-		sp.SetAttrInt("groups", int64(len(part.groups)))
-		*counters = part.Counters
-		return part.groups, sp, nil
+		sp.SetAttrInt("groups", int64(part.NumGroups()))
+		return part, sp, nil
 	}
 	sp, ctx := trace.StartOp(ctx, a.Explain()+" [morsel"+step+"]")
-	op, err := newMorselRun(ctx, a.Child, counters, workers, sp)
+	var counters Counters
+	op, err := newMorselRun(ctx, a.Child, &counters, workers, sp)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -102,7 +99,9 @@ func aggGroups(ctx context.Context, a *plan.Aggregate, part *AggPartial, counter
 	if err != nil {
 		return nil, sp, err
 	}
-	return groups.states(), sp, nil
+	part = groups.partial()
+	part.Counters = counters
+	return part, sp, nil
 }
 
 // runRows runs a plan without an aggregate: its projection's rows, in scan

@@ -27,7 +27,6 @@ var reachAllowlist = map[string]string{
 	"internal/server.(*Metrics).CounterSum":        "test probe: server tests sum a counter family",
 	"internal/insight.(*Registry).Evictions":       "test probe: insight tests check the LRU cap",
 	"internal/insight.(*Registry).Regressions":     "test probe: sentinel tests read the trips",
-	"internal/exec.(*AggPartial).NumGroups":        "test probe: partial and wire tests count groups",
 	"internal/exec.(*Result).ColumnIndex":          "test probe: exec tests find a column by name",
 	"internal/trace.(*Tracer).TraceID":             "test probe: trace tests check ID propagation",
 	"internal/trace.(*Span).SpanID":                "test probe: trace tests check parent links",
