@@ -510,6 +510,65 @@ func TestRemoteDeadServerDegradesHonestly(t *testing.T) {
 	}
 }
 
+// TestRemoteWrongShapeDegrades: a reply that decodes cleanly but carries
+// another slot count, or another key width, than the coordinator's plan is
+// that shard's failure — outcome fail, a breaker failure, a degraded answer
+// from the other shards — and never a fault in the merge. Five such
+// replies in a row trip the shard's breaker.
+func TestRemoteWrongShapeDegrades(t *testing.T) {
+	for _, tc := range []struct{ name, sql, reply string }{
+		{"slots", "SELECT COUNT(*), SUM(ev_value) FROM events", "SELECT COUNT(*) FROM events"},
+		{"width", "SELECT ev_group, COUNT(*) FROM events GROUP BY ev_group", "SELECT COUNT(*) FROM events"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fx, lg, rg, handlers := remoteFixture(t, 2, RemoteOptions{ProbeInterval: -1, HedgeDelay: -1})
+			h := handlers[1]
+			p, err := BuildShardQueryPlan(Query{Stmt: parse(t, tc.reply)}, h.tbl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			part, err := exec.RunAggPartialContext(context.Background(), p, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, err := exec.EncodeAggPartialWire(part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.mu.Lock()
+			h.before = func(_ int, w http.ResponseWriter) bool {
+				writePartial(w, h.id, h.tbl.NumRows(), blob)
+				return true
+			}
+			h.mu.Unlock()
+
+			stmt := parse(t, tc.sql)
+			for run := 1; run <= 5; run++ {
+				res, err := rg.Scatter(context.Background(), stmt, ExecOptions{Workers: 2, AllowDegraded: true})
+				if err != nil {
+					t.Fatalf("run %d: scatter: %v", run, err)
+				}
+				if len(res.Failed) != 1 || res.Failed[0] != 1 || res.Outcomes[1].Status != "fail" || res.Outcomes[0].Status != "ok" {
+					t.Fatalf("run %d: failed %v, outcomes %+v; want shard 1 alone failed", run, res.Failed, res.Outcomes)
+				}
+				if !strings.Contains(res.Outcomes[1].Err.Error(), "does not fit") {
+					t.Fatalf("run %d: shard 1 error %v does not name the shape", run, res.Outcomes[1].Err)
+				}
+				// The answer is shard 0's alone.
+				local, err := lg.Shards()[0].Estimate(context.Background(), Query{Stmt: stmt}, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := finalize(t, fx, tc.sql, &ScatterResult{Partial: local})
+				assertBitIdentical(t, tc.sql, want, finalize(t, fx, tc.sql, res))
+			}
+			if trips := rg.breakers[1].Trips(); trips != 1 {
+				t.Fatalf("shard 1's breaker tripped %d times after five misshapen replies, want 1", trips)
+			}
+		})
+	}
+}
+
 // TestAttachRemoteUnreachableFailsLoudly: an address with no listener
 // fails the attach — not the first query.
 func TestAttachRemoteUnreachableFailsLoudly(t *testing.T) {
