@@ -14,10 +14,16 @@
 #   go run -C <tree>/bench . --workload W --seed S --trace 0 -out <side>.json
 #
 # one side after the other, never two at once, alternating which side goes
-# first so drift on a shared machine falls on both. It then writes file
-# (default BENCH.json) as {"parent": …, "change": …}, each side exactly the
-# file -out wrote, and prints `-compare parent change`. Cite rows from it as
-# `jq '.change.runs[] | select(.workload == "approx.single") | .metrics.qps.value' BENCH_<n>.json`.
+# first so drift on a shared machine falls on both. Before any of them it
+# runs, in each tree, `go test -count=1 -run '^TestSize$' -v .` and then,
+# timed, `go test -count=1 ./...` (after an untimed build of the tests). It
+# then writes file (default BENCH.json) as {"parent": …, "change": …}, each
+# side the file -out wrote plus, next to its env, "size" (the parsed
+# `size: key=value …` row) and "go_test_s" (that wall time in seconds), and
+# prints `-compare parent change`, which ignores the two extra keys. Cite
+# rows from it as
+# `jq '.change.runs[] | select(.workload == "approx.single") | .metrics.qps.value' BENCH_<n>.json`
+# or `jq '.change.size.loc' BENCH_<n>.json`.
 set -euo pipefail
 
 pairs=3 seed=1 workloads="" dir="" out="BENCH.json"
@@ -28,7 +34,7 @@ while getopts "n:s:w:d:o:h" opt; do
 	w) workloads=${OPTARG//,/ } ;;
 	d) dir=$OPTARG ;;
 	o) out=$OPTARG ;;
-	*) sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'; exit 2 ;;
+	*) sed -n '2,26p' "$0" | sed 's/^# \{0,1\}//'; exit 2 ;;
 	esac
 done
 shift $((OPTIND - 1))
@@ -47,6 +53,21 @@ for side in parent change; do
 done
 echo "parent $parent, change $change: $pairs pairs × {$workloads} at seed $seed, trees in $dir" >&2
 
+size() { # side: the size row as a JSON object, and the suite's wall time
+	local row t0
+	row=$(cd "$dir/$1" && go test -count=1 -run '^TestSize$' -v . | sed -n 's/.*size: //p') || true
+	jq -n --arg row "$row" 'if $row == "" then null else
+		$row | split(" ") | map(split("=") | {(.[0]): (.[1] | tonumber)}) | add end' >"$dir/$1.size.json"
+	(cd "$dir/$1" && go test -count=1 -run '^$' ./... >/dev/null) || true
+	t0=$SECONDS
+	(cd "$dir/$1" && go test -count=1 ./... >/dev/null) || echo "go test ./... failed in the $1 tree" >&2
+	echo $((SECONDS - t0)) >"$dir/$1.go_test_s"
+}
+for side in parent change; do
+	echo "== $side size row and go test" >&2
+	size "$side"
+done
+
 run() { # side workload
 	echo "== $1 $2" >&2
 	go run -C "$dir/$1/bench" . --workload "$2" --seed "$seed" --trace 0 -out "$dir/$1.json"
@@ -64,6 +85,8 @@ for w in $workloads; do
 done
 
 jq -n --slurpfile p "$dir/parent.json" --slurpfile c "$dir/change.json" \
-	'{parent: $p[0], change: $c[0]}' >"$out"
+	--slurpfile ps "$dir/parent.size.json" --slurpfile cs "$dir/change.size.json" \
+	--slurpfile pt "$dir/parent.go_test_s" --slurpfile ct "$dir/change.go_test_s" \
+	'{parent: ($p[0] + {size: $ps[0], go_test_s: $pt[0]}), change: ($c[0] + {size: $cs[0], go_test_s: $ct[0]})}' >"$out"
 echo "wrote $out" >&2
 go run -C "$dir/change/bench" . -compare "$dir/parent.json" "$dir/change.json"
