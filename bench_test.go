@@ -291,19 +291,20 @@ func BenchmarkSamplerDecide(b *testing.B) {
 	for i := range keys {
 		keys[i] = storage.Int64(int64(i)).GroupKey()
 	}
+	block, universe, distinct := sample.NewBlock(0.01, 1), sample.NewUniverse(0.01, 7), sample.NewDistinct(0.01, 4, 1)
 	samplers := []struct {
-		name string
-		s    sample.RowSampler
+		name   string
+		decide func(row int) sample.RowDecision
 	}{
-		{"uniform", sample.NewUniform(0.01, 1)},
-		{"block", sample.NewBlock(0.01, 1024, 1)},
-		{"universe", sample.NewUniverse(0.01, 7)},
-		{"distinct", sample.NewDistinct(0.01, 4, 1)},
+		{"uniform", sample.NewUniform(0.01, 1).Decide},
+		{"block", func(row int) sample.RowDecision { return block.DecideBlock(row / 1024) }},
+		{"universe", func(row int) sample.RowDecision { return universe.Decide(keys[row&1023]) }},
+		{"distinct", func(row int) sample.RowDecision { return distinct.Decide(row, keys[row&1023]) }},
 	}
 	for _, sp := range samplers {
 		b.Run(sp.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sp.s.Decide(i, keys[i&1023])
+				sp.decide(i)
 			}
 		})
 	}

@@ -5,12 +5,13 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/plan"
+	"repro/internal/sample"
 	"repro/internal/storage"
 )
 
 // The row-at-a-time oracle the morsel path is tested against: the evaluator
 // for every predicate and expression, Decide for the samplers, a canonical
-// key (groupKeyOf) and a loop over its build rows per join, and
+// key (sample.KeyOf) and a loop over its build rows per join, and
 // HTEstimator.Add through accumulate into whole-slot stripes per group,
 // morsel by morsel of the scanned table, merged in order — the float order
 // the morsel path promises, the distinct sampler's set-aside rows folding
@@ -91,7 +92,7 @@ func oracleFold(t testing.TB, agg *plan.Aggregate, dict *groupDict, part *groupS
 	for i, g := range agg.GroupBy {
 		key[i] = oracleEval(t, g, r.vals)
 	}
-	g := int(dict.id(groupKeyOf(key), key))
+	g := int(dict.id(sample.KeyOf(key), key))
 	if g == len(part.n) {
 		part.add()
 	}
@@ -119,7 +120,7 @@ func oracleKey(t testing.TB, keys []expr.Expr, vals []storage.Value) (string, bo
 			return "", false
 		}
 	}
-	return groupKeyOf(parts), true
+	return sample.KeyOf(parts), true
 }
 
 // oracleRows produces the rows of the plan below a terminal, in scan order.
@@ -197,8 +198,8 @@ func oracleScan(t testing.TB, s *plan.Scan, c *Counters) []oracleRow {
 		if i%morselRows == 0 {
 			met = map[string]int{}
 		}
-		if st.blockSamp != nil && row%bs == 0 {
-			d := st.blockSamp.DecideBlock(row / bs)
+		if st.Block != nil && row%bs == 0 {
+			d := st.Block.DecideBlock(row / bs)
 			blockKeep, blockWeight = d.Keep, d.Weight
 			if d.Keep {
 				c.BlocksScanned++
@@ -206,7 +207,7 @@ func oracleScan(t testing.TB, s *plan.Scan, c *Counters) []oracleRow {
 				c.BlocksSkipped++
 			}
 		}
-		if !blockKeep || st.uniform != nil && !st.uniform.Decide(row, "").Keep {
+		if !blockKeep || st.Uniform != nil && !st.Uniform.Decide(row).Keep {
 			continue // a row the uniform sampler drops is never read
 		}
 		c.RowsScanned++
@@ -220,18 +221,28 @@ func oracleScan(t testing.TB, s *plan.Scan, c *Counters) []oracleRow {
 			}
 		}
 		r := oracleRow{w: blockWeight, morsel: i / morselRows}
-		if st.sampler != nil {
-			key := ""
-			if st.keyer != nil {
-				key = st.keyer.Key(row)
-			}
-			d := st.sampler.Decide(row, key)
+		// Each row stage's own reference decision: the distinct sampler's
+		// is Decide fed the rows in scan order.
+		switch {
+		case st.Uniform != nil:
+			r.w *= st.Uniform.Decide(row).Weight
+		case st.Distinct != nil:
+			key := st.keyer.Key(row)
+			d := st.Distinct.Decide(row, key)
 			met[key]++
 			if !d.Keep {
 				continue
 			}
 			r.w *= d.Weight
-			r.head = st.distinct != nil && met[key] <= s.Sample.KeepThreshold
+			r.head = met[key] <= s.Sample.KeepThreshold
+		case st.Universe != nil:
+			d := st.Universe.Decide(st.keyer.Key(row))
+			if !d.Keep {
+				continue
+			}
+			if !s.Sample.NoWeight {
+				r.w *= d.Weight
+			}
 		}
 		if b.weightIdx >= 0 {
 			if wv := table.Column(b.weightIdx).Value(row); !wv.IsNull() {

@@ -311,7 +311,7 @@ func (op *morselRun) run() (*scanGroups, []emitted, error) {
 		}
 		wks = append(wks, wk)
 	}
-	if u := wks[0].uniform; u != nil {
+	if u := wks[0].Uniform; u != nil {
 		// Once per scan: the workers read one bitmap, and a first query at
 		// its (seed, rate) decides the rows on all of the query's workers.
 		if op.kept, err = u.Kept(op.ctx, table.NumRows(), op.workers); err != nil {
@@ -427,7 +427,7 @@ func (op *morselRun) run() (*scanGroups, []emitted, error) {
 	// once, so per group the float operation sequence is fixed by morsel
 	// index alone.
 	var seen []int32 // per stratum, the rows the morsels so far passed, up to the pass-through
-	if wks[0].distinct != nil {
+	if wks[0].Distinct != nil {
 		seen = make([]int32, len(op.strataIDs.keys))
 	}
 	var groups *scanGroups
@@ -545,7 +545,7 @@ func (op *morselRun) newWorker(table *storage.Table) (*morselWorker, error) {
 		wk.groups = newGroupResolver(op.agg.GroupBy, op.kern.group, mappedRow{v: &op.view}, wk.sc, op.groupIDs.id)
 		wk.direct = wk.groups.dense != nil && len(wk.groups.dense) <= maxDirectGroups
 	}
-	if wk.distinct != nil {
+	if wk.Distinct != nil {
 		wk.strata = wk.groups
 		if op.strataIDs != op.groupIDs {
 			keys, parts := make([]expr.Expr, len(op.keyIdx)), make([]groupPart, len(op.keyIdx))
@@ -662,7 +662,7 @@ func (wk *morselWorker) finish(p *morselPart, c Counters) {
 	wk.out = nil
 	wk.counters.Add(c)
 	wk.most = max(wk.most, len(p.ids))
-	if wk.distinct != nil {
+	if wk.Distinct != nil {
 		p.deferRows = append(p.deferRows, wk.rows...)
 		p.sids = append(p.sids, wk.sids...)
 	}
@@ -682,7 +682,7 @@ func (wk *morselWorker) processMorsel(ctx context.Context, lo, hi int, p *morsel
 	if op.agg != nil {
 		wk.start(p)
 	}
-	if wk.distinct != nil {
+	if wk.Distinct != nil {
 		// Only a stratum with an undecided row has counted one.
 		for _, s := range wk.sids {
 			wk.ranks[s] = 0
@@ -712,8 +712,8 @@ func (wk *morselWorker) processMorsel(ctx context.Context, lo, hi int, p *morsel
 		}
 		block := row / blockSize
 		blockEnd := min((block+1)*blockSize, hi)
-		if wk.blockSamp != nil {
-			d := wk.blockSamp.DecideBlock(block)
+		if wk.Block != nil {
+			d := wk.Block.DecideBlock(block)
 			if !d.Keep {
 				counters.BlocksSkipped++
 				row = blockEnd
@@ -722,7 +722,7 @@ func (wk *morselWorker) processMorsel(ctx context.Context, lo, hi int, p *morsel
 			counters.BlocksScanned++
 			blockWeight = d.Weight
 		}
-		if wk.uniform == nil {
+		if wk.Uniform == nil {
 			for ; row < blockEnd; row += runCap {
 				sel := wk.sc.blockRun(row, min(row+runCap, blockEnd))
 				if err := wk.foldRun(sel, blockWeight, &counters); err != nil {
@@ -766,13 +766,13 @@ func (wk *morselWorker) foldRun(sel []int32, blockWeight float64, c *Counters) e
 			return err
 		}
 	}
-	// The rows' weights: w each or, after a keyed sampler, ws[i] for sel[i].
+	// The rows' weights: w each or, after a universe stage, ws[i] for sel[i].
 	w, ws := blockWeight, []float64(nil)
 	var gids []int32
 	switch {
-	case wk.uniform != nil:
-		w *= 1 / wk.uniform.Rate()
-	case wk.distinct != nil:
+	case wk.Uniform != nil:
+		w *= wk.Weight
+	case wk.Distinct != nil:
 		// Counting from the morsel's first row, a row past the pass-through
 		// is past it in the whole scan too: the coin decides it here. One
 		// within it (weight 1: at rate 1 that is every row, which loses
@@ -782,7 +782,7 @@ func (wk *morselWorker) foldRun(sel []int32, blockWeight float64, c *Counters) e
 			return err
 		}
 		wk.ranks = zeroExtend(wk.ranks, int(wk.strata.ids))
-		wk.distinct.KeepRows(sel, sids, wk.ranks, marks)
+		wk.Distinct.KeepRows(sel, sids, wk.ranks, marks)
 		k := 0
 		for i, r := range sel {
 			switch marks[i] {
@@ -794,20 +794,16 @@ func (wk *morselWorker) foldRun(sel []int32, blockWeight float64, c *Counters) e
 				k++
 			}
 		}
-		sel, w = sel[:k], w*(1/wk.distinct.Rate())
+		sel, w = sel[:k], w*wk.Weight
 		if wk.strata == wk.groups {
 			gids = sids[:k] // the strata are the groups
 		}
-	case wk.sampler != nil:
+	case wk.Universe != nil:
 		ws = wk.sc.ws
 		k := 0
 		for _, r := range sel {
-			key := ""
-			if wk.keyer != nil {
-				key = wk.keyer.Key(int(r))
-			}
-			if d := wk.sampler.Decide(int(r), key); d.Keep {
-				sel[k], ws[k] = r, blockWeight*d.Weight
+			if wk.Universe.Decide(wk.keyer.Key(int(r))).Keep {
+				sel[k], ws[k] = r, blockWeight*wk.Weight
 				k++
 			}
 		}
@@ -833,7 +829,7 @@ func (wk *morselWorker) foldDeferred(p *morselPart, seen []int32) error {
 	for lo, runCap := 0, len(wk.sc.ones); lo < len(p.deferRows); lo += runCap {
 		hi := min(lo+runCap, len(p.deferRows))
 		sel, sids, ws := wk.sc.orderRun(p.deferRows[lo:hi]), p.sids[lo:hi], wk.sc.ws
-		wk.distinct.KeepRows(sel, sids, seen, ws)
+		wk.Distinct.KeepRows(sel, sids, seen, ws)
 		k := 0
 		for i, r := range sel {
 			if ws[i] != 0 {

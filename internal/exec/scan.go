@@ -41,45 +41,24 @@ func bindScan(s *plan.Scan) (scanBinding, error) {
 	return b, nil
 }
 
-// samplerStages is a scan's sampler split the way the row loops consume
-// it: a block stage that skips whole blocks, a row stage that thins the
-// rows of kept blocks, and the keyer feeding the row stage its stratum key.
-// All nil for an unsampled scan. Samplers are deterministic functions of
+// samplerStages is a scan's sampler as the row loops consume it
+// (sample.Spec.Stages) and the keyer feeding a keyed row stage its stratum
+// key. Zero for an unsampled scan. Samplers are deterministic functions of
 // (seed, row/block index, key) — the distinct sampler of its caller's
 // per-stratum count besides — so each morsel worker stages its own.
 type samplerStages struct {
-	blockSamp *sample.Block
-	sampler   sample.RowSampler
-	uniform   *sample.Uniform  // sampler, when it is one: the morsel scan reads only the rows it keeps
-	distinct  *sample.Distinct // sampler, when it is one: the morsel scan decides a run by stratum ids
-	keyer     *sample.Keyer    // sampler key columns; nil without any
+	sample.Stages
+	keyer *sample.Keyer // sampler key columns; nil without any
 }
 
 // stageSampler instantiates s's sampler against one snapshot of its table.
 func stageSampler(s *plan.Scan, keyIdx []int, table *storage.Table) (samplerStages, error) {
-	var st samplerStages
 	if s.Sample == nil {
-		return st, nil
+		return samplerStages{}, nil
 	}
-	rs, err := sample.New(*s.Sample, table.BlockSize())
-	if err != nil {
-		return st, err
+	st, err := s.Sample.Stages()
+	if err != nil || len(keyIdx) == 0 {
+		return samplerStages{Stages: st}, err
 	}
-	switch t := rs.(type) {
-	case *sample.Block:
-		st.blockSamp = t
-	case *sample.BiLevel:
-		// Split the stages so non-sampled blocks are skipped at the
-		// block level and kept blocks are thinned row by row.
-		st.blockSamp = t.BlockSampler()
-		st.sampler = t.RowStage()
-	default:
-		st.sampler = rs
-	}
-	st.uniform, _ = st.sampler.(*sample.Uniform)
-	st.distinct, _ = st.sampler.(*sample.Distinct)
-	if len(keyIdx) > 0 {
-		st.keyer = sample.NewKeyer(table, keyIdx)
-	}
-	return st, nil
+	return samplerStages{Stages: st, keyer: sample.NewKeyer(table, keyIdx)}, nil
 }

@@ -112,29 +112,16 @@ func BuildOutlierIndex(src *storage.Table, column string, k int, p float64, seed
 	}
 	isOutlier := make(map[int]bool, h.Len())
 	idx := &OutlierIndex{Column: column, Rate: p, SourceRows: n, BuildVersion: src.Version()}
-	for i, row := range h.rows {
-		_ = i
+	for _, row := range h.rows {
 		isOutlier[row] = true
 		idx.OutlierRows = append(idx.OutlierRows, row)
 		idx.OutlierSum += col.Value(row).AsFloat()
 	}
 
 	// Third pass: uniform sample of the remainder with weights.
-	u := NewUniform(p, seed)
-	outSchema := append(src.Schema().Clone(), storage.ColumnDef{Name: WeightColumn, Type: storage.TypeFloat64})
-	out := storage.NewTable(name, outSchema)
-	for i := 0; i < n; i++ {
-		if isOutlier[i] {
-			continue
-		}
-		d := u.Decide(i, "")
-		if !d.Keep {
-			continue
-		}
-		vals := append(src.Row(i), storage.Float64(d.Weight))
-		if err := out.AppendRow(vals...); err != nil {
-			return nil, err
-		}
+	out, err := writeUniform(src, p, seed, isOutlier, name)
+	if err != nil {
+		return nil, err
 	}
 	idx.Sample = out
 	idx.SampleRows = out.NumRows()

@@ -59,7 +59,7 @@ func TestOutlierIndexBeatsUniformOnTail(t *testing.T) {
 		var est float64
 		vcol := tbl.Column(0)
 		for i := 0; i < tbl.NumRows(); i++ {
-			if d := u.Decide(i, ""); d.Keep {
+			if d := u.Decide(i); d.Keep {
 				est += d.Weight * vcol.Value(i).AsFloat()
 			}
 		}

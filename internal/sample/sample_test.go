@@ -21,6 +21,7 @@ func TestSpecValidate(t *testing.T) {
 		{Kind: KindUniformRow, Rate: 0.5},
 		{Kind: KindBlock, Rate: 1},
 		{Kind: KindUniverse, Rate: 0.1, KeyColumns: []string{"k"}},
+		{Kind: KindUniverse, Rate: 0.1, KeyColumns: []string{"k"}, NoWeight: true},
 		{Kind: KindDistinct, Rate: 0.1, KeyColumns: []string{"g"}, KeepThreshold: 5},
 	}
 	for _, s := range good {
@@ -38,6 +39,10 @@ func TestSpecValidate(t *testing.T) {
 		{Kind: KindUniverse, Rate: 0.1},
 		{Kind: KindDistinct, Rate: 0.1},
 		{Kind: KindDistinct, Rate: 0.1, KeyColumns: []string{"g"}, NoWeight: true},
+		{Kind: KindDistinct, Rate: 0.1, KeyColumns: []string{"g"}, KeepThreshold: 0},
+		{Kind: KindUniformRow, Rate: 0.1, NoWeight: true},
+		{Kind: KindBlock, Rate: 0.1, NoWeight: true},
+		{Kind: KindBiLevel, Rate: 0.1, RowRate: 0.5, NoWeight: true},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -52,7 +57,7 @@ func TestUniformRateEmpirical(t *testing.T) {
 		n := 200000
 		kept := 0
 		for i := 0; i < n; i++ {
-			if d := u.Decide(i, ""); d.Keep {
+			if d := u.Decide(i); d.Keep {
 				kept++
 				if d.Weight != 1/p {
 					t.Fatalf("weight = %v, want %v", d.Weight, 1/p)
@@ -70,14 +75,14 @@ func TestUniformDeterministic(t *testing.T) {
 	a := NewUniform(0.3, 7)
 	b := NewUniform(0.3, 7)
 	for i := 0; i < 1000; i++ {
-		if a.Decide(i, "").Keep != b.Decide(i, "").Keep {
+		if a.Decide(i).Keep != b.Decide(i).Keep {
 			t.Fatal("same seed must give same decisions")
 		}
 	}
 	c := NewUniform(0.3, 8)
 	same := 0
 	for i := 0; i < 1000; i++ {
-		if a.Decide(i, "").Keep == c.Decide(i, "").Keep {
+		if a.Decide(i).Keep == c.Decide(i).Keep {
 			same++
 		}
 	}
@@ -87,14 +92,15 @@ func TestUniformDeterministic(t *testing.T) {
 }
 
 func TestBlockSampler(t *testing.T) {
-	b := NewBlock(0.5, 100, 1)
-	// Rows in the same block share the decision.
+	b := NewBlock(0.5, 1)
+	// A block spec's stage is the same sampler, and adds no row weight.
+	st, err := Spec{Kind: KindBlock, Rate: 0.5, Seed: 1}.Stages()
+	if err != nil || st.Uniform != nil || st.Distinct != nil || st.Universe != nil || st.Weight != 1 {
+		t.Fatalf("block stages %+v, %v", st, err)
+	}
 	for blk := 0; blk < 50; blk++ {
-		d0 := b.Decide(blk*100, "")
-		for _, off := range []int{1, 50, 99} {
-			if b.Decide(blk*100+off, "").Keep != d0.Keep {
-				t.Fatalf("block %d rows disagree", blk)
-			}
+		if st.Block.DecideBlock(blk) != b.DecideBlock(blk) {
+			t.Fatalf("block %d: the spec's stage disagrees", blk)
 		}
 	}
 	// Empirical block rate.
@@ -119,7 +125,7 @@ func TestUniverseAlignment(t *testing.T) {
 	b := NewUniverse(0.3, 123)
 	for i := 0; i < 5000; i++ {
 		key := storage.Int64(int64(i)).GroupKey()
-		if a.Decide(0, key).Keep != b.Decide(999, key).Keep {
+		if a.Decide(key).Keep != b.Decide(key).Keep {
 			t.Fatal("universe samplers with same salt must agree on keys")
 		}
 	}
@@ -128,7 +134,7 @@ func TestUniverseAlignment(t *testing.T) {
 	agree := 0
 	for i := 0; i < 5000; i++ {
 		key := storage.Int64(int64(i)).GroupKey()
-		if a.Decide(0, key).Keep == c.Decide(0, key).Keep {
+		if a.Decide(key).Keep == c.Decide(key).Keep {
 			agree++
 		}
 	}
@@ -142,7 +148,7 @@ func TestUniverseRate(t *testing.T) {
 	kept := 0
 	n := 100000
 	for i := 0; i < n; i++ {
-		if u.Decide(0, storage.Int64(int64(i)).GroupKey()).Keep {
+		if u.Decide(storage.Int64(int64(i)).GroupKey()).Keep {
 			kept++
 		}
 	}
@@ -176,8 +182,8 @@ func TestDistinctKeepsRareStrata(t *testing.T) {
 	if math.Abs(rate-0.01) > 0.002 {
 		t.Errorf("distinct tail rate = %v", rate)
 	}
-	if d.StrataSeen() != 2 {
-		t.Errorf("strata seen = %d", d.StrataSeen())
+	if len(d.seen) != 2 {
+		t.Errorf("strata seen = %d", len(d.seen))
 	}
 }
 
@@ -196,7 +202,7 @@ func TestUniformHTUnbiasedProperty(t *testing.T) {
 		u := NewUniform(0.1, int64(seed))
 		var est float64
 		for i, x := range xs {
-			if d := u.Decide(i, ""); d.Keep {
+			if d := u.Decide(i); d.Keep {
 				est += x * d.Weight
 			}
 		}
@@ -221,13 +227,13 @@ func TestSampleFilterCommutes(t *testing.T) {
 		var a, b []int
 		// sample then filter
 		for i := 0; i < 2000; i++ {
-			if u.Decide(i, "").Keep && i%mod == 0 {
+			if u.Decide(i).Keep && i%mod == 0 {
 				a = append(a, i)
 			}
 		}
 		// filter then sample
 		for i := 0; i < 2000; i++ {
-			if i%mod == 0 && u.Decide(i, "").Keep {
+			if i%mod == 0 && u.Decide(i).Keep {
 				b = append(b, i)
 			}
 		}
@@ -246,23 +252,40 @@ func TestSampleFilterCommutes(t *testing.T) {
 	}
 }
 
+// biLevel returns the stages of a bi-level spec and its combined decision
+// for a row, the block stage's and then the row stage's.
+func biLevel(t *testing.T, blockRate, rowRate float64, blockSize int, seed int64) (Stages, func(int) RowDecision) {
+	t.Helper()
+	st, err := Spec{Kind: KindBiLevel, Rate: blockRate, RowRate: rowRate, Seed: seed}.Stages()
+	if err != nil || st.Block == nil || st.Uniform == nil {
+		t.Fatalf("bilevel stages %+v, %v", st, err)
+	}
+	return st, func(i int) RowDecision {
+		bd := st.Block.DecideBlock(i / blockSize)
+		if !bd.Keep || !st.Uniform.Decide(i).Keep {
+			return RowDecision{}
+		}
+		return RowDecision{Keep: true, Weight: bd.Weight * st.Weight}
+	}
+}
+
 func TestBiLevelSampler(t *testing.T) {
-	bl := NewBiLevel(0.2, 0.1, 100, 3)
-	if math.Abs(bl.Rate()-0.02) > 1e-12 {
-		t.Fatalf("overall rate = %v", bl.Rate())
+	st, decide := biLevel(t, 0.2, 0.1, 100, 3)
+	if rate := st.Block.p * st.Uniform.p; math.Abs(rate-0.02) > 1e-12 {
+		t.Fatalf("overall rate = %v", rate)
 	}
 	// Rows of skipped blocks never pass; rows of kept blocks pass at the
 	// row rate with the combined weight.
 	kept := 0
 	n := 200000
 	for i := 0; i < n; i++ {
-		d := bl.Decide(i, "")
+		d := decide(i)
 		if d.Keep {
 			kept++
 			if math.Abs(d.Weight-50) > 1e-9 { // 1/(0.2*0.1)
 				t.Fatalf("weight = %v", d.Weight)
 			}
-			if !bl.BlockSampler().DecideBlock(i / 100).Keep {
+			if !st.Block.DecideBlock(i / 100).Keep {
 				t.Fatal("row kept from a skipped block")
 			}
 		}
@@ -283,10 +306,10 @@ func TestBiLevelHTUnbiased(t *testing.T) {
 	var acc float64
 	trials := 150
 	for seed := 0; seed < trials; seed++ {
-		bl := NewBiLevel(0.3, 0.2, 64, int64(seed))
+		_, decide := biLevel(t, 0.3, 0.2, 64, int64(seed))
 		var est float64
 		for i, x := range xs {
-			if d := bl.Decide(i, ""); d.Keep {
+			if d := decide(i); d.Keep {
 				est += d.Weight * x
 			}
 		}
@@ -303,9 +326,8 @@ func TestBiLevelSpec(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(good, 128)
-	if err != nil || s == nil {
-		t.Fatalf("New: %v", err)
+	if st, err := good.Stages(); err != nil || st.Block == nil || st.Uniform == nil {
+		t.Fatalf("Stages: %+v, %v", st, err)
 	}
 	bad := Spec{Kind: KindBiLevel, Rate: 0.2}
 	if err := bad.Validate(); err == nil {
@@ -508,25 +530,37 @@ func TestKeyerMatchesKeyOf(t *testing.T) {
 	}
 }
 
-func TestNewFromSpec(t *testing.T) {
-	cases := []Spec{
-		{Kind: KindUniformRow, Rate: 0.1},
-		{Kind: KindBlock, Rate: 0.1},
-		{Kind: KindUniverse, Rate: 0.1, KeyColumns: []string{"k"}},
-		{Kind: KindDistinct, Rate: 0.1, KeyColumns: []string{"g"}, KeepThreshold: 2},
+// TestStagesFromSpec: each kind builds its one stage at the spec's rate,
+// and a kept row weighs 1/rate on top of its block's weight, 1 under
+// NoWeight; an unsampled spec builds none, an invalid one is refused.
+func TestStagesFromSpec(t *testing.T) {
+	cases := []struct {
+		spec   Spec
+		rate   func(Stages) float64
+		weight float64
+	}{
+		{Spec{Kind: KindUniformRow, Rate: 0.1}, func(st Stages) float64 { return st.Uniform.p }, 10},
+		{Spec{Kind: KindBlock, Rate: 0.1}, func(st Stages) float64 { return st.Block.p }, 1},
+		{Spec{Kind: KindUniverse, Rate: 0.1, KeyColumns: []string{"k"}}, func(st Stages) float64 { return st.Universe.p }, 10},
+		{Spec{Kind: KindUniverse, Rate: 0.1, KeyColumns: []string{"k"}, NoWeight: true}, func(st Stages) float64 { return st.Universe.p }, 1},
+		{Spec{Kind: KindDistinct, Rate: 0.1, KeyColumns: []string{"g"}, KeepThreshold: 2}, func(st Stages) float64 { return st.Distinct.p }, 10},
+		{Spec{Kind: KindBiLevel, Rate: 0.5, RowRate: 0.1}, func(st Stages) float64 { return st.Uniform.p }, 10},
 	}
-	for _, spec := range cases {
-		s, err := New(spec, 128)
-		if err != nil || s == nil {
-			t.Errorf("New(%v): %v", spec, err)
+	for _, c := range cases {
+		st, err := c.spec.Stages()
+		if err != nil {
+			t.Errorf("Stages(%v): %v", c.spec, err)
 			continue
 		}
-		if s.Rate() != 0.1 {
-			t.Errorf("rate = %v", s.Rate())
+		if r := c.rate(st); r != 0.1 || st.Weight != c.weight {
+			t.Errorf("Stages(%v): rate %v, weight %v", c.spec, r, st.Weight)
 		}
 	}
-	if s, err := New(Spec{Kind: KindNone}, 128); err != nil || s != nil {
-		t.Error("KindNone should return nil sampler")
+	if st, err := (Spec{Kind: KindNone}).Stages(); err != nil || st != (Stages{Weight: 1}) {
+		t.Errorf("KindNone should build no stage: %+v, %v", st, err)
+	}
+	if _, err := (Spec{Kind: KindUniformRow, Rate: 2}).Stages(); err == nil {
+		t.Error("an invalid spec must be refused")
 	}
 }
 
@@ -546,11 +580,11 @@ func TestSpecString(t *testing.T) {
 func sameAsDecide(t *testing.T, u *Uniform, kept []uint64, n int) {
 	t.Helper()
 	if len(kept) < (n+63)/64 {
-		t.Fatalf("p=%v n=%d: %d words", u.Rate(), n, len(kept))
+		t.Fatalf("p=%v n=%d: %d words", u.p, n, len(kept))
 	}
 	for r := range n {
-		if got := kept[r/64]>>(r%64)&1 == 1; got != u.Decide(r, "").Keep {
-			t.Fatalf("p=%v seed=%d row %d of %d: bit %v, Decide disagrees", u.Rate(), u.seed, r, n, got)
+		if got := kept[r/64]>>(r%64)&1 == 1; got != u.Decide(r).Keep {
+			t.Fatalf("p=%v seed=%d row %d of %d: bit %v, Decide disagrees", u.p, u.seed, r, n, got)
 		}
 	}
 }
@@ -608,7 +642,7 @@ func TestUniformKeptIsDecide(t *testing.T) {
 	if kept(t, u, 0, 1) != nil {
 		t.Error("no rows, no bitmap")
 	}
-	if bl := NewBiLevel(0.5, 0.3, 100, 7); bl.RowStage().Rate() != 0.3 {
+	if st, _ := biLevel(t, 0.5, 0.3, 100, 7); st.Uniform.p != 0.3 {
 		t.Error("bi-level row stage is not its row sampler")
 	}
 }
@@ -734,7 +768,7 @@ func TestDistinctKeepRowsIsDecide(t *testing.T) {
 	if seen[0] != keep || seen[1] != keep || seen[2] == 0 || seen[2] >= keep || seen[3] == 0 {
 		t.Errorf("counts %v: want big and mid at the pass-through, rare under it, late seen", seen)
 	}
-	if heads != int(seen[0]+seen[1]+seen[2]+seen[3]) || tails == 0 || dropped == 0 || byRun.StrataSeen() != 0 {
-		t.Errorf("%d heads, %d tails, %d dropped, %d strata in the sampler's own counts", heads, tails, dropped, byRun.StrataSeen())
+	if heads != int(seen[0]+seen[1]+seen[2]+seen[3]) || tails == 0 || dropped == 0 || len(byRun.seen) != 0 {
+		t.Errorf("%d heads, %d tails, %d dropped, %d strata in the sampler's own counts", heads, tails, dropped, len(byRun.seen))
 	}
 }

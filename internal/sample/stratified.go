@@ -60,25 +60,12 @@ func BuildStratified(src *storage.Table, cfg StratifiedConfig, name string) (*St
 	}
 	// Scan a snapshot so the build is safe under concurrent appends.
 	src = src.Snapshot()
-
-	keyIdx := make([]int, len(cfg.KeyColumns))
-	for i, col := range cfg.KeyColumns {
-		idx := src.Schema().ColumnIndex(col)
-		if idx < 0 {
-			return nil, fmt.Errorf("sample: stratify column %q not in table %s", col, src.Name())
-		}
-		keyIdx[i] = idx
-	}
-	version := src.Version()
-	n := src.NumRows()
-
-	type stratum struct {
-		res  *Reservoir[int]
-		size int
+	keyer, err := strataKeyer(src, cfg.KeyColumns)
+	if err != nil {
+		return nil, err
 	}
 	strata := make(map[string]*stratum)
-	keyer := NewKeyer(src, keyIdx)
-	for i := 0; i < n; i++ {
+	for i := range src.NumRows() {
 		key := keyer.Key(i)
 		st, ok := strata[key]
 		if !ok {
@@ -88,39 +75,12 @@ func BuildStratified(src *storage.Table, cfg StratifiedConfig, name string) (*St
 		st.res.Add(i)
 		st.size++
 	}
-
-	outSchema := append(src.Schema().Clone(), storage.ColumnDef{Name: WeightColumn, Type: storage.TypeFloat64})
-	out := storage.NewTable(name, outSchema)
-
-	// Deterministic output order: sort strata keys, then row indexes.
-	keys := make([]string, 0, len(strata))
-	for k := range strata {
-		keys = append(keys, k)
+	res, err := writeStrata(src, strata, cfg.KeyColumns, name)
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		st := strata[k]
-		rows := append([]int(nil), st.res.Items()...)
-		sort.Ints(rows)
-		w := float64(st.size) / float64(len(rows))
-		for _, ri := range rows {
-			vals := src.Row(ri)
-			vals = append(vals, storage.Float64(w))
-			if err := out.AppendRow(vals...); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return &StratifiedResult{
-		Table:        out,
-		SourceRows:   n,
-		SampleRows:   out.NumRows(),
-		Strata:       len(strata),
-		SourceName:   src.Name(),
-		KeyColumns:   append([]string(nil), cfg.KeyColumns...),
-		CapPerStrata: cfg.CapPerStratum,
-		BuildVersion: version,
-	}, nil
+	res.CapPerStrata = cfg.CapPerStratum
+	return res, nil
 }
 
 // NeymanConfig controls variance-optimal stratified construction.
@@ -147,14 +107,9 @@ func BuildStratifiedNeyman(src *storage.Table, cfg NeymanConfig, name string) (*
 	}
 	// Scan a snapshot so the build is safe under concurrent appends.
 	src = src.Snapshot()
-
-	keyIdx := make([]int, len(cfg.KeyColumns))
-	for i, col := range cfg.KeyColumns {
-		idx := src.Schema().ColumnIndex(col)
-		if idx < 0 {
-			return nil, fmt.Errorf("sample: stratify column %q not in table %s", col, src.Name())
-		}
-		keyIdx[i] = idx
+	keyer, err := strataKeyer(src, cfg.KeyColumns)
+	if err != nil {
+		return nil, err
 	}
 	valIdx := src.Schema().ColumnIndex(cfg.ValueColumn)
 	if valIdx < 0 {
@@ -163,82 +118,43 @@ func BuildStratifiedNeyman(src *storage.Table, cfg NeymanConfig, name string) (*
 	if !src.Schema()[valIdx].Type.Numeric() {
 		return nil, fmt.Errorf("sample: value column %q is not numeric", cfg.ValueColumn)
 	}
-	version := src.Version()
-	n := src.NumRows()
+	n, val := src.NumRows(), src.Column(valIdx)
 
 	// Pass 1: per-stratum size and spread (Welford).
-	type stratStat struct {
-		n, mean, m2 float64
-	}
-	statsBy := make(map[string]*stratStat)
-	var order []string
-	keyer := NewKeyer(src, keyIdx)
+	strata := make(map[string]*stratum)
 	for i := 0; i < n; i++ {
 		key := keyer.Key(i)
-		st, ok := statsBy[key]
+		st, ok := strata[key]
 		if !ok {
-			st = &stratStat{}
-			statsBy[key] = st
-			order = append(order, key)
+			st = &stratum{}
+			strata[key] = st
 		}
-		st.n++
-		x := src.Column(valIdx).Value(i).AsFloat()
+		st.size++
+		x := val.Value(i).AsFloat()
 		d := x - st.mean
-		st.mean += d / st.n
+		st.mean += d / float64(st.size)
 		st.m2 += d * (x - st.mean)
 	}
-	sort.Strings(order)
+	order := sortedKeys(strata)
 	sizes := make([]float64, len(order))
 	devs := make([]float64, len(order))
 	for h, key := range order {
-		st := statsBy[key]
-		sizes[h] = st.n
-		if st.n > 1 {
-			devs[h] = math.Sqrt(st.m2 / st.n)
+		st := strata[key]
+		sizes[h] = float64(st.size)
+		if st.size > 1 {
+			devs[h] = math.Sqrt(st.m2 / sizes[h])
 		}
 	}
 	alloc := stats.NeymanAllocation(sizes, devs, float64(cfg.TotalBudget))
-	capBy := make(map[string]int, len(order))
-	for h, key := range order {
-		c := int(alloc[h] + 0.5)
-		if c < 1 {
-			c = 1
-		}
-		capBy[key] = c
-	}
 
 	// Pass 2: per-stratum reservoirs at the allocated sizes.
-	res := make(map[string]*Reservoir[int], len(order))
 	for h, key := range order {
-		res[key] = NewReservoir[int](capBy[key], cfg.Seed+int64(h))
+		strata[key].res = NewReservoir[int](max(int(alloc[h]+0.5), 1), cfg.Seed+int64(h))
 	}
 	for i := 0; i < n; i++ {
-		res[keyer.Key(i)].Add(i)
+		strata[keyer.Key(i)].res.Add(i)
 	}
-
-	outSchema := append(src.Schema().Clone(), storage.ColumnDef{Name: WeightColumn, Type: storage.TypeFloat64})
-	out := storage.NewTable(name, outSchema)
-	for _, key := range order {
-		r := res[key]
-		rows := append([]int(nil), r.Items()...)
-		sort.Ints(rows)
-		w := float64(statsBy[key].n) / float64(len(rows))
-		for _, ri := range rows {
-			vals := append(src.Row(ri), storage.Float64(w))
-			if err := out.AppendRow(vals...); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return &StratifiedResult{
-		Table:        out,
-		SourceRows:   n,
-		SampleRows:   out.NumRows(),
-		Strata:       len(order),
-		SourceName:   src.Name(),
-		KeyColumns:   append([]string(nil), cfg.KeyColumns...),
-		BuildVersion: version,
-	}, nil
+	return writeStrata(src, strata, cfg.KeyColumns, name)
 }
 
 // BuildUniformTable materializes a uniform Bernoulli sample of src at rate
@@ -249,28 +165,93 @@ func BuildUniformTable(src *storage.Table, p float64, seed int64, name string) (
 	}
 	// Scan a snapshot so the build is safe under concurrent appends.
 	src = src.Snapshot()
+	out, err := writeUniform(src, p, seed, nil, name)
+	if err != nil {
+		return nil, err
+	}
+	return &StratifiedResult{
+		Table:        out,
+		SourceRows:   src.NumRows(),
+		SampleRows:   out.NumRows(),
+		Strata:       1,
+		SourceName:   src.Name(),
+		BuildVersion: src.Version(),
+	}, nil
+}
 
-	version := src.Version()
-	n := src.NumRows()
-	u := NewUniform(p, seed)
-	outSchema := append(src.Schema().Clone(), storage.ColumnDef{Name: WeightColumn, Type: storage.TypeFloat64})
-	out := storage.NewTable(name, outSchema)
-	for i := 0; i < n; i++ {
-		d := u.Decide(i, "")
-		if !d.Keep {
-			continue
+// stratum is one stratum of a stratified build: its row count, the running
+// mean and squared deviations of the value column a Neyman allocation
+// reads, and the reservoir of the rows it keeps.
+type stratum struct {
+	size     int
+	mean, m2 float64
+	res      *Reservoir[int]
+}
+
+// strataKeyer resolves the stratification columns of src.
+func strataKeyer(src *storage.Table, cols []string) (*Keyer, error) {
+	idx := make([]int, len(cols))
+	for i, col := range cols {
+		if idx[i] = src.Schema().ColumnIndex(col); idx[i] < 0 {
+			return nil, fmt.Errorf("sample: stratify column %q not in table %s", col, src.Name())
 		}
-		vals := append(src.Row(i), storage.Float64(d.Weight))
-		if err := out.AppendRow(vals...); err != nil {
-			return nil, err
+	}
+	return NewKeyer(src, idx), nil
+}
+
+// sortedKeys returns the strata's keys in order.
+func sortedKeys(strata map[string]*stratum) []string {
+	keys := make([]string, 0, len(strata))
+	for k := range strata {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// weightedTable returns an empty stored sample of src: its schema and the
+// weight column.
+func weightedTable(src *storage.Table, name string) *storage.Table {
+	return storage.NewTable(name, append(src.Schema().Clone(), storage.ColumnDef{Name: WeightColumn, Type: storage.TypeFloat64}))
+}
+
+// writeStrata writes the rows the strata's reservoirs hold as a stored
+// sample of src: strata in key order, each one's rows in row order at
+// weight size/kept, so a stratum's weights sum to its size.
+func writeStrata(src *storage.Table, strata map[string]*stratum, keyCols []string, name string) (*StratifiedResult, error) {
+	out := weightedTable(src, name)
+	for _, key := range sortedKeys(strata) {
+		st := strata[key]
+		rows := append([]int(nil), st.res.Items()...)
+		sort.Ints(rows)
+		w := storage.Float64(float64(st.size) / float64(len(rows)))
+		for _, r := range rows {
+			if err := out.AppendRow(append(src.Row(r), w)...); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return &StratifiedResult{
 		Table:        out,
-		SourceRows:   n,
+		SourceRows:   src.NumRows(),
 		SampleRows:   out.NumRows(),
-		Strata:       1,
+		Strata:       len(strata),
 		SourceName:   src.Name(),
-		BuildVersion: version,
+		KeyColumns:   append([]string(nil), keyCols...),
+		BuildVersion: src.Version(),
 	}, nil
+}
+
+// writeUniform writes the rows of src a uniform sampler at rate p keeps,
+// but for those in skip, as a stored sample at weight 1/p.
+func writeUniform(src *storage.Table, p float64, seed int64, skip map[int]bool, name string) (*storage.Table, error) {
+	u, out := NewUniform(p, seed), weightedTable(src, name)
+	for i := range src.NumRows() {
+		if d := u.Decide(i); d.Keep && !skip[i] {
+			if err := out.AppendRow(append(src.Row(i), storage.Float64(d.Weight))...); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return out, nil
 }

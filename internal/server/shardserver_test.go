@@ -15,6 +15,7 @@ import (
 	aqp "repro"
 	"repro/internal/exec"
 	"repro/internal/fault"
+	"repro/internal/sample"
 	"repro/internal/shard"
 )
 
@@ -313,6 +314,35 @@ func TestShardServerVersionSkewRejected(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("wrong-table estimate: HTTP %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestShardServerRefusesSpecItWouldNotRun: a sampler spec on the wire that
+// would run as another sampler — a distinct keep of 0, run as keep 1 while
+// EXPLAIN printed keep=0, or a unit weight on a uniform scan — is refused
+// with a 400 rather than answered.
+func TestShardServerRefusesSpecItWouldNotRun(t *testing.T) {
+	db := buildDB(t, 1_000)
+	tbl, err := db.Table("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewShardServer(tbl, ShardServerConfig{ShardID: 0}).Handler())
+	defer ts.Close()
+	for _, spec := range []sample.Spec{
+		{Kind: sample.KindDistinct, Rate: 0.5, KeyColumns: []string{"g"}, KeepThreshold: 0, Seed: 1},
+		{Kind: sample.KindUniformRow, Rate: 0.5, Seed: 1, NoWeight: true},
+	} {
+		body, _ := json.Marshal(shard.EstimateRequest{V: shard.WireVersion, Table: "t",
+			SQL: "SELECT g, SUM(x) FROM t GROUP BY g", Sample: &spec})
+		resp, err := http.Post(ts.URL+"/shard/estimate", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("estimate with %v: HTTP %d, want 400", spec, resp.StatusCode)
+		}
 	}
 }
 

@@ -39,7 +39,7 @@ var reachAllowlist = map[string]string{
 	"internal/stats.(*RollingQuantiles).N":         "test probe: rolling tests count observations",
 	"internal/stats.(*HTEstimator).Count":          "test probe: estimator tests read the count",
 	"internal/storage.(*Float64Column).Float":      "test probe: storage tests read one cell",
-	"internal/sample.(*Distinct).StrataSeen":       "test probe: distinct sampler tests count strata",
+	"internal/sample.(*Distinct).Decide":           "reference: TestDistinctKeepRowsIsDecide and the exec oracle compare KeepRows with it",
 	"internal/sample.(*StratifiedResult).Fraction": "test probe: stratified tests read the realised rate",
 	"internal/stats.Stratum":                       "reference: TestMergeIsStratifiedComposition compares the shard merge with it",
 	"internal/stats.CombineTotals":                 "reference: TestMergeIsStratifiedComposition compares the shard merge with it",
