@@ -2,7 +2,7 @@ package exec
 
 // Typed group-key resolution for the morsel run loop.
 //
-// A group's identity is its canonical key string (groupKeyOf), but the run
+// A group's identity is its canonical key string (sample.KeyOf), but the run
 // loop must not build that string — or box a storage.Value — per row. The
 // resolver instead identifies a row's group by what storage already
 // holds: the dictionary code of a string column, the raw int64 of an
@@ -22,6 +22,7 @@ import (
 	"sync"
 
 	"repro/internal/expr"
+	"repro/internal/sample"
 	"repro/internal/storage"
 )
 
@@ -243,23 +244,11 @@ func (r *groupResolver) firstSeen(i int) int32 {
 	if len(r.parts) == 1 && r.parts[0].dict != nil {
 		key = r.parts[0].dict.RowKey(int(r.rows[0][i]))
 	} else {
-		key = groupKeyOf(r.vals)
+		key = sample.KeyOf(r.vals)
 	}
 	id := r.newID(key, r.vals)
 	r.ids = max(r.ids, id+1)
 	return id
-}
-
-// groupKeyOf builds the canonical composite key of a value tuple.
-func groupKeyOf(vals []storage.Value) string {
-	if len(vals) == 0 {
-		return ""
-	}
-	key := vals[0].GroupKey()
-	for _, v := range vals[1:] {
-		key += "\x1f" + v.GroupKey()
-	}
-	return key
 }
 
 // typedPart is the typed access path to a column of the given side, if it

@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/plan"
+	"repro/internal/sample"
 	"repro/internal/storage"
 )
 
@@ -155,7 +156,7 @@ func (op *morselRun) build(js *joinStage) error {
 				null = null || vals[k].IsNull()
 			}
 			if !null {
-				key := groupKeyOf(vals)
+				key := sample.KeyOf(vals)
 				id, seen := ix.keys[key]
 				if !seen {
 					id, ix.keys[key] = nkeys, nkeys
