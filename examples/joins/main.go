@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 
 	aqp "repro"
 	"repro/internal/workload"
@@ -39,8 +40,8 @@ func main() {
 			ci = fmt.Sprintf("±%.1f%%", it.RelHalfWidth*100)
 		}
 		fmt.Printf("%-15s pairs=%-10.0f (err %5.1f%%, CI %-7s)  revenue=%-14.0f (err %5.1f%%)  rows_emitted=%d\n",
-			label, pairs, 100*abs(pairs-truePairs)/truePairs, ci,
-			rev, 100*abs(rev-trueRev)/trueRev,
+			label, pairs, 100*math.Abs(pairs-truePairs)/truePairs, ci,
+			rev, 100*math.Abs(rev-trueRev)/trueRev,
 			res.Diagnostics.Counters.RowsEmitted)
 	}
 
@@ -69,11 +70,4 @@ func main() {
 	for _, m := range auto.Diagnostics.Messages {
 		fmt.Println("  ·", m)
 	}
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

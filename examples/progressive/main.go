@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 	"strings"
 
 	aqp "repro"
@@ -61,13 +62,6 @@ func main() {
 		est := res.Float(i, revIdx)
 		truth := exact.Float(i, revIdx)
 		fmt.Printf("  %-16s est %.4g  exact %.4g  (err %.2f%%)\n",
-			res.Rows[i][0].S, est, truth, 100*abs(est-truth)/truth)
+			res.Rows[i][0].S, est, truth, 100*math.Abs(est-truth)/truth)
 	}
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -313,13 +313,6 @@ func supportedForSampling(stmt *sqlparse.SelectStmt) (bool, string) {
 // confidencePerEstimate allocates the joint confidence across estimates
 // via Boole's inequality: k aggregate slots times g groups.
 func confidencePerEstimate(spec ErrorSpec, slots, groups int) float64 {
-	k := slots * maxInt(groups, 1)
+	k := slots * max(groups, 1)
 	return stats.AllocateConfidence(spec.Confidence, k)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

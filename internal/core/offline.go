@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -490,7 +491,7 @@ func maxRelError(exact, approx *Result) (float64, bool) {
 			case ev == 0:
 				rel = 1
 			default:
-				rel = abs(av-ev) / abs(ev)
+				rel = math.Abs(av-ev) / math.Abs(ev)
 			}
 			if rel > m {
 				m = rel
@@ -498,11 +499,4 @@ func maxRelError(exact, approx *Result) (float64, bool) {
 		}
 	}
 	return m, true
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -34,7 +34,7 @@ func runE17(s Scale) (*Table, error) {
 	onCfg.DefaultRate = 0.02
 	online := core.NewOnlineEngine(star.Catalog, onCfg)
 	olaCfg := core.DefaultOLAConfig()
-	olaCfg.ChunkRows = maxInt(s.Rows/20, 1000)
+	olaCfg.ChunkRows = max(s.Rows/20, 1000)
 	ola := core.NewOLAEngine(star.Catalog, olaCfg)
 	exact := core.NewExactEngine(star.Catalog)
 

@@ -58,7 +58,7 @@ func runE18(s Scale) (*Table, error) {
 		Header: []string{"budget_rows", "method", "mean_rel_err", "max_rel_err", "rows_used"}}
 	// Budgets scale with the table so the allocation pressure (budget ≪
 	// stratum sizes) is preserved at every experiment scale.
-	budgets := []int{maxInt(s.Rows/600, 96), maxInt(s.Rows/150, 384), maxInt(s.Rows/40, 1536)}
+	budgets := []int{max(s.Rows/600, 96), max(s.Rows/150, 384), max(s.Rows/40, 1536)}
 	for _, budget := range budgets {
 		capEq := budget / 32
 		if capEq < 1 {

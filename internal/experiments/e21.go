@@ -29,7 +29,7 @@ func init() {
 // only the two latency columns are wall-clock.
 func runE21(s Scale) (*Table, error) {
 	const sql = "SELECT SUM(ev_value) AS s FROM events"
-	trials := maxInt(s.Trials, 3)
+	trials := max(s.Trials, 3)
 	ev, err := workload.GenerateEvents(workload.EventsConfig{
 		Seed: s.Seed, Rows: s.Rows, NumGroups: 16, Skew: 0.8})
 	if err != nil {

@@ -42,7 +42,7 @@ func runE5(s Scale) (*Table, error) {
 	// The sample ladder must scale with the data: the top rung holds a
 	// quarter of an average group so the profiled error stays certifiable.
 	offCfg := core.DefaultOfflineConfig()
-	offCfg.Caps = []int{1024, maxInt(s.Rows/32/4, 2048)}
+	offCfg.Caps = []int{1024, max(s.Rows/32/4, 2048)}
 	offCfg.UniformRates = []float64{0.01}
 	offCfg.SafetyFactor = 1.2
 	offline := core.NewOfflineEngine(ev.Catalog, offCfg)
@@ -280,19 +280,12 @@ func runE7(s Scale) (*Table, error) {
 			meanErr += relErr(d.Estimate, truth)
 		}
 		cov := float64(covered) / float64(trials)
-		denom := float64(maxInt(valid, 1))
+		denom := float64(max(valid, 1))
 		t.AddRow(sc.name, itoa(int64(trials)), pct(cov), f4(ciRel/denom), f4(meanErr/denom))
 	}
 	t.AddNote("empty samples count as misses: a CI that never existed cannot cover")
 	t.AddNote("undercoverage on selective/join scenarios is the paper's 'no honest guarantee' warning")
 	return t, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // E8 — synopses. Claim: a precomputed synopsis answers its narrow query

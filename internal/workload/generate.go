@@ -70,10 +70,10 @@ func GenerateStar(cfg Config) (*Star, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	s := &Star{Catalog: storage.NewCatalog(), rng: rng, cfg: cfg}
 
-	nOrders := maxInt(cfg.LineitemRows/4, 8)
-	nCust := maxInt(nOrders/10, 8)
-	nPart := maxInt(cfg.LineitemRows/20, 8)
-	nSupp := maxInt(cfg.LineitemRows/100, 8)
+	nOrders := max(cfg.LineitemRows/4, 8)
+	nCust := max(nOrders/10, 8)
+	nPart := max(cfg.LineitemRows/20, 8)
+	nSupp := max(cfg.LineitemRows/100, 8)
 	s.NumOrders = nOrders
 
 	s.Supplier = storage.NewTableWithBlockSize("supplier", storage.Schema{
@@ -208,13 +208,6 @@ func newKeyPicker(rng *rand.Rand, n int, skew float64) func() int64 {
 	}
 	z := rand.NewZipf(rng, math.Max(skew, 1.001), 1, uint64(n-1))
 	return func() int64 { return int64(z.Uint64()) + 1 }
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func round2(x float64) float64 { return math.Round(x*100) / 100 }
