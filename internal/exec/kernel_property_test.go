@@ -319,14 +319,10 @@ func hostileCatalog(t *testing.T, rows int) *storage.Catalog {
 // tableView binds expressions to a table's own schema.
 func tableView(t *storage.Table) *rowView { return &rowView{tables: []*storage.Table{t}} }
 
-// TestHostileValuesFoldBitForBit: over NaN, ±Inf, -0.0, MaxFloat64, int64
-// past 2^53 and an all-NULL run, sampled at 50 % so that w·(w−1)·x² meets an
-// infinite x — by the Bernoulli coin and by the distinct sampler, whose
-// rows carry two weights, and through a join whose build rows fan out and
-// weigh in as factors — the morsel path returns the oracle's estimates,
-// variances, counts and counters, and the same bits at one and four
-// workers.
-func TestHostileValuesFoldBitForBit(t *testing.T) {
+// hostileWithDim is hostileCatalog plus the dimension hd the join cases
+// read: key g0 twice, so its build rows fan out, with an infinite factor
+// hw, and a NULL key.
+func hostileWithDim(t *testing.T) *storage.Catalog {
 	cat := hostileCatalog(t, 20_000) // block 256: three morsels of 8192 rows
 	dim := storage.NewTable("hd", storage.Schema{{Name: "hg", Type: storage.TypeString}, {Name: "hw", Type: storage.TypeFloat64}})
 	for _, r := range [][]storage.Value{{storage.Str("g0"), storage.Float64(math.Inf(1))}, {storage.Str("g2"), storage.Float64(-0.5)},
@@ -338,7 +334,79 @@ func TestHostileValuesFoldBitForBit(t *testing.T) {
 	if err := cat.Add(dim); err != nil {
 		t.Fatal(err)
 	}
-	const aggs = "SELECT COUNT(*), COUNT(x), SUM(x), AVG(x), SUM(x * i), AVG(x / (i - 9007199254740992)), SUM(x * x)"
+	return cat
+}
+
+// hostileAggs is the aggregate list the hostile-value tests fold: counts,
+// sums and means whose arguments meet NaN, ±Inf, -0.0 and products past
+// MaxFloat64.
+const hostileAggs = "COUNT(*), COUNT(x), SUM(x), AVG(x), SUM(x * i), AVG(x / (i - 9007199254740992)), SUM(x * x)"
+
+// checkHostileFold runs sql through the oracle and the morsel path at one
+// and four workers and requires every group's estimates, variances and
+// counts to the bit, the oracle's rows and counters, and the same details
+// at both worker counts.
+func checkHostileFold(t *testing.T, cat *storage.Catalog, sql string) {
+	t.Helper()
+	want := oracleRun(t, buildPlan(t, cat, sql))
+	var one *Result
+	for _, workers := range []int{1, 4} {
+		p := buildPlan(t, cat, sql)
+		part, err := RunAggPartialContext(context.Background(), p, workers)
+		if err != nil {
+			t.Fatalf("W=%d %q: %v", workers, sql, err)
+		}
+		got, err := FinalizeAggPartial(context.Background(), p, part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Details) != len(want.Details) || len(got.Details) == 0 {
+			t.Fatalf("W=%d %q: %d groups, oracle %d", workers, sql, len(got.Details), len(want.Details))
+		}
+		if workers == 1 {
+			one = got
+		} else {
+			for g := range got.Details {
+				if err := sameDetail(got.Details[g], one.Details[g]); err != nil {
+					t.Errorf("%q: group %d: W=4 vs W=1: %v", sql, g, err)
+				}
+			}
+		}
+		// Against the oracle a NaN matches any NaN: its payload depends on
+		// the operand order the compiler picked for Add's sums and for
+		// AddRun's, which is not ours to fix.
+		for g, d := range got.Details {
+			if d.Key != want.Details[g].Key || d.GroupN != want.Details[g].GroupN {
+				t.Errorf("W=%d %q: group %d is %q (n=%v), oracle %q (n=%v)", workers, sql, g,
+					d.Key, d.GroupN, want.Details[g].Key, want.Details[g].GroupN)
+			}
+			for j, x := range d.Aggs {
+				y := want.Details[g].Aggs[j]
+				for _, f := range [][2]float64{{x.Estimate, y.Estimate}, {x.Variance, y.Variance}, {x.N, y.N}} {
+					if math.Float64bits(f[0]) != math.Float64bits(f[1]) && !(math.IsNaN(f[0]) && math.IsNaN(f[1])) {
+						t.Errorf("W=%d %q: group %d slot %d: morsel fold %+v, oracle %+v", workers, sql, g, j, x, y)
+					}
+				}
+			}
+		}
+		if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+			t.Errorf("W=%d %q: rows %v, oracle %v", workers, sql, got.Rows, want.Rows)
+		}
+		if got.Counters != want.Counters || want.Counters.RowsEmitted == 0 {
+			t.Errorf("W=%d %q: counters %+v, oracle %+v", workers, sql, got.Counters, want.Counters)
+		}
+	}
+}
+
+// TestHostileValuesFoldBitForBit: over NaN, ±Inf, -0.0, MaxFloat64, int64
+// past 2^53 and an all-NULL run, sampled at 50 % so that w·(w−1)·x² meets an
+// infinite x — by the Bernoulli coin and by the distinct sampler, whose
+// rows carry two weights, and through a join whose build rows fan out and
+// weigh in as factors — the morsel path returns the oracle's estimates,
+// variances, counts and counters, and the same bits at one and four
+// workers.
+func TestHostileValuesFoldBitForBit(t *testing.T) {
+	cat := hostileWithDim(t)
 	for _, c := range [][2]string{
 		{"BERNOULLI (50)", "x <= 1 OR NOT (x >= -1)"}, // an unordered pair compares equal in the evaluator
 		{"BERNOULLI (50)", "NOT (x < 0) AND i <> 9007199254740993"},
@@ -348,46 +416,34 @@ func TestHostileValuesFoldBitForBit(t *testing.T) {
 		{"BERNOULLI (50) JOIN hd ON g = hg", "x > -1e300 AND x < 1e300"},
 		{"DISTINCT (50, 700) ON (g) JOIN hd ON g = hg AND x * hw < 1e300", "NOT (x < 0)"},
 	} {
-		sql := aggs + ", SUM(x * 0.5) FROM h TABLESAMPLE " + c[0] + " WHERE " + c[1]
+		sql := "SELECT " + hostileAggs + ", SUM(x * 0.5) FROM h TABLESAMPLE " + c[0] + " WHERE " + c[1]
 		if strings.Contains(c[0], "JOIN") {
-			sql = aggs + ", SUM(x * hw) FROM h TABLESAMPLE " + c[0] + " WHERE " + c[1]
+			sql = "SELECT " + hostileAggs + ", SUM(x * hw) FROM h TABLESAMPLE " + c[0] + " WHERE " + c[1]
 		}
-		want := oracleRun(t, buildPlan(t, cat, sql))
-		var one *Result
-		for _, workers := range []int{1, 4} {
-			p := buildPlan(t, cat, sql)
-			part, err := RunAggPartialContext(context.Background(), p, workers)
-			if err != nil {
-				t.Fatalf("W=%d %q: %v", workers, sql, err)
-			}
-			got, err := FinalizeAggPartial(context.Background(), p, part)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if workers == 1 {
-				one = got
-			} else if err := sameDetail(got.Details[0], one.Details[0]); err != nil {
-				t.Errorf("%q: W=4 vs W=1: %v", sql, err)
-			}
-			// Against the oracle a NaN matches any NaN: its payload
-			// depends on the operand order the compiler picked for Add's
-			// sums and for AddRun's, which is not ours to fix.
-			for j, x := range got.Details[0].Aggs {
-				y := want.Details[0].Aggs[j]
-				for _, f := range [][2]float64{{x.Estimate, y.Estimate}, {x.Variance, y.Variance}, {x.N, y.N}} {
-					if math.Float64bits(f[0]) != math.Float64bits(f[1]) && !(math.IsNaN(f[0]) && math.IsNaN(f[1])) {
-						t.Errorf("W=%d %q: slot %d: morsel fold %+v, oracle %+v", workers, sql, j, x, y)
-					}
-				}
-			}
-			if got.Details[0].GroupN != want.Details[0].GroupN || fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
-				t.Errorf("W=%d %q: rows %v (n=%v), oracle %v (n=%v)", workers, sql,
-					got.Rows, got.Details[0].GroupN, want.Rows, want.Details[0].GroupN)
-			}
-			if got.Counters != want.Counters || want.Counters.RowsEmitted == 0 {
-				t.Errorf("W=%d %q: counters %+v, oracle %+v", workers, sql, got.Counters, want.Counters)
-			}
+		checkHostileFold(t, cat, sql)
+	}
+}
+
+// TestHostileExactFoldBitForBit is TestHostileValuesFoldBitForBit without
+// a sampler: every row weighs 1, so the fold meets NaN, ±Inf and -0.0 at
+// unit weight — globally, grouped, and through the fanning join, whose
+// infinite factor reaches a product while the weight stays 1.
+func TestHostileExactFoldBitForBit(t *testing.T) {
+	cat := hostileWithDim(t)
+	for _, c := range [][2]string{
+		{"h", "x <= 1 OR NOT (x >= -1)"},
+		{"h", "NOT (x < 0) AND i <> 9007199254740993"},
+		{"h", "g <> 'g1' OR x > 1e308"},
+		{"h", "x > -1e300 AND x < 1e300"}, // finite sums: the order within a morsel shows
+		{"h JOIN hd ON g = hg", "x > -1e300 AND x < 1e300"},
+		{"h JOIN hd ON g = hg AND x * hw < 1e300", "NOT (x < 0)"},
+	} {
+		last := ", SUM(x * 0.5)"
+		if strings.Contains(c[0], "JOIN") {
+			last = ", SUM(x * hw)"
 		}
+		checkHostileFold(t, cat, "SELECT "+hostileAggs+last+" FROM "+c[0]+" WHERE "+c[1])
+		checkHostileFold(t, cat, "SELECT g, "+hostileAggs+last+" FROM "+c[0]+" WHERE "+c[1]+" GROUP BY g")
 	}
 }
 
