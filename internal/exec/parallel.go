@@ -1020,13 +1020,21 @@ func (wk *morselWorker) fold(sel []int32, w float64, ws []float64, gids []int32,
 				}
 				segVals, segWs = wk.sc.vals[:k], wk.sc.valWs[:k]
 			}
-			if mode == slotPercentile {
+			// A run whose weights are all 1 folds without the variance
+			// terms, which add only ±0 at w = 1; the estimator falls back to
+			// AddRun's updates wherever that could move a bit.
+			switch {
+			case mode == slotPercentile:
 				st := &whole[g]
 				st.nonNull += float64(len(segVals))
 				st.pctVals = append(st.pctVals, segVals...)
 				st.pctWeights = append(st.pctWeights, segWs...)
-			} else {
+			case weighted:
 				ht[g].AddRun(segVals, segWs)
+			case mode == slotSumAvg:
+				ht[g].AddUnitRun(segVals)
+			default:
+				ht[g].AddUnitCount(len(segVals))
 			}
 			lo = hi
 		}
