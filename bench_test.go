@@ -344,20 +344,40 @@ func BenchmarkQuantiles(b *testing.B) {
 	})
 }
 
-// BenchmarkHTEstimator measures the estimator accumulation hot loop.
+// BenchmarkHTEstimator measures the estimator's accumulation over a
+// 4096-row run in the forms the scan calls, in ns/row: a per-row Add (the
+// many-group fold), AddRun at sampled weights, and the unit-weight paths an
+// exact SUM/AVG and COUNT take.
 func BenchmarkHTEstimator(b *testing.B) {
+	const rows = 4096
 	rng := rand.New(rand.NewSource(1))
-	xs := make([]float64, 4096)
+	xs, ws := make([]float64, rows), make([]float64, rows)
 	for i := range xs {
-		xs[i] = rng.Float64() * 100
+		xs[i], ws[i] = rng.Float64()*100, 100
 	}
-	b.ResetTimer()
-	var ht stats.HTEstimator
-	for i := 0; i < b.N; i++ {
-		ht.Add(xs[i&4095], 100)
-	}
-	if ht.N() == 0 {
-		b.Fatal("no adds")
+	for _, c := range []struct {
+		name string
+		fold func(*stats.HTEstimator)
+	}{
+		{"add", func(ht *stats.HTEstimator) {
+			for i, x := range xs {
+				ht.Add(x, ws[i])
+			}
+		}},
+		{"run/weighted", func(ht *stats.HTEstimator) { ht.AddRun(xs, ws) }},
+		{"run/unit", func(ht *stats.HTEstimator) { ht.AddUnitRun(xs) }},
+		{"count/unit", func(ht *stats.HTEstimator) { ht.AddUnitCount(rows) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var ht stats.HTEstimator
+			for i := 0; i < b.N; i++ {
+				c.fold(&ht)
+			}
+			if ht.N() == 0 {
+				b.Fatal("no rows folded")
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+		})
 	}
 }
 
