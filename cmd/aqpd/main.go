@@ -103,7 +103,6 @@ func main() {
 		shardServe = flag.Bool("shard-serve", false, "run as a shard server: serve one loaded table's partition over the shard wire protocol (/shard/estimate, /shard/health) instead of the full query API")
 		shardID    = flag.Int("shard-id", 0, "this shard's index within its group (with -shard-serve)")
 		remoteCall = flag.Duration("remote-call-timeout", 0, "per-call deadline on remote-shard RPCs (0 = library default)")
-		remoteHdg  = flag.Duration("remote-hedge-delay", 0, "remote-shard hedge delay (0 = adaptive p95, negative disables hedging)")
 		remotePrb  = flag.Duration("remote-probe-interval", 0, "remote-shard health-probe cadence (0 = library default, negative disables)")
 		telemetry  = flag.Bool("telemetry", false, "enable the observability layer: metric time-series (GET /metrics/history), SLO engine (GET /slo), flight recorder (GET /debug/flightrecord, dumped on SIGQUIT), span export (GET /debug/spans)")
 		telemStep  = flag.Duration("telemetry-step", 10*time.Second, "metric snapshot cadence")
@@ -163,7 +162,6 @@ func main() {
 	if len(remotes) > 0 {
 		opt := aqp.RemoteShardOptions{
 			CallTimeout:   *remoteCall,
-			HedgeDelay:    *remoteHdg,
 			ProbeInterval: *remotePrb,
 		}
 		if err := attachRemotes(db, remotes, *shardKey, *shardKind, opt); err != nil {

@@ -430,8 +430,8 @@ func meta(sh *shell, line string) bool {
 					if !h.Alive {
 						state = "DOWN"
 					}
-					remote = fmt.Sprintf("%s %s probe=%.1fms retries=%d hedges=%d/%d",
-						h.Addr, state, h.ProbeLatencyMS, h.Retries, h.HedgeWins, h.Hedges)
+					remote = fmt.Sprintf("%s %s probe=%.1fms retries=%d",
+						h.Addr, state, h.ProbeLatencyMS, h.Retries)
 				}
 				fmt.Printf("  %-6d %-7s %10d %8v %8d  %s\n",
 					h.ID, h.Kind, h.Rows, h.Open, h.Trips, remote)

@@ -338,18 +338,18 @@ func (o *Observers) onInsightEvent(ev insight.Event) {
 // onShardEvent files per-shard outcome telemetry: one counter increment per
 // shard per scatter, labeled by table, shard, and outcome; the flight
 // recorder additionally retains non-ok outcomes as events. Remote envelope
-// events (retries, hedges, probe transitions) get their own counters — they
-// describe the wire, not a scatter outcome — and all but routine hedge
-// fires land in the flight recorder too.
+// events (retries, probe transitions) get their own counters — they
+// describe the wire, not a scatter outcome — and land in the flight
+// recorder too.
 func (o *Observers) onShardEvent(ev shard.Event) {
-	kind, family, quiet := "shard", "shard_exec_total{outcome", "ok"
+	kind, family := "shard", "shard_exec_total{outcome"
 	switch ev.Type {
-	case "retry", "hedge", "hedge_win", "probe_down", "probe_up":
-		kind, family, quiet = "shard_remote", "shard_remote_total{event", "hedge"
+	case "retry", "probe_down", "probe_up":
+		kind, family = "shard_remote", "shard_remote_total{event"
 	}
 	o.met.Inc(fmt.Sprintf(`%s="%s",shard="%d",table="%s"}`,
 		family, EscapeLabelValue(ev.Type), ev.Shard, EscapeLabelValue(ev.Table)))
-	if ev.Type != quiet {
+	if ev.Type != "ok" {
 		o.flight.AddEvent(telemetry.Event{
 			Kind: kind, Name: ev.Table, Detail: ev.Type, Shard: ev.Shard, TraceID: ev.TraceID,
 		})

@@ -14,7 +14,6 @@ import (
 
 	aqp "repro"
 	"repro/internal/exec"
-	"repro/internal/fault"
 	"repro/internal/sample"
 	"repro/internal/shard"
 )
@@ -132,11 +131,7 @@ func TestRemoteClusterBitIdenticalToLocal(t *testing.T) {
 // recorder. Never a silently wrong answer.
 func TestRemoteClusterKillDegradedHonest(t *testing.T) {
 	rc := startRemoteCluster(t, 20_000, 4,
-		aqp.RemoteShardOptions{
-			ProbeInterval: 30 * time.Millisecond,
-			HedgeDelay:    -1,
-			Retry:         fault.RetryConfig{Tries: 2, Base: time.Millisecond},
-		},
+		aqp.RemoteShardOptions{ProbeInterval: 30 * time.Millisecond},
 		Config{Workers: 2, Telemetry: true, FlightQueries: 16}, samplingOnline())
 
 	// Healthy baseline.

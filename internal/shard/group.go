@@ -273,8 +273,8 @@ func (g *Group) ShardTable(i int) *storage.Table {
 func (g *Group) Rows() int { return g.base.NumRows() }
 
 // SetObserver installs a callback invoked with per-shard outcomes during
-// scatters and with remote envelope events (retries, hedges, probe
-// transitions); the server uses it for metrics and flight records.
+// scatters and with remote envelope events (retries, probe transitions);
+// the server uses it for metrics and flight records.
 func (g *Group) SetObserver(fn func(Event)) {
 	g.mu.Lock()
 	g.obs = fn

@@ -2,14 +2,11 @@ package shard
 
 // RemoteShard: the network implementation of the Shard interface, wrapped
 // in a robustness envelope. Every call gets (1) a per-call deadline
-// derived from the query deadline minus gather slack, (2) deterministic
-// seeded-jitter retries for these idempotent endpoints, with permanent
-// (4xx) failures exempted via fault.ErrNoRetry and the retry budget
-// capped and counted, and (3) tail-latency hedging: when the first
-// attempt is slower than a p95-based delay, a second identical request
-// fires and the first response wins, the loser cancelled through the
-// shared context. The hedge rate is capped so a persistently slow server
-// degrades into ordinary timeouts instead of doubling its own load.
+// derived from the query deadline minus gather slack, and (2)
+// deterministic seeded-jitter retries for these idempotent endpoints, with
+// permanent (4xx) failures exempted via fault.ErrNoRetry and the retries
+// counted. Each attempt is exactly one HTTP request: a straggler is bounded
+// by the call deadline, the retry budget and the shard's breaker.
 // Fault points at remote.dial / remote.send / remote.recv / remote.decode
 // let the chaos harness kill, delay, or corrupt the wire deterministically.
 //
@@ -26,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -48,22 +44,13 @@ var (
 )
 
 const (
-	// maxRemoteTries caps the retry budget per logical call regardless of
-	// configuration: a shard that needs more than 4 attempts is degraded,
-	// not retried into availability.
-	maxRemoteTries = 4
 	// maxWireBytes bounds a response read (64 MiB — far above any real
 	// partial, small enough to contain a runaway server). A larger body
 	// is refused, never decoded as a truncated prefix.
 	maxWireBytes = 64 << 20
-	// coldHedgeDelay is the hedge delay before the latency ring has
-	// enough observations to estimate a p95.
-	coldHedgeDelay = 25 * time.Millisecond
 	// gatherSlack is reserved out of the query deadline for the merge/
 	// finalize step after the last shard answers.
 	gatherSlack = 100 * time.Millisecond
-	// hedgeMaxFraction caps hedged calls as a fraction of total calls.
-	hedgeMaxFraction = 0.1
 )
 
 // RemoteOptions tunes the remote-shard client envelope. The zero value
@@ -72,53 +59,10 @@ type RemoteOptions struct {
 	// CallTimeout caps any single RPC (default 10s). The effective
 	// per-call deadline is min(CallTimeout, query deadline − gatherSlack).
 	CallTimeout time.Duration
-	// Retry tunes the per-call retry envelope. Tries is capped at 4; the
-	// jitter is seeded per shard, so replays retry identically.
-	Retry fault.RetryConfig
-	// HedgeDelay fixes the hedge delay. 0 selects the adaptive delay: the
-	// p95 of the shard's recent call latencies (25ms until warmed up).
-	// Negative disables hedging. Hedged calls never exceed
-	// hedgeMaxFraction of all calls.
-	HedgeDelay time.Duration
 	// ProbeInterval is the background health-probe cadence (default 2s).
 	// Negative disables background probing (the attach-time probe still
 	// runs).
 	ProbeInterval time.Duration
-}
-
-// latRing is a fixed ring of recent call latencies for the adaptive
-// hedge delay.
-type latRing struct {
-	mu   sync.Mutex
-	buf  [64]time.Duration
-	n    int // total observations (saturating at len(buf) for reads)
-	next int
-}
-
-func (r *latRing) add(d time.Duration) {
-	r.mu.Lock()
-	r.buf[r.next] = d
-	r.next = (r.next + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
-	r.mu.Unlock()
-}
-
-// quantile returns the q-quantile of the ring, requiring at least 8
-// observations before it claims to know anything.
-func (r *latRing) quantile(q float64) (time.Duration, bool) {
-	r.mu.Lock()
-	n := r.n
-	tmp := make([]time.Duration, n)
-	copy(tmp, r.buf[:n])
-	r.mu.Unlock()
-	if n < 8 {
-		return 0, false
-	}
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-	idx := int(q * float64(n-1))
-	return tmp[idx], true
 }
 
 // RemoteShard forwards Shard calls to a shard-server process over the
@@ -131,12 +75,7 @@ type RemoteShard struct {
 	client  *http.Client
 	onEvent func(Event) // set once at attach, before any call
 
-	calls     atomic.Int64
-	retries   atomic.Int64
-	hedges    atomic.Int64
-	hedgeWins atomic.Int64
-
-	lats latRing
+	retries atomic.Int64
 
 	mu      sync.Mutex
 	rows    int
@@ -180,7 +119,7 @@ func (r *RemoteShard) Bounds() (lo, hi storage.Value, ok bool) {
 }
 
 // Estimate implements Shard: serialize the query, run it through the
-// retry/hedge envelope, decode the partial the reply body carries.
+// retry envelope, decode the partial the reply body carries.
 func (r *RemoteShard) Estimate(ctx context.Context, q Query, workers int) (*exec.AggPartial, error) {
 	if q.Stmt == nil {
 		return nil, fmt.Errorf("shard %d: remote estimate without a statement", r.id)
@@ -238,8 +177,6 @@ func (r *RemoteShard) Health() Health {
 		Alive:          r.alive,
 		ProbeLatencyMS: r.probeMS,
 		Retries:        r.retries.Load(),
-		Hedges:         r.hedges.Load(),
-		HedgeWins:      r.hedgeWins.Load(),
 	}
 }
 
@@ -274,118 +211,27 @@ type reply struct {
 	hdr  http.Header
 }
 
-// call runs one logical RPC through the retry envelope. attempts beyond
-// the first are counted and surfaced as events/metrics.
+// call runs one logical RPC through the retry envelope: one request per
+// attempt, 3 attempts at most, with the jitter seeded per shard so replays
+// retry identically. Attempts beyond the first are counted and surfaced as
+// events/metrics.
 func (r *RemoteShard) call(ctx context.Context, path string, body []byte) (reply, error) {
-	cfg := r.opt.Retry
-	if cfg.Tries <= 0 {
-		cfg.Tries = 3
-	}
-	if cfg.Tries > maxRemoteTries {
-		cfg.Tries = maxRemoteTries
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = int64(r.id) + 1
-	}
 	tid := traceIDFrom(ctx)
 	attempt := 0
 	var rep reply
-	err := fault.Retry(ctx, cfg, func() (err error) {
+	err := fault.Retry(ctx, fault.RetryConfig{Seed: int64(r.id) + 1}, func() (err error) {
 		attempt++
 		if attempt > 1 {
 			r.retries.Add(1)
 			r.emit("retry", tid)
 		}
-		rep, err = r.hedged(ctx, path, body)
+		rep, err = r.once(ctx, path, body)
 		return err
 	})
 	return rep, err
 }
 
-// hedged runs one attempt with tail-latency hedging: if the first request
-// hasn't answered within the hedge delay (and the hedge budget allows), a
-// second identical request fires; the first response wins and the loser
-// is cancelled through the shared context.
-func (r *RemoteShard) hedged(ctx context.Context, path string, body []byte) (reply, error) {
-	r.calls.Add(1)
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type result struct {
-		rep    reply
-		err    error
-		hedged bool
-	}
-	ch := make(chan result, 2)
-	launch := func(isHedge bool) {
-		rep, err := r.once(hctx, path, body)
-		ch <- result{rep, err, isHedge}
-	}
-	go launch(false)
-	outstanding := 1
-
-	var hedgeTimer <-chan time.Time
-	if d, ok := r.hedgeDelay(); ok {
-		hedgeTimer = time.After(d)
-	}
-
-	var firstErr error
-	for {
-		select {
-		case <-hedgeTimer:
-			hedgeTimer = nil
-			r.hedges.Add(1)
-			r.emit("hedge", traceIDFrom(ctx))
-			outstanding++
-			go launch(true)
-		case res := <-ch:
-			outstanding--
-			if res.err == nil {
-				cancel() // release the loser, if one is still in flight
-				if res.hedged {
-					r.hedgeWins.Add(1)
-					r.emit("hedge_win", traceIDFrom(ctx))
-				}
-				return res.rep, nil
-			}
-			if firstErr == nil {
-				firstErr = res.err
-			}
-			if outstanding == 0 {
-				// Fast failures don't hedge: the retry envelope, not the
-				// hedger, owns the re-attempt decision.
-				return reply{}, firstErr
-			}
-		case <-ctx.Done():
-			return reply{}, ctx.Err()
-		}
-	}
-}
-
-// hedgeDelay decides whether this call may hedge, and after how long.
-func (r *RemoteShard) hedgeDelay() (time.Duration, bool) {
-	if r.opt.HedgeDelay < 0 {
-		return 0, false
-	}
-	// Budget: hedges may not exceed hedgeMaxFraction of calls (+1 so a
-	// cold client can hedge its very first straggler).
-	if float64(r.hedges.Load()) >= hedgeMaxFraction*float64(r.calls.Load())+1 {
-		return 0, false
-	}
-	if r.opt.HedgeDelay > 0 {
-		return r.opt.HedgeDelay, true
-	}
-	if d, ok := r.lats.quantile(0.95); ok {
-		if d < time.Millisecond {
-			d = time.Millisecond
-		}
-		return d, true
-	}
-	return coldHedgeDelay, true
-}
-
-// once issues a single HTTP request, threading the chaos fault points and
-// recording the latency of successful calls for the adaptive hedge delay.
+// once issues a single HTTP request, threading the chaos fault points.
 func (r *RemoteShard) once(ctx context.Context, path string, body []byte) (reply, error) {
 	if err := injectRemoteDial.Inject(); err != nil {
 		return reply{}, fmt.Errorf("shard %d %s: %w", r.id, path, err)
@@ -403,7 +249,6 @@ func (r *RemoteShard) once(ctx context.Context, path string, body []byte) (reply
 	if err := injectRemoteSend.Inject(); err != nil {
 		return reply{}, fmt.Errorf("shard %d %s: %w", r.id, path, err)
 	}
-	start := time.Now()
 	resp, err := r.client.Do(req)
 	if err != nil {
 		return reply{}, fmt.Errorf("shard %d %s: %w", r.id, path, err)
@@ -431,7 +276,6 @@ func (r *RemoteShard) once(ctx context.Context, path string, body []byte) (reply
 		}
 		return reply{}, err
 	}
-	r.lats.add(time.Since(start))
 	return reply{body: data, hdr: resp.Header}, nil
 }
 
@@ -463,8 +307,12 @@ func (r *RemoteShard) probeOnce(ctx context.Context) error {
 		return fmt.Errorf("shard %d health: %w", r.id, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil || resp.StatusCode != http.StatusOK {
+	data, err := readReply(resp, 1<<20)
+	if err != nil {
+		r.setAlive(false, 0)
+		return fmt.Errorf("shard %d health: read response: %w", r.id, err)
+	}
+	if resp.StatusCode != http.StatusOK {
 		r.setAlive(false, 0)
 		return fmt.Errorf("shard %d health: HTTP %d", r.id, resp.StatusCode)
 	}

@@ -185,10 +185,7 @@ func assertBitIdentical(t *testing.T, sql string, want, got *exec.Result) {
 // backoff; the call succeeds on a later attempt, and the retries are
 // counted and surfaced as events.
 func TestRemoteRetriesTransient(t *testing.T) {
-	fx, _, rg, handlers := remoteFixture(t, 2, RemoteOptions{
-		ProbeInterval: -1, HedgeDelay: -1,
-		Retry: fault.RetryConfig{Tries: 3, Base: time.Millisecond},
-	})
+	fx, _, rg, handlers := remoteFixture(t, 2, RemoteOptions{ProbeInterval: -1})
 	handlers[1].before = func(n int, w http.ResponseWriter) bool {
 		if n <= 2 {
 			http.Error(w, "transient overload", http.StatusServiceUnavailable)
@@ -232,10 +229,7 @@ func TestRemoteRetriesTransient(t *testing.T) {
 // TestRemotePermanent4xxNotRetried: a 400 rejection is permanent — one
 // request, no retries, the shard degrades immediately.
 func TestRemotePermanent4xxNotRetried(t *testing.T) {
-	_, _, rg, handlers := remoteFixture(t, 2, RemoteOptions{
-		ProbeInterval: -1, HedgeDelay: -1,
-		Retry: fault.RetryConfig{Tries: 4, Base: time.Millisecond},
-	})
+	_, _, rg, handlers := remoteFixture(t, 2, RemoteOptions{ProbeInterval: -1})
 	handlers[0].before = func(n int, w http.ResponseWriter) bool {
 		http.Error(w, "schema skew", http.StatusBadRequest)
 		return true
@@ -259,76 +253,24 @@ func TestRemotePermanent4xxNotRetried(t *testing.T) {
 	}
 }
 
-// TestRemoteHedgeWins: when the first request straggles past the fixed
-// hedge delay, a hedge fires and its response wins; the loser is
-// cancelled and the counters and events say so.
-func TestRemoteHedgeWins(t *testing.T) {
-	_, _, rg, handlers := remoteFixture(t, 2, RemoteOptions{
-		ProbeInterval: -1, HedgeDelay: 20 * time.Millisecond,
-	})
-	var n0 atomic.Int64
+// TestRemoteOneRequestPerAttempt: a slow but healthy shard is asked once
+// per scatter — no second request races the first — and its answer is
+// used, not degraded.
+func TestRemoteOneRequestPerAttempt(t *testing.T) {
+	_, _, rg, handlers := remoteFixture(t, 2, RemoteOptions{ProbeInterval: -1})
 	handlers[0].before = func(n int, w http.ResponseWriter) bool {
-		// Only the first concurrent request straggles; the hedge is fast.
-		if n0.Add(1) == 1 {
-			time.Sleep(400 * time.Millisecond)
-		}
+		time.Sleep(150 * time.Millisecond)
 		return false
 	}
-	var events []Event
-	var mu sync.Mutex
-	rg.SetObserver(func(e Event) {
-		mu.Lock()
-		events = append(events, e)
-		mu.Unlock()
-	})
-	res, err := rg.Scatter(context.Background(), parse(t, "SELECT COUNT(*) FROM events"),
-		ExecOptions{Workers: 2})
-	if err != nil || res.Degraded() {
-		t.Fatalf("scatter: err=%v degraded=%v", err, res != nil && res.Degraded())
-	}
-	h := rg.Shards()[0].Health()
-	if h.Hedges < 1 {
-		t.Fatalf("no hedge fired for the straggling shard: %+v", h)
-	}
-	if h.HedgeWins < 1 {
-		t.Fatalf("hedge fired but did not win against a 400ms straggler: %+v", h)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	var sawHedge, sawWin bool
-	for _, e := range events {
-		if e.Shard == 0 && e.Type == "hedge" {
-			sawHedge = true
+	for pass := 1; pass <= 2; pass++ {
+		res, err := rg.Scatter(context.Background(), parse(t, "SELECT COUNT(*) FROM events"),
+			ExecOptions{Workers: 2})
+		if err != nil || res.Degraded() {
+			t.Fatalf("scatter %d: err=%v degraded=%v", pass, err, res != nil && res.Degraded())
 		}
-		if e.Shard == 0 && e.Type == "hedge_win" {
-			sawWin = true
+		if got := handlers[0].estimates(); got != pass {
+			t.Fatalf("after scatter %d saw %d estimate requests, want %d", pass, got, pass)
 		}
-	}
-	if !sawHedge || !sawWin {
-		t.Fatalf("hedge events missing: hedge=%v win=%v", sawHedge, sawWin)
-	}
-}
-
-// TestRemoteHedgeBudget: the hedge rate is capped — a server that is
-// always slow cannot double its own load through hedging.
-func TestRemoteHedgeBudget(t *testing.T) {
-	rs := newRemoteShard(0, "events", "http://127.0.0.1:9", RemoteOptions{
-		HedgeDelay: time.Millisecond,
-	})
-	// Simulate 100 calls with the hedger consulted each time.
-	var hedges int
-	for i := 0; i < 100; i++ {
-		rs.calls.Add(1)
-		if _, ok := rs.hedgeDelay(); ok {
-			rs.hedges.Add(1)
-			hedges++
-		}
-	}
-	if hedges > 11 {
-		t.Fatalf("hedge budget admitted %d hedges over 100 calls (cap 0.1)", hedges)
-	}
-	if hedges == 0 {
-		t.Fatal("hedge budget admitted no hedges at all")
 	}
 }
 
@@ -336,10 +278,7 @@ func TestRemoteHedgeBudget(t *testing.T) {
 // minus gather slack — a server that never answers inside it fails the
 // call quickly instead of hanging the scatter.
 func TestRemoteCallDeadline(t *testing.T) {
-	_, _, rg, handlers := remoteFixture(t, 2, RemoteOptions{
-		ProbeInterval: -1, HedgeDelay: -1,
-		Retry: fault.RetryConfig{Tries: 1},
-	})
+	_, _, rg, handlers := remoteFixture(t, 2, RemoteOptions{ProbeInterval: -1})
 	handlers[0].before = func(n int, w http.ResponseWriter) bool {
 		time.Sleep(2 * time.Second)
 		http.Error(w, "too late", http.StatusInternalServerError)
@@ -390,7 +329,7 @@ func TestRemoteVersionSkewRejected(t *testing.T) {
 				}
 			}))
 			defer srv.Close()
-			rs := newRemoteShard(0, "events", srv.URL, RemoteOptions{HedgeDelay: -1, Retry: fault.RetryConfig{Tries: 1}})
+			rs := newRemoteShard(0, "events", srv.URL, RemoteOptions{})
 			_, err := rs.Estimate(context.Background(), Query{Stmt: parse(t, "SELECT COUNT(*) FROM events")}, 1)
 			if err == nil {
 				t.Fatal("version-skewed response accepted")
@@ -444,10 +383,7 @@ func TestRemoteOversizedBodyRefused(t *testing.T) {
 func TestRemoteFaultPoints(t *testing.T) {
 	for _, point := range []string{"remote.dial", "remote.send", "remote.recv", "remote.decode"} {
 		t.Run(point, func(t *testing.T) {
-			_, _, rg, _ := remoteFixture(t, 2, RemoteOptions{
-				ProbeInterval: -1, HedgeDelay: -1,
-				Retry: fault.RetryConfig{Tries: 1},
-			})
+			_, _, rg, _ := remoteFixture(t, 2, RemoteOptions{ProbeInterval: -1})
 			rules, err := fault.ParseRules(point + ":error:1")
 			if err != nil {
 				t.Fatal(err)
@@ -484,7 +420,7 @@ func TestRemoteDeadServerDegradesHonestly(t *testing.T) {
 	}
 	defer servers[1].Close()
 	rg, err := AttachRemote(evw.Table, Key{Column: "ev_user", Kind: KeyHash, Count: 2}, addrs,
-		RemoteOptions{ProbeInterval: -1, HedgeDelay: -1, Retry: fault.RetryConfig{Tries: 2, Base: time.Millisecond}},
+		RemoteOptions{ProbeInterval: -1},
 		fault.BreakerConfig{})
 	if err != nil {
 		t.Fatalf("attach: %v", err)
@@ -521,7 +457,7 @@ func TestRemoteWrongShapeDegrades(t *testing.T) {
 		{"width", "SELECT ev_group, COUNT(*) FROM events GROUP BY ev_group", "SELECT COUNT(*) FROM events"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fx, lg, rg, handlers := remoteFixture(t, 2, RemoteOptions{ProbeInterval: -1, HedgeDelay: -1})
+			fx, lg, rg, handlers := remoteFixture(t, 2, RemoteOptions{ProbeInterval: -1})
 			h := handlers[1]
 			p, err := BuildShardQueryPlan(Query{Stmt: parse(t, tc.reply)}, h.tbl)
 			if err != nil {
@@ -659,7 +595,7 @@ func TestRemoteNegativeRowsRefused(t *testing.T) {
 		addrs = append(addrs, srv.URL)
 	}
 	rg, err := AttachRemote(evw.Table, Key{Column: "ev_user", Kind: KeyHash, Count: 2}, addrs,
-		RemoteOptions{ProbeInterval: -1, HedgeDelay: -1, Retry: fault.RetryConfig{Tries: 3, Base: time.Millisecond}},
+		RemoteOptions{ProbeInterval: -1},
 		fault.BreakerConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -715,6 +651,50 @@ func TestRemoteHealthNegativeRowsDown(t *testing.T) {
 		RemoteOptions{ProbeInterval: -1}, fault.BreakerConfig{})
 	if err == nil || !strings.Contains(err.Error(), "negative") {
 		t.Fatalf("attach to a shard reporting negative rows: %v", err)
+	}
+}
+
+// TestRemoteHealthReadErrors: a health reply whose body cannot be read
+// whole fails the probe and names the read error. A body cut short of its
+// Content-Length is a transient failure; one past the 1 MiB cap is refused
+// by name as permanent, never decoded as a prefix.
+func TestRemoteHealthReadErrors(t *testing.T) {
+	var mode atomic.Value
+	mode.Store("")
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := json.Marshal(HealthWire{V: WireVersion, Rows: 10})
+		switch mode.Load() {
+		case "short":
+			w.Header().Set("Content-Length", strconv.Itoa(len(body)+10))
+		case "huge":
+			body = append(body, strings.Repeat(" ", 1<<20)...)
+		}
+		w.Write(body)
+	}))
+	defer srv.Close()
+	rs := newRemoteShard(0, "events", srv.URL, RemoteOptions{ProbeInterval: -1})
+	for _, tc := range []struct {
+		mode, want string
+		permanent  bool
+	}{
+		{"short", "unexpected EOF", false},
+		{"huge", "exceeds 1048576 bytes", true},
+	} {
+		mode.Store("")
+		if err := rs.probeOnce(context.Background()); err != nil || !rs.Health().Alive {
+			t.Fatalf("%s: honest probe: err %v, health %+v", tc.mode, err, rs.Health())
+		}
+		mode.Store(tc.mode)
+		err := rs.probeOnce(context.Background())
+		if err == nil || !strings.Contains(err.Error(), "read response") || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: probe error %v does not name the read failure %q", tc.mode, err, tc.want)
+		}
+		if errors.Is(err, fault.ErrNoRetry) != tc.permanent {
+			t.Fatalf("%s: probe error %v: permanent = %v, want %v", tc.mode, err, !tc.permanent, tc.permanent)
+		}
+		if rs.Health().Alive {
+			t.Fatalf("%s: shard still alive after an unreadable health reply", tc.mode)
+		}
 	}
 }
 

@@ -24,9 +24,8 @@ type Event struct {
 	Shard int
 	// Type is a scatter outcome — "ok", "fail", "open" (breaker
 	// rejected), or "pruned" — or a remote envelope event: "retry" (an
-	// idempotent call re-attempted), "hedge" (a tail-latency hedge
-	// fired), "hedge_win" (the hedge answered first), "probe_down" /
-	// "probe_up" (background health-probe transitions).
+	// idempotent call re-attempted), "probe_down" / "probe_up"
+	// (background health-probe transitions).
 	Type string
 	// TraceID is the scatter's trace identifier ("" when the query ran
 	// untraced), letting downstream recorders attribute the outcome to

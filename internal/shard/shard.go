@@ -12,7 +12,7 @@
 // Two implementations satisfy the Shard interface: LocalShard holds its
 // rows in-process, and RemoteShard speaks the versioned wire schema to a
 // shard-server process over HTTP, wrapped in a robustness envelope
-// (deadlines, deterministic retries, hedged requests, health probing).
+// (deadlines, deterministic retries, health probing).
 // The scatter executor is identical over both.
 package shard
 
@@ -103,11 +103,9 @@ type Health struct {
 	// ProbeLatencyMS is the last successful health probe's round trip in
 	// milliseconds (0 for local shards, or before the first probe).
 	ProbeLatencyMS float64 `json:"probe_latency_ms,omitempty"`
-	// Retries / Hedges / HedgeWins count the remote envelope's activity
-	// since attach (0 for local shards).
-	Retries   int64 `json:"retries,omitempty"`
-	Hedges    int64 `json:"hedges,omitempty"`
-	HedgeWins int64 `json:"hedge_wins,omitempty"`
+	// Retries counts the remote envelope's re-attempted calls since
+	// attach (0 for local shards).
+	Retries int64 `json:"retries,omitempty"`
 }
 
 // Query is the executable unit a shard runs: the statement (scatter

@@ -1,7 +1,7 @@
 package shard
 
 // Wire schema for the remote-shard RPC seam. Two endpoints over HTTP,
-// both idempotent (safe to retry and to hedge):
+// both idempotent (safe to retry):
 //
 //	POST /shard/estimate — a JSON EstimateRequest runs a query's aggregate
 //	  subtree; a 200 reply is application/octet-stream whose body is
