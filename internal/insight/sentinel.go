@@ -1,9 +1,6 @@
 package insight
 
-import (
-	"math"
-	"sort"
-)
+import "repro/internal/stats"
 
 // sentinel detects per-fingerprint regressions by comparing the newest
 // window of a statistic against the fingerprint's own trailing
@@ -60,8 +57,8 @@ func (s *sentinel) push(v float64) (fired, recovered bool) {
 			newer = append(newer, x)
 		}
 	}
-	s.baseline = quantile(older, 0.95)
-	s.current = quantile(newer, 0.95)
+	s.baseline = stats.NearestRank(older, 0.95)
+	s.current = stats.NearestRank(newer, 0.95)
 	bad := s.current > s.factor*s.baseline && s.current > s.baseline+s.floor
 	switch {
 	case bad && !s.tripped:
@@ -81,7 +78,7 @@ func (s *sentinel) quantileAll(q float64) float64 {
 	}
 	vals := make([]float64, s.n)
 	copy(vals, s.buf[:s.n])
-	return quantile(vals, q)
+	return stats.NearestRank(vals, q)
 }
 
 // quantileCurrent is the display quantile over the newest half (or over
@@ -95,7 +92,7 @@ func (s *sentinel) quantileCurrent(q float64) float64 {
 	for i := w; i < len(s.buf); i++ {
 		newer = append(newer, s.buf[(s.next+i)%len(s.buf)])
 	}
-	return quantile(newer, q)
+	return stats.NearestRank(newer, q)
 }
 
 // quantileBaseline is the trailing-baseline half's quantile (0 while
@@ -109,25 +106,5 @@ func (s *sentinel) quantileBaseline(q float64) float64 {
 	for i := 0; i < w; i++ {
 		older = append(older, s.buf[(s.next+i)%len(s.buf)])
 	}
-	return quantile(older, q)
-}
-
-// quantile is the nearest-rank quantile of vals; vals is sorted in
-// place.
-func quantile(vals []float64, q float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	sort.Float64s(vals)
-	if q <= 0 {
-		return vals[0]
-	}
-	if q >= 1 {
-		return vals[len(vals)-1]
-	}
-	idx := int(math.Ceil(q*float64(len(vals)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return vals[idx]
+	return stats.NearestRank(older, q)
 }

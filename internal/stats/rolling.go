@@ -120,19 +120,25 @@ func (r *RollingQuantiles) N() int { return r.n }
 // Quantile returns the q-quantile (0 <= q <= 1) of the window using the
 // nearest-rank method; 0 when the window is empty.
 func (r *RollingQuantiles) Quantile(q float64) float64 {
-	if r.n == 0 {
-		return 0
-	}
 	vals := make([]float64, r.n)
 	copy(vals, r.ring[:r.n])
+	return NearestRank(vals, q)
+}
+
+// NearestRank returns the nearest-rank q-quantile (0 <= q <= 1) of vals,
+// sorting vals in place; 0 when vals is empty.
+func NearestRank(vals []float64, q float64) float64 {
+	if len(vals) == 0 {
+		return 0
+	}
 	sort.Float64s(vals)
 	if q <= 0 {
 		return vals[0]
 	}
 	if q >= 1 {
-		return vals[r.n-1]
+		return vals[len(vals)-1]
 	}
-	idx := int(math.Ceil(q*float64(r.n))) - 1
+	idx := int(math.Ceil(q*float64(len(vals)))) - 1
 	if idx < 0 {
 		idx = 0
 	}
