@@ -162,9 +162,7 @@ type tableObs struct {
 
 // tableState is the rolling drift-attribution window for one table.
 type tableState struct {
-	ring  []tableObs
-	next  int
-	n     int
+	ring  *stats.Ring[tableObs]
 	stale bool
 }
 
@@ -669,16 +667,10 @@ func (a *Auditor) recordDriftLocked(j *job, truth *core.Result, cmp compareResul
 	}
 	ts := a.tables[table]
 	if ts == nil {
-		ts = &tableState{ring: make([]tableObs, a.cfg.Window)}
+		ts = &tableState{ring: stats.NewRing[tableObs](a.cfg.Window)}
 		a.tables[table] = ts
 	}
-	if ts.n == len(ts.ring) {
-		// full: overwrite oldest
-	} else {
-		ts.n++
-	}
-	ts.ring[ts.next] = tableObs{missed: cmp.missedAny || cmp.unmatched > 0, appended: appended}
-	ts.next = (ts.next + 1) % len(ts.ring)
+	ts.ring.Push(tableObs{missed: cmp.missedAny || cmp.unmatched > 0, appended: appended})
 
 	staleMisses, freshMisses := ts.counts()
 	nowStale := staleMisses >= staleMinMisses && staleMisses > freshMisses
@@ -698,8 +690,8 @@ func (a *Auditor) recordDriftLocked(j *job, truth *core.Result, cmp compareResul
 
 // counts tallies the in-window misses split by drift attribution.
 func (ts *tableState) counts() (staleMisses, freshMisses int) {
-	for i := 0; i < ts.n; i++ {
-		obs := ts.ring[i]
+	for i := 0; i < ts.ring.N(); i++ {
+		obs := ts.ring.At(i)
 		if !obs.missed {
 			continue
 		}
@@ -714,10 +706,8 @@ func (ts *tableState) counts() (staleMisses, freshMisses int) {
 
 func (ts *tableState) maxAppended() int {
 	m := 0
-	for i := 0; i < ts.n; i++ {
-		if ts.ring[i].appended > m {
-			m = ts.ring[i].appended
-		}
+	for i := 0; i < ts.ring.N(); i++ {
+		m = max(m, ts.ring.At(i).appended)
 	}
 	return m
 }

@@ -32,23 +32,22 @@ const (
 // confidences into the same window.
 type contractState struct {
 	held      *stats.RollingCoverage
-	allowance []float64
-	next, n   int
+	allowance *stats.Ring[float64]
 
 	violations int64
 	violating  bool
 }
 
-// meanAllowanceLocked is the window-average permitted miss rate.
+// meanAllowance is the window-average permitted miss rate.
 func (cs *contractState) meanAllowance() float64 {
-	if cs.n == 0 {
+	if cs.allowance.N() == 0 {
 		return 0
 	}
 	var sum float64
-	for i := 0; i < cs.n; i++ {
-		sum += cs.allowance[i]
+	for i := 0; i < cs.allowance.N(); i++ {
+		sum += cs.allowance.At(i)
 	}
-	return sum / float64(cs.n)
+	return sum / float64(cs.allowance.N())
 }
 
 // recordContractLocked folds one audited contract answer into the budget
@@ -76,16 +75,12 @@ func (a *Auditor) recordContractLocked(j *job, cmp compareResult) []Event {
 	if cs == nil {
 		cs = &contractState{
 			held:      stats.NewRollingCoverage(a.cfg.Window),
-			allowance: make([]float64, a.cfg.Window),
+			allowance: stats.NewRing[float64](a.cfg.Window),
 		}
 		a.contracts[j.technique] = cs
 	}
 	cs.held.Push(held)
-	cs.allowance[cs.next] = 1 - c.Confidence
-	cs.next = (cs.next + 1) % len(cs.allowance)
-	if cs.n < len(cs.allowance) {
-		cs.n++
-	}
+	cs.allowance.Push(1 - c.Confidence)
 
 	kind := EventContractHeld
 	if !held {

@@ -524,7 +524,7 @@ func (c *card) snapshot() CardSnapshot {
 		RelWidthP95:  c.width.quantileCurrent(0.95),
 		Regressions:  c.regressions,
 	}
-	if c.lat.full() {
+	if c.lat.buf.Full() {
 		cs.BaselineLatencyP95MS = c.lat.quantileBaseline(0.95)
 	}
 	for sig, on := range c.active {

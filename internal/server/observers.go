@@ -42,7 +42,7 @@ func NewObservers(cfg Config) *Observers {
 	o := &Observers{cfg: cfg, met: NewMetrics()}
 	if cfg.Telemetry {
 		o.flight = telemetry.NewRecorder(telemetry.RecorderConfig{Queries: cfg.FlightQueries})
-		o.spans = telemetry.NewSpanExporter("aqpd", 0)
+		o.spans = telemetry.NewSpanExporter("aqpd")
 		// Workload insight rides with telemetry (so the telemetry-overhead
 		// gate covers its cost); a negative WorkloadCap opts out.
 		if cfg.WorkloadCap >= 0 {

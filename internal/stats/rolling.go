@@ -31,58 +31,45 @@ func WilsonInterval(successes, n int, confidence float64) Interval {
 }
 
 // RollingCoverage tracks a boolean outcome (CI covered the truth or not)
-// over a sliding window of the last Cap observations. The zero value is
-// unusable; construct with NewRollingCoverage. Not safe for concurrent
-// use — callers serialize access.
+// over a sliding window of the last Cap observations: a Ring plus its
+// running hit count. The zero value is unusable; construct with
+// NewRollingCoverage. Not safe for concurrent use — callers serialize
+// access.
 type RollingCoverage struct {
-	ring []bool
-	next int
-	n    int
+	*Ring[bool]
 	hits int
 }
 
 // NewRollingCoverage creates a window holding up to cap observations
 // (minimum 1).
 func NewRollingCoverage(cap int) *RollingCoverage {
-	if cap < 1 {
-		cap = 1
-	}
-	return &RollingCoverage{ring: make([]bool, cap)}
+	return &RollingCoverage{Ring: NewRing[bool](cap)}
 }
 
 // Push records one outcome, evicting the oldest when the window is full.
 func (r *RollingCoverage) Push(covered bool) {
-	if r.n == len(r.ring) {
-		if r.ring[r.next] {
-			r.hits--
-		}
-	} else {
-		r.n++
+	if old, evicted := r.Ring.Push(covered); evicted && old {
+		r.hits--
 	}
-	r.ring[r.next] = covered
 	if covered {
 		r.hits++
 	}
-	r.next = (r.next + 1) % len(r.ring)
 }
-
-// N returns the number of observations currently in the window.
-func (r *RollingCoverage) N() int { return r.n }
 
 // Hits returns how many in-window observations were covered.
 func (r *RollingCoverage) Hits() int { return r.hits }
 
 // Rate returns the in-window coverage fraction (0 when empty).
 func (r *RollingCoverage) Rate() float64 {
-	if r.n == 0 {
+	if r.N() == 0 {
 		return 0
 	}
-	return float64(r.hits) / float64(r.n)
+	return float64(r.hits) / float64(r.N())
 }
 
 // Wilson returns the Wilson score interval for the in-window coverage.
 func (r *RollingCoverage) Wilson(confidence float64) Interval {
-	return WilsonInterval(r.hits, r.n, confidence)
+	return WilsonInterval(r.hits, r.N(), confidence)
 }
 
 // RollingQuantiles tracks a float statistic (e.g. realized relative
@@ -91,38 +78,19 @@ func (r *RollingCoverage) Wilson(confidence float64) Interval {
 // per query — windows here are hundreds of entries, so the simple form
 // beats a sketch. Not safe for concurrent use.
 type RollingQuantiles struct {
-	ring []float64
-	next int
-	n    int
+	*Ring[float64]
 }
 
 // NewRollingQuantiles creates a window holding up to cap observations
 // (minimum 1).
 func NewRollingQuantiles(cap int) *RollingQuantiles {
-	if cap < 1 {
-		cap = 1
-	}
-	return &RollingQuantiles{ring: make([]float64, cap)}
+	return &RollingQuantiles{NewRing[float64](cap)}
 }
-
-// Push records one value, evicting the oldest when the window is full.
-func (r *RollingQuantiles) Push(v float64) {
-	if r.n < len(r.ring) {
-		r.n++
-	}
-	r.ring[r.next] = v
-	r.next = (r.next + 1) % len(r.ring)
-}
-
-// N returns the number of observations currently in the window.
-func (r *RollingQuantiles) N() int { return r.n }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of the window using the
 // nearest-rank method; 0 when the window is empty.
 func (r *RollingQuantiles) Quantile(q float64) float64 {
-	vals := make([]float64, r.n)
-	copy(vals, r.ring[:r.n])
-	return NearestRank(vals, q)
+	return NearestRank(r.AppendTo(make([]float64, 0, r.N())), q)
 }
 
 // NearestRank returns the nearest-rank q-quantile (0 <= q <= 1) of vals,
@@ -148,9 +116,9 @@ func NearestRank(vals []float64, q float64) float64 {
 // Max returns the largest in-window value (0 when empty).
 func (r *RollingQuantiles) Max() float64 {
 	var m float64
-	for i := 0; i < r.n; i++ {
-		if r.ring[i] > m {
-			m = r.ring[i]
+	for i := 0; i < r.N(); i++ {
+		if v := r.At(i); v > m {
+			m = v
 		}
 	}
 	return m

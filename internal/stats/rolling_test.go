@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -95,5 +96,39 @@ func TestRollingQuantiles(t *testing.T) {
 	}
 	if got := r.N(); got != 8 {
 		t.Fatalf("N %d, want 8", got)
+	}
+}
+
+// TestRingWraps checks every observable of a Ring against the tail of a
+// plain slice while pushes run past capacity twice.
+func TestRingWraps(t *testing.T) {
+	for _, capacity := range []int{1, 3, 8} {
+		r := NewRing[int](capacity)
+		var all []int
+		for v := 0; v <= 2*capacity+1; v++ {
+			old, evicted := r.Push(v)
+			all = append(all, v)
+			want := all[max(0, len(all)-capacity):]
+			if wantEvicted := len(all) > capacity; evicted != wantEvicted {
+				t.Fatalf("cap %d push %d: evicted %v, want %v", capacity, v, evicted, wantEvicted)
+			} else if evicted && old != all[len(all)-capacity-1] {
+				t.Fatalf("cap %d push %d: evicted value %d, want %d", capacity, v, old, all[len(all)-capacity-1])
+			}
+			if r.N() != len(want) || r.Full() != (len(want) == capacity) {
+				t.Fatalf("cap %d push %d: N=%d Full=%v, want %d %v", capacity, v, r.N(), r.Full(), len(want), len(want) == capacity)
+			}
+			for i, w := range want {
+				if got := r.At(i); got != w {
+					t.Fatalf("cap %d push %d: At(%d) = %d, want %d", capacity, v, i, got, w)
+				}
+			}
+			got := r.AppendTo([]int{-1})
+			if !slices.Equal(got, append([]int{-1}, want...)) {
+				t.Fatalf("cap %d push %d: AppendTo = %v, want -1 then %v", capacity, v, got, want)
+			}
+		}
+	}
+	if got := NewRing[int](4).AppendTo(nil); got != nil {
+		t.Fatalf("empty AppendTo(nil) = %v, want nil", got)
 	}
 }

@@ -3,10 +3,12 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -73,52 +75,37 @@ type QueryRecord struct {
 type RecorderConfig struct {
 	// Queries is each ring's capacity: the recorder keeps the last
 	// Queries queries AND the last Queries notable (errored, degraded,
-	// contract-missed, slowest-decile) queries (default 64).
+	// contract-missed, slowest-decile) queries (default 64). The
+	// process-event ring holds 4*Queries events.
 	Queries int
-	// Events is the process-event ring capacity (default 4*Queries).
-	Events int
 }
 
-func (c RecorderConfig) withDefaults() RecorderConfig {
-	if c.Queries <= 0 {
-		c.Queries = 64
-	}
-	if c.Events <= 0 {
-		c.Events = 4 * c.Queries
-	}
-	return c
-}
+// slowWindow is how many recent latencies the slow-decile cut ranks.
+const slowWindow = 128
 
 // Recorder is the bounded flight recorder: two query rings (recent and
-// notable) plus a process-event ring. All appends are O(1) under one
-// mutex; nothing here is on a per-row path.
+// notable) plus a process-event ring, under one mutex. Appends are O(1);
+// Record also scans the event ring to attribute events to the query.
+// Nothing here is on a per-row path.
 type Recorder struct {
-	cfg RecorderConfig
-
 	mu      sync.Mutex
 	seq     uint64
-	recent  []QueryRecord // ring
-	notable []QueryRecord // ring of always-keep records
-	rHead   int
-	nHead   int
-	rN, nN  int
-	events  []Event // ring
-	eHead   int
-	eN      int
-	lats    []float64 // ring of recent latencies for the slow-decile cut
-	lHead   int
-	lN      int
+	recent  *stats.Ring[QueryRecord]
+	notable *stats.Ring[QueryRecord] // always-keep records
+	events  *stats.Ring[Event]
+	lats    *stats.RollingQuantiles // recent latencies for the slow-decile cut
 }
 
 // NewRecorder builds an empty recorder.
 func NewRecorder(cfg RecorderConfig) *Recorder {
-	cfg = cfg.withDefaults()
+	if cfg.Queries <= 0 {
+		cfg.Queries = 64
+	}
 	return &Recorder{
-		cfg:     cfg,
-		recent:  make([]QueryRecord, cfg.Queries),
-		notable: make([]QueryRecord, cfg.Queries),
-		events:  make([]Event, cfg.Events),
-		lats:    make([]float64, 128),
+		recent:  stats.NewRing[QueryRecord](cfg.Queries),
+		notable: stats.NewRing[QueryRecord](cfg.Queries),
+		events:  stats.NewRing[Event](4 * cfg.Queries),
+		lats:    stats.NewRollingQuantiles(slowWindow),
 	}
 }
 
@@ -131,28 +118,19 @@ func (r *Recorder) AddEvent(ev Event) {
 		ev.T = time.Now()
 	}
 	r.mu.Lock()
-	r.events[r.eHead] = ev
-	r.eHead = (r.eHead + 1) % len(r.events)
-	if r.eN < len(r.events) {
-		r.eN++
-	}
+	r.events.Push(ev)
 	r.mu.Unlock()
 }
 
-// slowCutLocked returns the rolling 90th-percentile latency (the
-// slowest-decile threshold), or +Inf while fewer than 20 latencies have
-// been seen — early queries must not all be pinned as "slow".
+// slowCutLocked returns the rolling nearest-rank 90th-percentile latency
+// (the slowest-decile threshold), or +Inf while fewer than 20 latencies
+// have been seen — early queries must not all be pinned as "slow".
 func (r *Recorder) slowCutLocked() float64 {
-	if r.lN < 20 {
-		return inf
+	if r.lats.N() < 20 {
+		return math.Inf(1)
 	}
-	tmp := make([]float64, r.lN)
-	copy(tmp, r.lats[:r.lN])
-	sort.Float64s(tmp)
-	return tmp[(r.lN*9)/10]
+	return r.lats.Quantile(0.9)
 }
-
-const inf = 1e308
 
 // Record files one completed query. It stamps the sequence number,
 // decides the always-keep reason, attaches overlapping process events,
@@ -172,12 +150,8 @@ func (r *Recorder) Record(qr QueryRecord) {
 	// trace-less events (process-global fault fires, breaker
 	// transitions) fall back to time-window overlap, which under
 	// concurrency honestly attributes them to every overlapping query.
-	start := r.eHead - r.eN
-	if start < 0 {
-		start += len(r.events)
-	}
-	for i := 0; i < r.eN; i++ {
-		ev := r.events[(start+i)%len(r.events)]
+	for i := 0; i < r.events.N(); i++ {
+		ev := r.events.At(i)
 		if ev.TraceID != "" {
 			if qr.TraceID != "" && ev.TraceID == qr.TraceID {
 				qr.Events = append(qr.Events, ev)
@@ -201,23 +175,10 @@ func (r *Recorder) Record(qr QueryRecord) {
 		qr.Keep = "slow"
 	}
 
-	r.lats[r.lHead] = qr.LatencyMS
-	r.lHead = (r.lHead + 1) % len(r.lats)
-	if r.lN < len(r.lats) {
-		r.lN++
-	}
-
-	r.recent[r.rHead] = qr
-	r.rHead = (r.rHead + 1) % len(r.recent)
-	if r.rN < len(r.recent) {
-		r.rN++
-	}
+	r.lats.Push(qr.LatencyMS)
+	r.recent.Push(qr)
 	if qr.Keep != "" {
-		r.notable[r.nHead] = qr
-		r.nHead = (r.nHead + 1) % len(r.notable)
-		if r.nN < len(r.notable) {
-			r.nN++
-		}
+		r.notable.Push(qr)
 	}
 	r.mu.Unlock()
 }
@@ -246,29 +207,16 @@ func (r *Recorder) Snapshot(reason string) Bundle {
 		return b
 	}
 	r.mu.Lock()
-	seen := make(map[uint64]bool, r.rN+r.nN)
-	collect := func(ring []QueryRecord, head, n int) {
-		start := head - n
-		if start < 0 {
-			start += len(ring)
-		}
-		for i := 0; i < n; i++ {
-			qr := ring[(start+i)%len(ring)]
-			if !seen[qr.Seq] {
+	seen := make(map[uint64]bool, r.recent.N()+r.notable.N())
+	for _, ring := range []*stats.Ring[QueryRecord]{r.notable, r.recent} {
+		for i := 0; i < ring.N(); i++ {
+			if qr := ring.At(i); !seen[qr.Seq] {
 				seen[qr.Seq] = true
 				b.Queries = append(b.Queries, qr)
 			}
 		}
 	}
-	collect(r.notable, r.nHead, r.nN)
-	collect(r.recent, r.rHead, r.rN)
-	estart := r.eHead - r.eN
-	if estart < 0 {
-		estart += len(r.events)
-	}
-	for i := 0; i < r.eN; i++ {
-		b.Events = append(b.Events, r.events[(estart+i)%len(r.events)])
-	}
+	b.Events = r.events.AppendTo(nil)
 	r.mu.Unlock()
 	sort.Slice(b.Queries, func(i, j int) bool { return b.Queries[i].Seq < b.Queries[j].Seq })
 	return b

@@ -63,6 +63,21 @@ func TestRecorderSlowDecile(t *testing.T) {
 	}
 }
 
+// The slow cut is the nearest-rank p90 of the recent latencies: over
+// 1…20 ms that is 18 ms, so an 18.5 ms query is in the slowest decile.
+func TestRecorderSlowCutIsNearestRankP90(t *testing.T) {
+	r := NewRecorder(RecorderConfig{})
+	t0 := time.Unix(1000, 0)
+	for ms := 1; ms <= 20; ms++ {
+		r.Record(QueryRecord{Start: t0, SQL: "warm", Status: 200, LatencyMS: float64(ms)})
+	}
+	r.Record(QueryRecord{Start: t0, SQL: "edge", Status: 200, LatencyMS: 18.5})
+	b := r.Snapshot("test")
+	if got := b.Queries[len(b.Queries)-1]; got.SQL != "edge" || got.Keep != "slow" {
+		t.Fatalf("last record %q keep = %q, want edge kept as slow", got.SQL, got.Keep)
+	}
+}
+
 func TestRecorderNotableSurvivesRecentEviction(t *testing.T) {
 	r := NewRecorder(RecorderConfig{Queries: 4})
 	t0 := time.Unix(1000, 0)
@@ -114,7 +129,7 @@ func TestRecorderEventAttribution(t *testing.T) {
 }
 
 func TestRecorderEventRingBounded(t *testing.T) {
-	r := NewRecorder(RecorderConfig{Queries: 2, Events: 4})
+	r := NewRecorder(RecorderConfig{Queries: 1})
 	for i := 0; i < 20; i++ {
 		r.AddEvent(Event{Kind: "breaker", Name: "x"})
 	}

@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"sync"
 
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -111,26 +112,21 @@ func flattenInto(p *trace.Profile, root bool, out *[]OTLPSpan) {
 	}
 }
 
+// spanRingCap is how many of the most recent spans /debug/spans keeps.
+const spanRingCap = 1024
+
 // SpanExporter is a bounded ring of exported spans feeding /debug/spans.
 type SpanExporter struct {
-	mu   sync.Mutex
-	buf  []OTLPSpan
-	head int
-	n    int
+	mu  sync.Mutex
+	buf *stats.Ring[OTLPSpan]
 
 	service string
 }
 
-// NewSpanExporter builds an exporter retaining the last capacity spans
-// (default 1024) emitted by the named service.
-func NewSpanExporter(service string, capacity int) *SpanExporter {
-	if capacity <= 0 {
-		capacity = 1024
-	}
-	if service == "" {
-		service = "aqpd"
-	}
-	return &SpanExporter{buf: make([]OTLPSpan, capacity), service: service}
+// NewSpanExporter builds an exporter retaining the last spanRingCap spans
+// emitted by the named service.
+func NewSpanExporter(service string) *SpanExporter {
+	return &SpanExporter{buf: stats.NewRing[OTLPSpan](spanRingCap), service: service}
 }
 
 // Export flattens one query's profile into the ring.
@@ -141,11 +137,7 @@ func (e *SpanExporter) Export(p *trace.Profile) {
 	spans := FlattenProfile(p)
 	e.mu.Lock()
 	for _, sp := range spans {
-		e.buf[e.head] = sp
-		e.head = (e.head + 1) % len(e.buf)
-		if e.n < len(e.buf) {
-			e.n++
-		}
+		e.buf.Push(sp)
 	}
 	e.mu.Unlock()
 }
@@ -157,26 +149,14 @@ func (e *SpanExporter) Spans() []OTLPSpan {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]OTLPSpan, 0, e.n)
-	start := e.head - e.n
-	if start < 0 {
-		start += len(e.buf)
-	}
-	for i := 0; i < e.n; i++ {
-		out = append(out, e.buf[(start+i)%len(e.buf)])
-	}
-	return out
+	return e.buf.AppendTo(make([]OTLPSpan, 0, e.buf.N()))
 }
 
 // Feed wraps the retained spans in the OTLP/JSON envelope.
 func (e *SpanExporter) Feed() OTLPFeed {
-	spans := e.Spans()
-	if spans == nil {
-		spans = []OTLPSpan{}
-	}
-	service := "aqpd"
+	spans, service := []OTLPSpan{}, ""
 	if e != nil {
-		service = e.service
+		spans, service = e.Spans(), e.service
 	}
 	return OTLPFeed{ResourceSpans: []OTLPResourceSpans{{
 		Resource: OTLPResource{Attributes: []OTLPAttr{{Key: "service.name", Value: OTLPValue{service}}}},

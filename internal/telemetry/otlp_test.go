@@ -64,13 +64,13 @@ func TestFlattenSkipsIdentityless(t *testing.T) {
 }
 
 func TestSpanExporterRingAndFeed(t *testing.T) {
-	e := NewSpanExporter("aqpd-test", 3)
-	for i := 0; i < 4; i++ {
+	e := NewSpanExporter("aqpd-test")
+	for i := 0; i < spanRingCap/2+1; i++ {
 		e.Export(buildProfile(t)) // 2 spans each
 	}
 	spans := e.Spans()
-	if len(spans) != 3 {
-		t.Fatalf("ring retained %d spans, want 3", len(spans))
+	if len(spans) != spanRingCap {
+		t.Fatalf("ring retained %d spans, want %d", len(spans), spanRingCap)
 	}
 
 	feed := e.Feed()

@@ -18,6 +18,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // Hist is the time-series snapshot of one histogram family: cumulative
@@ -74,10 +76,8 @@ func (c StoreConfig) withDefaults() StoreConfig {
 type Store struct {
 	cfg StoreConfig
 
-	mu   sync.Mutex
-	buf  []Sample // ring, capacity fixed at construction
-	head int      // next write position
-	n    int      // samples stored (≤ cap)
+	mu  sync.Mutex
+	buf *stats.Ring[Sample] // capacity fixed at construction
 
 	stop chan struct{}
 	done chan struct{}
@@ -91,7 +91,7 @@ func NewStore(cfg StoreConfig) *Store {
 	if capacity < 2 {
 		capacity = 2
 	}
-	return &Store{cfg: cfg, buf: make([]Sample, capacity)}
+	return &Store{cfg: cfg, buf: stats.NewRing[Sample](capacity)}
 }
 
 // Step returns the snapshot cadence.
@@ -149,11 +149,7 @@ func (s *Store) Snap() Sample {
 		smp.T = time.Now()
 	}
 	s.mu.Lock()
-	s.buf[s.head] = smp
-	s.head = (s.head + 1) % len(s.buf)
-	if s.n < len(s.buf) {
-		s.n++
-	}
+	s.buf.Push(smp)
 	s.mu.Unlock()
 	if s.cfg.OnSnap != nil {
 		s.cfg.OnSnap(smp)
@@ -165,15 +161,7 @@ func (s *Store) Snap() Sample {
 func (s *Store) Samples() []Sample {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Sample, 0, s.n)
-	start := s.head - s.n
-	if start < 0 {
-		start += len(s.buf)
-	}
-	for i := 0; i < s.n; i++ {
-		out = append(out, s.buf[(start+i)%len(s.buf)])
-	}
-	return out
+	return s.buf.AppendTo(make([]Sample, 0, s.buf.N()))
 }
 
 // History returns the samples inside the trailing window, downsampled to

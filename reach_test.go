@@ -36,7 +36,6 @@ var reachAllowlist = map[string]string{
 	"internal/trace.(*Profile).SortChildrenByName": "test probe: render tests fix child order",
 	"internal/trace.Enabled":                       "test probe: trace tests check the disabled path",
 	"internal/telemetry.(*SLO).Objectives":         "test probe: SLO tests list the objectives",
-	"internal/stats.(*RollingQuantiles).N":         "test probe: rolling tests count observations",
 	"internal/stats.(*HTEstimator).Count":          "test probe: estimator tests read the count",
 	"internal/storage.(*Float64Column).Float":      "test probe: storage tests read one cell",
 	"internal/sample.(*Distinct).Decide":           "reference: TestDistinctKeepRowsIsDecide and the exec oracle compare KeepRows with it",
