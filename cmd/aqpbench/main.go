@@ -25,13 +25,13 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
 	aqp "repro"
 	"repro/internal/experiments"
 	"repro/internal/server"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -160,7 +160,8 @@ func runTelemetryOverhead(rows int, seed int64, workers int) error {
 	if err != nil {
 		return err
 	}
-	run := func(h http.Handler) (time.Duration, error) {
+	// run serves one query and returns its latency in milliseconds.
+	run := func(h http.Handler) (float64, error) {
 		r := httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body))
 		r.Header.Set("Content-Type", "application/json")
 		w := httptest.NewRecorder()
@@ -170,13 +171,7 @@ func runTelemetryOverhead(rows int, seed int64, workers int) error {
 		if w.Code != http.StatusOK {
 			return 0, fmt.Errorf("status %d: %s", w.Code, w.Body.String())
 		}
-		return d, nil
-	}
-	quantile := func(ds []time.Duration, q float64) time.Duration {
-		s := append([]time.Duration(nil), ds...)
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-		i := int(q * float64(len(s)-1))
-		return s[i]
+		return float64(d.Microseconds()) / 1e3, nil
 	}
 
 	bh, th := bare.Handler(), tele.Handler()
@@ -188,7 +183,7 @@ func runTelemetryOverhead(rows int, seed int64, workers int) error {
 			return fmt.Errorf("warmup telemetry: %w", err)
 		}
 	}
-	var bareLat, teleLat []time.Duration
+	var bareLat, teleLat []float64
 	for i := 0; i < pairs; i++ {
 		if i%2 == 0 {
 			d, err := run(bh)
@@ -215,17 +210,16 @@ func runTelemetryOverhead(rows int, seed int64, workers int) error {
 		}
 	}
 
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
-	p50b, p50t := quantile(bareLat, 0.5), quantile(teleLat, 0.5)
-	p90b, p90t := quantile(bareLat, 0.9), quantile(teleLat, 0.9)
-	regress := (ms(p50t) - ms(p50b)) / ms(p50b)
+	p50b, p50t := stats.NearestRank(bareLat, 0.5), stats.NearestRank(teleLat, 0.5)
+	p90b, p90t := stats.NearestRank(bareLat, 0.9), stats.NearestRank(teleLat, 0.9)
+	regress := (p50t - p50b) / p50b
 	fmt.Printf("telemetry overhead gate: rows=%d pairs=%d (interleaved, order-flipped)\n", rows, pairs)
-	fmt.Printf("  bare:      p50 %8.3f ms   p90 %8.3f ms\n", ms(p50b), ms(p90b))
-	fmt.Printf("  telemetry: p50 %8.3f ms   p90 %8.3f ms\n", ms(p50t), ms(p90t))
+	fmt.Printf("  bare:      p50 %8.3f ms   p90 %8.3f ms\n", p50b, p90b)
+	fmt.Printf("  telemetry: p50 %8.3f ms   p90 %8.3f ms\n", p50t, p90t)
 	fmt.Printf("  p50 regression %+.2f%% (bound %+.0f%%)\n", 100*regress, 100*maxRegress)
 	if regress >= maxRegress {
 		return fmt.Errorf("telemetry p50 %.3fms regresses %.2f%% over bare p50 %.3fms (bound %.0f%%)",
-			ms(p50t), 100*regress, ms(p50b), 100*maxRegress)
+			p50t, 100*regress, p50b, 100*maxRegress)
 	}
 	fmt.Println("  gate ok")
 	return nil
