@@ -50,11 +50,7 @@ func LoadCSVReader(db *aqp.DB, name string, r io.Reader) (*aqp.Table, error) {
 	for i, rec := range rows {
 		row := make([]aqp.Value, len(schema))
 		for j := range schema {
-			cell := ""
-			if j < len(rec) {
-				cell = rec[j]
-			}
-			v, err := storage.ParseValue(schema[j].Type, cell)
+			v, err := storage.ParseValue(schema[j].Type, rec[j])
 			if err != nil {
 				return nil, fmt.Errorf("server: %s line %d column %s: %w", name, i+2, schema[j].Name, err)
 			}
@@ -77,9 +73,6 @@ func inferColumnType(rows [][]string, j int) aqp.Type {
 	for _, rec := range rows {
 		if len(types) == 0 {
 			break
-		}
-		if j >= len(rec) {
-			continue
 		}
 		if v, _ := storage.ParseValue(aqp.TypeString, rec[j]); v.IsNull() {
 			continue

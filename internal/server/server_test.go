@@ -499,6 +499,24 @@ func TestLoadCSVPathsAgree(t *testing.T) {
 	}
 }
 
+// TestLoadCSVReaderRefusesRaggedRows: a row wider or narrower than the
+// header is a read error, and the refused CSV registers no table.
+func TestLoadCSVReaderRefusesRaggedRows(t *testing.T) {
+	for name, csvData := range map[string]string{
+		"short": "id,price,name\n1,9.5,apple\n2,3\n",
+		"long":  "id,price,name\n1,9.5,apple\n2,3,banana,extra\n",
+	} {
+		db := aqp.New()
+		if _, err := LoadCSVReader(db, "fruit", strings.NewReader(csvData)); err == nil ||
+			!strings.Contains(err.Error(), "wrong number of fields") {
+			t.Fatalf("%s row: err = %v, want a wrong-number-of-fields refusal", name, err)
+		}
+		if _, err := db.Table("fruit"); err == nil {
+			t.Fatalf("%s row: refused CSV registered table fruit", name)
+		}
+	}
+}
+
 func TestAdmissionUnit(t *testing.T) {
 	a := NewAdmission(2, 1)
 	r1, err := a.Acquire(context.Background())
