@@ -19,6 +19,14 @@
 //	tbl.AppendRow(aqp.Float64(3.14))
 //	res, _ := db.Query("SELECT COUNT(*), AVG(x) FROM t")
 //	approx, _ := db.QueryApprox("SELECT SUM(x) FROM t WITH ERROR 5% CONFIDENCE 95%")
+//
+// The technique is a per-query choice, spelled as a Request: RunSQL (or
+// Run, for a parsed statement) takes the mode, the accuracy target, an
+// a-priori contract and an OLA checkpoint observer, e.g.
+//
+//	ola, _ := db.RunSQL(ctx, "SELECT AVG(x) FROM t", aqp.Request{
+//		Mode: aqp.ModeOLA, Observe: func(p aqp.Progress) bool { return true },
+//	})
 package aqp
 
 import (
@@ -28,7 +36,6 @@ import (
 
 	"repro/internal/contract"
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/plan"
 	"repro/internal/shard"
@@ -269,8 +276,14 @@ func Open(cat *storage.Catalog, opts ...Option) *DB {
 // Catalog returns the underlying catalog.
 func (db *DB) Catalog() *storage.Catalog { return db.catalog }
 
-// CreateTable creates and registers an empty table.
+// CreateTable creates and registers an empty table. Every column needs a
+// name of its own: an empty or repeated one could never be referenced.
 func (db *DB) CreateTable(name string, schema Schema) (*Table, error) {
+	for i, c := range schema {
+		if c.Name == "" || schema.ColumnIndex(c.Name) != i {
+			return nil, fmt.Errorf("aqp: table %s: column %d name %q is empty or repeated", name, i+1, c.Name)
+		}
+	}
 	t := storage.NewTable(name, schema)
 	if err := db.catalog.Add(t); err != nil {
 		return nil, err
@@ -405,7 +418,8 @@ func ParseMode(s string) (Mode, error) {
 	return "", fmt.Errorf("unknown mode %q (want %s, or %s)", s, strings.Join(names[:last], ", "), names[last])
 }
 
-// Request says how Run executes a statement.
+// Request says how Run executes a statement: every per-query choice of
+// technique is a field here, not a method of its own.
 type Request struct {
 	Mode Mode
 	// Spec is the accuracy target when the SQL carries no `WITH ERROR e%
@@ -419,22 +433,23 @@ type Request struct {
 	// best-effort a-posteriori CI flagged ContractInfeasibleFlag. Only the
 	// sampling engines size contracts: ModeOnline (which ModeAuto takes),
 	// ModeOLA (two prefixes of one seeded permutation) and ModeOffline
-	// (two transient uniform samples of the base table).
+	// (two transient uniform samples of the base table). ModeExact,
+	// ModeSynopsis and ModeAsWritten refuse a contract by name.
 	Contract bool
 	// Observe, under ModeOLA, sees every progressive checkpoint; returning
 	// false stops the stream.
 	Observe func(Progress) bool
 }
 
-// Run executes a parsed statement: the one pipeline behind every Query*
-// method and the server. It resolves the accuracy target, peels EXPLAIN
-// (the optimized plan as rows, nothing executed) and EXPLAIN ANALYZE (the
-// query runs under a tracer — a caller-installed one is reused — and the
-// rendered profile comes back carrying the executed query's technique,
-// guarantee and diagnostics), dispatches to the engine, and stamps the
-// statement's fingerprint so results, audits, logs and the workload
-// registry share one shape identity. The statement is only read: callers
-// may hand it to concurrent Runs and observers.
+// Run executes a parsed statement: the façade's one query door, behind
+// RunSQL, every Query* method and the server. It resolves the accuracy
+// target, peels EXPLAIN (the optimized plan as rows, nothing executed)
+// and EXPLAIN ANALYZE (the query runs under a tracer — a caller-installed
+// one is reused — and the rendered profile comes back carrying the
+// executed query's technique, guarantee and diagnostics), dispatches to
+// the engine, and stamps the statement's fingerprint so results, audits,
+// logs and the workload registry share one shape identity. The statement
+// is only read: callers may hand it to concurrent Runs and observers.
 func (db *DB) Run(ctx context.Context, stmt *sqlparse.SelectStmt, req Request) (*Result, error) {
 	if stmt.Explain && !stmt.Analyze {
 		p, err := plan.Build(stmt, db.catalog)
@@ -465,8 +480,13 @@ func (db *DB) Run(ctx context.Context, stmt *sqlparse.SelectStmt, req Request) (
 	return out, nil
 }
 
-// dispatch is the engine switch.
+// dispatch is the engine switch. It is the one place that knows which
+// modes can size a contract: the others are refused by name before any
+// engine runs.
 func (db *DB) dispatch(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec, req Request) (*Result, error) {
+	if req.Contract && (req.Mode == ModeExact || req.Mode == ModeSynopsis || req.Mode == ModeAsWritten) {
+		return nil, fmt.Errorf("aqp: mode %s does not support error contracts (auto, online, offline and ola do)", req.Mode)
+	}
 	var eng core.Engine
 	switch req.Mode {
 	case ModeAuto, "":
@@ -493,9 +513,7 @@ func (db *DB) dispatch(ctx context.Context, stmt *sqlparse.SelectStmt, spec Erro
 	case ModeSynopsis:
 		eng = db.synopsis
 	case ModeAsWritten:
-		if !req.Contract {
-			return db.exact.ExecuteAsWritten(ctx, stmt, spec)
-		}
+		return db.exact.ExecuteAsWritten(ctx, stmt, spec)
 	default:
 		return nil, fmt.Errorf("unknown mode %q", req.Mode)
 	}
@@ -516,13 +534,10 @@ func textResult(col, text string) *Result {
 	return r
 }
 
-// prepare is the façade's one sql→statement step; everything after it
-// shares the immutable statement.
-func prepare(sql string) (*sqlparse.SelectStmt, error) { return sqlparse.Parse(sql) }
-
-// runSQL parses and Runs: the body of every Query* wrapper.
-func (db *DB) runSQL(ctx context.Context, sql string, req Request) (*Result, error) {
-	stmt, err := prepare(sql)
+// RunSQL parses sql and Runs it: the SQL-text form of Run, and the door to
+// every mode for code outside this module.
+func (db *DB) RunSQL(ctx context.Context, sql string, req Request) (*Result, error) {
+	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -545,105 +560,40 @@ func (db *DB) Query(sql string) (*Result, error) {
 // QueryContext is Query under a context: scans observe cancellation and
 // deadlines, returning ctx.Err() when exceeded.
 func (db *DB) QueryContext(ctx context.Context, sql string) (*Result, error) {
-	return db.runSQL(ctx, sql, Request{Mode: ModeExact})
+	return db.RunSQL(ctx, sql, Request{Mode: ModeExact})
 }
 
 // QueryApprox routes a query through the advisor (ModeAuto). A `WITH
 // ERROR e% CONFIDENCE c%` clause in the SQL overrides spec, here and in
-// every other Query* method.
+// every other mode.
 func (db *DB) QueryApprox(sql string, spec ...ErrorSpec) (*Result, error) {
-	return db.QueryApproxContext(context.Background(), sql, spec...)
-}
-
-// QueryApproxContext is QueryApprox under a context.
-func (db *DB) QueryApproxContext(ctx context.Context, sql string, spec ...ErrorSpec) (*Result, error) {
-	return db.runSQL(ctx, sql, Request{Mode: ModeAuto, Spec: specArg(spec)})
+	return db.RunSQL(context.Background(), sql, Request{Mode: ModeAuto, Spec: specArg(spec)})
 }
 
 // Advise explains which technique the advisor would use, without running
 // the query.
 func (db *DB) Advise(sql string, spec ...ErrorSpec) (Decision, error) {
-	stmt, err := prepare(sql)
+	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
 		return Decision{}, err
 	}
 	return db.advisor.Choose(stmt, core.ResolveSpec(stmt, specArg(spec))), nil
 }
 
-// QueryAsWritten executes the SQL exactly as written (ModeAsWritten),
-// annotating aggregates with confidence intervals when sampling was
-// involved.
-func (db *DB) QueryAsWritten(sql string, spec ...ErrorSpec) (*Result, error) {
-	return db.QueryAsWrittenContext(context.Background(), sql, spec...)
-}
-
-// QueryAsWrittenContext is QueryAsWritten under a context.
-func (db *DB) QueryAsWrittenContext(ctx context.Context, sql string, spec ...ErrorSpec) (*Result, error) {
-	return db.runSQL(ctx, sql, Request{Mode: ModeAsWritten, Spec: specArg(spec)})
-}
-
-// QueryOnline forces the query-time-sampling engine (ModeOnline).
-func (db *DB) QueryOnline(sql string, spec ErrorSpec) (*Result, error) {
-	return db.QueryOnlineContext(context.Background(), sql, spec)
-}
-
-// QueryOnlineContext is QueryOnline under a context.
+// QueryOnlineContext forces the query-time-sampling engine (ModeOnline).
 func (db *DB) QueryOnlineContext(ctx context.Context, sql string, spec ErrorSpec) (*Result, error) {
-	return db.runSQL(ctx, sql, Request{Mode: ModeOnline, Spec: spec})
+	return db.RunSQL(ctx, sql, Request{Mode: ModeOnline, Spec: spec})
 }
 
-// QueryOffline forces the offline-samples engine (ModeOffline).
-func (db *DB) QueryOffline(sql string, spec ErrorSpec) (*Result, error) {
-	return db.QueryOfflineContext(context.Background(), sql, spec)
-}
-
-// QueryOfflineContext is QueryOffline under a context.
+// QueryOfflineContext forces the offline-samples engine (ModeOffline).
 func (db *DB) QueryOfflineContext(ctx context.Context, sql string, spec ErrorSpec) (*Result, error) {
-	return db.runSQL(ctx, sql, Request{Mode: ModeOffline, Spec: spec})
+	return db.RunSQL(ctx, sql, Request{Mode: ModeOffline, Spec: spec})
 }
 
-// QueryOLA runs online aggregation (ModeOLA) to completion (or early stop
-// per config), ignoring intermediate checkpoints.
-func (db *DB) QueryOLA(sql string, spec ErrorSpec) (*Result, error) {
-	return db.QueryOLAContext(context.Background(), sql, spec)
-}
-
-// QueryOLAContext is QueryOLA under a context.
+// QueryOLAContext runs online aggregation (ModeOLA) to completion (or
+// early stop per config), ignoring intermediate checkpoints.
 func (db *DB) QueryOLAContext(ctx context.Context, sql string, spec ErrorSpec) (*Result, error) {
-	return db.runSQL(ctx, sql, Request{Mode: ModeOLA, Spec: spec})
-}
-
-// QueryProgressive runs online aggregation, invoking observe at every
-// checkpoint; observe returning false stops the stream.
-func (db *DB) QueryProgressive(sql string, spec ErrorSpec, observe func(Progress) bool) (*Result, error) {
-	return db.runSQL(context.Background(), sql, Request{Mode: ModeOLA, Spec: spec, Observe: observe})
-}
-
-// QueryContractOn runs the query under an a-priori error contract (see
-// Request.Contract) pinned to an engine: TechniqueOnline (Bernoulli
-// two-stage), TechniqueOLA (Stein-style two-stage prefix sampling on one
-// seeded permutation), or TechniqueOffline (two transient uniform samples
-// drawn from the base table). Other techniques are rejected.
-func (db *DB) QueryContractOn(tech Technique, sql string, spec ...ErrorSpec) (*Result, error) {
-	return db.QueryContractOnContext(context.Background(), tech, sql, spec...)
-}
-
-// contractModes maps the techniques that can size a contract to their modes.
-var contractModes = map[Technique]Mode{TechniqueOnline: ModeOnline, TechniqueOLA: ModeOLA, TechniqueOffline: ModeOffline}
-
-// QueryContractOnContext is QueryContractOn under a context.
-func (db *DB) QueryContractOnContext(ctx context.Context, tech Technique, sql string, spec ...ErrorSpec) (*Result, error) {
-	mode, ok := contractModes[tech]
-	if !ok {
-		return nil, fmt.Errorf("aqp: technique %s does not support error contracts", tech)
-	}
-	return db.runSQL(ctx, sql, Request{Mode: mode, Spec: specArg(spec), Contract: true})
-}
-
-// QuerySynopsisContext answers the query from precomputed synopses alone
-// (ModeSynopsis).
-func (db *DB) QuerySynopsisContext(ctx context.Context, sql string, spec ErrorSpec) (*Result, error) {
-	return db.runSQL(ctx, sql, Request{Mode: ModeSynopsis, Spec: spec})
+	return db.RunSQL(ctx, sql, Request{Mode: ModeOLA, Spec: spec})
 }
 
 // BuildOfflineSamples materializes the offline sample ladder for a table
@@ -671,12 +621,6 @@ func (db *DB) RebuildOfflineSamples(table string) error { return db.offline.Rebu
 // (maintenance stats, stored samples).
 func (db *DB) OfflineEngine() *core.OfflineEngine { return db.offline }
 
-// OnlineEngine exposes the online engine.
-func (db *DB) OnlineEngine() *core.OnlineEngine { return db.online }
-
-// SynopsisEngine exposes the synopsis engine.
-func (db *DB) SynopsisEngine() *core.SynopsisEngine { return db.synopsis }
-
 // BuildSynopsis builds histogram/HLL/CMS synopses for a column.
 func (db *DB) BuildSynopsis(table, column string) error {
 	return db.synopsis.BuildColumn(table, column, 0)
@@ -685,34 +629,6 @@ func (db *DB) BuildSynopsis(table, column string) error {
 // PropertyMatrix measures the no-silver-bullet matrix over probe queries.
 func (db *DB) PropertyMatrix(probe []string, spec ErrorSpec) ([]core.TechniqueProperties, error) {
 	return db.advisor.Matrix(probe, spec)
-}
-
-// Explain renders the optimized logical plan of a query.
-func (db *DB) Explain(sql string) (string, error) {
-	p, err := db.buildPlan(sql)
-	if err != nil {
-		return "", err
-	}
-	return plan.Explain(p), nil
-}
-
-// Exec runs a raw plan for a statement and returns the executor-level
-// result — an escape hatch for tooling that needs counters or weights. It
-// executes as Query does, on the morsel path at the DB's parallelism.
-func (db *DB) Exec(sql string) (*exec.Result, error) {
-	p, err := db.buildPlan(sql)
-	if err != nil {
-		return nil, err
-	}
-	return exec.RunParallel(p, db.workers)
-}
-
-func (db *DB) buildPlan(sql string) (plan.Node, error) {
-	stmt, err := prepare(sql)
-	if err != nil {
-		return nil, err
-	}
-	return plan.Build(stmt, db.catalog)
 }
 
 // FormatResult renders a result as an aligned text table with CI

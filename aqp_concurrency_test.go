@@ -92,7 +92,7 @@ func TestConcurrentQueriesWithWriter(t *testing.T) {
 			return nil
 		},
 		func(ctx context.Context) error {
-			_, err := db.QueryApproxContext(ctx, "SELECT SUM(x) FROM t WITH ERROR 5% CONFIDENCE 95%")
+			_, err := db.RunSQL(ctx, "SELECT SUM(x) FROM t WITH ERROR 5% CONFIDENCE 95%", aqp.Request{})
 			return err
 		},
 		func(ctx context.Context) error {

@@ -2,6 +2,7 @@ package aqp
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -95,7 +96,7 @@ func TestOfflinePipelineThroughFacade(t *testing.T) {
 	if err := db.ProfileOffline(sql); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.QueryOffline(sql, ErrorSpec{RelError: 0.5, Confidence: 0.9})
+	res, err := db.RunSQL(context.Background(), sql, Request{Mode: ModeOffline, Spec: ErrorSpec{RelError: 0.5, Confidence: 0.9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +124,13 @@ func TestProgressiveThroughFacade(t *testing.T) {
 	}
 	db := Open(ev.Catalog, WithOLAConfig(OLAConfig{ChunkRows: 3000, MaxFraction: 1, Seed: 4}))
 	checkpoints := 0
-	_, err = db.QueryProgressive("SELECT AVG(ev_value) AS m FROM events", DefaultErrorSpec,
-		func(p Progress) bool {
+	_, err = db.RunSQL(context.Background(), "SELECT AVG(ev_value) AS m FROM events", Request{
+		Mode: ModeOLA,
+		Observe: func(p Progress) bool {
 			checkpoints++
 			return checkpoints < 4
-		})
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,10 +141,11 @@ func TestProgressiveThroughFacade(t *testing.T) {
 
 func TestExplain(t *testing.T) {
 	db := demoDB(t)
-	out, err := db.Explain("SELECT region, SUM(amount) FROM sales WHERE qty > 2 GROUP BY region")
+	res, err := db.RunSQL(context.Background(), "EXPLAIN SELECT region, SUM(amount) FROM sales WHERE qty > 2 GROUP BY region", Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := resultText(res)
 	for _, want := range []string{"HashAggregate", "Scan sales", "filter="} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain missing %q:\n%s", want, out)
@@ -178,12 +182,31 @@ func TestLoadCSVAndDump(t *testing.T) {
 	}
 }
 
+// TestLoadCSVErrors: a load that fails on any record names the record's
+// line and leaves no half-loaded table behind, so a corrected retry
+// succeeds.
 func TestLoadCSVErrors(t *testing.T) {
 	db := New()
-	_, err := db.LoadCSV("bad", Schema{{Name: "x", Type: TypeInt64}},
-		strings.NewReader("x\nnot-a-number\n"))
-	if err == nil {
-		t.Fatal("expected parse error")
+	schema := Schema{{Name: "x", Type: TypeInt64}, {Name: "y", Type: TypeInt64}}
+	for _, c := range []struct{ csv, line string }{
+		{"x,y\nnot-a-number,3\n", "line 2 column x"},
+		{"x,y\n1,1\n2,2\nnot-a-number,3\n", "line 4 column x"},
+		{"x,y\n1\n", "line 2"},
+	} {
+		_, err := db.LoadCSV("bad", schema, strings.NewReader(c.csv))
+		if err == nil || !strings.Contains(err.Error(), c.line) {
+			t.Errorf("%q: err = %v, want one naming %q", c.csv, err, c.line)
+		}
+		if _, err := db.Table("bad"); err == nil {
+			t.Fatalf("%q: the failed load left table bad registered", c.csv)
+		}
+	}
+	tbl, err := db.LoadCSV("bad", schema, strings.NewReader("x,y\n1,1\n2,2\n3,3\n"))
+	if err != nil {
+		t.Fatalf("corrected retry: %v", err)
+	}
+	if tbl.NumRows() != 3 {
+		t.Errorf("rows = %d, want 3", tbl.NumRows())
 	}
 }
 
@@ -216,6 +239,26 @@ func TestPropertyMatrixFacade(t *testing.T) {
 	}
 	if len(rows) < 2 {
 		t.Fatalf("matrix rows = %d", len(rows))
+	}
+}
+
+// TestCreateTableRefusesUnreachableColumns: a column with no name, or with
+// the name of an earlier one, could never be referenced by a query.
+func TestCreateTableRefusesUnreachableColumns(t *testing.T) {
+	db := New()
+	for _, schema := range []Schema{
+		{{Name: "a", Type: TypeInt64}, {Name: "a", Type: TypeFloat64}},
+		{{Name: "", Type: TypeInt64}},
+	} {
+		if _, err := db.CreateTable("t", schema); err == nil {
+			t.Errorf("%v: created", schema)
+		}
+	}
+	if _, err := db.Table("t"); err == nil {
+		t.Error("a refused schema registered table t")
+	}
+	if _, err := db.CreateTable("t", Schema{{Name: "a", Type: TypeInt64}, {Name: "A", Type: TypeInt64}}); err != nil {
+		t.Errorf("names differing in case are distinct columns: %v", err)
 	}
 }
 

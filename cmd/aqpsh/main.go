@@ -203,12 +203,16 @@ func meta(sh *shell, line string) bool {
 			fmt.Println("unknown dataset:", fields[1])
 		}
 	case "\\explain":
-		out, err := db.Explain(rest)
+		// EXPLAIN through Run: the optimized plan comes back one line per
+		// row, nothing executed.
+		res, err := db.RunSQL(context.Background(), "EXPLAIN "+rest, aqp.Request{})
 		if err != nil {
 			fmt.Println("error:", err)
 			return false
 		}
-		fmt.Print(out)
+		for _, row := range res.Rows {
+			fmt.Println(row[0])
+		}
 	case "\\analyze":
 		// EXPLAIN ANALYZE through the advisor: the span tree (per-operator
 		// timings, rows in/out, worker morsels) comes back as the rows,

@@ -10,42 +10,40 @@ import (
 
 // LoadCSV reads CSV data (with a header row naming columns in schema
 // order) into a new table registered under name. Values parse per the
-// schema; empty cells and the literal NULL become NULLs.
+// schema; empty cells and the literal NULL become NULLs. Every record is
+// parsed before the table is created, so a failed load registers nothing.
 func (db *DB) LoadCSV(name string, schema Schema, r io.Reader) (*Table, error) {
-	t, err := db.CreateTable(name, schema)
-	if err != nil {
-		return nil, err
-	}
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = len(schema)
-	// Header row.
-	if _, err := cr.Read(); err != nil {
-		if err == io.EOF {
-			return t, nil
-		}
-		return nil, fmt.Errorf("aqp: read CSV header: %w", err)
-	}
-	line := 1
-	for {
+	var rows [][]Value
+	// The first record is the header; an empty input loads an empty table.
+	for first := true; ; first = false {
 		rec, err := cr.Read()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("aqp: read CSV line %d: %w", line, err)
+			// csv.ParseError names the record's line.
+			return nil, fmt.Errorf("aqp: read CSV: %w", err)
 		}
-		line++
+		if first {
+			continue
+		}
 		vals := make([]Value, len(schema))
 		for i, cell := range rec {
-			v, err := storage.ParseValue(schema[i].Type, cell)
-			if err != nil {
+			if vals[i], err = storage.ParseValue(schema[i].Type, cell); err != nil {
+				line, _ := cr.FieldPos(i)
 				return nil, fmt.Errorf("aqp: CSV line %d column %s: %w", line, schema[i].Name, err)
 			}
-			vals[i] = v
 		}
-		if err := t.AppendRow(vals...); err != nil {
-			return nil, err
-		}
+		rows = append(rows, vals)
+	}
+	t, err := db.CreateTable(name, schema)
+	if err != nil {
+		return nil, err
+	}
+	if err := t.AppendRows(rows); err != nil {
+		return nil, err
 	}
 	return t, nil
 }

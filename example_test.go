@@ -1,6 +1,7 @@
 package aqp_test
 
 import (
+	"context"
 	"fmt"
 
 	aqp "repro"
@@ -41,15 +42,17 @@ func ExampleDB_Advise() {
 	// exact
 }
 
-// ExampleDB_QueryAsWritten shows manual sampler control via TABLESAMPLE.
-func ExampleDB_QueryAsWritten() {
+// ExampleDB_RunSQL shows manual sampler control via TABLESAMPLE, which
+// ModeAsWritten honours verbatim.
+func ExampleDB_RunSQL() {
 	db := aqp.New()
 	tbl, _ := db.CreateTable("big", aqp.Schema{{Name: "v", Type: aqp.TypeFloat64}})
 	for i := 0; i < 10000; i++ {
 		_ = tbl.AppendRow(aqp.Float64(1))
 	}
 	// TABLESAMPLE BERNOULLI(100) keeps everything at weight 1: exact sum.
-	res, _ := db.QueryAsWritten("SELECT SUM(v) FROM big TABLESAMPLE BERNOULLI (100)")
+	res, _ := db.RunSQL(context.Background(), "SELECT SUM(v) FROM big TABLESAMPLE BERNOULLI (100)",
+		aqp.Request{Mode: aqp.ModeAsWritten})
 	fmt.Println(res.Rows[0][0])
 	// Output:
 	// 10000

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,8 +33,10 @@ func main() {
 		exact.NumRows(), exact.Diagnostics.Counters.RowsScanned, exact.Diagnostics.Latency.Round(1000))
 
 	// Naive uniform sampling at 0.5% — watch the tail groups disappear.
-	uniform, err := db.QueryAsWritten(
-		"SELECT ev_group, COUNT(*) AS hits, SUM(ev_value) AS load FROM events TABLESAMPLE BERNOULLI (0.5) GROUP BY ev_group")
+	ctx := context.Background()
+	uniform, err := db.RunSQL(ctx,
+		"SELECT ev_group, COUNT(*) AS hits, SUM(ev_value) AS load FROM events TABLESAMPLE BERNOULLI (0.5) GROUP BY ev_group",
+		aqp.Request{Mode: aqp.ModeAsWritten})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,7 +44,7 @@ func main() {
 		uniform.NumRows(), exact.NumRows()-uniform.NumRows())
 
 	// The online engine's distinct sampler keeps them all.
-	approx, err := db.QueryOnline(q, aqp.ErrorSpec{RelError: 0.1, Confidence: 0.95})
+	approx, err := db.RunSQL(ctx, q, aqp.Request{Mode: aqp.ModeOnline, Spec: aqp.ErrorSpec{RelError: 0.1, Confidence: 0.95}})
 	if err != nil {
 		log.Fatal(err)
 	}

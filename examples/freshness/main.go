@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -40,7 +41,7 @@ func main() {
 	fmt.Printf("precompute: %d samples, %d rows scanned\n", m.SamplesBuilt, m.RowsScanned)
 
 	run := func(label string) {
-		res, err := db.QueryOffline(q, spec)
+		res, err := db.RunSQL(context.Background(), q, aqp.Request{Mode: aqp.ModeOffline, Spec: spec})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -46,23 +47,25 @@ func main() {
 	}
 
 	// Uniform 1% on both sides: the join starves (~0.01% of pairs kept).
-	uniform, err := db.QueryAsWritten(fmt.Sprintf(base,
-		" TABLESAMPLE BERNOULLI (1)", " TABLESAMPLE BERNOULLI (1)"))
+	ctx, asWritten := context.Background(), aqp.Request{Mode: aqp.ModeAsWritten}
+	uniform, err := db.RunSQL(ctx, fmt.Sprintf(base,
+		" TABLESAMPLE BERNOULLI (1)", " TABLESAMPLE BERNOULLI (1)"), asWritten)
 	if err != nil {
 		log.Fatal(err)
 	}
 	report("uniform-both:", uniform)
 
 	// Universe 1% on both sides, same key domain: aligned samples.
-	universe, err := db.QueryAsWritten(fmt.Sprintf(base,
-		" TABLESAMPLE UNIVERSE (1) ON (l_orderkey)", " TABLESAMPLE UNIVERSE (1) ON (o_orderkey)"))
+	universe, err := db.RunSQL(ctx, fmt.Sprintf(base,
+		" TABLESAMPLE UNIVERSE (1) ON (l_orderkey)", " TABLESAMPLE UNIVERSE (1) ON (o_orderkey)"), asWritten)
 	if err != nil {
 		log.Fatal(err)
 	}
 	report("universe-both:", universe)
 
 	// The online engine places universe samplers automatically.
-	auto, err := db.QueryOnline(fmt.Sprintf(base, "", ""), aqp.ErrorSpec{RelError: 0.1, Confidence: 0.95})
+	auto, err := db.RunSQL(ctx, fmt.Sprintf(base, "", ""),
+		aqp.Request{Mode: aqp.ModeOnline, Spec: aqp.ErrorSpec{RelError: 0.1, Confidence: 0.95}})
 	if err != nil {
 		log.Fatal(err)
 	}

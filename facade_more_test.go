@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/sqlparse"
 	"repro/internal/workload"
 )
 
@@ -17,8 +18,9 @@ func TestQueryAsWritten(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := Open(ev.Catalog)
+	ctx, asWritten := context.Background(), Request{Mode: ModeAsWritten}
 	// Sampled as written: approximate with CIs.
-	res, err := db.QueryAsWritten("SELECT COUNT(*) AS n FROM events TABLESAMPLE BERNOULLI (10)")
+	res, err := db.RunSQL(ctx, "SELECT COUNT(*) AS n FROM events TABLESAMPLE BERNOULLI (10)", asWritten)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,8 +33,17 @@ func TestQueryAsWritten(t *testing.T) {
 	if !res.Items[0][0].HasCI {
 		t.Error("sampled as-written query must carry a CI")
 	}
+	// A sampled scan reads only the rows it keeps, all of which a projection
+	// returns.
+	res, err = db.RunSQL(ctx, "SELECT ev_group FROM events TABLESAMPLE BERNOULLI (50)", asWritten)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := res.Diagnostics.Counters; c.RowsScanned != int64(res.NumRows()) || c.RowsScanned >= 30000 || c.RowsScanned == 0 {
+		t.Errorf("counters = %+v for %d of 30000 rows", c, res.NumRows())
+	}
 	// Unsampled as written: exact.
-	res, err = db.QueryAsWritten("SELECT COUNT(*) FROM events")
+	res, err = db.RunSQL(ctx, "SELECT COUNT(*) FROM events", asWritten)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +51,7 @@ func TestQueryAsWritten(t *testing.T) {
 		t.Errorf("unsampled as-written should be exact: %v %v", res.Guarantee, res.Float(0, 0))
 	}
 	// Spec from the SQL clause.
-	res, err = db.QueryAsWritten("SELECT COUNT(*) FROM events TABLESAMPLE BERNOULLI (10) WITH ERROR 20% CONFIDENCE 90%")
+	res, err = db.RunSQL(ctx, "SELECT COUNT(*) FROM events TABLESAMPLE BERNOULLI (10) WITH ERROR 20% CONFIDENCE 90%", asWritten)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +66,8 @@ func TestQueryOLAViaFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := Open(ev.Catalog)
-	res, err := db.QueryOLA("SELECT AVG(ev_value) AS m FROM events", ErrorSpec{RelError: 0.2, Confidence: 0.9})
+	res, err := db.RunSQL(context.Background(), "SELECT AVG(ev_value) AS m FROM events",
+		Request{Mode: ModeOLA, Spec: ErrorSpec{RelError: 0.2, Confidence: 0.9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,15 +83,12 @@ func TestQueryOnlineViaFacade(t *testing.T) {
 	}
 	db := Open(ev.Catalog, WithOnlineConfig(OnlineConfig{
 		DefaultRate: 0.05, MinTableRows: 1000, DistinctKeep: 10, Seed: 1}))
-	res, err := db.QueryOnline("SELECT SUM(ev_value) FROM events", DefaultErrorSpec)
+	res, err := db.RunSQL(context.Background(), "SELECT SUM(ev_value) FROM events", Request{Mode: ModeOnline})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Technique != TechniqueOnline {
 		t.Errorf("technique = %v", res.Technique)
-	}
-	if db.OnlineEngine() == nil || db.SynopsisEngine() == nil || db.Catalog() == nil {
-		t.Error("engine accessors")
 	}
 }
 
@@ -94,7 +103,8 @@ func TestSelectivityGuardReadsSynopsisHistogram(t *testing.T) {
 	db := Open(ev.Catalog, WithOnlineConfig(OnlineConfig{
 		DefaultRate: 0.01, MinTableRows: 1000, MinExpectedSampleRows: 30, Seed: 1}))
 	const selective = "SELECT SUM(ev_value) FROM events WHERE ev_value > 1e9"
-	res, err := db.QueryOnline(selective, DefaultErrorSpec)
+	ctx, online := context.Background(), Request{Mode: ModeOnline}
+	res, err := db.RunSQL(ctx, selective, online)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +114,7 @@ func TestSelectivityGuardReadsSynopsisHistogram(t *testing.T) {
 	if err := db.BuildSynopsis("events", "ev_value"); err != nil {
 		t.Fatal(err)
 	}
-	if res, err = db.QueryOnline(selective, DefaultErrorSpec); err != nil {
+	if res, err = db.RunSQL(ctx, selective, online); err != nil {
 		t.Fatal(err)
 	}
 	if !res.Diagnostics.FellBackToExact {
@@ -143,53 +153,6 @@ func TestBuildSynopsisAndRebuildViaFacade(t *testing.T) {
 // aqpWithOffline mirrors WithOfflineConfig for test readability.
 func aqpWithOffline(cfg OfflineConfig) Option { return WithOfflineConfig(cfg) }
 
-func TestExecEscapeHatch(t *testing.T) {
-	db := demoDB(t)
-	raw, err := db.Exec("SELECT region FROM sales TABLESAMPLE BERNOULLI (50)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if raw.Weights == nil {
-		t.Error("raw exec must expose weights")
-	}
-	// The sampled scan reads only the rows it keeps, all of which it returns.
-	if c := raw.Counters; c.RowsScanned != int64(raw.NumRows()) || c.RowsScanned >= 300 || c.RowsScanned == 0 {
-		t.Errorf("counters = %+v for %d of 300 rows", raw.Counters, raw.NumRows())
-	}
-	if _, err := db.Exec("SELECT nope FROM sales"); err == nil {
-		t.Error("bad SQL must error")
-	}
-}
-
-// TestExecHonoursParallelism: an aggregate through Exec takes the morsel
-// path Query takes — over three morsels its float sums equal Query's to the
-// bit, which the serial operators' single running sum does not — and
-// reports the same counters.
-func TestExecHonoursParallelism(t *testing.T) {
-	star, err := workload.GenerateStar(workload.Config{Seed: 1, LineitemRows: 20_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := Open(star.Catalog, WithParallelism(4))
-	const sql = "SELECT SUM(l_extendedprice * (1 - l_discount)) AS revenue, AVG(l_extendedprice) AS price FROM lineitem"
-	raw, err := db.Exec(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := db.Query(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range raw.Rows[0] {
-		if got, want := raw.Rows[0][j].F, res.Rows[0][j].F; math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("column %d: Exec %v, Query %v: Exec is not on the morsel path", j, got, want)
-		}
-	}
-	if raw.Counters != res.Diagnostics.Counters {
-		t.Errorf("counters: Exec %+v, Query %+v", raw.Counters, res.Diagnostics.Counters)
-	}
-}
-
 func TestDumpTableCSV(t *testing.T) {
 	db := New()
 	tbl, err := db.CreateTable("t", Schema{
@@ -219,7 +182,7 @@ func TestFormatResultWithCI(t *testing.T) {
 	}
 	db := Open(ev.Catalog, WithOnlineConfig(OnlineConfig{
 		DefaultRate: 0.05, MinTableRows: 1000, DistinctKeep: 10, Seed: 1}))
-	res, err := db.QueryOnline("SELECT SUM(ev_value) AS s FROM events", DefaultErrorSpec)
+	res, err := db.RunSQL(context.Background(), "SELECT SUM(ev_value) AS s FROM events", Request{Mode: ModeOnline})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,19 +197,18 @@ func TestFormatResultWithCI(t *testing.T) {
 
 func TestFacadeErrorPaths(t *testing.T) {
 	db := New()
-	for _, call := range []func() error{
-		func() error { _, err := db.Query("SELECT"); return err },
-		func() error { _, err := db.QueryApprox("garbage"); return err },
-		func() error { _, err := db.QueryOnline("x", DefaultErrorSpec); return err },
-		func() error { _, err := db.QueryOffline("x", DefaultErrorSpec); return err },
-		func() error { _, err := db.QueryOLA("x", DefaultErrorSpec); return err },
-		func() error { _, err := db.QueryAsWritten("x"); return err },
-		func() error { _, err := db.Explain("x"); return err },
-		func() error { _, err := db.Advise("x"); return err },
-		func() error { _, err := db.QueryProgressive("x", DefaultErrorSpec, nil); return err },
-	} {
-		if call() == nil {
-			t.Error("malformed SQL must error")
+	if _, err := db.Query("SELECT"); err == nil {
+		t.Error("Query: malformed SQL must error")
+	}
+	if _, err := db.QueryApprox("garbage"); err == nil {
+		t.Error("QueryApprox: malformed SQL must error")
+	}
+	if _, err := db.Advise("x"); err == nil {
+		t.Error("Advise: malformed SQL must error")
+	}
+	for _, mode := range Modes {
+		if _, err := db.RunSQL(context.Background(), "x", Request{Mode: mode}); err == nil {
+			t.Errorf("mode %s: malformed SQL must error", mode)
 		}
 	}
 }
@@ -260,7 +222,7 @@ func TestWorkersStampedInEveryScanningMode(t *testing.T) {
 	}
 	const configured, override = 3, 2
 	db := Open(ev.Catalog, WithParallelism(configured))
-	stmt, err := prepare("SELECT SUM(ev_value) AS s FROM events")
+	stmt, err := sqlparse.Parse("SELECT SUM(ev_value) AS s FROM events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,9 +248,9 @@ func TestWorkersStampedInEveryScanningMode(t *testing.T) {
 	}
 }
 
-// TestQueryContractOn: the engine-pinned contract entry stamps a contract
-// on every technique that can size one, rejects the rest, and lets a WITH
-// ERROR clause beat the spec argument.
+// TestQueryContractOn: a contract request stamps a contract in every mode
+// that can size one, lets a WITH ERROR clause beat the spec argument, and
+// is refused by the mode's name, before any engine runs, in every other.
 func TestQueryContractOn(t *testing.T) {
 	ev, err := workload.GenerateEvents(workload.EventsConfig{Seed: 4, Rows: 40000, NumGroups: 8, Skew: 0.8})
 	if err != nil {
@@ -297,37 +259,39 @@ func TestQueryContractOn(t *testing.T) {
 	db := Open(ev.Catalog, WithOnlineConfig(OnlineConfig{DefaultRate: 0.5, MinTableRows: 1, Seed: 1}))
 	const q = "SELECT SUM(ev_value) FROM events"
 	spec := ErrorSpec{RelError: 0.05, Confidence: 0.95}
-	for _, tc := range []struct {
-		tech   Technique
+	type contractCase struct {
+		mode   Mode
 		sql    string
-		target float64 // 0: the technique cannot size a contract and is rejected
-	}{
-		{TechniqueOnline, q, 0.05},
-		{TechniqueOLA, q, 0.05},
-		{TechniqueOffline, q, 0.05},
-		{TechniqueOnline, q + " WITH ERROR 2% CONFIDENCE 90%", 0.02},
-		{TechniqueExact, q, 0},
-		{TechniqueSynopsis, q, 0},
-	} {
-		res, err := db.QueryContractOn(tc.tech, tc.sql, spec)
+		target float64 // 0: the mode cannot size a contract and is refused
+	}
+	cases := []contractCase{{ModeOnline, q + " WITH ERROR 2% CONFIDENCE 90%", 0.02}}
+	for _, mode := range Modes {
+		c := contractCase{mode, q, 0.05}
+		if mode == ModeExact || mode == ModeSynopsis || mode == ModeAsWritten {
+			c.target = 0
+		}
+		cases = append(cases, c)
+	}
+	for _, tc := range cases {
+		res, err := db.RunSQL(context.Background(), tc.sql, Request{Mode: tc.mode, Spec: spec, Contract: true})
 		if tc.target == 0 {
-			if err == nil || !strings.Contains(err.Error(), "does not support error contracts") {
-				t.Errorf("%s: err = %v, want a contract-unsupported rejection", tc.tech, err)
+			if want := "mode " + string(tc.mode) + " does not support error contracts"; err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: err = %v, want %q", tc.mode, err, want)
 			}
 			continue
 		}
 		if err != nil {
-			t.Fatalf("%s: %v", tc.tech, err)
+			t.Fatalf("%s: %v", tc.mode, err)
 		}
 		c := res.Diagnostics.Contract
 		if c == nil || c.Verdict == "" {
-			t.Fatalf("%s: no contract verdict stamped: %+v", tc.tech, res.Diagnostics)
+			t.Fatalf("%s: no contract verdict stamped: %+v", tc.mode, res.Diagnostics)
 		}
 		if c.TargetRelError != tc.target || res.Spec.RelError != tc.target {
-			t.Errorf("%s %q: contract target %v / spec %v, want %v", tc.tech, tc.sql, c.TargetRelError, res.Spec.RelError, tc.target)
+			t.Errorf("%s %q: contract target %v / spec %v, want %v", tc.mode, tc.sql, c.TargetRelError, res.Spec.RelError, tc.target)
 		}
 		if c.Verdict == ContractMet && res.Guarantee != GuaranteeAPriori {
-			t.Errorf("%s: met verdict with guarantee %s, want a-priori", tc.tech, res.Guarantee)
+			t.Errorf("%s: met verdict with guarantee %s, want a-priori", tc.mode, res.Guarantee)
 		}
 	}
 }

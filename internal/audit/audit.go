@@ -371,12 +371,7 @@ func decide(seed int64, technique string, arrival uint64, fraction float64) bool
 	for _, c := range []byte(technique) {
 		h = (h ^ uint64(c)) * 0x100000001b3
 	}
-	h ^= arrival + 0x9e3779b97f4a7c15
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
+	h = stats.Mix64(h ^ (arrival + 0x9e3779b97f4a7c15))
 	return float64(h>>11)/(1<<53) < fraction
 }
 

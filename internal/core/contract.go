@@ -28,6 +28,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/sample"
 	"repro/internal/sqlparse"
+	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
@@ -83,17 +84,6 @@ func (c ContractConfig) pilotRate(rows int64) float64 {
 		pr = 1
 	}
 	return pr
-}
-
-// contractStageSeed derives the stage-two sampler seed from the engine
-// seed (splitmix64 finalizer), so the two stages make independent
-// inclusion decisions while the whole run stays a pure function of the
-// engine seed.
-func contractStageSeed(seed int64) int64 {
-	z := uint64(seed) + 0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
 }
 
 // contractEstimates extracts the pilot moments contract sizing needs from
@@ -334,7 +324,9 @@ func stagedPlan(cat *storage.Catalog, stmt *sqlparse.SelectStmt, spec ErrorSpec,
 		if pilot == nil {
 			d.moments = &r.moments
 		} else {
-			seed = contractStageSeed(seed)
+			// Stage two draws under a mixed seed: independent inclusion
+			// decisions, and the run stays a pure function of the seed.
+			seed = int64(stats.SplitMix64(uint64(seed)))
 			d.shardRates = neymanRates(pilot, rate)
 			r.shardFractions = d.shardRates
 		}

@@ -32,6 +32,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // Kind is the effect an armed rule fires.
@@ -258,12 +260,7 @@ func fire(seed, n uint64, p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	h := seed + (n+1)*0x9e3779b97f4a7c15
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
+	h := stats.Mix64(seed + (n+1)*0x9e3779b97f4a7c15)
 	return float64(h>>11)/(1<<53) < p
 }
 

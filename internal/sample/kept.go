@@ -5,6 +5,8 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/stats"
 )
 
 // The uniform sampler's decisions, remembered.
@@ -72,7 +74,7 @@ func KeptMemoStats() KeptStats {
 
 // keeps is the sampler's coin for a row, as Decide flips it.
 func (u *Uniform) keeps(row int) bool {
-	return hashToUnit(splitmix64(u.seed^splitmix64(uint64(row)))) < u.p
+	return hashToUnit(stats.SplitMix64(u.seed^stats.SplitMix64(uint64(row)))) < u.p
 }
 
 // keptCut is the coin as an integer test: keeps(r) iff the top 53 bits of
@@ -91,7 +93,7 @@ func (u *Uniform) word(w int, cut uint64) uint64 {
 	var bits uint64
 	row := uint64(w) * 64
 	for i := range uint64(64) {
-		x := splitmix64(u.seed^splitmix64(row+i)) >> 11
+		x := stats.SplitMix64(u.seed^stats.SplitMix64(row+i)) >> 11
 		bits |= (x - cut) >> 63 << i
 	}
 	return bits

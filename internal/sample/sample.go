@@ -15,6 +15,7 @@ import (
 	"math"
 	"strings"
 
+	"repro/internal/stats"
 	"repro/internal/storage"
 )
 
@@ -131,15 +132,6 @@ func (s Spec) String() string {
 	return b + ")"
 }
 
-// splitmix64 is the SplitMix64 finalizer; a high-quality 64-bit mixer used
-// to turn (seed, index) into pseudo-random bits deterministically.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // hashToUnit maps a 64-bit hash to [0, 1).
 func hashToUnit(h uint64) float64 {
 	return float64(h>>11) / float64(1<<53)
@@ -234,7 +226,7 @@ func NewBlock(p float64, seed int64) *Block {
 
 // DecideBlock returns the decision for an entire block.
 func (b *Block) DecideBlock(blockIdx int) RowDecision {
-	h := splitmix64(b.seed ^ splitmix64(uint64(blockIdx)*0x5851f42d4c957f2d+1))
+	h := stats.SplitMix64(b.seed ^ stats.SplitMix64(uint64(blockIdx)*0x5851f42d4c957f2d+1))
 	if hashToUnit(h) < b.p {
 		return RowDecision{Keep: true, Weight: 1 / b.p}
 	}
@@ -261,7 +253,7 @@ func NewUniverse(p float64, salt uint64) *Universe {
 // depends only on the key, so all rows with one key are kept or dropped
 // together, on every table.
 func (u *Universe) Decide(key string) RowDecision {
-	h := splitmix64(hashString(key) ^ u.salt)
+	h := stats.SplitMix64(hashString(key) ^ u.salt)
 	if hashToUnit(h) < u.p {
 		return RowDecision{Keep: true, Weight: 1 / u.p}
 	}
@@ -276,7 +268,7 @@ func hashString(s string) uint64 {
 		h ^= uint64(s[i])
 		h *= 1099511628211
 	}
-	return splitmix64(h)
+	return stats.SplitMix64(h)
 }
 
 // Distinct passes the first KeepThreshold rows of every stratum (distinct
@@ -322,7 +314,7 @@ func (d *Distinct) Decide(rowIdx int, key string) RowDecision {
 
 // coin is the tail's Bernoulli trial, a function of the seed and the row.
 func (d *Distinct) coin(rowIdx int) bool {
-	return hashToUnit(splitmix64(d.seed^splitmix64(uint64(rowIdx)*0x9e3779b97f4a7c15+7))) < d.p
+	return hashToUnit(stats.SplitMix64(d.seed^stats.SplitMix64(uint64(rowIdx)*0x9e3779b97f4a7c15+7))) < d.p
 }
 
 // KeepRows is Decide over a run of rows whose strata the caller has

@@ -129,15 +129,15 @@ func TestContractInfeasibleOverHTTP(t *testing.T) {
 }
 
 // TestContractModeRejected: contract execution is a property of the
-// sampling paths; exact and synopsis modes must reject the flag up
-// front with a 400, not quietly ignore it.
+// sampling paths; exact, synopsis and as-written modes must reject the
+// flag up front with a 400 naming the mode, not quietly ignore it.
 func TestContractModeRejected(t *testing.T) {
 	db := buildDB(t, 1000)
 	srv := New(db, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	for _, mode := range []string{"exact", "synopsis"} {
+	for _, mode := range []string{"exact", "synopsis", "as-written"} {
 		resp, _, bad := postQuery(t, ts.URL, QueryRequest{
 			SQL: "SELECT SUM(x) FROM t", Contract: true, Mode: mode,
 			RelError: 0.05, Confidence: 0.95,
@@ -145,8 +145,8 @@ func TestContractModeRejected(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("mode %q + contract: status %d, want 400", mode, resp.StatusCode)
 		}
-		if !strings.Contains(bad.Error, "contract") {
-			t.Fatalf("mode %q: error does not mention contract: %q", mode, bad.Error)
+		if !strings.Contains(bad.Error, "contract") || !strings.Contains(bad.Error, "mode "+mode+" ") {
+			t.Fatalf("mode %q: error does not name the mode and the contract: %q", mode, bad.Error)
 		}
 	}
 }

@@ -517,6 +517,21 @@ func TestLoadCSVReaderRefusesRaggedRows(t *testing.T) {
 	}
 }
 
+// TestLoadCSVReaderRefusesRepeatedColumns: a header that names a column
+// twice, or not at all, would leave a column no query can reach; the load
+// is refused and registers no table.
+func TestLoadCSVReaderRefusesRepeatedColumns(t *testing.T) {
+	for _, csvData := range []string{"a,a\n1,2\n", "a, a \n1,2\n", "a,\n1,2\n"} {
+		db := aqp.New()
+		if _, err := LoadCSVReader(db, "t", strings.NewReader(csvData)); err == nil {
+			t.Errorf("%q: loaded", csvData)
+		}
+		if _, err := db.Table("t"); err == nil {
+			t.Errorf("%q: refused CSV registered table t", csvData)
+		}
+	}
+}
+
 func TestAdmissionUnit(t *testing.T) {
 	a := NewAdmission(2, 1)
 	r1, err := a.Acquire(context.Background())

@@ -12,10 +12,10 @@ import (
 
 // TestSpecResolutionEveryMode: the accuracy target is resolved once, the
 // same way in every mode — the SQL's WITH ERROR clause over the caller's
-// argument over the default — through the façade's Run, the named Query*
-// wrappers and POST /query. Before Run owned the rule, online / offline /
-// ola / synopsis dropped the clause and judged spec_satisfied against the
-// argument.
+// argument over the default — through the façade's Run and RunSQL, the
+// named Query* wrappers and POST /query. Before Run owned the rule,
+// online / offline / ola / synopsis dropped the clause and judged
+// spec_satisfied against the argument.
 func TestSpecResolutionEveryMode(t *testing.T) {
 	db := buildDB(t, 20000)
 	if err := db.BuildSynopsis("t", "x"); err != nil {
@@ -27,15 +27,14 @@ func TestSpecResolutionEveryMode(t *testing.T) {
 	const clause = " WITH ERROR 1% CONFIDENCE 90%"
 	inClause := aqp.ErrorSpec{RelError: 0.01, Confidence: 0.9}
 	arg := aqp.ErrorSpec{RelError: 0.2, Confidence: 0.8}
-	wrappers := map[aqp.Mode]func(sql string, spec aqp.ErrorSpec) (*aqp.Result, error){
-		aqp.ModeAuto:      func(sql string, spec aqp.ErrorSpec) (*aqp.Result, error) { return db.QueryApprox(sql, spec) },
-		aqp.ModeOnline:    db.QueryOnline,
-		aqp.ModeOffline:   db.QueryOffline,
-		aqp.ModeOLA:       db.QueryOLA,
-		aqp.ModeAsWritten: func(sql string, spec aqp.ErrorSpec) (*aqp.Result, error) { return db.QueryAsWritten(sql, spec) },
-		aqp.ModeSynopsis: func(sql string, spec aqp.ErrorSpec) (*aqp.Result, error) {
-			return db.QuerySynopsisContext(context.Background(), sql, spec)
+	ctx := context.Background()
+	wrappers := map[aqp.Mode]func(ctx context.Context, sql string, spec aqp.ErrorSpec) (*aqp.Result, error){
+		aqp.ModeAuto: func(_ context.Context, sql string, spec aqp.ErrorSpec) (*aqp.Result, error) {
+			return db.QueryApprox(sql, spec)
 		},
+		aqp.ModeOnline:  db.QueryOnlineContext,
+		aqp.ModeOffline: db.QueryOfflineContext,
+		aqp.ModeOLA:     db.QueryOLAContext,
 	}
 	for _, mode := range aqp.Modes {
 		sql := "SELECT SUM(x) AS s FROM t"
@@ -64,15 +63,22 @@ func TestSpecResolutionEveryMode(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := db.Run(context.Background(), stmt, aqp.Request{Mode: mode, Spec: c.arg, Contract: contract})
+				req := aqp.Request{Mode: mode, Spec: c.arg, Contract: contract}
+				res, err := db.Run(ctx, stmt, req)
 				if err != nil {
 					t.Fatalf("%s: Run: %v", name, err)
 				}
 				if res.Spec != c.want {
 					t.Errorf("%s: Run judged against %+v, want %+v", name, res.Spec, c.want)
 				}
+				if res, err = db.RunSQL(ctx, c.sql, req); err != nil {
+					t.Fatalf("%s: RunSQL: %v", name, err)
+				}
+				if res.Spec != c.want {
+					t.Errorf("%s: RunSQL judged against %+v, want %+v", name, res.Spec, c.want)
+				}
 				if w := wrappers[mode]; w != nil && !contract {
-					res, err := w(c.sql, c.arg)
+					res, err := w(ctx, c.sql, c.arg)
 					if err != nil {
 						t.Fatalf("%s: wrapper: %v", name, err)
 					}

@@ -12,7 +12,7 @@ type QueryRequest struct {
 	// SQL is the query text; it may carry WITH ERROR / CONFIDENCE.
 	SQL string `json:"sql"`
 	// Mode picks the engine: "auto" (advisor, default), "exact",
-	// "online", "offline", "ola", "as-written".
+	// "online", "offline", "ola", "synopsis", "as-written".
 	Mode string `json:"mode,omitempty"`
 	// RelError / Confidence form the accuracy contract when the SQL has
 	// no WITH ERROR clause (both required together).
@@ -35,7 +35,7 @@ type QueryRequest struct {
 	// sizes the stage-two sampling fraction that makes the realized CI
 	// meet the error spec, and the response carries a contract block with
 	// the met/missed/infeasible verdict. Valid with modes "auto" (online
-	// engine), "online", "ola", and "offline".
+	// engine), "online", "ola", and "offline"; the others answer 400.
 	Contract bool `json:"contract,omitempty"`
 }
 

@@ -27,6 +27,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/sample"
 	"repro/internal/sqlparse"
+	"repro/internal/stats"
 	"repro/internal/storage"
 )
 
@@ -277,13 +278,7 @@ func DeriveSeed(seed int64, shardID int) int64 {
 	if shardID == 0 {
 		return seed
 	}
-	x := uint64(seed) ^ (uint64(shardID) * 0x9e3779b97f4a7c15)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return int64(x)
+	return int64(stats.Mix64(uint64(seed) ^ (uint64(shardID) * 0x9e3779b97f4a7c15)))
 }
 
 // hashRoute assigns a key value to one of n hash shards. FNV-1a over the
@@ -302,10 +297,5 @@ func hashRoute(v storage.Value, n int) int {
 		h ^= uint64(b)
 		h *= prime64
 	}
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return int(h % uint64(n))
+	return int(stats.Mix64(h) % uint64(n))
 }

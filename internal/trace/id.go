@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // TraceID is a W3C trace-context 128-bit trace identifier.
@@ -32,20 +34,10 @@ func NewTraceID() TraceID {
 	var t TraceID
 	if _, err := rand.Read(t[:]); err != nil || t.IsZero() {
 		now := uint64(time.Now().UnixNano())
-		binary.BigEndian.PutUint64(t[:8], splitmix64(now))
-		binary.BigEndian.PutUint64(t[8:], splitmix64(now+1))
+		binary.BigEndian.PutUint64(t[:8], stats.SplitMix64(now))
+		binary.BigEndian.PutUint64(t[8:], stats.SplitMix64(now+1))
 	}
 	return t
-}
-
-// splitmix64 is the finalizer-style mixer used elsewhere in this repo
-// for deterministic fault sampling; here it stretches one random seed
-// into a stream of span IDs without per-span syscalls.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // FormatTraceparent renders the W3C traceparent header (version 00,

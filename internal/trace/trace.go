@@ -24,6 +24,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // Tracer is the root of one query's span tree. Every tracer owns a
@@ -70,7 +72,7 @@ func (t *Tracer) TraceID() TraceID {
 }
 
 func (t *Tracer) nextSpanID() SpanID {
-	x := splitmix64(t.idSeed + t.idCtr.Add(1))
+	x := stats.SplitMix64(t.idSeed + t.idCtr.Add(1))
 	if x == 0 {
 		x = 1
 	}
