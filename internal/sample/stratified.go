@@ -209,27 +209,26 @@ func sortedKeys(strata map[string]*stratum) []string {
 	return keys
 }
 
-// weightedTable returns an empty stored sample of src: its schema and the
-// weight column.
-func weightedTable(src *storage.Table, name string) *storage.Table {
-	return storage.NewTable(name, append(src.Schema().Clone(), storage.ColumnDef{Name: WeightColumn, Type: storage.TypeFloat64}))
-}
-
 // writeStrata writes the rows the strata's reservoirs hold as a stored
 // sample of src: strata in key order, each one's rows in row order at
 // weight size/kept, so a stratum's weights sum to its size.
 func writeStrata(src *storage.Table, strata map[string]*stratum, keyCols []string, name string) (*StratifiedResult, error) {
-	out := weightedTable(src, name)
+	var rows []int
+	var weights []float64
 	for _, key := range sortedKeys(strata) {
 		st := strata[key]
-		rows := append([]int(nil), st.res.Items()...)
-		sort.Ints(rows)
-		w := storage.Float64(float64(st.size) / float64(len(rows)))
-		for _, r := range rows {
-			if err := out.AppendRow(append(src.Row(r), w)...); err != nil {
-				return nil, err
-			}
+		kept := st.res.Items()
+		from := len(rows)
+		rows = append(rows, kept...)
+		sort.Ints(rows[from:])
+		w := float64(st.size) / float64(len(kept))
+		for range kept {
+			weights = append(weights, w)
 		}
+	}
+	out, err := writeSample(src, rows, weights, name)
+	if err != nil {
+		return nil, err
 	}
 	return &StratifiedResult{
 		Table:        out,
@@ -245,13 +244,25 @@ func writeStrata(src *storage.Table, strata map[string]*stratum, keyCols []strin
 // writeUniform writes the rows of src a uniform sampler at rate p keeps,
 // but for those in skip, as a stored sample at weight 1/p.
 func writeUniform(src *storage.Table, p float64, seed int64, skip map[int]bool, name string) (*storage.Table, error) {
-	u, out := NewUniform(p, seed), weightedTable(src, name)
+	u := NewUniform(p, seed)
+	var rows []int
+	var weights []float64
 	for i := range src.NumRows() {
 		if d := u.Decide(i); d.Keep && !skip[i] {
-			if err := out.AppendRow(append(src.Row(i), storage.Float64(d.Weight))...); err != nil {
-				return nil, err
-			}
+			rows = append(rows, i)
+			weights = append(weights, d.Weight)
 		}
+	}
+	return writeSample(src, rows, weights, name)
+}
+
+// writeSample is the one writer of a stored sample: src's rows at rows,
+// in order, each with its weight in the trailing weight column, copied in
+// one append.
+func writeSample(src *storage.Table, rows []int, weights []float64, name string) (*storage.Table, error) {
+	out := storage.NewTable(name, append(src.Schema().Clone(), storage.ColumnDef{Name: WeightColumn, Type: storage.TypeFloat64}))
+	if err := out.AppendGather(src, rows, weights); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -210,22 +210,26 @@ func (s *LocalShard) Bounds() (lo, hi storage.Value, ok bool) {
 	return s.minKey, s.maxKey, s.hasBounds
 }
 
-func (s *LocalShard) extendBounds(v storage.Value) {
-	if v.IsNull() {
-		return
-	}
+// extendBounds folds the key values at rows, in order, into the shard's
+// bounds under one lock.
+func (s *LocalShard) extendBounds(key storage.Column, rows []int) {
 	s.mu.Lock()
-	if !s.hasBounds {
-		s.minKey, s.maxKey, s.hasBounds = v, v, true
-	} else {
-		if v.Compare(s.minKey) < 0 {
-			s.minKey = v
-		}
-		if v.Compare(s.maxKey) > 0 {
-			s.maxKey = v
+	defer s.mu.Unlock()
+	for _, r := range rows {
+		v := key.Value(r)
+		switch {
+		case v.IsNull():
+		case !s.hasBounds:
+			s.minKey, s.maxKey, s.hasBounds = v, v, true
+		default:
+			if v.Compare(s.minKey) < 0 {
+				s.minKey = v
+			}
+			if v.Compare(s.maxKey) > 0 {
+				s.maxKey = v
+			}
 		}
 	}
-	s.mu.Unlock()
 }
 
 // BuildShardQueryPlan builds q's plan against a shard's table. The table
