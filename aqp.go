@@ -36,6 +36,7 @@ import (
 
 	"repro/internal/contract"
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/plan"
 	"repro/internal/shard"
@@ -210,12 +211,12 @@ func WithContractConfig(cfg ContractConfig) Option {
 	return func(db *DB) { db.contractCfg = cfg }
 }
 
-// WithParallelism sets the default morsel-parallel worker count for every
-// engine. 0 (the default) defers to a per-query context override or
-// runtime.GOMAXPROCS; 1 forces serial execution. Results are
+// ContextWithWorkers returns ctx carrying the morsel-parallel worker count
+// every query run under it uses, in every mode; n ≤ 0 (or no call) leaves
+// it to runtime.GOMAXPROCS, and 1 forces serial execution. Results are
 // bit-identical regardless of the worker count.
-func WithParallelism(workers int) Option {
-	return func(db *DB) { db.workers = workers }
+func ContextWithWorkers(ctx context.Context, n int) context.Context {
+	return exec.ContextWithWorkers(ctx, n)
 }
 
 // DB is the top-level handle: a catalog plus the engine suite.
@@ -225,7 +226,6 @@ type DB struct {
 	offlineCfg  OfflineConfig
 	olaCfg      OLAConfig
 	contractCfg ContractConfig
-	workers     int
 
 	exact    *core.ExactEngine
 	online   *core.OnlineEngine
@@ -254,14 +254,8 @@ func Open(cat *storage.Catalog, opts ...Option) *DB {
 	for _, o := range opts {
 		o(db)
 	}
-	if db.workers > 0 {
-		db.onlineCfg.Workers = db.workers
-		db.offlineCfg.Workers = db.workers
-		db.olaCfg.Workers = db.workers
-	}
 	db.shards = shard.NewMap()
 	db.exact = core.NewExactEngine(cat)
-	db.exact.Workers = db.workers
 	db.exact.Shards = db.shards
 	db.online = core.NewOnlineEngine(cat, db.onlineCfg)
 	db.online.Shards = db.shards

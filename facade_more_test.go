@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/sqlparse"
 	"repro/internal/workload"
 )
@@ -213,15 +213,15 @@ func TestFacadeErrorPaths(t *testing.T) {
 	}
 }
 
-// Every scanning mode runs at, and reports, the worker count the DB was
-// opened with — as-written included — unless the context overrides it.
+// Every scanning mode runs at, and reports, the worker count its context
+// carries — as-written included — and GOMAXPROCS without one.
 func TestWorkersStampedInEveryScanningMode(t *testing.T) {
 	ev, err := workload.GenerateEvents(workload.EventsConfig{Seed: 1, Rows: 60000, NumGroups: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const configured, override = 3, 2
-	db := Open(ev.Catalog, WithParallelism(configured))
+	const set = 3
+	db := Open(ev.Catalog)
 	stmt, err := sqlparse.Parse("SELECT SUM(ev_value) AS s FROM events")
 	if err != nil {
 		t.Fatal(err)
@@ -234,8 +234,8 @@ func TestWorkersStampedInEveryScanningMode(t *testing.T) {
 			ctx  context.Context
 			want int
 		}{
-			{context.Background(), configured},
-			{exec.ContextWithWorkers(context.Background(), override), override},
+			{context.Background(), max(runtime.GOMAXPROCS(0), 1)},
+			{ContextWithWorkers(context.Background(), set), set},
 		} {
 			res, err := db.Run(c.ctx, stmt, req)
 			if err != nil {

@@ -23,7 +23,6 @@ package audit
 import (
 	"context"
 	"log/slog"
-	"math"
 	"strings"
 	"sync"
 	"time"
@@ -774,7 +773,7 @@ func compare(j *job, truth *core.Result) compareResult {
 			out.items = append(out.items, itemOutcome{
 				aggregate: agg,
 				covered:   covered,
-				relErr:    relError(it.Value.AsFloat(), tv),
+				relErr:    stats.RelError(it.Value.AsFloat(), tv),
 			})
 			if !covered {
 				out.missedAny = true
@@ -801,20 +800,4 @@ func rowKey(res *core.Result, row int, keyCols []int) string {
 		b.WriteByte('\x00')
 	}
 	return b.String()
-}
-
-// relError is |estimate-truth| / |truth|, with the 0-truth edge cases
-// pinned: exact agreement is 0, anything else against a zero truth is 1.
-func relError(est, truth float64) float64 {
-	if truth == 0 {
-		if est == 0 {
-			return 0
-		}
-		return 1
-	}
-	rel := math.Abs(est-truth) / math.Abs(truth)
-	if math.IsNaN(rel) || math.IsInf(rel, 0) {
-		return 1
-	}
-	return rel
 }

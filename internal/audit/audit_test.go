@@ -392,19 +392,6 @@ func (e *truthExec) QueryContext(context.Context, string) (*core.Result, error) 
 	return e.res, nil
 }
 
-func TestRelError(t *testing.T) {
-	cases := []struct{ est, truth, want float64 }{
-		{100, 100, 0}, {90, 100, 0.1}, {0, 0, 0}, {5, 0, 1}, {110, 100, 0.1},
-	}
-	for _, c := range cases {
-		if got := relError(c.est, c.truth); !close2(got, c.want) {
-			t.Fatalf("relError(%v, %v) = %v, want %v", c.est, c.truth, got, c.want)
-		}
-	}
-}
-
-func close2(a, b float64) bool { d := a - b; return d < 1e-9 && d > -1e-9 }
-
 func TestShardDegradedAttribution(t *testing.T) {
 	exec := &fakeExec{truth: 100, rows: 1000}
 	rec := &recorder{}

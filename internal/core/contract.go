@@ -441,7 +441,7 @@ func (e *OfflineEngine) contractPlan(ctx context.Context, stmt *sqlparse.SelectS
 		return nil, "empty table", nil
 	}
 	from.Sample = &sample.Spec{Kind: sample.KindUniformRow, Rate: 1, Seed: e.Config.Seed}
-	d := draw{tech: TechniqueOffline, guarantee: GuaranteeAPosteriori, workers: e.Config.Workers, plan: p,
+	d := draw{tech: TechniqueOffline, guarantee: GuaranteeAPosteriori, plan: p,
 		notes: []string{"offline: contract drawn from the base table, not the stored ladder"}}
 	return stagedPlan(e.Catalog, stmt, spec, d, e.Config.Seed), "", nil
 }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/sqlparse"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -75,6 +77,53 @@ func TestProfileTemplates(t *testing.T) {
 	}
 	if !profiled {
 		t.Error("profiling left no profile entries")
+	}
+}
+
+// TestProfileRefusesNaNError: a sample whose profiled answer cannot be
+// compared with a NaN truth profiles at error 1, not 0, so a spec it was
+// never shown to meet sends the statement to the exact engine rather than
+// certifying the sample a-priori.
+func TestProfileRefusesNaNError(t *testing.T) {
+	tbl := storage.NewTable("t", storage.Schema{{Name: "x", Type: storage.TypeFloat64}})
+	batch := make([][]storage.Value, 20000)
+	for r := range batch {
+		batch[r] = []storage.Value{storage.Float64(float64(r % 100))}
+	}
+	batch[7777][0] = storage.Float64(math.NaN())
+	if err := tbl.AppendRows(batch); err != nil {
+		t.Fatal(err)
+	}
+	cat := storage.NewCatalog()
+	if err := cat.Add(tbl); err != nil {
+		t.Fatal(err)
+	}
+	e := NewOfflineEngine(cat, DefaultOfflineConfig())
+	if err := e.BuildSamples("t", nil); err != nil {
+		t.Fatal(err)
+	}
+	const sql = "SELECT SUM(x) FROM t"
+	if err := e.ProfileQuery(sql); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range e.Samples("t") {
+		for key, rel := range s.Profile {
+			if rel != 1 {
+				t.Errorf("sample %s profiled %s at error %v against a NaN truth, want 1", s.Name, key, rel)
+			}
+		}
+	}
+	stmt, err := sqlparse.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Execute(context.Background(), stmt, ErrorSpec{RelError: 0.05, Confidence: 0.95})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Diagnostics.FellBackToExact || !math.IsNaN(res.Float(0, 0)) {
+		t.Errorf("SUM over a NaN answered %v (fell back to exact: %v, guarantee %s): %v",
+			res.Float(0, 0), res.Diagnostics.FellBackToExact, res.Guarantee, res.Diagnostics.Messages)
 	}
 }
 

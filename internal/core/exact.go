@@ -16,9 +16,6 @@ var injectExact = fault.NewPoint("core.exact", "exact engine entry")
 // approximate engine is measured against.
 type ExactEngine struct {
 	Catalog *storage.Catalog
-	// Workers is the morsel-parallel worker count; 0 defers to a context
-	// override or runtime.GOMAXPROCS.
-	Workers int
 	// Shards, when set, routes single-table aggregate queries over sharded
 	// tables through the scatter-gather executor. A nil map (or unsharded
 	// table) leaves execution exactly as before.
@@ -39,7 +36,7 @@ func (e *ExactEngine) Execute(ctx context.Context, stmt *sqlparse.SelectStmt, sp
 	return engineRun(ctx, "exact", injectExact, spec, func(ctx context.Context, spec ErrorSpec) (*Result, error) {
 		return execute(ctx, e.Catalog, stmt, spec, draw{
 			tech: TechniqueExact, guarantee: GuaranteeExact, strip: true,
-			workers: e.Workers, group: shardGroupFor(e.Shards, stmt)})
+			group: shardGroupFor(e.Shards, stmt)})
 	})
 }
 
@@ -51,7 +48,7 @@ func (e *ExactEngine) Execute(ctx context.Context, stmt *sqlparse.SelectStmt, sp
 func (e *ExactEngine) ExecuteAsWritten(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec) (*Result, error) {
 	return engineRun(ctx, "as-written", nil, spec, func(ctx context.Context, spec ErrorSpec) (*Result, error) {
 		return execute(ctx, e.Catalog, stmt, spec, draw{
-			tech: TechniqueOnline, guarantee: GuaranteeAPosteriori, workers: e.Workers})
+			tech: TechniqueOnline, guarantee: GuaranteeAPosteriori})
 	})
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -14,6 +13,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/sample"
 	"repro/internal/sqlparse"
+	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
@@ -54,9 +54,6 @@ type OfflineConfig struct {
 	StalePolicy StalePolicy
 	// Seed drives sample construction.
 	Seed int64
-	// Workers is the morsel-parallel worker count for sample scans; 0
-	// defers to a context override or runtime.GOMAXPROCS.
-	Workers int
 }
 
 // DefaultOfflineConfig returns caps {64, 256, 1024}, uniform rates
@@ -293,7 +290,7 @@ func (e *OfflineEngine) ProfileQuery(sql string) error {
 		in := s.standIn()
 		e.mu.RUnlock()
 		approx, err := execute(ctx, e.Catalog, stmt, DefaultErrorSpec, draw{
-			tech: TechniqueOffline, guarantee: GuaranteeNone, standIn: &in, strip: true, workers: e.Config.Workers})
+			tech: TechniqueOffline, guarantee: GuaranteeNone, standIn: &in, strip: true})
 		if err != nil {
 			continue
 		}
@@ -424,7 +421,7 @@ func (e *OfflineEngine) Execute(ctx context.Context, stmt *sqlparse.SelectStmt, 
 			return e.exactEngine().fallBack(ctx, stmt, spec, "offline: "+why)
 		}
 		d := draw{tech: TechniqueOffline, guarantee: GuaranteeAPriori, standIn: &best.standIn,
-			strip: true, workers: e.Config.Workers,
+			strip: true,
 			notes: []string{fmt.Sprintf("offline: answered from sample %s (%d rows, profiled err %.4f)",
 				best.name, best.data.NumRows(), best.prof)}}
 		if stmt.From.Sample != nil || slices.ContainsFunc(stmt.Joins,
@@ -438,9 +435,9 @@ func (e *OfflineEngine) Execute(ctx context.Context, stmt *sqlparse.SelectStmt, 
 	})
 }
 
-// exactEngine builds the exact-fallback engine at the same parallelism.
+// exactEngine builds the exact-fallback engine.
 func (e *OfflineEngine) exactEngine() *ExactEngine {
-	return &ExactEngine{Catalog: e.Catalog, Workers: e.Config.Workers}
+	return NewExactEngine(e.Catalog)
 }
 
 // certified selects the sample that answers the statement; a nil candidate
@@ -482,20 +479,7 @@ func maxRelError(exact, approx *Result) (float64, bool) {
 			if !it.IsAggregate {
 				continue
 			}
-			ev := exact.Float(i, j)
-			av := approx.Float(i, j)
-			var rel float64
-			switch {
-			case ev == 0 && av == 0:
-				rel = 0
-			case ev == 0:
-				rel = 1
-			default:
-				rel = math.Abs(av-ev) / math.Abs(ev)
-			}
-			if rel > m {
-				m = rel
-			}
+			m = max(m, stats.RelError(approx.Float(i, j), exact.Float(i, j)))
 		}
 	}
 	return m, true

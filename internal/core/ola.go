@@ -42,11 +42,6 @@ type OLAConfig struct {
 	MaxBuildRows int
 	// Seed drives the row permutation.
 	Seed int64
-	// Workers is the morsel-parallel worker count for chunk processing;
-	// 0 defers to a context override or runtime.GOMAXPROCS. Estimates are
-	// bit-identical for every worker count: a chunk's morsels are cut at
-	// fixed positions of the permuted order and merge in morsel order.
-	Workers int
 }
 
 // DefaultOLAConfig processes 4096-row chunks up to the full table and
@@ -98,9 +93,9 @@ func (e *OLAEngine) Execute(ctx context.Context, stmt *sqlparse.SelectStmt, spec
 	return e.run(ctx, stmt, spec, e.Config, nil)
 }
 
-// exactEngine builds the exact-fallback engine at the same parallelism.
+// exactEngine builds the exact-fallback engine.
 func (e *OLAEngine) exactEngine() *ExactEngine {
-	return &ExactEngine{Catalog: e.Catalog, Workers: e.Config.Workers}
+	return NewExactEngine(e.Catalog)
 }
 
 // ExecuteProgressive runs the query with checkpoints; observe (if
@@ -196,7 +191,7 @@ func (e *OLAEngine) progress(ctx context.Context, stmt *sqlparse.SelectStmt, spe
 		return nil, err
 	}
 	limit := min(int(math.Ceil(cfg.MaxFraction*float64(d.n))), d.n)
-	workers := exec.ResolveWorkers(ctx, cfg.Workers)
+	workers := exec.ResolveWorkers(ctx)
 
 	// Chunk/checkpoint spans accumulate across loop iterations; a span per
 	// chunk, let alone per chunk operator, would bloat the tree at default

@@ -382,10 +382,9 @@ func TestOLARefusalCostsWhatExactCosts(t *testing.T) {
 	stmt := parse(t, `SELECT o_orderpriority, COUNT(*) AS n
 		FROM lineitem JOIN orders ON l_orderkey = o_orderkey
 		GROUP BY o_orderpriority ORDER BY o_orderpriority`)
-	ctx := context.Background()
+	ctx := exec.ContextWithWorkers(context.Background(), 1)
 	ola := NewOLAEngine(star.Catalog, DefaultOLAConfig())
-	exact := &ExactEngine{Catalog: star.Catalog, Workers: 1}
-	ola.Config.Workers = 1
+	exact := NewExactEngine(star.Catalog)
 	res, err := ola.Execute(ctx, stmt, DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)

@@ -40,9 +40,6 @@ type OnlineConfig struct {
 	MinExpectedSampleRows float64
 	// Seed drives sampler determinism.
 	Seed int64
-	// Workers is the morsel-parallel worker count; 0 defers to a context
-	// override or runtime.GOMAXPROCS.
-	Workers int
 }
 
 // DefaultOnlineConfig returns the engine defaults: 1% sampling, sampling
@@ -86,10 +83,9 @@ func NewOnlineEngine(cat *storage.Catalog, cfg OnlineConfig) *OnlineEngine {
 	return &OnlineEngine{Catalog: cat, Config: cfg}
 }
 
-// exactEngine builds the exact-fallback engine, inheriting the worker
-// configuration so fallbacks run at the same parallelism.
+// exactEngine builds the exact-fallback engine over the same shards.
 func (e *OnlineEngine) exactEngine() *ExactEngine {
-	return &ExactEngine{Catalog: e.Catalog, Workers: e.Config.Workers, Shards: e.Shards}
+	return &ExactEngine{Catalog: e.Catalog, Shards: e.Shards}
 }
 
 // estimatedQualifyingRows predicts how many rows of a sampled scan would
@@ -156,7 +152,7 @@ func (e *OnlineEngine) draw(ctx context.Context, stmt *sqlparse.SelectStmt) (d d
 		return d, "no table large enough to sample", nil
 	}
 	d = draw{tech: TechniqueOnline, guarantee: GuaranteeAPosteriori, notes: notes,
-		workers: e.Config.Workers, plan: p}
+		plan: p}
 	d.group = shardGroupFor(e.Shards, stmt)
 	return d, "", nil
 }

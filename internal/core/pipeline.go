@@ -25,9 +25,6 @@ type draw struct {
 	// notes are the engine's account of its decision, stamped first in
 	// Diagnostics.Messages.
 	notes []string
-	// workers is the engine's configured worker count; 0 defers to a
-	// context override or runtime.GOMAXPROCS.
-	workers int
 
 	// standIn, when set, is the stored offline sample that takes a base
 	// table's place.
@@ -119,7 +116,7 @@ func execute(ctx context.Context, cat *storage.Catalog, stmt *sqlparse.SelectStm
 			plan.ClearSamplers(p)
 		}
 	}
-	workers := exec.ResolveWorkers(ctx, d.workers)
+	workers := exec.ResolveWorkers(ctx)
 	trace.SpanFromContext(ctx).SetAttrInt("workers", int64(workers))
 
 	var (

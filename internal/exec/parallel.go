@@ -59,26 +59,23 @@ var _ [maxRunRows - orderedMorselRows]struct{}
 // path a genuine kernel bug would.
 var injectMorsel = fault.NewPoint("exec.morsel", "morsel worker, per claimed morsel")
 
-// workersCtxKey carries a per-request worker-count override in a context.
+// workersCtxKey carries a query's worker count in a context.
 type workersCtxKey struct{}
 
-// ContextWithWorkers returns ctx carrying a per-query worker-count
-// override, consulted first by ResolveWorkers. The server uses it to cap
-// per-query parallelism under admission control without widening engine
-// signatures.
+// ContextWithWorkers returns ctx carrying the query's morsel-parallel
+// worker count, the one place ResolveWorkers reads it; n ≤ 0 leaves it to
+// runtime.GOMAXPROCS. The server uses it to cap per-query parallelism
+// under admission control without widening engine signatures.
 func ContextWithWorkers(ctx context.Context, n int) context.Context {
 	return context.WithValue(ctx, workersCtxKey{}, n)
 }
 
-// ResolveWorkers resolves the effective worker count: a context override
-// wins, then a positive engine configuration, then runtime.GOMAXPROCS. The
-// result is always at least 1.
-func ResolveWorkers(ctx context.Context, cfg int) int {
+// ResolveWorkers resolves the effective worker count: a positive count on
+// the context wins, otherwise runtime.GOMAXPROCS. The result is always at
+// least 1.
+func ResolveWorkers(ctx context.Context) int {
 	if n, _ := ctx.Value(workersCtxKey{}).(int); n > 0 {
 		return n
-	}
-	if cfg > 0 {
-		return cfg
 	}
 	if n := runtime.GOMAXPROCS(0); n > 1 {
 		return n
@@ -119,7 +116,7 @@ type morselRun struct {
 func newMorselRun(ctx context.Context, below plan.Node, counters *Counters, workers int, sp *trace.Span) (*morselRun, error) {
 	op := &morselRun{ctx: ctx, counters: counters, workers: workers, sp: sp, limit: -1}
 	if workers <= 0 {
-		op.workers = ResolveWorkers(ctx, 0)
+		op.workers = ResolveWorkers(ctx)
 	}
 	for n := below; op.scan == nil; {
 		switch c := n.(type) {

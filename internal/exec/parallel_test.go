@@ -311,24 +311,24 @@ func TestParallelCancellation(t *testing.T) {
 	}
 }
 
-// TestResolveWorkers pins the resolution chain: context override, then
-// hint, then GOMAXPROCS, never below 1.
+// TestResolveWorkers pins the resolution chain: the context's count, then
+// GOMAXPROCS, never below 1.
 func TestResolveWorkers(t *testing.T) {
 	bg := context.Background()
-	if got := ResolveWorkers(bg, 3); got != 3 {
-		t.Errorf("hint 3 resolved to %d", got)
+	procs := max(runtime.GOMAXPROCS(0), 1)
+	if got := ResolveWorkers(ContextWithWorkers(bg, 3)); got != 3 {
+		t.Errorf("context count 3 resolved to %d", got)
 	}
-	if got := ResolveWorkers(ContextWithWorkers(bg, 2), 3); got != 2 {
-		t.Errorf("context override lost to hint: %d", got)
+	if got := ResolveWorkers(ContextWithWorkers(ContextWithWorkers(bg, 3), 2)); got != 2 {
+		t.Errorf("inner context count 2 resolved to %d", got)
 	}
-	if got := ResolveWorkers(bg, 0); got != runtime.GOMAXPROCS(0) && got != 1 {
-		t.Errorf("no hint resolved to %d", got)
+	if got := ResolveWorkers(bg); got != procs {
+		t.Errorf("no count resolved to %d, want GOMAXPROCS %d", got, procs)
 	}
-	if got := ResolveWorkers(bg, -5); got < 1 {
-		t.Errorf("negative hint resolved to %d", got)
-	}
-	if got := ResolveWorkers(ContextWithWorkers(bg, -1), 0); got < 1 {
-		t.Errorf("negative override resolved to %d", got)
+	for _, n := range []int{0, -1} {
+		if got := ResolveWorkers(ContextWithWorkers(bg, n)); got != procs {
+			t.Errorf("context count %d resolved to %d, want GOMAXPROCS %d", n, got, procs)
+		}
 	}
 }
 

@@ -53,7 +53,7 @@ func runE13(s Scale) (*Table, error) {
 			return nil, err
 		}
 		est := res.Rows[0][0].AsFloat()
-		re := relErr(est, truth)
+		re := stats.RelError(est, truth)
 		plainErr += re
 		if re > plainMax {
 			plainMax = re
@@ -80,7 +80,7 @@ func runE13(s Scale) (*Table, error) {
 			return nil, err
 		}
 		est, variance := idx.EstimateSum()
-		re := relErr(est, truth)
+		re := stats.RelError(est, truth)
 		oiErr += re
 		if re > oiMax {
 			oiMax = re
@@ -231,7 +231,7 @@ func runE15(s Scale) (*Table, error) {
 				}
 				re := 1.0
 				if res.NumRows() > 0 {
-					re = relErr(res.Rows[0][0].AsFloat(), truth)
+					re = stats.RelError(res.Rows[0][0].AsFloat(), truth)
 				}
 				meanErr += re
 				if re > maxErr {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/sample"
 	"repro/internal/sqlparse"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -119,7 +120,7 @@ func resultMaxRelErr(exact, approx *core.Result) (float64, bool) {
 			if j >= len(approx.Rows[i]) {
 				return 1, false
 			}
-			re := relErr(approx.Float(i, j), exact.Float(i, j))
+			re := stats.RelError(approx.Float(i, j), exact.Float(i, j))
 			if re > m {
 				m = re
 			}

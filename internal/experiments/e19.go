@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/sample"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -46,7 +47,7 @@ func runE19(s Scale) (*Table, error) {
 					continue
 				}
 				est := res.Rows[0][0].AsFloat()
-				re := relErr(est, truth)
+				re := stats.RelError(est, truth)
 				sumErr += re
 				if re > maxErr {
 					maxErr = re

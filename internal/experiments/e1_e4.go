@@ -50,7 +50,7 @@ func exactFloat(cat *storage.Catalog, sql string, workers int) (float64, error) 
 	if err != nil {
 		return 0, err
 	}
-	res, err := (&core.ExactEngine{Catalog: cat, Workers: workers}).Execute(context.Background(), stmt, core.DefaultErrorSpec)
+	res, err := core.NewExactEngine(cat).Execute(exec.ContextWithWorkers(context.Background(), workers), stmt, core.DefaultErrorSpec)
 	if err != nil {
 		return 0, err
 	}
@@ -100,7 +100,7 @@ func runE1(s Scale) (*Table, error) {
 					continue
 				}
 				est := res.Rows[0][0].AsFloat()
-				re := relErr(est, truth[i])
+				re := stats.RelError(est, truth[i])
 				sumErr += re
 				if re > maxErr {
 					maxErr = re
@@ -180,7 +180,7 @@ func runE2(s Scale) (*Table, error) {
 			}
 			scanFrac := float64(res.Counters.RowsScanned) / float64(s.Rows)
 			t.AddRow(pct(rate), m.name, us(cold), us(el),
-				f2(float64(exactTime)/float64(el)), f4(scanFrac), f4(relErr(est, truth)))
+				f2(float64(exactTime)/float64(el)), f4(scanFrac), f4(stats.RelError(est, truth)))
 		}
 	}
 	t.AddNote("both samplers read only the rows they keep; block sampling pays for it in error (correlated rows)")
@@ -241,7 +241,7 @@ func runE3(s Scale) (*Table, error) {
 						missing++
 						continue
 					}
-					if re := relErr(est, truth); re > maxRel {
+					if re := stats.RelError(est, truth); re > maxRel {
 						maxRel = re
 					}
 				}
@@ -319,8 +319,8 @@ func runE4(s Scale) (*Table, error) {
 				}
 				d := res.Details[0]
 				outRows += int64(d.GroupN)
-				cErr += relErr(d.Aggs[0].Estimate, truthCount)
-				sErr += relErr(d.Aggs[1].Estimate, truthSum)
+				cErr += stats.RelError(d.Aggs[0].Estimate, truthCount)
+				sErr += stats.RelError(d.Aggs[1].Estimate, truthSum)
 			}
 			n := float64(s.Trials)
 			t.AddRow(pct(rate), st.name, itoa(outRows/int64(s.Trials)), f4(cErr/n), f4(sErr/n))

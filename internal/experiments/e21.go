@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/shard"
 	"repro/internal/sqlparse"
@@ -40,6 +41,7 @@ func runE21(s Scale) (*Table, error) {
 		return nil, err
 	}
 	spec := core.ErrorSpec{RelError: 0.5, Confidence: 0.95}
+	ctx := exec.ContextWithWorkers(context.Background(), s.Workers)
 	median := func(ds []time.Duration) string {
 		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
 		return fmt.Sprintf("%.3f", float64(ds[len(ds)/2].Microseconds())/1e3)
@@ -59,22 +61,22 @@ func runE21(s Scale) (*Table, error) {
 				return nil, err
 			}
 		}
-		exact := &core.ExactEngine{Catalog: ev.Catalog, Workers: s.Workers, Shards: shards}
+		exact := &core.ExactEngine{Catalog: ev.Catalog, Shards: shards}
 		online := core.NewOnlineEngine(ev.Catalog, core.OnlineConfig{
-			DefaultRate: 0.1, MinTableRows: 1, Seed: s.Seed, Workers: s.Workers})
+			DefaultRate: 0.1, MinTableRows: 1, Seed: s.Seed})
 		online.Shards = shards
 
 		var exactLat, onlineLat []time.Duration
 		var width, coverage string
 		for trial := 0; trial < trials; trial++ {
 			start := time.Now()
-			if _, err := exact.Execute(context.Background(), stmt, spec); err != nil {
+			if _, err := exact.Execute(ctx, stmt, spec); err != nil {
 				return nil, fmt.Errorf("shards=%d exact: %w", n, err)
 			}
 			exactLat = append(exactLat, time.Since(start))
 
 			start = time.Now()
-			res, err := online.Execute(context.Background(), stmt, spec)
+			res, err := online.Execute(ctx, stmt, spec)
 			if err != nil {
 				return nil, fmt.Errorf("shards=%d online: %w", n, err)
 			}

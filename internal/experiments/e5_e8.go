@@ -170,8 +170,8 @@ func runE6(s Scale) (*Table, error) {
 		}
 		tbl, _ := ev.Catalog.Table("events")
 		t.AddRow(itoa(int64(step)), itoa(int64(tbl.NumRows())),
-			f4(relErr(offRes.Float(0, 0), truth)), offRes.Guarantee.String(),
-			f4(relErr(onRes.Float(0, 0), truth)))
+			f4(stats.RelError(offRes.Float(0, 0), truth)), offRes.Guarantee.String(),
+			f4(stats.RelError(onRes.Float(0, 0), truth)))
 	}
 	// The cost of becoming fresh again.
 	before := offline.MaintenanceStats().RowsScanned
@@ -277,7 +277,7 @@ func runE7(s Scale) (*Table, error) {
 				covered++
 			}
 			ciRel += iv.RelHalfWidth(d.Estimate)
-			meanErr += relErr(d.Estimate, truth)
+			meanErr += stats.RelError(d.Estimate, truth)
 		}
 		cov := float64(covered) / float64(trials)
 		denom := float64(max(valid, 1))
@@ -338,7 +338,7 @@ func runE8(s Scale) (*Table, error) {
 			t.AddRow(pr.name, "synopsis", "-", "-", "unsupported")
 		} else {
 			t.AddRow(pr.name, "synopsis", time.Since(t0).Round(time.Microsecond).String(),
-				"0", f4(relErr(synRes.Float(0, 0), truth)))
+				"0", f4(stats.RelError(synRes.Float(0, 0), truth)))
 		}
 
 		// Uniform 1% sample attempt (only valid for linear aggregates).
@@ -348,7 +348,7 @@ func runE8(s Scale) (*Table, error) {
 			res, err := runSampled(ev.Catalog, pr.sql, "events", spec, s.Workers)
 			if err == nil && res.NumRows() > 0 {
 				t.AddRow(pr.name, "uniform-1%", time.Since(t0).Round(time.Microsecond).String(),
-					itoa(res.Counters.RowsScanned), f4(relErr(res.Rows[0][0].AsFloat(), truth)))
+					itoa(res.Counters.RowsScanned), f4(stats.RelError(res.Rows[0][0].AsFloat(), truth)))
 			}
 		} else {
 			t.AddRow(pr.name, "uniform-1%", "-", "-", "unsupported")

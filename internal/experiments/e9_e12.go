@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sqlparse"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -124,7 +125,7 @@ func runE10(s Scale) (*Table, error) {
 		var achieved float64
 		if res.NumRows() == exactRes.NumRows() {
 			for i := 0; i < res.NumRows(); i++ {
-				if re := relErr(res.Float(i, 1), exactRes.Float(i, 1)); re > achieved {
+				if re := stats.RelError(res.Float(i, 1), exactRes.Float(i, 1)); re > achieved {
 					achieved = re
 				}
 			}
@@ -169,7 +170,7 @@ func runE11(s Scale) (*Table, error) {
 	_, err = ola.ExecuteProgressive(context.Background(), stmt, core.DefaultErrorSpec, func(p core.Progress) bool {
 		it := p.Result.Items[0][0]
 		rel := it.RelHalfWidth
-		t.AddRow(f4(p.Fraction), f4(relErr(p.Result.Float(0, 0), truth)),
+		t.AddRow(f4(p.Fraction), f4(stats.RelError(p.Result.Float(0, 0), truth)),
 			f4(rel), f2(rel*sqrtF(float64(p.RowsRead))))
 		return true
 	})

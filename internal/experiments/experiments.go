@@ -138,20 +138,3 @@ func f2(x float64) string  { return fmt.Sprintf("%.2f", x) }
 func f4(x float64) string  { return fmt.Sprintf("%.4f", x) }
 func pct(x float64) string { return fmt.Sprintf("%.2f%%", x*100) }
 func itoa(x int64) string  { return fmt.Sprintf("%d", x) }
-
-func relErr(est, truth float64) float64 {
-	if truth == 0 {
-		if est == 0 {
-			return 0
-		}
-		return 1
-	}
-	d := est - truth
-	if d < 0 {
-		d = -d
-	}
-	if truth < 0 {
-		return d / -truth
-	}
-	return d / truth
-}

@@ -239,11 +239,18 @@ func TestDegradeLadderOnPanic(t *testing.T) {
 	fault.Install(fault.Schedule{Seed: 1, Rules: []fault.Rule{
 		{Point: "core.exact", Kind: fault.KindPanic, P: 1},
 	}})
-	req := QueryRequest{SQL: "SELECT SUM(x) FROM t WHERE x < 50", Mode: "exact", RelError: 0.5, Confidence: 0.95}
+	// The rung runs under the query's context values: its worker count and
+	// its span, so the substitute engine reports one worker and traces
+	// into the query's tree.
+	req := QueryRequest{SQL: "SELECT SUM(x) FROM t WHERE x < 50", Mode: "exact", RelError: 0.5, Confidence: 0.95,
+		Workers: 1, Trace: true}
 	resp, ok, bad := postQuery(t, ts.URL, req)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d (%s), want 200 via degradation ladder", resp.StatusCode, bad.Error)
+	}
+	if ok.Workers != 1 {
+		t.Errorf("degraded answer ran at %d workers, want the request's 1", ok.Workers)
 	}
 	if !ok.Degraded || ok.DegradedFrom != "exact" {
 		t.Fatalf("degraded=%v degraded_from=%q, want degraded from exact", ok.Degraded, ok.DegradedFrom)
@@ -266,14 +273,17 @@ func TestDegradeLadderOnPanic(t *testing.T) {
 	if snap.Counters[Key("query_panics_total", "engine", "exact")] == 0 {
 		t.Error("query_panics_total{engine=exact} not incremented")
 	}
-	found := false
-	for _, rung := range []string{"ola", "offline", "synopsis"} {
-		if snap.Counters[Key("queries_degraded_total", "to", rung)] > 0 {
-			found = true
+	rung := ""
+	for _, r := range degradeLadder {
+		if snap.Counters[Key("queries_degraded_total", "to", string(r))] > 0 {
+			rung = string(r)
 		}
 	}
-	if !found {
-		t.Error("queries_degraded_total not incremented for any rung")
+	if rung == "" {
+		t.Fatal("queries_degraded_total not incremented for any rung")
+	}
+	if ok.Trace == nil || ok.Trace.Find("engine "+rung) == nil {
+		t.Errorf("trace holds no span of the %s rung:\n%s", rung, ok.Trace)
 	}
 }
 

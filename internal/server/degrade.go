@@ -18,10 +18,8 @@ import (
 
 	aqp "repro"
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/sqlparse"
-	"repro/internal/trace"
 )
 
 // injectServerQuery fires inside handleQuery, after admission, within the
@@ -88,14 +86,16 @@ func degradable(err error) bool {
 }
 
 // executeResilient runs the requested engine and, on a degradable
-// failure, walks the degradation ladder under a fresh per-rung budget
-// carved from the parent (request) context — the primary context is
-// typically already expired when the ladder starts. It returns the
-// result, the mode degraded from ("" if the primary answered), and the
-// primary error if every rung failed too. Every rung re-runs the one
-// statement the handler parsed.
+// failure, walks the degradation ladder, each rung under a fresh budget —
+// the primary context is typically already expired when the ladder
+// starts. A rung keeps the query's context values (its worker count and
+// span) but not its deadline, and the parent (request) context still
+// cancels it when the client leaves. It returns the result, the mode
+// degraded from ("" if the primary answered), and the primary error if
+// every rung failed too. Every rung re-runs the one statement the handler
+// parsed.
 func (s *Server) executeResilient(ctx, parent context.Context, stmt *sqlparse.SelectStmt,
-	req aqp.Request, noDegrade bool, workers int) (*core.Result, string, error) {
+	req aqp.Request, noDegrade bool) (*core.Result, string, error) {
 	res, err := s.executeEngine(ctx, stmt, req)
 	if err == nil {
 		return res, "", nil
@@ -109,13 +109,10 @@ func (s *Server) executeResilient(ctx, parent context.Context, stmt *sqlparse.Se
 			continue
 		}
 		req.Mode = rung
-		rctx, cancel := context.WithTimeout(parent, s.cfg.DegradeBudget)
-		rctx = exec.ContextWithWorkers(rctx, workers)
-		// The rung context derives from the raw request context, which
-		// carries no tracer — re-attach the query's span so substitute
-		// engines appear in the same trace.
-		rctx = trace.Propagate(rctx, ctx)
+		rctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), s.cfg.DegradeBudget)
+		stop := context.AfterFunc(parent, cancel)
 		sub, rerr := s.executeEngine(rctx, stmt, req)
+		stop()
 		cancel()
 		if rerr != nil {
 			continue

@@ -382,7 +382,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	var res *core.Result
 	if err == nil {
-		res, served.DegradedFrom, err = s.executeResilient(ctx, r.Context(), served.Stmt, run, req.NoDegrade, workers)
+		res, served.DegradedFrom, err = s.executeResilient(ctx, r.Context(), served.Stmt, run, req.NoDegrade)
 	}
 	served.Finish(res, err)
 	if tr != nil {

@@ -162,25 +162,45 @@ func (g *Group) Close() {
 
 // rangeCuts computes Count-1 upper boundaries at even quantiles of the
 // key column's current distribution (nulls excluded — they route to
-// shard 0 alongside the lowest range).
+// shard 0 alongside the lowest range). It sorts row indexes, not boxed
+// keys, and boxes only the cuts.
 func rangeCuts(base *storage.Table, keyIdx, count int) ([]storage.Value, error) {
 	snap := base.Snapshot()
 	col := snap.Column(keyIdx)
-	vals := make([]storage.Value, 0, snap.NumRows())
+	rows := make([]int, 0, snap.NumRows())
 	for i := 0; i < snap.NumRows(); i++ {
-		if v := col.Value(i); !v.IsNull() {
-			vals = append(vals, v)
+		if !col.IsNull(i) {
+			rows = append(rows, i)
 		}
 	}
-	if len(vals) == 0 {
+	if len(rows) == 0 {
 		return nil, fmt.Errorf("shard: cannot range-partition %s: no non-null key values to cut", base.Name())
 	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i].Compare(vals[j]) < 0 })
+	sort.Slice(rows, keyLess(col, rows))
 	cuts := make([]storage.Value, count-1)
 	for i := 1; i < count; i++ {
-		cuts[i-1] = vals[(i*len(vals))/count]
+		cuts[i-1] = col.Value(rows[(i*len(rows))/count])
 	}
 	return cuts, nil
+}
+
+// keyLess is sort.Slice's less over rows, non-NULL rows of col: it returns
+// what Value.Compare(...) < 0 returns on their values — integers compared
+// as float64, NaN below nothing — reading the typed column, so sorting
+// boxes no key.
+func keyLess(col storage.Column, rows []int) func(a, b int) bool {
+	switch c := col.(type) {
+	case *storage.Int64Column:
+		v := c.Ints()
+		return func(a, b int) bool { return float64(v[rows[a]]) < float64(v[rows[b]]) }
+	case *storage.Float64Column:
+		v := c.Floats()
+		return func(a, b int) bool { return v[rows[a]] < v[rows[b]] }
+	case *storage.StringColumn:
+		// A group key is the value behind one common prefix.
+		return func(a, b int) bool { return c.RowKey(rows[a]) < c.RowKey(rows[b]) }
+	}
+	return func(a, b int) bool { return col.Value(rows[a]).Compare(col.Value(rows[b])) < 0 }
 }
 
 // route picks the shard index for a key value.

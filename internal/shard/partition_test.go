@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 
@@ -193,6 +194,58 @@ func TestPartitionMatchesRowPath(t *testing.T) {
 	}
 }
 
+// TestRangeCutsMatchBoxedSort pins the index sort behind range cuts to the
+// sort of boxed keys it replaced: the same Value.Compare order, so the same
+// permutation and the same cuts, on integers past 2^53 (distinct keys that
+// compare equal), floats with NaN, infinities and -0, strings, and NULLs.
+func TestRangeCutsMatchBoxedSort(t *testing.T) {
+	tbl := storage.NewTable("k", storage.Schema{
+		{Name: "i", Type: storage.TypeInt64},
+		{Name: "f", Type: storage.TypeFloat64},
+		{Name: "s", Type: storage.TypeString},
+	})
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
+	rows := make([][]storage.Value, 3000)
+	for r := range rows {
+		h := int64(hashRoute(storage.Int64(int64(r)), 1<<20))
+		rows[r] = []storage.Value{
+			storage.Int64(1<<53 + h%16),
+			storage.Float64(float64(h%100) / 4),
+			storage.Str(fmt.Sprintf("k%03d", h%500)),
+		}
+		if r%11 == 0 {
+			rows[r][1] = storage.Float64(special[(r/11)%len(special)])
+		}
+		if r%13 == 0 {
+			rows[r][r%3] = storage.NullValue(tbl.Schema()[r%3].Type)
+		}
+	}
+	if err := tbl.AppendRows(rows); err != nil {
+		t.Fatal(err)
+	}
+	snap := tbl.Snapshot()
+	for c := range tbl.Schema() {
+		var vals []storage.Value
+		for r := range snap.NumRows() {
+			if v := snap.Column(c).Value(r); !v.IsNull() {
+				vals = append(vals, v)
+			}
+		}
+		sort.Slice(vals, func(i, j int) bool { return vals[i].Compare(vals[j]) < 0 })
+		for _, count := range []int{2, 3, 7} {
+			cuts, err := rangeCuts(tbl, c, count)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i < count; i++ {
+				if got, want := fmt.Sprintf("%#v", cuts[i-1]), fmt.Sprintf("%#v", vals[(i*len(vals))/count]); got != want {
+					t.Errorf("column %d, %d shards: cut %d = %s, boxed sort gives %s", c, count, i-1, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestSyncWhileBaseGrows races Sync, which gathers from a snapshot of the
 // base, against a writer appending to the base. Once the writer is done
 // and a last Sync ran, the shards hold exactly what the row path routes.
@@ -251,9 +304,11 @@ func sum(xs []int) int {
 
 // TestPartitionAllocations guards what partitioning allocates: the shards'
 // own columns plus routing scratch, at most twice the base table's column
-// bytes. Copying through boxed rows (a 56-byte Value per cell) cost about
-// ten times. Under the race detector slices.Grow also allocates a zeroed
-// array of what it grows by, so there the ratio is only logged.
+// bytes, for a hash key and for a range key, whose cuts sort the key
+// column. Copying through boxed rows (a 56-byte Value per cell) cost about
+// ten times, and sorting boxed range keys a further 56 bytes per row. Under
+// the race detector slices.Grow also allocates a zeroed array of what it
+// grows by, so there the ratio is only logged.
 func TestPartitionAllocations(t *testing.T) {
 	base := starLineitem(t, 20000)
 	var colBytes int
@@ -267,18 +322,20 @@ func TestPartitionAllocations(t *testing.T) {
 			colBytes += 8 * base.NumRows()
 		}
 	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	g, err := Partition(base, Key{Column: "l_orderkey", Kind: KeyHash, Count: 4}, fault.BreakerConfig{})
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(colBytes)
-	t.Logf("Partition allocated %.2f× the table's column bytes", ratio)
-	if ratio > 2 && !raceEnabled {
-		t.Fatalf("Partition into %d shards allocated %.2f× the table's %d column bytes, want at most 2×",
-			g.NumShards(), ratio, colBytes)
+	for _, kind := range []KeyKind{KeyHash, KeyRange} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		g, err := Partition(base, Key{Column: "l_orderkey", Kind: kind, Count: 4}, fault.BreakerConfig{})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(colBytes)
+		t.Logf("%s Partition allocated %.2f× the table's column bytes", kind, ratio)
+		if ratio > 2 && !raceEnabled {
+			t.Errorf("%s Partition into %d shards allocated %.2f× the table's %d column bytes, want at most 2×",
+				kind, g.NumShards(), ratio, colBytes)
+		}
 	}
 }

@@ -270,23 +270,12 @@ func keyInterval(where expr.Expr, col string) (lo, hi storage.Value) {
 	if where == nil || col == "" {
 		return
 	}
-	var conjuncts []expr.Expr
-	var collect func(e expr.Expr)
-	collect = func(e expr.Expr) {
-		if b, ok := e.(*expr.Binary); ok && b.Op == expr.OpAnd {
-			collect(b.L)
-			collect(b.R)
-			return
-		}
-		conjuncts = append(conjuncts, e)
-	}
-	collect(where)
 	tighten := func(dst *storage.Value, v storage.Value, upper bool) {
 		if dst.IsNull() || (upper && v.Compare(*dst) < 0) || (!upper && v.Compare(*dst) > 0) {
 			*dst = v
 		}
 	}
-	for _, c := range conjuncts {
+	for _, c := range plan.SplitAnd(where) {
 		b, ok := c.(*expr.Binary)
 		if !ok || !b.Op.Comparison() {
 			continue

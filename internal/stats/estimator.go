@@ -28,6 +28,25 @@ func (iv Interval) RelHalfWidth(estimate float64) float64 {
 	return iv.HalfWidth() / math.Abs(estimate)
 }
 
+// RelError is |est-truth| / |truth|, the error every comparison of an
+// estimate with the truth reports. Against a zero truth it is 0 for exact
+// agreement and 1 otherwise, and a NaN or infinite ratio (a NaN or
+// infinite estimate or truth) is 1, so a non-finite answer never reads as
+// accurate.
+func RelError(est, truth float64) float64 {
+	if truth == 0 {
+		if est == 0 {
+			return 0
+		}
+		return 1
+	}
+	rel := math.Abs(est-truth) / math.Abs(truth)
+	if math.IsNaN(rel) || math.IsInf(rel, 0) {
+		return 1
+	}
+	return rel
+}
+
 // HTEstimator accumulates a Horvitz–Thompson estimate of a population SUM
 // from a without-replacement sample where row i was included with
 // probability 1/weight(i). For each sampled row call Add(x, w) with

@@ -423,3 +423,19 @@ func FuzzHTEstimatorUnitRun(f *testing.F) {
 		checkUnitRun(t, HTState{Sum: sum, VarSum: varSum, N: n, WTot: wTot, W2Tot: w2Tot, CovSN: covsn}, xs)
 	})
 }
+
+// TestRelError pins the one relative error: zero truths give 0 or 1, and
+// a non-finite ratio — NaN or infinite estimate or truth — gives 1.
+func TestRelError(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct{ est, truth, want float64 }{
+		{100, 100, 0}, {90, 100, 0.1}, {0, 0, 0}, {5, 0, 1}, {110, 100, 0.1}, {-90, -100, 0.1},
+		{nan, 100, 1}, {100, nan, 1}, {nan, nan, 1}, {nan, 0, 1}, {inf, 100, 1}, {100, inf, 1}, {inf, inf, 1},
+	}
+	for _, c := range cases {
+		// Written so that a NaN result fails too.
+		if got := RelError(c.est, c.truth); !(math.Abs(got-c.want) <= 1e-9) {
+			t.Errorf("RelError(%v, %v) = %v, want %v", c.est, c.truth, got, c.want)
+		}
+	}
+}

@@ -145,16 +145,6 @@ func Detach(ctx context.Context) context.Context {
 	return withSpan(ctx, nil)
 }
 
-// Propagate copies src's current span onto dst, so work continuing
-// under a fresh context (a degradation-ladder rung with its own budget)
-// keeps appending to the same trace. No-op when src carries no span.
-func Propagate(dst, src context.Context) context.Context {
-	if sp := SpanFromContext(src); sp != nil {
-		return withSpan(dst, sp)
-	}
-	return dst
-}
-
 // SpanFromContext returns the current span, or nil when tracing is off.
 func SpanFromContext(ctx context.Context) *Span {
 	sp, _ := ctx.Value(ctxKey{}).(*Span)
