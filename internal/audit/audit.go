@@ -23,7 +23,7 @@ package audit
 import (
 	"context"
 	"log/slog"
-	"strings"
+	"slices"
 	"sync"
 	"time"
 
@@ -552,7 +552,7 @@ func (a *Auditor) finish(j *job, truth *core.Result) {
 		a.idle()
 		return
 	}
-	cmp := compare(j, truth)
+	g := core.Grade(j.claimed, truth)
 
 	// Answers served off a degraded shard group carry the failed-shard
 	// list so coverage misses can be attributed to shard loss.
@@ -571,15 +571,18 @@ func (a *Auditor) finish(j *job, truth *core.Result) {
 		if degraded != nil {
 			a.shardDegraded++
 		}
-		a.unmatched += int64(cmp.unmatched)
+		a.unmatched += int64(g.Unmatched)
 		lag := time.Since(j.servedAt)
 		events = append(events, Event{Kind: EventAudited, Technique: j.technique,
 			LagMS: float64(lag.Microseconds()) / 1e3})
-		if cmp.unmatched > 0 {
+		if g.Unmatched > 0 {
 			events = append(events, Event{Kind: EventUnmatched, Technique: j.technique})
 		}
-		for _, it := range cmp.items {
-			key := estKey{technique: j.technique, aggregate: it.aggregate}
+		for _, c := range g.Cells {
+			if !c.HasCI {
+				continue
+			}
+			key := estKey{technique: j.technique, aggregate: j.aggName[c.Col]}
 			e := a.est[key]
 			if e == nil {
 				e = &estimator{
@@ -588,22 +591,22 @@ func (a *Auditor) finish(j *job, truth *core.Result) {
 				}
 				a.est[key] = e
 			}
-			e.cov.Push(it.covered)
-			e.rel.Push(it.relErr)
+			e.cov.Push(c.Covered)
+			e.rel.Push(c.RelError)
 			kind := EventCovered
-			if !it.covered {
+			if !c.Covered {
 				kind = EventMissed
 				if degraded != nil {
 					a.shardDegradedMiss++
 				}
 			}
 			events = append(events, Event{Kind: kind, Technique: j.technique,
-				Aggregate: it.aggregate, RelError: it.relErr, DegradedShards: degraded,
+				Aggregate: key.aggregate, RelError: c.RelError, DegradedShards: degraded,
 				Fingerprint: j.claimed.Diagnostics.Fingerprint})
 			events = append(events, a.checkBudgetLocked(key, e)...)
 		}
-		events = append(events, a.recordContractLocked(j, cmp)...)
-		events = append(events, a.recordDriftLocked(j, truth, cmp)...)
+		events = append(events, a.recordContractLocked(j, g)...)
+		events = append(events, a.recordDriftLocked(j, truth, g)...)
 	}()
 
 	for _, ev := range events {
@@ -644,7 +647,7 @@ func (a *Auditor) checkBudgetLocked(key estKey, e *estimator) []Event {
 // re-evaluates its staleness signal: misses on answers whose backing
 // sample predates appended rows, outnumbering misses on fresh answers,
 // indicate the sample — not the estimator — is wrong.
-func (a *Auditor) recordDriftLocked(j *job, truth *core.Result, cmp compareResult) []Event {
+func (a *Auditor) recordDriftLocked(j *job, truth *core.Result, g core.Grading) []Event {
 	lin := j.claimed.Diagnostics.Lineage
 	table := lin.Table
 	if table == "" {
@@ -664,7 +667,10 @@ func (a *Auditor) recordDriftLocked(j *job, truth *core.Result, cmp compareResul
 		ts = &tableState{ring: stats.NewRing[tableObs](a.cfg.Window)}
 		a.tables[table] = ts
 	}
-	ts.ring.Push(tableObs{missed: cmp.missedAny || cmp.unmatched > 0, appended: appended})
+	missed := g.Unmatched > 0 || slices.ContainsFunc(g.Cells, func(c core.GradedCell) bool {
+		return c.HasCI && !c.Covered
+	})
+	ts.ring.Push(tableObs{missed: missed, appended: appended})
 
 	staleMisses, freshMisses := ts.counts()
 	nowStale := staleMisses >= staleMinMisses && staleMisses > freshMisses
@@ -711,93 +717,4 @@ func (a *Auditor) emit(ev Event) {
 	if a.cfg.OnEvent != nil {
 		a.cfg.OnEvent(ev)
 	}
-}
-
-// itemOutcome is one claimed CI checked against the truth.
-type itemOutcome struct {
-	aggregate string
-	covered   bool
-	relErr    float64
-}
-
-// compareResult is everything one audit comparison yields.
-type compareResult struct {
-	items     []itemOutcome
-	unmatched int // group rows present on one side only
-	missedAny bool
-}
-
-// compare matches claimed rows to ground-truth rows by their group-key
-// columns and checks every claimed CI against the exact value. Rows are
-// matched by key, not position, so group ordering differences cannot
-// fabricate misses; rows present on only one side (a group the sample
-// missed entirely, or one that appeared after serving) are counted as
-// unmatched — an error mode in its own right.
-func compare(j *job, truth *core.Result) compareResult {
-	var out compareResult
-	claimed := j.claimed
-	if len(claimed.Items) == 0 {
-		return out
-	}
-	keyCols := make([]int, 0, len(claimed.Columns))
-	for col, it := range claimed.Items[0] {
-		if !it.IsAggregate {
-			keyCols = append(keyCols, col)
-		}
-	}
-	truthByKey := make(map[string][]int, len(truth.Rows))
-	for i := range truth.Rows {
-		k := rowKey(truth, i, keyCols)
-		truthByKey[k] = append(truthByKey[k], i)
-	}
-	for i := range claimed.Rows {
-		k := rowKey(claimed, i, keyCols)
-		idxs := truthByKey[k]
-		if len(idxs) == 0 {
-			out.unmatched++
-			out.missedAny = true
-			continue
-		}
-		ti := idxs[0]
-		truthByKey[k] = idxs[1:]
-		for col, it := range claimed.Items[i] {
-			if !it.IsAggregate || !it.HasCI {
-				continue
-			}
-			tv := truth.Float(ti, col)
-			covered := it.CI.Contains(tv)
-			agg := "expr"
-			if col < len(j.aggName) && j.aggName[col] != "" {
-				agg = j.aggName[col]
-			}
-			out.items = append(out.items, itemOutcome{
-				aggregate: agg,
-				covered:   covered,
-				relErr:    stats.RelError(it.Value.AsFloat(), tv),
-			})
-			if !covered {
-				out.missedAny = true
-			}
-		}
-	}
-	for _, rest := range truthByKey {
-		out.unmatched += len(rest)
-		if len(rest) > 0 {
-			out.missedAny = true
-		}
-	}
-	return out
-}
-
-// rowKey renders the group-key columns of one row into a map key.
-func rowKey(res *core.Result, row int, keyCols []int) string {
-	if len(keyCols) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	for _, c := range keyCols {
-		b.WriteString(res.Rows[row][c].String())
-		b.WriteByte('\x00')
-	}
-	return b.String()
 }

@@ -385,6 +385,53 @@ func TestGroupKeyMatchingAndUnmatched(t *testing.T) {
 	}
 }
 
+// TestNullGroupIsNotTheStringNULL: a NULL group and the string 'NULL'
+// print alike but are different groups. The claim's 'NULL' group is
+// graded against the truth's 'NULL' group (covered, error 0), and the
+// truth's NULL group is the one unmatched row.
+func TestNullGroupIsNotTheStringNULL(t *testing.T) {
+	str := storage.Str("NULL")
+	cl := &core.Result{
+		Columns:   []string{"ev_tag", "sum_ev_value"},
+		Rows:      [][]storage.Value{{str, storage.Float64(100)}},
+		Technique: core.TechniqueOnline,
+		Guarantee: core.GuaranteeAPosteriori,
+	}
+	cl.Items = [][]core.ItemResult{{
+		{Name: "ev_tag", Value: str},
+		{Name: "sum_ev_value", Value: storage.Float64(100), IsAggregate: true, HasCI: true,
+			CI: stats.Interval{Lo: 99, Hi: 101, Confidence: 0.95}},
+	}}
+	truth := &core.Result{
+		Columns: []string{"ev_tag", "sum_ev_value"},
+		Rows: [][]storage.Value{
+			{storage.NullValue(storage.TypeString), storage.Float64(5)},
+			{str, storage.Float64(100)},
+		},
+	}
+	rec := &recorder{}
+	a := New(&truthExec{res: truth}, nil, Config{Fraction: 1, OnEvent: rec.hook()})
+	defer a.Close()
+	a.Offer(cl, "SELECT ev_tag, SUM(ev_value) FROM events GROUP BY ev_tag")
+	drain(t, a)
+
+	r := a.Report()
+	if r.Audited != 1 || r.Unmatched != 1 {
+		t.Fatalf("audited %d, unmatched %d; want 1 and 1", r.Audited, r.Unmatched)
+	}
+	if rec.count(EventCovered) != 1 || rec.count(EventMissed) != 0 {
+		t.Fatalf("covered %d, missed %d; want the 'NULL' claim covered",
+			rec.count(EventCovered), rec.count(EventMissed))
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	for _, ev := range rec.events {
+		if ev.Kind == EventCovered && ev.RelError != 0 {
+			t.Fatalf("'NULL' graded at error %v, want 0", ev.RelError)
+		}
+	}
+}
+
 // truthExec returns one canned result.
 type truthExec struct{ res *core.Result }
 

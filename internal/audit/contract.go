@@ -10,6 +10,7 @@ package audit
 
 import (
 	"repro/internal/contract"
+	"repro/internal/core"
 	"repro/internal/stats"
 )
 
@@ -54,22 +55,22 @@ func (cs *contractState) meanAllowance() float64 {
 // window. Only "met" verdicts enter: missed/infeasible verdicts already
 // disclaimed the a-priori guarantee at serve time, so they spend no
 // budget — the plain CI-coverage estimators still audit them.
-func (a *Auditor) recordContractLocked(j *job, cmp compareResult) []Event {
+func (a *Auditor) recordContractLocked(j *job, g core.Grading) []Event {
 	c := j.claimed.Diagnostics.Contract
 	if c == nil {
 		return nil
 	}
 	a.contractAudits++
-	if c.Verdict != contract.VerdictMet || len(cmp.items) == 0 {
-		return nil
-	}
-	worst := 0.0
-	for _, it := range cmp.items {
-		if it.relErr > worst {
-			worst = it.relErr
+	worst, graded := 0.0, false
+	for _, cell := range g.Cells {
+		if cell.HasCI {
+			worst, graded = max(worst, cell.RelError), true
 		}
 	}
-	held := worst <= c.TargetRelError && cmp.unmatched == 0
+	if c.Verdict != contract.VerdictMet || !graded {
+		return nil
+	}
+	held := worst <= c.TargetRelError && g.Unmatched == 0
 
 	cs := a.contracts[j.technique]
 	if cs == nil {

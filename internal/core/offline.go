@@ -13,7 +13,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/sample"
 	"repro/internal/sqlparse"
-	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
@@ -262,9 +261,10 @@ func profileKey(table string, qcs []string) string {
 }
 
 // ProfileQuery runs one profiling query against every applicable sample,
-// comparing with the exact answer, and records the realized maximum
-// relative error. Call this offline with representative workload queries
-// to build the error–latency profile.
+// grades each answer against the exact one (Grade: rows pair by group key,
+// and a group either side lacks profiles at error 1), and records the
+// realized maximum relative error. Call this offline with representative
+// workload queries to build the error–latency profile.
 func (e *OfflineEngine) ProfileQuery(sql string) error {
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
@@ -294,10 +294,7 @@ func (e *OfflineEngine) ProfileQuery(sql string) error {
 		if err != nil {
 			continue
 		}
-		relErr, comparable := maxRelError(exactRes, approx)
-		if !comparable {
-			relErr = 1
-		}
+		relErr := Grade(approx, exactRes).MaxRelError()
 		e.mu.Lock()
 		if prev, ok := s.Profile[key]; !ok || relErr > prev {
 			s.Profile[key] = relErr
@@ -460,27 +457,4 @@ func (e *OfflineEngine) certified(ctx context.Context, stmt *sqlparse.SelectStmt
 	selsp.SetAttrInt("sample_rows", int64(best.data.NumRows()))
 	selsp.SetAttrFloat("profiled_err", best.prof)
 	return best, ""
-}
-
-// maxRelError compares two results row-by-row on aggregate items,
-// returning the maximum relative error. comparable is false when shapes
-// differ (e.g. missing groups — itself an error mode).
-func maxRelError(exact, approx *Result) (float64, bool) {
-	if exact.NumRows() == 0 {
-		return 0, approx.NumRows() == 0
-	}
-	if exact.NumRows() != approx.NumRows() {
-		return 1, false
-	}
-	var m float64
-	for i := range exact.Rows {
-		for j := range exact.Rows[i] {
-			it := exact.Items[i][j]
-			if !it.IsAggregate {
-				continue
-			}
-			m = max(m, stats.RelError(approx.Float(i, j), exact.Float(i, j)))
-		}
-	}
-	return m, true
 }

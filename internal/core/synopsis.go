@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/fault"
+	"repro/internal/plan"
 	"repro/internal/sketch"
 	"repro/internal/sqlparse"
 	"repro/internal/stats"
@@ -210,24 +211,16 @@ func (e *SynopsisEngine) answer(stmt *sqlparse.SelectStmt) (float64, string, sta
 	}
 
 	// COUNT(*) WHERE col = literal -> Count-Min.
-	if b, ok := stmt.Where.(*expr.Binary); ok && b.Op == expr.OpEq {
-		col, okc := b.L.(*expr.ColRef)
-		lit, okl := b.R.(*expr.Lit)
-		if !okc || !okl {
-			col, okc = b.R.(*expr.ColRef)
-			lit, okl = b.L.(*expr.Lit)
+	if col, op, lit, ok := plan.ColumnCompare(stmt.Where); ok && op == expr.OpEq {
+		cm := e.cms[synKey(table, col.Name)]
+		if cm == nil {
+			return 0, "", none, "", fmt.Errorf("core: no CMS for %s.%s", table, col.Name)
 		}
-		if okc && okl {
-			cm := e.cms[synKey(table, col.Name)]
-			if cm == nil {
-				return 0, "", none, "", fmt.Errorf("core: no CMS for %s.%s", table, col.Name)
-			}
-			est := float64(cm.Estimate(lit.Val.GroupKey()))
-			bound := cm.ErrorBound()
-			iv := stats.Interval{Lo: math.Max(est-bound, 0), Hi: est, Confidence: 0.99}
-			// CMS overestimates: the true count lies in [est-εN, est].
-			return est, name, iv, synKey(table, col.Name), nil
-		}
+		est := float64(cm.Estimate(lit.GroupKey()))
+		bound := cm.ErrorBound()
+		iv := stats.Interval{Lo: math.Max(est-bound, 0), Hi: est, Confidence: 0.99}
+		// CMS overestimates: the true count lies in [est-εN, est].
+		return est, name, iv, synKey(table, col.Name), nil
 	}
 
 	// COUNT(*) WHERE range predicate(s) on one numeric column.
@@ -246,50 +239,18 @@ func (e *SynopsisEngine) answer(stmt *sqlparse.SelectStmt) (float64, string, sta
 	return 0, "", none, "", fmt.Errorf("core: unsupported predicate for synopsis answering")
 }
 
-// rangePredicate recognizes conjunctions of >=/>/<=/< comparisons and
-// BETWEEN on a single column, returning the [lo, hi] range.
+// rangePredicate recognizes conjunctions of comparisons (>=, >, <=, <, =)
+// of one column with numeric literals, BETWEEN among them, returning the
+// [lo, hi] range.
 func rangePredicate(e expr.Expr) (col string, lo, hi float64, ok bool) {
-	lo = math.Inf(-1)
-	hi = math.Inf(1)
-	var conj func(expr.Expr) bool
-	conj = func(x expr.Expr) bool {
-		b, isB := x.(*expr.Binary)
-		if !isB {
-			return false
+	lo, hi = math.Inf(-1), math.Inf(1)
+	for _, c := range plan.SplitAnd(e) {
+		cr, op, lit, isCmp := plan.ColumnCompare(c)
+		if !isCmp || !lit.Typ.Numeric() || (col != "" && col != cr.Name) {
+			return "", 0, 0, false
 		}
-		if b.Op == expr.OpAnd {
-			return conj(b.L) && conj(b.R)
-		}
-		c, okc := b.L.(*expr.ColRef)
-		l, okl := b.R.(*expr.Lit)
-		flip := false
-		if !okc || !okl {
-			c, okc = b.R.(*expr.ColRef)
-			l, okl = b.L.(*expr.Lit)
-			flip = true
-		}
-		if !okc || !okl || !l.Val.Typ.Numeric() {
-			return false
-		}
-		if col == "" {
-			col = c.Name
-		} else if col != c.Name {
-			return false
-		}
-		v := l.Val.AsFloat()
-		op := b.Op
-		if flip {
-			switch op {
-			case expr.OpLt:
-				op = expr.OpGt
-			case expr.OpLe:
-				op = expr.OpGe
-			case expr.OpGt:
-				op = expr.OpLt
-			case expr.OpGe:
-				op = expr.OpLe
-			}
-		}
+		col = cr.Name
+		v := lit.AsFloat()
 		switch op {
 		case expr.OpGe, expr.OpGt:
 			lo = math.Max(lo, v)
@@ -299,12 +260,8 @@ func rangePredicate(e expr.Expr) (col string, lo, hi float64, ok bool) {
 			lo = math.Max(lo, v)
 			hi = math.Min(hi, v)
 		default:
-			return false
+			return "", 0, 0, false
 		}
-		return true
-	}
-	if !conj(e) || col == "" {
-		return "", 0, 0, false
 	}
 	return col, lo, hi, true
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/sample"
 	"repro/internal/sqlparse"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -92,10 +91,9 @@ func runE17(s Scale) (*Table, error) {
 			if res.Diagnostics.FellBackToExact {
 				note = "fell back to exact"
 			}
-			maxErr, comparable := resultMaxRelErr(exRes, res)
-			errStr := f4(maxErr)
-			if !comparable {
-				errStr = "shape-mismatch"
+			errStr := "shape-mismatch"
+			if g := core.Grade(res, exRes); g.Unmatched == 0 {
+				errStr = f4(g.MaxRelError())
 			}
 			t.AddRow(tpl.Name, eng.name, us(cold), us(el), f2(float64(exTime)/float64(el)), errStr, note)
 		}
@@ -104,27 +102,4 @@ func runE17(s Scale) (*Table, error) {
 	t.AddNote("OLA keeps its row permutation across templates: only its first template's cold run draws it")
 	t.AddNote("engine choice is per-query: samplers shine on scans and FK joins, fall back on tiny or unsupported shapes")
 	return t, nil
-}
-
-// resultMaxRelErr compares aggregate items of two results row-aligned.
-func resultMaxRelErr(exact, approx *core.Result) (float64, bool) {
-	if exact.NumRows() != approx.NumRows() {
-		return 1, false
-	}
-	var m float64
-	for i := range exact.Rows {
-		for j := range exact.Rows[i] {
-			if j >= len(exact.Items[i]) || !exact.Items[i][j].IsAggregate {
-				continue
-			}
-			if j >= len(approx.Rows[i]) {
-				return 1, false
-			}
-			re := stats.RelError(approx.Float(i, j), exact.Float(i, j))
-			if re > m {
-				m = re
-			}
-		}
-	}
-	return m, true
 }

@@ -122,16 +122,7 @@ func runE10(s Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		var achieved float64
-		if res.NumRows() == exactRes.NumRows() {
-			for i := 0; i < res.NumRows(); i++ {
-				if re := stats.RelError(res.Float(i, 1), exactRes.Float(i, 1)); re > achieved {
-					achieved = re
-				}
-			}
-		} else {
-			achieved = 1
-		}
+		achieved := core.Grade(res, exactRes).MaxRelError()
 		from := "exact (fallback)"
 		rows := int64(0)
 		if !res.Diagnostics.FellBackToExact {

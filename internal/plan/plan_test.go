@@ -188,6 +188,33 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
+// TestColumnCompare: a column compared with a literal reads with the column
+// on the left whichever side it was written on; anything else is refused.
+func TestColumnCompare(t *testing.T) {
+	for where, want := range map[string]string{
+		"a_id > 5":     "a_id > 5",
+		"5 > a_id":     "a_id < 5",
+		"5 <= a_id":    "a_id >= 5",
+		"'x' = a_tag":  "a_tag = x",
+		"a_id <> 5":    "a_id <> 5",
+		"a_id + 1 > 5": "",
+		"a_id > a_val": "",
+		"a_id IN (1)":  "",
+	} {
+		stmt, err := sqlparse.Parse("SELECT COUNT(*) FROM ta WHERE " + where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := ""
+		if col, op, lit, ok := plan.ColumnCompare(stmt.Where); ok {
+			got = col.Name + " " + op.String() + " " + lit.String()
+		}
+		if got != want {
+			t.Errorf("%s: read %q, want %q", where, got, want)
+		}
+	}
+}
+
 // Property: the optimizer (predicate pushdown) never changes results.
 // Random single-table filter queries are executed twice — once through
 // Build (optimized) and once with the filter kept above the scan — and

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -25,43 +26,27 @@ func LoadCSVFile(db *aqp.DB, name, path string) (*aqp.Table, error) {
 	return LoadCSVReader(db, name, f)
 }
 
-// LoadCSVReader is LoadCSVFile over any reader. The whole input is read
-// once to infer the schema, then appended via the typed loader.
+// LoadCSVReader is LoadCSVFile over any reader. The input is read once to
+// infer the schema and then loaded by aqp.DB.LoadCSV, which parses every
+// record before it registers the table.
 func LoadCSVReader(db *aqp.DB, name string, r io.Reader) (*aqp.Table, error) {
-	cr := csv.NewReader(r)
-	recs, err := cr.ReadAll()
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("server: read CSV for %s: %w", name, err)
+	}
+	recs, err := csv.NewReader(bytes.NewReader(data)).ReadAll()
 	if err != nil {
 		return nil, fmt.Errorf("server: read CSV for %s: %w", name, err)
 	}
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("server: CSV for %s has no header row", name)
 	}
-	header := recs[0]
-	rows := recs[1:]
+	header, rows := recs[0], recs[1:]
 	schema := make(aqp.Schema, len(header))
 	for j, col := range header {
 		schema[j] = aqp.ColumnDef{Name: strings.TrimSpace(col), Type: inferColumnType(rows, j)}
 	}
-	t, err := db.CreateTable(name, schema)
-	if err != nil {
-		return nil, err
-	}
-	vals := make([][]aqp.Value, 0, len(rows))
-	for i, rec := range rows {
-		row := make([]aqp.Value, len(schema))
-		for j := range schema {
-			v, err := storage.ParseValue(schema[j].Type, rec[j])
-			if err != nil {
-				return nil, fmt.Errorf("server: %s line %d column %s: %w", name, i+2, schema[j].Name, err)
-			}
-			row[j] = v
-		}
-		vals = append(vals, row)
-	}
-	if err := t.AppendRows(vals); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return db.LoadCSV(name, schema, bytes.NewReader(data))
 }
 
 // inferColumnType scans column j of the data rows and returns the first

@@ -43,10 +43,31 @@ func NewMetrics() *Metrics {
 	}
 }
 
-// Key formats a metric key with one label: name{label="value"}. The
-// value is escaped per the Prometheus text exposition format.
-func Key(name, label, value string) string {
-	return name + "{" + label + `="` + EscapeLabelValue(value) + `"}`
+// Key formats a metric key from label/value pairs, in the order given:
+// Key("q", "a", "1", "b", "2") is q{a="1",b="2"}. Values are escaped per
+// the Prometheus text exposition format.
+func Key(name string, labels ...string) string {
+	if len(labels) == 0 || len(labels)%2 != 0 {
+		panic("server: Key needs label/value pairs")
+	}
+	n := len(name) + 1
+	for _, l := range labels {
+		n += len(l) + 2
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(name)
+	sep := byte('{')
+	for i := 0; i < len(labels); i += 2 {
+		b.WriteByte(sep)
+		b.WriteString(labels[i])
+		b.WriteString(`="`)
+		b.WriteString(EscapeLabelValue(labels[i+1]))
+		b.WriteByte('"')
+		sep = ','
+	}
+	b.WriteByte('}')
+	return b.String()
 }
 
 // EscapeLabelValue escapes a label value for the Prometheus text

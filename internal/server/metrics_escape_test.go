@@ -90,6 +90,15 @@ func TestKeyKeepsRawUTF8(t *testing.T) {
 	}
 }
 
+// TestKeyLabelPairs: several label pairs render in the order given, each
+// value escaped.
+func TestKeyLabelPairs(t *testing.T) {
+	got := Key("shard_exec_total", "outcome", "ok", "shard", "2", "table", `a"b`)
+	if want := `shard_exec_total{outcome="ok",shard="2",table="a\"b"}`; got != want {
+		t.Fatalf("Key = %s, want %s", got, want)
+	}
+}
+
 // Labeled gauges must share one # TYPE line per family in the exposition
 // output, like counters and histograms always did.
 func TestPrometheusGaugeFamilyGrouping(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"time"
 
 	aqp "repro"
@@ -342,13 +343,12 @@ func (o *Observers) onInsightEvent(ev insight.Event) {
 // describe the wire, not a scatter outcome — and land in the flight
 // recorder too.
 func (o *Observers) onShardEvent(ev shard.Event) {
-	kind, family := "shard", "shard_exec_total{outcome"
+	kind, family, label := "shard", "shard_exec_total", "outcome"
 	switch ev.Type {
 	case "retry", "probe_down", "probe_up":
-		kind, family = "shard_remote", "shard_remote_total{event"
+		kind, family, label = "shard_remote", "shard_remote_total", "event"
 	}
-	o.met.Inc(fmt.Sprintf(`%s="%s",shard="%d",table="%s"}`,
-		family, EscapeLabelValue(ev.Type), ev.Shard, EscapeLabelValue(ev.Table)))
+	o.met.Inc(Key(family, label, ev.Type, "shard", strconv.Itoa(ev.Shard), "table", ev.Table))
 	if ev.Type != "ok" {
 		o.flight.AddEvent(telemetry.Event{
 			Kind: kind, Name: ev.Table, Detail: ev.Type, Shard: ev.Shard, TraceID: ev.TraceID,

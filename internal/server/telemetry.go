@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"math"
 	"net/http"
 	"strconv"
@@ -69,10 +68,10 @@ func (s *Server) sloGauges() map[string]float64 {
 	}
 	out := make(map[string]float64, 3*len(st))
 	for _, o := range st {
-		name := EscapeLabelValue(o.Objective.Name)
-		out[fmt.Sprintf(`slo_burn_rate{objective="%s",window="fast"}`, name)] = o.Fast.Burn
-		out[fmt.Sprintf(`slo_burn_rate{objective="%s",window="slow"}`, name)] = o.Slow.Burn
-		out[fmt.Sprintf(`slo_error_budget_remaining{objective="%s"}`, name)] = o.BudgetRemaining
+		name := o.Objective.Name
+		out[Key("slo_burn_rate", "objective", name, "window", "fast")] = o.Fast.Burn
+		out[Key("slo_burn_rate", "objective", name, "window", "slow")] = o.Slow.Burn
+		out[Key("slo_error_budget_remaining", "objective", name)] = o.BudgetRemaining
 	}
 	return out
 }

@@ -276,26 +276,9 @@ func keyInterval(where expr.Expr, col string) (lo, hi storage.Value) {
 		}
 	}
 	for _, c := range plan.SplitAnd(where) {
-		b, ok := c.(*expr.Binary)
-		if !ok || !b.Op.Comparison() {
+		cr, op, lit, ok := plan.ColumnCompare(c)
+		if !ok || !strings.EqualFold(cr.Name, col) || lit.IsNull() {
 			continue
-		}
-		cr, lit, flipped := compareParts(b)
-		if cr == nil || !strings.EqualFold(cr.Name, col) || lit.IsNull() {
-			continue
-		}
-		op := b.Op
-		if flipped { // 5 < col  ≡  col > 5
-			switch op {
-			case expr.OpLt:
-				op = expr.OpGt
-			case expr.OpLe:
-				op = expr.OpGe
-			case expr.OpGt:
-				op = expr.OpLt
-			case expr.OpGe:
-				op = expr.OpLe
-			}
 		}
 		switch op {
 		case expr.OpEq:
@@ -308,22 +291,6 @@ func keyInterval(where expr.Expr, col string) (lo, hi storage.Value) {
 		}
 	}
 	return lo, hi
-}
-
-// compareParts splits a comparison into its column and literal sides,
-// reporting whether the literal was on the left.
-func compareParts(b *expr.Binary) (cr *expr.ColRef, lit storage.Value, flipped bool) {
-	if c, ok := b.L.(*expr.ColRef); ok {
-		if l, ok := b.R.(*expr.Lit); ok {
-			return c, l.Val, false
-		}
-	}
-	if c, ok := b.R.(*expr.ColRef); ok {
-		if l, ok := b.L.(*expr.Lit); ok {
-			return c, l.Val, true
-		}
-	}
-	return nil, storage.Value{}, false
 }
 
 // pruned reports whether the shard's observed key bounds fall entirely

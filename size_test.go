@@ -37,6 +37,9 @@ import (
 //   - uniform_copies: uniform sample copies internal/core materialises
 //     (1 = the offline engine's stored ladder; the kept-row memo is the one
 //     way to reuse a uniform draw).
+//   - grade_sites: lines in internal/core and internal/audit that call
+//     stats.RelError (1 = core.Grade, the one grading of an answer against
+//     its truth; the auditor and offline profiling both read it).
 //   - filing_sites: lines in internal/server and cmd/ that file a served
 //     query with the auditor, workload insight or the flight recorder (3 =
 //     the one Observers.File).
@@ -63,6 +66,7 @@ func TestSize(t *testing.T) {
 	add("ola_row_evals", sizeMatches(ola, `expr\.(Row|EvalBool|ValuesRow)|\.Eval\(`, nil))
 	add("aqpbench_lines", sizeNewlines(sizeSources(t, "cmd/aqpbench", false, true)))
 	add("uniform_copies", sizeMatches(core, `sample\.BuildUniformTable\(`, comment))
+	add("grade_sites", sizeMatches(slices.Concat(core, sizeSources(t, "internal/audit", false, false)), `stats\.RelError\(`, comment))
 	filers := append(sizeSources(t, "internal/server", true, false), sizeSources(t, "cmd", true, false)...)
 	add("filing_sites", sizeMatches(filers, `\.ObserveStmt\(|\.OfferStmt\(|flight\.Record\(`, comment))
 	add("config_fields", sizeConfigFields(sizeSources(t, ".", true, false, "bench", "examples")))
