@@ -43,6 +43,7 @@ change=$(git rev-parse --verify "${2:-HEAD}^{commit}")
 root=$(git rev-parse --show-toplevel)
 [ -n "$workloads" ] || workloads=$(jq -r '[.workloads[].name] | join(" ")' "$root/BENCHMARK.json")
 [ -n "$dir" ] || dir=$(mktemp -d)
+mkdir -p "$dir"
 dir=$(cd "$dir" && pwd)
 case $out in /*) ;; *) out="$PWD/$out" ;; esac
 

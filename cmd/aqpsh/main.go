@@ -78,7 +78,7 @@ type shell struct {
 func newShell() *shell {
 	sh := &shell{obs: server.NewObservers(server.Config{Telemetry: true, AuditFraction: 1, AuditSeed: 42})}
 	sh.tstore = telemetry.NewStore(telemetry.StoreConfig{
-		Collect: func() telemetry.Sample { return sh.obs.Metrics().TelemetrySample(nil) },
+		Collect: sh.obs.Metrics().Sample,
 	})
 	sh.slo = telemetry.NewSLO(sh.tstore, nil, nil)
 	sh.tstore.Snap() // baseline edge for the first \slo

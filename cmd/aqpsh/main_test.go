@@ -48,7 +48,7 @@ func TestShellFilesWhatAqpdFiles(t *testing.T) {
 
 func counterKeys(m *server.Metrics) []string {
 	var keys []string
-	for k := range m.Snapshot(nil).Counters {
+	for k := range m.Sample().Counters {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)

@@ -45,13 +45,14 @@ type ContractConfig struct {
 	// sampling fraction the engine may spend. A contract whose sized
 	// fraction exceeds it is refused as infeasible (default 1).
 	BudgetFraction float64
-	// VarianceConfidence is the one-sided chi-square level of the pilot
-	// variance upper bound used for sizing (default 0.9).
-	VarianceConfidence float64
 }
 
+// varianceConfidence is the one-sided chi-square level of the pilot
+// variance upper bound used for sizing.
+const varianceConfidence = 0.9
+
 // DefaultContractConfig returns the engine defaults: a 5% pilot floored
-// at 200 rows, the whole table as budget, 90% variance confidence.
+// at 200 rows and the whole table as budget.
 func DefaultContractConfig() ContractConfig { return ContractConfig{}.withDefaults() }
 
 func (c ContractConfig) withDefaults() ContractConfig {
@@ -63,9 +64,6 @@ func (c ContractConfig) withDefaults() ContractConfig {
 	}
 	if c.BudgetFraction <= 0 || c.BudgetFraction > 1 {
 		c.BudgetFraction = 1
-	}
-	if c.VarianceConfidence <= 0 || c.VarianceConfidence >= 1 {
-		c.VarianceConfidence = 0.9
 	}
 	return c
 }
@@ -140,7 +138,7 @@ func sizeContract(ests []contract.Estimate, badName, refusal string, pilotRate f
 		}
 	} else {
 		sz = contract.Size(ests, pilotRate, spec.RelError, spec.Confidence,
-			cfg.BudgetFraction, cfg.VarianceConfidence)
+			cfg.BudgetFraction, varianceConfidence)
 	}
 	return sz, min(max(sz.Rate, pilotRate), 1)
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -162,7 +163,7 @@ func runE11(s Scale) (*Table, error) {
 		it := p.Result.Items[0][0]
 		rel := it.RelHalfWidth
 		t.AddRow(f4(p.Fraction), f4(stats.RelError(p.Result.Float(0, 0), truth)),
-			f4(rel), f2(rel*sqrtF(float64(p.RowsRead))))
+			f4(rel), f2(rel*math.Sqrt(float64(p.RowsRead))))
 		return true
 	})
 	if err != nil {
@@ -172,18 +173,6 @@ func runE11(s Scale) (*Table, error) {
 	t.AddNote("its fall toward zero near fraction 1.0 is the finite-population correction kicking in")
 	t.AddNote("stopping the moment the CI looks good invalidates its coverage (peeking); see core.OLAEngine docs")
 	return t, nil
-}
-
-func sqrtF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	// Newton iterations suffice here and avoid importing math twice.
-	z := x
-	for i := 0; i < 40; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
 }
 
 // E12 — the matrix. Claim (the paper's title): measured over one probe

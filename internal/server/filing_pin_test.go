@@ -92,7 +92,7 @@ func TestServedFilingPin(t *testing.T) {
 		cancel()
 		fault.Uninstall()
 
-		snap := srv.Metrics().Snapshot(nil)
+		snap := newSnapshot(srv.Metrics().Sample(), nil, nil)
 		c.Counters = snap.Counters
 		c.Histograms = map[string]int64{}
 		for k, h := range snap.Histograms {

@@ -14,9 +14,8 @@ import (
 // Bucket bound presets. Each histogram family picks the preset that
 // matches its unit; an implicit +Inf bucket catches the rest.
 var (
-	// latencyBucketsMS are upper bounds in milliseconds for query
-	// latency histograms.
-	latencyBucketsMS = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
+	// latencyBuckets are upper bounds in seconds for latency histograms.
+	latencyBuckets = []float64{0.001, 0.002, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5}
 	// errorWidthBuckets are upper bounds for relative CI half-width
 	// histograms (dimensionless, 0.001 = 0.1%).
 	errorWidthBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1}
@@ -26,9 +25,10 @@ var (
 )
 
 // Metrics is an in-process metrics registry: named counters and fixed-
-// bucket histograms, safe for concurrent use, serialized as JSON by the
-// /metrics handler (and as Prometheus text by ?format=prom). Keys carry
-// their labels inline, Prometheus-style: queries_total{technique="exact"}.
+// bucket histograms, safe for concurrent use. Sample is its one read; the
+// /metrics handler serializes that copy as JSON (and as Prometheus text
+// with ?format=prom). Keys carry their labels inline, Prometheus-style:
+// queries_total{technique="exact"}.
 type Metrics struct {
 	mu       sync.Mutex
 	counters map[string]int64
@@ -108,9 +108,9 @@ func (m *Metrics) Add(key string, delta int64) {
 func (m *Metrics) Inc(key string) { m.Add(key, 1) }
 
 // Observe records one sample into a histogram with the default latency
-// buckets (created on first use).
+// buckets, in seconds (created on first use).
 func (m *Metrics) Observe(key string, v float64) {
-	m.ObserveWith(key, v, latencyBucketsMS)
+	m.ObserveWith(key, v, latencyBuckets)
 }
 
 // ObserveWith records one sample into a histogram with the given bucket
@@ -128,30 +128,6 @@ func (m *Metrics) ObserveWith(key string, v float64, bounds []float64) {
 	m.mu.Unlock()
 }
 
-// Counter reads a counter's current value (0 if never written).
-func (m *Metrics) Counter(key string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.counters[key]
-}
-
-// CounterSum sums a labeled counter family: every counter whose key is
-// exactly prefix or starts with prefix followed by a label block. The
-// label-block requirement keeps families with a shared name prefix apart
-// (queries_total must not absorb queries_total_errors).
-func (m *Metrics) CounterSum(prefix string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var sum int64
-	labeled := prefix + "{"
-	for k, v := range m.counters {
-		if k == prefix || strings.HasPrefix(k, labeled) {
-			sum += v
-		}
-	}
-	return sum
-}
-
 // histogram is a fixed-bucket histogram over the bounds it was created
 // with.
 type histogram struct {
@@ -164,7 +140,7 @@ type histogram struct {
 
 func newHistogram(bounds []float64) *histogram {
 	if len(bounds) == 0 {
-		bounds = latencyBucketsMS
+		bounds = latencyBuckets
 	}
 	return &histogram{
 		bounds: bounds,
@@ -187,6 +163,40 @@ func (h *histogram) observe(v float64) {
 	}
 }
 
+// Sample copies the registry under its lock: counters, and histograms as
+// cumulative bucket counts. It is the registry's one read; /metrics, its
+// Prometheus form and the time-series collector render the copy after the
+// lock is released, so a slow reader never holds up a query's writes.
+func (m *Metrics) Sample() telemetry.Sample {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	smp := telemetry.Sample{
+		T:        time.Now(),
+		Counters: make(map[string]float64, len(m.counters)),
+		Hists:    make(map[string]telemetry.Hist, len(m.hists)),
+	}
+	for k, v := range m.counters {
+		smp.Counters[k] = float64(v)
+	}
+	for k, h := range m.hists {
+		th := telemetry.Hist{
+			Bounds: h.bounds, // fixed at creation, never written again
+			Cum:    make([]float64, len(h.counts)),
+			Sum:    h.sum,
+			Count:  float64(h.total),
+			Min:    h.min,
+			Max:    h.max,
+		}
+		var cum int64
+		for i, c := range h.counts {
+			cum += c
+			th.Cum[i] = float64(cum)
+		}
+		smp.Hists[k] = th
+	}
+	return smp
+}
+
 // HistogramSnapshot is the JSON form of one histogram.
 type HistogramSnapshot struct {
 	Count   int64            `json:"count"`
@@ -197,7 +207,7 @@ type HistogramSnapshot struct {
 	Buckets map[string]int64 `json:"buckets"`
 }
 
-// Snapshot copies the registry into a JSON-encodable form.
+// Snapshot is the JSON body of /metrics.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
@@ -210,75 +220,44 @@ type Snapshot struct {
 	Info map[string]string `json:"info,omitempty"`
 }
 
-// Snapshot captures the current state. Gauges (instantaneous readings
-// like queue depth) are supplied by the caller.
-func (m *Metrics) Snapshot(gauges map[string]int64) Snapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// newSnapshot renders a sample as the /metrics JSON body: integer counters
+// and gauges, and each histogram with its per-bucket (not cumulative)
+// counts, empty buckets left out.
+func newSnapshot(smp telemetry.Sample, gaugesF map[string]float64, info map[string]string) Snapshot {
 	snap := Snapshot{
-		Counters:   make(map[string]int64, len(m.counters)),
-		Histograms: make(map[string]HistogramSnapshot, len(m.hists)),
-		Gauges:     gauges,
+		Counters:   make(map[string]int64, len(smp.Counters)),
+		Histograms: make(map[string]HistogramSnapshot, len(smp.Hists)),
+		Gauges:     make(map[string]int64, len(smp.Gauges)),
+		GaugesF:    gaugesF,
+		Info:       info,
 	}
-	for k, v := range m.counters {
-		snap.Counters[k] = v
+	for k, v := range smp.Counters {
+		snap.Counters[k] = int64(v)
 	}
-	for k, h := range m.hists {
+	for k, v := range smp.Gauges {
+		snap.Gauges[k] = int64(v)
+	}
+	for k, h := range smp.Hists {
 		hs := HistogramSnapshot{
-			Count:   h.total,
-			Sum:     h.sum,
-			Buckets: make(map[string]int64, len(h.counts)),
+			Count:   int64(h.Count),
+			Sum:     h.Sum,
+			Buckets: make(map[string]int64, len(h.Cum)),
 		}
-		if h.total > 0 {
-			hs.Min = h.min
-			hs.Max = h.max
-			hs.Mean = h.sum / float64(h.total)
+		if h.Count > 0 {
+			hs.Min, hs.Max, hs.Mean = h.Min, h.Max, h.Sum/h.Count
 		}
-		for i, c := range h.counts {
-			if c == 0 {
-				continue
+		prev := 0.0
+		for i, cum := range h.Cum {
+			if c := int64(cum - prev); c > 0 {
+				label := "+Inf"
+				if i < len(h.Bounds) {
+					label = fmt.Sprintf("le=%g", h.Bounds[i])
+				}
+				hs.Buckets[label] = c
 			}
-			label := "+Inf"
-			if i < len(h.bounds) {
-				label = fmt.Sprintf("le=%g", h.bounds[i])
-			}
-			hs.Buckets[label] = c
+			prev = cum
 		}
 		snap.Histograms[k] = hs
 	}
 	return snap
-}
-
-// TelemetrySample converts the registry (plus caller-supplied gauges)
-// into one time-series sample for the telemetry store: counters and
-// gauges as floats, histograms as cumulative bucket counts. One full copy
-// under the registry lock, once per snapshot cadence — never on a query
-// path.
-func (m *Metrics) TelemetrySample(gauges map[string]int64) telemetry.Sample {
-	smp := telemetry.Sample{T: time.Now(), Gauges: make(map[string]float64, len(gauges))}
-	for k, v := range gauges {
-		smp.Gauges[k] = float64(v)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	smp.Counters = make(map[string]float64, len(m.counters))
-	smp.Hists = make(map[string]telemetry.Hist, len(m.hists))
-	for k, v := range m.counters {
-		smp.Counters[k] = float64(v)
-	}
-	for k, h := range m.hists {
-		th := telemetry.Hist{
-			Bounds: append([]float64(nil), h.bounds...),
-			Cum:    make([]float64, len(h.counts)),
-			Sum:    h.sum,
-			Count:  float64(h.total),
-		}
-		var cum int64
-		for i, c := range h.counts {
-			cum += c
-			th.Cum[i] = float64(cum)
-		}
-		smp.Hists[k] = th
-	}
-	return smp
 }

@@ -3,6 +3,8 @@ package server
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 // unescapeLabelValue is a minimal Prometheus text-format label parser:
@@ -102,13 +104,12 @@ func TestKeyLabelPairs(t *testing.T) {
 // Labeled gauges must share one # TYPE line per family in the exposition
 // output, like counters and histograms always did.
 func TestPrometheusGaugeFamilyGrouping(t *testing.T) {
-	m := NewMetrics()
 	var sb strings.Builder
-	m.WritePrometheus(&sb, nil, map[string]int64{
+	writePrometheus(&sb, telemetry.Sample{Gauges: map[string]float64{
 		Key("sample_stale", "table", "events"): 1,
 		Key("sample_stale", "table", "stars"):  0,
 		"audit_backlog":                        3,
-	}, nil, nil)
+	}}, nil, nil)
 	out := sb.String()
 	if n := strings.Count(out, "# TYPE sample_stale gauge"); n != 1 {
 		t.Fatalf("sample_stale family declared %d times:\n%s", n, out)

@@ -5,6 +5,8 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"repro/internal/telemetry"
 )
 
 // helpText is the HELP line registry: one human-readable sentence per
@@ -22,8 +24,7 @@ var helpText = map[string]string{
 	"queries_by_guarantee":        "Completed queries by accuracy guarantee.",
 	"queries_spec_met_total":      "Approximate answers whose realized CI met the requested error spec.",
 	"queries_spec_missed_total":   "Approximate answers whose realized CI missed the requested error spec.",
-	"query_latency_ms":            "Query latency in milliseconds by technique.",
-	"query_latency_seconds":       "Query latency in seconds by technique (unit-correct copy of query_latency_ms).",
+	"query_latency_seconds":       "Query latency in seconds by technique.",
 	"query_rows_scanned":          "Rows scanned per query by technique.",
 	"query_ci_rel_width":          "Realized relative CI half-width of approximate answers.",
 	"query_ci_target_width":       "Requested relative CI half-width of approximate answers.",
@@ -31,8 +32,7 @@ var helpText = map[string]string{
 	"rows_scanned_total":          "Total rows scanned across all queries.",
 	"samples_built_total":         "Offline sample-build operations completed.",
 	"audits_total":                "Ground-truth audit executions by technique.",
-	"audit_lag_ms":                "Lag from answer served to audit verdict, in milliseconds.",
-	"audit_lag_seconds":           "Lag from answer served to audit verdict, in seconds (unit-correct copy of audit_lag_ms).",
+	"audit_lag_seconds":           "Lag from answer served to audit verdict, in seconds.",
 	"audit_covered_total":         "Audited answers whose CI covered the exact value.",
 	"audit_missed_total":          "Audited answers whose CI missed the exact value.",
 	"audit_rel_error":             "Realized relative error of audited answers.",
@@ -71,59 +71,34 @@ func writeHelpType(w io.Writer, fam, typ string) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", fam, help, fam, typ)
 }
 
-// WritePrometheus renders the registry in Prometheus text exposition
-// format 0.0.4: `# HELP` and `# TYPE` lines per family, counter and
-// gauge series as-is, histograms expanded into cumulative
-// `_bucket{le="..."}` series plus `_sum` and `_count`. Millisecond
-// latency histogram families additionally get a `_seconds`-suffixed
-// unit-correct copy (bounds and sum scaled by 1e-3) under the SI-unit
-// name Prometheus conventions expect, while the original ms families
-// keep their names for dashboard compatibility. counters adds counter
-// series kept outside the registry; gauges and build info are supplied
-// by the caller like in Snapshot; gaugesF carries
-// float-valued gauges (SLO burn rates); info becomes a constant
-// `aqpd_build_info 1` gauge with the identity as labels, the standard
-// Prometheus idiom for exposing versions.
-func (m *Metrics) WritePrometheus(w io.Writer, counters, gauges map[string]int64, gaugesF map[string]float64, info map[string]string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
+// writePrometheus renders a registry sample in Prometheus text exposition
+// format 0.0.4: `# HELP` and `# TYPE` lines per family, counter and gauge
+// series as-is, histograms as their cumulative `_bucket{le="..."}` series
+// plus `_sum` and `_count`. The sample's gauges are integer readings;
+// gaugesF carries float-valued gauges (SLO burn rates); info becomes a
+// constant `aqpd_build_info 1` gauge with the identity as labels, the
+// standard Prometheus idiom for exposing versions.
+func writePrometheus(w io.Writer, smp telemetry.Sample, gaugesF map[string]float64, info map[string]string) {
 	// Counters, grouped into families by base name.
 	counterFamilies := make(map[string][]string) // family -> rendered series lines
-	for _, set := range []map[string]int64{m.counters, counters} {
-		for k, v := range set {
-			fam, _ := splitKey(k)
-			counterFamilies[fam] = append(counterFamilies[fam], fmt.Sprintf("%s %d\n", k, v))
-		}
+	for k, v := range smp.Counters {
+		fam, _ := splitKey(k)
+		counterFamilies[fam] = append(counterFamilies[fam], fmt.Sprintf("%s %d\n", k, int64(v)))
 	}
-	for _, fam := range sortedKeys(counterFamilies) {
-		writeHelpType(w, fam, "counter")
-		series := counterFamilies[fam]
-		sort.Strings(series)
-		for _, line := range series {
-			io.WriteString(w, line)
-		}
-	}
+	writeFamilies(w, counterFamilies, "counter")
 
 	// Gauges, grouped into families like counters: labeled gauges (e.g.
 	// sample_stale{table="events"}) must share one # TYPE line per family.
 	gaugeFamilies := make(map[string][]string)
-	for k, v := range gauges {
+	for k, v := range smp.Gauges {
 		fam, _ := splitKey(k)
-		gaugeFamilies[fam] = append(gaugeFamilies[fam], fmt.Sprintf("%s %d\n", k, v))
+		gaugeFamilies[fam] = append(gaugeFamilies[fam], fmt.Sprintf("%s %d\n", k, int64(v)))
 	}
 	for k, v := range gaugesF {
 		fam, _ := splitKey(k)
 		gaugeFamilies[fam] = append(gaugeFamilies[fam], fmt.Sprintf("%s %s\n", k, formatFloat(v)))
 	}
-	for _, fam := range sortedKeys(gaugeFamilies) {
-		writeHelpType(w, fam, "gauge")
-		series := gaugeFamilies[fam]
-		sort.Strings(series)
-		for _, line := range series {
-			io.WriteString(w, line)
-		}
-	}
+	writeFamilies(w, gaugeFamilies, "gauge")
 	if len(info) > 0 {
 		var labels []string
 		for _, k := range sortedKeys(info) {
@@ -133,47 +108,45 @@ func (m *Metrics) WritePrometheus(w io.Writer, counters, gauges map[string]int64
 		fmt.Fprintf(w, "aqpd_build_info{%s} 1\n", strings.Join(labels, ","))
 	}
 
-	// Histograms: buckets are cumulative in the exposition format, unlike
-	// the per-bucket counts kept internally.
 	histFamilies := make(map[string][]string) // family -> series keys
-	for k := range m.hists {
+	for k := range smp.Hists {
 		fam, _ := splitKey(k)
 		histFamilies[fam] = append(histFamilies[fam], k)
 	}
 	for _, fam := range sortedKeys(histFamilies) {
 		series := histFamilies[fam]
 		sort.Strings(series)
-		writeHistFamily(w, fam, series, m.hists, 1)
-		// Unit-correct copy for millisecond families: same observations,
-		// bounds and sum scaled to seconds.
-		if base, ok := strings.CutSuffix(fam, "_ms"); ok {
-			writeHistFamily(w, base+"_seconds", series, m.hists, 1e-3)
+		writeHelpType(w, fam, "histogram")
+		for _, k := range series {
+			h := smp.Hists[k]
+			_, labels := splitKey(k)
+			for i, cum := range h.Cum {
+				le := "+Inf"
+				if i < len(h.Bounds) {
+					le = formatFloat(h.Bounds[i])
+				}
+				fmt.Fprintf(w, "%s_bucket{%s} %d\n", fam, joinLabels(labels, `le="`+le+`"`), int64(cum))
+			}
+			suffix := ""
+			if labels != "" {
+				suffix = "{" + labels + "}"
+			}
+			fmt.Fprintf(w, "%s_sum%s %s\n", fam, suffix, formatFloat(h.Sum))
+			fmt.Fprintf(w, "%s_count%s %d\n", fam, suffix, int64(h.Count))
 		}
 	}
 }
 
-// writeHistFamily renders one histogram family, scaling bounds and sums
-// by scale (1 renders as-is; 1e-3 converts ms to seconds).
-func writeHistFamily(w io.Writer, fam string, seriesKeys []string, hists map[string]*histogram, scale float64) {
-	writeHelpType(w, fam, "histogram")
-	for _, k := range seriesKeys {
-		h := hists[k]
-		_, labels := splitKey(k)
-		var cum int64
-		for i, c := range h.counts {
-			cum += c
-			le := "+Inf"
-			if i < len(h.bounds) {
-				le = formatFloat(h.bounds[i] * scale)
-			}
-			fmt.Fprintf(w, "%s_bucket{%s} %d\n", fam, joinLabels(labels, `le="`+le+`"`), cum)
+// writeFamilies writes each family's HELP and TYPE lines, then its
+// rendered series lines in sorted order.
+func writeFamilies(w io.Writer, families map[string][]string, typ string) {
+	for _, fam := range sortedKeys(families) {
+		writeHelpType(w, fam, typ)
+		series := families[fam]
+		sort.Strings(series)
+		for _, line := range series {
+			io.WriteString(w, line)
 		}
-		suffix := ""
-		if labels != "" {
-			suffix = "{" + labels + "}"
-		}
-		fmt.Fprintf(w, "%s_sum%s %s\n", fam, suffix, formatFloat(h.sum*scale))
-		fmt.Fprintf(w, "%s_count%s %d\n", fam, suffix, h.total)
 	}
 }
 

@@ -10,10 +10,15 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
+// TestCounterSumPrefixGuard: a counter family summed from the registry's
+// sample does not absorb a family that shares its name prefix.
 func TestCounterSumPrefixGuard(t *testing.T) {
 	m := NewMetrics()
 	m.Add(Key("queries_total", "technique", "exact"), 3)
@@ -21,35 +26,35 @@ func TestCounterSumPrefixGuard(t *testing.T) {
 	m.Add("queries_total_errors", 100) // shared name prefix, different family
 	m.Add("queries_totally_unrelated", 100)
 
-	if got := m.CounterSum("queries_total"); got != 7 {
-		t.Fatalf("CounterSum(queries_total) = %d, want 7 (must not absorb queries_total_errors)", got)
+	if got := telemetry.FamilySum(m.Sample().Counters, "queries_total"); got != 7 {
+		t.Fatalf("FamilySum(queries_total) = %g, want 7 (must not absorb queries_total_errors)", got)
 	}
 	// An unlabeled counter matches its own family exactly.
 	m.Add("rows_scanned_total", 42)
-	if got := m.CounterSum("rows_scanned_total"); got != 42 {
-		t.Fatalf("CounterSum(rows_scanned_total) = %d, want 42", got)
+	if got := telemetry.FamilySum(m.Sample().Counters, "rows_scanned_total"); got != 42 {
+		t.Fatalf("FamilySum(rows_scanned_total) = %g, want 42", got)
 	}
 }
 
 func TestHistogramPerKeyBounds(t *testing.T) {
 	m := NewMetrics()
-	m.ObserveWith("w", 0.003, errorWidthBuckets)
+	m.ObserveWith("w", 0.0022, errorWidthBuckets)
 	m.ObserveWith("w", 0.9, errorWidthBuckets)
-	m.Observe("lat", 3) // default latency bounds
+	m.Observe("lat", 0.0022) // default latency bounds, in seconds
 
-	snap := m.Snapshot(nil)
+	snap := newSnapshot(m.Sample(), nil, nil)
 	w := snap.Histograms["w"]
-	if w.Count != 2 {
-		t.Fatalf("w count = %d", w.Count)
+	if w.Count != 2 || w.Min != 0.0022 || w.Max != 0.9 {
+		t.Fatalf("w = %+v, want count 2, min 0.0022, max 0.9", w)
 	}
-	// 0.003 lands in le=0.005 with error-width bounds; with the latency
-	// bounds it would land in le=1.
-	if w.Buckets["le=0.005"] != 1 || w.Buckets["le=1"] != 1 {
-		t.Fatalf("w buckets = %v, want le=0.005:1 le=1:1", w.Buckets)
+	// 0.0022 lands in le=0.0025 with error-width bounds; with the latency
+	// bounds it lands in le=0.005.
+	if w.Buckets["le=0.0025"] != 1 || w.Buckets["le=1"] != 1 || len(w.Buckets) != 2 {
+		t.Fatalf("w buckets = %v, want le=0.0025:1 le=1:1", w.Buckets)
 	}
 	lat := snap.Histograms["lat"]
-	if lat.Buckets["le=5"] != 1 {
-		t.Fatalf("lat buckets = %v, want le=5:1", lat.Buckets)
+	if lat.Buckets["le=0.005"] != 1 || len(lat.Buckets) != 1 {
+		t.Fatalf("lat buckets = %v, want le=0.005:1", lat.Buckets)
 	}
 }
 
@@ -149,43 +154,36 @@ func TestPrometheusExposition(t *testing.T) {
 			t.Fatalf("family %q declared without a HELP line", fam)
 		}
 	}
-	for _, fam := range []string{"queries_total", "query_latency_ms", "query_latency_seconds", "uptime_seconds"} {
+	for _, fam := range []string{"queries_total", "query_latency_seconds", "uptime_seconds"} {
 		if strings.HasPrefix(helps[fam], "aqpd metric") {
 			t.Fatalf("family %q has fallback HELP %q, want a curated sentence", fam, helps[fam])
 		}
 	}
 
-	// Millisecond histogram families get a unit-correct _seconds copy:
-	// same per-series counts, bounds and sums scaled by 1e-3, original
-	// name preserved.
+	// Latency is recorded once, in seconds: no family is in milliseconds,
+	// and the latency buckets are second bounds (the largest finite one is
+	// 5 s; a millisecond family would reach 5000).
+	for fam := range types {
+		if strings.HasSuffix(fam, "_ms") {
+			t.Fatalf("family %q is in milliseconds", fam)
+		}
+	}
 	if types["query_latency_seconds"] != "histogram" {
 		t.Fatalf("query_latency_seconds type = %q, want histogram", types["query_latency_seconds"])
 	}
-	var msSum, secSum, msCount, secCount float64
+	var les []float64
 	for _, s := range series {
-		switch s.name {
-		case "query_latency_ms_sum":
-			msSum += s.value
-		case "query_latency_seconds_sum":
-			secSum += s.value
-		case "query_latency_ms_count":
-			msCount += s.value
-		case "query_latency_seconds_count":
-			secCount += s.value
+		if s.name == "query_latency_seconds_bucket" && s.labels["technique"] == "exact" && s.labels["le"] != "+Inf" {
+			le, _ := strconv.ParseFloat(s.labels["le"], 64)
+			les = append(les, le)
 		}
 	}
-	if msCount == 0 || msCount != secCount {
-		t.Fatalf("latency counts: ms=%v seconds=%v, want equal and nonzero", msCount, secCount)
-	}
-	if diff := msSum/1e3 - secSum; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("latency sums: ms=%v seconds=%v, want seconds = ms/1000", msSum, secSum)
+	if len(les) != len(latencyBuckets) || les[0] != 0.001 || les[len(les)-1] != 5 {
+		t.Fatalf("query_latency_seconds bounds = %v, want 0.001 … 5 seconds", les)
 	}
 
 	if types["queries_total"] != "counter" {
 		t.Fatalf("queries_total type = %q, want counter (types: %v)", types["queries_total"], types)
-	}
-	if types["query_latency_ms"] != "histogram" {
-		t.Fatalf("query_latency_ms type = %q, want histogram", types["query_latency_ms"])
 	}
 	if types["query_ci_rel_width"] != "histogram" {
 		t.Fatalf("query_ci_rel_width type = %q, want histogram (approx queries ran)", types["query_ci_rel_width"])
@@ -253,6 +251,69 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 	if _, ok := snap.Gauges["uptime_seconds"]; !ok {
 		t.Fatal("uptime_seconds gauge missing")
+	}
+	for k := range snap.Histograms {
+		if fam, _ := splitKey(k); strings.HasSuffix(fam, "_ms") {
+			t.Fatalf("JSON histogram %q is in milliseconds", k)
+		}
+	}
+}
+
+// stalledWriter is a scraper that stopped reading: its first Write closes
+// entered, and every Write blocks until release is closed.
+type stalledWriter struct {
+	header           http.Header
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (w *stalledWriter) Header() http.Header { return w.header }
+func (w *stalledWriter) WriteHeader(int)     {}
+func (w *stalledWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.entered) })
+	<-w.release
+	return len(p), nil
+}
+
+// TestStalledScrapeDoesNotBlockQueries: a /metrics?format=prom scraper
+// that stops reading mid-body holds no lock a query needs, so a
+// concurrent query still completes and files its metrics.
+func TestStalledScrapeDoesNotBlockQueries(t *testing.T) {
+	srv := New(buildDB(t, 1000), Config{})
+	h := srv.Handler()
+	query := func() int {
+		body, _ := json.Marshal(QueryRequest{SQL: "SELECT COUNT(*) FROM t", Mode: "exact"})
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+		return rec.Code
+	}
+	query() // the registry has series to render
+
+	sw := &stalledWriter{header: http.Header{}, entered: make(chan struct{}), release: make(chan struct{})}
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		h.ServeHTTP(sw, httptest.NewRequest(http.MethodGet, "/metrics?format=prom", nil))
+	}()
+	defer func() { close(sw.release); <-scraped }()
+	select {
+	case <-sw.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the scrape never wrote")
+	}
+
+	done := make(chan int, 1)
+	go func() { done <- query() }()
+	select {
+	case code := <-done:
+		if code != http.StatusOK {
+			t.Fatalf("query status %d during a stalled scrape", code)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a query did not complete while a scrape was stalled mid-body")
+	}
+	if n := telemetry.FamilySum(srv.Metrics().Sample().Counters, "queries_total"); n != 2 {
+		t.Fatalf("queries_total = %g, want 2", n)
 	}
 }
 

@@ -175,7 +175,7 @@ func (o *Observers) count(res *core.Result, latencyMS float64) {
 	o.met.Inc(Key("queries_total", "technique", tech))
 	o.met.Inc(Key("queries_by_guarantee", "guarantee", res.Guarantee.String()))
 	o.met.Add("rows_scanned_total", d.Counters.RowsScanned)
-	o.met.Observe(Key("query_latency_ms", "technique", tech), latencyMS)
+	o.met.Observe(Key("query_latency_seconds", "technique", tech), latencyMS/1000)
 	o.met.ObserveWith(Key("query_rows_scanned", "technique", tech),
 		float64(d.Counters.RowsScanned), rowsScannedBuckets)
 	if d.Partial {
@@ -276,7 +276,7 @@ func (o *Observers) onAuditEvent(ev audit.Event) {
 	switch ev.Kind {
 	case audit.EventAudited:
 		o.met.Inc(Key("audits_total", "technique", ev.Technique))
-		o.met.Observe(Key("audit_lag_ms", "technique", ev.Technique), ev.LagMS)
+		o.met.Observe(Key("audit_lag_seconds", "technique", ev.Technique), ev.LagMS/1000)
 	case audit.EventCovered, audit.EventMissed:
 		covered := ev.Kind == audit.EventCovered
 		name := "audit_missed_total"

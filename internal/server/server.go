@@ -520,67 +520,61 @@ func (s *Server) handleBuildSamples(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics serves the metrics snapshot: JSON by default, Prometheus
-// text exposition format with ?format=prom.
+// text exposition format with ?format=prom. Both render one reading taken
+// before the first byte is written, so a stalled scraper holds no lock a
+// query needs.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	gauges, counters := s.readings()
-	gaugesF := s.sloGauges()
+	smp := s.readings()
 	if r.URL.Query().Get("format") == "prom" {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.obs.met.WritePrometheus(w, counters, gauges, gaugesF, BuildInfo())
+		writePrometheus(w, smp, s.sloGauges(), BuildInfo())
 		return
 	}
-	snap := s.obs.met.Snapshot(gauges)
-	for k, v := range counters {
-		snap.Counters[k] = v
-	}
-	snap.GaugesF = gaugesF
-	snap.Info = BuildInfo()
-	writeJSON(w, http.StatusOK, snap)
+	writeJSON(w, http.StatusOK, newSnapshot(smp, s.sloGauges(), BuildInfo()))
 }
 
-// readings reads every instantaneous gauge once, with the cumulative
-// counters kept outside the metrics registry: /metrics, its Prometheus
-// form and the time-series collector all serve these two sets.
-func (s *Server) readings() (gauges, counters map[string]int64) {
-	gauges = map[string]int64{
-		"queue_depth":       int64(s.adm.QueueDepth()),
-		"in_flight":         int64(s.adm.InFlight()),
-		"workers":           int64(s.adm.Workers()),
-		"queue_capacity":    int64(s.adm.QueueCap()),
-		"max_query_workers": int64(s.cfg.MaxQueryWorkers),
-		"uptime_seconds":    int64(time.Since(s.start).Seconds()),
+// readings is the registry's sample with every instantaneous gauge and the
+// cumulative counters kept outside the registry added once: /metrics, its
+// Prometheus form and the time-series collector all serve it.
+func (s *Server) readings() telemetry.Sample {
+	smp := s.obs.met.Sample()
+	smp.Gauges = map[string]float64{
+		"queue_depth":       float64(s.adm.QueueDepth()),
+		"in_flight":         float64(s.adm.InFlight()),
+		"workers":           float64(s.adm.Workers()),
+		"queue_capacity":    float64(s.adm.QueueCap()),
+		"max_query_workers": float64(s.cfg.MaxQueryWorkers),
+		"uptime_seconds":    time.Since(s.start).Truncate(time.Second).Seconds(),
 	}
 	for k, b := range s.brk {
-		gauges[Key("engine_tripped", "engine", string(k))] = b01(b.State() != fault.BreakerClosed)
+		smp.Gauges[Key("engine_tripped", "engine", string(k))] = b01(b.State() != fault.BreakerClosed)
 	}
 	// The uniform sampler's kept-row memo is process-wide: its counts cover
 	// every scan this process ran.
 	kept := sample.KeptMemoStats()
-	gauges["kept_memo_entries"] = int64(kept.Entries)
-	counters = map[string]int64{
-		"kept_memo_evictions":                       kept.Evictions,
-		Key("kept_memo_lookups", "outcome", "hit"):  kept.Hits,
-		Key("kept_memo_lookups", "outcome", "miss"): kept.Misses,
-		Key("kept_memo_lookups", "outcome", "grow"): kept.Grows,
-	}
+	smp.Gauges["kept_memo_entries"] = float64(kept.Entries)
+	smp.Counters["kept_memo_evictions"] = float64(kept.Evictions)
+	smp.Counters[Key("kept_memo_lookups", "outcome", "hit")] = float64(kept.Hits)
+	smp.Counters[Key("kept_memo_lookups", "outcome", "miss")] = float64(kept.Misses)
+	smp.Counters[Key("kept_memo_lookups", "outcome", "grow")] = float64(kept.Grows)
 	if s.obs.insight != nil {
-		gauges["workload_fingerprints"] = int64(s.obs.insight.Len())
+		smp.Gauges["workload_fingerprints"] = float64(s.obs.insight.Len())
 	}
 	if s.obs.aud != nil {
 		rep := s.obs.aud.Report()
-		gauges["audit_backlog"] = int64(rep.Backlog)
+		smp.Gauges["audit_backlog"] = float64(rep.Backlog)
 		for _, t := range rep.Tables {
-			gauges[Key("sample_stale", "table", t.Table)] = b01(t.Stale)
+			smp.Gauges[Key("sample_stale", "table", t.Table)] = b01(t.Stale)
 		}
 	}
-	return gauges, counters
+	return smp
 }
 
-func b01(b bool) int64 {
+func b01(b bool) float64 {
 	if b {
 		return 1
 	}

@@ -428,7 +428,7 @@ func TestMetricsEndpointShape(t *testing.T) {
 	if snap.Counters["rows_scanned_total"] != 3*5000 {
 		t.Fatalf("rows_scanned_total = %d, want 15000", snap.Counters["rows_scanned_total"])
 	}
-	h, okh := snap.Histograms[Key("query_latency_ms", "technique", "exact")]
+	h, okh := snap.Histograms[Key("query_latency_seconds", "technique", "exact")]
 	if !okh || h.Count != 3 || h.Sum <= 0 {
 		t.Fatalf("latency histogram = %+v", h)
 	}

@@ -16,16 +16,9 @@ import (
 // tests drive Snap explicitly for determinism.
 func (s *Server) initTelemetry(cfg Config) {
 	s.tstore = telemetry.NewStore(telemetry.StoreConfig{
-		Step:   cfg.TelemetryStep,
-		Window: cfg.TelemetryWindow,
-		Collect: func() telemetry.Sample {
-			gauges, counters := s.readings()
-			smp := s.obs.met.TelemetrySample(gauges)
-			for k, v := range counters {
-				smp.Counters[k] = float64(v)
-			}
-			return smp
-		},
+		Step:    cfg.TelemetryStep,
+		Window:  cfg.TelemetryWindow,
+		Collect: s.readings,
 		// Every stored sample re-evaluates the objectives (the engine caches
 		// the statuses for the /metrics gauges and bundle dumps), so
 		// fast-burn detection latency is one snapshot step.
@@ -108,7 +101,7 @@ type HistoryResponse struct {
 	Rates map[string][]HistoryPoint `json:"rates,omitempty"`
 	// Quantiles are per-step histogram quantiles of the observations
 	// made between consecutive samples, keyed by the requested
-	// "q:family" spec (?quantile=0.99:query_latency_ms).
+	// "q:family" spec (?quantile=0.99:query_latency_seconds).
 	Quantiles map[string][]HistoryPoint `json:"quantiles,omitempty"`
 }
 
@@ -161,7 +154,7 @@ func (s *Server) handleMetricsHistory(w http.ResponseWriter, r *http.Request) {
 	for _, spec := range q["quantile"] {
 		qv, fam, ok := parseQuantileSpec(spec)
 		if !ok {
-			writeError(w, http.StatusBadRequest, "bad quantile %q (want q:family, e.g. 0.99:query_latency_ms)", spec)
+			writeError(w, http.StatusBadRequest, "bad quantile %q (want q:family, e.g. 0.99:query_latency_seconds)", spec)
 			return
 		}
 		pts := make([]HistoryPoint, 0, len(samples))

@@ -85,7 +85,7 @@ func TestTelemetryHistoryAndSLO(t *testing.T) {
 	srv.TelemetryStore().Snap() // second edge: 5 queries in the delta
 
 	var hist HistoryResponse
-	url := ts.URL + "/metrics/history?window=15m&step=10s&rate=queries_total&quantile=0.99:query_latency_ms"
+	url := ts.URL + "/metrics/history?window=15m&step=10s&rate=queries_total&quantile=0.99:query_latency_seconds"
 	if code := getJSON(t, url, &hist); code != http.StatusOK {
 		t.Fatalf("/metrics/history: status %d", code)
 	}
@@ -99,9 +99,9 @@ func TestTelemetryHistoryAndSLO(t *testing.T) {
 	if rates[len(rates)-1].V <= 0 {
 		t.Fatalf("queries_total rate = %v, want > 0 after a query burst", rates[len(rates)-1].V)
 	}
-	quants := hist.Quantiles["0.99:query_latency_ms"]
+	quants := hist.Quantiles["0.99:query_latency_seconds"]
 	if len(quants) == 0 {
-		t.Fatal("no quantile points for query_latency_ms")
+		t.Fatal("no quantile points for query_latency_seconds")
 	}
 	if v := quants[len(quants)-1].V; !(v >= 0) {
 		t.Fatalf("p99 latency = %v, want finite >= 0", v)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"time"
 )
@@ -13,6 +14,8 @@ const (
 	// KindLatency holds a quantile of a latency histogram under a
 	// threshold: good events are observations at or below ThresholdMS,
 	// and Target is the required good fraction (0.99 = "p99 ≤ threshold").
+	// Latency histograms are in seconds; the threshold keeps its
+	// millisecond config key.
 	KindLatency = "latency"
 	// KindRatioFloor holds Good/Total at or above Target (audit CI
 	// coverage, contract hold-rate).
@@ -58,8 +61,8 @@ type Objective struct {
 	Kind string `json:"kind"`
 
 	// Hist + ThresholdMS define a latency objective's good event:
-	// an observation of the named histogram family at or below the
-	// threshold.
+	// an observation of the named histogram family, in seconds, at or
+	// below the threshold, in milliseconds.
 	Hist        string  `json:"hist,omitempty"`
 	ThresholdMS float64 `json:"threshold_ms,omitempty"`
 
@@ -116,6 +119,9 @@ func (o Objective) validate() error {
 		if o.Hist == "" || o.ThresholdMS <= 0 {
 			return fmt.Errorf("telemetry: latency objective %s needs hist and threshold_ms", o.Name)
 		}
+		if base, ok := strings.CutSuffix(o.Hist, "_ms"); ok {
+			return fmt.Errorf("telemetry: latency objective %s: hist %s is in milliseconds, but latency is recorded in seconds; use %s_seconds", o.Name, o.Hist, base)
+		}
 	case KindRatioFloor:
 		if o.Good == "" || o.Total == "" {
 			return fmt.Errorf("telemetry: ratio_floor objective %s needs good and total", o.Name)
@@ -165,7 +171,7 @@ func ParseObjectives(b []byte) ([]Objective, error) {
 func DefaultObjectives() []Objective {
 	objs := []Objective{
 		{Name: "latency_p99", Kind: KindLatency,
-			Hist: "query_latency_ms", ThresholdMS: 1000, Target: 0.99},
+			Hist: "query_latency_seconds", ThresholdMS: 1000, Target: 0.99},
 		{Name: "audit_coverage", Kind: KindRatioFloor,
 			Good: "audit_covered_total", Total: "audit_covered_total+audit_missed_total", Target: 0.93},
 		{Name: "contract_hold", Kind: KindRatioFloor,
@@ -264,7 +270,7 @@ func (o Objective) goodTotal(old, latest Sample) (good, total float64) {
 			return 0, 0
 		}
 		d := DeltaHist(ho, hn)
-		return HistCumAt(d, o.ThresholdMS), d.Count
+		return HistCumAt(d, o.ThresholdMS/1000), d.Count
 	case KindRatioCeiling:
 		total = FamilySum(latest.Counters, o.Total) - FamilySum(old.Counters, o.Total)
 		bad := FamilySum(latest.Counters, o.Bad) - FamilySum(old.Counters, o.Bad)

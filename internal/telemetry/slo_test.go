@@ -19,7 +19,7 @@ func newTestSLO(objs []Objective, edges func(time.Duration) (Sample, Sample, boo
 
 func TestParseObjectives(t *testing.T) {
 	cfg := `[
-	  {"name": "lat", "kind": "latency", "hist": "query_latency_ms",
+	  {"name": "lat", "kind": "latency", "hist": "query_latency_seconds",
 	   "threshold_ms": 500, "target": 0.99, "fast_window": "2m"},
 	  {"name": "cov", "kind": "ratio_floor", "good": "a_total", "total": "b_total", "target": 0.9}
 	]`
@@ -47,11 +47,17 @@ func TestParseObjectives(t *testing.T) {
 		`[{"name": "x", "kind": "ratio_floor", "good": "g", "total": "t", "target": 1.5}]`,
 		`[{"name": "x", "kind": "nope", "target": 0.5}]`,
 		`[{"name": "x", "kind": "ratio_ceiling", "total": "t", "target": 0.5}]`,
+		`[{"name": "x", "kind": "latency", "hist": "query_latency_ms", "threshold_ms": 1, "target": 0.5}]`,
 	}
 	for _, b := range bad {
 		if _, err := ParseObjectives([]byte(b)); err == nil {
 			t.Fatalf("ParseObjectives accepted %s", b)
 		}
+	}
+	// A millisecond histogram names the family latency is recorded in.
+	_, err = ParseObjectives([]byte(bad[len(bad)-1]))
+	if !strings.Contains(err.Error(), "query_latency_seconds") {
+		t.Fatalf("ms hist refused with %q, want it to name query_latency_seconds", err)
 	}
 }
 
@@ -142,15 +148,15 @@ func TestSLOFastBurnEdgeTriggered(t *testing.T) {
 }
 
 func TestSLOLatencyObjective(t *testing.T) {
-	// Latency histogram: threshold 100ms, 90 of 100 obs ≤ 100.
+	// Latency histogram in seconds, threshold 100ms: 90 of 100 obs ≤ 0.1 s.
 	obj := Objective{Name: "lat", Kind: KindLatency,
-		Hist: "query_latency_ms", ThresholdMS: 100, Target: 0.95}
+		Hist: "query_latency_seconds", ThresholdMS: 100, Target: 0.95}
 	t0 := time.Unix(1000, 0)
 	old := Sample{T: t0, Hists: map[string]Hist{
-		`query_latency_ms{technique="exact"}`: {Bounds: []float64{100, 500}, Cum: []float64{0, 0, 0}},
+		`query_latency_seconds{technique="exact"}`: {Bounds: []float64{0.1, 0.5}, Cum: []float64{0, 0, 0}},
 	}}
 	latest := Sample{T: t0.Add(5 * time.Minute), Hists: map[string]Hist{
-		`query_latency_ms{technique="exact"}`: {Bounds: []float64{100, 500}, Cum: []float64{90, 100, 100}, Count: 100},
+		`query_latency_seconds{technique="exact"}`: {Bounds: []float64{0.1, 0.5}, Cum: []float64{90, 100, 100}, Count: 100},
 	}}
 	st := newTestSLO([]Objective{obj}, edgesFor(old, latest), nil).Evaluate()[0]
 	if st.Fast.Events != 100 {

@@ -34,6 +34,11 @@ type Hist struct {
 	Cum   []float64 `json:"cum"`
 	Sum   float64   `json:"sum"`
 	Count float64   `json:"count"`
+	// Min and Max are the extreme observations since the histogram was
+	// made. They do not subtract across samples, so the merged and delta
+	// forms leave them zero and the history body leaves them out.
+	Min float64 `json:"-"`
+	Max float64 `json:"-"`
 }
 
 // Sample is one snapshot of every metric family at an instant.
@@ -221,8 +226,8 @@ func (s *Store) WindowEdges(d time.Duration) (old, latest Sample, ok bool) {
 
 // FamilySum sums every series of a counter family in one sample: the key
 // exactly equal to the family name, or starting with it followed by a
-// label block — the same guard Metrics.CounterSum applies, so families
-// sharing a name prefix stay apart. family may join several families
+// label block, so families sharing a name prefix stay apart (queries_total
+// does not absorb queries_total_errors). family may join several families
 // with '+' ("a_total+b_total"), summing them all: SLO totals are often
 // the sum of an outcome pair (covered+missed, held+broken).
 func FamilySum(counters map[string]float64, family string) float64 {

@@ -23,8 +23,6 @@ var reachAllowlist = map[string]string{
 	"internal/server.(*Server).Admission":          "test probe: admission tests read the controller",
 	"internal/server.(*Server).Auditor":            "test probe: audit e2e tests drain the auditor",
 	"internal/server.(*Server).WorkloadRegistry":   "test probe: workload tests drive the registry",
-	"internal/server.(*Metrics).Counter":           "test probe: server tests read one counter",
-	"internal/server.(*Metrics).CounterSum":        "test probe: server tests sum a counter family",
 	"internal/insight.(*Registry).Evictions":       "test probe: insight tests check the LRU cap",
 	"internal/insight.(*Registry).Regressions":     "test probe: sentinel tests read the trips",
 	"internal/exec.(*Result).ColumnIndex":          "test probe: exec tests find a column by name",

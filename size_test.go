@@ -43,6 +43,9 @@ import (
 //   - filing_sites: lines in internal/server and cmd/ that file a served
 //     query with the auditor, workload insight or the flight recorder (3 =
 //     the one Observers.File).
+//   - registry_reads: functions in internal/server that range over the
+//     metrics registry's maps (1 = Metrics.Sample, the one read; every
+//     view renders its copy after the lock is released).
 //   - config_fields: settable fields of the non-test *Config / *Options
 //     structs outside bench/ and examples/ (a field nothing sets to a
 //     second value is a constant in disguise).
@@ -69,6 +72,7 @@ func TestSize(t *testing.T) {
 	add("grade_sites", sizeMatches(slices.Concat(core, sizeSources(t, "internal/audit", false, false)), `stats\.RelError\(`, comment))
 	filers := append(sizeSources(t, "internal/server", true, false), sizeSources(t, "cmd", true, false)...)
 	add("filing_sites", sizeMatches(filers, `\.ObserveStmt\(|\.OfferStmt\(|flight\.Record\(`, comment))
+	add("registry_reads", sizeFuncs(sizeSources(t, "internal/server", false, false), `range m\.(counters|hists)\b`))
 	add("config_fields", sizeConfigFields(sizeSources(t, ".", true, false, "bench", "examples")))
 	rep, err := reachResult()
 	if err != nil {
@@ -129,6 +133,25 @@ func sizeMatches(srcs []string, pattern string, except *regexp.Regexp) int {
 	for _, src := range srcs {
 		for _, line := range strings.Split(src, "\n") {
 			if re.MatchString(line) && (except == nil || !except.MatchString(line)) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// sizeFuncs counts the top-level functions with a line that matches
+// pattern.
+func sizeFuncs(srcs []string, pattern string) int {
+	re, n := regexp.MustCompile(pattern), 0
+	for _, src := range srcs {
+		counted := false
+		for _, line := range strings.Split(src, "\n") {
+			switch {
+			case strings.HasPrefix(line, "func "):
+				counted = false
+			case !counted && re.MatchString(line):
+				counted = true
 				n++
 			}
 		}
