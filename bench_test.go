@@ -129,6 +129,11 @@ func mustPlan(b *testing.B, cat *storage.Catalog, sql string) plan.Node {
 // executor — the path every served aggregate takes — over 250k lineitem
 // rows at one and two workers.
 func benchMorselScan(b *testing.B, sql string) {
+	benchMorselScanEach(b, sql, func() {})
+}
+
+// benchMorselScanEach is benchMorselScan calling before ahead of every run.
+func benchMorselScanEach(b *testing.B, sql string, before func()) {
 	const rows = 250_000
 	star := benchStar(b, rows)
 	p := mustPlan(b, star.Catalog, sql)
@@ -136,6 +141,7 @@ func benchMorselScan(b *testing.B, sql string) {
 		b.Run(fmt.Sprintf("W=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				before()
 				if _, err := exec.RunParallel(p, workers); err != nil {
 					b.Fatal(err)
 				}
@@ -195,12 +201,17 @@ func BenchmarkScanPricingSummary(b *testing.B) {
 
 // BenchmarkScanDistinctSampled measures the statement the online engine runs
 // for pricing-summary: the distinct sampler on the GROUP BY columns, its
-// strata resolved by the dictionary codes that resolve the groups.
+// strata resolved by the dictionary codes that resolve the groups. warm
+// reads the tail coin's remembered bitmap, as every query after a
+// process's first at the sampler's seed and rate does; cold forgets it
+// before each run, so every run also flips the coin over the table.
 func BenchmarkScanDistinctSampled(b *testing.B) {
-	benchMorselScan(b, `SELECT l_returnflag, l_linestatus, SUM(l_quantity) AS sum_qty,
+	const sql = `SELECT l_returnflag, l_linestatus, SUM(l_quantity) AS sum_qty,
 		SUM(l_extendedprice) AS sum_price, AVG(l_discount) AS avg_disc, COUNT(*) AS n
 		FROM lineitem TABLESAMPLE DISTINCT (1, 30) ON (l_returnflag, l_linestatus) WHERE l_shipdate <= 2250
-		GROUP BY l_returnflag, l_linestatus ORDER BY l_returnflag, l_linestatus`)
+		GROUP BY l_returnflag, l_linestatus ORDER BY l_returnflag, l_linestatus`
+	b.Run("warm", func(b *testing.B) { benchMorselScan(b, sql) })
+	b.Run("cold", func(b *testing.B) { benchMorselScanEach(b, sql, sample.ForgetKept) })
 }
 
 // BenchmarkScanDistinctSampledIntKey measures the distinct sampler over 500

@@ -133,6 +133,19 @@ func main() {
 		log.Printf("aqpd: CHAOS INJECTION ARMED (seed %d): %s", *chaosSeed, strings.Join(armed, "  "))
 	}
 
+	// The SLO file is read before the tables are built, so a bad one fails
+	// before the generator runs.
+	var objectives []telemetrypkg.Objective
+	if *sloConfig != "" {
+		raw, err := os.ReadFile(*sloConfig)
+		if err == nil {
+			objectives, err = telemetrypkg.ParseObjectives(raw)
+		}
+		if err != nil {
+			log.Fatalf("aqpd: -slo-config: %v", err)
+		}
+	}
+
 	db, err := buildDB(*gen, *genSkew, *seed, loads)
 	if err != nil {
 		log.Fatalf("aqpd: %v", err)
@@ -203,17 +216,7 @@ func main() {
 		cfg.FlightQueries = *flightN
 		cfg.FlightSink = flightSink(*flightDump)
 		cfg.WorkloadCap = *workloadN
-		if *sloConfig != "" {
-			raw, err := os.ReadFile(*sloConfig)
-			if err != nil {
-				log.Fatalf("aqpd: -slo-config: %v", err)
-			}
-			objs, err := telemetrypkg.ParseObjectives(raw)
-			if err != nil {
-				log.Fatalf("aqpd: -slo-config: %v", err)
-			}
-			cfg.Objectives = objs
-		}
+		cfg.Objectives = objectives
 	}
 	srv := server.New(db, cfg)
 	if *telemetry {

@@ -102,7 +102,7 @@ type morselRun struct {
 
 	view rowView       // the row the pipeline folds: the scan's output, then each build's
 	kern morselKernels // compiled against the snapshot in run
-	kept []uint64      // a uniform row stage's kept rows of the snapshot, a bit each, shared by the workers
+	kept []uint64      // the uniform or distinct row stage's coin over the snapshot's rows, a bit each, shared by the workers
 	sp   *trace.Span   // the terminal's span, nil when tracing is off
 
 	// The scan's run-wide numbering of the aggregate's groups (a global
@@ -308,12 +308,17 @@ func (op *morselRun) run() (*scanGroups, []emitted, error) {
 		}
 		wks = append(wks, wk)
 	}
-	if u := wks[0].Uniform; u != nil {
-		// Once per scan: the workers read one bitmap, and a first query at
-		// its (seed, rate) decides the rows on all of the query's workers.
-		if op.kept, err = u.Kept(op.ctx, table.NumRows(), op.workers); err != nil {
-			return nil, nil, err
-		}
+	// Once per scan: the workers read one bitmap of the row stage's coin,
+	// and a first query at its (seed, rate) flips it on all of the query's
+	// workers.
+	switch st := wks[0].samplerStages; {
+	case st.Uniform != nil:
+		op.kept, err = st.Uniform.Kept(op.ctx, table.NumRows(), op.workers)
+	case st.Distinct != nil:
+		op.kept, err = st.Distinct.Kept(op.ctx, table.NumRows(), op.workers)
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// Trace setup only observes the already-decided morsel geometry: worker
@@ -771,22 +776,19 @@ func (wk *morselWorker) foldRun(sel []int32, blockWeight float64, c *Counters) e
 		w *= wk.Weight
 	case wk.Distinct != nil:
 		// Counting from the morsel's first row, a row past the pass-through
-		// is past it in the whole scan too: the coin decides it here. One
-		// within it (weight 1: at rate 1 that is every row, which loses
-		// nothing) waits for the counts of the morsels before.
+		// is past it in the whole scan too: its coin's bit decides it here.
+		// One within it (weight 1: at rate 1 that is every kept row, which
+		// loses nothing) waits for the counts of the morsels before.
 		sids, marks := wk.sc.gids[:len(sel)], wk.sc.ws
 		if err := wk.strata.resolve(sel, sids); err != nil {
 			return err
 		}
 		wk.ranks = zeroExtend(wk.ranks, int(wk.strata.ids))
-		wk.Distinct.KeepRows(sel, sids, wk.ranks, marks)
-		k := 0
-		for i, r := range sel {
-			switch marks[i] {
-			case 0:
-			case 1:
+		n, k := wk.Distinct.KeepRows(wk.op.kept, sel, sids, wk.ranks, marks), 0
+		for i, r := range sel[:n] {
+			if marks[i] == 1 {
 				wk.rows, wk.sids = append(wk.rows, r), append(wk.sids, sids[i])
-			default:
+			} else {
 				sel[k], sids[k] = r, sids[i]
 				k++
 			}
@@ -826,14 +828,7 @@ func (wk *morselWorker) foldDeferred(p *morselPart, seen []int32) error {
 	for lo, runCap := 0, len(wk.sc.ones); lo < len(p.deferRows); lo += runCap {
 		hi := min(lo+runCap, len(p.deferRows))
 		sel, sids, ws := wk.sc.orderRun(p.deferRows[lo:hi]), p.sids[lo:hi], wk.sc.ws
-		wk.Distinct.KeepRows(sel, sids, seen, ws)
-		k := 0
-		for i, r := range sel {
-			if ws[i] != 0 {
-				sel[k], sids[k], ws[k] = r, sids[i], ws[i]
-				k++
-			}
-		}
+		k := wk.Distinct.KeepRows(wk.op.kept, sel, sids, seen, ws)
 		var gids []int32
 		if wk.strata == wk.groups {
 			gids = sids[:k]

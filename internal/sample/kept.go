@@ -9,19 +9,23 @@ import (
 	"repro/internal/stats"
 )
 
-// The uniform sampler's decisions, remembered.
+// The samplers' coins, remembered.
 //
-// Whether a uniform sampler keeps row r is a pure function of its seed, its
-// rate and r, and deciding costs a hash per row — as much as reading the
-// row. So the decisions are made once per (seed, rate) into a bitmap over
-// row ids, and a scan reads only the rows whose bits are set. The bitmaps
-// live in one process-wide table: a query at a pair no query has used
-// before pays the hash over the table's rows once, split across its scan's
-// workers, and every later one at that pair pays nothing for its sample.
+// Whether a uniform sampler keeps row r, and whether the distinct sampler's
+// tail coin keeps r once its stratum is past the pass-through, are pure
+// functions of the sampler's seed, its rate and r, and flipping a coin costs
+// a hash per row — as much as reading the row. So each coin is flipped once
+// per (seed, rate) into a bitmap over row ids: a uniform scan reads only the
+// rows whose bits are set, and the distinct sampler reads a row's bit where
+// it would have flipped the coin. The bitmaps live in one process-wide
+// table, keyed by the coin too, so the two samplers at one (seed, rate)
+// never share one: a query at a key no query has used before pays the
+// hashes over the table's rows once, split across its scan's workers, and
+// every later one at that key pays nothing for its coins.
 
-// maxKeptEntries caps the table at this many (seed, rate) bitmaps, each
-// one bit per row of the largest table scanned at its pair; a new pair
-// evicts the least recently used. Callers choose the pairs — a remote
+// maxKeptEntries caps the table at this many (coin, seed, rate) bitmaps,
+// each one bit per row of the largest table scanned at its key; a new key
+// evicts the least recently used. Callers choose the keys — a remote
 // shard's estimate request carries its own sampler spec — so the cap, not
 // the callers, bounds the memory.
 const maxKeptEntries = 64
@@ -45,25 +49,34 @@ func (u *Uniform) Kept(ctx context.Context, n, workers int) ([]uint64, error) {
 	return keptMemo.get(ctx, u, n, workers)
 }
 
+// Kept returns d's tail coin over the rows [0, n), as a bitmap: bit r%64 of
+// word r/64 is set iff the coin keeps row r once its stratum is past the
+// pass-through, which is all Decide asks of r beyond the stratum's count.
+// KeepRows reads it. It is shared and filled as Uniform.Kept's is.
+func (d *Distinct) Kept(ctx context.Context, n, workers int) ([]uint64, error) {
+	return keptMemo.get(ctx, d, n, workers)
+}
+
 // ForgetKept empties the table, as at process start: the next scan at any
-// (seed, rate) pays its hashes again. It is for measuring that cost.
+// (coin, seed, rate) pays its hashes again. It is for measuring that cost.
 func ForgetKept() {
 	keptMemo.mu.Lock()
 	defer keptMemo.mu.Unlock()
 	clear(keptMemo.entries)
 }
 
-// KeptStats counts the table's lookups since the process started. A hit
-// found its rows decided; a miss decided a pair's rows for the first time
-// (again after an eviction or a cancelled fill); a grow decided the rows of
-// a larger table than the pair had seen. Without evictions, Misses is the
-// number of distinct pairs the process has scanned at.
+// KeptStats counts the table's lookups since the process started, of both
+// samplers' coins alike. A hit found its rows decided; a miss decided a
+// key's rows for the first time (again after an eviction or a cancelled
+// fill); a grow decided the rows of a larger table than the key had seen.
+// Without evictions, Misses is the number of distinct (coin, seed, rate)
+// keys the process has scanned at.
 type KeptStats struct {
 	Hits, Misses, Grows, Evictions int64
 	Entries                        int // bitmaps held now
 }
 
-// KeptMemoStats returns the table's counts.
+// KeptMemoStats returns the table's counts, both coins together.
 func KeptMemoStats() KeptStats {
 	m := keptMemo
 	m.mu.Lock()
@@ -72,19 +85,47 @@ func KeptMemoStats() KeptStats {
 		Evictions: m.evictions, Entries: len(m.entries)}
 }
 
-// keeps is the sampler's coin for a row, as Decide flips it.
-func (u *Uniform) keeps(row int) bool {
-	return hashToUnit(stats.SplitMix64(u.seed^stats.SplitMix64(uint64(row)))) < u.p
+// uniformHash is the hash the uniform sampler's coin flips for a row: the
+// coin keeps the row iff hashToUnit of it is below the rate.
+func uniformHash(seed, row uint64) uint64 {
+	return stats.SplitMix64(seed ^ stats.SplitMix64(row))
 }
 
-// keptCut is the coin as an integer test: keeps(r) iff the top 53 bits of
-// r's hash are below it. hashToUnit(h) is exactly (h>>11)·2⁻⁵³, and scaling
-// p by 2⁵³ is exact, so the test is Decide's own.
+// tailHash is the hash the distinct sampler's tail coin flips for a row,
+// read as uniformHash is.
+func tailHash(seed, row uint64) uint64 {
+	return stats.SplitMix64(seed ^ stats.SplitMix64(row*0x9e3779b97f4a7c15+7))
+}
+
+// keeps is the sampler's coin for a row, as Decide flips it.
+func (u *Uniform) keeps(row int) bool {
+	return hashToUnit(uniformHash(u.seed, uint64(row))) < u.p
+}
+
+// keptCut is the coin as an integer test: a coin keeps a row iff the top 53
+// bits of its hash are below it. hashToUnit(h) is exactly (h>>11)·2⁻⁵³, and
+// scaling p by 2⁵³ is exact, so the test is Decide's own.
 func keptCut(p float64) uint64 {
 	if !(p > 0) {
 		return 0
 	}
 	return uint64(math.Ceil(min(p, 1) * (1 << 53)))
+}
+
+// keptCoin is a sampler whose coin the table remembers.
+type keptCoin interface {
+	keptKey() keptKey
+	// word flips the coin for the 64 rows of bitmap word w, against
+	// keptCut of the rate.
+	word(w int, cut uint64) uint64
+}
+
+func (u *Uniform) keptKey() keptKey {
+	return keptKey{coin: uniformCoin, seed: u.seed, rate: math.Float64bits(u.p)}
+}
+
+func (d *Distinct) keptKey() keptKey {
+	return keptKey{coin: tailCoin, seed: d.seed, rate: math.Float64bits(d.p)}
 }
 
 // word decides the 64 rows of bitmap word w without a branch: x - cut wraps
@@ -93,23 +134,32 @@ func (u *Uniform) word(w int, cut uint64) uint64 {
 	var bits uint64
 	row := uint64(w) * 64
 	for i := range uint64(64) {
-		x := stats.SplitMix64(u.seed^stats.SplitMix64(row+i)) >> 11
-		bits |= (x - cut) >> 63 << i
+		bits |= (uniformHash(u.seed, row+i)>>11 - cut) >> 63 << i
 	}
 	return bits
 }
 
-// fill decides words[from:], split into ranges of at least fillGrainWords
-// across up to workers goroutines, the first on the caller's.
-func (u *Uniform) fill(ctx context.Context, words []uint64, from, workers int) error {
-	cut, workers := keptCut(u.p), max(workers, 1)
+// word is Uniform.word for the tail coin.
+func (d *Distinct) word(w int, cut uint64) uint64 {
+	var bits uint64
+	row := uint64(w) * 64
+	for i := range uint64(64) {
+		bits |= (tailHash(d.seed, row+i)>>11 - cut) >> 63 << i
+	}
+	return bits
+}
+
+// fill decides words[from:] by c's coin, split into ranges of at least
+// fillGrainWords across up to workers goroutines, the first on the caller's.
+func fill(ctx context.Context, c keptCoin, words []uint64, from, workers int) error {
+	cut, workers := keptCut(math.Float64frombits(c.keptKey().rate)), max(workers, 1)
 	span := max((len(words)-from+workers-1)/workers, fillGrainWords)
 	run := func(lo, hi int) {
 		for w := lo; w < hi; w++ {
 			if (w-lo)%fillCheckWords == 0 && ctx.Err() != nil {
 				return
 			}
-			words[w] = u.word(w, cut)
+			words[w] = c.word(w, cut)
 		}
 	}
 	var wg sync.WaitGroup
@@ -125,14 +175,26 @@ func (u *Uniform) fill(ctx context.Context, words []uint64, from, workers int) e
 	return ctx.Err()
 }
 
-// keptKey names a bitmap. The rate is keyed by its bits: a NaN map key
-// could never be found or deleted again (Validate refuses a NaN rate too).
-type keptKey struct{ seed, rate uint64 }
+// coinKind is which sampler's coin a bitmap holds.
+type coinKind uint8
 
-// keptEntry is one pair's bitmap. The published bitmap is read without a
+const (
+	uniformCoin coinKind = iota // Uniform's
+	tailCoin                    // Distinct's, past the pass-through
+)
+
+// keptKey names a bitmap: the coin it holds and the sampler's seed and
+// rate. The rate is keyed by its bits: a NaN map key could never be found
+// or deleted again (Validate refuses a NaN rate too).
+type keptKey struct {
+	coin       coinKind
+	seed, rate uint64
+}
+
+// keptEntry is one key's bitmap. The published bitmap is read without a
 // lock; a caller that must decide more rows holds the entry's fill slot, not
 // the table's lock, so concurrent first callers hash the rows once between
-// them, callers at other pairs do not wait, and a waiter can give up when
+// them, callers at other keys do not wait, and a waiter can give up when
 // its context ends.
 type keptEntry struct {
 	words atomic.Pointer[[]uint64]
@@ -140,7 +202,7 @@ type keptEntry struct {
 	used  uint64        // the table's clock at the last lookup, under the table's lock
 }
 
-// keptTable holds the bitmaps by pair, at most maxKeptEntries of them.
+// keptTable holds the bitmaps by key, at most maxKeptEntries of them.
 type keptTable struct {
 	mu        sync.Mutex
 	clock     uint64
@@ -152,7 +214,7 @@ type keptTable struct {
 
 var keptMemo = &keptTable{entries: make(map[keptKey]*keptEntry)}
 
-// entry returns the pair's entry, making room for it at the cap.
+// entry returns the key's entry, making room for it at the cap.
 func (m *keptTable) entry(k keptKey) *keptEntry {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -179,14 +241,14 @@ func (m *keptTable) entry(k keptKey) *keptEntry {
 	return e
 }
 
-// get returns u's bitmap over at least n rows, deciding the rows no caller
+// get returns c's bitmap over at least n rows, deciding the rows no caller
 // has asked for before into a copy.
-func (m *keptTable) get(ctx context.Context, u *Uniform, n, workers int) ([]uint64, error) {
+func (m *keptTable) get(ctx context.Context, c keptCoin, n, workers int) ([]uint64, error) {
 	if n <= 0 {
 		return nil, nil
 	}
 	words := (n + 63) / 64
-	e := m.entry(keptKey{seed: u.seed, rate: math.Float64bits(u.p)})
+	e := m.entry(c.keptKey())
 	if old := e.words.Load(); old != nil && len(*old) >= words {
 		m.hits.Add(1)
 		return (*old)[:words], nil
@@ -206,7 +268,7 @@ func (m *keptTable) get(ctx context.Context, u *Uniform, n, workers int) ([]uint
 	}
 	b := make([]uint64, words)
 	copy(b, from)
-	if err := u.fill(ctx, b, len(from), workers); err != nil {
+	if err := fill(ctx, c, b, len(from), workers); err != nil {
 		return nil, err
 	}
 	e.words.Store(&b)

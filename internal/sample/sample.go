@@ -306,37 +306,38 @@ func (d *Distinct) Decide(rowIdx int, key string) RowDecision {
 	if n < d.keep {
 		return RowDecision{Keep: true, Weight: 1}
 	}
-	if d.coin(rowIdx) {
+	// The tail's Bernoulli trial, a function of the seed and the row: the
+	// bit Kept remembers.
+	if hashToUnit(tailHash(d.seed, uint64(rowIdx))) < d.p {
 		return RowDecision{Keep: true, Weight: 1 / d.p}
 	}
 	return RowDecision{}
 }
 
-// coin is the tail's Bernoulli trial, a function of the seed and the row.
-func (d *Distinct) coin(rowIdx int) bool {
-	return hashToUnit(stats.SplitMix64(d.seed^stats.SplitMix64(uint64(rowIdx)*0x9e3779b97f4a7c15+7))) < d.p
-}
-
 // KeepRows is Decide over a run of rows whose strata the caller has
 // numbered and counts itself: strata[i] is the stratum of rows[i], and
 // seen[s] how many rows of stratum s came before the run, counted as far
-// as the pass-through and advanced as the run goes. ws[i] becomes the
-// weight rows[i] is kept at: 1 among the first keep rows of its stratum,
-// 1/p for a later row the coin keeps, 0 for one it drops. The receiver's
-// own counts take no part, so one sampler serves any number of callers.
-func (d *Distinct) KeepRows(rows, strata, seen []int32, ws []float64) {
+// as the pass-through and advanced as the run goes. kept is the sampler's
+// Kept bitmap over the rows, read in place of the coin. The rows it keeps
+// move to the front of rows, in order, their strata to the front of strata,
+// and their weights into ws: 1 among the first keep rows of its stratum,
+// 1/p for a later row the coin keeps. It returns how many it kept. The
+// receiver's own counts take no part, so one sampler serves any number of
+// callers.
+func (d *Distinct) KeepRows(kept []uint64, rows, strata, seen []int32, ws []float64) int {
 	keep, tail := int32(min(d.keep, math.MaxInt32)), 1/d.p
+	k := 0
 	for i, r := range rows {
-		s := strata[i]
-		switch n := seen[s]; {
-		case n < keep:
-			seen[s], ws[i] = n+1, 1
-		case d.coin(int(r)):
-			ws[i] = tail
-		default:
-			ws[i] = 0
+		s, w := strata[i], tail
+		if n := seen[s]; n < keep {
+			seen[s], w = n+1, 1
+		} else if kept[r>>6]>>(r&63)&1 == 0 {
+			continue
 		}
+		rows[k], strata[k], ws[k] = r, s, w
+		k++
 	}
+	return k
 }
 
 // KeyOf renders the canonical sampler key for a row: the concatenated

@@ -589,10 +589,27 @@ func sameAsDecide(t *testing.T, u *Uniform, kept []uint64, n int) {
 	}
 }
 
-// kept is Kept on a live context, failing the test on an error.
-func kept(t *testing.T, u *Uniform, n, workers int) []uint64 {
+// sameAsTailCoin fails unless bit r of kept is the tail coin Decide flips
+// for row r of a stratum past d's pass-through, for every row below n.
+func sameAsTailCoin(t *testing.T, d *Distinct, kept []uint64, n int) {
 	t.Helper()
-	b, err := u.Kept(context.Background(), n, workers)
+	if len(kept) < (n+63)/64 {
+		t.Fatalf("p=%v n=%d: %d words", d.p, n, len(kept))
+	}
+	past := NewDistinct(d.p, 0, int64(d.seed)) // no pass-through: Decide flips the coin for every row
+	for r := range n {
+		if got := kept[r/64]>>(r%64)&1 == 1; got != past.Decide(r, "").Keep {
+			t.Fatalf("p=%v seed=%d row %d of %d: bit %v, Decide disagrees", d.p, d.seed, r, n, got)
+		}
+	}
+}
+
+// kept is Kept on a live context, failing the test on an error.
+func kept(t *testing.T, c interface {
+	Kept(context.Context, int, int) ([]uint64, error)
+}, n, workers int) []uint64 {
+	t.Helper()
+	b, err := c.Kept(context.Background(), n, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -647,6 +664,50 @@ func TestUniformKeptIsDecide(t *testing.T) {
 	}
 }
 
+// TestDistinctKeptIsTheTailCoin: the distinct sampler's bitmap holds
+// exactly the tail coin Decide flips, at every rate from whole to almost
+// nothing, over row counts that end mid-word, filled by one worker or
+// split across several, and grown from a shorter one.
+func TestDistinctKeptIsTheTailCoin(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for _, p := range []float64{1, 0.5, 1.0 / 3, 0.01, 1e-9} {
+		for i := range 3 {
+			d := NewDistinct(p, 30, rng.Int63())
+			short, n := 64*rng.Intn(40)+1+rng.Intn(63), 64*(50+rng.Intn(100))+1+rng.Intn(63)
+			if i == 2 {
+				n += 3 * 64 * fillGrainWords
+			}
+			sameAsTailCoin(t, d, kept(t, d, short, 1), short)
+			sameAsTailCoin(t, d, kept(t, d, n, 1+i), n)
+		}
+	}
+}
+
+// TestKeptCoinsKeptApart: a uniform and a distinct sampler at one (seed,
+// rate) flip different coins, so each gets a bitmap of its own, whichever
+// asks first.
+func TestKeptCoinsKeptApart(t *testing.T) {
+	const n = 5000
+	for i, seed := range []int64{4401, 4402} {
+		u, d := NewUniform(0.3, seed), NewDistinct(0.3, 30, seed)
+		before := KeptMemoStats()
+		var ub, db []uint64
+		if i == 0 {
+			ub, db = kept(t, u, n, 1), kept(t, d, n, 1)
+		} else {
+			db, ub = kept(t, d, n, 1), kept(t, u, n, 1)
+		}
+		sameAsDecide(t, u, ub, n)
+		sameAsTailCoin(t, d, db, n)
+		if reflect.DeepEqual(ub, db) {
+			t.Fatalf("seed %d: both samplers got one bitmap", seed)
+		}
+		if got := KeptMemoStats().Misses - before.Misses; got != 2 {
+			t.Errorf("seed %d: %d misses, want one per coin", seed, got)
+		}
+	}
+}
+
 // TestKeptCutIsTheCoin: the fill's integer test keeps exactly the hashes
 // hashToUnit puts below p, at the boundary itself.
 func TestKeptCutIsTheCoin(t *testing.T) {
@@ -673,13 +734,13 @@ func TestKeptFillStopsOnCancel(t *testing.T) {
 	cancel()
 	const n = 4 * 64 * fillGrainWords
 	words := make([]uint64, n/64)
-	if err := NewUniform(1, 1).fill(ctx, words, 0, 2); err == nil || slices.ContainsFunc(words, func(w uint64) bool { return w != 0 }) {
+	if err := fill(ctx, NewUniform(1, 1), words, 0, 2); err == nil || slices.ContainsFunc(words, func(w uint64) bool { return w != 0 }) {
 		t.Fatalf("a cancelled fill decided rows anyway (err %v)", err)
 	}
 	if b, err := u.Kept(ctx, n, 2); err == nil || b != nil {
 		t.Fatalf("cancelled fill: %d words, err %v", len(b), err)
 	}
-	e := keptMemo.entry(keptKey{seed: u.seed, rate: math.Float64bits(u.p)})
+	e := keptMemo.entry(u.keptKey())
 	if e.words.Load() != nil {
 		t.Fatal("a cancelled fill was remembered")
 	}
@@ -689,6 +750,40 @@ func TestKeptFillStopsOnCancel(t *testing.T) {
 	}
 	<-e.fill
 	sameAsDecide(t, u, kept(t, u, n, 2), n)
+
+	// The distinct sampler's fill stops the same way.
+	d := NewDistinct(0.25, 30, 2626)
+	if b, err := d.Kept(ctx, n, 2); err == nil || b != nil {
+		t.Fatalf("cancelled distinct fill: %d words, err %v", len(b), err)
+	}
+	if keptMemo.entry(d.keptKey()).words.Load() != nil {
+		t.Fatal("a cancelled distinct fill was remembered")
+	}
+	sameAsTailCoin(t, d, kept(t, d, n, 2), n)
+}
+
+// FuzzKeptWord: a bitmap word is the per-row coin of its 64 rows, for both
+// coins, at any seed and any rate — past 1, at 0, negative or NaN too.
+func FuzzKeptWord(f *testing.F) {
+	f.Add(uint64(1), 0.5, uint32(0))
+	f.Add(uint64(26), 0.01, uint32(7))
+	f.Add(uint64(0), 1.0, uint32(1<<20))
+	f.Add(uint64(1<<63), 1e-9, uint32(3))
+	f.Add(uint64(44), math.Nextafter(1, 0), uint32(1<<31))
+	f.Fuzz(func(t *testing.T, seed uint64, p float64, w uint32) {
+		u, d := NewUniform(p, int64(seed)), NewDistinct(p, 0, int64(seed)) // no pass-through: Decide flips d's coin for every row
+		cut := keptCut(p)
+		uw, dw := u.word(int(w), cut), d.word(int(w), cut)
+		for i := range 64 {
+			row := int(w)*64 + i
+			if got := uw>>i&1 == 1; got != u.Decide(row).Keep {
+				t.Fatalf("uniform p=%v seed=%d row %d: bit %v, Decide disagrees", p, seed, row, got)
+			}
+			if got := dw>>i&1 == 1; got != d.Decide(row, "").Keep {
+				t.Fatalf("distinct p=%v seed=%d row %d: bit %v, Decide disagrees", p, seed, row, got)
+			}
+		}
+	})
 }
 
 // TestKeptMemoBounded: a (seed, rate) pair is chosen by the caller — a
@@ -709,7 +804,7 @@ func TestKeptMemoBounded(t *testing.T) {
 		}
 	}
 	keptMemo.mu.Lock()
-	_, ok := keptMemo.entries[keptKey{seed: hot.seed, rate: math.Float64bits(hot.p)}]
+	_, ok := keptMemo.entries[hot.keptKey()]
 	keptMemo.mu.Unlock()
 	if !ok {
 		t.Error("the pair in steady use was evicted")
@@ -724,16 +819,18 @@ func TestKeptMemoBounded(t *testing.T) {
 }
 
 // TestDistinctKeepRowsIsDecide: over runs of rows whose strata the caller
-// numbers, KeepRows with the caller's counts gives every row the weight a
-// fresh sampler's Decide gives it in the same order (0 = dropped), with a
-// stratum that stays inside the pass-through, one that first appears in a
-// later run, and counts carried from run to run.
+// numbers, KeepRows with the caller's counts and the sampler's Kept bitmap
+// keeps, in order and at the same weight, exactly the rows a fresh
+// sampler's Decide keeps when fed them in the same order, with a stratum
+// that stays inside the pass-through, one that first appears in a later
+// run, and counts carried from run to run.
 func TestDistinctKeepRowsIsDecide(t *testing.T) {
 	const keep = 30
 	serial, byRun := NewDistinct(0.25, keep, 11), NewDistinct(0.25, keep, 11)
 	keys := []string{"big", "mid", "rare", "late"}
 	rng := rand.New(rand.NewSource(3))
 	seen := make([]int32, len(keys))
+	coin := kept(t, byRun, 9001, 2)
 	heads, tails, dropped := 0, 0, 0
 	for run := 0; run < 8; run++ {
 		rows, strata := make([]int32, 500), make([]int32, 500)
@@ -749,11 +846,16 @@ func TestDistinctKeepRowsIsDecide(t *testing.T) {
 			}
 		}
 		ws := make([]float64, len(rows))
-		byRun.KeepRows(rows, strata, seen, ws)
-		for i, r := range rows {
-			d := serial.Decide(int(r), keys[strata[i]])
-			if ws[i] != d.Weight {
-				t.Fatalf("run %d row %d (%s): weight %v, Decide %+v", run, r, keys[strata[i]], ws[i], d)
+		inRows, inStrata := slices.Clone(rows), slices.Clone(strata)
+		k := byRun.KeepRows(coin, rows, strata, seen, ws)
+		j := 0 // the next kept row
+		for i, r := range inRows {
+			d := serial.Decide(int(r), keys[inStrata[i]])
+			if d.Keep {
+				if j >= k || rows[j] != r || strata[j] != inStrata[i] || ws[j] != d.Weight {
+					t.Fatalf("run %d row %d (%s): kept %d of %d, Decide %+v", run, r, keys[inStrata[i]], j, k, d)
+				}
+				j++
 			}
 			switch d.Weight {
 			case 0:
@@ -763,6 +865,9 @@ func TestDistinctKeepRowsIsDecide(t *testing.T) {
 			default:
 				tails++
 			}
+		}
+		if j != k {
+			t.Fatalf("run %d: KeepRows kept %d rows, Decide %d", run, k, j)
 		}
 	}
 	if seen[0] != keep || seen[1] != keep || seen[2] == 0 || seen[2] >= keep || seen[3] == 0 {

@@ -4,9 +4,10 @@ package stats
 // increment, then the finalizer, a bijective 64-bit mixer that turns
 // (seed, index) hashes into well-spread bits. Every seeded coin, derived
 // seed and hash route in the repository goes through it. It is written out
-// flat because its inline cost keeps the samplers' per-row coins
-// (sample.Uniform.keeps, sample.Distinct.coin) inlinable; a body calling
-// Mix64 costs three more and tips them over the inliner's budget.
+// flat to keep its inline cost low: the samplers' row hashes
+// (sample.uniformHash, sample.tailHash) inline it twice each into the
+// loops that fill their remembered bitmaps, and a body calling Mix64
+// costs three more.
 func SplitMix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
