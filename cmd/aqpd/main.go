@@ -107,7 +107,7 @@ func main() {
 		telemetry  = flag.Bool("telemetry", false, "enable the observability layer: metric time-series (GET /metrics/history), SLO engine (GET /slo), flight recorder (GET /debug/flightrecord, dumped on SIGQUIT), span export (GET /debug/spans)")
 		telemStep  = flag.Duration("telemetry-step", 10*time.Second, "metric snapshot cadence")
 		telemWin   = flag.Duration("telemetry-window", 15*time.Minute, "metric history retention window")
-		sloConfig  = flag.String("slo-config", "", "JSON file of SLO objectives (default: built-in latency/coverage/contract/degradation objectives)")
+		sloConfig  = flag.String("slo-config", "", "JSON file of SLO objectives for -telemetry's SLO engine, refused without -telemetry (default: built-in latency/coverage/contract/degradation objectives)")
 		flightN    = flag.Int("flight-queries", 64, "flight-recorder ring size (last N queries, plus N notable)")
 		workloadN  = flag.Int("workload-cap", 256, "max query fingerprints tracked by workload insight (GET /workload); LRU-evicted beyond the cap, negative disables")
 		flightDump = flag.String("flight-dump", "", "directory for automatic flight-recorder dumps (panic, SLO fast burn, SIGQUIT); empty logs dumps to stderr as JSON")
@@ -135,15 +135,9 @@ func main() {
 
 	// The SLO file is read before the tables are built, so a bad one fails
 	// before the generator runs.
-	var objectives []telemetrypkg.Objective
-	if *sloConfig != "" {
-		raw, err := os.ReadFile(*sloConfig)
-		if err == nil {
-			objectives, err = telemetrypkg.ParseObjectives(raw)
-		}
-		if err != nil {
-			log.Fatalf("aqpd: -slo-config: %v", err)
-		}
+	objectives, err := readObjectives(*sloConfig, *telemetry)
+	if err != nil {
+		log.Fatalf("aqpd: %v", err)
 	}
 
 	db, err := buildDB(*gen, *genSkew, *seed, loads)
@@ -372,6 +366,27 @@ func shardTables(db *aqp.DB, count int, keyCol, kindName, only string) error {
 		return fmt.Errorf("-shards matched no table (key column %q, table %q)", keyCol, only)
 	}
 	return nil
+}
+
+// readObjectives reads and checks the -slo-config file, or returns nil
+// without one. Only the telemetry layer runs an SLO engine, so the file is
+// refused without -telemetry rather than read and dropped.
+func readObjectives(path string, telemetry bool) ([]telemetrypkg.Objective, error) {
+	if path == "" {
+		return nil, nil
+	}
+	if !telemetry {
+		return nil, errors.New("-slo-config needs -telemetry: without it no SLO engine runs")
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("-slo-config: %v", err)
+	}
+	objectives, err := telemetrypkg.ParseObjectives(raw)
+	if err != nil {
+		return nil, fmt.Errorf("-slo-config: %v", err)
+	}
+	return objectives, nil
 }
 
 // buildDB assembles the catalog from the generator and/or CSV loads.

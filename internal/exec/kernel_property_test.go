@@ -2,10 +2,12 @@ package exec
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,7 +20,9 @@ import (
 // kernelCatalog builds a table that exercises every typed access path:
 // low-cardinality strings with NULLs and the empty string (dense group
 // table, code filters), a unique-per-row string (typed-key map), integers
-// with NULLs and values past 2^53 (int64 comparison), and a float measure.
+// with NULLs and values past 2^53 (int64 comparison), a float measure, and
+// a float column x of small values among NaN, ±Inf, −0 and NULLs, which
+// only predicates read.
 // Measures are small integers and the only sampling rate used is 50 %, so
 // every Horvitz–Thompson sum is exact in float64 whatever the order: the
 // serial operators, which accumulate in one pass, and the morsel path,
@@ -32,8 +36,11 @@ func kernelCatalog(t testing.TB, rows int) *storage.Catalog {
 		{Name: "i1", Type: storage.TypeInt64},
 		{Name: "i2", Type: storage.TypeInt64},
 		{Name: "f", Type: storage.TypeFloat64},
+		{Name: "x", Type: storage.TypeFloat64},
 	}, 256)
-	rng := rand.New(rand.NewSource(11))
+	rng, xs := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(12))
+	hostile := []storage.Value{storage.Float64(math.NaN()), storage.Float64(math.Inf(1)), storage.Float64(math.Inf(-1)),
+		storage.Float64(math.Copysign(0, -1)), storage.NullValue(storage.TypeFloat64)}
 	s1 := []string{"AIR", "RAIL", "", "SHIP", "a\x1fb"}
 	s2 := []string{"O", "F"}
 	batch := make([][]storage.Value, 0, 1024)
@@ -45,6 +52,10 @@ func kernelCatalog(t testing.TB, rows int) *storage.Catalog {
 			storage.Int64(int64(rng.Intn(9))),
 			storage.Int64(1<<53 + int64(rng.Intn(3))),
 			storage.Float64(float64(rng.Intn(100))),
+			storage.Float64(float64(xs.Intn(13)-6) / 2),
+		}
+		if xs.Intn(6) == 0 {
+			row[6] = hostile[xs.Intn(len(hostile))]
 		}
 		for c, every := range map[int]int{0: 17, 3: 19, 5: 23} {
 			if rng.Intn(every) == 0 {
@@ -77,8 +88,17 @@ func (g predGen) stringLit() string {
 	return g.pick("'AIR'", "'RAIL'", "''", "'SHIP'", "'absent'", "'F'")
 }
 
+// numLit draws a numeric literal the parser leaves a literal: integers and
+// fractions inside the numeric columns' ranges, and past them.
+func (g predGen) numLit() string {
+	return g.pick("0", "3", "4.0", "2.5", "0.5", "99", "1e300")
+}
+
+// cmpOp draws one of the six comparison operators.
+func (g predGen) cmpOp() string { return g.pick("=", "<>", "<", "<=", ">", ">=") }
+
 func (g predGen) atom() string {
-	switch g.rng.Intn(12) {
+	switch g.rng.Intn(15) {
 	case 0:
 		return fmt.Sprintf("%s %s %s", g.pick("s1", "s2"), g.pick("=", "<>"), g.stringLit())
 	case 1:
@@ -103,6 +123,17 @@ func (g predGen) atom() string {
 		return fmt.Sprintf("f %s %d AND %d", g.pick("BETWEEN", "NOT BETWEEN"), g.rng.Intn(50), 50+g.rng.Intn(50))
 	case 10:
 		return fmt.Sprintf("i1 %s 2 AND 6", g.pick("BETWEEN", "NOT BETWEEN"))
+	case 11:
+		// A numeric column against a literal, the float columns against
+		// integer literals too, and x meeting NaN, ±Inf, −0 and NULL rows.
+		return fmt.Sprintf("%s %s %s", g.pick("f", "x", "i1"), g.cmpOp(), g.numLit())
+	case 12:
+		// The literal on the left: the kernel mirrors the operator.
+		return fmt.Sprintf("%s %s %s", g.numLit(), g.cmpOp(), g.pick("f", "x", "i1"))
+	case 13:
+		// Past 2^53 neighbouring integers round to one float64, so a range
+		// compares them as the evaluator does, in float64.
+		return fmt.Sprintf("i2 %s %d", g.pick("<", "<=", ">", ">="), 1<<53-1+g.rng.Intn(5))
 	default:
 		return g.pick("s1 IS NULL", "i1 IS NOT NULL", "s1 < 'RAIL'") // stay on the evaluator
 	}
@@ -185,6 +216,7 @@ func TestCompiledPredicatesMatchEvaluator(t *testing.T) {
 		"s1 IN ('AIR', 'absent')", "s1 NOT IN ('AIR', 'RAIL')",
 		"i1 = 3", "i1 <> i2", "i2 = 9007199254740993",
 		"NOT (s1 = 'AIR' OR i1 = 3)", "i1 NOT BETWEEN 2 AND 6",
+		"3 > i1", "f >= 2.5", "i2 <= 9007199254740993", "x <> 0", "0.5 <= x",
 	} {
 		e, snap := scanFilter(t, cat, where)
 		if c := (&compiler{v: tableView(snap)}); c.filter(e).kern == nil {
@@ -229,6 +261,85 @@ func TestCompiledPredicatesMatchEvaluator(t *testing.T) {
 	if compiled < 200 {
 		t.Errorf("only %d of 400 random predicates compiled", compiled)
 	}
+}
+
+// FuzzCompareLiteral holds a numeric column compared with a literal to
+// expr.EvalBool. The column is the input bytes read eight at a time, as
+// int64 values or as float64 bits (NaN, ±Inf, −0 and values past 2^53
+// among them), with the rows nullMask marks NULL; the literal is an int64
+// or a float64 and stands on either side of any of the six operators. The
+// compiled filter must keep exactly the rows the evaluator keeps, in order,
+// over the whole run and over its rows reversed.
+func FuzzCompareLiteral(f *testing.F) {
+	run := func(xs ...uint64) []byte {
+		b := make([]byte, 0, 8*len(xs))
+		for _, x := range xs {
+			b = binary.LittleEndian.AppendUint64(b, x)
+		}
+		return b
+	}
+	bits := math.Float64bits
+	f.Add(run(bits(1), bits(2.5), bits(math.NaN()), bits(math.Copysign(0, -1)), bits(math.Inf(-1))), uint8(3), 2.5, int64(0), false, false, false, uint64(0))
+	f.Add(run(bits(1), bits(math.NaN()), bits(4)), uint8(5), 0.0, int64(2), true, false, true, uint64(1))
+	f.Add(run(1<<53, 1<<53+1, 1<<53+2, 7), uint8(1), 0.0, int64(1<<53+1), false, true, true, uint64(8))
+	f.Add(run(1<<53, 1<<53+1, 1<<53+2), uint8(4), 9007199254740993.0, int64(0), true, true, false, uint64(0))
+	f.Add(run(bits(math.Inf(1)), bits(0)), uint8(2), math.NaN(), int64(0), true, false, false, uint64(0))
+	f.Fuzz(func(t *testing.T, raw []byte, op uint8, fLit float64, iLit int64, litLeft, intCol, intLit bool, nullMask uint64) {
+		typ, lit := storage.TypeFloat64, storage.Float64(fLit)
+		if intCol {
+			typ = storage.TypeInt64
+		}
+		if intLit {
+			lit = storage.Int64(iLit)
+		}
+		tbl := storage.NewTable("t", storage.Schema{{Name: "c", Type: typ}})
+		n := min(len(raw)/8, maxRunRows)
+		vals := make([]storage.Value, n)
+		for i := range vals {
+			v, word := storage.Float64(math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))), binary.LittleEndian.Uint64(raw[8*i:])
+			switch {
+			case nullMask>>(i%64)&1 == 1:
+				v = storage.NullValue(typ)
+			case intCol:
+				v = storage.Int64(int64(word))
+			}
+			if err := tbl.AppendRow(v); err != nil {
+				t.Fatal(err)
+			}
+			vals[i] = v
+		}
+		var pred expr.Expr = &expr.Binary{Op: expr.OpEq + expr.Op(op%6), L: &expr.ColRef{Name: "c", Typ: typ}, R: &expr.Lit{Val: lit}}
+		if b := pred.(*expr.Binary); litLeft {
+			b.L, b.R = b.R, b.L
+		}
+		snap := tbl.Snapshot()
+		c := &compiler{v: tableView(snap)}
+		kern := c.filter(pred).kern
+		if kern == nil {
+			t.Fatalf("%v does not compile", pred)
+		}
+		sc := newScratch(c, max(n, 1))
+		defer sc.release()
+		reversed := make([]int32, n)
+		for i := range reversed {
+			reversed[i] = int32(n - 1 - i)
+		}
+		for _, in := range [][]int32{sc.blockRun(0, n), sc.orderRun(reversed)} {
+			var want []int32
+			for _, r := range in {
+				ok, err := expr.EvalBool(pred, mappedRow{v: c.v, idx: int(r)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok {
+					want = append(want, r)
+				}
+			}
+			if got := kern(sc, in, in); !slices.Equal(got, want) {
+				t.Fatalf("%v over %v: kernel kept %v, evaluator %v", pred, vals, got, want)
+			}
+		}
+	})
 }
 
 // TestCompiledNumericsMatchEvaluator compares the numeric kernels — column
@@ -280,15 +391,19 @@ func TestCompiledNumericsMatchEvaluator(t *testing.T) {
 
 // hostileCatalog holds the values that break naive arithmetic — NaN, ±Inf,
 // -0.0, MaxFloat64, integers past 2^53 — among ordinary ones, NULLs, and a
-// run of blocks that is all NULL.
+// run of blocks that is all NULL. y holds them with no NULL, rarely enough
+// that in most runs one group's total turns non-finite while the others'
+// stay finite, and z is NULL throughout.
 func hostileCatalog(t *testing.T, rows int) *storage.Catalog {
 	t.Helper()
 	tbl := storage.NewTableWithBlockSize("h", storage.Schema{
 		{Name: "g", Type: storage.TypeString},
 		{Name: "i", Type: storage.TypeInt64},
 		{Name: "x", Type: storage.TypeFloat64},
+		{Name: "y", Type: storage.TypeFloat64},
+		{Name: "z", Type: storage.TypeFloat64},
 	}, 256)
-	rng := rand.New(rand.NewSource(23))
+	rng, ys := rand.New(rand.NewSource(23)), rand.New(rand.NewSource(24))
 	hostile := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
 		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64}
 	batch := make([][]storage.Value, rows)
@@ -300,10 +415,16 @@ func hostileCatalog(t *testing.T, rows int) *storage.Catalog {
 		case rng.Intn(40) == 0:
 			x = storage.Float64(hostile[rng.Intn(len(hostile))])
 		}
+		y := ys.NormFloat64() * 1e3
+		if ys.Intn(300) == 0 {
+			y = hostile[ys.Intn(len(hostile))]
+		}
 		batch[r] = []storage.Value{
 			storage.Str(fmt.Sprint("g", rng.Intn(4))),
 			storage.Int64(1<<53 + int64(rng.Intn(5)) - 2),
 			x,
+			storage.Float64(y),
+			storage.NullValue(storage.TypeFloat64),
 		}
 	}
 	if err := tbl.AppendRows(batch); err != nil {
@@ -339,8 +460,10 @@ func hostileWithDim(t *testing.T) *storage.Catalog {
 
 // hostileAggs is the aggregate list the hostile-value tests fold: counts,
 // sums and means whose arguments meet NaN, ±Inf, -0.0 and products past
-// MaxFloat64.
-const hostileAggs = "COUNT(*), COUNT(x), SUM(x), AVG(x), SUM(x * i), AVG(x / (i - 9007199254740992)), SUM(x * x)"
+// MaxFloat64, with and without NULLs among them, and slots whose every
+// argument is NULL.
+const hostileAggs = "COUNT(*), COUNT(x), SUM(x), AVG(x), SUM(x * i), AVG(x / (i - 9007199254740992)), SUM(x * x), " +
+	"SUM(y), AVG(y * 0.5), COUNT(z), SUM(z)"
 
 // checkHostileFold runs sql through the oracle and the morsel path at one
 // and four workers and requires every group's estimates, variances and
@@ -427,7 +550,10 @@ func TestHostileValuesFoldBitForBit(t *testing.T) {
 // TestHostileExactFoldBitForBit is TestHostileValuesFoldBitForBit without
 // a sampler: every row weighs 1, so the fold meets NaN, ±Inf and -0.0 at
 // unit weight — globally, grouped, and through the fanning join, whose
-// infinite factor reaches a product while the weight stays 1.
+// infinite factor reaches a product while the weight stays 1. Grouped, a
+// run of y turns one group's total non-finite while the others stay
+// finite, which sends the whole run back to the per-row fold, and z's
+// slots see only NULL arguments.
 func TestHostileExactFoldBitForBit(t *testing.T) {
 	cat := hostileWithDim(t)
 	for _, c := range [][2]string{

@@ -109,15 +109,13 @@ func (h *HTEstimator) AddRun(xs, ws []float64) {
 // counts stay exact integers. A run holding ±Inf or NaN — it leaves the
 // running sum non-finite — and any other state go through AddRun.
 func (h *HTEstimator) AddUnitRun(xs []float64) {
-	if h.unitExact(len(xs), h.n) {
-		sum := h.sum
-		for _, x := range xs {
-			sum += x
-		}
-		if sum-sum == 0 { // finite: so was every x
-			h.sum, h.n, h.wTot = sum, h.n+float64(len(xs)), h.wTot+float64(len(xs))
-			return
-		}
+	sum := h.sum
+	for _, x := range xs {
+		sum += x
+	}
+	if h.unitTotal(sum, len(xs)) {
+		h.commitUnit(sum, len(xs))
+		return
 	}
 	for len(xs) > 0 {
 		k := min(len(xs), len(unitWeights))
@@ -126,14 +124,44 @@ func (h *HTEstimator) AddUnitRun(xs []float64) {
 	}
 }
 
+// AddUnitTotals is AddUnitRun for several groups' rows folded at once, in
+// place: for each group g listed in touched (once), cnt[g] unit-weight rows
+// whose values, added in row order one at a time to hs[g].Sum(), ran to
+// tot[g] — AddUnitRun's own loop over the group's rows. It commits every
+// group's total when each meets AddUnitRun's conditions for doing so, and
+// otherwise commits nothing and reports false: the caller then folds the
+// rows with Add(x, 1), which is AddRun at unit weights.
+func AddUnitTotals(hs []HTEstimator, touched []int32, tot []float64, cnt []int32) bool {
+	for _, g := range touched {
+		if !hs[g].unitTotal(tot[g], int(cnt[g])) {
+			return false
+		}
+	}
+	for _, g := range touched {
+		hs[g].commitUnit(tot[g], int(cnt[g]))
+	}
+	return true
+}
+
+// unitTotal reports whether k unit-weight rows whose values ran h's sum to
+// sum may be committed without AddRun's per-row updates: h's counts stay
+// exact (unitExact) and sum is finite, which it is only if every value was.
+func (h *HTEstimator) unitTotal(sum float64, k int) bool {
+	return h.unitExact(k, h.n) && sum-sum == 0
+}
+
+// commitUnit commits k unit-weight rows that ran the sum to sum.
+func (h *HTEstimator) commitUnit(sum float64, k int) {
+	h.sum, h.n, h.wTot = sum, h.n+float64(k), h.wTot+float64(k)
+}
+
 // AddUnitCount accumulates k rows of value 1 at weight 1 — a COUNT's run —
 // leaving h bit for bit as AddRun over k ones and k unit weights leaves it:
 // sum, n and wTot each add k while all three stay exact integers, and any
 // other state goes through AddRun.
 func (h *HTEstimator) AddUnitCount(k int) {
 	if h.unitExact(k, h.sum) {
-		kf := float64(k)
-		h.sum, h.n, h.wTot = h.sum+kf, h.n+kf, h.wTot+kf
+		h.commitUnit(h.sum+float64(k), k)
 		return
 	}
 	for k > 0 {

@@ -335,7 +335,8 @@ func sameHT(a, b HTEstimator) (field int, ok bool) {
 }
 
 // checkUnitRun holds AddUnitRun(xs) to AddRun(xs, ones) and AddUnitCount
-// to AddRun over len(xs) ones, both from the state s.
+// to AddRun over len(xs) ones, both from the state s, and AddUnitTotals to
+// AddRun per group (checkUnitTotals).
 func checkUnitRun(t *testing.T, s HTState, xs []float64) {
 	t.Helper()
 	ones := make([]float64, len(xs))
@@ -353,6 +354,48 @@ func checkUnitRun(t *testing.T, s HTState, xs []float64) {
 	unit.AddUnitCount(len(xs))
 	if i, ok := sameHT(unit, run); !ok {
 		t.Fatalf("from %+v: field %d: AddUnitCount(%d) %+v, AddRun %+v", s, i, len(xs), unit.State(), run.State())
+	}
+	checkUnitTotals(t, s, xs)
+}
+
+// checkUnitTotals folds xs in place into two groups, the odd rows into one
+// from the state s and the even rows into one from zero, as the grouped
+// scan does: a running total per group, then AddUnitTotals. It must leave
+// each group as AddRun over its rows at unit weights leaves it, or refuse
+// and leave both as they were; from two zero states a finite run must be
+// taken.
+func checkUnitTotals(t *testing.T, s HTState, xs []float64) {
+	t.Helper()
+	prior := [2]HTState{{}, s}
+	hs := []HTEstimator{HTFromState(prior[0]), HTFromState(prior[1])}
+	tot, cnt := []float64{hs[0].Sum(), hs[1].Sum()}, []int32{0, 0}
+	var touched []int32
+	var rows [2][]float64
+	for i, x := range xs {
+		g := i % 2
+		if cnt[g] == 0 {
+			touched = append(touched, int32(g))
+		}
+		cnt[g]++
+		tot[g] += x
+		rows[g] = append(rows[g], x)
+	}
+	took := AddUnitTotals(hs, touched, tot, cnt)
+	for g, p := range prior {
+		want := HTFromState(p)
+		if took {
+			ones := make([]float64, len(rows[g]))
+			for i := range ones {
+				ones[i] = 1
+			}
+			want.AddRun(rows[g], ones)
+		}
+		if i, ok := sameHT(hs[g], want); !ok {
+			t.Fatalf("group %d from %+v (took %v): field %d: AddUnitTotals %+v, want %+v (rows %v)", g, p, took, i, hs[g].State(), want.State(), rows[g])
+		}
+	}
+	if _, zero := sameHT(HTFromState(s), HTEstimator{}); !took && zero && tot[0]-tot[0] == 0 && tot[1]-tot[1] == 0 {
+		t.Fatalf("AddUnitTotals refused finite totals %v from zero states", tot)
 	}
 }
 
@@ -398,9 +441,9 @@ func TestHTEstimatorUnitRunIsAddRun(t *testing.T) {
 	}
 }
 
-// FuzzHTEstimatorUnitRun holds the unit-weight paths to AddRun from any
-// prior state over any run, the run's values being the input bytes read
-// eight at a time.
+// FuzzHTEstimatorUnitRun holds the unit-weight paths — a run, a count and
+// the grouped totals — to AddRun from any prior state over any run, the
+// run's values being the input bytes read eight at a time.
 func FuzzHTEstimatorUnitRun(f *testing.F) {
 	negZero := math.Copysign(0, -1)
 	run := func(xs ...float64) []byte {
