@@ -3,7 +3,6 @@ package server
 import (
 	"repro/internal/contract"
 	"repro/internal/core"
-	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
@@ -50,7 +49,10 @@ type ItemJSON struct {
 	RelHalfWidth float64 `json:"rel_half_width,omitempty"`
 }
 
-// QueryResponse is the body of a successful POST /query.
+// QueryResponse is the body of a successful POST /query, and the type a Go
+// client decodes it into. The server writes it compact through
+// appendReply, with Rows and Items appended straight from the result, so
+// encodeResult leaves those two nil.
 type QueryResponse struct {
 	Columns []string     `json:"columns"`
 	Rows    [][]any      `json:"rows"`
@@ -160,31 +162,11 @@ type BuildSamplesResponse struct {
 	Samples []SampleInfo `json:"samples"`
 }
 
-// encodeValue converts a storage value to its JSON-friendly form: nil
-// for NULL, otherwise the native Go scalar.
-func encodeValue(v storage.Value) any {
-	if v.IsNull() {
-		return nil
-	}
-	switch v.Typ {
-	case storage.TypeInt64:
-		return v.I
-	case storage.TypeFloat64:
-		return v.F
-	case storage.TypeString:
-		return v.S
-	case storage.TypeBool:
-		return v.B
-	default:
-		return v.String()
-	}
-}
-
-// encodeResult converts an annotated engine result to the wire form.
+// encodeResult converts an annotated engine result to the wire form, but
+// for its rows and items, which appendReply reads from res itself.
 func encodeResult(res *core.Result) *QueryResponse {
 	out := &QueryResponse{
 		Columns:        res.Columns,
-		Rows:           make([][]any, len(res.Rows)),
 		Technique:      string(res.Technique),
 		Guarantee:      res.Guarantee.String(),
 		RelError:       res.Spec.RelError,
@@ -199,13 +181,6 @@ func encodeResult(res *core.Result) *QueryResponse {
 		Fingerprint:    res.Diagnostics.Fingerprint,
 		Messages:       res.Diagnostics.Messages,
 	}
-	for i, row := range res.Rows {
-		enc := make([]any, len(row))
-		for j, v := range row {
-			enc[j] = encodeValue(v)
-		}
-		out.Rows[i] = enc
-	}
 	if sh := res.Diagnostics.Shards; sh != nil {
 		out.Shards = &ShardsJSON{
 			Table:        sh.Table,
@@ -219,25 +194,5 @@ func encodeResult(res *core.Result) *QueryResponse {
 		}
 	}
 	out.Contract = res.Diagnostics.Contract
-	if len(res.Items) > 0 {
-		out.Items = make([][]ItemJSON, len(res.Items))
-		for i, items := range res.Items {
-			enc := make([]ItemJSON, len(items))
-			for j, it := range items {
-				enc[j] = ItemJSON{
-					Name:        it.Name,
-					IsAggregate: it.IsAggregate,
-					HasCI:       it.HasCI,
-				}
-				if it.HasCI {
-					enc[j].CILo = it.CI.Lo
-					enc[j].CIHi = it.CI.Hi
-					enc[j].Confidence = it.CI.Confidence
-					enc[j].RelHalfWidth = it.RelHalfWidth
-				}
-			}
-			out.Items[i] = enc
-		}
-	}
 	return out
 }
