@@ -12,7 +12,8 @@ import "repro/internal/stats"
 // "alert on change, not on level" semantics. Not safe for concurrent
 // use; the registry serializes access.
 type sentinel struct {
-	buf *stats.Ring[float64] // capacity 2W
+	buf     *stats.Ring[float64] // capacity 2W
+	scratch []float64            // values' copy, reordered by each quantile
 
 	factor float64 // current p95 must exceed factor × baseline p95 ...
 	floor  float64 // ... and baseline + floor (absolute noise gate)
@@ -29,11 +30,12 @@ func newSentinel(window int, factor, floor float64) *sentinel {
 	return &sentinel{buf: stats.NewRing[float64](2 * window), factor: factor, floor: floor}
 }
 
-// values returns a fresh copy of the ring, oldest first; once the ring
-// is full its first half is the baseline and its second the current
-// window.
+// values returns a copy of the ring, oldest first, in the sentinel's
+// scratch slice, valid until the next call; once the ring is full its
+// first half is the baseline and its second the current window.
 func (s *sentinel) values() []float64 {
-	return s.buf.AppendTo(make([]float64, 0, s.buf.N()))
+	s.scratch = s.buf.AppendTo(s.scratch[:0])
+	return s.scratch
 }
 
 // push records one observation and re-evaluates once the ring is full.

@@ -1,6 +1,12 @@
 package insight
 
-import "testing"
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+)
 
 // fill pushes n copies of v, returning whether any push fired or
 // recovered.
@@ -201,5 +207,54 @@ func TestRegistryCoverageSentinel(t *testing.T) {
 	top := r.Top(1, ByTraffic)
 	if len(top[0].Techniques) != 1 || top[0].Techniques[0].CoverageN == 0 {
 		t.Fatalf("technique coverage missing: %+v", top[0].Techniques)
+	}
+}
+
+// TestSentinelSequenceMatchesSortedReference: on a seeded stream with
+// level shifts, ties and spikes, the sentinel fires and recovers at the
+// same pushes, with the same baseline and current p95, as a reference that
+// sorts each half of the window.
+func TestSentinelSequenceMatchesSortedReference(t *testing.T) {
+	const w, factor, floor = 64, 1.5, 0.5
+	s := newSentinel(w, factor, floor)
+	rng := rand.New(rand.NewSource(46))
+	var window []float64
+	tripped, transitions := false, 0
+	p95 := func(vals []float64) float64 {
+		c := slices.Clone(vals)
+		sort.Float64s(c)
+		return c[int(math.Ceil(0.95*float64(len(c))))-1]
+	}
+	for i := 0; i < 5000; i++ {
+		level := []float64{1, 1, 4, 1, 2.5, 9, 1}[(i/400)%7]
+		v := level * (1 + rng.ExpFloat64()/4)
+		if rng.Intn(10) == 0 {
+			v = math.Round(v) // ties
+		}
+		fired, recovered := s.push(v)
+
+		window = append(window, v)
+		if len(window) > 2*w {
+			window = window[1:]
+		}
+		wantFired, wantRecovered := false, false
+		if len(window) == 2*w {
+			base, cur := p95(window[:w]), p95(window[w:])
+			if s.baseline != base || s.current != cur {
+				t.Fatalf("push %d: baseline/current %v/%v, sorted %v/%v", i, s.baseline, s.current, base, cur)
+			}
+			bad := cur > factor*base && cur > base+floor
+			wantFired, wantRecovered = bad && !tripped, !bad && tripped
+			tripped = bad
+		}
+		if fired != wantFired || recovered != wantRecovered {
+			t.Fatalf("push %d: fired/recovered %v/%v, sorted reference %v/%v", i, fired, recovered, wantFired, wantRecovered)
+		}
+		if fired || recovered {
+			transitions++
+		}
+	}
+	if transitions < 4 {
+		t.Fatalf("%d transitions: the stream does not exercise the sentinel", transitions)
 	}
 }

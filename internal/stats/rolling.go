@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // WilsonInterval returns the Wilson score interval for a binomial
 // proportion: successes out of n trials at the given confidence. Unlike
@@ -74,43 +71,96 @@ func (r *RollingCoverage) Wilson(confidence float64) Interval {
 
 // RollingQuantiles tracks a float statistic (e.g. realized relative
 // error) over a sliding window of the last Cap observations and answers
-// quantile queries over the window. Exact, O(window) space, O(n log n)
-// per query — windows here are hundreds of entries, so the simple form
-// beats a sketch. Not safe for concurrent use.
+// quantile queries over the window. Exact, O(window) space, and O(window)
+// expected time per query by selection — windows here are hundreds of
+// entries, so the simple form beats a sketch. Not safe for concurrent use.
 type RollingQuantiles struct {
 	*Ring[float64]
+	scratch []float64 // the window's copy a query reorders
 }
 
 // NewRollingQuantiles creates a window holding up to cap observations
 // (minimum 1).
 func NewRollingQuantiles(cap int) *RollingQuantiles {
-	return &RollingQuantiles{NewRing[float64](cap)}
+	return &RollingQuantiles{Ring: NewRing[float64](cap)}
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of the window using the
 // nearest-rank method; 0 when the window is empty.
 func (r *RollingQuantiles) Quantile(q float64) float64 {
-	return NearestRank(r.AppendTo(make([]float64, 0, r.N())), q)
+	r.scratch = r.AppendTo(r.scratch[:0])
+	return NearestRank(r.scratch, q)
 }
 
 // NearestRank returns the nearest-rank q-quantile (0 <= q <= 1) of vals,
-// sorting vals in place; 0 when vals is empty.
+// reordering vals in place; 0 when vals is empty. The ranks are those of
+// sort.Float64s — NaN below every number — and the value is found by
+// selection, in expected linear time, without sorting.
 func NearestRank(vals []float64, q float64) float64 {
 	if len(vals) == 0 {
 		return 0
 	}
-	sort.Float64s(vals)
-	if q <= 0 {
-		return vals[0]
+	k := 0
+	switch {
+	case q <= 0:
+	case q >= 1:
+		k = len(vals) - 1
+	default:
+		k = max(int(math.Ceil(q*float64(len(vals))))-1, 0)
 	}
-	if q >= 1 {
-		return vals[len(vals)-1]
+	return selectRank(vals, k)
+}
+
+// floatLess is sort.Float64s's order: NaN first, then the numbers.
+func floatLess(x, y float64) bool { return x < y || (x != x && y == y) }
+
+// selectRank reorders a so that a[k] holds the value that sorting would put
+// there, and returns it: quickselect with a median-of-three pivot, and an
+// insertion sort once a range is short.
+func selectRank(a []float64, k int) float64 {
+	lo, hi := 0, len(a)-1
+	for hi-lo >= 12 {
+		m := lo + (hi-lo)/2
+		if floatLess(a[m], a[lo]) {
+			a[m], a[lo] = a[lo], a[m]
+		}
+		if floatLess(a[hi], a[lo]) {
+			a[hi], a[lo] = a[lo], a[hi]
+		}
+		if floatLess(a[hi], a[m]) {
+			a[hi], a[m] = a[m], a[hi]
+		}
+		p := a[m]
+		i, j := lo, hi
+		for i <= j {
+			for floatLess(a[i], p) {
+				i++
+			}
+			for floatLess(p, a[j]) {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		// a[lo:j+1] ≤ p ≤ a[i:hi+1], and anything between equals p.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return a[k]
+		}
 	}
-	idx := int(math.Ceil(q*float64(len(vals)))) - 1
-	if idx < 0 {
-		idx = 0
+	for i := lo + 1; i <= hi; i++ {
+		for j := i; j > lo && floatLess(a[j], a[j-1]); j-- {
+			a[j], a[j-1] = a[j-1], a[j]
+		}
 	}
-	return vals[idx]
+	return a[k]
 }
 
 // Max returns the largest in-window value (0 when empty).

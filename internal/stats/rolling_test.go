@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 )
 
@@ -130,5 +131,52 @@ func TestRingWraps(t *testing.T) {
 	}
 	if got := NewRing[int](4).AppendTo(nil); got != nil {
 		t.Fatalf("empty AppendTo(nil) = %v, want nil", got)
+	}
+}
+
+// sortedRank is the reference NearestRank: sort a copy, then index.
+func sortedRank(vals []float64, q float64) float64 {
+	if len(vals) == 0 {
+		return 0
+	}
+	s := slices.Clone(vals)
+	sort.Float64s(s)
+	switch {
+	case q <= 0:
+		return s[0]
+	case q >= 1:
+		return s[len(s)-1]
+	}
+	return s[max(int(math.Ceil(q*float64(len(s))))-1, 0)]
+}
+
+// TestNearestRankIsSortRank: selection returns the value sorting puts at
+// the rank, over seeded slices of every length up to 300 drawn with ties,
+// NaN, ±Inf and signed zeros, at the quantiles the observers ask for.
+// (A -0 and a +0 tied at the rank may swap, as sort.Float64s may swap
+// them; the two compare equal.)
+func TestNearestRankIsSortRank(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	pool := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 1, 2, 2, 3}
+	for trial := 0; trial < 2000; trial++ {
+		n := trial % 301
+		vals := make([]float64, n)
+		for i := range vals {
+			switch rng.Intn(4) {
+			case 0:
+				vals[i] = pool[rng.Intn(len(pool))]
+			case 1:
+				vals[i] = float64(rng.Intn(5)) // heavy ties
+			default:
+				vals[i] = rng.NormFloat64() * 100
+			}
+		}
+		for _, q := range []float64{0, 0.5, 0.9, 0.95, 1, 0.01, 0.999} {
+			want := sortedRank(vals, q)
+			got := NearestRank(slices.Clone(vals), q)
+			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("n=%d q=%v: selection %v, sorting %v", n, q, got, want)
+			}
+		}
 	}
 }
