@@ -31,6 +31,12 @@ import (
 // through the typed-key map.
 const maxDenseGroups = 1 << 12
 
+// maxDenseIntKey bounds the direct-indexed table of a single integer GROUP
+// BY column: a key in [0, maxDenseIntKey) is found by index, in a table
+// grown on demand to the largest such key met (at most 256 KiB a worker);
+// NULL, a negative key and one past the bound go through the map.
+const maxDenseIntKey = 1 << 16
+
 // groupDict numbers the groups of one scan: a canonical key gets its
 // run-wide id the first time any worker meets it, and the dictionary keeps
 // the key and the values it was built from. The workers share it, and
@@ -100,9 +106,13 @@ type groupResolver struct {
 	spans []uint32   // the dicts' code counts
 	dense []int32    // id+1 per code tuple; 0 = not met yet
 
-	// One integer column: by the raw int64.
-	byInt   map[int64]int32
-	nullInt int32 // the NULL key's id, -1 until met
+	// One integer column: by the raw int64, through denseInt (id+1 per
+	// key; 0 = not met yet) for a key below maxDenseIntKey and through
+	// byInt, made when first needed, for any other.
+	ints     *storage.Int64Column
+	denseInt []int32
+	byInt    map[int64]int32
+	nullInt  int32 // the NULL key's id, -1 until met
 
 	// Otherwise: by the row's typed encoding.
 	typed map[string]int32
@@ -130,7 +140,7 @@ func newGroupResolver(exprs []expr.Expr, parts []groupPart, row mappedRow, sc *s
 	case space > 0:
 		r.dense = make([]int32, space)
 	case len(parts) == 1 && parts[0].ints != nil:
-		r.byInt = make(map[int64]int32)
+		r.ints = parts[0].ints
 	default:
 		r.typed = make(map[string]int32)
 	}
@@ -184,22 +194,18 @@ func (r *groupResolver) resolve(sel, ids []int32) error {
 				ids[i] = id - 1
 			}
 		}
-	case r.byInt != nil:
-		keys, nulls := r.parts[0].ints.Ints(), r.parts[0].ints.Nulls()
+	case r.ints != nil:
+		keys, nulls := r.ints.Ints(), r.ints.Nulls()
 		for i, row := range r.rows[0] {
-			if nulls != nil && nulls[row] {
-				if r.nullInt < 0 {
-					r.nullInt = r.firstSeen(i)
+			if nulls == nil || !nulls[row] {
+				if k := uint64(keys[row]); k < uint64(len(r.denseInt)) {
+					if id := r.denseInt[k]; id != 0 {
+						ids[i] = id - 1
+						continue
+					}
 				}
-				ids[i] = r.nullInt
-				continue
 			}
-			id, ok := r.byInt[keys[row]]
-			if !ok {
-				id = r.firstSeen(i)
-				r.byInt[keys[row]] = id
-			}
-			ids[i] = id
+			ids[i] = r.resolveInt(keys[row], nulls != nil && nulls[row], i)
 		}
 	default:
 		for i, p := range sel {
@@ -211,6 +217,37 @@ func (r *groupResolver) resolve(sel, ids []int32) error {
 		}
 	}
 	return nil
+}
+
+// resolveInt identifies the i-th selected row, whose integer key k (or
+// NULL) the dense table does not hold: the NULL key, a key to number and
+// index, growing the table, or a key outside the table's bound.
+func (r *groupResolver) resolveInt(k int64, null bool, i int) int32 {
+	switch {
+	case null:
+		if r.nullInt < 0 {
+			r.nullInt = r.firstSeen(i)
+		}
+		return r.nullInt
+	case k >= 0 && k < maxDenseIntKey:
+		if k >= int64(len(r.denseInt)) {
+			grown := make([]int32, min(max(2*len(r.denseInt), int(k)+1, 64), maxDenseIntKey))
+			copy(grown, r.denseInt)
+			r.denseInt = grown
+		}
+		id := r.firstSeen(i)
+		r.denseInt[k] = id + 1
+		return id
+	}
+	id, ok := r.byInt[k]
+	if !ok {
+		if r.byInt == nil {
+			r.byInt = make(map[int64]int32)
+		}
+		id = r.firstSeen(i)
+		r.byInt[k] = id
+	}
+	return id
 }
 
 // meet numbers the code tuple at slot of the dense table, the i-th

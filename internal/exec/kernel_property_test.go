@@ -22,7 +22,9 @@ import (
 // table, code filters), a unique-per-row string (typed-key map), integers
 // with NULLs and values past 2^53 (int64 comparison), a float measure, and
 // a float column x of small values among NaN, ±Inf, −0 and NULLs, which
-// only predicates read.
+// only predicates read, and integer keys i3 on both sides of the dense
+// integer group table's bound: negative, small, around maxDenseIntKey, far
+// past it, and NULL.
 // Measures are small integers and the only sampling rate used is 50 %, so
 // every Horvitz–Thompson sum is exact in float64 whatever the order: the
 // serial operators, which accumulate in one pass, and the morsel path,
@@ -37,8 +39,10 @@ func kernelCatalog(t testing.TB, rows int) *storage.Catalog {
 		{Name: "i2", Type: storage.TypeInt64},
 		{Name: "f", Type: storage.TypeFloat64},
 		{Name: "x", Type: storage.TypeFloat64},
+		{Name: "i3", Type: storage.TypeInt64},
 	}, 256)
-	rng, xs := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(12))
+	rng, xs, ks := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(12)), rand.New(rand.NewSource(13))
+	keys := []int64{-1 << 40, -3, -1, maxDenseIntKey - 1, maxDenseIntKey, maxDenseIntKey + 1, 1<<53 + 1}
 	hostile := []storage.Value{storage.Float64(math.NaN()), storage.Float64(math.Inf(1)), storage.Float64(math.Inf(-1)),
 		storage.Float64(math.Copysign(0, -1)), storage.NullValue(storage.TypeFloat64)}
 	s1 := []string{"AIR", "RAIL", "", "SHIP", "a\x1fb"}
@@ -53,6 +57,13 @@ func kernelCatalog(t testing.TB, rows int) *storage.Catalog {
 			storage.Int64(1<<53 + int64(rng.Intn(3))),
 			storage.Float64(float64(rng.Intn(100))),
 			storage.Float64(float64(xs.Intn(13)-6) / 2),
+			storage.Int64(int64(ks.Intn(40))),
+		}
+		switch ks.Intn(8) {
+		case 0:
+			row[7] = storage.Int64(keys[ks.Intn(len(keys))])
+		case 1:
+			row[7] = storage.NullValue(storage.TypeInt64)
 		}
 		if xs.Intn(6) == 0 {
 			row[6] = hostile[xs.Intn(len(hostile))]
@@ -581,9 +592,9 @@ func TestMorselMatchesSerialBitForBit(t *testing.T) {
 	cat := kernelCatalog(t, 40_000) // five morsels
 	groupBys := []string{
 		"s1", "s2", "s1, s2", "s2, s1", // dense code table
-		"hi",       // typed-key map over codes
-		"i1", "i2", // raw int64
-		"s1, i1",     // mixed string + int
+		"hi",             // typed-key map over codes
+		"i1", "i2", "i3", // raw int64
+		"s1, i1", "s2, i3", // mixed string + int
 		"i1, s2, s1", // three parts
 		"f",          // float column: evaluated per row
 		"s1, i1 + 1", // non-column expression beside a typed part
@@ -602,6 +613,37 @@ func TestMorselMatchesSerialBitForBit(t *testing.T) {
 		// The oracle's result is ordered by canonical key too, so rows and
 		// details line up without an ORDER BY.
 		requireOneExecution(t, cat, sql)
+	}
+}
+
+// TestIntGroupKeysAcrossDenseBound: one scan whose integer group keys are
+// negative, NULL, inside the dense table's bound and past it numbers and
+// folds every group as the oracle does, at one and four workers, to the
+// bit, plain and under a sampler.
+func TestIntGroupKeysAcrossDenseBound(t *testing.T) {
+	cat := kernelCatalog(t, 40_000)
+	for _, sql := range []string{
+		"SELECT i3, COUNT(*) AS n, SUM(f) AS s, AVG(f) AS a FROM t GROUP BY i3",
+		"SELECT i3, COUNT(*) AS n, SUM(f) AS s FROM t TABLESAMPLE BERNOULLI (50) WHERE f < 90 GROUP BY i3",
+	} {
+		res := requireOneExecutionOver(t, cat, sql, nil)
+		var negative, null, dense, past bool
+		for _, row := range res.Rows {
+			k := row[0]
+			switch {
+			case k.IsNull():
+				null = true
+			case k.I < 0:
+				negative = true
+			case k.I < maxDenseIntKey:
+				dense = true
+			default:
+				past = true
+			}
+		}
+		if !negative || !null || !dense || !past {
+			t.Fatalf("%q: keys negative %v, NULL %v, dense %v, past the bound %v: want all", sql, negative, null, dense, past)
+		}
 	}
 }
 
