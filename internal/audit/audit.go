@@ -130,6 +130,8 @@ const (
 	groundTruthTimeout = 30 * time.Second
 	// idleRetry is the backoff while the foreground keeps the gate busy.
 	idleRetry = 2 * time.Millisecond
+	// lastTraces is how many ground-truth traces the report shows.
+	lastTraces = 4
 )
 
 // job is one pending audit: everything captured at serve time. The
@@ -192,7 +194,9 @@ type Auditor struct {
 	shardDegraded, shardDegradedMiss   int64
 	contractAudits, contractBroken     int64
 
-	lastTraces []string
+	// traces holds the last ground-truth tracers, rendered when the
+	// report is read.
+	traces *stats.Ring[*trace.Tracer]
 
 	wake chan struct{}
 	stop chan struct{}
@@ -212,6 +216,7 @@ func New(exec Executor, gate Gate, cfg Config) *Auditor {
 		est:       make(map[estKey]*estimator),
 		tables:    make(map[string]*tableState),
 		contracts: make(map[string]*contractState),
+		traces:    stats.NewRing[*trace.Tracer](lastTraces),
 		wake:      make(chan struct{}, 1),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
@@ -537,10 +542,7 @@ func (a *Auditor) groundTruth(j *job) (*core.Result, error) {
 	sp.End()
 	tr.Finish()
 	a.mu.Lock()
-	a.lastTraces = append(a.lastTraces, tr.Profile().String())
-	if len(a.lastTraces) > 4 {
-		a.lastTraces = a.lastTraces[1:]
-	}
+	a.traces.Push(tr)
 	a.mu.Unlock()
 	return truth, err
 }

@@ -3,6 +3,7 @@ package audit
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // fakeExec answers every ground-truth query with a fixed scalar.
@@ -171,6 +173,38 @@ func TestCoverageAndDedup(t *testing.T) {
 	}
 	if len(r.LastTraces) == 0 {
 		t.Fatal("ground-truth runs should leave trace profiles")
+	}
+}
+
+// taggingExec marks each ground-truth span with its call number.
+type taggingExec struct{ fakeExec }
+
+func (e *taggingExec) QueryContext(ctx context.Context, sql string) (*core.Result, error) {
+	e.mu.Lock()
+	call := e.calls + 1
+	e.mu.Unlock()
+	trace.SpanFromContext(ctx).SetAttrInt("call", int64(call))
+	return e.fakeExec.QueryContext(ctx, sql)
+}
+
+// TestLastTracesKeepsFourOldestFirst: the report renders the last four
+// ground-truth traces, oldest first.
+func TestLastTracesKeepsFourOldestFirst(t *testing.T) {
+	exec := &taggingExec{fakeExec{truth: 100, rows: 1000}}
+	a := New(exec, nil, Config{Fraction: 1})
+	defer a.Close()
+	for i := 0; i < 6; i++ {
+		a.Offer(claimed(98, 90, 110, 1000), distinctSQL(i))
+		drain(t, a)
+	}
+	got := a.Report().LastTraces
+	if len(got) != 4 {
+		t.Fatalf("%d traces, want 4", len(got))
+	}
+	for i, tr := range got {
+		if want := fmt.Sprintf("call=%d\n", i+3); !strings.Contains(tr, "ground-truth") || !strings.Contains(tr, want) {
+			t.Errorf("trace %d lacks %q:\n%s", i, want, tr)
+		}
 	}
 }
 

@@ -147,7 +147,9 @@ func (a *Auditor) Report() Report {
 		r.Tables = append(r.Tables, tr)
 	}
 	sort.Slice(r.Tables, func(i, j int) bool { return r.Tables[i].Table < r.Tables[j].Table })
-	r.LastTraces = append(r.LastTraces, a.lastTraces...)
+	for i := 0; i < a.traces.N(); i++ {
+		r.LastTraces = append(r.LastTraces, a.traces.At(i).Profile().String())
+	}
 	return r
 }
 

@@ -21,18 +21,18 @@ import (
 )
 
 // Observers are the sinks a served query is filed with: the metrics
-// registry, the query log, the accuracy auditor, workload insight, the
-// flight recorder and the span exporter. File is the one post-serve call of
-// aqpd's handler and aqpsh's session alike; process events (audit verdicts,
-// insight sentinels, fault fires, breaker transitions, shard outcomes) reach
-// the same sinks through the on* methods.
+// registry, the query log, the accuracy auditor, workload insight and the
+// flight recorder, whose retained tracers /debug/spans renders when read.
+// File is the one post-serve call of aqpd's handler and aqpsh's session
+// alike; process events (audit verdicts, insight sentinels, fault fires,
+// breaker transitions, shard outcomes) reach the same sinks through the on*
+// methods.
 type Observers struct {
 	cfg     Config
 	met     *Metrics
 	aud     *audit.Auditor      // nil when Config.AuditFraction is 0
 	insight *insight.Registry   // nil without telemetry or with a negative WorkloadCap
 	flight  *telemetry.Recorder // nil without telemetry
-	spans   *telemetry.SpanExporter
 }
 
 // NewObservers builds the sinks cfg asks for. With Config.Telemetry it also
@@ -43,7 +43,6 @@ func NewObservers(cfg Config) *Observers {
 	o := &Observers{cfg: cfg, met: NewMetrics()}
 	if cfg.Telemetry {
 		o.flight = telemetry.NewRecorder(telemetry.RecorderConfig{Queries: cfg.FlightQueries})
-		o.spans = telemetry.NewSpanExporter("aqpd")
 		// Workload insight rides with telemetry (so the telemetry-overhead
 		// gate covers its cost); a negative WorkloadCap opts out.
 		if cfg.WorkloadCap >= 0 {
@@ -99,8 +98,8 @@ type Served struct {
 	Res          *core.Result
 	Err          error
 	Status       int
-	DegradedFrom string         // the mode the ladder degraded from ("" = none)
-	Profile      *trace.Profile // the query's span tree (nil when untraced)
+	DegradedFrom string        // the mode the ladder degraded from ("" = none)
+	Trace        *trace.Tracer // the query's tracer (nil when untraced)
 }
 
 // Finish stamps the outcome onto q: the latency since Start, and either the
@@ -129,8 +128,10 @@ func (q *Served) Finish(res *core.Result, err error) {
 }
 
 // File hands one served query to every sink. It only observes: it never
-// mutates q.Res and cannot fail the query.
+// mutates q.Res and cannot fail the query. It ends the query's root span
+// first, so every ending files a finished trace.
 func (o *Observers) File(q Served) {
+	q.Trace.Finish()
 	qr := q.Record()
 	if q.Err != nil {
 		o.met.Inc("queries_errors_total")
@@ -159,13 +160,7 @@ func (o *Observers) File(q Served) {
 	if o.insight != nil {
 		o.insight.ObserveStmt(q.Stmt, q.Observation())
 	}
-	if o.flight != nil {
-		if q.Profile != nil {
-			qr.Spans, qr.TraceID = q.Profile, q.Profile.TraceID
-			o.spans.Export(q.Profile)
-		}
-		o.flight.Record(qr)
-	}
+	o.flight.Record(qr)
 }
 
 // count files an answer's metrics.
@@ -248,7 +243,7 @@ func (q Served) Observation() insight.Observation {
 // Record is what the flight recorder files.
 func (q Served) Record() telemetry.QueryRecord {
 	qr := telemetry.QueryRecord{Start: q.Start, SQL: q.SQL, Mode: q.Mode,
-		Status: q.Status, LatencyMS: q.LatencyMS}
+		Status: q.Status, LatencyMS: q.LatencyMS, Trace: q.Trace}
 	if q.Stmt != nil {
 		qr.Fingerprint = q.Stmt.Fingerprint().Hash
 	}

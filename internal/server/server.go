@@ -84,9 +84,10 @@ type Config struct {
 	// Telemetry enables the observability layer: the metric time-series
 	// store (GET /metrics/history), the SLO engine (GET /slo), the
 	// flight recorder (GET /debug/flightrecord), and the OTLP-shaped
-	// span export feed (GET /debug/spans). When enabled, every query is
-	// traced (observationally — results are bit-identical) so the
-	// flight recorder retains span trees.
+	// span feed (GET /debug/spans), rendered from the flight recorder's
+	// queries. When enabled, every query is traced (observationally —
+	// results are bit-identical) so the flight recorder retains span
+	// trees.
 	Telemetry bool
 	// TelemetryStep is the time-series snapshot cadence (default 10s).
 	TelemetryStep time.Duration
@@ -338,6 +339,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	served = Served{Start: time.Now(), SQL: req.SQL, Mode: req.Mode}
 	served.Stmt, err = sqlparse.Parse(req.SQL)
 
+	// Per-request tracing only observes: traced results are bit-identical
+	// to untraced ones. With telemetry on every query is traced, and the
+	// flight recorder keeps the tracer. It is on served before the chaos
+	// seam, so every ending files its trace. An inbound W3C traceparent
+	// header joins its trace, so the query's spans carry the caller's ID.
+	if req.Trace || s.obs.flight != nil {
+		tid, parentSpan, _ := trace.ParseTraceparent(r.Header.Get("traceparent"))
+		served.Trace = trace.NewWithParent("query", tid, parentSpan)
+	}
+
 	// Chaos seam: an injected panic here exercises the handler
 	// containment above; an injected error takes the typed 503 path.
 	if ierr := injectServerQuery.Inject(); ierr != nil {
@@ -364,19 +375,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		workers = s.cfg.MaxQueryWorkers
 	}
 	ctx = exec.ContextWithWorkers(ctx, workers)
-
-	// Per-request tracing: install a tracer so engine/operator spans are
-	// recorded, and embed the profile tree in the response. Tracing only
-	// observes; traced results are bit-identical to untraced ones. With
-	// telemetry on, every query is traced so the flight recorder retains
-	// span trees; an inbound W3C traceparent header joins its trace, so
-	// the query's spans carry the caller's trace ID.
-	var tr *trace.Tracer
-	if req.Trace || s.obs.flight != nil {
-		tid, parentSpan, _ := trace.ParseTraceparent(r.Header.Get("traceparent"))
-		tr = trace.NewWithParent("query", tid, parentSpan)
-		ctx = trace.WithTracer(ctx, tr)
-	}
+	ctx = trace.WithTracer(ctx, served.Trace)
 
 	run := aqp.Request{Mode: mode, Contract: req.Contract}
 	if req.RelError > 0 {
@@ -390,8 +389,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		res, served.DegradedFrom, err = s.executeResilient(ctx, r.Context(), served.Stmt, run, req.NoDegrade)
 	}
 	served.Finish(res, err)
-	if tr != nil {
-		served.Profile = tr.Profile()
+	if tr := served.Trace; tr != nil {
+		tr.Finish() // the root spans the query, not the reply's encoding
 		w.Header().Set("traceparent", tr.Root().Traceparent())
 	}
 	// The reply is encoded before the query is filed, so a reply that
@@ -400,10 +399,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if served.Err == nil {
 		resp := encodeResult(res)
 		resp.DegradedFrom = served.DegradedFrom
-		if prof := served.Profile; prof != nil {
-			resp.TraceID = prof.TraceID
+		if tr := served.Trace; tr != nil {
+			resp.TraceID = tr.TraceID().String()
 			if req.Trace {
-				resp.Trace = prof
+				resp.Trace = tr.Profile()
 			}
 		}
 		reply = replyBuffers.Get().(*[]byte)

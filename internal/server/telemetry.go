@@ -11,7 +11,7 @@ import (
 )
 
 // initTelemetry wires the time-series store and SLO engine (the flight
-// recorder, span exporter and workload insight live in the Observers).
+// recorder and workload insight live in the Observers).
 // The store's cadence ticker is NOT started here — cmd/aqpd starts it;
 // tests drive Snap explicitly for determinism.
 func (s *Server) initTelemetry(cfg Config) {
@@ -226,15 +226,16 @@ func (s *Server) handleFlightRecord(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.FlightBundle("http"))
 }
 
-// handleSpans serves the OTLP-shaped span export feed.
+// handleSpans serves the span trees of the flight recorder's queries as
+// an OTLP-shaped feed.
 func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	if s.obs.spans == nil {
+	if s.obs.flight == nil {
 		writeError(w, http.StatusNotFound, "telemetry disabled (start aqpd with -telemetry)")
 		return
 	}
-	writeJSON(w, http.StatusOK, s.obs.spans.Feed())
+	writeJSON(w, http.StatusOK, telemetry.Feed("aqpd", s.obs.flight.Snapshot("spans").Queries))
 }

@@ -2,8 +2,8 @@ package stats
 
 // Ring is a fixed-capacity window over the most recent values pushed:
 // once full, each push evicts the oldest value. Every rolling window in
-// the module (audit coverage, workload sentinels, the flight recorder,
-// the time-series store, the span exporter) is one. The zero value is
+// the module (audit coverage and ground-truth traces, workload sentinels,
+// the flight recorder, the time-series store) is one. The zero value is
 // unusable; construct with NewRing. Not safe for concurrent use —
 // callers serialize access.
 type Ring[T any] struct {

@@ -67,8 +67,12 @@ type QueryRecord struct {
 	// attributed to several overlapping queries, which is the honest
 	// reading of a process-global fault.
 	Events []Event `json:"events,omitempty"`
-	// Spans is the query's full span tree.
+	// Spans is the query's full span tree, rendered from Trace when the
+	// record is read (Snapshot).
 	Spans *trace.Profile `json:"spans,omitempty"`
+	// Trace is the query's tracer, the one retained span record; nil for
+	// an untraced query. Its root is ended before the record is filed.
+	Trace *trace.Tracer `json:"-"`
 }
 
 // RecorderConfig sizes the flight recorder.
@@ -140,6 +144,9 @@ func (r *Recorder) Record(qr QueryRecord) {
 		return
 	}
 	end := qr.Start.Add(time.Duration(qr.LatencyMS * float64(time.Millisecond)))
+	if qr.Trace != nil {
+		qr.TraceID = qr.Trace.TraceID().String()
+	}
 	r.mu.Lock()
 	r.seq++
 	qr.Seq = r.seq
@@ -200,7 +207,8 @@ type Bundle struct {
 	Info map[string]string `json:"info,omitempty"`
 }
 
-// Snapshot assembles a Bundle (without SLO/Info; callers add those).
+// Snapshot assembles a Bundle (without SLO/Info; callers add those) and
+// renders each record's span tree from its tracer.
 func (r *Recorder) Snapshot(reason string) Bundle {
 	b := Bundle{GeneratedAt: time.Now(), Reason: reason}
 	if r == nil {
@@ -218,6 +226,10 @@ func (r *Recorder) Snapshot(reason string) Bundle {
 	}
 	b.Events = r.events.AppendTo(nil)
 	r.mu.Unlock()
+	// Span trees render outside the lock; each span takes its own.
+	for i := range b.Queries {
+		b.Queries[i].Spans = b.Queries[i].Trace.Root().Snapshot()
+	}
 	sort.Slice(b.Queries, func(i, j int) bool { return b.Queries[i].Seq < b.Queries[j].Seq })
 	return b
 }

@@ -2,9 +2,7 @@ package telemetry
 
 import (
 	"strconv"
-	"sync"
 
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -12,8 +10,9 @@ import (
 // payload (opentelemetry-proto trace service) closely enough that a
 // collector-compatible ingester can read the feed: hex trace/span IDs,
 // string-encoded unix-nano timestamps, attribute key/value envelopes.
-// There is no OTLP client dependency — the feed is plain marshaled JSON
-// served at /debug/spans.
+// There is no OTLP client dependency and no span store of its own: the
+// feed served at /debug/spans is rendered, when read, from the span trees
+// the flight recorder keeps.
 
 // OTLPValue is an OTLP AnyValue restricted to strings (span attrs are
 // strings throughout this repo).
@@ -112,51 +111,13 @@ func flattenInto(p *trace.Profile, root bool, out *[]OTLPSpan) {
 	}
 }
 
-// spanRingCap is how many of the most recent spans /debug/spans keeps.
-const spanRingCap = 1024
-
-// SpanExporter is a bounded ring of exported spans feeding /debug/spans.
-type SpanExporter struct {
-	mu  sync.Mutex
-	buf *stats.Ring[OTLPSpan]
-
-	service string
-}
-
-// NewSpanExporter builds an exporter retaining the last spanRingCap spans
-// emitted by the named service.
-func NewSpanExporter(service string) *SpanExporter {
-	return &SpanExporter{buf: stats.NewRing[OTLPSpan](spanRingCap), service: service}
-}
-
-// Export flattens one query's profile into the ring.
-func (e *SpanExporter) Export(p *trace.Profile) {
-	if e == nil || p == nil {
-		return
-	}
-	spans := FlattenProfile(p)
-	e.mu.Lock()
-	for _, sp := range spans {
-		e.buf.Push(sp)
-	}
-	e.mu.Unlock()
-}
-
-// Spans returns the retained spans, oldest first.
-func (e *SpanExporter) Spans() []OTLPSpan {
-	if e == nil {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.buf.AppendTo(make([]OTLPSpan, 0, e.buf.N()))
-}
-
-// Feed wraps the retained spans in the OTLP/JSON envelope.
-func (e *SpanExporter) Feed() OTLPFeed {
-	spans, service := []OTLPSpan{}, ""
-	if e != nil {
-		spans, service = e.Spans(), e.service
+// Feed wraps the span trees of the given records, in order, in the OTLP/JSON
+// envelope of the named service. /debug/spans serves it over the flight
+// recorder's bundle, so the feed holds exactly the recorder's queries.
+func Feed(service string, queries []QueryRecord) OTLPFeed {
+	spans := []OTLPSpan{}
+	for _, qr := range queries {
+		spans = append(spans, FlattenProfile(qr.Spans)...)
 	}
 	return OTLPFeed{ResourceSpans: []OTLPResourceSpans{{
 		Resource: OTLPResource{Attributes: []OTLPAttr{{Key: "service.name", Value: OTLPValue{service}}}},

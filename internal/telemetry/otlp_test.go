@@ -63,17 +63,30 @@ func TestFlattenSkipsIdentityless(t *testing.T) {
 	}
 }
 
-func TestSpanExporterRingAndFeed(t *testing.T) {
-	e := NewSpanExporter("aqpd-test")
-	for i := 0; i < spanRingCap/2+1; i++ {
-		e.Export(buildProfile(t)) // 2 spans each
+// TestFeedEnvelope: the feed renders each record's span tree, in record
+// order, inside the OTLP/JSON envelope of the named service.
+func TestFeedEnvelope(t *testing.T) {
+	r := NewRecorder(RecorderConfig{Queries: 4})
+	var want []string
+	for i := 0; i < 3; i++ {
+		tr := trace.New("query")
+		tr.Root().StartChild("engine exact").End()
+		tr.Finish()
+		r.Record(QueryRecord{SQL: "q", Status: 200, Trace: tr})
+		want = append(want, tr.TraceID().String())
 	}
-	spans := e.Spans()
-	if len(spans) != spanRingCap {
-		t.Fatalf("ring retained %d spans, want %d", len(spans), spanRingCap)
-	}
+	r.Record(QueryRecord{SQL: "untraced", Status: 200})
 
-	feed := e.Feed()
+	feed := Feed("aqpd-test", r.Snapshot("test").Queries)
+	spans := feed.ResourceSpans[0].ScopeSpans[0].Spans
+	if len(spans) != 6 {
+		t.Fatalf("feed holds %d spans, want 6", len(spans))
+	}
+	for i, sp := range spans {
+		if sp.TraceID != want[i/2] {
+			t.Fatalf("span %d trace %s, want %s", i, sp.TraceID, want[i/2])
+		}
+	}
 	b, err := json.Marshal(feed)
 	if err != nil {
 		t.Fatal(err)
@@ -87,13 +100,14 @@ func TestSpanExporterRingAndFeed(t *testing.T) {
 	}
 }
 
-func TestSpanExporterNilSafe(t *testing.T) {
-	var e *SpanExporter
-	e.Export(nil)
-	if e.Spans() != nil {
-		t.Fatal("nil exporter returned spans")
+// TestFeedEmptyRecorder: a recorder with no queries serves an empty span
+// list, not null.
+func TestFeedEmptyRecorder(t *testing.T) {
+	b, err := json.Marshal(Feed("aqpd", NewRecorder(RecorderConfig{}).Snapshot("test").Queries))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(e.Feed().ResourceSpans) != 1 {
-		t.Fatal("nil exporter feed malformed")
+	if !strings.Contains(string(b), `"spans":[]`) {
+		t.Fatalf("empty feed: %s", b)
 	}
 }

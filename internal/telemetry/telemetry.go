@@ -3,7 +3,9 @@
 // that snapshots every metric family on a fixed cadence, an SLO engine
 // that evaluates declarative objectives over those series as
 // multi-window burn rates, and a bounded flight recorder that retains
-// the last N queries' span trees and fault events for postmortems.
+// the last N queries' tracers and fault events for postmortems. Every
+// span view — a bundle's span trees, the OTLP-shaped feed (Feed) — is
+// rendered from those tracers when read.
 //
 // The package deliberately sits *beside* the hot path, not on it: query
 // execution writes to the ordinary metrics registry, and the store's

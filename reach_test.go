@@ -26,7 +26,6 @@ var reachAllowlist = map[string]string{
 	"internal/insight.(*Registry).Evictions":       "test probe: insight tests check the LRU cap",
 	"internal/insight.(*Registry).Regressions":     "test probe: sentinel tests read the trips",
 	"internal/exec.(*Result).ColumnIndex":          "test probe: exec tests find a column by name",
-	"internal/trace.(*Tracer).TraceID":             "test probe: trace tests check ID propagation",
 	"internal/trace.(*Span).SpanID":                "test probe: trace tests check parent links",
 	"internal/trace.(*Profile).Attr":               "test probe: profile tests read span attributes",
 	"internal/trace.(*Profile).FindAll":            "test probe: profile tests collect spans by name",

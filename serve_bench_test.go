@@ -17,7 +17,8 @@ import (
 // /query through aqpd's in-process handler — request decode, parse, plan,
 // execution, the post-serve observers and the reply encoding — on the
 // short.armed workload's dimension-table statements, over the bench's star
-// (250k lineitem rows, seed 1, skew 1), with telemetry off and on. The
+// (250k lineitem rows, seed 1, skew 1), with telemetry off and on, and
+// with telemetry on and the span tree asked for ("trace": true). The
 // one-row reply is a global aggregate; the 25-group reply is one row per
 // nation. It reports the reply's size as reply_bytes.
 func BenchmarkServeQuery(b *testing.B) {
@@ -30,13 +31,13 @@ func BenchmarkServeQuery(b *testing.B) {
 		{"25-group", "SELECT s_nationkey, COUNT(*) AS n, AVG(s_acctbal) AS bal FROM supplier GROUP BY s_nationkey ORDER BY s_nationkey"},
 	}
 	for _, tel := range []struct {
-		name string
-		on   bool
-	}{{"telemetry=off", false}, {"telemetry=on", true}} {
+		name      string
+		on, trace bool
+	}{{"telemetry=off", false, false}, {"telemetry=on", true, false}, {"trace", true, true}} {
 		srv := server.New(aqp.Open(star.Catalog), server.Config{Workers: 2, Telemetry: tel.on})
 		h := srv.Handler()
 		for _, st := range stmts {
-			body, err := json.Marshal(server.QueryRequest{SQL: st.sql, Mode: "exact"})
+			body, err := json.Marshal(server.QueryRequest{SQL: st.sql, Mode: "exact", Trace: tel.trace})
 			if err != nil {
 				b.Fatal(err)
 			}
