@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -471,16 +472,26 @@ func hostileWithDim(t *testing.T) *storage.Catalog {
 
 // hostileAggs is the aggregate list the hostile-value tests fold: counts,
 // sums and means whose arguments meet NaN, ±Inf, -0.0 and products past
-// MaxFloat64, with and without NULLs among them, and slots whose every
-// argument is NULL.
+// MaxFloat64, with and without NULLs among them, slots whose every
+// argument is NULL, and columns without NULLs (y, and i past 2^53) that
+// the fold reads in place.
 const hostileAggs = "COUNT(*), COUNT(x), SUM(x), AVG(x), SUM(x * i), AVG(x / (i - 9007199254740992)), SUM(x * x), " +
-	"SUM(y), AVG(y * 0.5), COUNT(z), SUM(z)"
+	"SUM(y), AVG(y * 0.5), COUNT(z), SUM(z), SUM(i), AVG(i), COUNT(i)"
 
-// checkHostileFold runs sql through the oracle and the morsel path at one
-// and four workers and requires every group's estimates, variances and
-// counts to the bit, the oracle's rows and counters, and the same details
-// at both worker counts.
+// checkHostileFold is checkFold over a statement some rows reach the fold
+// of.
 func checkHostileFold(t *testing.T, cat *storage.Catalog, sql string) {
+	t.Helper()
+	if want := checkFold(t, cat, sql); len(want.Details) == 0 || want.Counters.RowsEmitted == 0 {
+		t.Errorf("%q: no row reaches the fold", sql)
+	}
+}
+
+// checkFold runs sql through the oracle and the morsel path at one and four
+// workers and requires every group's estimates, variances and counts to the
+// bit, the oracle's rows and counters, and the same details at both worker
+// counts. It returns the oracle's result.
+func checkFold(t *testing.T, cat *storage.Catalog, sql string) *Result {
 	t.Helper()
 	want := oracleRun(t, buildPlan(t, cat, sql))
 	var one *Result
@@ -494,7 +505,7 @@ func checkHostileFold(t *testing.T, cat *storage.Catalog, sql string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got.Details) != len(want.Details) || len(got.Details) == 0 {
+		if len(got.Details) != len(want.Details) {
 			t.Fatalf("W=%d %q: %d groups, oracle %d", workers, sql, len(got.Details), len(want.Details))
 		}
 		if workers == 1 {
@@ -526,10 +537,58 @@ func checkHostileFold(t *testing.T, cat *storage.Catalog, sql string) {
 		if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
 			t.Errorf("W=%d %q: rows %v, oracle %v", workers, sql, got.Rows, want.Rows)
 		}
-		if got.Counters != want.Counters || want.Counters.RowsEmitted == 0 {
+		if got.Counters != want.Counters {
 			t.Errorf("W=%d %q: counters %+v, oracle %+v", workers, sql, got.Counters, want.Counters)
 		}
 	}
+	return want
+}
+
+// FuzzBareColumnFold holds the fold of columns without NULLs, which SUM,
+// AVG and COUNT read in place, to the oracle (checkFold): over any float
+// bits (NaN, ±Inf, -0.0) and int64 values (past 2^53), group count, block
+// size and filter literal, in dense runs (no filter) and gathered ones. The
+// table's n rows cycle through the (f, i) pairs in raw, so that an input
+// stays small enough to minimise.
+func FuzzBareColumnFold(f *testing.F) {
+	pairs := func(vals ...uint64) []byte {
+		b := make([]byte, 0, 8*len(vals))
+		for _, v := range vals {
+			b = binary.LittleEndian.AppendUint64(b, v)
+		}
+		return b
+	}
+	bits := math.Float64bits
+	f.Add(pairs(bits(1.5), 1<<53+1, bits(-3), 7, bits(0.25), 1<<53-1), uint16(300), uint8(3), uint16(100), 0.5)
+	f.Add(pairs(bits(math.NaN()), 1<<63, bits(math.Inf(1)), 1<<62, bits(math.Copysign(0, -1)), 0, bits(2), 3), uint16(500), uint8(4), uint16(200), -1.0)
+	f.Add(pairs(bits(math.MaxFloat64), 1, bits(math.MaxFloat64), 2, bits(math.Inf(-1)), 3, bits(1), 4), uint16(700), uint8(2), uint16(0), math.NaN())
+	f.Fuzz(func(t *testing.T, raw []byte, n uint16, groups uint8, block uint16, lit float64) {
+		tbl := storage.NewTableWithBlockSize("b", storage.Schema{
+			{Name: "g", Type: storage.TypeInt64}, {Name: "f", Type: storage.TypeFloat64}, {Name: "i", Type: storage.TypeInt64},
+		}, 1+int(block)%1024)
+		var rows [][]storage.Value
+		for r := 0; len(raw) >= 16 && r < int(n)%2048; r++ {
+			p := raw[16*(r%(len(raw)/16)):]
+			x, i := binary.LittleEndian.Uint64(p), binary.LittleEndian.Uint64(p[8:])
+			g := (x>>7 + uint64(r)) % (1 + uint64(groups)%8)
+			rows = append(rows, []storage.Value{storage.Int64(int64(g)), storage.Float64(math.Float64frombits(x)), storage.Int64(int64(i))})
+		}
+		if err := tbl.AppendRows(rows); err != nil {
+			t.Fatal(err)
+		}
+		cat := storage.NewCatalog()
+		if err := cat.Add(tbl); err != nil {
+			t.Fatal(err)
+		}
+		where := ""
+		if lit-lit == 0 {
+			where = " WHERE NOT (f < " + strconv.FormatFloat(lit, 'f', -1, 64) + ")"
+		}
+		const aggs = "COUNT(*), COUNT(f), SUM(f), AVG(f), COUNT(i), SUM(i), AVG(i) FROM b"
+		for _, sql := range []string{"SELECT " + aggs, "SELECT g, " + aggs + " GROUP BY g", "SELECT g, " + aggs + where + " GROUP BY g"} {
+			checkFold(t, cat, sql)
+		}
+	})
 }
 
 // TestHostileValuesFoldBitForBit: over NaN, ±Inf, -0.0, MaxFloat64, int64
@@ -541,6 +600,7 @@ func checkHostileFold(t *testing.T, cat *storage.Catalog, sql string) {
 // workers.
 func TestHostileValuesFoldBitForBit(t *testing.T) {
 	cat := hostileWithDim(t)
+	before := columnBits(t, cat)
 	for _, c := range [][2]string{
 		{"BERNOULLI (50)", "x <= 1 OR NOT (x >= -1)"}, // an unordered pair compares equal in the evaluator
 		{"BERNOULLI (50)", "NOT (x < 0) AND i <> 9007199254740993"},
@@ -552,10 +612,11 @@ func TestHostileValuesFoldBitForBit(t *testing.T) {
 	} {
 		sql := "SELECT " + hostileAggs + ", SUM(x * 0.5) FROM h TABLESAMPLE " + c[0] + " WHERE " + c[1]
 		if strings.Contains(c[0], "JOIN") {
-			sql = "SELECT " + hostileAggs + ", SUM(x * hw) FROM h TABLESAMPLE " + c[0] + " WHERE " + c[1]
+			sql = "SELECT " + hostileAggs + ", SUM(x * hw), SUM(hw) FROM h TABLESAMPLE " + c[0] + " WHERE " + c[1]
 		}
 		checkHostileFold(t, cat, sql)
 	}
+	requireColumnsUnchanged(t, cat, before)
 }
 
 // TestHostileExactFoldBitForBit is TestHostileValuesFoldBitForBit without
@@ -567,6 +628,7 @@ func TestHostileValuesFoldBitForBit(t *testing.T) {
 // slots see only NULL arguments.
 func TestHostileExactFoldBitForBit(t *testing.T) {
 	cat := hostileWithDim(t)
+	before := columnBits(t, cat)
 	for _, c := range [][2]string{
 		{"h", "x <= 1 OR NOT (x >= -1)"},
 		{"h", "NOT (x < 0) AND i <> 9007199254740993"},
@@ -577,10 +639,52 @@ func TestHostileExactFoldBitForBit(t *testing.T) {
 	} {
 		last := ", SUM(x * 0.5)"
 		if strings.Contains(c[0], "JOIN") {
-			last = ", SUM(x * hw)"
+			last = ", SUM(x * hw), SUM(hw)"
 		}
 		checkHostileFold(t, cat, "SELECT "+hostileAggs+last+" FROM "+c[0]+" WHERE "+c[1])
 		checkHostileFold(t, cat, "SELECT g, "+hostileAggs+last+" FROM "+c[0]+" WHERE "+c[1]+" GROUP BY g")
+	}
+	requireColumnsUnchanged(t, cat, before)
+}
+
+// columnBits copies every Int64 and Float64 column of the catalog's tables
+// as bits, keyed by table and column name.
+func columnBits(t *testing.T, cat *storage.Catalog) map[string][]uint64 {
+	t.Helper()
+	out := map[string][]uint64{}
+	for _, name := range cat.Names() {
+		tbl, err := cat.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range tbl.Schema() {
+			var bits []uint64
+			switch col := tbl.Column(i).(type) {
+			case *storage.Int64Column:
+				for _, v := range col.Ints() {
+					bits = append(bits, uint64(v))
+				}
+			case *storage.Float64Column:
+				for _, f := range col.Floats() {
+					bits = append(bits, math.Float64bits(f))
+				}
+			default:
+				continue
+			}
+			out[name+"."+c.Name] = bits
+		}
+	}
+	return out
+}
+
+// requireColumnsUnchanged fails on any column that no longer holds the bits
+// columnBits took: kernels may read column storage in place, never write it.
+func requireColumnsUnchanged(t *testing.T, cat *storage.Catalog, before map[string][]uint64) {
+	t.Helper()
+	for name, bits := range columnBits(t, cat) {
+		if !slices.Equal(bits, before[name]) {
+			t.Errorf("column %s changed under the scan", name)
+		}
 	}
 }
 

@@ -160,9 +160,17 @@ type morselKernels struct {
 	filter   rowFilter   // scan filter
 	residual []rowFilter // per residual predicate, bound to the pipeline's row
 	group    []groupPart // typed access path per group expr
-	slotMode []int
+	slots    []slotKernel
 	htOnly   []bool // per slot: its mode folds HT sums only
-	slotArg  []valKernel
+}
+
+// slotKernel is an aggregate slot's fast path: its mode, its argument's
+// kernel and, if inPlace, the bareColumn its argument is.
+type slotKernel struct {
+	mode    int
+	arg     valKernel
+	bare    bareColumn
+	inPlace bool
 }
 
 // compileKernels compiles what it can of the pipeline against the
@@ -184,14 +192,14 @@ func (op *morselRun) compileKernels() morselKernels {
 		return k
 	}
 	k.group = make([]groupPart, len(op.agg.GroupBy))
-	k.slotMode, k.htOnly, k.slotArg = make([]int, len(op.agg.Aggs)), make([]bool, len(op.agg.Aggs)), make([]valKernel, len(op.agg.Aggs))
+	k.slots, k.htOnly = make([]slotKernel, len(op.agg.Aggs)), make([]bool, len(op.agg.Aggs))
 	for i, ge := range op.agg.GroupBy {
 		if ref, ok := ge.(*expr.ColRef); ok {
 			k.group[i] = typedPart(c.column(ref.Index))
 		}
 	}
 	for j, spec := range op.agg.Aggs {
-		mode := slotGeneral
+		sk, mode := &k.slots[j], slotGeneral
 		switch spec.Func {
 		case sqlparse.AggCount:
 			if spec.Star {
@@ -205,11 +213,16 @@ func (op *morselRun) compileKernels() morselKernels {
 			mode = slotPercentile
 		}
 		if mode != slotGeneral && mode != slotCountStar {
-			if k.slotArg[j] = c.num(spec.Arg, 0); k.slotArg[j] == nil {
+			if sk.arg = c.num(spec.Arg, 0); sk.arg == nil {
 				mode = slotGeneral
 			}
 		}
-		k.slotMode[j] = mode
+		if mode == slotCountCol || mode == slotSumAvg {
+			if sk.bare, sk.inPlace = c.bare(spec.Arg); sk.inPlace && mode == slotCountCol {
+				mode = slotCountStar // a column without NULL marks counts every row
+			}
+		}
+		sk.mode = mode
 		k.htOnly[j] = mode == slotCountStar || mode == slotCountCol || mode == slotSumAvg
 	}
 	return k
@@ -940,7 +953,7 @@ func (wk *morselWorker) foldGlobal(sel []int32, ws []float64, weighted bool, row
 	acc.n[0] += float64(len(sel))
 	acc.weighted[0] = acc.weighted[0] || weighted
 	for j, spec := range wk.op.agg.Aggs {
-		mode, ht, whole := kern.slotMode[j], acc.slots[j].ht, acc.slots[j].whole
+		mode, sk, ht, whole := kern.slots[j].mode, &kern.slots[j], acc.slots[j].ht, acc.slots[j].whole
 		var vals []float64
 		var nulls []bool
 		switch mode {
@@ -955,10 +968,10 @@ func (wk *morselWorker) foldGlobal(sel []int32, ws []float64, weighted bool, row
 		case slotCountStar:
 			vals = wk.sc.ones[:len(sel)]
 		case slotCountCol:
-			_, nulls = kern.slotArg[j](wk.sc, sel)
+			_, nulls = sk.arg(wk.sc, sel)
 			vals = wk.sc.ones[:len(sel)]
 		default:
-			vals, nulls = kern.slotArg[j](wk.sc, sel)
+			vals, nulls = sk.arg(wk.sc, sel)
 		}
 		valWs := ws
 		if nulls != nil {
@@ -996,7 +1009,8 @@ func (wk *morselWorker) foldGlobal(sel []int32, ws []float64, weighted bool, row
 // accumulators in selection order, so every group sees its own rows in the
 // order a segment of them would. A unit-weight run counts each group's rows
 // once, and a SUM or AVG keeps a running total per group that the estimator
-// commits when AddUnitRun would (stats.AddUnitTotals). A weighted run, one
+// commits when AddUnitRun would (stats.AddUnitTotals), reading a bare
+// column in place. A weighted run, one
 // with few rows per group (minRowsPerTotal), a slot whose argument can be
 // NULL (NULL marks: a column with NULLs, or a division) and a run the
 // estimator refuses fold row by row with Add, which is AddRun's sequence.
@@ -1041,7 +1055,7 @@ func (wk *morselWorker) foldGroups(sel []int32, ws []float64, gids []int32, weig
 	}
 
 	for j, spec := range wk.op.agg.Aggs {
-		mode, ht, whole := kern.slotMode[j], acc.slots[j].ht, acc.slots[j].whole
+		mode, sk, ht, whole := kern.slots[j].mode, &kern.slots[j], acc.slots[j].ht, acc.slots[j].whole
 		var vals []float64
 		var nulls []bool
 		switch mode {
@@ -1055,7 +1069,7 @@ func (wk *morselWorker) foldGroups(sel []int32, ws []float64, gids []int32, weig
 			continue
 		case slotCountStar, slotCountCol:
 			if mode == slotCountCol {
-				_, nulls = kern.slotArg[j](wk.sc, sel)
+				_, nulls = sk.arg(wk.sc, sel)
 			}
 			if !perRow && nulls == nil {
 				for _, g := range wk.touched {
@@ -1065,8 +1079,11 @@ func (wk *morselWorker) foldGroups(sel []int32, ws []float64, gids []int32, weig
 			}
 			vals = wk.sc.ones[:len(sel)]
 		default:
-			vals, nulls = kern.slotArg[j](wk.sc, sel)
-			if mode == slotSumAvg && !perRow && nulls == nil && wk.unitTotals(ht, gids, vals) {
+			if mode == slotSumAvg && !perRow && sk.inPlace && wk.unitTotals(ht, sel, gids, sk, nil) {
+				continue
+			}
+			vals, nulls = sk.arg(wk.sc, sel)
+			if mode == slotSumAvg && !perRow && !sk.inPlace && nulls == nil && wk.unitTotals(ht, sel, gids, sk, vals) {
 				continue
 			}
 		}
@@ -1094,7 +1111,8 @@ const minRowsPerTotal = 2
 // unitTotals folds a unit-weight SUM or AVG run into the touched groups'
 // estimators, if they take it: each group's total starts from its sum and
 // adds its rows' values in selection order, AddUnitRun's loop over them.
-func (wk *morselWorker) unitTotals(ht []stats.HTEstimator, gids []int32, vals []float64) bool {
+// The values are the slot's bare column in place, or else vals.
+func (wk *morselWorker) unitTotals(ht []stats.HTEstimator, sel, gids []int32, sk *slotKernel, vals []float64) bool {
 	if len(wk.tot) < len(wk.cnt) {
 		wk.tot = make([]float64, cap(wk.cnt))
 	}
@@ -1102,9 +1120,13 @@ func (wk *morselWorker) unitTotals(ht []stats.HTEstimator, gids []int32, vals []
 	for _, g := range wk.touched {
 		tot[g] = ht[g].Sum()
 	}
-	vals = vals[:len(gids)]
-	for i, g := range gids {
-		tot[g] += vals[i]
+	if sk.inPlace {
+		sk.bare.addTotals(wk.sc, sel, gids, tot)
+	} else {
+		vals = vals[:len(gids)]
+		for i, g := range gids {
+			tot[g] += vals[i]
+		}
 	}
 	return stats.AddUnitTotals(ht, wk.touched, tot, wk.cnt)
 }

@@ -118,6 +118,7 @@ func scanPinCatalog(t *testing.T) *storage.Catalog {
 // core's contract_pin.json.
 func TestScanPin(t *testing.T) {
 	cat := scanPinCatalog(t)
+	before := columnBits(t, cat)
 	type stmt struct {
 		name, sql string
 		window    *plan.RowRange
@@ -241,6 +242,7 @@ func TestScanPin(t *testing.T) {
 			}
 		}
 	}
+	requireColumnsUnchanged(t, cat, before)
 	blob, err := json.MarshalIndent(cases, "", " ")
 	if err != nil {
 		t.Fatal(err)

@@ -33,6 +33,7 @@ func appendReply(b []byte, resp *QueryResponse, res *core.Result) ([]byte, error
 	b = append(b, `{"columns":`...)
 	b = appendStrings(b, resp.Columns)
 	b = append(b, `,"rows":[`...)
+	spans := make([]cellSpan, 0, 128) // per cell, row after row
 	for i, row := range res.Rows {
 		if i > 0 {
 			b = append(b, ',')
@@ -42,7 +43,11 @@ func appendReply(b []byte, resp *QueryResponse, res *core.Result) ([]byte, error
 			if j > 0 {
 				b = append(b, ',')
 			}
-			b = appendValue(b, v)
+			sp := cellSpan{lo: len(b)}
+			if b = appendValue(b, v); v.Typ == storage.TypeFloat64 && !v.IsNull() {
+				sp.bits, sp.hi = math.Float64bits(v.F), len(b)
+			}
+			spans = append(spans, sp)
 		}
 		b = append(b, ']')
 	}
@@ -58,7 +63,11 @@ func appendReply(b []byte, resp *QueryResponse, res *core.Result) ([]byte, error
 				if j > 0 {
 					b = append(b, ',')
 				}
-				b = appendItem(b, &items[j])
+				var cell cellSpan // Items[i][j] is Rows[i][j]'s; the bits decide the copy anyway
+				if len(spans) > 0 {
+					cell, spans = spans[0], spans[1:]
+				}
+				b = appendItem(b, &items[j], cell)
 			}
 			b = append(b, ']')
 		}
@@ -138,16 +147,22 @@ func appendValue(b []byte, v storage.Value) []byte {
 	}
 }
 
+// cellSpan is a float cell's bytes in the reply, b[lo:hi], and bits; hi is 0 for another cell.
+type cellSpan struct {
+	lo, hi int
+	bits   uint64
+}
+
 // appendItem appends one cell's annotation in ItemJSON's form: the CI
 // fields only when the cell has a CI, and then only where they are not 0.
-func appendItem(b []byte, it *core.ItemResult) []byte {
+func appendItem(b []byte, it *core.ItemResult, cell cellSpan) []byte {
 	b = append(b, `{"name":`...)
 	b = appendString(b, it.Name)
 	b = appendBoolField(b, "is_aggregate", it.IsAggregate, false)
 	b = appendBoolField(b, "has_ci", it.HasCI, false)
 	if it.HasCI {
-		b = appendFloatField(b, "ci_lo", it.CI.Lo, true)
-		b = appendFloatField(b, "ci_hi", it.CI.Hi, true)
+		b = appendBoundField(b, "ci_lo", it.CI.Lo, cell)
+		b = appendBoundField(b, "ci_hi", it.CI.Hi, cell)
 		b = appendFloatField(b, "confidence", it.CI.Confidence, true)
 		b = appendFloatField(b, "rel_half_width", it.RelHalfWidth, true)
 	}
@@ -175,6 +190,15 @@ func appendFloatField(b []byte, name string, f float64, omitEmpty bool) []byte {
 	}
 	b = append(append(append(b, ',', '"'), name...), '"', ':')
 	return appendFloat(b, f)
+}
+
+// appendBoundField is appendFloatField(b, name, f, true) for a CI bound,
+// copying the cell's bytes when f has its bits (an exact answer's bounds).
+func appendBoundField(b []byte, name string, f float64, cell cellSpan) []byte {
+	if f == 0 || cell.hi == 0 || math.Float64bits(f) != cell.bits {
+		return appendFloatField(b, name, f, true)
+	}
+	return append(append(append(append(b, ',', '"'), name...), '"', ':'), b[cell.lo:cell.hi]...)
 }
 
 // appendBoolField appends the field unless omitEmpty and v is false.

@@ -50,13 +50,14 @@ func RelError(est, truth float64) float64 {
 // HTEstimator accumulates a Horvitz–Thompson estimate of a population SUM
 // from a without-replacement sample where row i was included with
 // probability 1/weight(i). For each sampled row call Add(x, w) with
-// w = 1/π_i. The variance estimator assumes independent inclusions
-// (Poisson/Bernoulli sampling), which matches every sampler in this
-// repository:
+// w = 1/π_i. The variance estimator
 //
 //	Var̂(Ŝ) = Σ_sampled w_i (w_i - 1) x_i²
 //
-// Rows included with certainty (w=1, e.g. rare strata kept whole by the
+// assumes independent inclusions (Poisson/Bernoulli sampling). The row
+// samplers (uniform, distinct) match it; block, bi-level and universe
+// samples do not — their rows are included together, a block or a key at a
+// time — and for them it understates the variance. Rows included with certainty (w=1, e.g. rare strata kept whole by the
 // distinct sampler) contribute zero variance, as they should.
 type HTEstimator struct {
 	sum    float64 // Σ w x  — the HT point estimate
