@@ -177,9 +177,9 @@ type Auditor struct {
 
 	mu       sync.Mutex
 	queue    []*job
-	seen     map[string]struct{} // canonical SQL recently offered
-	seenFIFO []string
-	arrivals map[string]uint64 // per-technique eligible-arrival counter
+	seen     map[string]struct{} // canonical SQL recently offered ...
+	seenRing *stats.Ring[string] // ... oldest first, its eviction order
+	arrivals map[string]uint64   // per-technique eligible-arrival counter
 	est      map[estKey]*estimator
 	tables   map[string]*tableState
 	// contracts tracks the a-priori contract error budget per technique
@@ -207,11 +207,13 @@ type Auditor struct {
 // capacity coupling — audits run whenever queued), which is what embedded
 // single-user tools want; servers pass their admission controller.
 func New(exec Executor, gate Gate, cfg Config) *Auditor {
+	cfg = cfg.withDefaults()
 	a := &Auditor{
-		cfg:       cfg.withDefaults(),
+		cfg:       cfg,
 		exec:      exec,
 		gate:      gate,
 		seen:      make(map[string]struct{}),
+		seenRing:  stats.NewRing[string](max(4*cfg.QueueCap, 256)),
 		arrivals:  make(map[string]uint64),
 		est:       make(map[estKey]*estimator),
 		tables:    make(map[string]*tableState),
@@ -348,19 +350,14 @@ func (a *Auditor) offer(res *core.Result, sql string, stmt *sqlparse.SelectStmt)
 	}
 }
 
-// rememberLocked adds a canonical SQL to the dedup set, evicting FIFO
-// beyond 4× the queue capacity (so a steady workload re-audits a repeated
-// query once its cohort has aged out, rather than never again).
+// rememberLocked adds a canonical SQL to the dedup set, evicting the
+// oldest beyond 4× the queue capacity (at least 256), so a steady
+// workload re-audits a repeated query once its cohort has aged out,
+// rather than never again.
 func (a *Auditor) rememberLocked(canonical string) {
-	limit := 4 * a.cfg.QueueCap
-	if limit < 256 {
-		limit = 256
-	}
 	a.seen[canonical] = struct{}{}
-	a.seenFIFO = append(a.seenFIFO, canonical)
-	for len(a.seenFIFO) > limit {
-		delete(a.seen, a.seenFIFO[0])
-		a.seenFIFO = a.seenFIFO[1:]
+	if old, evicted := a.seenRing.Push(canonical); evicted {
+		delete(a.seen, old)
 	}
 }
 

@@ -554,3 +554,24 @@ func TestDrainWaitsForSinks(t *testing.T) {
 		a.Close()
 	}
 }
+
+// TestDedupAgesOut: the dedup set remembers the last 4×QueueCap (at least
+// 256) distinct statements, so a statement re-offered after 255 newer
+// ones is deduped and one re-offered after 256 is sampled again.
+func TestDedupAgesOut(t *testing.T) {
+	a := New(&fakeExec{truth: 100, rows: 1000}, &blockGate{}, Config{Fraction: 1, QueueCap: 64})
+	defer a.Close()
+	offer := func(i int) { a.Offer(claimed(98, 90, 110, 1000), distinctSQL(i)) }
+	for i := 0; i <= 255; i++ {
+		offer(i)
+	}
+	offer(0) // 255 newer statements: still remembered
+	if r := a.Report(); r.Deduped != 1 || r.Sampled != 256 {
+		t.Fatalf("after 255 newer: deduped %d sampled %d, want 1 and 256", r.Deduped, r.Sampled)
+	}
+	offer(256) // the 256th newer statement ages statement 0 out
+	offer(0)
+	if r := a.Report(); r.Deduped != 1 || r.Sampled != 258 {
+		t.Fatalf("after 256 newer: deduped %d sampled %d, want 1 and 258", r.Deduped, r.Sampled)
+	}
+}

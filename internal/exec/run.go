@@ -52,7 +52,7 @@ func run(ctx context.Context, root plan.Node, part *AggPartial, workers int) (*R
 	}
 	spans := make([]*trace.Span, len(chain))
 	for i, n := range chain {
-		spans[i], ctx = trace.StartOp(ctx, n.Explain())
+		spans[i], ctx = startOp(ctx, n, "")
 	}
 	t0 := time.Now()
 	res := &Result{Schema: bottom.Schema()}
@@ -78,17 +78,26 @@ func run(ctx context.Context, root plan.Node, part *AggPartial, workers int) (*R
 	return res, nil
 }
 
+// startOp opens an operator's span, named by its EXPLAIN line and
+// suffix; an untraced query builds no name.
+func startOp(ctx context.Context, n plan.Node, suffix string) (*trace.Span, context.Context) {
+	if !trace.Enabled(ctx) {
+		return nil, ctx
+	}
+	return trace.StartOp(ctx, n.Explain()+suffix)
+}
+
 // aggGroups opens the aggregate's span, labelled with how its groups are
 // obtained, and returns them as a partial: the one handed in (the gather
 // side of a scatter), or the rows below folded on the morsel path. step
 // marks a run that stops at the partial.
 func aggGroups(ctx context.Context, a *plan.Aggregate, part *AggPartial, workers int, step string) (*AggPartial, *trace.Span, error) {
 	if part != nil {
-		sp, _ := trace.StartOp(ctx, a.Explain()+" [gather]")
+		sp, _ := startOp(ctx, a, " [gather]")
 		sp.SetAttrInt("groups", int64(part.NumGroups()))
 		return part, sp, nil
 	}
-	sp, ctx := trace.StartOp(ctx, a.Explain()+" [morsel"+step+"]")
+	sp, ctx := startOp(ctx, a, " [morsel"+step+"]")
 	var counters Counters
 	op, err := newMorselRun(ctx, a.Child, &counters, workers, sp)
 	if err != nil {
@@ -113,7 +122,7 @@ func runRows(ctx context.Context, bottom plan.Node, chain []plan.Node, res *Resu
 		return fmt.Errorf("exec: plan has neither an aggregate nor a projection: %s", bottom.Explain())
 	}
 	t0 := time.Now()
-	sp, ctx := trace.StartOp(ctx, p.Explain()+" [morsel]")
+	sp, ctx := startOp(ctx, p, " [morsel]")
 	op, err := newMorselRun(ctx, p.Child, &res.Counters, workers, sp)
 	if err != nil {
 		return err

@@ -109,7 +109,6 @@ type Registry struct {
 	mu          sync.Mutex
 	cfg         Config
 	cards       map[string]*card
-	hot         []string // recency order, hottest first
 	offered     uint64
 	unparseable uint64
 	evictions   uint64
@@ -121,6 +120,7 @@ type card struct {
 	fp        sqlparse.Fingerprint
 	firstSeen time.Time
 	lastSeen  time.Time
+	stamp     uint64 // the registry's offer count when last touched
 
 	queries      int64
 	errors       int64
@@ -278,16 +278,20 @@ func (r *Registry) ReportAudit(fingerprint, technique string, covered bool) {
 }
 
 // touch returns the card for fp, creating (and possibly evicting) as
-// needed, and moves it to the front of the recency order. Caller holds
-// r.mu.
+// needed, and stamps it with the offer count. At capacity the card with
+// the smallest stamp — the least recently offered — is evicted. Caller
+// holds r.mu.
 func (r *Registry) touch(fp sqlparse.Fingerprint, events *[]Event) *card {
 	c, ok := r.cards[fp.Hash]
 	if !ok {
 		if len(r.cards) >= r.cfg.Cap {
-			cold := r.hot[len(r.hot)-1]
-			victim := r.cards[cold]
-			delete(r.cards, cold)
-			r.hot = r.hot[:len(r.hot)-1]
+			var victim *card
+			for _, v := range r.cards {
+				if victim == nil || v.stamp < victim.stamp {
+					victim = v
+				}
+			}
+			delete(r.cards, victim.fp.Hash)
 			r.evictions++
 			*events = append(*events, Event{
 				Kind:        EventEvicted,
@@ -305,17 +309,8 @@ func (r *Registry) touch(fp sqlparse.Fingerprint, events *[]Event) *card {
 			active:    make(map[string]bool),
 		}
 		r.cards[fp.Hash] = c
-		r.hot = append([]string{fp.Hash}, r.hot...)
-		return c
 	}
-	// Move to front. The scan is O(cap); caps are small (hundreds).
-	for i, h := range r.hot {
-		if h == fp.Hash {
-			copy(r.hot[1:i+1], r.hot[:i])
-			r.hot[0] = h
-			break
-		}
-	}
+	c.stamp = r.offered
 	return c
 }
 
@@ -524,7 +519,7 @@ func (c *card) snapshot() CardSnapshot {
 		RelWidthP95:  c.width.quantileCurrent(0.95),
 		Regressions:  c.regressions,
 	}
-	if c.lat.buf.Full() {
+	if c.lat.full() {
 		cs.BaselineLatencyP95MS = c.lat.quantileBaseline(0.95)
 	}
 	for sig, on := range c.active {

@@ -400,7 +400,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp := encodeResult(res)
 		resp.DegradedFrom = served.DegradedFrom
 		if tr := served.Trace; tr != nil {
-			resp.TraceID = tr.TraceID().String()
+			resp.TraceID = tr.TraceID()
 			if req.Trace {
 				resp.Trace = tr.Profile()
 			}

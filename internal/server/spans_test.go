@@ -135,6 +135,29 @@ func TestFiledRootEndsWithTheQuery(t *testing.T) {
 	}
 }
 
+// TestTraceIDIsOneString: the reply's trace_id, the traceparent header's
+// trace-id field and the flight record's trace_id are the same string.
+func TestTraceIDIsOneString(t *testing.T) {
+	srv := New(buildDB(t, 5000), telemetryConfig())
+	defer srv.Shutdown(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, ok, _ := postQuery(t, ts.URL, QueryRequest{SQL: "SELECT COUNT(*) FROM t", Mode: "exact"})
+	if resp.StatusCode != http.StatusOK || len(ok.TraceID) != 32 {
+		t.Fatalf("status %d, trace_id %q", resp.StatusCode, ok.TraceID)
+	}
+	if hdr := resp.Header.Get("traceparent"); len(hdr) != 55 || hdr[3:35] != ok.TraceID {
+		t.Fatalf("traceparent %q, reply trace_id %q", hdr, ok.TraceID)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(srv.FlightBundle("test").Queries) == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if qs := srv.FlightBundle("test").Queries; len(qs) != 1 || qs[0].TraceID != ok.TraceID {
+		t.Fatalf("flight records %+v, reply trace_id %q", qs, ok.TraceID)
+	}
+}
+
 // TestSpanReadersRaceServing: the span views walk live span trees while
 // queries are served and filed; run it under -race.
 func TestSpanReadersRaceServing(t *testing.T) {

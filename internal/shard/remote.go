@@ -405,10 +405,5 @@ func (r *RemoteShard) emit(typ, traceID string) {
 }
 
 func traceIDFrom(ctx context.Context) string {
-	if sp := trace.SpanFromContext(ctx); sp != nil {
-		if tid := sp.TraceID(); !tid.IsZero() {
-			return tid.String()
-		}
-	}
-	return ""
+	return trace.SpanFromContext(ctx).TraceID()
 }

@@ -149,25 +149,26 @@ func (g *Group) Scatter(ctx context.Context, stmt *sqlparse.SelectStmt, opt Exec
 		queries[i] = q
 	}
 
-	sp, sctx := trace.StartSpan(ctx, fmt.Sprintf("scatter %s (%d shards)", g.name, n))
-	sp.SetAttr("key", g.key.String())
-	defer sp.End()
-	scatterTID := ""
-	if tid := sp.TraceID(); !tid.IsZero() {
-		scatterTID = tid.String()
-	}
-
-	// Pre-create per-shard spans in index order so profiles are stable.
-	// Each leg is stamped with its own W3C traceparent — the exact header
-	// a remote-shard RPC will carry when this seam goes over the wire —
-	// so exported spans prove context propagation per leg.
+	// Span names are built only for a traced query. Per-shard spans are
+	// pre-created in index order so profiles are stable. Each
+	// leg is stamped with its own W3C traceparent — the exact header a
+	// remote-shard RPC will carry when this seam goes over the wire — so
+	// exported spans prove context propagation per leg.
+	var sp *trace.Span
+	sctx := ctx
 	spans := make([]*trace.Span, n)
-	for i := range g.shards {
-		spans[i] = sp.StartChild(fmt.Sprintf("shard %d (%d rows)", i, g.shards[i].Rows()))
-		if tp := spans[i].Traceparent(); tp != "" {
-			spans[i].SetAttr("traceparent", tp)
+	if trace.Enabled(ctx) {
+		sp, sctx = trace.StartSpan(ctx, fmt.Sprintf("scatter %s (%d shards)", g.name, n))
+		sp.SetAttr("key", g.key.String())
+		for i := range g.shards {
+			spans[i] = sp.StartChild(fmt.Sprintf("shard %d (%d rows)", i, g.shards[i].Rows()))
+			if tp := spans[i].Traceparent(); tp != "" {
+				spans[i].SetAttr("traceparent", tp)
+			}
 		}
 	}
+	defer sp.End()
+	scatterTID := sp.TraceID()
 
 	parts := make([]*exec.AggPartial, n)
 	errs := make([]error, n)

@@ -2,10 +2,11 @@ package stats
 
 // Ring is a fixed-capacity window over the most recent values pushed:
 // once full, each push evicts the oldest value. Every rolling window in
-// the module (audit coverage and ground-truth traces, workload sentinels,
-// the flight recorder, the time-series store) is one. The zero value is
-// unusable; construct with NewRing. Not safe for concurrent use —
-// callers serialize access.
+// the module (audit coverage, dedup set and ground-truth traces, workload
+// sentinels, the flight recorder, the time-series store) is one; a ranked
+// window (RollingQuantiles) keeps its values in order next to its ring.
+// The zero value is unusable; construct with NewRing. Not safe for
+// concurrent use — callers serialize access.
 type Ring[T any] struct {
 	buf  []T
 	head int // index of the oldest value
@@ -36,6 +37,9 @@ func (r *Ring[T]) Push(v T) (old T, evicted bool) {
 
 // N returns the number of values held.
 func (r *Ring[T]) N() int { return r.n }
+
+// Cap returns how many values the ring holds when full.
+func (r *Ring[T]) Cap() int { return len(r.buf) }
 
 // Full reports whether the next push evicts a value.
 func (r *Ring[T]) Full() bool { return r.n == len(r.buf) }

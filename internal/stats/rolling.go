@@ -1,6 +1,10 @@
 package stats
 
-import "math"
+import (
+	"math"
+	"slices"
+	"sort"
+)
 
 // WilsonInterval returns the Wilson score interval for a binomial
 // proportion: successes out of n trials at the given confidence. Unlike
@@ -71,105 +75,75 @@ func (r *RollingCoverage) Wilson(confidence float64) Interval {
 
 // RollingQuantiles tracks a float statistic (e.g. realized relative
 // error) over a sliding window of the last Cap observations and answers
-// quantile queries over the window. Exact, O(window) space, and O(window)
-// expected time per query by selection — windows here are hundreds of
-// entries, so the simple form beats a sketch. Not safe for concurrent use.
+// quantile queries over the window. Next to its Ring it keeps the window's
+// values in sort.Float64s order (NaN first): a push moves O(window) values
+// by binary search, and a quantile is an index, so a window read on every
+// query ranks nothing. Exact and O(window) space — windows here are
+// hundreds of entries, so the simple form beats a sketch. Not safe for
+// concurrent use.
 type RollingQuantiles struct {
 	*Ring[float64]
-	scratch []float64 // the window's copy a query reorders
+	sorted []float64 // the ring's values in sort.Float64s order
 }
 
 // NewRollingQuantiles creates a window holding up to cap observations
 // (minimum 1).
 func NewRollingQuantiles(cap int) *RollingQuantiles {
-	return &RollingQuantiles{Ring: NewRing[float64](cap)}
+	r := NewRing[float64](cap)
+	return &RollingQuantiles{Ring: r, sorted: make([]float64, 0, len(r.buf))}
+}
+
+// Push appends v, evicting the oldest value when the window is full; it
+// returns the evicted value as Ring.Push does.
+func (r *RollingQuantiles) Push(v float64) (old float64, evicted bool) {
+	if old, evicted = r.Ring.Push(v); evicted {
+		// cmp.Compare's order is sort.Float64s's, and -0 == +0: an evicted
+		// -0 may remove a tied +0, which ranks the same.
+		i, _ := slices.BinarySearch(r.sorted, old)
+		r.sorted = slices.Delete(r.sorted, i, i+1)
+	}
+	i, _ := slices.BinarySearch(r.sorted, v)
+	r.sorted = slices.Insert(r.sorted, i, v)
+	return old, evicted
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of the window using the
 // nearest-rank method; 0 when the window is empty.
 func (r *RollingQuantiles) Quantile(q float64) float64 {
-	r.scratch = r.AppendTo(r.scratch[:0])
-	return NearestRank(r.scratch, q)
+	if len(r.sorted) == 0 {
+		return 0
+	}
+	return r.sorted[rank(len(r.sorted), q)]
 }
 
 // NearestRank returns the nearest-rank q-quantile (0 <= q <= 1) of vals,
-// reordering vals in place; 0 when vals is empty. The ranks are those of
-// sort.Float64s — NaN below every number — and the value is found by
-// selection, in expected linear time, without sorting.
+// sorting vals in place (sort.Float64s: NaN below every number); 0 when
+// vals is empty. It is for one-shot reads; a rolling window keeps its
+// values ordered instead (RollingQuantiles).
 func NearestRank(vals []float64, q float64) float64 {
 	if len(vals) == 0 {
 		return 0
 	}
-	k := 0
+	sort.Float64s(vals)
+	return vals[rank(len(vals), q)]
+}
+
+// rank is the index of the nearest-rank q-quantile among n sorted values.
+func rank(n int, q float64) int {
 	switch {
 	case q <= 0:
+		return 0
 	case q >= 1:
-		k = len(vals) - 1
-	default:
-		k = max(int(math.Ceil(q*float64(len(vals))))-1, 0)
+		return n - 1
 	}
-	return selectRank(vals, k)
+	return max(int(math.Ceil(q*float64(n)))-1, 0)
 }
 
-// floatLess is sort.Float64s's order: NaN first, then the numbers.
-func floatLess(x, y float64) bool { return x < y || (x != x && y == y) }
-
-// selectRank reorders a so that a[k] holds the value that sorting would put
-// there, and returns it: quickselect with a median-of-three pivot, and an
-// insertion sort once a range is short.
-func selectRank(a []float64, k int) float64 {
-	lo, hi := 0, len(a)-1
-	for hi-lo >= 12 {
-		m := lo + (hi-lo)/2
-		if floatLess(a[m], a[lo]) {
-			a[m], a[lo] = a[lo], a[m]
-		}
-		if floatLess(a[hi], a[lo]) {
-			a[hi], a[lo] = a[lo], a[hi]
-		}
-		if floatLess(a[hi], a[m]) {
-			a[hi], a[m] = a[m], a[hi]
-		}
-		p := a[m]
-		i, j := lo, hi
-		for i <= j {
-			for floatLess(a[i], p) {
-				i++
-			}
-			for floatLess(p, a[j]) {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
-			}
-		}
-		// a[lo:j+1] ≤ p ≤ a[i:hi+1], and anything between equals p.
-		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
-		default:
-			return a[k]
-		}
-	}
-	for i := lo + 1; i <= hi; i++ {
-		for j := i; j > lo && floatLess(a[j], a[j-1]); j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-	return a[k]
-}
-
-// Max returns the largest in-window value (0 when empty).
+// Max returns the largest in-window value, or 0 when the window is empty
+// or holds nothing above 0.
 func (r *RollingQuantiles) Max() float64 {
-	var m float64
-	for i := 0; i < r.N(); i++ {
-		if v := r.At(i); v > m {
-			m = v
-		}
+	if n := len(r.sorted); n > 0 && r.sorted[n-1] > 0 {
+		return r.sorted[n-1]
 	}
-	return m
+	return 0
 }

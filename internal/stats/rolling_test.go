@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -150,33 +152,57 @@ func sortedRank(vals []float64, q float64) float64 {
 	return s[max(int(math.Ceil(q*float64(len(s))))-1, 0)]
 }
 
-// TestNearestRankIsSortRank: selection returns the value sorting puts at
-// the rank, over seeded slices of every length up to 300 drawn with ties,
-// NaN, ±Inf and signed zeros, at the quantiles the observers ask for.
-// (A -0 and a +0 tied at the rank may swap, as sort.Float64s may swap
-// them; the two compare equal.)
+// checkWindow fails unless every quantile the observers ask for of the
+// window equals the sorted reference over the ring's contents. (An evicted
+// -0 may have removed a tied +0, or the reverse; the two compare equal.)
+func checkWindow(t *testing.T, r *RollingQuantiles, step string) {
+	t.Helper()
+	held := r.AppendTo(nil)
+	for _, q := range []float64{0, 0.01, 0.5, 0.9, 0.95, 0.999, 1} {
+		want, got := sortedRank(held, q), r.Quantile(q)
+		if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("%s q=%v: window %v, sorting %v", step, q, got, want)
+		}
+	}
+}
+
+// TestNearestRankIsSortRank: an ordered window returns, after every push,
+// the value sorting its ring's contents puts at the rank, over seeded
+// streams into windows of every capacity up to 300, drawn with ties, NaN,
+// ±Inf and signed zeros, at the quantiles the observers ask for.
 func TestNearestRankIsSortRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	pool := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 1, 2, 2, 3}
-	for trial := 0; trial < 2000; trial++ {
-		n := trial % 301
-		vals := make([]float64, n)
-		for i := range vals {
+	for capacity := 1; capacity <= 300; capacity++ {
+		r := NewRollingQuantiles(capacity)
+		for i := 0; i < capacity+40; i++ {
 			switch rng.Intn(4) {
 			case 0:
-				vals[i] = pool[rng.Intn(len(pool))]
+				r.Push(pool[rng.Intn(len(pool))])
 			case 1:
-				vals[i] = float64(rng.Intn(5)) // heavy ties
+				r.Push(float64(rng.Intn(5))) // heavy ties
 			default:
-				vals[i] = rng.NormFloat64() * 100
+				r.Push(rng.NormFloat64() * 100)
 			}
-		}
-		for _, q := range []float64{0, 0.5, 0.9, 0.95, 1, 0.01, 0.999} {
-			want := sortedRank(vals, q)
-			got := NearestRank(slices.Clone(vals), q)
-			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
-				t.Fatalf("n=%d q=%v: selection %v, sorting %v", n, q, got, want)
-			}
+			checkWindow(t, r, fmt.Sprintf("cap %d push %d", capacity, i))
 		}
 	}
+	vals := []float64{3, math.NaN(), 1, 2}
+	if got := NearestRank(vals, 0.5); got != 1 || !math.IsNaN(vals[0]) {
+		t.Fatalf("NearestRank(p50) = %v over %v, want 1 with the slice sorted", got, vals)
+	}
+}
+
+// FuzzRollingQuantiles: any capacity and push sequence of any float bits
+// keeps an ordered window equal to the sorting reference after every push.
+func FuzzRollingQuantiles(f *testing.F) {
+	f.Add(uint8(3), []byte{0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0x80, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(uint8(1), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 0, 0, 0, 0, 0, 0, 0xf0, 0xff})
+	f.Fuzz(func(t *testing.T, capacity uint8, bits []byte) {
+		r := NewRollingQuantiles(int(capacity))
+		for i := 0; i+8 <= len(bits); i += 8 {
+			r.Push(math.Float64frombits(binary.LittleEndian.Uint64(bits[i:])))
+			checkWindow(t, r, fmt.Sprintf("cap %d push %d", capacity, i/8))
+		}
+	})
 }

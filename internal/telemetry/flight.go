@@ -145,7 +145,7 @@ func (r *Recorder) Record(qr QueryRecord) {
 	}
 	end := qr.Start.Add(time.Duration(qr.LatencyMS * float64(time.Millisecond)))
 	if qr.Trace != nil {
-		qr.TraceID = qr.Trace.TraceID().String()
+		qr.TraceID = qr.Trace.TraceID()
 	}
 	r.mu.Lock()
 	r.seq++

@@ -73,7 +73,7 @@ func TestFeedEnvelope(t *testing.T) {
 		tr.Root().StartChild("engine exact").End()
 		tr.Finish()
 		r.Record(QueryRecord{SQL: "q", Status: 200, Trace: tr})
-		want = append(want, tr.TraceID().String())
+		want = append(want, tr.TraceID())
 	}
 	r.Record(QueryRecord{SQL: "untraced", Status: 200})
 

@@ -229,15 +229,18 @@ type SLOStoreRef struct {
 	Edges func(d time.Duration) (old, latest Sample, ok bool)
 }
 
-// NewSLO builds the engine over a store. onFastBurn (optional) fires
-// once per objective each time it *enters* the fast_burn state.
+// NewSLO builds the engine over a store, which it grows to retain the
+// longest objective window. onFastBurn (optional) fires once per
+// objective each time it *enters* the fast_burn state.
 func NewSLO(store *Store, objs []Objective, onFastBurn func(ObjectiveStatus)) *SLO {
 	if len(objs) == 0 {
 		objs = DefaultObjectives()
 	}
 	withDefaults := make([]Objective, len(objs))
 	for i, o := range objs {
-		withDefaults[i] = o.withDefaults()
+		o = o.withDefaults()
+		withDefaults[i] = o
+		store.retain(time.Duration(max(o.FastWindow, o.SlowWindow)))
 	}
 	return &SLO{
 		store:   &SLOStoreRef{Edges: store.WindowEdges},

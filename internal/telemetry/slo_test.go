@@ -187,3 +187,30 @@ func TestDurationJSON(t *testing.T) {
 		t.Fatalf("marshal: %s %v", b, err)
 	}
 }
+
+// TestSlowWindowSpansWhatItReports: over aqpd's default store (15m of 10s
+// samples) and the default objectives, the slow window's edges span the
+// full hour once an hour of samples exists — not the 15 minutes the
+// store's own window keeps.
+func TestSlowWindowSpansWhatItReports(t *testing.T) {
+	const step = 10 * time.Second
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	var next Sample
+	store := NewStore(StoreConfig{Step: step, Window: 15 * time.Minute, Collect: func() Sample { return next }})
+	for _, o := range NewSLO(store, nil, nil).Objectives() {
+		if time.Duration(o.SlowWindow) != time.Hour {
+			t.Fatalf("%s: slow window %v, want the 1h default", o.Name, o.SlowWindow)
+		}
+	}
+	for i := 0; i <= 2*int(time.Hour/step); i++ {
+		next = clk.sample(step, 1)
+		store.Snap()
+		if i == 0 {
+			continue
+		}
+		old, latest, _ := store.WindowEdges(time.Hour)
+		if got, want := latest.T.Sub(old.T), min(time.Duration(i)*step, time.Hour); got != want {
+			t.Fatalf("after %d steps: slow edges span %v, want %v", i, got, want)
+		}
+	}
+}

@@ -101,6 +101,21 @@ func NewStore(cfg StoreConfig) *Store {
 	return &Store{cfg: cfg, buf: stats.NewRing[Sample](capacity)}
 }
 
+// retain grows the ring to hold samples spanning d, keeping those it
+// holds: an SLO window longer than Window is then measured over d, not
+// over the span the ring happened to keep.
+func (s *Store) retain(d time.Duration) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := int((d+s.cfg.Step-1)/s.cfg.Step) + 1; n > s.buf.Cap() {
+		grown := stats.NewRing[Sample](n)
+		for i := 0; i < s.buf.N(); i++ {
+			grown.Push(s.buf.At(i))
+		}
+		s.buf = grown
+	}
+}
+
 // Step returns the snapshot cadence.
 func (s *Store) Step() time.Duration { return s.cfg.Step }
 

@@ -40,12 +40,6 @@ func NewTraceID() TraceID {
 	return t
 }
 
-// FormatTraceparent renders the W3C traceparent header (version 00,
-// sampled flag set): 00-<32 hex trace id>-<16 hex span id>-01.
-func FormatTraceparent(tid TraceID, sid SpanID) string {
-	return "00-" + tid.String() + "-" + sid.String() + "-01"
-}
-
 // ParseTraceparent parses a W3C traceparent header. It accepts any
 // known-layout version (two hex chars other than "ff") and rejects
 // malformed lengths, non-hex fields, and all-zero IDs, per the spec.

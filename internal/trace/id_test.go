@@ -64,7 +64,7 @@ func TestParseTraceparentRejects(t *testing.T) {
 func TestNewWithParentJoinsTrace(t *testing.T) {
 	remoteTid, remoteSid, _ := ParseTraceparent("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
 	tr := NewWithParent("query", remoteTid, remoteSid)
-	if tr.TraceID() != remoteTid {
+	if tr.TraceID() != remoteTid.String() {
 		t.Fatal("tracer did not adopt the remote trace ID")
 	}
 	p := tr.Profile()
@@ -75,7 +75,7 @@ func TestNewWithParentJoinsTrace(t *testing.T) {
 		t.Fatalf("root parent %s, want the remote span", p.ParentSpanID)
 	}
 	// Zero trace ID falls back to a fresh one.
-	if NewWithParent("q", TraceID{}, SpanID{}).TraceID().IsZero() {
+	if NewWithParent("q", TraceID{}, SpanID{}).TraceID() == (TraceID{}).String() {
 		t.Fatal("zero trace ID not replaced")
 	}
 }
@@ -114,7 +114,7 @@ func TestSpanIDsUniqueWithinTrace(t *testing.T) {
 
 func TestUntracedSpanHasNoIdentity(t *testing.T) {
 	var sp *Span
-	if sp.Traceparent() != "" || !sp.TraceID().IsZero() || !sp.SpanID().IsZero() {
+	if sp.Traceparent() != "" || sp.TraceID() != "" || !sp.SpanID().IsZero() {
 		t.Fatal("nil span leaked identity")
 	}
 }

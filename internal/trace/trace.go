@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -29,12 +30,13 @@ import (
 )
 
 // Tracer is the root of one query's span tree. Every tracer owns a
-// 128-bit trace ID; every span it creates gets a 64-bit span ID derived
-// from the trace ID and a counter (splitmix64), so span-ID assignment
-// costs no syscalls and no locks beyond the counter.
+// 128-bit trace ID, hex-encoded once at construction; every span it
+// creates gets a 64-bit span ID derived from the trace ID and a counter
+// (splitmix64), so span-ID assignment costs no syscalls and no locks
+// beyond the counter.
 type Tracer struct {
 	root    *Span
-	traceID TraceID
+	traceID string // the trace ID's 32-char lowercase hex form
 	idSeed  uint64
 	idCtr   atomic.Uint64
 }
@@ -55,7 +57,7 @@ func NewWithParent(name string, tid TraceID, parent SpanID) *Tracer {
 		tid = NewTraceID()
 	}
 	t := &Tracer{
-		traceID: tid,
+		traceID: tid.String(),
 		idSeed:  binary.BigEndian.Uint64(tid[8:]),
 	}
 	t.root = &Span{name: name, start: time.Now(), timed: true, tr: t, parentID: parent}
@@ -63,10 +65,12 @@ func NewWithParent(name string, tid TraceID, parent SpanID) *Tracer {
 	return t
 }
 
-// TraceID returns the tracer's trace identifier.
-func (t *Tracer) TraceID() TraceID {
+// TraceID returns the tracer's trace identifier in hex ("" for a nil
+// tracer): the one string a reply, a traceparent header and a flight
+// record carry.
+func (t *Tracer) TraceID() string {
 	if t == nil {
-		return TraceID{}
+		return ""
 	}
 	return t.traceID
 }
@@ -278,7 +282,7 @@ func (s *Span) SetAttrInt(key string, v int64) {
 	if s == nil {
 		return
 	}
-	s.SetAttr(key, fmt.Sprintf("%d", v))
+	s.SetAttr(key, strconv.FormatInt(v, 10))
 }
 
 // SetAttrFloat records a float attribute with compact formatting.
@@ -286,7 +290,7 @@ func (s *Span) SetAttrFloat(key string, v float64) {
 	if s == nil {
 		return
 	}
-	s.SetAttr(key, fmt.Sprintf("%g", v))
+	s.SetAttr(key, strconv.FormatFloat(v, 'g', -1, 64))
 }
 
 // NewChild attaches an accumulating child span and returns it. Use for
@@ -322,11 +326,11 @@ func (s *Span) newChild(name string) *Span {
 	return sp
 }
 
-// TraceID returns the owning tracer's trace ID (zero for nil spans or
-// spans created outside a tracer).
-func (s *Span) TraceID() TraceID {
+// TraceID returns the owning tracer's trace ID in hex ("" for nil spans
+// or spans created outside a tracer).
+func (s *Span) TraceID() string {
 	if s == nil || s.tr == nil {
-		return TraceID{}
+		return ""
 	}
 	return s.tr.traceID
 }
@@ -339,14 +343,15 @@ func (s *Span) SpanID() SpanID {
 	return s.spanID
 }
 
-// Traceparent renders the W3C traceparent header that would propagate
-// this span's context to a downstream service ("" when untraced). This
-// is the exact string a remote-shard RPC will carry.
+// Traceparent renders the W3C traceparent header (version 00, sampled
+// flag set) that would propagate this span's context to a downstream
+// service: 00-<32 hex trace id>-<16 hex span id>-01, or "" when
+// untraced. This is the exact string a remote-shard RPC will carry.
 func (s *Span) Traceparent() string {
-	if s == nil || s.tr == nil || s.tr.traceID.IsZero() {
+	if s == nil || s.tr == nil {
 		return ""
 	}
-	return FormatTraceparent(s.tr.traceID, s.spanID)
+	return "00-" + s.tr.traceID + "-" + s.spanID.String() + "-01"
 }
 
 // Snapshot exports the subtree rooted at s without ending it (nil-safe).
@@ -384,8 +389,8 @@ func (s *Span) profile() *Profile {
 		DurationMS: float64(s.dur) / float64(time.Millisecond),
 		RowsOut:    s.rowsOut,
 	}
-	if s.tr != nil && !s.tr.traceID.IsZero() {
-		p.TraceID = s.tr.traceID.String()
+	if s.tr != nil {
+		p.TraceID = s.tr.traceID
 		p.SpanID = s.spanID.String()
 		if !s.parentID.IsZero() {
 			p.ParentSpanID = s.parentID.String()

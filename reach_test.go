@@ -31,7 +31,6 @@ var reachAllowlist = map[string]string{
 	"internal/trace.(*Profile).FindAll":            "test probe: profile tests collect spans by name",
 	"internal/trace.(*Profile).Lines":              "test probe: render tests compare the tree",
 	"internal/trace.(*Profile).SortChildrenByName": "test probe: render tests fix child order",
-	"internal/trace.Enabled":                       "test probe: trace tests check the disabled path",
 	"internal/telemetry.(*SLO).Objectives":         "test probe: SLO tests list the objectives",
 	"internal/stats.(*HTEstimator).Count":          "test probe: estimator tests read the count",
 	"internal/storage.(*Float64Column).Float":      "test probe: storage tests read one cell",
